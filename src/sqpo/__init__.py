@@ -58,7 +58,6 @@ from .graphs import (
     is_epi,
     is_homomorphism,
     is_mono,
-    validate_graph,
 )
 from .hierarchy import (
     CommutativityViolation,
@@ -93,7 +92,6 @@ from .relations import (
     build_canonical_plan,
     build_relation_plan,
     derive_backward_factorization,
-    derive_factorization_from_relation,
     derive_forward_factorization,
 )
 from .rules import (

@@ -9,6 +9,19 @@ representative concatenation for pushout classes, "g∥k" for complement
 clones), with a counter suffix on collision, so repeated runs produce
 bit-identical output.
 
+The constructions are driven by edges and indexes, never by pairs of nodes:
+
+* pullback costs O(|A| + |B| + joined edges), up to a sort of the nodes:
+  B nodes are bucketed by image, and A-edges and B-edges are joined on
+  their common image edge;
+* final_pbc costs O(|V_G| + sum over G-edges (u, v) of copies(u)·copies(v)),
+  up to a sort of the nodes, where copies(g) is 1 for an untouched node,
+  the number of K-preimages for a matched one and 0 for a deleted one;
+* pushout and image_factorization are near-linear (union-find, sorting).
+
+Node ids are still assigned in sorted order of the input ids, exactly as a
+loop over all pairs of nodes would assign them.
+
 The verify_*_up functions are brute-force universal-property oracles used
 by the test suite. Each one re-derives the defining property of its
 construction from scratch (own pair enumeration, own union-find) and
@@ -81,12 +94,10 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     if f.target != g.target:
         raise CompositionError("pullback: arrows do not share a target")
     a_graph, b_graph = f.source, g.source
-    pairs = [
-        (a, b)
-        for a in sorted(a_graph.nodes)
-        for b in sorted(b_graph.nodes)
-        if f[a] == g[b]
-    ]
+    over: dict[str, list[str]] = {}
+    for b in sorted(b_graph.nodes):
+        over.setdefault(g[b], []).append(b)
+    pairs = [(a, b) for a in sorted(a_graph.nodes) for b in over.get(f[a], ())]
     ids: dict[tuple[str, str], str] = {}
     taken: set[str] = set()
     for (a, b) in pairs:
@@ -97,11 +108,17 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
         ids[(a, b)]: attrs_intersection(a_graph.attrs_of(a), b_graph.attrs_of(b))
         for (a, b) in pairs
     }
+    # join A-edges and B-edges on their common image edge in C
+    f_map, g_map = f.node_map, g.node_map
+    b_edges_over: dict[tuple, list[tuple[str, str]]] = {}
+    for (b1, b2) in b_graph.edges:
+        b_edges_over.setdefault((g_map.get(b1), g_map.get(b2)), []).append((b1, b2))
     edges = {}
-    for (a1, b1) in pairs:
-        for (a2, b2) in pairs:
-            if (a1, a2) in a_graph.edges and (b1, b2) in b_graph.edges:
-                edges[(ids[(a1, b1)], ids[(a2, b2)])] = attrs_intersection(
+    for (a1, a2) in a_graph.edges:
+        for (b1, b2) in b_edges_over.get((f_map.get(a1), f_map.get(a2)), ()):
+            p1, p2 = ids.get((a1, b1)), ids.get((a2, b2))
+            if p1 is not None and p2 is not None:
+                edges[(p1, p2)] = attrs_intersection(
                     a_graph.attrs_of((a1, a2)), b_graph.attrs_of((b1, b2))
                 )
     apex = Graph(ids.values(), edges.keys(), node_attrs, edges)
@@ -224,25 +241,28 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
                 attrs_difference(l_graph.attrs_of(l), k_graph.attrs_of(k)),
             )
 
+    # copies of a G node: itself if untouched, its K-preimages if matched
+    # (none if deleted); every apex edge lies over a G edge
+    copies = {g: [None] for g in g_graph.nodes if g not in m_inv}
+    copies.update((g, preimages[l]) for g, l in m_inv.items())
     edges: dict[tuple[str, str], dict] = {}
-    keys = sorted(ids, key=lambda p: (p[0], p[1] or ""))
-    for (g1, k1) in keys:
-        for (g2, k2) in keys:
-            g_edge = (g1, g2)
-            if k1 is not None and k2 is not None:
-                l_edge = (f[k1], f[k2])
-                if l_edge in l_graph.edges:
-                    if (k1, k2) not in k_graph.edges:
+    for g_edge in g_graph.edges:
+        g1, g2 = g_edge
+        for k1 in copies.get(g1, ()):
+            for k2 in copies.get(g2, ()):
+                if k1 is not None and k2 is not None:
+                    l_edge = (f[k1], f[k2])
+                    if l_edge in l_graph.edges:
+                        if (k1, k2) not in k_graph.edges:
+                            continue
+                        attrs = attrs_difference(
+                            g_graph.attrs_of(g_edge),
+                            attrs_difference(
+                                l_graph.attrs_of(l_edge), k_graph.attrs_of((k1, k2))
+                            ),
+                        )
+                        edges[(ids[(g1, k1)], ids[(g2, k2)])] = attrs
                         continue
-                    attrs = attrs_difference(
-                        g_graph.attrs_of(g_edge),
-                        attrs_difference(
-                            l_graph.attrs_of(l_edge), k_graph.attrs_of((k1, k2))
-                        ),
-                    )
-                    edges[(ids[(g1, k1)], ids[(g2, k2)])] = attrs
-                    continue
-            if g_edge in g_graph.edges:
                 edges[(ids[(g1, k1)], ids[(g2, k2)])] = g_graph.attrs_of(g_edge)
 
     apex = Graph(taken, edges.keys(), node_attrs, edges)

@@ -132,6 +132,8 @@ class Graph:
         raise AttributeError("Graph instances are immutable")
 
     def __eq__(self, other):
+        if self is other:
+            return True
         if not isinstance(other, Graph):
             return NotImplemented
         return (
@@ -318,10 +320,6 @@ class Graph:
             raise GraphElementError(f"unknown node {element}")
 
 
-def validate_graph(g: Graph) -> list[str]:
-    return g.validate()
-
-
 class Homomorphism:
     """A structure-preserving node map between two graphs."""
 
@@ -365,24 +363,43 @@ class Homomorphism:
 
 
 def homomorphism_violation(h: Homomorphism) -> str | None:
-    """First reason h fails to be a homomorphism, or None if it is one."""
-    for n in sorted(h.source.nodes):
-        if n not in h.node_map:
+    """First reason h fails to be a homomorphism, or None if it is one.
+
+    Each check collects its offenders in one unsorted pass and reports the
+    smallest, so the message names the first violation in sorted element
+    order without sorting on the valid path.
+    """
+    source, target, node_map = h.source, h.target, h.node_map
+    bad = [n for n in source.nodes if n not in node_map or node_map[n] not in target.nodes]
+    if bad:
+        n = min(bad)
+        if n not in node_map:
             return f"map not total: node {n} has no image"
-        if h.node_map[n] not in h.target.nodes:
-            return f"node {n} maps to unknown node {h.node_map[n]}"
-    for n in sorted(h.node_map):
-        if n not in h.source.nodes:
-            return f"map defined on unknown node {n}"
-    for e in sorted(h.source.edges):
-        if h.edge_image(e) not in h.target.edges:
-            return f"edge ({e[0]},{e[1]}) has no image edge"
-    for n in sorted(h.source.nodes):
-        if not attrs_contained(h.source.attrs_of(n), h.target.attrs_of(h[n])):
-            return f"attributes of node {n} not contained in its image"
-    for e in sorted(h.source.edges):
-        if not attrs_contained(h.source.attrs_of(e), h.target.attrs_of(h.edge_image(e))):
-            return f"attributes of edge ({e[0]},{e[1]}) not contained in its image"
+        return f"node {n} maps to unknown node {node_map[n]}"
+    bad = [n for n in node_map if n not in source.nodes]
+    if bad:
+        return f"map defined on unknown node {min(bad)}"
+    get = node_map.get
+    bad = [e for e in source.edges if (get(e[0]), get(e[1])) not in target.edges]
+    if bad:
+        e = min(bad)
+        h.edge_image(e)  # raises KeyError if e dangles off an unmapped node
+        return f"edge ({e[0]},{e[1]}) has no image edge"
+    bad = [
+        n
+        for n, attrs in source.node_attrs.items()
+        if n in source.nodes and not attrs_contained(attrs, target.attrs_of(node_map[n]))
+    ]
+    if bad:
+        return f"attributes of node {min(bad)} not contained in its image"
+    bad = [
+        e
+        for e, attrs in source.edge_attrs.items()
+        if e in source.edges and not attrs_contained(attrs, target.attrs_of(h.edge_image(e)))
+    ]
+    if bad:
+        e = min(bad)
+        return f"attributes of edge ({e[0]},{e[1]}) not contained in its image"
     return None
 
 
@@ -485,21 +502,32 @@ def graph_to_json(g: Graph) -> dict:
     return {"nodes": nodes, "edges": edges}
 
 
+def json_shape_message(what: str, exc: Exception) -> str:
+    """Message for a JSON value of the wrong shape: a missing key, or a
+    list, string or number where an object was expected (and vice versa)."""
+    if isinstance(exc, KeyError):
+        return f"malformed {what}: missing key {exc.args[0]!r}"
+    return f"malformed {what}: {exc}"
+
+
 def graph_from_json(obj: Mapping) -> Graph:
-    nodes = []
-    node_attrs = {}
-    for entry in obj.get("nodes", []):
-        nodes.append(entry["id"])
-        if "attrs" in entry:
-            node_attrs[entry["id"]] = attrs_from_json(entry["attrs"])
-    edges = []
-    edge_attrs = {}
-    for entry in obj.get("edges", []):
-        e = (entry["from"], entry["to"])
-        edges.append(e)
-        if "attrs" in entry:
-            edge_attrs[e] = attrs_from_json(entry["attrs"])
-    g = Graph(nodes, edges, node_attrs, edge_attrs)
+    try:
+        nodes = []
+        node_attrs = {}
+        for entry in obj.get("nodes", []):
+            nodes.append(entry["id"])
+            if "attrs" in entry:
+                node_attrs[entry["id"]] = attrs_from_json(entry["attrs"])
+        edges = []
+        edge_attrs = {}
+        for entry in obj.get("edges", []):
+            e = (entry["from"], entry["to"])
+            edges.append(e)
+            if "attrs" in entry:
+                edge_attrs[e] = attrs_from_json(entry["attrs"])
+        g = Graph(nodes, edges, node_attrs, edge_attrs)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise GraphElementError(json_shape_message("graph", exc)) from exc
     problems = g.validate()
     if problems:
         raise GraphElementError("invalid graph: " + "; ".join(problems))

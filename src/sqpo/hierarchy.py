@@ -22,6 +22,7 @@ from .graphs import (
     hom_equal,
     homomorphism_violation,
     identity,
+    json_shape_message,
 )
 
 
@@ -355,21 +356,26 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
     """Parse a hierarchy. With validate=True (the default) any structural
     or commutativity problem raises; validate=False defers to the caller,
     so invalid files can still be loaded for reporting."""
-    skeleton = None
-    assignment: dict[str, str] = {}
-    if "skeleton" in obj and obj["skeleton"] is not None:
-        sk = obj["skeleton"]
-        skeleton = Skeleton.create(sk.get("nodes", []), [tuple(e) for e in sk.get("edges", [])])
-        assignment = dict(sk.get("assignment", {}))
-    objects = {
-        name: graph_from_json(obj["graphs"][name]) for name in obj.get("graphs", {})
-    }
-    arrows = {}
-    for typing in obj.get("typings", []):
-        a, b = typing["from"], typing["to"]
-        if a not in objects or b not in objects:
-            raise HierarchyError(f"typing {a} -> {b} references an unknown graph")
-        arrows[(a, b)] = Homomorphism(objects[a], objects[b], typing["map"])
+    try:
+        skeleton = None
+        assignment: dict[str, str] = {}
+        if "skeleton" in obj and obj["skeleton"] is not None:
+            sk = obj["skeleton"]
+            skeleton = Skeleton.create(
+                sk.get("nodes", []), [tuple(e) for e in sk.get("edges", [])]
+            )
+            assignment = dict(sk.get("assignment", {}))
+        objects = {
+            name: graph_from_json(obj["graphs"][name]) for name in obj.get("graphs", {})
+        }
+        arrows = {}
+        for typing in obj.get("typings", []):
+            a, b = typing["from"], typing["to"]
+            if a not in objects or b not in objects:
+                raise HierarchyError(f"typing {a} -> {b} references an unknown graph")
+            arrows[(a, b)] = Homomorphism(objects[a], objects[b], typing["map"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise HierarchyError(json_shape_message("hierarchy", exc)) from exc
     h = Hierarchy(objects, arrows, skeleton, assignment)
     if validate:
         problems = h.validate()

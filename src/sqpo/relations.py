@@ -25,7 +25,6 @@ from .graphs import (
     attrs_contained,
     compose,
     fresh_id,
-    identity,
 )
 from .category import pullback
 from .hierarchy import Hierarchy
@@ -41,30 +40,6 @@ from .propagation import (
     restriction_pullback,
 )
 from .rules import build_rule
-
-
-def canonical_forward_factorization(
-    rule: Homomorphism, base_typing: Homomorphism
-) -> ForwardFactorization:
-    """The fully propagating factorization: nothing is typed strictly."""
-    return ForwardFactorization(
-        mid=rule.source,
-        pre_arrow=identity(rule.source),
-        post_arrow=rule,
-        typing=base_typing,
-    )
-
-
-def canonical_backward_factorization(
-    rule: Homomorphism, restriction
-) -> BackwardFactorization:
-    """The fully propagating factorization: every clone/deletion propagates."""
-    return BackwardFactorization(
-        mid=rule.target,
-        post_arrow=identity(rule.target),
-        pre_arrow=rule,
-        retyping=restriction.to_lhs,
-    )
 
 
 def derive_forward_factorization(
@@ -291,27 +266,6 @@ def derive_backward_factorization(
         if g_node in relation and relation[g_node] != k:
             doomed.append(q)
     return fact, doomed
-
-
-def derive_factorization_from_relation(
-    direction: str,
-    rule: Homomorphism,
-    match: Homomorphism,
-    target: Graph,
-    typing_to_origin: Homomorphism,
-    relation: dict[str, str],
-):
-    """Dispatch to the forward or backward derivation; returns the
-    factorization together with the derived clean-up payload."""
-    if direction == FORWARD:
-        return derive_forward_factorization(
-            rule, compose(typing_to_origin, match), relation
-        )
-    if direction == BACKWARD:
-        return derive_backward_factorization(
-            rule, match, target, typing_to_origin, relation
-        )
-    raise RewritingError(f"unknown direction {direction!r}")
 
 
 # -- plan builders and the application driver -------------------------------------

@@ -33,6 +33,7 @@ from .graphs import (
     graph_to_json,
     identity,
     is_mono,
+    json_shape_message,
     normalize_attrs,
 )
 
@@ -84,16 +85,19 @@ def rule_to_json(rule: Rule) -> dict:
 
 
 def rule_from_json(obj: dict) -> Rule:
-    lhs = graph_from_json(obj["lhs"])
-    interface = graph_from_json(obj["interface"])
-    rhs = graph_from_json(obj["rhs"])
-    rule = Rule(
-        lhs,
-        interface,
-        rhs,
-        Homomorphism(interface, lhs, obj["left"]),
-        Homomorphism(interface, rhs, obj["right"]),
-    )
+    try:
+        lhs = graph_from_json(obj["lhs"])
+        interface = graph_from_json(obj["interface"])
+        rhs = graph_from_json(obj["rhs"])
+        rule = Rule(
+            lhs,
+            interface,
+            rhs,
+            Homomorphism(interface, lhs, obj["left"]),
+            Homomorphism(interface, rhs, obj["right"]),
+        )
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise RewritingError(json_shape_message("rule", exc)) from exc
     rule.validate()
     return rule
 
@@ -211,50 +215,91 @@ def find_matches(
         if v not in g.nodes:
             raise GraphElementError(f"anchor: unknown graph node {v}")
 
+    # degree and adjacency tables, built once per call
+    p_out: dict[str, int] = {}
+    p_in: dict[str, int] = {}
+    for (u, v) in pattern.edges:
+        p_out[u] = p_out.get(u, 0) + 1
+        p_in[v] = p_in.get(v, 0) + 1
+    g_succ: dict[str, list[str]] = {}
+    g_pred: dict[str, list[str]] = {}
+    for (u, v) in g.edges:
+        g_succ.setdefault(u, []).append(v)
+        g_pred.setdefault(v, []).append(u)
+    no_nodes: list[str] = []
+
     order = sorted(pattern.nodes)
+    hosts = sorted(g.nodes)
     candidates: dict[str, list[str]] = {}
     for n in order:
         opts = []
-        n_out = len([e for e in pattern.edges if e[0] == n])
-        n_in = len([e for e in pattern.edges if e[1] == n])
-        for c in sorted(g.nodes):
-            if n in anchor and anchor[n] != c:
-                continue
+        n_out = p_out.get(n, 0)
+        n_in = p_in.get(n, 0)
+        loop = (n, n) in pattern.edges
+        for c in [anchor[n]] if n in anchor else hosts:
             if not attrs_contained(pattern.attrs_of(n), g.attrs_of(c)):
                 continue
-            if (n, n) in pattern.edges and (c, c) not in g.edges:
+            if loop and (c, c) not in g.edges:
                 continue
-            if n_out > len([e for e in g.edges if e[0] == c]):
+            if n_out > len(g_succ.get(c, no_nodes)):
                 continue
-            if n_in > len([e for e in g.edges if e[1] == c]):
+            if n_in > len(g_pred.get(c, no_nodes)):
                 continue
             opts.append(c)
         candidates[n] = opts
+
+    # for each pattern node, its edges to earlier nodes in the search order:
+    # (earlier node, pattern edge, host-side adjacency of the earlier image)
+    position = {n: i for i, n in enumerate(order)}
+    links: dict[str, list] = {n: [] for n in order}
+    for (u, v) in pattern.edges:
+        if u == v or u not in position or v not in position:
+            continue
+        if position[u] < position[v]:
+            links[v].append((u, (u, v), g_succ, False))
+        else:
+            links[u].append((v, (u, v), g_pred, True))
 
     matches: list[Match] = []
     assignment: dict[str, str] = {}
     used: set[str] = set()
 
     def compatible(n: str, c: str) -> bool:
-        for p_node, img in assignment.items():
-            for (u, v, x, y) in ((n, p_node, c, img), (p_node, n, img, c)):
-                if (u, v) in pattern.edges:
-                    if (x, y) not in g.edges:
-                        return False
-                    if not attrs_contained(pattern.attrs_of((u, v)), g.attrs_of((x, y))):
-                        return False
+        for p_node, edge, _, n_is_source in links[n]:
+            img = assignment[p_node]
+            host_edge = (c, img) if n_is_source else (img, c)
+            if host_edge not in g.edges:
+                return False
+            if not attrs_contained(pattern.attrs_of(edge), g.attrs_of(host_edge)):
+                return False
         if (n, n) in pattern.edges and not attrs_contained(
             pattern.attrs_of((n, n)), g.attrs_of((c, c))
         ):
             return False
         return True
 
+    candidate_sets = {n: set(opts) for n, opts in candidates.items()}
+
+    def options(n: str) -> list[str]:
+        """Candidates of n in sorted order, narrowed to the host neighbours
+        of an assigned pattern neighbour when those are fewer."""
+        opts = candidates[n]
+        nearest = None
+        for p_node, _, adjacency, _ in links[n]:
+            near = adjacency.get(assignment[p_node], no_nodes)
+            if len(near) < len(opts) and (nearest is None or len(near) < len(nearest)):
+                nearest = near
+        if nearest is None:
+            return opts
+        allowed = candidate_sets[n]
+        return sorted(c for c in nearest if c in allowed)
+
     def search(i: int):
         if i == len(order):
             matches.append(Match(Homomorphism(pattern, g, dict(assignment)), kind))
             return
         n = order[i]
-        for c in candidates[n]:
+        for c in options(n):
             if c in used or not compatible(n, c):
                 continue
             assignment[n] = c

@@ -288,3 +288,46 @@ def test_cli_runs_are_byte_identical(tmp_path):
         assert proc.returncode == 0
         results.append((out.read_bytes(), report.read_bytes()))
     assert results[0] == results[1]
+
+
+def _without_first_node_id(obj):
+    del obj["graphs"]["G"]["nodes"][0]["id"]
+    return obj
+
+
+def _without_first_typing_target(obj):
+    del obj["typings"][0]["to"]
+    return obj
+
+
+@pytest.mark.parametrize(
+    "damage, needle",
+    [
+        (_without_first_node_id, "missing key 'id'"),
+        (_without_first_typing_target, "missing key 'to'"),
+        (lambda obj: [obj], "malformed hierarchy"),
+    ],
+    ids=["node-without-id", "typing-without-to", "top-level-list"],
+)
+def test_validate_malformed_json_exits_2(tmp_path, damage, needle):
+    obj = json.loads((FIXTURES / "merge_add.hierarchy.json").read_text())
+    path = tmp_path / "bad.hierarchy.json"
+    path.write_text(json.dumps(damage(obj)))
+    proc = run_cli("validate", path)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and needle in proc.stderr
+
+
+def test_rewrite_malformed_rule_exits_2(tmp_path):
+    rule = json.loads((FIXTURES / "merge_add.rule.json").read_text())
+    del rule["left"]
+    path = tmp_path / "bad.rule.json"
+    path.write_text(json.dumps(rule))
+    proc = run_cli(
+        "rewrite", FIXTURES / "merge_add.hierarchy.json", "G", path, "0",
+        "--direction", "fwd", "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and "missing key 'left'" in proc.stderr

@@ -1,0 +1,285 @@
+"""Differential tests: the index-driven kernels against the original pair-loop
+kernels kept in reference_kernels.py.
+
+Each test runs both versions on the same seeded random inputs and requires
+byte-identical results: the canonical JSON of every constructed graph, every
+returned node map, every violation message and the order of the match list.
+"""
+
+import random
+
+import pytest
+
+import reference_kernels as ref
+from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
+from sqpo import (
+    EXPANSIVE,
+    RESTRICTIVE,
+    CloneNode,
+    DeleteNode,
+    Graph,
+    Homomorphism,
+    PullbackResult,
+    Rule,
+    build_rule,
+    final_pbc,
+    find_matches,
+    graph_to_json,
+    pullback,
+    verify_final_pbc_up,
+    verify_pullback_up,
+)
+from sqpo.graphs import dumps_canonical, homomorphism_violation
+
+
+def _canonical(g: Graph) -> str:
+    return dumps_canonical(graph_to_json(g))
+
+
+def _same_hom(new: Homomorphism, old: Homomorphism) -> None:
+    assert _canonical(new.source) == _canonical(old.source)
+    assert _canonical(new.target) == _canonical(old.target)
+    assert new.node_map == old.node_map
+
+
+def _assert_same_pullback(f, g):
+    new, old = pullback(f, g), ref.pullback(f, g)
+    assert _canonical(new.apex) == _canonical(old.apex)
+    _same_hom(new.to_a, old.to_a)
+    _same_hom(new.to_b, old.to_b)
+    return new
+
+
+def _assert_same_pbc(f, m):
+    new, old = final_pbc(f, m), ref.final_pbc(f, m)
+    assert _canonical(new.apex) == _canonical(old.apex)
+    _same_hom(new.embed, old.embed)
+    _same_hom(new.project, old.project)
+    return new
+
+
+def _match_maps(matches):
+    return [(m.kind, m.instance.node_map) for m in matches]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pullback_matches_reference(seed):
+    rng = random.Random(9100 + seed)
+    for _ in range(60):
+        c = random_graph(rng, max_nodes=5, min_nodes=1, p_edge=0.45, prefix="c")
+        f = random_hom_into(rng, c, max_nodes=6, prefix="a")
+        g = random_hom_into(rng, c, max_nodes=6, prefix="b")
+        res = _assert_same_pullback(f, g)
+        assert verify_pullback_up(res, f, g)
+
+
+def test_pullback_of_typing_against_mono_matches_reference():
+    """The backward-propagation shape: an instance typing pulled back along
+    a mono into its type graph."""
+    rng = random.Random(9200)
+    for _ in range(60):
+        t = random_graph(rng, max_nodes=4, min_nodes=1, p_edge=0.5, prefix="t")
+        typing = random_hom_into(rng, t, max_nodes=8, prefix="g")
+        mono = random_mono_into(rng, t)
+        res = _assert_same_pullback(typing, mono)
+        assert verify_pullback_up(res, typing, mono)
+
+
+def test_pullback_id_collisions_match_reference():
+    """Pair ids that collide ("a⋈b" spelled two ways) get the same counter
+    suffixes as before."""
+    c = Graph(["c"], [("c", "c")])
+    a = Graph(["x", "x⋈y"], [("x", "x⋈y"), ("x⋈y", "x⋈y")])
+    b = Graph(["y⋈z", "z", "y"], [("y", "z"), ("z", "z")])
+    f = Homomorphism(a, c, {n: "c" for n in a.nodes})
+    g = Homomorphism(b, c, {n: "c" for n in b.nodes})
+    res = _assert_same_pullback(f, g)
+    assert len(res.apex.nodes) == 6
+    assert any("#" in n for n in res.apex.nodes)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_final_pbc_matches_reference(seed):
+    rng = random.Random(9300 + seed)
+    for _ in range(60):
+        l_graph = random_graph(rng, max_nodes=4, min_nodes=0, p_edge=0.45, prefix="l")
+        f = random_hom_into(rng, l_graph, max_nodes=6, prefix="k")
+        m = random_hom_from(rng, l_graph, prefix="g", injective=True, max_extra_nodes=3)
+        res = _assert_same_pbc(f, m)
+        assert verify_final_pbc_up(res, f, m)
+        assert verify_pullback_up(PullbackResult(f.source, f, res.embed), m, res.project)
+
+
+def test_final_pbc_clone_of_self_loop_matches_reference():
+    """Cloning a node with an attributed self-loop: the interface keeps only
+    some of the loops and cross edges between the copies."""
+    g_graph = Graph(
+        ["a", "b", "c"],
+        [("a", "a"), ("a", "b"), ("b", "a"), ("c", "a")],
+        {"a": {"k": ["x", "y"]}, "b": {"k": ["z"]}},
+        {("a", "a"): {"k": ["x", "y"]}, ("a", "b"): {"k": ["z"]}},
+    )
+    l_graph = Graph(["la"], [("la", "la")], {"la": {"k": ["x", "y"]}},
+                    {("la", "la"): {"k": ["x", "y"]}})
+    for kept in ([("k1", "k1")], [("k1", "k2"), ("k2", "k2")], []):
+        k_graph = Graph(
+            ["k1", "k2"],
+            kept,
+            {"k1": {"k": ["x"]}},
+            {e: {"k": ["y"]} for e in kept[:1]},
+        )
+        f = Homomorphism(k_graph, l_graph, {"k1": "la", "k2": "la"})
+        m = Homomorphism(l_graph, g_graph, {"la": "a"})
+        res = _assert_same_pbc(f, m)
+        assert verify_final_pbc_up(res, f, m)
+
+
+def test_final_pbc_side_effect_deletion_matches_reference():
+    """Deleting matched nodes removes their incident unmatched edges, and
+    clones sitting next to a deleted node keep their other edges."""
+    g_graph = Graph(
+        ["a", "b", "c", "d"],
+        [("a", "b"), ("b", "c"), ("c", "a"), ("d", "b"), ("b", "b")],
+        edge_attrs={("d", "b"): {"k": ["x"]}, ("b", "b"): {"k": ["y"]}},
+    )
+    l_graph = Graph(["la", "lb"], [("la", "lb")])
+    k_graph = Graph(["k1", "k2"])
+    f = Homomorphism(k_graph, l_graph, {"k1": "lb", "k2": "lb"})
+    m = Homomorphism(l_graph, g_graph, {"la": "a", "lb": "b"})
+    res = _assert_same_pbc(f, m)
+    assert verify_final_pbc_up(res, f, m)
+    assert "a" not in res.project.node_map.values()
+
+
+def _random_rule(rng, pattern: Graph) -> Rule:
+    """The identity rule, or a rule that clones or deletes a pattern node,
+    so restrictive and expansive patterns differ."""
+    nodes = sorted(pattern.nodes)
+    choice = rng.randrange(3)
+    if choice == 0 or not nodes:
+        return Rule.identity_rule(pattern)
+    node = rng.choice(nodes)
+    if choice == 1:
+        return build_rule(pattern, [CloneNode(node, f"{node}_1", f"{node}_2")])
+    return build_rule(pattern, [DeleteNode(node)])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_find_matches_matches_reference(seed):
+    rng = random.Random(9400 + seed)
+    for _ in range(40):
+        host = random_graph(rng, max_nodes=7, min_nodes=1, p_edge=0.35, prefix="h")
+        if rng.random() < 0.5:
+            pattern = random_mono_into(rng, host).source
+        else:
+            pattern = random_graph(rng, max_nodes=3, p_edge=0.4, prefix="p")
+        rule = _random_rule(rng, pattern)
+        for kind in (RESTRICTIVE, EXPANSIVE):
+            new = find_matches(rule, host, kind)
+            assert _match_maps(new) == _match_maps(ref.find_matches(rule, host, kind))
+            side = rule.lhs if kind == RESTRICTIVE else rule.interface
+            if side.nodes:
+                p = rng.choice(sorted(side.nodes))
+                anchor = {p: rng.choice(sorted(host.nodes))}
+                assert _match_maps(find_matches(rule, host, kind, anchor)) == _match_maps(
+                    ref.find_matches(rule, host, kind, anchor)
+                )
+
+
+def test_find_matches_dense_host_matches_reference():
+    """Patterns with self-loops, two-cycles and attributed edges in a dense
+    host, where neighbour narrowing prunes most candidates."""
+    rng = random.Random(9500)
+    for _ in range(30):
+        host = random_graph(rng, max_nodes=8, min_nodes=4, p_edge=0.5, prefix="h")
+        pattern = random_graph(rng, max_nodes=4, min_nodes=2, p_edge=0.5, prefix="p")
+        rule = Rule.identity_rule(pattern)
+        new = find_matches(rule, host)
+        assert _match_maps(new) == _match_maps(ref.find_matches(rule, host))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_homomorphism_violation_matches_reference(seed):
+    """Valid maps, and maps damaged by retargeting one node, so every kind
+    of violation is hit and reported with the same first message."""
+    rng = random.Random(9600 + seed)
+    messages = set()
+    for _ in range(150):
+        target = random_graph(rng, max_nodes=4, min_nodes=1, p_edge=0.5, prefix="t")
+        h = random_hom_into(rng, target, max_nodes=5)
+        if h.source.nodes and rng.random() < 0.7:
+            node_map = dict(h.node_map)
+            n = rng.choice(sorted(node_map))
+            node_map[n] = rng.choice(sorted(target.nodes) + ["ghost"])
+            if rng.random() < 0.2:
+                del node_map[n]
+            h = Homomorphism(h.source, target, node_map)
+        got = homomorphism_violation(h)
+        assert got == ref.homomorphism_violation(h)
+        messages.add(got.split(" ")[0] if got else None)
+    assert None in messages and len(messages) > 2
+
+
+_T = Graph(["t", "u"], [("t", "u"), ("t", "t")], {"t": {"k": ["x"]}},
+           {("t", "u"): {"k": ["y"]}})
+
+MALFORMED_CASES = {
+    "attrs on a source node outside its nodes": Homomorphism(
+        Graph(["a"], [], {"a": {"k": ["x"]}, "ghost": {"k": ["z"]}}), _T, {"a": "t"}
+    ),
+    "attrs on a source edge outside its edges": Homomorphism(
+        Graph(["a", "b"], [("a", "b")], {}, {("b", "a"): {"k": ["z"]}}),
+        _T,
+        {"a": "t", "b": "u"},
+    ),
+    "attrs on a target node outside its nodes": Homomorphism(
+        Graph(["a"], [], {"a": {"k": ["x"]}}),
+        Graph(["t"], [], {"t": {"k": ["x"]}, "ghost": {"k": ["x"]}}),
+        {"a": "t"},
+    ),
+    "map not total": Homomorphism(Graph(["a", "b"], [("a", "b")]), _T, {"a": "t"}),
+    "extra map key": Homomorphism(Graph(["a"]), _T, {"a": "t", "zz": "u"}),
+    "extra map key on a dangling edge endpoint": Homomorphism(
+        Graph(["a"], [("a", "z")]), _T, {"a": "t", "z": "u"}
+    ),
+    "edge without image before a dangling edge": Homomorphism(
+        Graph(["a", "b"], [("a", "b"), ("b", "z")]), _T, {"a": "u", "b": "t"}
+    ),
+    "image outside the target": Homomorphism(Graph(["a", "b"]), _T, {"a": "t", "b": "w"}),
+    "image outside the target, also not total": Homomorphism(
+        Graph(["a", "b"]), _T, {"b": "w"}
+    ),
+    "edge without image": Homomorphism(
+        Graph(["a", "b"], [("a", "b")]), _T, {"a": "u", "b": "t"}
+    ),
+    "node attrs not contained": Homomorphism(
+        Graph(["a"], [], {"a": {"k": ["y"]}}), _T, {"a": "t"}
+    ),
+    "edge attrs not contained": Homomorphism(
+        Graph(["a", "b"], [("a", "b")], {}, {("a", "b"): {"k": ["x"]}}),
+        _T,
+        {"a": "t", "b": "u"},
+    ),
+    "valid": Homomorphism(
+        Graph(["a", "b"], [("a", "b"), ("a", "a")], {"a": {"k": ["x"]}},
+              {("a", "b"): {"k": ["y"]}}),
+        _T,
+        {"a": "t", "b": "u"},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_CASES))
+def test_homomorphism_violation_on_malformed_input(case):
+    h = MALFORMED_CASES[case]
+    expected = ref.homomorphism_violation(h)
+    assert homomorphism_violation(h) == expected
+    assert (expected is None) == (case.startswith("valid") or case.startswith("attrs on"))
+
+
+def test_homomorphism_violation_raises_on_first_dangling_edge():
+    h = Homomorphism(Graph(["b"], [("a", "b"), ("b", "b")]), _T, {"b": "u"})
+    with pytest.raises(KeyError):
+        ref.homomorphism_violation(h)
+    with pytest.raises(KeyError):
+        homomorphism_violation(h)
