@@ -66,7 +66,7 @@ from .hierarchy import (
     hierarchy_from_json,
     hierarchy_to_json,
 )
-from .isomorphism import are_isomorphic, find_isomorphism, typed_isomorphic
+from .isomorphism import are_isomorphic, find_isomorphism
 from .propagation import (
     BACKWARD,
     FORWARD,

@@ -15,8 +15,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .exceptions import SqpoError
-from .graphs import Homomorphism, dumps_canonical, graph_from_json
+from .exceptions import GraphElementError, SqpoError
+from .graphs import Homomorphism, dumps_canonical, graph_from_json, json_shape_message
 from .hierarchy import Hierarchy, hierarchy_from_json, hierarchy_to_json
 from .propagation import (
     BACKWARD,
@@ -153,12 +153,16 @@ def _report_json(reports: list[RewriteReport]) -> dict:
 def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan:
     """Build a plan from the plan-file schema: explicit factorizations win,
     relations (or the canonical default) fill the remaining nodes."""
+    if not isinstance(obj, dict):
+        raise _InputError("plan file must hold a JSON object")
     if obj.get("origin") not in (None, origin):
         raise _InputError("plan file names a different origin than the command line")
     relations = obj.get("relation") or {}
     if not isinstance(relations, dict):
         raise _InputError("plan relation must map node names to relations")
     explicit = obj.get("factorizations", {})
+    if not isinstance(explicit, dict):
+        raise _InputError("plan factorizations must map node names to factorizations")
     plan = build_relation_plan(
         h,
         origin,
@@ -168,49 +172,55 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
         {k: v for k, v in relations.items() if k not in explicit},
     )
     sub = h.forward_subgraph(origin) if direction == FORWARD else h.backward_subgraph(origin)
-    for name, spec in sorted(explicit.items()):
-        if name not in sub.nodes():
-            raise _InputError(f"plan factorization for {name}: not an affected node")
-        mid = graph_from_json(spec["mid"])
-        if direction == FORWARD:
-            plan.factorizations[name] = ForwardFactorization(
-                mid=mid,
-                pre_arrow=Homomorphism(rule_arrow.source, mid, spec["pre"]),
-                post_arrow=Homomorphism(mid, rule_arrow.target, spec["post"]),
-                typing=Homomorphism(mid, h.graph(name), spec["typing_or_retyping"]),
-            )
-        else:
-            rp = restriction_pullback(
-                h.graph(name),
-                h.graph(origin),
-                h.composed_typing(name, origin),
-                match,
-            )
-            # retyping keys may name instance elements; translate to pattern nodes
-            raw = spec["typing_or_retyping"]
-            inst_inv = {rp.instance[p]: p for p in rp.pattern.nodes}
-            retyping_map = {}
-            for key, value in raw.items():
-                pattern_node = key if key in rp.pattern.nodes else inst_inv.get(key)
-                if pattern_node is None:
-                    raise _InputError(
-                        f"plan factorization for {name}: {key} is neither a "
-                        "restriction-pattern node nor an instance element"
-                    )
-                retyping_map[pattern_node] = value
-            plan.factorizations[name] = BackwardFactorization(
-                mid=mid,
-                post_arrow=Homomorphism(mid, rule_arrow.target, spec["post"]),
-                pre_arrow=Homomorphism(rule_arrow.source, mid, spec["pre"]),
-                retyping=Homomorphism(rp.pattern, mid, retyping_map),
-            )
-    for conn in obj.get("connectors", []):
-        i, j = conn["from"], conn["to"]
-        fx_i = plan.factorizations.get(i)
-        fx_j = plan.factorizations.get(j)
-        if fx_i is None or fx_j is None:
-            raise _InputError(f"connector {i}->{j} names nodes without factorizations")
-        plan.connectors[(i, j)] = Homomorphism(fx_i.mid, fx_j.mid, conn["map"])
+    try:
+        for name, spec in sorted(explicit.items()):
+            if name not in sub.nodes():
+                raise _InputError(f"plan factorization for {name}: not an affected node")
+            mid = graph_from_json(spec["mid"])
+            if direction == FORWARD:
+                plan.factorizations[name] = ForwardFactorization(
+                    mid=mid,
+                    pre_arrow=Homomorphism(rule_arrow.source, mid, spec["pre"]),
+                    post_arrow=Homomorphism(mid, rule_arrow.target, spec["post"]),
+                    typing=Homomorphism(mid, h.graph(name), spec["typing_or_retyping"]),
+                )
+            else:
+                rp = restriction_pullback(
+                    h.graph(name),
+                    h.graph(origin),
+                    h.composed_typing(name, origin),
+                    match,
+                )
+                # retyping keys may name instance elements; translate to pattern nodes
+                raw = spec["typing_or_retyping"]
+                inst_inv = {rp.instance[p]: p for p in rp.pattern.nodes}
+                retyping_map = {}
+                for key, value in raw.items():
+                    pattern_node = key if key in rp.pattern.nodes else inst_inv.get(key)
+                    if pattern_node is None:
+                        raise _InputError(
+                            f"plan factorization for {name}: {key} is neither a "
+                            "restriction-pattern node nor an instance element"
+                        )
+                    retyping_map[pattern_node] = value
+                plan.factorizations[name] = BackwardFactorization(
+                    mid=mid,
+                    post_arrow=Homomorphism(mid, rule_arrow.target, spec["post"]),
+                    pre_arrow=Homomorphism(rule_arrow.source, mid, spec["pre"]),
+                    retyping=Homomorphism(rp.pattern, mid, retyping_map),
+                )
+    except (KeyError, TypeError, AttributeError, GraphElementError) as exc:
+        raise _InputError(json_shape_message("plan", exc)) from exc
+    try:
+        for conn in obj.get("connectors", []):
+            i, j = conn["from"], conn["to"]
+            fx_i = plan.factorizations.get(i)
+            fx_j = plan.factorizations.get(j)
+            if fx_i is None or fx_j is None:
+                raise _InputError(f"connector {i}->{j} names nodes without factorizations")
+            plan.connectors[(i, j)] = Homomorphism(fx_i.mid, fx_j.mid, conn["map"])
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _InputError(json_shape_message("plan", exc)) from exc
     return plan
 
 
@@ -254,9 +264,11 @@ def cmd_rewrite(args) -> int:
     match = matches[args.match_index].instance
 
     if args.plan is not None:
-        plan = _parse_plan(
-            h, args.node, rule_arrow, match, direction, _load_json(args.plan)
-        )
+        spec = _load_json(args.plan)
+        try:
+            plan = _parse_plan(h, args.node, rule_arrow, match, direction, spec)
+        except _InputError as exc:
+            raise _InputError(f"invalid plan in {args.plan}: {exc}") from exc
     elif args.relation is not None:
         relations = _load_json(args.relation)
         if not isinstance(relations, dict):

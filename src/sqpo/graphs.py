@@ -332,6 +332,16 @@ class Homomorphism:
             self, "node_map", {str(k): str(v) for k, v in node_map.items()}
         )
 
+    @classmethod
+    def _of(cls, source: Graph, target: Graph, node_map: dict[str, str]) -> "Homomorphism":
+        """Wrap a node map whose keys and values are already str, skipping
+        the conversion pass of `__init__`; the map is taken over, not copied."""
+        h = object.__new__(cls)
+        object.__setattr__(h, "source", source)
+        object.__setattr__(h, "target", target)
+        object.__setattr__(h, "node_map", node_map)
+        return h
+
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism instances are immutable")
 
@@ -442,14 +452,15 @@ def is_epi(h: Homomorphism) -> bool:
 
 
 def identity(g: Graph) -> Homomorphism:
-    return Homomorphism(g, g, {n: n for n in g.nodes})
+    return Homomorphism._of(g, g, {n: n for n in g.nodes})
 
 
 def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:
     """The composite g∘f (apply f first)."""
     if f.target != g.source:
         raise CompositionError("compose: f.target differs from g.source")
-    return Homomorphism(f.source, g.target, {n: g.node_map[f.node_map[n]] for n in f.source.nodes})
+    gm, fm = g.node_map, f.node_map
+    return Homomorphism._of(f.source, g.target, {n: gm[fm[n]] for n in f.source.nodes})
 
 
 def hom_equal(f: Homomorphism, g: Homomorphism) -> bool:

@@ -6,13 +6,27 @@ every mutation: the shape is acyclic, and all parallel path composites
 between any two names are equal (the commutativity condition). An optional
 skeleton constrains the shape: when present, every shape edge must map to
 a skeleton edge under the declared assignment.
+
+Commutativity checks are incremental. For each source, the check memo keeps
+the composite fixed for every node of the source's cone and the verdict of
+every other edge (a violation or none). `replace` carries the memo to the
+new hierarchy only when the set of arrow keys is unchanged, since the shape
+fixes each source's walk; each entry is marked with the replaced names and
+arrow keys, and the next check composes again only the edges whose own
+arrow, tree path or source graph was replaced. Every other construction
+starts with an empty memo, and a check that raises keeps the entry it
+started from. The memo holds no hierarchy, so a chain of rewrites does not
+keep its ancestors alive; equality, repr and JSON ignore it. Two threads
+checking the same hierarchy write equal entries, so concurrent fills are
+idempotent.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from .exceptions import HierarchyError
+from .exceptions import CompositionError, HierarchyError
 from .graphs import (
     Graph,
     Homomorphism,
@@ -80,10 +94,29 @@ class CommutativityViolation:
         )
 
 
+class _Check(NamedTuple):
+    """Memo of one source's commutativity check: the composite fixed for
+    each node of its cone, the verdict of each comparing edge (a violation
+    or None), and the names and arrow keys replaced since it was filled."""
+
+    canon: dict[str, Homomorphism]
+    verdicts: dict[tuple[str, str], CommutativityViolation | None]
+    changed: frozenset
+
+
+def _tree_path(parent: dict[str, str], v: str) -> tuple[str, ...]:
+    path = [v]
+    while path[-1] in parent:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
 class Hierarchy:
     """Immutable hierarchy value; mutators return extended copies."""
 
-    __slots__ = ("_objects", "_arrows", "skeleton", "skeleton_map")
+    __slots__ = (
+        "_objects", "_arrows", "skeleton", "skeleton_map", "_succ", "_pred", "_checks"
+    )
 
     def __init__(
         self,
@@ -92,10 +125,22 @@ class Hierarchy:
         skeleton: Skeleton | None = None,
         skeleton_map: dict[str, str] | None = None,
     ):
-        object.__setattr__(self, "_objects", dict(objects or {}))
-        object.__setattr__(self, "_arrows", dict(arrows or {}))
+        arrows = dict(arrows or {})
+        succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
+        for (a, b) in sorted(arrows):
+            succ.setdefault(a, []).append(b)
+            pred.setdefault(b, []).append(a)
+        self._fill(dict(objects or {}), arrows, skeleton, skeleton_map, succ, pred, {})
+
+    def _fill(self, objects, arrows, skeleton, skeleton_map, succ, pred, checks):
+        object.__setattr__(self, "_objects", objects)
+        object.__setattr__(self, "_arrows", arrows)
         object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "skeleton_map", dict(skeleton_map or {}))
+        object.__setattr__(self, "_succ", succ)
+        object.__setattr__(self, "_pred", pred)
+        object.__setattr__(self, "_checks", checks)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hierarchy instances are immutable")
@@ -133,10 +178,10 @@ class Hierarchy:
             raise HierarchyError(f"no typing {a} -> {b}") from None
 
     def successors(self, n: str) -> list[str]:
-        return sorted(b for (a, b) in self._arrows if a == n)
+        return list(self._succ.get(n, ()))
 
     def predecessors(self, n: str) -> list[str]:
-        return sorted(a for (a, b) in self._arrows if b == n)
+        return list(self._pred.get(n, ()))
 
     # -- construction ----------------------------------------------------------
 
@@ -191,51 +236,97 @@ class Hierarchy:
         objects: dict[str, Graph] | None = None,
         arrows: dict[tuple[str, str], Homomorphism] | None = None,
     ) -> "Hierarchy":
-        """Bulk functional update used by propagation; does not re-validate."""
-        new_objects = dict(self._objects)
-        new_objects.update(objects or {})
-        new_arrows = dict(self._arrows)
-        new_arrows.update(arrows or {})
-        return Hierarchy(new_objects, new_arrows, self.skeleton, self.skeleton_map)
+        """Bulk functional update used by propagation; does not re-validate.
+
+        When no new arrow key appears, the shape is shared and the check
+        memo is carried over, each entry marked with the replaced names and
+        arrow keys so the next `validate_commutativity` redoes only the
+        composites those reach.
+        """
+        new_objects = {**self._objects, **(objects or {})}
+        new_arrows = {**self._arrows, **(arrows or {})}
+        if len(new_arrows) != len(self._arrows):
+            return Hierarchy(new_objects, new_arrows, self.skeleton, self.skeleton_map)
+        changed = frozenset(objects or ()) | frozenset(arrows or ())
+        # iterate a copy: another thread may be filling this memo
+        checks = {
+            a: _Check(entry.canon, entry.verdicts, entry.changed | changed)
+            for a, entry in self._checks.copy().items()
+        }
+        out = object.__new__(Hierarchy)
+        out._fill(
+            new_objects, new_arrows, self.skeleton, self.skeleton_map,
+            self._succ, self._pred, checks,
+        )
+        return out
 
     # -- validation ------------------------------------------------------------
 
     def validate_commutativity(self) -> list[CommutativityViolation]:
         """All pairs of parallel path composites must be equal.
 
-        For each source, one composite per reachable node is fixed along a
-        canonical path; every other edge extension is compared against it,
-        which covers all path pairs by induction.
+        For each source, a breadth-first walk in sorted successor order fixes
+        one composite per reachable node along the first edge that reaches
+        it; every other edge extension is compared against it, which covers
+        all path pairs by induction. Each source's composites and verdicts
+        are memoized (see the module docstring), so only the parts of its
+        cone that a `replace` touched are composed again.
         """
         violations = []
         for a in self.nodes():
-            canon: dict[str, Homomorphism] = {a: identity(self._objects[a])}
-            paths: dict[str, tuple[str, ...]] = {a: (a,)}
-            frontier = [a]
-            topo_seen = []
-            while frontier:
-                u = frontier.pop(0)
-                topo_seen.append(u)
-                for v in self.successors(u):
-                    if v not in canon:
-                        canon[v] = compose(self._arrows[(u, v)], canon[u])
-                        paths[v] = paths[u] + (v,)
-                        frontier.append(v)
-            for u in topo_seen:
-                for v in self.successors(u):
-                    candidate = compose(self._arrows[(u, v)], canon[u])
-                    if not hom_equal(candidate, canon[v]):
-                        witness = next(
-                            n
-                            for n in sorted(self._objects[a].nodes)
-                            if candidate[n] != canon[v][n]
-                        )
-                        violations.append(
-                            CommutativityViolation(
-                                a, v, paths[v], paths[u] + (v,), witness
-                            )
-                        )
+            violations.extend(self._check_source(a, self._checks.get(a)))
         return violations
+
+    def _check_source(self, a: str, entry: _Check | None) -> list[CommutativityViolation]:
+        """Walk a's cone once: compose each edge whose inputs changed since
+        `entry` was filled (every edge without an entry), reuse the rest.
+
+        A failing compose on a tree edge raises at once; a failure on a
+        comparing edge is raised after the walk, so the first tree-edge
+        failure wins, as when all tree edges are composed before any
+        comparison. Only a walk that raises nothing updates the memo.
+        """
+        arrows, succ = self._arrows, self._succ
+        changed = entry.changed if entry is not None else frozenset()
+        dirty = {a: entry is None or a in changed}
+        canon = {a: identity(self._objects[a]) if dirty[a] else entry.canon[a]}
+        parent: dict[str, str] = {}
+        verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
+        deferred: Exception | None = None
+        order = [a]
+        for u in order:  # grows while walking: breadth-first
+            for v in succ.get(u, ()):
+                e = (u, v)
+                if v not in canon:
+                    redo = dirty[u] or e in changed
+                    canon[v] = compose(arrows[e], canon[u]) if redo else entry.canon[v]
+                    dirty[v] = redo
+                    parent[v] = u
+                    order.append(v)
+                elif deferred is not None:
+                    continue
+                elif dirty[u] or dirty[v] or e in changed:
+                    try:
+                        verdicts[e] = self._verdict(a, u, v, canon, parent)
+                    except (CompositionError, KeyError) as exc:
+                        deferred = exc
+                else:
+                    verdicts[e] = entry.verdicts[e]
+        if deferred is not None:
+            raise deferred
+        self._checks[a] = _Check(canon, verdicts, frozenset())
+        return [v for v in verdicts.values() if v is not None]
+
+    def _verdict(self, a, u, v, canon, parent) -> CommutativityViolation | None:
+        candidate = compose(self._arrows[(u, v)], canon[u])
+        if hom_equal(candidate, canon[v]):
+            return None
+        witness = next(
+            n for n in sorted(self._objects[a].nodes) if candidate[n] != canon[v][n]
+        )
+        return CommutativityViolation(
+            a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,), witness
+        )
 
     def validate(self) -> list[str]:
         """Full structural validation, as messages (commutativity included)."""

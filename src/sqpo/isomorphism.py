@@ -86,11 +86,3 @@ def find_isomorphism(
 def are_isomorphic(g1: Graph, g2: Graph) -> bool:
     return find_isomorphism(g1, g2) is not None
 
-
-def typed_isomorphic(
-    g1: Graph, t1: Homomorphism, g2: Graph, t2: Homomorphism
-) -> bool:
-    """Isomorphism g1 ≅ g2 commuting with typings into a shared target."""
-    if t1.target != t2.target:
-        return False
-    return find_isomorphism(g1, g2, t1, t2) is not None

@@ -699,33 +699,26 @@ def check_composability(h: Hierarchy, plan: PropagationPlan) -> list[str]:
     return violations
 
 
-def _forward_waves(sub: Hierarchy) -> list[list[str]]:
-    remaining = set(sub.nodes())
-    edges = set(sub.edges())
+def _waves(sub: Hierarchy, sinks_first: bool) -> list[list[str]]:
+    """Peel the shape into waves: the sorted sinks (or sources) of what is
+    left, repeatedly. A node joins the wave after the one that removed its
+    last successor (or predecessor)."""
+    if sinks_first:
+        ahead, behind = sub.successors, sub.predecessors
+    else:
+        ahead, behind = sub.predecessors, sub.successors
+    pending = {n: len(ahead(n)) for n in sub.nodes()}
+    wave = [n for n, k in pending.items() if k == 0]
     waves = []
-    while remaining:
-        sinks = sorted(
-            n
-            for n in remaining
-            if all(j not in remaining for (i2, j) in edges if i2 == n)
-        )
-        waves.append(sinks)
-        remaining -= set(sinks)
-    return waves
-
-
-def _backward_waves(sub: Hierarchy) -> list[list[str]]:
-    remaining = set(sub.nodes())
-    edges = set(sub.edges())
-    waves = []
-    while remaining:
-        sources = sorted(
-            n
-            for n in remaining
-            if all(i2 not in remaining for (i2, j) in edges if j == n)
-        )
-        waves.append(sources)
-        remaining -= set(sources)
+    while wave:
+        waves.append(wave)
+        freed = []
+        for n in wave:
+            for m in behind(n):
+                pending[m] -= 1
+                if pending[m] == 0:
+                    freed.append(m)
+        wave = sorted(freed)
     return waves
 
 
@@ -748,7 +741,7 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
 
     origin = plan.origin
     sub = h.forward_subgraph(origin)
-    waves = _forward_waves(sub)
+    waves = _waves(sub, sinks_first=True)
     facts = {name: plan.factorizations[name] for name in sub.nodes() if name != origin}
     facts[origin] = _origin_factorization(h, plan)
 
@@ -813,7 +806,7 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
 
     origin = plan.origin
     sub = h.backward_subgraph(origin)
-    waves = _backward_waves(sub)
+    waves = _waves(sub, sinks_first=False)
 
     restrictions: dict[str, RestrictionResult] = {}
     pattern_conns: dict[tuple[str, str], Homomorphism] = {}

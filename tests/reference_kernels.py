@@ -1,5 +1,6 @@
 """Test-only reference kernels: the original pair-loop implementations of
-`pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`.
+`pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`, and
+the original whole-hierarchy `validate_commutativity` and wave scheduler.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -23,9 +24,13 @@ from sqpo.graphs import (
     attrs_contained,
     attrs_difference,
     attrs_intersection,
+    compose,
     fresh_id,
+    hom_equal,
+    identity,
     is_mono,
 )
+from sqpo.hierarchy import CommutativityViolation
 from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule
 
 
@@ -232,3 +237,64 @@ def find_matches(
 
     search(0)
     return matches
+
+
+def validate_commutativity(
+    objects: dict[str, Graph], arrows: dict[tuple[str, str], Homomorphism]
+) -> list[CommutativityViolation]:
+    """The original full check of `Hierarchy.validate_commutativity`, with no
+    memo: every source's cone is walked and every edge composed twice."""
+
+    def successors(n: str) -> list[str]:
+        return sorted(b for (a, b) in arrows if a == n)
+
+    violations = []
+    for a in sorted(objects):
+        canon: dict[str, Homomorphism] = {a: identity(objects[a])}
+        paths: dict[str, tuple[str, ...]] = {a: (a,)}
+        frontier = [a]
+        topo_seen = []
+        while frontier:
+            u = frontier.pop(0)
+            topo_seen.append(u)
+            for v in successors(u):
+                if v not in canon:
+                    canon[v] = compose(arrows[(u, v)], canon[u])
+                    paths[v] = paths[u] + (v,)
+                    frontier.append(v)
+        for u in topo_seen:
+            for v in successors(u):
+                candidate = compose(arrows[(u, v)], canon[u])
+                if not hom_equal(candidate, canon[v]):
+                    witness = next(
+                        n
+                        for n in sorted(objects[a].nodes)
+                        if candidate[n] != canon[v][n]
+                    )
+                    violations.append(
+                        CommutativityViolation(
+                            a, v, paths[v], paths[u] + (v,), witness
+                        )
+                    )
+    return violations
+
+
+def waves(h, sinks_first: bool) -> list[list[str]]:
+    """The original wave schedulers of propagation, merged only by the flag:
+    each wave is the sorted sinks (or sources) of the remaining nodes,
+    found by rescanning every edge."""
+    remaining = set(h.nodes())
+    edges = set(h.edges())
+    out = []
+    while remaining:
+        if sinks_first:
+            wave = sorted(
+                n for n in remaining if all(j not in remaining for (i, j) in edges if i == n)
+            )
+        else:
+            wave = sorted(
+                n for n in remaining if all(i not in remaining for (i, j) in edges if j == n)
+            )
+        out.append(wave)
+        remaining -= set(wave)
+    return out

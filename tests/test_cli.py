@@ -331,3 +331,54 @@ def test_rewrite_malformed_rule_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr and "missing key 'left'" in proc.stderr
+
+
+def _without_mid(plan):
+    del plan["factorizations"]["T"]["mid"]
+    return plan
+
+
+def _mid_node_without_id(plan):
+    del plan["factorizations"]["T"]["mid"]["nodes"][0]["id"]
+    return plan
+
+
+def _connector_without_map(plan):
+    plan["connectors"] = [{"from": "T", "to": "T"}]
+    return plan
+
+
+def _factorizations_list(plan):
+    plan["factorizations"] = []
+    return plan
+
+
+@pytest.mark.parametrize(
+    "damage, needle",
+    [
+        (_without_mid, "missing key 'mid'"),
+        (_mid_node_without_id, "malformed graph: missing key 'id'"),
+        (_connector_without_map, "missing key 'map'"),
+        (_factorizations_list, "plan factorizations must map node names"),
+        (lambda plan: [plan], "plan file must hold a JSON object"),
+    ],
+    ids=[
+        "factorization-without-mid",
+        "mid-node-without-id",
+        "connector-without-map",
+        "factorizations-list",
+        "top-level-list",
+    ],
+)
+def test_rewrite_malformed_plan_exits_2(tmp_path, damage, needle):
+    plan = json.loads((FIXTURES / "strict_plan.plan.json").read_text())
+    path = tmp_path / "bad.plan.json"
+    path.write_text(json.dumps(damage(plan)))
+    proc = run_cli(
+        "rewrite", FIXTURES / "strict_plan.hierarchy.json", "G",
+        FIXTURES / "strict_plan.rule.json", "0", "--direction", "fwd",
+        "--plan", path, "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and needle in proc.stderr

@@ -1,0 +1,197 @@
+"""Differential tests of the memoized commutativity check.
+
+`Hierarchy.validate_commutativity` reuses each source's composites and
+verdicts across `replace()` and recomputes only what a replacement touched.
+These tests drive random chains of replacements, and whole propagations,
+and require every check to equal the original full check kept in
+reference_kernels.py: the same violations in the same order, or the same
+exception type and message.
+"""
+
+import random
+
+import pytest
+
+from sqpo import (
+    CompositionError,
+    Graph,
+    Hierarchy,
+    Homomorphism,
+    propagate_backward,
+    propagate_forward,
+)
+
+from generators import random_backward_plan, random_forward_plan, random_hierarchy
+from reference_kernels import validate_commutativity as full_check
+
+
+def _oracle(h: Hierarchy):
+    objects = {n: h.graph(n) for n in h.nodes()}
+    arrows = {e: h.typing(*e) for e in h.edges()}
+    try:
+        return full_check(objects, arrows)
+    except Exception as exc:  # compared by type and message below
+        return exc
+
+
+def _assert_matches_oracle(h: Hierarchy) -> str:
+    expected = _oracle(h)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            h.validate_commutativity()
+        assert str(info.value) == str(expected)
+        return "raised"
+    got = h.validate_commutativity()
+    assert [str(v) for v in got] == [str(v) for v in expected]
+    assert got == expected
+    return "violations" if got else "clean"
+
+
+def _renamed(g: Graph, extra: bool) -> tuple[Graph, dict[str, str]]:
+    """A copy of g with every node id primed, and optionally one extra
+    isolated node; returns it with the renaming of g's nodes."""
+    rename = {n: n + "'" for n in g.nodes}
+    nodes = list(rename.values()) + (["extra'"] if extra else [])
+    edges = [(rename[u], rename[v]) for (u, v) in g.edges]
+    node_attrs = {rename[n]: a for n, a in g.node_attrs.items()}
+    edge_attrs = {(rename[u], rename[v]): a for (u, v), a in g.edge_attrs.items()}
+    return Graph(nodes, edges, node_attrs, edge_attrs), rename
+
+
+def _swap(rng: random.Random, h: Hierarchy):
+    """Replace one object by a renamed copy (possibly with an extra node) and
+    return it with the arrows re-pointed at it. The extra node's images are
+    chosen per outgoing arrow, so composites from it may disagree."""
+    x = rng.choice(h.nodes())
+    old = h.graph(x)
+    new, rename = _renamed(old, extra=rng.random() < 0.5)
+    patch = {}
+    for k in h.predecessors(x):
+        arrow = h.typing(k, x)
+        patch[(k, x)] = Homomorphism(
+            arrow.source, new, {n: rename[arrow[n]] for n in arrow.source.nodes}
+        )
+    for j in h.successors(x):
+        arrow = h.typing(x, j)
+        mapping = {rename[n]: arrow[n] for n in old.nodes}
+        for n in new.nodes - set(mapping):
+            mapping[n] = rng.choice(sorted(arrow.target.nodes))
+        patch[(x, j)] = Homomorphism(new, arrow.target, mapping)
+    return {x: new}, patch
+
+
+def _perturbed_arrow(rng: random.Random, h: Hierarchy):
+    """One arrow with one node sent elsewhere in the same target graph."""
+    a, b = rng.choice(h.edges())
+    arrow = h.typing(a, b)
+    mapping = dict(arrow.node_map)
+    n = rng.choice(sorted(arrow.source.nodes))
+    mapping[n] = rng.choice(sorted(arrow.target.nodes))
+    return {(a, b): Homomorphism(arrow.source, arrow.target, mapping)}
+
+
+def _new_arrow(rng: random.Random, h: Hierarchy):
+    """A random map along a pair that has no arrow yet, lower index to
+    higher, so the shape stays acyclic; None when every pair is taken."""
+    names = sorted(h.nodes(), key=lambda n: int(n[1:]))
+    taken = set(h.edges())
+    free = [(a, b) for i, a in enumerate(names) for b in names[i + 1:] if (a, b) not in taken]
+    if not free:
+        return None
+    a, b = rng.choice(free)
+    source, target = h.graph(a), h.graph(b)
+    targets = sorted(target.nodes)
+    return {(a, b): Homomorphism(source, target, {n: rng.choice(targets) for n in source.nodes})}
+
+
+def test_replace_chains_match_full_check():
+    rng = random.Random(2024)
+    outcomes = {"clean": 0, "violations": 0, "raised": 0}
+    kinds = {"swap": 0, "perturb": 0, "bare_swap": 0, "repair": 0, "new_arrow": 0, "batched": 0}
+    for _ in range(120):
+        h = random_hierarchy(rng, max_objects=7, max_edges=12)
+        pending = None  # arrows still pointing at a swapped-out object
+        for _ in range(10):
+            replaced = 0
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                roll = rng.random()
+                if pending is not None:
+                    if roll < 0.3:  # re-point some or all of the stale arrows
+                        keys = sorted(pending)
+                        fixed = set(rng.sample(keys, rng.randint(1, len(keys))))
+                        h = h.replace(arrows={e: pending[e] for e in fixed})
+                        pending = {e: pending[e] for e in keys if e not in fixed} or None
+                        kinds["repair"] += 1
+                    else:
+                        h = h.replace(arrows=_perturbed_arrow(rng, h))
+                        kinds["perturb"] += 1
+                elif roll < 0.15:
+                    objects, pending = _swap(rng, h)
+                    h = h.replace(objects=objects)
+                    pending = pending or None
+                    kinds["bare_swap"] += 1
+                elif roll < 0.4:
+                    objects, patch = _swap(rng, h)
+                    h = h.replace(objects=objects, arrows=patch)
+                    kinds["swap"] += 1
+                elif roll < 0.85:
+                    h = h.replace(arrows=_perturbed_arrow(rng, h))
+                    kinds["perturb"] += 1
+                else:
+                    added = _new_arrow(rng, h)
+                    if added is None:
+                        continue
+                    h = h.replace(arrows=added)
+                    kinds["new_arrow"] += 1
+                replaced += 1
+            kinds["batched"] += replaced > 1
+            outcomes[_assert_matches_oracle(h)] += 1
+    assert all(outcomes.values()), outcomes
+    assert all(kinds.values()), kinds
+
+
+
+def test_tree_edge_failure_wins_over_earlier_comparison_failure():
+    """Object d is swapped and only the arrow b -> d re-pointed. From a, the
+    comparing edge c -> d (stale target) is walked before the tree edge
+    d -> e (stale source); the full check composes all tree edges before
+    comparing, so the failing compose is what it raises."""
+    g = Graph(["x"])
+    h = Hierarchy()
+    for name in "abcde":
+        h = h.add_object(name, g)
+    for e in [("a", "b"), ("a", "c"), ("b", "d"), ("c", "d"), ("d", "e")]:
+        h = h.add_typing(*e, Homomorphism(g, g, {"x": "x"}))
+    d2 = Graph(["x", "y"])
+    bad = h.replace(
+        objects={"d": d2}, arrows={("b", "d"): Homomorphism(g, d2, {"x": "x"})}
+    )
+    with pytest.raises(CompositionError, match="f.target differs from g.source"):
+        bad.validate_commutativity()
+    assert _assert_matches_oracle(bad) == "raised"
+
+
+def test_propagation_steps_match_full_check(monkeypatch):
+    original = Hierarchy.validate_commutativity
+    checked = []
+
+    def validate_against_oracle(self):
+        got = original(self)
+        assert got == _oracle(self)
+        checked.append(len(got))
+        return got
+
+    monkeypatch.setattr(Hierarchy, "validate_commutativity", validate_against_oracle)
+    rng = random.Random(77)
+    steps = 0
+    for i in range(24):
+        h = random_hierarchy(rng, max_objects=7, max_edges=12)
+        origin = rng.choice(h.nodes())
+        checked.clear()
+        if i % 2 == 0:
+            rep = propagate_forward(h, random_forward_plan(rng, h, origin))
+        else:
+            rep = propagate_backward(h, random_backward_plan(rng, h, origin))
+        assert checked == [len(v) for _, v in rep.steps]
+        steps += len(rep.steps)
+    assert steps > 24

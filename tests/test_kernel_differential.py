@@ -18,6 +18,7 @@ from sqpo import (
     CloneNode,
     DeleteNode,
     Graph,
+    Hierarchy,
     Homomorphism,
     PullbackResult,
     Rule,
@@ -30,6 +31,7 @@ from sqpo import (
     verify_pullback_up,
 )
 from sqpo.graphs import dumps_canonical, homomorphism_violation
+from sqpo.propagation import _waves
 
 
 def _canonical(g: Graph) -> str:
@@ -283,3 +285,26 @@ def test_homomorphism_violation_raises_on_first_dangling_edge():
         ref.homomorphism_violation(h)
     with pytest.raises(KeyError):
         homomorphism_violation(h)
+
+
+def test_wave_scheduler_matches_reference():
+    """Random DAG shapes of up to 12 objects (empty graphs: the scheduler
+    reads only the shape), peeled sinks first and sources first."""
+    rng = random.Random(404)
+    empty = Graph()
+    wide = 0
+    for _ in range(200):
+        names = [f"o{i}" for i in range(rng.randint(1, 12))]
+        rng.shuffle(names)  # so the topological order is not the sorted order
+        arrows = {
+            (a, b): Homomorphism(empty, empty, {})
+            for i, a in enumerate(names)
+            for b in names[i + 1:]
+            if rng.random() < 0.3
+        }
+        h = Hierarchy({n: empty for n in names}, arrows)
+        for sinks_first in (True, False):
+            got = _waves(h, sinks_first)
+            assert got == ref.waves(h, sinks_first)
+            wide += any(len(wave) > 1 for wave in got[1:])
+    assert wide > 100

@@ -1,4 +1,4 @@
-"""Scaling guards for the rewrite kernels.
+"""Scaling guards for the rewrite kernels and for hierarchy validation.
 
 Each test runs one kernel on a 5000-node, 4000-edge graph and requires it to
 finish within a CPU-time budget (`time.process_time`, so other processes on
@@ -7,6 +7,13 @@ the near-linear kernels take 0.02-0.07 s here and the budgets are 30-40 times
 that, so a host running twice as slow stays far inside them. The pair-loop
 kernels kept in reference_kernels.py take 3.6-12.7 s on the same host, so a
 reintroduced loop over all pairs of nodes fails these tests.
+
+The hierarchy guards count calls instead of timing them: one rewrite
+propagated through a 20-layer hierarchy must not compose typings as often as
+re-checking every path pair of the whole hierarchy after each object does.
+That full re-check makes 87,548 (fwd add) and 88,236 (bwd clone) composes
+here; the memoized check makes 14,210 and 14,898 against a budget of
+25,000. The counts are deterministic, so host speed cannot trip them.
 """
 
 import random
@@ -14,10 +21,22 @@ import time
 
 import pytest
 
+import sqpo.hierarchy
 from sqpo import (
+    BACKWARD,
+    EXPANSIVE,
+    FORWARD,
+    RESTRICTIVE,
+    AddEdge,
+    AddNode,
+    CloneNode,
     Graph,
+    Hierarchy,
     Homomorphism,
     Rule,
+    apply_plan,
+    build_canonical_plan,
+    build_rule,
     final_pbc,
     find_matches,
     pullback,
@@ -76,3 +95,67 @@ def test_find_matches_edge_pattern_scales(big):
     seconds, matches = _cpu_seconds(lambda: find_matches(rule, g))
     assert len(matches) == len({e for e in g.edges if e[0] != e[1]})
     assert seconds < 2.5, f"find_matches took {seconds:.2f} s of CPU"
+
+
+LAYERS = 20
+COMPOSE_BUDGET = 25_000
+
+
+@pytest.fixture(scope="module")
+def layered():
+    """20 layers of 2 objects holding the same 6-node graph; every object is
+    typed by both objects of the next layer through the identity map."""
+    nodes = [f"v{i}" for i in range(6)]
+    edges = [(nodes[i], nodes[(i + 1) % 6]) for i in range(6)]
+    edges += [(nodes[i], nodes[i + 3]) for i in range(3)]
+    names = [f"L{layer:02d}{side}" for layer in range(LAYERS) for side in "ab"]
+    graphs = {name: Graph(nodes, edges) for name in names}
+    h = Hierarchy()
+    for name in names:
+        h = h.add_object(name, graphs[name])
+    for layer in range(LAYERS - 1):
+        for a in "ab":
+            for b in "ab":
+                src, dst = f"L{layer:02d}{a}", f"L{layer + 1:02d}{b}"
+                h = h.add_typing(
+                    src, dst, Homomorphism(graphs[src], graphs[dst], {n: n for n in nodes})
+                )
+    return h
+
+
+def _counted_rewrite(monkeypatch, h, origin, edits, direction):
+    calls = 0
+    original = sqpo.hierarchy.compose
+
+    def counting(g, f):
+        nonlocal calls
+        calls += 1
+        return original(g, f)
+
+    monkeypatch.setattr(sqpo.hierarchy, "compose", counting)
+    rule = build_rule(Graph(["x"]), edits)
+    forward = direction == FORWARD
+    kind = EXPANSIVE if forward else RESTRICTIVE
+    (match,) = find_matches(rule, h.graph(origin), kind, {"x": "v0"})
+    arrow = rule.right_leg if forward else rule.left_leg
+    plan = build_canonical_plan(h, origin, arrow, match.instance, direction)
+    reports = apply_plan(h, plan)
+    assert all(not v for report in reports for _, v in report.steps)
+    return calls, reports[-1]
+
+
+def test_forward_add_in_deep_hierarchy_composes_little(layered, monkeypatch):
+    calls, report = _counted_rewrite(
+        monkeypatch, layered, "L00a", [AddNode("n"), AddEdge("x", "n")], FORWARD
+    )
+    assert len(report.steps) == 2 * LAYERS - 1
+    assert 0 < calls <= COMPOSE_BUDGET, f"{calls} composes in sqpo.hierarchy"
+
+
+def test_backward_clone_in_deep_hierarchy_composes_little(layered, monkeypatch):
+    top = f"L{LAYERS - 1:02d}a"
+    calls, report = _counted_rewrite(
+        monkeypatch, layered, top, [CloneNode("x", "x1", "x2")], BACKWARD
+    )
+    assert len(report.steps) == 2 * LAYERS - 1
+    assert 0 < calls <= COMPOSE_BUDGET, f"{calls} composes in sqpo.hierarchy"
