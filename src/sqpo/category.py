@@ -14,13 +14,18 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
 * pullback costs O(|A| + |B| + joined edges), up to a sort of the nodes:
   B nodes are bucketed by image, and A-edges and B-edges are joined on
   their common image edge;
-* final_pbc costs O(|V_G| + sum over G-edges (u, v) of copies(u)·copies(v)),
-  up to a sort of the nodes, where copies(g) is 1 for an untouched node,
-  the number of K-preimages for a matched one and 0 for a deleted one;
-* pushout and image_factorization are near-linear (union-find, sorting).
+* pushout and final_pbc work element by element only on the rewritten part
+  of the host: pushout on A, C, f's image in B and the B-edges at it;
+  final_pbc on K, L, m's image in G and the sum over G-edges (u, v) at it
+  of copies(u)·copies(v), where copies(g) is 1 for an untouched node, the
+  number of K-preimages for a matched one and 0 for a deleted one. Every
+  other host node and edge keeps its id and its attribute dict; they are
+  carried over by set and dict copies, and one scan of the host's edges
+  finds the edges at the rewritten part. Neither sorts the host;
+* image_factorization is near-linear (sorting).
 
-Node ids are still assigned in sorted order of the input ids, exactly as a
-loop over all pairs of nodes would assign them.
+Node ids are still assigned exactly as a loop over all classes, pairs or
+copies in sorted order would assign them.
 
 The verify_*_up functions are brute-force universal-property oracles used
 by the test suite. Each one re-derives the defining property of its
@@ -34,6 +39,7 @@ attribute values. They never call the construction they verify.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .exceptions import (
@@ -94,67 +100,41 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     if f.target != g.target:
         raise CompositionError("pullback: arrows do not share a target")
     a_graph, b_graph = f.source, g.source
+    f_map, g_map = f.node_map, g.node_map
     over: dict[str, list[str]] = {}
     for b in sorted(b_graph.nodes):
-        over.setdefault(g[b], []).append(b)
-    pairs = [(a, b) for a in sorted(a_graph.nodes) for b in over.get(f[a], ())]
+        over.setdefault(g_map[b], []).append(b)
+    pairs = [(a, b) for a in sorted(a_graph.nodes) for b in over.get(f_map[a], ())]
     ids: dict[tuple[str, str], str] = {}
     taken: set[str] = set()
+    node_attrs: dict[str, dict] = {}
     for (a, b) in pairs:
         pid = fresh_id(f"{a}⋈{b}", taken)
         taken.add(pid)
         ids[(a, b)] = pid
-    node_attrs = {
-        ids[(a, b)]: attrs_intersection(a_graph.attrs_of(a), b_graph.attrs_of(b))
-        for (a, b) in pairs
-    }
+        attrs = attrs_intersection(a_graph.attrs_of(a), b_graph.attrs_of(b))
+        if attrs:
+            node_attrs[pid] = attrs
     # join A-edges and B-edges on their common image edge in C
-    f_map, g_map = f.node_map, g.node_map
     b_edges_over: dict[tuple, list[tuple[str, str]]] = {}
     for (b1, b2) in b_graph.edges:
         b_edges_over.setdefault((g_map.get(b1), g_map.get(b2)), []).append((b1, b2))
-    edges = {}
+    edges: set[tuple[str, str]] = set()
+    edge_attrs: dict[tuple[str, str], dict] = {}
     for (a1, a2) in a_graph.edges:
         for (b1, b2) in b_edges_over.get((f_map.get(a1), f_map.get(a2)), ()):
             p1, p2 = ids.get((a1, b1)), ids.get((a2, b2))
             if p1 is not None and p2 is not None:
-                edges[(p1, p2)] = attrs_intersection(
+                edges.add((p1, p2))
+                attrs = attrs_intersection(
                     a_graph.attrs_of((a1, a2)), b_graph.attrs_of((b1, b2))
                 )
-    apex = Graph(ids.values(), edges.keys(), node_attrs, edges)
-    to_a = Homomorphism(apex, a_graph, {ids[p]: p[0] for p in pairs})
-    to_b = Homomorphism(apex, b_graph, {ids[p]: p[1] for p in pairs})
+                if attrs:
+                    edge_attrs[(p1, p2)] = attrs
+    apex = Graph._of(taken, edges, node_attrs, edge_attrs)
+    to_a = Homomorphism._of(apex, a_graph, {ids[p]: p[0] for p in pairs})
+    to_b = Homomorphism._of(apex, b_graph, {ids[p]: p[1] for p in pairs})
     return PullbackResult(apex, to_a, to_b)
-
-
-def _pushout_classes(f: Homomorphism, g: Homomorphism):
-    """Union-find partition of B ⊔ C generated by f(a) ~ g(a)."""
-    parent: dict[tuple[str, str], tuple[str, str]] = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x, y):
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            # deterministic: smaller tagged id becomes the root
-            if ry < rx:
-                rx, ry = ry, rx
-            parent[ry] = rx
-
-    for b in f.target.nodes:
-        parent[("B", b)] = ("B", b)
-    for c in g.target.nodes:
-        parent[("C", c)] = ("C", c)
-    for a in sorted(f.source.nodes):
-        union(("B", f[a]), ("C", g[a]))
-    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
-    for x in parent:
-        classes.setdefault(find(x), []).append(x)
-    return [sorted(members) for members in classes.values()]
 
 
 def _class_base_id(members) -> str:
@@ -164,6 +144,19 @@ def _class_base_id(members) -> str:
     return "_".join(sorted(m[1] for m in members))
 
 
+class _Taken:
+    """Membership view for `fresh_id`: the ids assigned so far plus those
+    that `kept` says keep their own id (untouched host nodes)."""
+
+    __slots__ = ("assigned", "kept")
+
+    def __init__(self, assigned: set[str], kept):
+        self.assigned, self.kept = assigned, kept
+
+    def __contains__(self, n) -> bool:
+        return n in self.assigned or self.kept(n)
+
+
 def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     """Pushout of the span f: A→B, g: A→C.
 
@@ -171,32 +164,102 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     classes keep the id of their B-side member(s) (concatenated when the
     class fuses several), so unchanged host nodes keep their ids.
     Attributes are united over each class.
+
+    Only the touched part is built element by element: the image of f in B,
+    all of C, and the edges at those nodes. Every other B node is a class of
+    its own; it keeps its id, its attributes and its edges, copied in bulk,
+    unless a class before it in the sorted class order took its id (a fused
+    class "x_y" against a host node "x_y", say). Such a node is renamed in
+    its turn, exactly as a pass over all classes in sorted order would.
     """
     if f.source != g.source:
         raise CompositionError("pushout: arrows do not share a source")
     b_graph, c_graph = f.target, g.target
-    classes = _pushout_classes(f, g)
-    classes.sort(key=lambda ms: (_class_base_id(ms), ms))
+    f_map, g_map = f.node_map, g.node_map
+    b_nodes = b_graph.nodes
+    touched = {f_map[a] for a in f.source.nodes}
+
+    def untouched(n) -> bool:
+        return n in b_nodes and n not in touched
+
+    # union-find over the touched part of B ⊔ C
+    parent = {("B", b): ("B", b) for b in touched if b in b_nodes}
+    parent.update((("C", c), ("C", c)) for c in c_graph.nodes)
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a in sorted(f.source.nodes):
+        rx, ry = find(("B", f_map[a])), find(("C", g_map[a]))
+        if rx != ry:
+            parent[max(rx, ry)] = min(rx, ry)
+    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    keyed = sorted((_class_base_id(ms), sorted(ms)) for ms in classes.values())
+
+    # merge the touched classes with the untouched nodes whose id an earlier
+    # class took, in sorted class order
     ids: dict[tuple[str, str], str] = {}
-    taken: set[str] = set()
-    class_attrs: dict[str, dict] = {}
-    for members in classes:
-        qid = fresh_id(_class_base_id(members), taken)
-        taken.add(qid)
+    assigned: set[str] = set()
+    renamed: list[tuple[str, list]] = []
+    node_attrs = dict(b_graph.node_attrs)
+    new_attrs: dict[str, dict] = {}
+    i = 0
+    while i < len(keyed) or renamed:
+        if renamed and (i == len(keyed) or renamed[0] < keyed[i]):
+            key = heapq.heappop(renamed)
+        else:
+            key = keyed[i]
+            i += 1
+        base, members = key
+        # an untouched node keeps its id if its singleton class sorts earlier
+        qid = fresh_id(
+            base, _Taken(assigned, lambda n: untouched(n) and (n, [("B", n)]) < key)
+        )
+        assigned.add(qid)
+        if untouched(qid):
+            heapq.heappush(renamed, (qid, [("B", qid)]))
         attrs: dict = {}
         for tag, n in members:
             ids[(tag, n)] = qid
-            origin = b_graph if tag == "B" else c_graph
-            attrs = attrs_union(attrs, origin.attrs_of(n))
-        class_attrs[qid] = attrs
-    edges: dict[tuple[str, str], dict] = {}
-    for tag, origin in (("B", b_graph), ("C", c_graph)):
-        for (u, v) in sorted(origin.edges):
-            e = (ids[(tag, u)], ids[(tag, v)])
-            edges[e] = attrs_union(edges.get(e, {}), origin.attrs_of((u, v)))
-    apex = Graph(taken, edges.keys(), class_attrs, edges)
-    from_b = Homomorphism(b_graph, apex, {b: ids[("B", b)] for b in b_graph.nodes})
-    from_c = Homomorphism(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
+            if tag == "B":
+                attrs = attrs_union(attrs, node_attrs.pop(n, {}))
+            else:
+                attrs = attrs_union(attrs, c_graph.attrs_of(n))
+        if attrs:
+            new_attrs[qid] = attrs
+    node_attrs.update(new_attrs)
+
+    b_ids = {n: qid for (tag, n), qid in ids.items() if tag == "B"}
+    moved_edges = [e for e in b_graph.edges if e[0] in b_ids or e[1] in b_ids]
+    edges = b_graph.edges.difference(moved_edges)
+    edge_attrs = dict(b_graph.edge_attrs)
+    new_edge_attrs: dict[tuple[str, str], dict] = {}
+    for (u, v) in sorted(moved_edges):
+        e = (b_ids.get(u, u), b_ids.get(v, v))
+        new_edge_attrs[e] = attrs_union(
+            new_edge_attrs.get(e, {}), edge_attrs.pop((u, v), {})
+        )
+    for (u, v) in sorted(c_graph.edges):
+        e = (ids[("C", u)], ids[("C", v)])
+        new_edge_attrs[e] = attrs_union(
+            new_edge_attrs.get(e, {}), c_graph.attrs_of((u, v))
+        )
+    edge_attrs.update((e, attrs) for e, attrs in new_edge_attrs.items() if attrs)
+    apex = Graph._of(
+        b_nodes.difference(b_ids).union(assigned),
+        edges.union(new_edge_attrs),
+        node_attrs,
+        edge_attrs,
+    )
+    b_map = dict(zip(b_nodes, b_nodes))
+    b_map.update(b_ids)
+    from_b = Homomorphism._of(b_graph, apex, b_map)
+    from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
     return PushoutResult(apex, from_b, from_c)
 
 
@@ -208,67 +271,86 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     with several preimages are duplicated). Clone attributes follow the
     subtractive rule G(g) minus (L(l) minus K(k)), which is the largest
     choice keeping the square a pullback.
+
+    Only the matched part is built element by element: the image of m and
+    the edges at it. Every other G node keeps its id, its attributes and its
+    edges, copied in bulk.
     """
     if f.target != m.source:
         raise CompositionError("final_pbc: arrows not composable")
     if not is_mono(m):
         raise NotMonoError("final_pbc: second arrow must be a mono")
     k_graph, l_graph, g_graph = f.source, f.target, m.target
-    m_inv = {m[l]: l for l in l_graph.nodes}
+    f_map, m_map = f.node_map, m.node_map
+    m_inv = {m_map[l]: l for l in l_graph.nodes}
     preimages: dict[str, list[str]] = {l: [] for l in l_graph.nodes}
     for k in sorted(k_graph.nodes):
-        preimages[f[k]].append(k)
+        preimages[f_map[k]].append(k)
+    untouched = g_graph.nodes.difference(m_inv)
 
-    # node key: (g, None) for untouched nodes, (g, k) for copies of instances
-    ids: dict[tuple[str, str | None], str] = {}
-    taken: set[str] = set()
-    node_attrs: dict[str, dict] = {}
-    for g in sorted(g_graph.nodes):
-        if g not in m_inv:
-            nid = fresh_id(g, taken)
-            taken.add(nid)
-            ids[(g, None)] = nid
-            node_attrs[nid] = g_graph.attrs_of(g)
+    # copies of matched nodes; untouched nodes keep their ids and come first
+    # in the id order, so a copy id skips them
+    ids: dict[tuple[str, str], str] = {}
+    assigned: set[str] = set()
+    taken = _Taken(assigned, untouched.__contains__)
+    node_attrs = dict(g_graph.node_attrs)
+    for g in m_inv:
+        node_attrs.pop(g, None)
     for l in sorted(l_graph.nodes):
-        g = m[l]
+        g = m_map[l]
         for k in preimages[l]:
             base = g if len(preimages[l]) == 1 else f"{g}∥{k}"
             nid = fresh_id(base, taken)
-            taken.add(nid)
+            assigned.add(nid)
             ids[(g, k)] = nid
-            node_attrs[nid] = attrs_difference(
+            attrs = attrs_difference(
                 g_graph.attrs_of(g),
                 attrs_difference(l_graph.attrs_of(l), k_graph.attrs_of(k)),
             )
+            if attrs:
+                node_attrs[nid] = attrs
 
     # copies of a G node: itself if untouched, its K-preimages if matched
     # (none if deleted); every apex edge lies over a G edge
-    copies = {g: [None] for g in g_graph.nodes if g not in m_inv}
-    copies.update((g, preimages[l]) for g, l in m_inv.items())
-    edges: dict[tuple[str, str], dict] = {}
-    for g_edge in g_graph.edges:
-        g1, g2 = g_edge
-        for k1 in copies.get(g1, ()):
-            for k2 in copies.get(g2, ()):
+    def copies(g):
+        l = m_inv.get(g)
+        if l is None:
+            return ((None, g),)
+        return [(k, ids[(g, k)]) for k in preimages[l]]
+
+    moved_edges = [e for e in g_graph.edges if e[0] in m_inv or e[1] in m_inv]
+    edges = set(g_graph.edges.difference(moved_edges))
+    edge_attrs = dict(g_graph.edge_attrs)
+    # drop them all first: a copy's id may be another matched node's id
+    for g_edge in moved_edges:
+        edge_attrs.pop(g_edge, None)
+    for g_edge in moved_edges:
+        g_attrs = g_graph.attrs_of(g_edge)
+        for k1, d1 in copies(g_edge[0]):
+            for k2, d2 in copies(g_edge[1]):
+                attrs = g_attrs
                 if k1 is not None and k2 is not None:
-                    l_edge = (f[k1], f[k2])
+                    l_edge = (f_map[k1], f_map[k2])
                     if l_edge in l_graph.edges:
                         if (k1, k2) not in k_graph.edges:
                             continue
                         attrs = attrs_difference(
-                            g_graph.attrs_of(g_edge),
+                            g_attrs,
                             attrs_difference(
                                 l_graph.attrs_of(l_edge), k_graph.attrs_of((k1, k2))
                             ),
                         )
-                        edges[(ids[(g1, k1)], ids[(g2, k2)])] = attrs
-                        continue
-                edges[(ids[(g1, k1)], ids[(g2, k2)])] = g_graph.attrs_of(g_edge)
+                edges.add((d1, d2))
+                if attrs:
+                    edge_attrs[(d1, d2)] = attrs
 
-    apex = Graph(taken, edges.keys(), node_attrs, edges)
-    embed = Homomorphism(k_graph, apex, {k: ids[(m[f[k]], k)] for k in k_graph.nodes})
-    project = Homomorphism(apex, g_graph, {ids[p]: p[0] for p in ids})
-    return PbcResult(apex, embed, project)
+    apex = Graph._of(untouched.union(assigned), edges, node_attrs, edge_attrs)
+    embed = Homomorphism._of(
+        k_graph, apex, {k: ids[(m_map[f_map[k]], k)] for k in k_graph.nodes}
+    )
+    project = dict(zip(untouched, untouched))
+    project.update((nid, g) for (g, _), nid in ids.items())
+    return PbcResult(apex, embed, Homomorphism._of(apex, g_graph, project))
 
 
 def image_factorization(f: Homomorphism) -> ImageFactorizationResult:

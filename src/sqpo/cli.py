@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import secrets
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -89,6 +91,27 @@ def _load_rule(path: str):
         return rule_from_json(_load_json(path))
     except SqpoError as exc:
         raise _InputError(f"invalid rule in {path}: {exc}") from exc
+
+
+def _write_atomically(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text) to a fresh file beside its path, then rename
+    them into place in order, so a failed run leaves no partial output."""
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, text in outputs:
+            tmp = f"{path}.{secrets.token_hex(6)}.tmp"
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            staged.append((tmp, path))
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        for tmp, _ in staged:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
 
 
 def cmd_validate(args) -> int:
@@ -282,10 +305,10 @@ def cmd_rewrite(args) -> int:
 
     out_path = args.output or str(Path(args.hierarchy).with_suffix("")) + ".rewritten.json"
     report_path = args.report or out_path + ".report.json"
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(hierarchy_to_json(final)))
-    with open(report_path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_canonical(_report_json(reports)))
+    _write_atomically([
+        (out_path, dumps_canonical(hierarchy_to_json(final))),
+        (report_path, dumps_canonical(_report_json(reports))),
+    ])
     print(f"wrote {out_path}")
     print(f"wrote {report_path}")
     return 0

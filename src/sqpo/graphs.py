@@ -24,6 +24,7 @@ from .exceptions import (
 AttrValue = Union[str, int, bool]
 Attrs = dict[str, frozenset]
 EdgeId = tuple[str, str]
+_EMPTY: frozenset = frozenset()
 
 
 def value_sort_key(value: AttrValue) -> tuple:
@@ -89,6 +90,15 @@ def attrs_contained(sub: Mapping, sup: Mapping) -> bool:
     return all(frozenset(v) <= frozenset(sup.get(k, frozenset())) for k, v in sub.items())
 
 
+def _attrs_within(sub: Attrs, sup: Attrs) -> bool:
+    """attrs_contained for normalized attributes: compares the frozensets as
+    they are, without re-wrapping each value set."""
+    for k, v in sub.items():
+        if not v <= sup.get(k, _EMPTY):
+            return False
+    return True
+
+
 def fresh_id(base: str, taken) -> str:
     """Deterministic fresh id: base itself, else base with the lowest free counter."""
     if base not in taken:
@@ -127,6 +137,24 @@ class Graph:
                 ea[(str(e[0]), str(e[1]))] = normalized
         object.__setattr__(self, "node_attrs", na)
         object.__setattr__(self, "edge_attrs", ea)
+
+    @classmethod
+    def _of(
+        cls,
+        nodes: Iterable[str],
+        edges: Iterable[EdgeId],
+        node_attrs: dict[str, Attrs],
+        edge_attrs: dict[EdgeId, Attrs],
+    ) -> "Graph":
+        """Wrap parts that are already normalized (str ids, non-empty frozenset
+        values, no empty attribute dicts), skipping the normalization pass of
+        `__init__`; the attribute maps are taken over, not copied."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "nodes", frozenset(nodes))
+        object.__setattr__(g, "edges", frozenset(edges))
+        object.__setattr__(g, "node_attrs", node_attrs)
+        object.__setattr__(g, "edge_attrs", edge_attrs)
+        return g
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph instances are immutable")
@@ -395,17 +423,18 @@ def homomorphism_violation(h: Homomorphism) -> str | None:
         e = min(bad)
         h.edge_image(e)  # raises KeyError if e dangles off an unmapped node
         return f"edge ({e[0]},{e[1]}) has no image edge"
+    image_attrs = target.node_attrs.get
     bad = [
         n
         for n, attrs in source.node_attrs.items()
-        if n in source.nodes and not attrs_contained(attrs, target.attrs_of(node_map[n]))
+        if n in source.nodes and not _attrs_within(attrs, image_attrs(node_map[n], {}))
     ]
     if bad:
         return f"attributes of node {min(bad)} not contained in its image"
     bad = [
         e
         for e, attrs in source.edge_attrs.items()
-        if e in source.edges and not attrs_contained(attrs, target.attrs_of(h.edge_image(e)))
+        if e in source.edges and not _attrs_within(attrs, target.attrs_of(h.edge_image(e)))
     ]
     if bad:
         e = min(bad)

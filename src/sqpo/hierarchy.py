@@ -13,7 +13,8 @@ every other edge (a violation or none). `replace` carries the memo to the
 new hierarchy only when the set of arrow keys is unchanged, since the shape
 fixes each source's walk; each entry is marked with the replaced names and
 arrow keys, and the next check composes again only the edges whose own
-arrow, tree path or source graph was replaced. Every other construction
+arrow, tree path or source graph was replaced; a source whose cone holds
+none of them reuses its verdicts without walking. Every other construction
 starts with an empty memo, and a check that raises keeps the entry it
 started from. The memo holds no hierarchy, so a chain of rewrites does not
 keep its ancestors alive; equality, repr and JSON ignore it. Two threads
@@ -284,8 +285,16 @@ class Hierarchy:
         A failing compose on a tree edge raises at once; a failure on a
         comparing edge is raised after the walk, so the first tree-edge
         failure wins, as when all tree edges are composed before any
-        comparison. Only a walk that raises nothing updates the memo.
+        comparison. Only a walk that raises nothing updates the memo. When
+        nothing replaced lies in the cone (no object of it, no arrow out of
+        it), the stored verdicts are returned without a walk.
         """
+        if entry is not None and not any(
+            (x[0] if isinstance(x, tuple) else x) in entry.canon for x in entry.changed
+        ):
+            if entry.changed:
+                self._checks[a] = entry._replace(changed=frozenset())
+            return [v for v in entry.verdicts.values() if v is not None]
         arrows, succ = self._arrows, self._succ
         changed = entry.changed if entry is not None else frozenset()
         dirty = {a: entry is None or a in changed}

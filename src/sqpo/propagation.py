@@ -759,15 +759,14 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
             patch: dict[tuple[str, str], Homomorphism] = {}
             for j in current.successors(i):
                 old = h.typing(i, j)
+                ti, tj, om = traces[i].node_map, traces[j].node_map, old.node_map
+                ii, ij = instances[i].node_map, instances[j].node_map
                 mapping = _merge_assignment(
                     f"typing {i}->{j} after update",
-                    {traces[i][n]: traces[j][old[n]] for n in old.source.nodes},
-                    {
-                        instances[i][c]: instances[j][c]
-                        for c in plan.rule.target.nodes
-                    },
+                    {ti[n]: tj[om[n]] for n in old.source.nodes},
+                    {ii[c]: ij[c] for c in plan.rule.target.nodes},
                 )
-                arrow = Homomorphism(po.apex, traces[j].target, mapping)
+                arrow = Homomorphism._of(po.apex, traces[j].target, mapping)
                 arrow.validate()
                 patch[(i, j)] = arrow
             for k in current.predecessors(i):
@@ -874,21 +873,23 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
                 instances[i] = lift.instance
                 lifts[i] = lift
             embedded = {instances[i][p] for p in instances[i].source.nodes}
+            trace_map = traces[i].node_map
             bot_lookup[i] = {
-                traces[i][x]: x for x in new_graph.nodes if x not in embedded
+                trace_map[x]: x for x in new_graph.nodes if x not in embedded
             }
             patch: dict[tuple[str, str], Homomorphism] = {}
             for k in current.predecessors(i):
                 old = h.typing(k, i)
                 lk = lifts[k]
                 emb_inv_k = {lk.instance[p]: p for p in lk.pattern.nodes}
+                bot, om, tk = bot_lookup[i], old.node_map, traces[k].node_map
                 mapping = {}
                 for x in lk.graph.nodes:
                     if x in emb_inv_k:
                         mapping[x] = instances[i][lifted_connector(k, i, emb_inv_k[x])]
                     else:
-                        mapping[x] = bot_lookup[i][old[traces[k][x]]]
-                arrow = Homomorphism(lk.graph, new_graph, mapping)
+                        mapping[x] = bot[om[tk[x]]]
+                arrow = Homomorphism._of(lk.graph, new_graph, mapping)
                 arrow.validate()
                 if not hom_equal(
                     compose(traces[i], arrow), compose(old, traces[k])

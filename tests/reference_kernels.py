@@ -1,6 +1,7 @@
 """Test-only reference kernels: the original pair-loop implementations of
-`pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`, and
-the original whole-hierarchy `validate_commutativity` and wave scheduler.
+`pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`, the
+original whole-host `pushout` (a union-find entry and an id for every node),
+and the original whole-hierarchy `validate_commutativity` and wave scheduler.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -11,7 +12,7 @@ node ids, maps, attribute sets, violation messages and match order.
 
 from __future__ import annotations
 
-from sqpo.category import PbcResult, PullbackResult
+from sqpo.category import PbcResult, PullbackResult, PushoutResult
 from sqpo.exceptions import (
     CompositionError,
     GraphElementError,
@@ -24,6 +25,7 @@ from sqpo.graphs import (
     attrs_contained,
     attrs_difference,
     attrs_intersection,
+    attrs_union,
     compose,
     fresh_id,
     hom_equal,
@@ -70,6 +72,79 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     to_a = Homomorphism(apex, a_graph, {ids[p]: p[0] for p in pairs})
     to_b = Homomorphism(apex, b_graph, {ids[p]: p[1] for p in pairs})
     return PullbackResult(apex, to_a, to_b)
+
+
+def _pushout_classes(f: Homomorphism, g: Homomorphism):
+    """Union-find partition of B ⊔ C generated by f(a) ~ g(a)."""
+    parent: dict[tuple[str, str], tuple[str, str]] = {}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x, y):
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            # deterministic: smaller tagged id becomes the root
+            if ry < rx:
+                rx, ry = ry, rx
+            parent[ry] = rx
+
+    for b in f.target.nodes:
+        parent[("B", b)] = ("B", b)
+    for c in g.target.nodes:
+        parent[("C", c)] = ("C", c)
+    for a in sorted(f.source.nodes):
+        union(("B", f[a]), ("C", g[a]))
+    classes: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    for x in parent:
+        classes.setdefault(find(x), []).append(x)
+    return [sorted(members) for members in classes.values()]
+
+
+def _class_base_id(members) -> str:
+    b_ids = sorted(m[1] for m in members if m[0] == "B")
+    if b_ids:
+        return "_".join(b_ids)
+    return "_".join(sorted(m[1] for m in members))
+
+
+def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
+    """Pushout of the span f: A→B, g: A→C.
+
+    Apex nodes are equivalence classes of B ⊔ C generated by f(a) ~ g(a);
+    classes keep the id of their B-side member(s) (concatenated when the
+    class fuses several), so unchanged host nodes keep their ids.
+    Attributes are united over each class.
+    """
+    if f.source != g.source:
+        raise CompositionError("pushout: arrows do not share a source")
+    b_graph, c_graph = f.target, g.target
+    classes = _pushout_classes(f, g)
+    classes.sort(key=lambda ms: (_class_base_id(ms), ms))
+    ids: dict[tuple[str, str], str] = {}
+    taken: set[str] = set()
+    class_attrs: dict[str, dict] = {}
+    for members in classes:
+        qid = fresh_id(_class_base_id(members), taken)
+        taken.add(qid)
+        attrs: dict = {}
+        for tag, n in members:
+            ids[(tag, n)] = qid
+            origin = b_graph if tag == "B" else c_graph
+            attrs = attrs_union(attrs, origin.attrs_of(n))
+        class_attrs[qid] = attrs
+    edges: dict[tuple[str, str], dict] = {}
+    for tag, origin in (("B", b_graph), ("C", c_graph)):
+        for (u, v) in sorted(origin.edges):
+            e = (ids[(tag, u)], ids[(tag, v)])
+            edges[e] = attrs_union(edges.get(e, {}), origin.attrs_of((u, v)))
+    apex = Graph(taken, edges.keys(), class_attrs, edges)
+    from_b = Homomorphism(b_graph, apex, {b: ids[("B", b)] for b in b_graph.nodes})
+    from_c = Homomorphism(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
+    return PushoutResult(apex, from_b, from_c)
 
 
 def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:

@@ -382,3 +382,47 @@ def test_rewrite_malformed_plan_exits_2(tmp_path, damage, needle):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr and needle in proc.stderr
+
+
+def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
+    """Both outputs are rendered before any file is opened and renamed into
+    place only once written: if rendering the report fails, an existing
+    output file keeps its old content and no new or temporary file appears."""
+    import sqpo.cli
+
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    out.write_text("old\n")
+    args = [
+        "rewrite", str(FIXTURES / "merge_add.hierarchy.json"), "G",
+        str(FIXTURES / "merge_add.rule.json"), "0", "--direction", "fwd",
+        "--relation", str(FIXTURES / "merge_add.relation.json"),
+        "-o", str(out), "--report", str(report),
+    ]
+
+    def broken_report(reports):
+        raise RuntimeError("report rendering failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sqpo.cli, "_report_json", broken_report)
+        with pytest.raises(RuntimeError, match="report rendering failed"):
+            sqpo.cli.main(args)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
+    assert out.read_text() == "old\n"
+
+    assert sqpo.cli.main(args) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "report.json"]
+    assert out.read_text() == (GOLDEN / "merge_add.out.json").read_text()
+    assert report.read_text() == (GOLDEN / "merge_add.report.json").read_text()
+
+
+def test_rewrite_unwritable_output_exits_2(tmp_path):
+    missing = tmp_path / "no_such_dir"
+    proc = run_cli(
+        "rewrite", FIXTURES / "merge_add.hierarchy.json", "G",
+        FIXTURES / "merge_add.rule.json", "0", "--direction", "fwd",
+        "-o", missing / "out.json", "--report", tmp_path / "report.json",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert f"cannot write {missing / 'out.json'}" in proc.stderr
+    assert list(tmp_path.iterdir()) == []

@@ -12,6 +12,7 @@ import random
 
 import pytest
 
+import sqpo.hierarchy
 from sqpo import (
     CompositionError,
     Graph,
@@ -169,6 +170,54 @@ def test_tree_edge_failure_wins_over_earlier_comparison_failure():
     with pytest.raises(CompositionError, match="f.target differs from g.source"):
         bad.validate_commutativity()
     assert _assert_matches_oracle(bad) == "raised"
+
+
+def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
+    """Source a's cone {a, b, c} holds a violation; replacing e and the
+    arrows d -> e and d -> c (which ends in the cone but starts outside it)
+    touches nothing a composes. The next check must compose nothing from a,
+    hand back a's stored composites and verdicts as they are, and clear a's
+    marks, while d, whose arrows were replaced, is composed again."""
+    ga, gb, gc = Graph(["x", "y"]), Graph(["p", "q"]), Graph(["r1", "r2"])
+    gd, ge = Graph(["s"]), Graph(["t"])
+    h = Hierarchy(
+        {"a": ga, "b": gb, "c": gc, "d": gd, "e": ge},
+        {
+            ("a", "b"): Homomorphism(ga, gb, {"x": "p", "y": "q"}),
+            ("a", "c"): Homomorphism(ga, gc, {"x": "r1", "y": "r1"}),
+            ("b", "c"): Homomorphism(gb, gc, {"p": "r2", "q": "r2"}),
+            ("d", "e"): Homomorphism(gd, ge, {"s": "t"}),
+            ("d", "c"): Homomorphism(gd, gc, {"s": "r1"}),
+        },
+    )
+    before = h.validate_commutativity()
+    assert [str(v) for v in before] == ["PAIR a c: a->c != a->b->c at node x"]
+    entry = h._checks["a"]
+    ge2 = Graph(["t", "u"])
+    h2 = h.replace(
+        objects={"e": ge2},
+        arrows={
+            ("d", "e"): Homomorphism(gd, ge2, {"s": "u"}),
+            ("d", "c"): Homomorphism(gd, gc, {"s": "r2"}),
+        },
+    )
+    assert h2._checks["a"].changed
+
+    composed_from = []
+    original = sqpo.hierarchy.compose
+
+    def counting(g, f):
+        composed_from.append(f.source)
+        return original(g, f)
+
+    monkeypatch.setattr(sqpo.hierarchy, "compose", counting)
+    assert h2.validate_commutativity() == before
+    assert not any(src is ga for src in composed_from)
+    assert any(src is gd for src in composed_from)
+    after = h2._checks["a"]
+    assert after.canon is entry.canon and after.verdicts is entry.verdicts
+    assert after.changed == frozenset()
+    assert _assert_matches_oracle(h2) == "violations"
 
 
 def test_propagation_steps_match_full_check(monkeypatch):

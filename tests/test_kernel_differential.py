@@ -4,6 +4,9 @@ kernels kept in reference_kernels.py.
 Each test runs both versions on the same seeded random inputs and requires
 byte-identical results: the canonical JSON of every constructed graph, every
 returned node map, every violation message and the order of the match list.
+Every graph a construction builds must also be normalized exactly as the
+public `Graph` constructor would leave it, since the constructions build
+their results without that normalization pass.
 """
 
 import random
@@ -27,8 +30,10 @@ from sqpo import (
     find_matches,
     graph_to_json,
     pullback,
+    pushout,
     verify_final_pbc_up,
     verify_pullback_up,
+    verify_pushout_up,
 )
 from sqpo.graphs import dumps_canonical, homomorphism_violation
 from sqpo.propagation import _waves
@@ -44,11 +49,24 @@ def _same_hom(new: Homomorphism, old: Homomorphism) -> None:
     assert new.node_map == old.node_map
 
 
+def _assert_normalized(g: Graph) -> None:
+    """g equals its rebuild by the public constructor, and every attribute
+    dict is non-empty with str keys and non-empty frozenset values (a set
+    or an empty dict would compare equal or vanish in canonical JSON)."""
+    assert g == Graph(g.nodes, g.edges, g.node_attrs, g.edge_attrs)  # attrs included
+    assert isinstance(g.nodes, frozenset) and isinstance(g.edges, frozenset)
+    for attrs in [*g.node_attrs.values(), *g.edge_attrs.values()]:
+        assert attrs and all(
+            isinstance(k, str) and type(v) is frozenset and v for k, v in attrs.items()
+        )
+
+
 def _assert_same_pullback(f, g):
     new, old = pullback(f, g), ref.pullback(f, g)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.to_a, old.to_a)
     _same_hom(new.to_b, old.to_b)
+    _assert_normalized(new.apex)
     return new
 
 
@@ -57,6 +75,17 @@ def _assert_same_pbc(f, m):
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.embed, old.embed)
     _same_hom(new.project, old.project)
+    _assert_normalized(new.apex)
+    return new
+
+
+def _assert_same_pushout(f, g):
+    new, old = pushout(f, g), ref.pushout(f, g)
+    assert _canonical(new.apex) == _canonical(old.apex)
+    _same_hom(new.from_b, old.from_b)
+    _same_hom(new.from_c, old.from_c)
+    _assert_normalized(new.apex)
+    assert verify_pushout_up(new, f, g)
     return new
 
 
@@ -151,6 +180,110 @@ def test_final_pbc_side_effect_deletion_matches_reference():
     res = _assert_same_pbc(f, m)
     assert verify_final_pbc_up(res, f, m)
     assert "a" not in res.project.node_map.values()
+
+
+# ids that fused classes ("a_b"), counter suffixes ("a_b#2") and new nodes
+# of C can collide with
+_COLLIDING_IDS = (
+    "a", "b", "c", "a_b", "a_b#2", "a_b#2#2", "a#2", "b#2", "c#2", "a_c", "b_c", "a_b_c",
+)
+
+
+def _graph_over(rng, ids) -> Graph:
+    nodes = list(ids)
+    edges = [(u, v) for u in nodes for v in nodes if rng.random() < 0.3]
+    node_attrs = {n: {"k": rng.sample("xyz", rng.randint(0, 2))} for n in nodes}
+    edge_attrs = {e: {"k": rng.sample("xyz", rng.randint(0, 2))} for e in edges}
+    return Graph(nodes, edges, node_attrs, edge_attrs)
+
+
+def _colliding_span(rng):
+    """A random span A -> B, A -> C whose B and C ids are drawn from
+    _COLLIDING_IDS, so fused and new classes take ids of untouched B nodes."""
+    b = _graph_over(rng, rng.sample(_COLLIDING_IDS, rng.randint(0, len(_COLLIDING_IDS))))
+    c = _graph_over(rng, rng.sample(_COLLIDING_IDS, rng.randint(0, 6)))
+    a_nodes = [f"s{i}" for i in range(rng.randint(0, 5))] if b.nodes and c.nodes else []
+    f_map = {x: rng.choice(sorted(b.nodes)) for x in a_nodes}
+    g_map = {x: rng.choice(sorted(c.nodes)) for x in a_nodes}
+    a_edges = [
+        (u, v)
+        for u in a_nodes
+        for v in a_nodes
+        if (f_map[u], f_map[v]) in b.edges
+        and (g_map[u], g_map[v]) in c.edges
+        and rng.random() < 0.7
+    ]
+    a = Graph(a_nodes, a_edges)
+    return Homomorphism(a, b, f_map), Homomorphism(a, c, g_map)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pushout_of_colliding_ids_matches_reference(seed):
+    rng = random.Random(9400 + seed)
+    renamed = 0
+    for _ in range(250):
+        f, g = _colliding_span(rng)
+        res = _assert_same_pushout(f, g)
+        touched = {f[a] for a in f.source.nodes}
+        renamed += any(res.from_b[b] != b for b in f.target.nodes - touched)
+    assert renamed  # some untouched B node lost its id to an earlier class
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pushout_of_generic_spans_matches_reference(seed):
+    rng = random.Random(9500 + seed)
+    for _ in range(60):
+        a = random_graph(rng, max_nodes=5, p_edge=0.3, prefix="a")
+        f = random_hom_from(rng, a, prefix="b", max_extra_nodes=4)
+        g = random_hom_from(rng, a, prefix="c")
+        _assert_same_pushout(f, g)
+
+
+def test_pushout_renames_untouched_nodes_in_class_order():
+    """x and y fuse into a class whose id is "x_y". The untouched host node
+    "x_y" sorts after it and becomes "x_y#2", which in turn pushes the
+    untouched "x_y#2" to "x_y#2#2"; C's new node "n" sorts after the host's
+    "n" and takes "n#2". Edges and attributes follow the renamed nodes."""
+    b = Graph(
+        ["x", "y", "x_y", "x_y#2", "n", "z"],
+        [("x_y", "x_y#2"), ("x_y#2", "z"), ("z", "n"), ("x", "x_y")],
+        {"x_y": {"k": ["p"]}, "x_y#2": {"k": ["q"]}, "x": {"k": ["r"]}},
+        {("x_y", "x_y#2"): {"k": ["e"]}},
+    )
+    c = Graph(["c", "n"], [("c", "n")], {"n": {"k": ["s"]}})
+    a = Graph(["a1", "a2"])
+    f = Homomorphism(a, b, {"a1": "x", "a2": "y"})
+    g = Homomorphism(a, c, {"a1": "c", "a2": "c"})
+    res = _assert_same_pushout(f, g)
+    assert res.from_b.node_map == {
+        "x": "x_y", "y": "x_y", "x_y": "x_y#2", "x_y#2": "x_y#2#2", "n": "n", "z": "z",
+    }
+    assert res.from_c.node_map == {"c": "x_y", "n": "n#2"}
+    assert res.apex.attrs_of("x_y#2") == {"k": frozenset({"p"})}
+    assert res.apex.attrs_of(("x_y#2", "x_y#2#2")) == {"k": frozenset({"e"})}
+    assert ("x_y#2#2", "z") in res.apex.edges and ("x_y", "n#2") in res.apex.edges
+
+
+# host ids that clone copies ("a∥k0") and their counter suffixes collide with
+_CLONE_IDS = ("a", "b", "c", "a∥k0", "a∥k1", "b∥k0", "b∥k1", "a∥k0#2", "a∥k1#2")
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_final_pbc_of_colliding_ids_matches_reference(seed):
+    """Host nodes named like clone copies: a copy may take the id of another
+    matched node, whose edges and attributes must not mix with its own."""
+    rng = random.Random(9600 + seed)
+    collided = 0
+    for _ in range(150):
+        g_graph = _graph_over(rng, rng.sample(_CLONE_IDS, rng.randint(1, len(_CLONE_IDS))))
+        m = random_mono_into(rng, g_graph)
+        f = random_hom_into(rng, m.source, max_nodes=5, prefix="k")
+        res = _assert_same_pbc(f, m)
+        assert verify_final_pbc_up(res, f, m)
+        matched = {m[l] for l in m.source.nodes}
+        copies = [res.embed[k] for k in f.source.nodes]
+        collided += any(d in matched and res.project[d] != d for d in copies)
+    assert collided  # some copy took the id of another matched node
 
 
 def _random_rule(rng, pattern: Graph) -> Rule:

@@ -1,12 +1,18 @@
 """Scaling guards for the rewrite kernels and for hierarchy validation.
 
-Each test runs one kernel on a 5000-node, 4000-edge graph and requires it to
+The timed guards run one kernel on a 5000-node, 4000-edge graph and require it to
 finish within a CPU-time budget (`time.process_time`, so other processes on
 the host do not count). On a 2-core x86-64 container host with CPython 3.11
 the near-linear kernels take 0.02-0.07 s here and the budgets are 30-40 times
 that, so a host running twice as slow stays far inside them. The pair-loop
 kernels kept in reference_kernels.py take 3.6-12.7 s on the same host, so a
 reintroduced loop over all pairs of nodes fails these tests.
+
+Two guards count work instead of timing it: a one-node add pushed out into
+that graph and a one-node clone by final_pbc must not re-normalize any
+attribute dict and may call the attribute algebra only for the rule and the
+edges at the matched node. Building every node of the result afresh made
+9,001-9,003 such calls here.
 
 The hierarchy guards count calls instead of timing them: one rewrite
 propagated through a 20-layer hierarchy must not compose typings as often as
@@ -21,6 +27,8 @@ import time
 
 import pytest
 
+import sqpo.category
+import sqpo.graphs
 import sqpo.hierarchy
 from sqpo import (
     BACKWARD,
@@ -40,6 +48,7 @@ from sqpo import (
     final_pbc,
     find_matches,
     pullback,
+    pushout,
 )
 
 NODES = 5000
@@ -95,6 +104,66 @@ def test_find_matches_edge_pattern_scales(big):
     seconds, matches = _cpu_seconds(lambda: find_matches(rule, g))
     assert len(matches) == len({e for e in g.edges if e[0] != e[1]})
     assert seconds < 2.5, f"find_matches took {seconds:.2f} s of CPU"
+
+
+def _count_attr_work(monkeypatch):
+    """Count calls of the attribute normalizer and of the attribute algebra
+    the constructions use."""
+    calls = {"normalize_attrs": 0, "attrs_union": 0, "attrs_difference": 0}
+    for module, name in (
+        (sqpo.graphs, "normalize_attrs"),
+        (sqpo.category, "attrs_union"),
+        (sqpo.category, "attrs_difference"),
+    ):
+        original = getattr(module, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def _edges_at(g, n):
+    return sum(1 for e in g.edges if n in e)
+
+
+def test_pushout_of_a_node_add_works_on_the_match_only(big, monkeypatch):
+    """Adding one node next to a host node touches that node, its edges and
+    the rule; the other 4999 nodes and their edges are carried over as they
+    are."""
+    g, _, _ = big
+    interface = Graph(["x"])
+    rhs = Graph(["x", "new"], [("x", "new")], {"new": {"k": ["z"]}})
+    match = Homomorphism(interface, g, {"x": "n0"})
+    add = Homomorphism(interface, rhs, {"x": "x"})
+    calls = _count_attr_work(monkeypatch)
+    res = pushout(match, add)
+    assert len(res.apex.nodes) == NODES + 1
+    assert len(res.apex.edges) == EDGES + 1
+    assert calls["normalize_attrs"] == 0
+    budget = len(rhs.nodes) + len(rhs.edges) + 1 + _edges_at(g, "n0")
+    assert calls["attrs_union"] <= budget, calls
+    assert calls["attrs_difference"] == 0
+
+
+def test_final_pbc_of_a_node_clone_works_on_the_match_only(big, monkeypatch):
+    """Cloning one host node touches that node and its edges; the other
+    4999 nodes keep their ids, attributes and edges."""
+    g, _, _ = big
+    lhs = Graph(["a"])
+    interface = Graph(["a1", "a2"])
+    clone = Homomorphism(interface, lhs, {"a1": "a", "a2": "a"})
+    match = Homomorphism(lhs, g, {"a": "n0"})
+    calls = _count_attr_work(monkeypatch)
+    res = final_pbc(clone, match)
+    assert len(res.apex.nodes) == NODES + 1
+    assert all(res.project[n] == n for n in g.nodes if n != "n0")
+    assert calls["normalize_attrs"] == 0
+    budget = 2 * (len(interface.nodes) + len(interface.edges) + 4 * _edges_at(g, "n0"))
+    assert calls["attrs_difference"] <= budget, calls
+    assert calls["attrs_union"] == 0
 
 
 LAYERS = 20
