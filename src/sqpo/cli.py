@@ -30,7 +30,7 @@ from .propagation import (
     restriction_pullback,
 )
 from .relations import apply_plan, build_canonical_plan, build_relation_plan
-from .rules import EXPANSIVE, RESTRICTIVE, Rule, find_matches, rule_from_json
+from .rules import EXPANSIVE, RESTRICTIVE, Rule, _iter_matches, find_matches, rule_from_json
 
 
 class _InputError(Exception):
@@ -173,6 +173,19 @@ def _report_json(reports: list[RewriteReport]) -> dict:
     return {"applications": apps}
 
 
+def _check_relations(relations, what: str) -> None:
+    """Raise unless `relations` maps node names to relations that each map
+    element ids to element ids."""
+    if not isinstance(relations, dict):
+        raise _InputError(f"{what} must map node names to relations")
+    for node in sorted(relations):
+        relation = relations[node]
+        if not isinstance(relation, dict) or not all(
+            isinstance(k, str) and isinstance(v, str) for k, v in relation.items()
+        ):
+            raise _InputError(f"{what} for node {node} must map element ids to element ids")
+
+
 def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan:
     """Build a plan from the plan-file schema: explicit factorizations win,
     relations (or the canonical default) fill the remaining nodes."""
@@ -181,8 +194,7 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
     if obj.get("origin") not in (None, origin):
         raise _InputError("plan file names a different origin than the command line")
     relations = obj.get("relation") or {}
-    if not isinstance(relations, dict):
-        raise _InputError("plan relation must map node names to relations")
+    _check_relations(relations, "plan relation")
     explicit = obj.get("factorizations", {})
     if not isinstance(explicit, dict):
         raise _InputError("plan factorizations must map node names to factorizations")
@@ -277,14 +289,16 @@ def cmd_rewrite(args) -> int:
         rule_arrow = rule.left_leg
         kind = RESTRICTIVE
 
-    matches = find_matches(rule, g, kind)
-    if not 0 <= args.match_index < len(matches):
-        print(
-            f"match index {args.match_index} out of range ({len(matches)} matches)",
-            file=sys.stderr,
-        )
+    # draw matches only up to the requested one; a miss has drawn them all
+    count = 0
+    for found in _iter_matches(rule, g, kind):
+        if count == args.match_index:
+            break
+        count += 1
+    else:
+        print(f"match index {args.match_index} out of range ({count} matches)", file=sys.stderr)
         return 1
-    match = matches[args.match_index].instance
+    match = found.instance
 
     if args.plan is not None:
         spec = _load_json(args.plan)
@@ -294,8 +308,10 @@ def cmd_rewrite(args) -> int:
             raise _InputError(f"invalid plan in {args.plan}: {exc}") from exc
     elif args.relation is not None:
         relations = _load_json(args.relation)
-        if not isinstance(relations, dict):
-            raise _InputError("relation file must map node names to relations")
+        try:
+            _check_relations(relations, "relation file")
+        except _InputError as exc:
+            raise _InputError(f"invalid relation in {args.relation}: {exc}") from exc
         plan = build_relation_plan(h, args.node, rule_arrow, match, direction, relations)
     else:
         plan = build_canonical_plan(h, args.node, rule_arrow, match, direction)

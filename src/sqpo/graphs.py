@@ -13,7 +13,7 @@ values can be shared freely across threads.
 from __future__ import annotations
 
 import json
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Iterator, Mapping, Union
 
 from .exceptions import (
     CompositionError,
@@ -497,6 +497,117 @@ def hom_equal(f: Homomorphism, g: Homomorphism) -> bool:
     if f.source != g.source or f.target != g.target:
         raise CompositionError("hom_equal: endpoints differ")
     return all(f.node_map[n] == g.node_map[n] for n in f.source.nodes)
+
+
+def homomorphism_maps(
+    pattern: Graph,
+    host: Graph,
+    candidates: Mapping[str, list[str]],
+    injective: bool,
+) -> Iterator[dict[str, str]]:
+    """Node maps pattern→host that send every pattern edge onto a host edge
+    with key-wise attribute containment, each node's image drawn from its
+    sorted candidate list; yielded in lexicographic order over the sorted
+    pattern nodes. Node attributes are for the caller to filter into the
+    candidates.
+
+    A VF2-style backtracking search (Cordella et al. 2004): each pattern
+    node checks only its edges to earlier nodes, and its candidates narrow
+    to the host neighbours of an earlier node's image when those are fewer.
+    With `injective`, images are distinct and a candidate with fewer in- or
+    out-edges than its pattern node is pruned up front.
+    """
+    # degree and adjacency tables, built once per call
+    g_succ: dict[str, list[str]] = {}
+    g_pred: dict[str, list[str]] = {}
+    for (u, v) in host.edges:
+        g_succ.setdefault(u, []).append(v)
+        g_pred.setdefault(v, []).append(u)
+    p_out: dict[str, int] = {}
+    p_in: dict[str, int] = {}
+    for (u, v) in pattern.edges:
+        p_out[u] = p_out.get(u, 0) + 1
+        p_in[v] = p_in.get(v, 0) + 1
+    no_nodes: list[str] = []
+
+    order = sorted(pattern.nodes)
+    options: dict[str, list[str]] = {}
+    for n in order:
+        opts = candidates[n]
+        if (n, n) in pattern.edges:
+            opts = [c for c in opts if (c, c) in host.edges]
+        n_out, n_in = p_out.get(n, 0), p_in.get(n, 0)
+        if injective and (n_out or n_in):
+            opts = [
+                c
+                for c in opts
+                if n_out <= len(g_succ.get(c, no_nodes)) and n_in <= len(g_pred.get(c, no_nodes))
+            ]
+        options[n] = opts
+
+    # for each pattern node, its edges to earlier nodes in the search order:
+    # (earlier node, pattern edge, host-side adjacency of the earlier image,
+    # whether the node is the edge's source); self-loops are checked apart
+    position = {n: i for i, n in enumerate(order)}
+    links: dict[str, list] = {n: [] for n in order}
+    for (u, v) in pattern.edges:
+        if u == v or u not in position or v not in position:
+            continue
+        if position[u] < position[v]:
+            links[v].append((u, (u, v), g_succ, False))
+        else:
+            links[u].append((v, (u, v), g_pred, True))
+    allowed = {n: set(options[n]) for n in order if links[n]}
+
+    assignment: dict[str, str] = {}
+    used: set[str] = set()
+
+    def fits(n: str, c: str) -> bool:
+        for p_node, edge, _, n_is_source in links[n]:
+            img = assignment[p_node]
+            host_edge = (c, img) if n_is_source else (img, c)
+            if host_edge not in host.edges:
+                return False
+            if not _attrs_within(pattern.attrs_of(edge), host.attrs_of(host_edge)):
+                return False
+        return (n, n) not in pattern.edges or _attrs_within(
+            pattern.attrs_of((n, n)), host.attrs_of((c, c))
+        )
+
+    def choices(n: str) -> Iterator[str]:
+        """n's options, narrowed to the host neighbours of an earlier node's
+        image when those are fewer."""
+        opts = options[n]
+        nearest = None
+        for p_node, _, adjacency, _ in links[n]:
+            near = adjacency.get(assignment[p_node], no_nodes)
+            if len(near) < len(opts) and (nearest is None or len(near) < len(nearest)):
+                nearest = near
+        if nearest is not None:
+            opts = sorted(c for c in nearest if c in allowed[n])
+        return iter(opts)
+
+    if not order:
+        yield {}
+        return
+    # depth first over a stack of candidate iterators, one per node in order;
+    # the node on top drops its image before it tries its next candidate
+    stack = [choices(order[0])]
+    while stack:
+        n = order[len(stack) - 1]
+        used.discard(assignment.pop(n, None))
+        for c in stack[-1]:
+            if not (injective and c in used) and fits(n, c):
+                assignment[n] = c
+                used.add(c)
+                break
+        else:
+            stack.pop()
+            continue
+        if len(stack) == len(order):
+            yield dict(assignment)
+        else:
+            stack.append(choices(order[len(stack)]))
 
 
 # -- JSON format ------------------------------------------------------------

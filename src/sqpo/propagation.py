@@ -32,6 +32,7 @@ from .graphs import (
     attrs_contained,
     compose,
     hom_equal,
+    homomorphism_maps,
     identity,
     is_epi,
     is_mono,
@@ -472,70 +473,46 @@ def _restriction_connector(
     return Homomorphism(rp_i.pattern, rp_j.pattern, mapping)
 
 
-def _search_connector(
-    mid_i: Graph,
-    mid_j: Graph,
-    candidates: dict[str, list[str]],
+def _derive_connector(
+    fx_i: ForwardFactorization | BackwardFactorization,
+    fx_j: ForwardFactorization | BackwardFactorization,
+    forced_pairs: list[tuple[str, str]],
+    typed=None,
 ) -> Homomorphism | None:
-    """First homomorphism mid_i→mid_j consistent with the per-node candidate
-    sets, in deterministic order."""
-    order = sorted(mid_i.nodes)
-    assignment: dict[str, str] = {}
-
-    def edges_ok(n: str, c: str) -> bool:
-        for p, q in assignment.items():
-            for (u, v, xx, yy) in ((n, p, c, q), (p, n, q, c)):
-                if (u, v) in mid_i.edges:
-                    if (xx, yy) not in mid_j.edges:
-                        return False
-                    if not attrs_contained(mid_i.attrs_of((u, v)), mid_j.attrs_of((xx, yy))):
-                        return False
-        if (n, n) in mid_i.edges:
-            if (c, c) not in mid_j.edges or not attrs_contained(
-                mid_i.attrs_of((n, n)), mid_j.attrs_of((c, c))
-            ):
-                return False
-        return True
-
-    def search(idx: int) -> bool:
-        if idx == len(order):
-            return True
-        n = order[idx]
-        for c in candidates[n]:
-            if not attrs_contained(mid_i.attrs_of(n), mid_j.attrs_of(c)):
-                continue
-            if not edges_ok(n, c):
-                continue
-            assignment[n] = c
-            if search(idx + 1):
-                return True
-            del assignment[n]
-        return False
-
-    if any(not candidates[n] for n in order):
-        return None
-    return Homomorphism(mid_i, mid_j, dict(assignment)) if search(0) else None
+    """First arrow mid_i→mid_j, in the search order of `homomorphism_maps`,
+    that sends each forced node e to its `want` for every (e, want) pair,
+    keeps the post-arrow triangle and, when `typed` is given, satisfies
+    typed(e, c) for each node e and its image c."""
+    forced: dict[str, str] = {}
+    for e, want in forced_pairs:
+        if forced.setdefault(e, want) != want:
+            return None
+    mid_i, mid_j = fx_i.mid, fx_j.mid
+    targets = sorted(mid_j.nodes)
+    candidates = {
+        e: [
+            c
+            for c in ([forced[e]] if e in forced else targets)
+            if fx_j.post_arrow[c] == fx_i.post_arrow[e]
+            and (typed is None or typed(e, c))
+            and attrs_contained(mid_i.attrs_of(e), mid_j.attrs_of(c))
+        ]
+        for e in sorted(mid_i.nodes)
+    }
+    found = next(homomorphism_maps(mid_i, mid_j, candidates, injective=False), None)
+    return None if found is None else Homomorphism(mid_i, mid_j, found)
 
 
 def _derive_forward_connector(
     fx_i: ForwardFactorization, fx_j: ForwardFactorization, h_ij: Homomorphism
 ) -> Homomorphism | None:
-    forced: dict[str, str] = {}
-    for a in fx_i.pre_arrow.source.nodes:
-        e, want = fx_i.pre_arrow[a], fx_j.pre_arrow[a]
-        if forced.setdefault(e, want) != want:
-            return None
-    candidates = {}
-    for e in sorted(fx_i.mid.nodes):
-        opts = [forced[e]] if e in forced else sorted(fx_j.mid.nodes)
-        opts = [
-            c
-            for c in opts
-            if fx_j.post_arrow[c] == fx_i.post_arrow[e]
-            and fx_j.typing[c] == h_ij[fx_i.typing[e]]
-        ]
-        candidates[e] = opts
-    return _search_connector(fx_i.mid, fx_j.mid, candidates)
+    pre_i, pre_j = fx_i.pre_arrow, fx_j.pre_arrow
+    return _derive_connector(
+        fx_i,
+        fx_j,
+        [(pre_i[a], pre_j[a]) for a in pre_i.source.nodes],
+        lambda e, c: fx_j.typing[c] == h_ij[fx_i.typing[e]],
+    )
 
 
 def _derive_backward_connector(
@@ -543,22 +520,13 @@ def _derive_backward_connector(
     fx_j: BackwardFactorization,
     pattern_connector: Homomorphism,
 ) -> Homomorphism | None:
-    forced: dict[str, str] = {}
-    for k in fx_i.pre_arrow.source.nodes:
-        e, want = fx_i.pre_arrow[k], fx_j.pre_arrow[k]
-        if forced.setdefault(e, want) != want:
-            return None
-    for p in fx_i.retyping.source.nodes:
-        e = fx_i.retyping[p]
-        want = fx_j.retyping[pattern_connector[p]]
-        if forced.setdefault(e, want) != want:
-            return None
-    candidates = {}
-    for e in sorted(fx_i.mid.nodes):
-        opts = [forced[e]] if e in forced else sorted(fx_j.mid.nodes)
-        opts = [c for c in opts if fx_j.post_arrow[c] == fx_i.post_arrow[e]]
-        candidates[e] = opts
-    return _search_connector(fx_i.mid, fx_j.mid, candidates)
+    pre_i, pre_j = fx_i.pre_arrow, fx_j.pre_arrow
+    forced_pairs = [(pre_i[k], pre_j[k]) for k in pre_i.source.nodes]
+    forced_pairs += [
+        (fx_i.retyping[p], fx_j.retyping[pattern_connector[p]])
+        for p in fx_i.retyping.source.nodes
+    ]
+    return _derive_connector(fx_i, fx_j, forced_pairs)
 
 
 def check_composability(h: Hierarchy, plan: PropagationPlan) -> list[str]:

@@ -10,6 +10,7 @@ plus a list of primitive edits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .category import final_pbc, pushout
 from .edits import (
@@ -31,6 +32,7 @@ from .graphs import (
     fresh_id,
     graph_from_json,
     graph_to_json,
+    homomorphism_maps,
     identity,
     is_mono,
     json_shape_message,
@@ -205,6 +207,16 @@ def find_matches(
     The pattern is the lhs for restrictive matches and the interface for
     expansive ones. `anchor` pre-assigns pattern nodes to graph nodes.
     """
+    return list(_iter_matches(rule, g, kind, anchor))
+
+
+def _iter_matches(
+    rule: Rule,
+    g: Graph,
+    kind: str = RESTRICTIVE,
+    anchor: dict[str, str] | None = None,
+) -> Iterator[Match]:
+    """The matches of `find_matches`, built one at a time as they are drawn."""
     if kind not in (RESTRICTIVE, EXPANSIVE):
         raise RewritingError(f"unknown match kind {kind!r}")
     pattern = rule.lhs if kind == RESTRICTIVE else rule.interface
@@ -214,102 +226,17 @@ def find_matches(
             raise GraphElementError(f"anchor: unknown pattern node {k}")
         if v not in g.nodes:
             raise GraphElementError(f"anchor: unknown graph node {v}")
-
-    # degree and adjacency tables, built once per call
-    p_out: dict[str, int] = {}
-    p_in: dict[str, int] = {}
-    for (u, v) in pattern.edges:
-        p_out[u] = p_out.get(u, 0) + 1
-        p_in[v] = p_in.get(v, 0) + 1
-    g_succ: dict[str, list[str]] = {}
-    g_pred: dict[str, list[str]] = {}
-    for (u, v) in g.edges:
-        g_succ.setdefault(u, []).append(v)
-        g_pred.setdefault(v, []).append(u)
-    no_nodes: list[str] = []
-
-    order = sorted(pattern.nodes)
     hosts = sorted(g.nodes)
-    candidates: dict[str, list[str]] = {}
-    for n in order:
-        opts = []
-        n_out = p_out.get(n, 0)
-        n_in = p_in.get(n, 0)
-        loop = (n, n) in pattern.edges
-        for c in [anchor[n]] if n in anchor else hosts:
-            if not attrs_contained(pattern.attrs_of(n), g.attrs_of(c)):
-                continue
-            if loop and (c, c) not in g.edges:
-                continue
-            if n_out > len(g_succ.get(c, no_nodes)):
-                continue
-            if n_in > len(g_pred.get(c, no_nodes)):
-                continue
-            opts.append(c)
-        candidates[n] = opts
-
-    # for each pattern node, its edges to earlier nodes in the search order:
-    # (earlier node, pattern edge, host-side adjacency of the earlier image)
-    position = {n: i for i, n in enumerate(order)}
-    links: dict[str, list] = {n: [] for n in order}
-    for (u, v) in pattern.edges:
-        if u == v or u not in position or v not in position:
-            continue
-        if position[u] < position[v]:
-            links[v].append((u, (u, v), g_succ, False))
-        else:
-            links[u].append((v, (u, v), g_pred, True))
-
-    matches: list[Match] = []
-    assignment: dict[str, str] = {}
-    used: set[str] = set()
-
-    def compatible(n: str, c: str) -> bool:
-        for p_node, edge, _, n_is_source in links[n]:
-            img = assignment[p_node]
-            host_edge = (c, img) if n_is_source else (img, c)
-            if host_edge not in g.edges:
-                return False
-            if not attrs_contained(pattern.attrs_of(edge), g.attrs_of(host_edge)):
-                return False
-        if (n, n) in pattern.edges and not attrs_contained(
-            pattern.attrs_of((n, n)), g.attrs_of((c, c))
-        ):
-            return False
-        return True
-
-    candidate_sets = {n: set(opts) for n, opts in candidates.items()}
-
-    def options(n: str) -> list[str]:
-        """Candidates of n in sorted order, narrowed to the host neighbours
-        of an assigned pattern neighbour when those are fewer."""
-        opts = candidates[n]
-        nearest = None
-        for p_node, _, adjacency, _ in links[n]:
-            near = adjacency.get(assignment[p_node], no_nodes)
-            if len(near) < len(opts) and (nearest is None or len(near) < len(nearest)):
-                nearest = near
-        if nearest is None:
-            return opts
-        allowed = candidate_sets[n]
-        return sorted(c for c in nearest if c in allowed)
-
-    def search(i: int):
-        if i == len(order):
-            matches.append(Match(Homomorphism(pattern, g, dict(assignment)), kind))
-            return
-        n = order[i]
-        for c in options(n):
-            if c in used or not compatible(n, c):
-                continue
-            assignment[n] = c
-            used.add(c)
-            search(i + 1)
-            del assignment[n]
-            used.discard(c)
-
-    search(0)
-    return matches
+    candidates = {
+        n: [
+            c
+            for c in ([anchor[n]] if n in anchor else hosts)
+            if attrs_contained(pattern.attrs_of(n), g.attrs_of(c))
+        ]
+        for n in pattern.nodes
+    }
+    for node_map in homomorphism_maps(pattern, g, candidates, injective=True):
+        yield Match(Homomorphism(pattern, g, node_map), kind)
 
 
 @dataclass(frozen=True)

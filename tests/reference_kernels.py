@@ -1,7 +1,10 @@
 """Test-only reference kernels: the original pair-loop implementations of
 `pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`, the
 original whole-host `pushout` (a union-find entry and an id for every node),
-and the original whole-hierarchy `validate_commutativity` and wave scheduler.
+the original whole-hierarchy `validate_commutativity` and wave scheduler,
+and the two backtracking searches that `graphs.homomorphism_maps` replaced
+next to `find_matches`' own: propagation's connector search (with the two
+connector derivations that drove it) and `find_isomorphism`.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -33,6 +36,7 @@ from sqpo.graphs import (
     is_mono,
 )
 from sqpo.hierarchy import CommutativityViolation
+from sqpo.propagation import BackwardFactorization, ForwardFactorization
 from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule
 
 
@@ -373,3 +377,169 @@ def waves(h, sinks_first: bool) -> list[list[str]]:
         out.append(wave)
         remaining -= set(wave)
     return out
+
+
+# -- the connector and isomorphism searches, as they were before
+# `graphs.homomorphism_maps` replaced them (with `find_matches` above) -------
+
+
+def _search_connector(
+    mid_i: Graph,
+    mid_j: Graph,
+    candidates: dict[str, list[str]],
+) -> Homomorphism | None:
+    """First homomorphism mid_i→mid_j consistent with the per-node candidate
+    sets, in deterministic order."""
+    order = sorted(mid_i.nodes)
+    assignment: dict[str, str] = {}
+
+    def edges_ok(n: str, c: str) -> bool:
+        for p, q in assignment.items():
+            for (u, v, xx, yy) in ((n, p, c, q), (p, n, q, c)):
+                if (u, v) in mid_i.edges:
+                    if (xx, yy) not in mid_j.edges:
+                        return False
+                    if not attrs_contained(mid_i.attrs_of((u, v)), mid_j.attrs_of((xx, yy))):
+                        return False
+        if (n, n) in mid_i.edges:
+            if (c, c) not in mid_j.edges or not attrs_contained(
+                mid_i.attrs_of((n, n)), mid_j.attrs_of((c, c))
+            ):
+                return False
+        return True
+
+    def search(idx: int) -> bool:
+        if idx == len(order):
+            return True
+        n = order[idx]
+        for c in candidates[n]:
+            if not attrs_contained(mid_i.attrs_of(n), mid_j.attrs_of(c)):
+                continue
+            if not edges_ok(n, c):
+                continue
+            assignment[n] = c
+            if search(idx + 1):
+                return True
+            del assignment[n]
+        return False
+
+    if any(not candidates[n] for n in order):
+        return None
+    return Homomorphism(mid_i, mid_j, dict(assignment)) if search(0) else None
+
+
+def _derive_forward_connector(
+    fx_i: ForwardFactorization, fx_j: ForwardFactorization, h_ij: Homomorphism
+) -> Homomorphism | None:
+    forced: dict[str, str] = {}
+    for a in fx_i.pre_arrow.source.nodes:
+        e, want = fx_i.pre_arrow[a], fx_j.pre_arrow[a]
+        if forced.setdefault(e, want) != want:
+            return None
+    candidates = {}
+    for e in sorted(fx_i.mid.nodes):
+        opts = [forced[e]] if e in forced else sorted(fx_j.mid.nodes)
+        opts = [
+            c
+            for c in opts
+            if fx_j.post_arrow[c] == fx_i.post_arrow[e]
+            and fx_j.typing[c] == h_ij[fx_i.typing[e]]
+        ]
+        candidates[e] = opts
+    return _search_connector(fx_i.mid, fx_j.mid, candidates)
+
+
+def _derive_backward_connector(
+    fx_i: BackwardFactorization,
+    fx_j: BackwardFactorization,
+    pattern_connector: Homomorphism,
+) -> Homomorphism | None:
+    forced: dict[str, str] = {}
+    for k in fx_i.pre_arrow.source.nodes:
+        e, want = fx_i.pre_arrow[k], fx_j.pre_arrow[k]
+        if forced.setdefault(e, want) != want:
+            return None
+    for p in fx_i.retyping.source.nodes:
+        e = fx_i.retyping[p]
+        want = fx_j.retyping[pattern_connector[p]]
+        if forced.setdefault(e, want) != want:
+            return None
+    candidates = {}
+    for e in sorted(fx_i.mid.nodes):
+        opts = [forced[e]] if e in forced else sorted(fx_j.mid.nodes)
+        opts = [c for c in opts if fx_j.post_arrow[c] == fx_i.post_arrow[e]]
+        candidates[e] = opts
+    return _search_connector(fx_i.mid, fx_j.mid, candidates)
+
+
+def _signature(g: Graph, n: str):
+    out = sorted(v for (u, v) in g.edges if u == n)
+    inc = sorted(u for (u, v) in g.edges if v == n)
+    return (len(out), len(inc), (n, n) in g.edges)
+
+
+def find_isomorphism(
+    g1: Graph,
+    g2: Graph,
+    typing1: Homomorphism | None = None,
+    typing2: Homomorphism | None = None,
+    anchor: dict[str, str] | None = None,
+) -> dict[str, str] | None:
+    """Node bijection g1→g2 preserving edges, attributes and, when given,
+    the typings (typing2 ∘ iso = typing1) and the anchored assignments.
+    Returns None if there is none."""
+    if len(g1.nodes) != len(g2.nodes) or len(g1.edges) != len(g2.edges):
+        return None
+    anchor = anchor or {}
+    order = sorted(g1.nodes)
+    candidates: dict[str, list[str]] = {}
+    for n in order:
+        opts = []
+        for m in sorted(g2.nodes):
+            if n in anchor and anchor[n] != m:
+                continue
+            if _signature(g1, n) != _signature(g2, m):
+                continue
+            if g1.attrs_of(n) != g2.attrs_of(m):
+                continue
+            if typing1 is not None and typing2 is not None:
+                if typing1[n] != typing2[m]:
+                    continue
+            opts.append(m)
+        if not opts:
+            return None
+        candidates[n] = opts
+
+    assignment: dict[str, str] = {}
+    used: set[str] = set()
+
+    def consistent(n: str, m: str) -> bool:
+        for p, q in assignment.items():
+            for (u, v, x, y) in ((n, p, m, q), (p, n, q, m)):
+                has1 = (u, v) in g1.edges
+                has2 = (x, y) in g2.edges
+                if has1 != has2:
+                    return False
+                if has1 and g1.attrs_of((u, v)) != g2.attrs_of((x, y)):
+                    return False
+        # self-loop equality is part of the signature; loop attrs checked here
+        if (n, n) in g1.edges and g1.attrs_of((n, n)) != g2.attrs_of((m, m)):
+            return False
+        return True
+
+    def search(i: int) -> bool:
+        if i == len(order):
+            return True
+        n = order[i]
+        for m in candidates[n]:
+            if m in used or not consistent(n, m):
+                continue
+            assignment[n] = m
+            used.add(m)
+            if search(i + 1):
+                return True
+            del assignment[n]
+            used.discard(m)
+        return False
+
+    return dict(assignment) if search(0) else None

@@ -158,20 +158,22 @@ def test_rewrite_composability_violation_exits_1(tmp_path):
 
 
 def test_rewrite_bad_match_index(tmp_path):
-    proc = run_cli(
-        "rewrite",
-        FIXTURES / "merge_add.hierarchy.json",
-        "G",
-        FIXTURES / "merge_add.rule.json",
-        "99",
-        "--direction",
-        "fwd",
-        "--canonical",
-        "-o",
-        tmp_path / "out.json",
-    )
-    assert proc.returncode == 1
-    assert "out of range" in proc.stderr
+    for index in ("99", "-1"):
+        proc = run_cli(
+            "rewrite",
+            FIXTURES / "merge_add.hierarchy.json",
+            "G",
+            FIXTURES / "merge_add.rule.json",
+            index,
+            "--direction",
+            "fwd",
+            "--canonical",
+            "-o",
+            tmp_path / "out.json",
+        )
+        assert proc.returncode == 1
+        # an index past the end has drawn, and counts, every match
+        assert proc.stderr.endswith(f"match index {index} out of range (4 matches)\n")
 
 
 def test_rewrite_direction_requires_trivial_other_leg(tmp_path):
@@ -426,3 +428,61 @@ def test_rewrite_unwritable_output_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
     assert f"cannot write {missing / 'out.json'}" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "hier, node, rule, direction, flag, content, bad_node",
+    [
+        ("merge_add", "G", "merge_add", "fwd", "--relation", {"T": ["a"]}, "T"),
+        ("merge_add", "G", "merge_add", "fwd", "--relation", {"T": 5}, "T"),
+        ("merge_add", "G", "merge_add", "fwd", "--relation", {"T": None}, "T"),
+        ("merge_add", "G", "merge_add", "fwd", "--relation", {"T": {"s2": ["s1"]}}, "T"),
+        ("clone_delete", "T", "clone_delete", "bwd", "--relation", {"G": ["x"]}, "G"),
+        ("merge_add", "G", "merge_add", "fwd", "--plan", {"relation": {"T": 5}}, "T"),
+    ],
+    ids=["list", "number", "null", "list-value", "clone-delete-list", "plan-number"],
+)
+def test_rewrite_malformed_relation_exits_2(
+    tmp_path, hier, node, rule, direction, flag, content, bad_node
+):
+    """A per-node relation that is not an object of strings is an input
+    error naming the file and the node, not a traceback."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(content))
+    proc = run_cli(
+        "rewrite", FIXTURES / f"{hier}.hierarchy.json", node,
+        FIXTURES / f"{rule}.rule.json", "0", "--direction", direction,
+        flag, path, "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and f"for node {bad_node} " in proc.stderr
+    assert not (tmp_path / "out.json").exists()
+
+
+def test_rewrite_builds_matches_only_up_to_the_index(tmp_path, monkeypatch):
+    """Rewriting at match 0 of a 3-node discrete pattern in a 60-node object
+    builds one match, not all 60·59·58 of them."""
+    import sqpo.cli
+    import sqpo.rules
+    from sqpo import Graph, Hierarchy, Rule, hierarchy_to_json, rule_to_json
+    from sqpo.graphs import dumps_canonical
+
+    hier = tmp_path / "big.hierarchy.json"
+    rule = tmp_path / "three.rule.json"
+    g = Graph([f"v{i:02d}" for i in range(60)])
+    hier.write_text(dumps_canonical(hierarchy_to_json(Hierarchy().add_object("G", g))))
+    rule.write_text(dumps_canonical(rule_to_json(Rule.identity_rule(Graph(["a", "b", "c"])))))
+    built = []
+
+    class CountedMatch(sqpo.rules.Match):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sqpo.rules, "Match", CountedMatch)
+    args = ["rewrite", str(hier), "G", str(rule), "0", "--direction", "fwd",
+            "-o", str(tmp_path / "out.json")]
+    assert sqpo.cli.main(args) == 0
+    assert len(built) == 1
+    assert built[0][0].node_map == {"a": "v00", "b": "v01", "c": "v02"}
