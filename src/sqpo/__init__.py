@@ -7,7 +7,6 @@ hierarchies of typed graphs, and forward/backward propagation of rewrites
 that keeps every typing and path equality valid.
 """
 
-from .cli import Workspace
 from .category import (
     ImageFactorizationResult,
     OracleConfig,
@@ -107,4 +106,15 @@ from .rules import (
     sqpo_rewrite,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for name in dir() if not name.startswith("_")] + ["Workspace"]
+
+
+def __getattr__(name):
+    # `Workspace` lives in the CLI module, which is loaded only when asked
+    # for: importing it here would load it before `python -m sqpo.cli` runs
+    # it as __main__, and runpy warns about that
+    if name == "Workspace":
+        from .cli import Workspace
+
+        return Workspace
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

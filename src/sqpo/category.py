@@ -20,8 +20,10 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   of copies(u)·copies(v), where copies(g) is 1 for an untouched node, the
   number of K-preimages for a matched one and 0 for a deleted one. Every
   other host node and edge keeps its id and its attribute dict; they are
-  carried over by set and dict copies, and one scan of the host's edges
-  finds the edges at the rewritten part. Neither sorts the host;
+  carried over by set and dict copies. Pushout finds the edges at the
+  rewritten part in the host's cached adjacency lists (built once per
+  graph), final_pbc in one scan of the host's edges; neither sorts the
+  host. Pushout's arrow from the host records which node ids changed;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -235,7 +237,9 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     node_attrs.update(new_attrs)
 
     b_ids = {n: qid for (tag, n), qid in ids.items() if tag == "B"}
-    moved_edges = [e for e in b_graph.edges if e[0] in b_ids or e[1] in b_ids]
+    succ, pred = b_graph._adjacency()
+    moved_edges = {(n, v) for n in b_ids for v in succ.get(n, ())}
+    moved_edges.update((u, n) for n in b_ids for u in pred.get(n, ()))
     edges = b_graph.edges.difference(moved_edges)
     edge_attrs = dict(b_graph.edge_attrs)
     new_edge_attrs: dict[tuple[str, str], dict] = {}
@@ -256,9 +260,7 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
         node_attrs,
         edge_attrs,
     )
-    b_map = dict(zip(b_nodes, b_nodes))
-    b_map.update(b_ids)
-    from_b = Homomorphism._of(b_graph, apex, b_map)
+    from_b = Homomorphism._renaming(b_graph, apex, b_ids)
     from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
     return PushoutResult(apex, from_b, from_c)
 

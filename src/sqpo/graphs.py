@@ -7,12 +7,17 @@ finite sets of scalar values). Homomorphisms are total node maps that
 preserve edges and satisfy key-wise attribute containment.
 
 All edit operations return new graphs; nothing here mutates in place, so
-values can be shared freely across threads.
+values can be shared freely across threads. Two private caches fill on
+first use and never go stale, since nothing changes: a graph's successor
+and predecessor lists, and a homomorphism's preimage lists. A homomorphism
+built as a patch of another records the keys whose image changed, which
+lets propagation and the commutativity memo work only where a rewrite did.
 """
 
 from __future__ import annotations
 
 import json
+import weakref
 from typing import Iterable, Iterator, Mapping, Union
 
 from .exceptions import (
@@ -112,7 +117,7 @@ def fresh_id(base: str, taken) -> str:
 class Graph:
     """A finite attributed simple directed graph."""
 
-    __slots__ = ("nodes", "edges", "node_attrs", "edge_attrs")
+    __slots__ = ("nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "__weakref__")
 
     def __init__(
         self,
@@ -185,10 +190,25 @@ class Graph:
         return self.node_attrs.get(element, {})
 
     def successors(self, n: str) -> list[str]:
-        return sorted(v for (u, v) in self.edges if u == n)
+        return sorted(self._adjacency()[0].get(n, ()))
 
     def predecessors(self, n: str) -> list[str]:
-        return sorted(u for (u, v) in self.edges if v == n)
+        return sorted(self._adjacency()[1].get(n, ()))
+
+    def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+        """Unsorted successor and predecessor lists of every node with an
+        edge, built on first use and kept: the graph never changes."""
+        try:
+            return self._adjacent
+        except AttributeError:
+            pass
+        succ: dict[str, list[str]] = {}
+        pred: dict[str, list[str]] = {}
+        for (u, v) in self.edges:
+            succ.setdefault(u, []).append(v)
+            pred.setdefault(v, []).append(u)
+        object.__setattr__(self, "_adjacent", (succ, pred))
+        return succ, pred
 
     def validate(self) -> list[str]:
         """Check the graph invariants; one message per violation."""
@@ -351,7 +371,7 @@ class Graph:
 class Homomorphism:
     """A structure-preserving node map between two graphs."""
 
-    __slots__ = ("source", "target", "node_map")
+    __slots__ = ("source", "target", "node_map", "_patch", "_inverse", "__weakref__")
 
     def __init__(self, source: Graph, target: Graph, node_map: Mapping[str, str]):
         object.__setattr__(self, "source", source)
@@ -369,6 +389,69 @@ class Homomorphism:
         object.__setattr__(h, "target", target)
         object.__setattr__(h, "node_map", node_map)
         return h
+
+    @classmethod
+    def _patched(
+        cls, old: "Homomorphism", source: Graph, target: Graph, updates: dict[str, str], keys
+    ) -> "Homomorphism":
+        """old's node map (a C-level copy) re-set at `keys`: a key takes its
+        value in `updates`, or is dropped when `updates` lacks it; every
+        other key keeps old's image. Records the keys whose image really
+        changed (see `_changes_since`) and holds old only weakly, so a chain
+        of patches does not keep its ancestors alive."""
+        node_map = dict(old.node_map)
+        changed = []
+        for k in keys:
+            now = updates.get(k)
+            if node_map.get(k) != now:
+                changed.append(k)
+                if now is None:
+                    del node_map[k]
+                else:
+                    node_map[k] = now
+        h = cls._of(source, target, node_map)
+        object.__setattr__(h, "_patch", (weakref.ref(old), frozenset(changed)))
+        return h
+
+    @classmethod
+    def _renaming(cls, source: Graph, target: Graph, renamed: dict[str, str]) -> "Homomorphism":
+        """The map sending each node of source to the node of target with
+        the same id, except that each key of `renamed` goes to its value.
+        Records the keys whose id changed (see `_changes_since`)."""
+        node_map = dict(zip(source.nodes, source.nodes))
+        node_map.update(renamed)
+        h = cls._of(source, target, node_map)
+        moved = frozenset(n for n, m in renamed.items() if m != n)
+        object.__setattr__(h, "_patch", (None, moved))
+        return h
+
+    def _changes_since(self, old: "Homomorphism | None") -> frozenset | None:
+        """The keys at which this map may differ from old's (or, for old
+        None, from the identity), when it was built by `_patched` from old
+        (or by `_renaming`); None when that is not known."""
+        if self is old:
+            return frozenset()
+        record = getattr(self, "_patch", None)
+        if record is None:
+            return None
+        base, changed = record
+        if old is None:
+            return changed if base is None else None
+        return changed if base is not None and base() is old else None
+
+    def _preimages(self) -> dict[str, list[str]]:
+        """For each image, the source nodes that map to it; built on first
+        use and kept."""
+        try:
+            return self._inverse
+        except AttributeError:
+            pass
+        inverse: dict[str, list[str]] = {}
+        node_map = self.node_map
+        for n in self.source.nodes:
+            inverse.setdefault(node_map[n], []).append(n)
+        object.__setattr__(self, "_inverse", inverse)
+        return inverse
 
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism instances are immutable")
@@ -407,33 +490,54 @@ def homomorphism_violation(h: Homomorphism) -> str | None:
     smallest, so the message names the first violation in sorted element
     order without sorting on the valid path.
     """
+    source = h.source
+    return _violation(h, source.nodes, source.edges, h.node_map, everywhere=True)
+
+
+def _violation_at(h: Homomorphism, nodes, edges, keys) -> str | None:
+    """`homomorphism_violation` restricted to the source nodes `nodes`, the
+    source edges `edges` and the map keys `keys`. It gives the full check's
+    answer whenever every violation lies there: the caller must know that
+    every other node keeps a valid image and every other edge a valid image
+    edge."""
+    return _violation(h, nodes, edges, keys, everywhere=False)
+
+
+def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | None:
     source, target, node_map = h.source, h.target, h.node_map
-    bad = [n for n in source.nodes if n not in node_map or node_map[n] not in target.nodes]
+    bad = [n for n in nodes if n not in node_map or node_map[n] not in target.nodes]
     if bad:
         n = min(bad)
         if n not in node_map:
             return f"map not total: node {n} has no image"
         return f"node {n} maps to unknown node {node_map[n]}"
-    bad = [n for n in node_map if n not in source.nodes]
+    bad = [n for n in keys if n not in source.nodes and n in node_map]
     if bad:
         return f"map defined on unknown node {min(bad)}"
     get = node_map.get
-    bad = [e for e in source.edges if (get(e[0]), get(e[1])) not in target.edges]
+    bad = [e for e in edges if (get(e[0]), get(e[1])) not in target.edges]
     if bad:
         e = min(bad)
         h.edge_image(e)  # raises KeyError if e dangles off an unmapped node
         return f"edge ({e[0]},{e[1]}) has no image edge"
+    if everywhere:  # every attribute dict, without a lookup per element
+        node_attrs = source.node_attrs.items()
+        edge_attrs = source.edge_attrs.items()
+    else:
+        na, ea = source.node_attrs, source.edge_attrs
+        node_attrs = [(n, na[n]) for n in nodes if n in na]
+        edge_attrs = [(e, ea[e]) for e in edges if e in ea]
     image_attrs = target.node_attrs.get
     bad = [
         n
-        for n, attrs in source.node_attrs.items()
+        for n, attrs in node_attrs
         if n in source.nodes and not _attrs_within(attrs, image_attrs(node_map[n], {}))
     ]
     if bad:
         return f"attributes of node {min(bad)} not contained in its image"
     bad = [
         e
-        for e, attrs in source.edge_attrs.items()
+        for e, attrs in edge_attrs
         if e in source.edges and not _attrs_within(attrs, target.attrs_of(h.edge_image(e)))
     ]
     if bad:
@@ -516,19 +620,19 @@ def homomorphism_maps(
     to the host neighbours of an earlier node's image when those are fewer.
     With `injective`, images are distinct and a candidate with fewer in- or
     out-edges than its pattern node is pruned up front.
+
+    Pruning and narrowing read the host's cached adjacency lists. When no
+    node has more than one candidate (a fully anchored match) they cannot
+    change the result, so the host is not indexed at all.
     """
-    # degree and adjacency tables, built once per call
-    g_succ: dict[str, list[str]] = {}
-    g_pred: dict[str, list[str]] = {}
-    for (u, v) in host.edges:
-        g_succ.setdefault(u, []).append(v)
-        g_pred.setdefault(v, []).append(u)
+    no_nodes: list[str] = []
+    narrow = any(len(candidates[n]) > 1 for n in pattern.nodes)
+    g_succ, g_pred = host._adjacency() if narrow else ({}, {})
     p_out: dict[str, int] = {}
     p_in: dict[str, int] = {}
     for (u, v) in pattern.edges:
         p_out[u] = p_out.get(u, 0) + 1
         p_in[v] = p_in.get(v, 0) + 1
-    no_nodes: list[str] = []
 
     order = sorted(pattern.nodes)
     options: dict[str, list[str]] = {}
@@ -537,7 +641,7 @@ def homomorphism_maps(
         if (n, n) in pattern.edges:
             opts = [c for c in opts if (c, c) in host.edges]
         n_out, n_in = p_out.get(n, 0), p_in.get(n, 0)
-        if injective and (n_out or n_in):
+        if narrow and injective and (n_out or n_in):
             opts = [
                 c
                 for c in opts
@@ -578,6 +682,8 @@ def homomorphism_maps(
         """n's options, narrowed to the host neighbours of an earlier node's
         image when those are fewer."""
         opts = options[n]
+        if not narrow:
+            return iter(opts)
         nearest = None
         for p_node, _, adjacency, _ in links[n]:
             near = adjacency.get(assignment[p_node], no_nodes)
@@ -661,18 +767,33 @@ def json_shape_message(what: str, exc: Exception) -> str:
     return f"malformed {what}: {exc}"
 
 
+def _node_map_from_json(raw: Mapping, what: str) -> Mapping:
+    """A node map read from JSON, whose images must be JSON strings (a
+    library constructor would coerce them with str()); raises TypeError
+    naming `what` and the entry otherwise."""
+    for k, v in raw.items():
+        if not isinstance(v, str):
+            raise TypeError(f"{what} maps {k} to {json.dumps(v)}, not to a node id")
+    return raw
+
+
 def graph_from_json(obj: Mapping) -> Graph:
     try:
         nodes = []
         node_attrs = {}
         for entry in obj.get("nodes", []):
-            nodes.append(entry["id"])
+            n = entry["id"]
+            if not isinstance(n, str):
+                raise TypeError(f"node id {json.dumps(n)} is not a string")
+            nodes.append(n)
             if "attrs" in entry:
                 node_attrs[entry["id"]] = attrs_from_json(entry["attrs"])
         edges = []
         edge_attrs = {}
         for entry in obj.get("edges", []):
             e = (entry["from"], entry["to"])
+            if not (isinstance(e[0], str) and isinstance(e[1], str)):
+                raise TypeError(f"edge {json.dumps(list(e))} has an endpoint that is not a string")
             edges.append(e)
             if "attrs" in entry:
                 edge_attrs[e] = attrs_from_json(entry["attrs"])

@@ -9,28 +9,37 @@ a skeleton edge under the declared assignment.
 
 Commutativity checks are incremental. For each source, the check memo keeps
 the composite fixed for every node of the source's cone and the verdict of
-every other edge (a violation or none). `replace` carries the memo to the
-new hierarchy only when the set of arrow keys is unchanged, since the shape
-fixes each source's walk; each entry is marked with the replaced names and
-arrow keys, and the next check composes again only the edges whose own
-arrow, tree path or source graph was replaced; a source whose cone holds
-none of them reuses its verdicts without walking. Every other construction
-starts with an empty memo, and a check that raises keeps the entry it
-started from. The memo holds no hierarchy, so a chain of rewrites does not
-keep its ancestors alive; equality, repr and JSON ignore it. Two threads
+every other edge (a violation or none). The composite at a successor of the
+source is the arrow to it itself, so no identity map is built or composed.
+`replace` carries the memo to the new hierarchy only when the set of arrow
+keys is unchanged, since the shape fixes each source's walk; each entry is
+marked with the replaced names and arrow keys, and the next check composes
+again only the edges whose own arrow, tree path or source graph was
+replaced; a source whose cone holds none of them reuses its verdicts without
+walking. A replaced arrow built as a patch of the one it replaces (see
+`Homomorphism._patched`) also leaves the keys at which the two may differ;
+a comparing edge that held before is then compared only at those keys and
+at their preimages, which is all a rewrite can change. Every other
+construction starts with an empty memo, and a check that raises keeps the
+entry it started from. The memo holds no hierarchy and patches hold the maps
+they patched only weakly, so a chain of rewrites does not keep its
+ancestors alive; equality, repr and JSON ignore the memo. Two threads
 checking the same hierarchy write equal entries, so concurrent fills are
-idempotent.
+idempotent. `composed_typing` returns the memo's composite when the entry is
+current.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .exceptions import CompositionError, HierarchyError
+from .exceptions import CompositionError, GraphElementError, HierarchyError
 from .graphs import (
     Graph,
     Homomorphism,
+    _node_map_from_json,
     compose,
     graph_from_json,
     graph_to_json,
@@ -97,12 +106,59 @@ class CommutativityViolation:
 
 class _Check(NamedTuple):
     """Memo of one source's commutativity check: the composite fixed for
-    each node of its cone, the verdict of each comparing edge (a violation
-    or None), and the names and arrow keys replaced since it was filled."""
+    each node of its cone (None at the source itself), the verdict of each
+    comparing edge (a violation or None), the names and arrow keys replaced
+    since it was filled, and for each replaced arrow that was patched from
+    the one before it every time, the keys at which it may differ from the
+    arrow the entry saw."""
 
-    canon: dict[str, Homomorphism]
+    canon: dict[str, Homomorphism | None]
     verdicts: dict[tuple[str, str], CommutativityViolation | None]
     changed: frozenset
+    patched: dict[tuple[str, str], frozenset]
+
+
+def _merge_patches(entry: _Check, replaced, known: dict) -> dict:
+    """The entry's patch keys after one more replacement of the arrows
+    `replaced`, of which those in `known` are patches of the arrows they
+    replace: key sets of one arrow unite, and an arrow replaced once
+    without a patch stays unknown. Neither input is modified."""
+    if not entry.changed:
+        return known
+    out = {e: keys for e, keys in entry.patched.items() if e not in replaced}
+    for e, keys in known.items():
+        if e not in entry.changed:
+            out[e] = keys
+        elif e in entry.patched:
+            out[e] = entry.patched[e] | keys
+    return out
+
+
+_NOTHING: frozenset = frozenset()
+
+
+def _moved_keys(ku, kv, ke, old_u: Homomorphism) -> set | None:
+    """The nodes of the source's graph at which a comparing edge u -> v can
+    have changed since it held, or None when that is not known.
+
+    ku and kv are the keys at which the composites at u and v may differ
+    from the ones it was checked with, and ke the keys at which the arrow
+    u -> v may differ from the old one. Outside ku the composite at u keeps
+    its image y (under old_u, the old composite at u), and unless y lies in
+    ke the arrow keeps y's image, so the edge's candidate composite keeps
+    its value; outside kv so does the fixed one. They were equal, so they
+    can only differ in ku, kv and the old_u-preimages of ke.
+    """
+    if ku is None or kv is None or ke is None:
+        return None
+    keys = set(ku)
+    keys.update(kv)
+    hit = [y for y in ke if y in old_u.target.nodes]
+    if hit:
+        preimages = old_u._preimages()
+        for y in hit:
+            keys.update(preimages.get(y, ()))
+    return keys
 
 
 def _tree_path(parent: dict[str, str], v: str) -> tuple[str, ...]:
@@ -241,17 +297,28 @@ class Hierarchy:
 
         When no new arrow key appears, the shape is shared and the check
         memo is carried over, each entry marked with the replaced names and
-        arrow keys so the next `validate_commutativity` redoes only the
-        composites those reach.
+        arrow keys (and the patch keys of patched arrows) so the next
+        `validate_commutativity` redoes only the composites those reach.
         """
         new_objects = {**self._objects, **(objects or {})}
         new_arrows = {**self._arrows, **(arrows or {})}
         if len(new_arrows) != len(self._arrows):
             return Hierarchy(new_objects, new_arrows, self.skeleton, self.skeleton_map)
-        changed = frozenset(objects or ()) | frozenset(arrows or ())
+        arrows = arrows or {}
+        changed = frozenset(objects or ()) | frozenset(arrows)
+        known = {}
+        for e, arrow in arrows.items():
+            keys = arrow._changes_since(self._arrows[e])
+            if keys is not None:
+                known[e] = keys
         # iterate a copy: another thread may be filling this memo
         checks = {
-            a: _Check(entry.canon, entry.verdicts, entry.changed | changed)
+            a: _Check(
+                entry.canon,
+                entry.verdicts,
+                entry.changed | changed,
+                _merge_patches(entry, arrows, known),
+            )
             for a, entry in self._checks.copy().items()
         }
         out = object.__new__(Hierarchy)
@@ -279,7 +346,7 @@ class Hierarchy:
         return violations
 
     def _check_source(self, a: str, entry: _Check | None) -> list[CommutativityViolation]:
-        """Walk a's cone once: compose each edge whose inputs changed since
+        """Walk a's cone once: redo each edge whose inputs changed since
         `entry` was filled (every edge without an entry), reuse the rest.
 
         A failing compose on a tree edge raises at once; a failure on a
@@ -288,17 +355,26 @@ class Hierarchy:
         comparison. Only a walk that raises nothing updates the memo. When
         nothing replaced lies in the cone (no object of it, no arrow out of
         it), the stored verdicts are returned without a walk.
+
+        `moved[v]` holds the keys of a's graph at which canon[v] may differ
+        from the entry's composite, or None when that is not known (always
+        at a itself): nothing for a reused composite, the arrow's patch keys
+        for a successor of a, and None for a composite built again. A
+        comparing edge that held when the entry was filled, and whose keys
+        are known, is compared at those keys only (see `_moved_keys`).
         """
         if entry is not None and not any(
             (x[0] if isinstance(x, tuple) else x) in entry.canon for x in entry.changed
         ):
             if entry.changed:
-                self._checks[a] = entry._replace(changed=frozenset())
+                self._checks[a] = entry._replace(changed=frozenset(), patched={})
             return [v for v in entry.verdicts.values() if v is not None]
         arrows, succ = self._arrows, self._succ
         changed = entry.changed if entry is not None else frozenset()
+        patched = entry.patched if entry is not None else {}
         dirty = {a: entry is None or a in changed}
-        canon = {a: identity(self._objects[a]) if dirty[a] else entry.canon[a]}
+        canon: dict[str, Homomorphism | None] = {a: None}
+        moved: dict[str, frozenset | None] = {a: None}
         parent: dict[str, str] = {}
         verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
         deferred: Exception | None = None
@@ -308,7 +384,17 @@ class Hierarchy:
                 e = (u, v)
                 if v not in canon:
                     redo = dirty[u] or e in changed
-                    canon[v] = compose(arrows[e], canon[u]) if redo else entry.canon[v]
+                    if not redo:
+                        canon[v], moved[v] = entry.canon[v], _NOTHING
+                    elif u == a:
+                        canon[v] = self._first_hop(a, v)
+                        moved[v] = (
+                            None if entry is None
+                            else patched.get(e) if e in changed
+                            else _NOTHING
+                        )
+                    else:
+                        canon[v], moved[v] = compose(arrows[e], canon[u]), None
                     dirty[v] = redo
                     parent[v] = u
                     order.append(v)
@@ -316,23 +402,58 @@ class Hierarchy:
                     continue
                 elif dirty[u] or dirty[v] or e in changed:
                     try:
-                        verdicts[e] = self._verdict(a, u, v, canon, parent)
+                        keys = None
+                        ku, kv = moved[u], moved[v]
+                        if ku is not None and kv is not None and entry.verdicts[e] is None:
+                            ke = patched.get(e) if e in changed else _NOTHING
+                            keys = _moved_keys(ku, kv, ke, entry.canon[u])
+                        verdicts[e] = self._verdict(a, u, v, canon, parent, keys)
                     except (CompositionError, KeyError) as exc:
                         deferred = exc
                 else:
                     verdicts[e] = entry.verdicts[e]
         if deferred is not None:
             raise deferred
-        self._checks[a] = _Check(canon, verdicts, frozenset())
+        self._checks[a] = _Check(canon, verdicts, frozenset(), {})
         return [v for v in verdicts.values() if v is not None]
 
-    def _verdict(self, a, u, v, canon, parent) -> CommutativityViolation | None:
-        candidate = compose(self._arrows[(u, v)], canon[u])
-        if hom_equal(candidate, canon[v]):
-            return None
-        witness = next(
-            n for n in sorted(self._objects[a].nodes) if candidate[n] != canon[v][n]
-        )
+    def _first_hop(self, a: str, v: str) -> Homomorphism:
+        """The composite along the one arrow a -> v: the arrow itself, once
+        it passes the endpoint check that composing it with a's identity
+        would make. Its map is taken to be total on a's graph, as a typing's
+        is; a map that is not is no homomorphism, which `validate` reports
+        before it checks commutativity."""
+        arrow = self._arrows[(a, v)]
+        if arrow.source != self._objects[a]:
+            raise CompositionError("compose: f.target differs from g.source")
+        return arrow
+
+    def _verdict(self, a, u, v, canon, parent, keys) -> CommutativityViolation | None:
+        """Compare the arrow u -> v after canon[u] with canon[v]: everywhere,
+        or with `keys` only at those nodes of a's graph, after the endpoint
+        checks of `compose` and `hom_equal`."""
+        arrow, first, fixed = self._arrows[(u, v)], canon[u], canon[v]
+        if a in (u, v):  # a cycle back to the source, in a shape left unchecked
+            first = first or identity(self._objects[a])
+            fixed = fixed or identity(self._objects[a])
+        if keys is None:
+            candidate = compose(arrow, first)
+            if hom_equal(candidate, fixed):
+                return None
+            witness = next(
+                n for n in sorted(self._objects[a].nodes) if candidate[n] != fixed[n]
+            )
+        else:
+            if first.target != arrow.source:
+                raise CompositionError("compose: f.target differs from g.source")
+            if first.source != fixed.source or arrow.target != fixed.target:
+                raise CompositionError("hom_equal: endpoints differ")
+            am, fm, xm = arrow.node_map, first.node_map, fixed.node_map
+            nodes = first.source.nodes
+            bad = [n for n in keys if n in nodes and am[fm[n]] != xm[n]]
+            if not bad:
+                return None
+            witness = min(bad)
         return CommutativityViolation(
             a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,), witness
         )
@@ -410,11 +531,21 @@ class Hierarchy:
         return self._induced(self.ancestors(s))
 
     def composed_typing(self, a: str, b: str) -> Homomorphism:
-        """The (unique, by commutativity) composite of any path a → b."""
+        """The (unique, by commutativity) composite of any path a → b: the
+        one along the path a breadth-first walk in sorted successor order
+        reaches b by, whose first hop is an arrow itself. When a's check
+        memo is current (filled, nothing replaced since), its composite is
+        returned without a walk."""
         if a == b:
             return identity(self.graph(a))
         self.graph(b)
-        canon: dict[str, Homomorphism] = {a: identity(self.graph(a))}
+        entry = self._checks.get(a)
+        if entry is not None and not entry.changed:
+            if b in entry.canon:
+                return entry.canon[b]
+            raise HierarchyError(f"no path {a} -> {b}")
+        self.graph(a)
+        canon: dict[str, Homomorphism | None] = {a: None}
         frontier = [a]
         while frontier:
             u = frontier.pop(0)
@@ -422,7 +553,10 @@ class Hierarchy:
                 return canon[b]
             for v in self.successors(u):
                 if v not in canon:
-                    canon[v] = compose(self._arrows[(u, v)], canon[u])
+                    if u == a:
+                        canon[v] = self._first_hop(a, v)
+                    else:
+                        canon[v] = compose(self._arrows[(u, v)], canon[u])
                     frontier.append(v)
         if b in canon:
             return canon[b]
@@ -461,19 +595,26 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
         assignment: dict[str, str] = {}
         if "skeleton" in obj and obj["skeleton"] is not None:
             sk = obj["skeleton"]
-            skeleton = Skeleton.create(
-                sk.get("nodes", []), [tuple(e) for e in sk.get("edges", [])]
-            )
+            edges = []
+            for e in sk.get("edges", []):
+                if not isinstance(e, list) or len(e) != 2:
+                    raise TypeError(f"skeleton edge {json.dumps(e)} is not a pair of kinds")
+                edges.append(tuple(e))
+            skeleton = Skeleton.create(sk.get("nodes", []), edges)
             assignment = dict(sk.get("assignment", {}))
-        objects = {
-            name: graph_from_json(obj["graphs"][name]) for name in obj.get("graphs", {})
-        }
+        objects = {}
+        for name in obj.get("graphs", {}):
+            try:
+                objects[name] = graph_from_json(obj["graphs"][name])
+            except GraphElementError as exc:
+                raise HierarchyError(f"graph {name}: {exc}") from exc
         arrows = {}
         for typing in obj.get("typings", []):
             a, b = typing["from"], typing["to"]
             if a not in objects or b not in objects:
                 raise HierarchyError(f"typing {a} -> {b} references an unknown graph")
-            arrows[(a, b)] = Homomorphism(objects[a], objects[b], typing["map"])
+            node_map = _node_map_from_json(typing["map"], f"typing {a} -> {b}")
+            arrows[(a, b)] = Homomorphism(objects[a], objects[b], node_map)
     except (KeyError, TypeError, AttributeError) as exc:
         raise HierarchyError(json_shape_message("hierarchy", exc)) from exc
     h = Hierarchy(objects, arrows, skeleton, assignment)

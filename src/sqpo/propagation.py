@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from .category import final_pbc, image_factorization, pullback, pushout
 from .exceptions import (
     FactorizationError,
+    InvalidHomomorphism,
     NotEpiError,
     NotMonoError,
     RewritingError,
@@ -29,6 +30,7 @@ from .exceptions import (
 from .graphs import (
     Graph,
     Homomorphism,
+    _violation_at,
     attrs_contained,
     compose,
     hom_equal,
@@ -692,7 +694,31 @@ def _waves(sub: Hierarchy, sinks_first: bool) -> list[list[str]]:
 
 def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """Propagate an expansive rewrite from the origin through everything it
-    types, sinks first, keeping the hierarchy valid after every object."""
+    types, sinks first, keeping the hierarchy valid after every object.
+
+    Each step does per-element work only at its delta. Object i is pushed
+    out along its factorization; the pushout keeps every node of i outside
+    the typing's image with its id, attributes and edges, unless a fused
+    class took its id, and its trace records the nodes whose id changed
+    (`moved`). The delta is the set of new nodes the pushout built: the
+    images of the rule's right-hand side and of the moved nodes. Every
+    typing at i is rebuilt as a patch of the arrow it replaces:
+
+    * i -> j (j was updated earlier, so the arrow already lands in the new
+      j) is re-set at the touched old nodes of i and at the delta, from the
+      old arrow and the instance squares, and is checked only at the delta
+      and at the new edges incident to it. That check is sound: an
+      untouched node x keeps its id, attributes and edges, its image is
+      trace_j(old(x)), a composite of homomorphisms, so every edge and
+      attribute at x that does not meet the delta keeps a valid image.
+      A failure raises the message of the full check, since every
+      violation lies in what is checked.
+    * k -> i is re-set at the preimages of the moved nodes: elsewhere its
+      composite with i's trace keeps its value.
+
+    The patches record their keys, so each step's commutativity check
+    compares only where they changed (see `hierarchy`).
+    """
     if plan.direction != FORWARD:
         raise RewritingError("propagate_forward needs a forward plan")
     if plan.match.source != plan.rule.source:
@@ -712,6 +738,7 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     waves = _waves(sub, sinks_first=True)
     facts = {name: plan.factorizations[name] for name in sub.nodes() if name != origin}
     facts[origin] = _origin_factorization(h, plan)
+    rhs = plan.rule.target
 
     current = h
     traces: dict[str, Homomorphism] = {}
@@ -724,21 +751,39 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
             po = pushout(fx.typing, fx.post_arrow)
             traces[i] = po.from_b
             instances[i] = po.from_c
+            ti, ii = po.from_b.node_map, po.from_c.node_map
+            moved = po.from_b._changes_since(None)
+            touched = {fx.typing[m] for m in fx.mid.nodes} | moved
+            delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
+            succ, pred = po.from_b.source._adjacency()
+            delta_edges = {(ii[u], ii[v]) for (u, v) in rhs.edges}
+            for n in touched:
+                delta_edges.update((ti[n], ti[v]) for v in succ.get(n, ()))
+                delta_edges.update((ti[u], ti[n]) for u in pred.get(n, ()))
             patch: dict[tuple[str, str], Homomorphism] = {}
             for j in current.successors(i):
-                old = h.typing(i, j)
-                ti, tj, om = traces[i].node_map, traces[j].node_map, old.node_map
-                ii, ij = instances[i].node_map, instances[j].node_map
+                arrow = current.typing(i, j)
+                am, ij = arrow.node_map, instances[j].node_map
                 mapping = _merge_assignment(
                     f"typing {i}->{j} after update",
-                    {ti[n]: tj[om[n]] for n in old.source.nodes},
-                    {ii[c]: ij[c] for c in plan.rule.target.nodes},
+                    {ti[n]: am[n] for n in sorted(touched)},
+                    {ii[c]: ij[c] for c in rhs.nodes},
                 )
-                arrow = Homomorphism._of(po.apex, traces[j].target, mapping)
-                arrow.validate()
+                arrow = Homomorphism._patched(
+                    arrow, po.apex, arrow.target, mapping, touched | delta
+                )
+                problem = _violation_at(arrow, delta, delta_edges, touched)
+                if problem is not None:
+                    raise InvalidHomomorphism(problem)
                 patch[(i, j)] = arrow
             for k in current.predecessors(i):
-                patch[(k, i)] = compose(traces[i], current.typing(k, i))
+                arrow = current.typing(k, i)
+                am = arrow.node_map
+                preimages = arrow._preimages() if moved else {}
+                keys = [x for n in moved for x in preimages.get(n, ())]
+                patch[(k, i)] = Homomorphism._patched(
+                    arrow, arrow.source, po.apex, {x: ti[am[x]] for x in keys}, keys
+                )
             current = current.replace(objects={i: po.apex}, arrows=patch)
             updated.update(patch)
             steps.append((i, [str(v) for v in current.validate_commutativity()]))

@@ -28,7 +28,8 @@ from .exceptions import GraphElementError, InvalidHomomorphism, RewritingError
 from .graphs import (
     Graph,
     Homomorphism,
-    attrs_contained,
+    _attrs_within,
+    _node_map_from_json,
     fresh_id,
     graph_from_json,
     graph_to_json,
@@ -95,8 +96,8 @@ def rule_from_json(obj: dict) -> Rule:
             lhs,
             interface,
             rhs,
-            Homomorphism(interface, lhs, obj["left"]),
-            Homomorphism(interface, rhs, obj["right"]),
+            Homomorphism(interface, lhs, _node_map_from_json(obj["left"], "left leg")),
+            Homomorphism(interface, rhs, _node_map_from_json(obj["right"], "right leg")),
         )
     except (KeyError, TypeError, AttributeError) as exc:
         raise RewritingError(json_shape_message("rule", exc)) from exc
@@ -226,15 +227,14 @@ def _iter_matches(
             raise GraphElementError(f"anchor: unknown pattern node {k}")
         if v not in g.nodes:
             raise GraphElementError(f"anchor: unknown graph node {v}")
-    hosts = sorted(g.nodes)
-    candidates = {
-        n: [
-            c
-            for c in ([anchor[n]] if n in anchor else hosts)
-            if attrs_contained(pattern.attrs_of(n), g.attrs_of(c))
-        ]
-        for n in pattern.nodes
-    }
+    # the host's nodes are sorted only for a pattern node without an anchor
+    hosts = sorted(g.nodes) if pattern.nodes - anchor.keys() else []
+    host_attrs = g.node_attrs
+    candidates = {}
+    for n in pattern.nodes:
+        want = pattern.attrs_of(n)
+        pool = [anchor[n]] if n in anchor else hosts
+        candidates[n] = [c for c in pool if _attrs_within(want, host_attrs.get(c, {}))]
     for node_map in homomorphism_maps(pattern, g, candidates, injective=True):
         yield Match(Homomorphism(pattern, g, node_map), kind)
 

@@ -2,7 +2,8 @@
 `pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`, the
 original whole-host `pushout` (a union-find entry and an id for every node),
 the original whole-hierarchy `validate_commutativity` and wave scheduler,
-and the two backtracking searches that `graphs.homomorphism_maps` replaced
+the original breadth-first `Hierarchy.composed_typing` (which composes
+from an identity map and has no memo), and the two backtracking searches that `graphs.homomorphism_maps` replaced
 next to `find_matches`' own: propagation's connector search (with the two
 connector derivations that drove it) and `find_isomorphism`.
 
@@ -19,6 +20,7 @@ from sqpo.category import PbcResult, PullbackResult, PushoutResult
 from sqpo.exceptions import (
     CompositionError,
     GraphElementError,
+    HierarchyError,
     NotMonoError,
     RewritingError,
 )
@@ -356,6 +358,27 @@ def validate_commutativity(
                         )
                     )
     return violations
+
+
+def composed_typing(h, a: str, b: str) -> Homomorphism:
+    """The original `Hierarchy.composed_typing`, with `self` as `h` and the
+    arrow read through `h.typing`."""
+    if a == b:
+        return identity(h.graph(a))
+    h.graph(b)
+    canon: dict[str, Homomorphism] = {a: identity(h.graph(a))}
+    frontier = [a]
+    while frontier:
+        u = frontier.pop(0)
+        if u == b:
+            return canon[b]
+        for v in h.successors(u):
+            if v not in canon:
+                canon[v] = compose(h.typing(u, v), canon[u])
+                frontier.append(v)
+    if b in canon:
+        return canon[b]
+    raise HierarchyError(f"no path {a} -> {b}")
 
 
 def waves(h, sinks_first: bool) -> list[list[str]]:

@@ -302,14 +302,60 @@ def _without_first_typing_target(obj):
     return obj
 
 
+def _with_skeleton_edge(edge):
+    def damage(obj):
+        obj["skeleton"] = {"nodes": ["a"], "edges": [edge], "assignment": {}}
+        return obj
+
+    return damage
+
+
+def _with_first_node_id(value):
+    def damage(obj):
+        obj["graphs"]["G"]["nodes"][0]["id"] = value
+        return obj
+
+    return damage
+
+
+def _with_edge_to_a_number(obj):
+    obj["graphs"]["G"]["edges"].append({"from": "b1", "to": 7})
+    return obj
+
+
+def _with_number_in_typing_map(obj):
+    obj["typings"][0]["map"]["b1"] = 5
+    return obj
+
+
 @pytest.mark.parametrize(
     "damage, needle",
     [
         (_without_first_node_id, "missing key 'id'"),
         (_without_first_typing_target, "missing key 'to'"),
         (lambda obj: [obj], "malformed hierarchy"),
+        (_with_skeleton_edge(["a"]),
+         'malformed hierarchy: skeleton edge ["a"] is not a pair of kinds'),
+        (_with_skeleton_edge(["a", "a", "a"]),
+         'malformed hierarchy: skeleton edge ["a", "a", "a"] is not a pair of kinds'),
+        (_with_first_node_id([1]), "graph G: malformed graph: node id [1] is not a string"),
+        (_with_first_node_id(None), "graph G: malformed graph: node id null is not a string"),
+        (_with_edge_to_a_number,
+         'graph G: malformed graph: edge ["b1", 7] has an endpoint that is not a string'),
+        (_with_number_in_typing_map,
+         "malformed hierarchy: typing G -> T maps b1 to 5, not to a node id"),
     ],
-    ids=["node-without-id", "typing-without-to", "top-level-list"],
+    ids=[
+        "node-without-id",
+        "typing-without-to",
+        "top-level-list",
+        "skeleton-edge-of-one",
+        "skeleton-edge-of-three",
+        "node-id-list",
+        "node-id-null",
+        "edge-endpoint-number",
+        "typing-image-number",
+    ],
 )
 def test_validate_malformed_json_exits_2(tmp_path, damage, needle):
     obj = json.loads((FIXTURES / "merge_add.hierarchy.json").read_text())
@@ -333,6 +379,49 @@ def test_rewrite_malformed_rule_exits_2(tmp_path):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr and "missing key 'left'" in proc.stderr
+
+
+def _with_first_lhs_node_id(value):
+    def damage(rule):
+        rule["lhs"]["nodes"][0]["id"] = value
+        return rule
+
+    return damage
+
+
+def _with_number_in_left_leg(rule):
+    rule["left"][sorted(rule["left"])[0]] = 3
+    return rule
+
+
+@pytest.mark.parametrize(
+    "damage, needle",
+    [
+        (_with_first_lhs_node_id([1]), "malformed graph: node id [1] is not a string"),
+        (_with_first_lhs_node_id(None), "malformed graph: node id null is not a string"),
+        (_with_number_in_left_leg, "malformed rule: left leg maps"),
+    ],
+    ids=["lhs-node-id-list", "lhs-node-id-null", "left-leg-image-number"],
+)
+def test_rewrite_rule_with_non_string_ids_exits_2(tmp_path, damage, needle):
+    rule = json.loads((FIXTURES / "merge_add.rule.json").read_text())
+    path = tmp_path / "bad.rule.json"
+    path.write_text(json.dumps(damage(rule)))
+    proc = run_cli(
+        "rewrite", FIXTURES / "merge_add.hierarchy.json", "G", path, "0",
+        "--direction", "fwd", "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert str(path) in proc.stderr and needle in proc.stderr
+
+
+def test_module_run_writes_nothing_to_stderr():
+    """`python -m sqpo.cli` runs the CLI module as __main__; the package
+    must not have imported it already, or runpy prints a RuntimeWarning."""
+    proc = run_cli("validate", FIXTURES / "merge_add.hierarchy.json")
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 def _without_mid(plan):

@@ -23,6 +23,7 @@ from sqpo import (
 )
 
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
+from reference_kernels import composed_typing as bfs_composed_typing
 from reference_kernels import validate_commutativity as full_check
 
 
@@ -152,6 +153,71 @@ def test_replace_chains_match_full_check():
 
 
 
+def _as_patches(rng: random.Random, h: Hierarchy, before: Hierarchy, arrows: dict) -> dict:
+    """The same arrows, each built by `Homomorphism._patched` from the arrow
+    it replaces or, one time in ten each, from the one before that or from
+    a map the hierarchy never held (a patch the memo must not trust)."""
+    out = {}
+    for e, arrow in arrows.items():
+        base = h.typing(*e)
+        roll = rng.random()
+        if roll < 0.1 and e in before.edges():
+            base = before.typing(*e)
+        elif roll < 0.2:  # a copy of the new arrow: the patch records nothing
+            base = Homomorphism(arrow.source, arrow.target, arrow.node_map)
+        keys = set(base.node_map) | set(arrow.node_map)
+        out[e] = Homomorphism._patched(base, arrow.source, arrow.target, arrow.node_map, keys)
+    return out
+
+
+def test_patched_replace_chains_match_full_check(monkeypatch):
+    """The chains above with every replaced arrow built as a patch, so the
+    check compares edges that held only at the patched keys and their
+    preimages; it must still equal the full check, violations and
+    witnesses included."""
+    original = Hierarchy._verdict
+    delta = {"held": 0, "broke": 0}
+
+    def counting(self, a, u, v, canon, parent, keys):
+        got = original(self, a, u, v, canon, parent, keys)
+        if keys is not None:
+            delta["broke" if got else "held"] += 1
+        return got
+
+    monkeypatch.setattr(Hierarchy, "_verdict", counting)
+    rng = random.Random(2025)
+    outcomes = {"clean": 0, "violations": 0, "raised": 0}
+    for _ in range(120):
+        h = before = random_hierarchy(rng, max_objects=7, max_edges=12)
+        pending = None
+        for _ in range(10):
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                roll = rng.random()
+                if pending is not None:
+                    if roll < 0.3:
+                        fixed = dict(list(pending.items())[: rng.randint(1, len(pending))])
+                        patch = _as_patches(rng, h, before, fixed)
+                        pending = {e: a for e, a in pending.items() if e not in fixed} or None
+                        h, before = h.replace(arrows=patch), h
+                    else:
+                        patch = _as_patches(rng, h, before, _perturbed_arrow(rng, h))
+                        h, before = h.replace(arrows=patch), h
+                elif roll < 0.15:
+                    objects, pending = _swap(rng, h)
+                    h, before = h.replace(objects=objects), h
+                    pending = pending or None
+                elif roll < 0.45:
+                    objects, patch = _swap(rng, h)
+                    patch = _as_patches(rng, h, before, patch)
+                    h, before = h.replace(objects=objects, arrows=patch), h
+                else:
+                    patch = _as_patches(rng, h, before, _perturbed_arrow(rng, h))
+                    h, before = h.replace(arrows=patch), h
+            outcomes[_assert_matches_oracle(h)] += 1
+    assert all(outcomes.values()), outcomes
+    assert all(delta.values()), delta
+
+
 def test_tree_edge_failure_wins_over_earlier_comparison_failure():
     """Object d is swapped and only the arrow b -> d re-pointed. From a, the
     comparing edge c -> d (stale target) is walked before the tree edge
@@ -177,7 +243,9 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     arrows d -> e and d -> c (which ends in the cone but starts outside it)
     touches nothing a composes. The next check must compose nothing from a,
     hand back a's stored composites and verdicts as they are, and clear a's
-    marks, while d, whose arrows were replaced, is composed again."""
+    marks, while d, whose arrows were replaced, is walked again: its entry
+    is refreshed, holds the replaced arrows (the composites at d's
+    successors) and has its marks cleared."""
     ga, gb, gc = Graph(["x", "y"]), Graph(["p", "q"]), Graph(["r1", "r2"])
     gd, ge = Graph(["s"]), Graph(["t"])
     h = Hierarchy(
@@ -213,7 +281,11 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     monkeypatch.setattr(sqpo.hierarchy, "compose", counting)
     assert h2.validate_commutativity() == before
     assert not any(src is ga for src in composed_from)
-    assert any(src is gd for src in composed_from)
+    walked = h2._checks["d"]
+    assert walked is not h._checks["d"]
+    assert walked.canon["e"] is h2.typing("d", "e")
+    assert walked.canon["c"] is h2.typing("d", "c")
+    assert not walked.changed
     after = h2._checks["a"]
     assert after.canon is entry.canon and after.verdicts is entry.verdicts
     assert after.changed == frozenset()
@@ -244,3 +316,61 @@ def test_propagation_steps_match_full_check(monkeypatch):
         assert checked == [len(v) for _, v in rep.steps]
         steps += len(rep.steps)
     assert steps > 24
+
+
+def _same_composite(h: Hierarchy, a: str, b: str) -> str:
+    """composed_typing(a, b) against the original breadth-first walk: an
+    equal map between equal graphs, or the same exception type and
+    message."""
+    try:
+        expected = bfs_composed_typing(h, a, b)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as info:
+            h.composed_typing(a, b)
+        assert str(info.value) == str(exc)
+        return "raised"
+    got = h.composed_typing(a, b)
+    assert got.source == expected.source and got.target == expected.target
+    assert {n: got[n] for n in got.source.nodes} == expected.node_map
+    return "equal"
+
+
+def test_composed_typing_matches_the_breadth_first_walk():
+    """Random replacement chains, as above; before each comparison the
+    memo is refilled, left stale (marked by the replacements since) or
+    filled by a check that raised. Hierarchies that do not commute, stale
+    memos and endpoint mismatches all occur."""
+    rng = random.Random(4242)
+    outcomes = {"equal": 0, "raised": 0}
+    memo = {"current": 0, "stale": 0, "none": 0}
+    kinds = {"noncommuting": 0, "mismatch": 0}
+    for _ in range(100):
+        h = random_hierarchy(rng, max_objects=7, max_edges=12)
+        stale = False  # some arrows still point at a swapped-out object
+        for _ in range(8):
+            roll = rng.random()
+            if roll < 0.2 and not stale:
+                objects, pending = _swap(rng, h)
+                keep = {e: pending[e] for e in pending if rng.random() < 0.5}
+                h = h.replace(objects=objects, arrows=keep)
+                stale = len(keep) < len(pending)
+            elif roll < 0.5 and not stale:
+                objects, patch = _swap(rng, h)
+                h = h.replace(objects=objects, arrows=patch)
+            else:
+                h = h.replace(arrows=_perturbed_arrow(rng, h))
+            if rng.random() < 0.2:  # the same hierarchy with an empty memo
+                h = Hierarchy({n: h.graph(n) for n in h.nodes()}, {e: h.typing(*e) for e in h.edges()})
+            if rng.random() < 0.6:
+                try:
+                    kinds["noncommuting"] += bool(h.validate_commutativity())
+                except CompositionError:
+                    kinds["mismatch"] += 1
+            for _ in range(4):
+                a, b = rng.choice(h.nodes()), rng.choice(h.nodes())
+                entry = h._checks.get(a)
+                memo["none" if entry is None else "stale" if entry.changed else "current"] += 1
+                outcomes[_same_composite(h, a, b)] += 1
+    assert all(outcomes.values()), outcomes
+    assert all(memo.values()), memo
+    assert all(kinds.values()), kinds

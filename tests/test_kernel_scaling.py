@@ -8,6 +8,11 @@ that, so a host running twice as slow stays far inside them. The pair-loop
 kernels kept in reference_kernels.py take 3.6-12.7 s on the same host, so a
 reintroduced loop over all pairs of nodes fails these tests.
 
+The delta guard counts the work of three one-node forward rewrites into a
+5000-node object: composed and compared map entries, scanned elements and
+host index entries stay within a budget set by the rule, whatever the size
+of the object (the previous steps did 24,000 to 255,195 of each).
+
 Two guards count work instead of timing it: a one-node add pushed out into
 that graph and a one-node clone by final_pbc must not re-normalize any
 attribute dict and may call the attribute algebra only for the rule and the
@@ -27,6 +32,7 @@ import time
 
 import pytest
 
+import sqpo
 import sqpo.category
 import sqpo.graphs
 import sqpo.hierarchy
@@ -41,9 +47,11 @@ from sqpo import (
     Graph,
     Hierarchy,
     Homomorphism,
+    MergeNodes,
     Rule,
     apply_plan,
     build_canonical_plan,
+    build_relation_plan,
     build_rule,
     final_pbc,
     find_matches,
@@ -228,3 +236,105 @@ def test_backward_clone_in_deep_hierarchy_composes_little(layered, monkeypatch):
     )
     assert len(report.steps) == 2 * LAYERS - 1
     assert 0 < calls <= COMPOSE_BUDGET, f"{calls} composes in sqpo.hierarchy"
+
+
+DATA_NODES = 5000
+DELTA_BUDGET = 200
+
+
+@pytest.fixture(scope="module")
+def typed_data():
+    """G -> M -> T plus G -> T: a seeded 5000-node, 4000-edge G over a
+    complete 12-node M over a complete 4-node T, node i of G typed by m(i mod
+    12) and m(j) by t(j mod 4)."""
+    rng = random.Random(6)
+    g_nodes = [f"g{i}" for i in range(DATA_NODES)]
+    edges = set()
+    while len(edges) < EDGES:
+        edges.add((rng.choice(g_nodes), rng.choice(g_nodes)))
+    m_nodes = [f"m{j}" for j in range(12)]
+    t_nodes = [f"t{k}" for k in range(4)]
+    g = Graph(g_nodes, edges)
+    m = Graph(m_nodes, [(a, b) for a in m_nodes for b in m_nodes])
+    t = Graph(t_nodes, [(a, b) for a in t_nodes for b in t_nodes])
+    h = Hierarchy().add_object("G", g).add_object("M", m).add_object("T", t)
+    h = h.add_typing("M", "T", Homomorphism(m, t, {f"m{j}": f"t{j % 4}" for j in range(12)}))
+    h = h.add_typing(
+        "G", "M", Homomorphism(g, m, {f"g{i}": f"m{i % 12}" for i in range(DATA_NODES)})
+    )
+    return h.add_typing(
+        "G", "T", Homomorphism(g, t, {f"g{i}": f"t{i % 4}" for i in range(DATA_NODES)})
+    )
+
+
+def _count_delta_work(monkeypatch):
+    """Sum, over every call in any sqpo module: the source nodes of each
+    `compose` and `hom_equal`, the source nodes and edges each validity
+    check scans, and the host adjacency entries built while matching."""
+    counts = {"compose": 0, "hom_equal": 0, "violation": 0, "adjacency": 0}
+    modules = [getattr(sqpo, name) for name in (
+        "graphs", "category", "rules", "hierarchy", "propagation", "relations"
+    )]
+    for name in ("compose", "hom_equal"):
+        original = getattr(sqpo.graphs, name)
+
+        def counting(g, f, _original=original, _name=name):
+            counts[_name] += len(f.source.nodes if _name == "compose" else g.source.nodes)
+            return _original(g, f)
+
+        for module in modules:
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    violation = sqpo.graphs._violation
+
+    def scanning(h, nodes, edges, keys, everywhere):
+        counts["violation"] += len(nodes) + len(edges)
+        return violation(h, nodes, edges, keys, everywhere)
+
+    monkeypatch.setattr(sqpo.graphs, "_violation", scanning)
+    adjacency = Graph._adjacency
+
+    def indexing(g):
+        fresh = not hasattr(g, "_adjacent")
+        succ, pred = adjacency(g)
+        if fresh and counts.get("matching"):
+            counts["adjacency"] += sum(map(len, succ.values())) + sum(map(len, pred.values()))
+        return succ, pred
+
+    monkeypatch.setattr(Graph, "_adjacency", indexing)
+    return counts
+
+
+def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
+    """A one-node canonical insert, a relation insert and a merge into the
+    5000-node G of G -> M -> T plus G -> T, each from the same base, with an
+    anchored match. Typings are rebuilt as patches and checked at the
+    delta, the commutativity memo compares only patched keys, and
+    `composed_typing` reads the memo, so each of the four sums stays within
+    a budget set by the rule and the delta, whatever the size of G.
+
+    Here the sums are 83, 156, 54 and 0. The same three ops with the
+    previous steps, which rebuilt, checked and composed every typing over
+    all of G and indexed the host on every match, gave 255,195 source
+    nodes composed, 54,528 elements scanned by homomorphism_violation,
+    45,055 entries compared by hom_equal and 24,000 host adjacency entries
+    built by the anchored matches."""
+    h = typed_data
+    counts = _count_delta_work(monkeypatch)
+    g = h.graph("G")
+    ops = [
+        ([AddNode("n"), AddEdge("x", "n")], {"x": "g5"}, {}),
+        ([AddNode("n"), AddEdge("x", "n")], {"x": "g7"}, {"M": {"n": "m7"}, "T": {"n": "t3"}}),
+        ([MergeNodes(("x", "y"), "xy")], {"x": "g1", "y": "g13"}, {}),
+    ]
+    for edits, anchor, relations in ops:
+        rule = build_rule(Graph(sorted(anchor)), edits)
+        counts["matching"] = 1
+        (match,) = find_matches(rule, g, EXPANSIVE, anchor)
+        counts["matching"] = 0
+        plan = build_relation_plan(h, "G", rule.right_leg, match.instance, FORWARD, relations)
+        reports = apply_plan(h, plan)
+        assert all(not v for report in reports for _, v in report.steps)
+        assert len(reports[-1].hierarchy.graph("G").nodes) in (DATA_NODES + 1, DATA_NODES - 1)
+    del counts["matching"]
+    assert all(value <= DELTA_BUDGET for value in counts.values()), counts
