@@ -18,7 +18,13 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exceptions import GraphElementError, SqpoError
-from .graphs import Homomorphism, dumps_canonical, graph_from_json, json_shape_message
+from .graphs import (
+    Homomorphism,
+    _node_map_from_json,
+    dumps_canonical,
+    graph_from_json,
+    json_shape_message,
+)
 from .hierarchy import Hierarchy, hierarchy_from_json, hierarchy_to_json
 from .propagation import (
     BACKWARD,
@@ -27,7 +33,7 @@ from .propagation import (
     ForwardFactorization,
     PropagationPlan,
     RewriteReport,
-    restriction_pullback,
+    _resolve,
 )
 from .relations import apply_plan, build_canonical_plan, build_relation_plan
 from .rules import EXPANSIVE, RESTRICTIVE, Rule, _iter_matches, find_matches, rule_from_json
@@ -206,28 +212,26 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
         direction,
         {k: v for k, v in relations.items() if k not in explicit},
     )
-    sub = h.forward_subgraph(origin) if direction == FORWARD else h.backward_subgraph(origin)
+    res = _resolve(h, plan)
     try:
         for name, spec in sorted(explicit.items()):
-            if name not in sub.nodes():
+            if name not in res.sub.nodes():
                 raise _InputError(f"plan factorization for {name}: not an affected node")
             mid = graph_from_json(spec["mid"])
+            what = f"factorization {name}"
+            pre = _node_map_from_json(spec["pre"], f"{what} pre")
+            post = _node_map_from_json(spec["post"], f"{what} post")
+            raw = _node_map_from_json(spec["typing_or_retyping"], f"{what} typing_or_retyping")
             if direction == FORWARD:
                 plan.factorizations[name] = ForwardFactorization(
                     mid=mid,
-                    pre_arrow=Homomorphism(rule_arrow.source, mid, spec["pre"]),
-                    post_arrow=Homomorphism(mid, rule_arrow.target, spec["post"]),
-                    typing=Homomorphism(mid, h.graph(name), spec["typing_or_retyping"]),
+                    pre_arrow=Homomorphism(rule_arrow.source, mid, pre),
+                    post_arrow=Homomorphism(mid, rule_arrow.target, post),
+                    typing=Homomorphism(mid, h.graph(name), raw),
                 )
             else:
-                rp = restriction_pullback(
-                    h.graph(name),
-                    h.graph(origin),
-                    h.composed_typing(name, origin),
-                    match,
-                )
                 # retyping keys may name instance elements; translate to pattern nodes
-                raw = spec["typing_or_retyping"]
+                rp = res.restrictions[name]
                 inst_inv = {rp.instance[p]: p for p in rp.pattern.nodes}
                 retyping_map = {}
                 for key, value in raw.items():
@@ -240,8 +244,8 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
                     retyping_map[pattern_node] = value
                 plan.factorizations[name] = BackwardFactorization(
                     mid=mid,
-                    post_arrow=Homomorphism(mid, rule_arrow.target, spec["post"]),
-                    pre_arrow=Homomorphism(rule_arrow.source, mid, spec["pre"]),
+                    post_arrow=Homomorphism(mid, rule_arrow.target, post),
+                    pre_arrow=Homomorphism(rule_arrow.source, mid, pre),
                     retyping=Homomorphism(rp.pattern, mid, retyping_map),
                 )
     except (KeyError, TypeError, AttributeError, GraphElementError) as exc:
@@ -253,7 +257,8 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
             fx_j = plan.factorizations.get(j)
             if fx_i is None or fx_j is None:
                 raise _InputError(f"connector {i}->{j} names nodes without factorizations")
-            plan.connectors[(i, j)] = Homomorphism(fx_i.mid, fx_j.mid, conn["map"])
+            node_map = _node_map_from_json(conn["map"], f"connector {i}->{j}")
+            plan.connectors[(i, j)] = Homomorphism(fx_i.mid, fx_j.mid, node_map)
     except (KeyError, TypeError, AttributeError) as exc:
         raise _InputError(json_shape_message("plan", exc)) from exc
     return plan

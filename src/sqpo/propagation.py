@@ -9,9 +9,17 @@ composable — connected by an arrow between their middle objects making the
 rule triangles and the typing square commute — and then the whole
 sub-hierarchy can be updated wave by wave while staying valid throughout.
 
-Plans are validated up front (coverage, factorization squares,
-composability) so that no wave can fail midway; a rejected plan leaves the
-hierarchy untouched.
+Plans are validated up front (coverage, arrows that are homomorphisms,
+factorization squares, composability) so that no wave can fail midway; a
+rejected plan leaves the hierarchy untouched.
+
+A plan is resolved once: the plan builders, the composability check and
+the propagation steps share one resolution holding the affected
+sub-hierarchy, each affected object's composed typing, the origin's
+factorization and, backward, each object's restriction (the pullback of
+its typing against the match) and the pattern connectors along the
+sub-hierarchy's arrows. It is left on the plan and rebuilt only when the
+plan is used with a different `Hierarchy` object.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from .graphs import (
     compose,
     hom_equal,
     homomorphism_maps,
+    homomorphism_violation,
     identity,
     is_epi,
     is_mono,
@@ -89,6 +98,10 @@ class PropagationPlan:
     connectors: dict[tuple[str, str], Homomorphism] = field(default_factory=dict)
     # clean-up derived from relations; applied as separate rule applications
     cleanups: dict[str, list] = field(default_factory=dict)
+    # the values its checks and steps share (see `_resolve`)
+    _resolution: _Resolution | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
 
 @dataclass
@@ -437,27 +450,63 @@ def backward_cleanup(
 # -- plans, composability, propagation -------------------------------------------
 
 
-def _origin_factorization(h: Hierarchy, plan: PropagationPlan):
+@dataclass(frozen=True)
+class _Resolution:
+    """What the plan builders, `check_composability` and the propagation
+    steps all read, built once per plan and hierarchy: the affected
+    sub-hierarchy; each affected object's composed typing (from the origin
+    forward, to it backward; the origin has none); the origin's
+    factorization; and, backward, each object's restriction and the
+    pattern connector along each arrow of the sub-hierarchy (None where the
+    two restrictions are inconsistent)."""
+
+    hierarchy: Hierarchy
+    sub: Hierarchy
+    typings: dict[str, Homomorphism]
+    origin_fx: ForwardFactorization | BackwardFactorization
+    restrictions: dict[str, RestrictionResult]
+    pattern_conns: dict[tuple[str, str], Homomorphism | None]
+
+
+def _resolve(h: Hierarchy, plan: PropagationPlan) -> _Resolution:
+    """The plan's resolution against h: the one left on the plan when it
+    was made against this very hierarchy object (hierarchies are immutable,
+    and a plan's origin, rule, match and direction are fixed once built),
+    else a new one, which is left on the plan in its place."""
+    res = plan._resolution
+    if res is not None and res.hierarchy is h:
+        return res
+    origin, match = plan.origin, plan.match
+    restrictions: dict[str, RestrictionResult] = {}
+    pattern_conns: dict[tuple[str, str], Homomorphism | None] = {}
     if plan.direction == FORWARD:
+        sub = h.forward_subgraph(origin)
+        typings = {n: h.composed_typing(origin, n) for n in sub.nodes() if n != origin}
         lhs = plan.rule.source
-        return ForwardFactorization(
-            mid=lhs,
-            pre_arrow=identity(lhs),
-            post_arrow=plan.rule,
-            typing=plan.match,
+        origin_fx = ForwardFactorization(
+            mid=lhs, pre_arrow=identity(lhs), post_arrow=plan.rule, typing=match
         )
-    origin_graph = h.graph(plan.origin)
-    rp = restriction_pullback(origin_graph, origin_graph, identity(origin_graph), plan.match)
-    return BackwardFactorization(
-        mid=plan.rule.target,
-        post_arrow=identity(plan.rule.target),
-        pre_arrow=plan.rule,
-        retyping=rp.to_lhs,
-    )
-
-
-def _pattern_lookup(rp: RestrictionResult) -> dict[tuple[str, str], str]:
-    return {(rp.instance[p], rp.to_lhs[p]): p for p in rp.pattern.nodes}
+    else:
+        sub = h.backward_subgraph(origin)
+        typings = {n: h.composed_typing(n, origin) for n in sub.nodes() if n != origin}
+        g = h.graph(origin)
+        restrictions[origin] = restriction_pullback(g, g, identity(g), match)
+        for name, typing in typings.items():
+            restrictions[name] = restriction_pullback(h.graph(name), g, typing, match)
+        for (i, j) in sub.edges():
+            pattern_conns[(i, j)] = _restriction_connector(
+                h, i, j, restrictions[i], restrictions[j]
+            )
+        lhs = plan.rule.target
+        origin_fx = BackwardFactorization(
+            mid=lhs,
+            post_arrow=identity(lhs),
+            pre_arrow=plan.rule,
+            retyping=restrictions[origin].to_lhs,
+        )
+    res = _Resolution(h, sub, typings, origin_fx, restrictions, pattern_conns)
+    plan._resolution = res
+    return res
 
 
 def _restriction_connector(
@@ -465,7 +514,7 @@ def _restriction_connector(
 ) -> Homomorphism | None:
     """The induced arrow between restriction patterns along a typing edge."""
     h_ij = h.typing(i, j)
-    lookup = _pattern_lookup(rp_j)
+    lookup = {(rp_j.instance[p], rp_j.to_lhs[p]): p for p in rp_j.pattern.nodes}
     mapping = {}
     for p in rp_i.pattern.nodes:
         target = lookup.get((h_ij[rp_i.instance[p]], rp_i.to_lhs[p]))
@@ -534,72 +583,55 @@ def _derive_backward_connector(
 def check_composability(h: Hierarchy, plan: PropagationPlan) -> list[str]:
     """All reasons the plan cannot drive a validity-preserving propagation.
 
-    Checks coverage of the affected sub-hierarchy, the per-object
-    factorization squares, and — for every typing arrow inside the
-    sub-hierarchy — the composability triangles and typing square of the
-    connector (deriving one when the plan does not name it)."""
+    Checks coverage of the affected sub-hierarchy, that every arrow of each
+    factorization and every explicit connector is a homomorphism, the
+    per-object factorization squares, and — for every typing arrow inside
+    the sub-hierarchy — the composability triangles and typing (forward)
+    or retyping (backward) square of the connector, deriving one when the
+    plan does not name it."""
+    res = _resolve(h, plan)
+    forward = plan.direction == FORWARD
+    kind = ForwardFactorization if forward else BackwardFactorization
     violations: list[str] = []
-    origin = plan.origin
-    if plan.direction == FORWARD:
-        sub = h.forward_subgraph(origin)
-    else:
-        sub = h.backward_subgraph(origin)
-    facts: dict[str, ForwardFactorization | BackwardFactorization] = {}
-    restrictions: dict[str, RestrictionResult] = {}
-    facts[origin] = _origin_factorization(h, plan)
-    if plan.direction == BACKWARD:
-        origin_graph = h.graph(origin)
-        restrictions[origin] = restriction_pullback(
-            origin_graph, origin_graph, identity(origin_graph), plan.match
-        )
-
-    for name in sub.nodes():
-        if name == origin:
-            continue
+    facts = {plan.origin: res.origin_fx}
+    for name in res.typings:
         fx = plan.factorizations.get(name)
         if fx is None:
             violations.append(f"node {name}: no factorization provided")
             continue
+        if not isinstance(fx, kind):
+            violations.append(f"node {name}: expected a {plan.direction} factorization")
+            continue
         facts[name] = fx
-        if plan.direction == FORWARD:
-            if not isinstance(fx, ForwardFactorization):
-                violations.append(f"node {name}: expected a forward factorization")
-                continue
-            if not is_mono(fx.pre_arrow):
-                warnings.warn(
-                    f"factorization at {name}: strict-phase arrow is not a mono "
-                    "(the strict phase merges elements)",
-                    RuntimeWarning,
-                    stacklevel=2,
+        third = ("typing", fx.typing) if forward else ("retyping", fx.retyping)
+        problems = [
+            f"{label}: {problem}"
+            for label, arrow in (("pre", fx.pre_arrow), ("post", fx.post_arrow), third)
+            if (problem := homomorphism_violation(arrow)) is not None
+        ]
+        if problems:
+            violations.append(f"node {name}: malformed factorization ({'; '.join(problems)})")
+            continue
+        if forward and not is_mono(fx.pre_arrow):
+            warnings.warn(
+                f"factorization at {name}: strict-phase arrow is not a mono "
+                "(the strict phase merges elements)",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        try:  # endpoint mismatches raise
+            if not hom_equal(compose(fx.post_arrow, fx.pre_arrow), plan.rule):
+                violations.append(
+                    f"node {name}: strict and canonical parts do not compose to the rule"
                 )
-            try:
-                if not hom_equal(compose(fx.post_arrow, fx.pre_arrow), plan.rule):
-                    violations.append(
-                        f"node {name}: strict and canonical parts do not compose to the rule"
-                    )
-                base = compose(h.composed_typing(origin, name), plan.match)
+            if forward:
+                base = compose(res.typings[name], plan.match)
                 if not hom_equal(compose(fx.typing, fx.pre_arrow), base):
                     violations.append(
                         f"node {name}: typing square fails (strict part typed incompatibly)"
                     )
-            except Exception as exc:  # endpoint mismatches
-                violations.append(f"node {name}: malformed factorization ({exc})")
-        else:
-            if not isinstance(fx, BackwardFactorization):
-                violations.append(f"node {name}: expected a backward factorization")
-                continue
-            rp = restriction_pullback(
-                h.graph(name),
-                h.graph(origin),
-                h.composed_typing(name, origin),
-                plan.match,
-            )
-            restrictions[name] = rp
-            try:
-                if not hom_equal(compose(fx.post_arrow, fx.pre_arrow), plan.rule):
-                    violations.append(
-                        f"node {name}: strict and canonical parts do not compose to the rule"
-                    )
+            else:
+                rp = res.restrictions[name]
                 if fx.retyping.source != rp.pattern:
                     violations.append(
                         f"node {name}: retyping not defined on the canonical restriction"
@@ -608,65 +640,75 @@ def check_composability(h: Hierarchy, plan: PropagationPlan) -> list[str]:
                     violations.append(
                         f"node {name}: retyping square fails (instances retyped incompatibly)"
                     )
-            except Exception as exc:
-                violations.append(f"node {name}: malformed factorization ({exc})")
+        except Exception as exc:
+            violations.append(f"node {name}: malformed factorization ({exc})")
 
     if violations:
         return violations
 
-    for (i, j) in sub.edges():
+    for (i, j) in res.sub.edges():
         fx_i, fx_j = facts[i], facts[j]
-        if plan.direction == FORWARD:
-            ell = plan.connectors.get((i, j))
-            if ell is None:
-                ell = _derive_forward_connector(fx_i, fx_j, h.typing(i, j))
-            if ell is None:
-                violations.append(
-                    f"connector {i}->{j}: no composability arrow exists between the "
-                    "factorizations (one postpones work the other performs)"
-                )
-                continue
-            if not hom_equal(compose(ell, fx_i.pre_arrow), fx_j.pre_arrow):
-                violations.append(
-                    f"connector {i}->{j}: composability triangle (rule source side) fails"
-                )
-            if not hom_equal(compose(fx_j.post_arrow, ell), fx_i.post_arrow):
-                violations.append(
-                    f"connector {i}->{j}: composability triangle (rule target side) fails"
-                )
-            if not hom_equal(
-                compose(fx_j.typing, ell), compose(h.typing(i, j), fx_i.typing)
-            ):
-                violations.append(f"connector {i}->{j}: typing square fails")
+        ell = plan.connectors.get((i, j))
+        if forward:
+            h_ij = h.typing(i, j)
         else:
-            pattern_conn = _restriction_connector(h, i, j, restrictions[i], restrictions[j])
+            pattern_conn = res.pattern_conns[(i, j)]
             if pattern_conn is None:
                 violations.append(
                     f"connector {i}->{j}: restriction patterns are inconsistent"
                 )
                 continue
-            ell = plan.connectors.get((i, j))
-            if ell is None:
-                ell = _derive_backward_connector(fx_i, fx_j, pattern_conn)
-            if ell is None:
-                violations.append(
-                    f"connector {i}->{j}: no composability arrow exists between the "
-                    "factorizations (one postpones work the other performs)"
-                )
+        if ell is not None:
+            problem = homomorphism_violation(ell)
+            if problem is not None:
+                violations.append(f"connector {i}->{j}: {problem}")
                 continue
-            if not hom_equal(compose(ell, fx_i.pre_arrow), fx_j.pre_arrow):
-                violations.append(
-                    f"connector {i}->{j}: composability triangle (rule source side) fails"
-                )
-            if not hom_equal(compose(fx_j.post_arrow, ell), fx_i.post_arrow):
-                violations.append(
-                    f"connector {i}->{j}: composability triangle (rule target side) fails"
-                )
-            if not hom_equal(
-                compose(ell, fx_i.retyping), compose(fx_j.retyping, pattern_conn)
-            ):
-                violations.append(f"connector {i}->{j}: retyping square fails")
+        elif forward:
+            ell = _derive_forward_connector(fx_i, fx_j, h_ij)
+        else:
+            ell = _derive_backward_connector(fx_i, fx_j, pattern_conn)
+        if ell is None:
+            violations.append(
+                f"connector {i}->{j}: no composability arrow exists between the "
+                "factorizations (one postpones work the other performs)"
+            )
+            continue
+        if not hom_equal(compose(ell, fx_i.pre_arrow), fx_j.pre_arrow):
+            violations.append(
+                f"connector {i}->{j}: composability triangle (rule source side) fails"
+            )
+        if not hom_equal(compose(fx_j.post_arrow, ell), fx_i.post_arrow):
+            violations.append(
+                f"connector {i}->{j}: composability triangle (rule target side) fails"
+            )
+        if forward:
+            if not hom_equal(compose(fx_j.typing, ell), compose(h_ij, fx_i.typing)):
+                violations.append(f"connector {i}->{j}: typing square fails")
+        elif not hom_equal(compose(ell, fx_i.retyping), compose(fx_j.retyping, pattern_conn)):
+            violations.append(f"connector {i}->{j}: retyping square fails")
     return violations
+
+
+def _checked_resolution(h: Hierarchy, plan: PropagationPlan, direction: str) -> _Resolution:
+    """The entry checks of `propagate_forward` and `propagate_backward`: a
+    plan of the direction, a mono match of the rule's matched side into
+    the origin, and no `check_composability` violation. Returns the plan's
+    resolution against h."""
+    if plan.direction != direction:
+        raise RewritingError(f"propagate_{direction} needs a {direction} plan")
+    side = "source" if direction == FORWARD else "target"
+    if plan.match.source != getattr(plan.rule, side):
+        raise RewritingError(f"match must be an instance of the rule's {side}")
+    if plan.match.target != h.graph(plan.origin):
+        raise RewritingError("match does not land in the origin object")
+    if not is_mono(plan.match):
+        raise RewritingError("match must be a mono")
+    violations = check_composability(h, plan)
+    if violations:
+        raise RewritingError(
+            "plan rejected by composability check:\n" + "\n".join(violations)
+        )
+    return _resolve(h, plan)
 
 
 def _waves(sub: Hierarchy, sinks_first: bool) -> list[list[str]]:
@@ -719,25 +761,11 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     The patches record their keys, so each step's commutativity check
     compares only where they changed (see `hierarchy`).
     """
-    if plan.direction != FORWARD:
-        raise RewritingError("propagate_forward needs a forward plan")
-    if plan.match.source != plan.rule.source:
-        raise RewritingError("match must be an instance of the rule's source")
-    if plan.match.target != h.graph(plan.origin):
-        raise RewritingError("match does not land in the origin object")
-    if not is_mono(plan.match):
-        raise RewritingError("match must be a mono")
-    violations = check_composability(h, plan)
-    if violations:
-        raise RewritingError(
-            "plan rejected by composability check:\n" + "\n".join(violations)
-        )
-
+    res = _checked_resolution(h, plan, FORWARD)
     origin = plan.origin
-    sub = h.forward_subgraph(origin)
-    waves = _waves(sub, sinks_first=True)
-    facts = {name: plan.factorizations[name] for name in sub.nodes() if name != origin}
-    facts[origin] = _origin_factorization(h, plan)
+    waves = _waves(res.sub, sinks_first=True)
+    facts = {name: plan.factorizations[name] for name in res.typings}
+    facts[origin] = res.origin_fx
     rhs = plan.rule.target
 
     current = h
@@ -802,44 +830,9 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
 def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """Propagate a restrictive rewrite from the origin through everything
     typed by it, sources first, keeping the hierarchy valid throughout."""
-    if plan.direction != BACKWARD:
-        raise RewritingError("propagate_backward needs a backward plan")
-    if plan.match.source != plan.rule.target:
-        raise RewritingError("match must be an instance of the rule's target")
-    if plan.match.target != h.graph(plan.origin):
-        raise RewritingError("match does not land in the origin object")
-    if not is_mono(plan.match):
-        raise RewritingError("match must be a mono")
-    violations = check_composability(h, plan)
-    if violations:
-        raise RewritingError(
-            "plan rejected by composability check:\n" + "\n".join(violations)
-        )
-
+    res = _checked_resolution(h, plan, BACKWARD)
     origin = plan.origin
-    sub = h.backward_subgraph(origin)
-    waves = _waves(sub, sinks_first=False)
-
-    restrictions: dict[str, RestrictionResult] = {}
-    pattern_conns: dict[tuple[str, str], Homomorphism] = {}
-    for name in sub.nodes():
-        if name == origin:
-            origin_graph = h.graph(origin)
-            restrictions[name] = restriction_pullback(
-                origin_graph, origin_graph, identity(origin_graph), plan.match
-            )
-        else:
-            restrictions[name] = restriction_pullback(
-                h.graph(name),
-                h.graph(origin),
-                h.composed_typing(name, origin),
-                plan.match,
-            )
-    for (i, j) in sub.edges():
-        conn = _restriction_connector(h, i, j, restrictions[i], restrictions[j])
-        if conn is None:
-            raise RewritingError(f"restriction patterns inconsistent along {i}->{j}")
-        pattern_conns[(i, j)] = conn
+    waves = _waves(res.sub, sinks_first=False)
 
     current = h
     traces: dict[str, Homomorphism] = {}
@@ -848,19 +841,15 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     updated: dict[tuple[str, str], Homomorphism] = {}
     steps: list[tuple[str, list[str]]] = []
     bot_lookup: dict[str, dict[str, str]] = {}
+    lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
 
     def lifted_connector(k: str, i: str, p_minus: str) -> str:
         """Image of an L_G_k⁻ node in L_G_i⁻ (or in L⁻ when i is the origin)."""
         lk = lifts[k]
         if i == origin:
             return lk.to_rhs[p_minus]
-        li = lifts[i]
-        pattern_pair = pattern_conns[(k, i)][lk.lift[p_minus]]
-        rhs_part = lk.to_rhs[p_minus]
-        lookup = {
-            (li.lift[q], li.to_rhs[q]): q for q in li.pattern.nodes
-        }
-        return lookup[(pattern_pair, rhs_part)]
+        pattern_pair = res.pattern_conns[(k, i)][lk.lift[p_minus]]
+        return lifted_pairs[i][(pattern_pair, lk.to_rhs[p_minus])]
 
     for wave in waves:
         for i in wave:
@@ -880,11 +869,14 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
                 )
             else:
                 fx = plan.factorizations[i]
-                lift = lift_rule(fx.retyping, fx.pre_arrow, restrictions[i].instance)
+                lift = lift_rule(fx.retyping, fx.pre_arrow, res.restrictions[i].instance)
                 new_graph = lift.graph
                 traces[i] = lift.trace
                 instances[i] = lift.instance
                 lifts[i] = lift
+                lifted_pairs[i] = {
+                    (lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes
+                }
             embedded = {instances[i][p] for p in instances[i].source.nodes}
             trace_map = traces[i].node_map
             bot_lookup[i] = {

@@ -34,7 +34,9 @@ from .propagation import (
     BackwardFactorization,
     ForwardFactorization,
     PropagationPlan,
+    RestrictionResult,
     RewriteReport,
+    _resolve,
     propagate_backward,
     propagate_forward,
     restriction_pullback,
@@ -173,8 +175,15 @@ def derive_backward_factorization(
 ) -> tuple[BackwardFactorization, list[str]]:
     """Derive a backward factorization (plus clean-up selection) from a
     relation assigning clone copies to instances of the source object."""
-    lhs = rule.target  # pattern matched in the origin
     rp = restriction_pullback(source, match.target, typing_to_origin, match)
+    return _derive_backward(rule, rp, relation)
+
+
+def _derive_backward(
+    rule: Homomorphism, rp: RestrictionResult, relation: dict[str, str]
+) -> tuple[BackwardFactorization, list[str]]:
+    """`derive_backward_factorization` from the source's restriction."""
+    lhs = rule.target  # pattern matched in the origin
     m_hat_inv = {rp.instance[p]: p for p in rp.pattern.nodes}
 
     copies: dict[str, list[str]] = {l: [] for l in lhs.nodes}
@@ -295,12 +304,8 @@ def build_relation_plan(
     plan = PropagationPlan(
         origin=origin, rule=rule, match=match, direction=direction
     )
-    sub = (
-        h.forward_subgraph(origin)
-        if direction == FORWARD
-        else h.backward_subgraph(origin)
-    )
-    unknown = set(relations) - set(sub.nodes())
+    res = _resolve(h, plan)
+    unknown = set(relations) - set(res.sub.nodes())
     if unknown:
         raise RewritingError(
             f"relations given for nodes outside the affected sub-hierarchy: "
@@ -308,13 +313,11 @@ def build_relation_plan(
         )
     if origin in relations:
         raise RewritingError("the origin object cannot carry a relation")
-    for name in sub.nodes():
-        if name == origin:
-            continue
+    for name in res.typings:
         relation = relations.get(name, {})
         if direction == FORWARD:
             fact, cleanup = derive_forward_factorization(
-                rule, compose(h.composed_typing(origin, name), match), relation
+                rule, compose(res.typings[name], match), relation
             )
             plan.factorizations[name] = fact
             if cleanup:
@@ -326,13 +329,7 @@ def build_relation_plan(
                     )
                 plan.cleanups[name] = cleanup
         else:
-            fact, doomed = derive_backward_factorization(
-                rule,
-                match,
-                h.graph(name),
-                h.composed_typing(name, origin),
-                relation,
-            )
+            fact, doomed = _derive_backward(rule, res.restrictions[name], relation)
             plan.factorizations[name] = fact
             if doomed:
                 if name not in h.predecessors(origin):

@@ -475,6 +475,57 @@ def test_rewrite_malformed_plan_exits_2(tmp_path, damage, needle):
     assert str(path) in proc.stderr and needle in proc.stderr
 
 
+def _set_typing_of_a(value):
+    def damage(plan):
+        plan["factorizations"]["T"]["typing_or_retyping"]["a"] = value
+        return plan
+
+    return damage
+
+
+def _numeric_pre(plan):
+    plan["factorizations"]["T"]["pre"]["p"] = 5
+    return plan
+
+
+def _numeric_connector(plan):
+    plan["connectors"] = [{"from": "T", "to": "T", "map": {"p": 5}}]
+    return plan
+
+
+@pytest.mark.parametrize(
+    "damage, code, needle",
+    [
+        (_set_typing_of_a("zz"), 1, "node T: malformed factorization (typing: node a maps to unknown node zz)"),
+        (_numeric_pre, 2, "factorization T pre maps p to 5, not to a node id"),
+        (_set_typing_of_a(5), 2, "factorization T typing_or_retyping maps a to 5, not to a node id"),
+        (_numeric_connector, 2, "connector T->T maps p to 5, not to a node id"),
+    ],
+    ids=["unknown-node", "number-in-pre", "number-in-typing", "number-in-connector"],
+)
+def test_rewrite_plan_with_bad_node_ids(tmp_path, damage, code, needle):
+    """A plan arrow to a node the object lacks is rejected by the
+    composability check (exit 1); a JSON number where a node id belongs is
+    an input error naming the file and the entry (exit 2). Neither prints a
+    traceback or a warning, or writes an output."""
+    plan = json.loads((FIXTURES / "strict_plan.plan.json").read_text())
+    path = tmp_path / "bad.plan.json"
+    path.write_text(json.dumps(damage(plan)))
+    proc = run_cli(
+        "rewrite", FIXTURES / "strict_plan.hierarchy.json", "G",
+        FIXTURES / "strict_plan.rule.json", "0", "--direction", "fwd",
+        "--plan", path, "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert needle in proc.stderr
+    if code == 1:
+        assert proc.stderr.startswith("error: plan rejected by composability check:\n")
+    else:
+        assert f"invalid plan in {path}: " in proc.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
     """Both outputs are rendered before any file is opened and renamed into
     place only once written: if rendering the report fails, an existing

@@ -25,8 +25,18 @@ re-checking every path pair of the whole hierarchy after each object does.
 That full re-check makes 87,548 (fwd add) and 88,236 (bwd clone) composes
 here; the memoized check makes 14,210 and 14,898 against a budget of
 25,000. The counts are deterministic, so host speed cannot trip them.
+
+The plan-resolution guards count `restriction_pullback` (patched in every
+sqpo module that holds it) and `Hierarchy.composed_typing` calls. A plan is
+resolved once, so building, checking and propagating it makes one
+restriction per affected object and one composed typing per affected
+object other than the origin. On G -> M -> T plus G -> T that is 3 and 2
+for a backward clone (9 and 6 when each consumer made its own), 2 composed
+typings for a forward add (4 before), and 3 restrictions for `sqpo
+rewrite --plan` with an explicit backward factorization (10 before).
 """
 
+import json
 import random
 import time
 
@@ -34,8 +44,11 @@ import pytest
 
 import sqpo
 import sqpo.category
+import sqpo.cli
 import sqpo.graphs
 import sqpo.hierarchy
+import sqpo.propagation
+import sqpo.relations
 from sqpo import (
     BACKWARD,
     EXPANSIVE,
@@ -55,8 +68,11 @@ from sqpo import (
     build_rule,
     final_pbc,
     find_matches,
+    graph_to_json,
+    hierarchy_to_json,
     pullback,
     pushout,
+    rule_to_json,
 )
 
 NODES = 5000
@@ -242,15 +258,14 @@ DATA_NODES = 5000
 DELTA_BUDGET = 200
 
 
-@pytest.fixture(scope="module")
-def typed_data():
-    """G -> M -> T plus G -> T: a seeded 5000-node, 4000-edge G over a
-    complete 12-node M over a complete 4-node T, node i of G typed by m(i mod
-    12) and m(j) by t(j mod 4)."""
+def _typed_hierarchy(n_nodes: int, n_edges: int) -> Hierarchy:
+    """G -> M -> T plus G -> T: a seeded G of n_nodes nodes and n_edges
+    edges over a complete 12-node M over a complete 4-node T, node i of G
+    typed by m(i mod 12) and m(j) by t(j mod 4)."""
     rng = random.Random(6)
-    g_nodes = [f"g{i}" for i in range(DATA_NODES)]
+    g_nodes = [f"g{i}" for i in range(n_nodes)]
     edges = set()
-    while len(edges) < EDGES:
+    while len(edges) < n_edges:
         edges.add((rng.choice(g_nodes), rng.choice(g_nodes)))
     m_nodes = [f"m{j}" for j in range(12)]
     t_nodes = [f"t{k}" for k in range(4)]
@@ -260,11 +275,16 @@ def typed_data():
     h = Hierarchy().add_object("G", g).add_object("M", m).add_object("T", t)
     h = h.add_typing("M", "T", Homomorphism(m, t, {f"m{j}": f"t{j % 4}" for j in range(12)}))
     h = h.add_typing(
-        "G", "M", Homomorphism(g, m, {f"g{i}": f"m{i % 12}" for i in range(DATA_NODES)})
+        "G", "M", Homomorphism(g, m, {f"g{i}": f"m{i % 12}" for i in range(n_nodes)})
     )
     return h.add_typing(
-        "G", "T", Homomorphism(g, t, {f"g{i}": f"t{i % 4}" for i in range(DATA_NODES)})
+        "G", "T", Homomorphism(g, t, {f"g{i}": f"t{i % 4}" for i in range(n_nodes)})
     )
+
+
+@pytest.fixture(scope="module")
+def typed_data():
+    return _typed_hierarchy(DATA_NODES, EDGES)
 
 
 def _count_delta_work(monkeypatch):
@@ -338,3 +358,88 @@ def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
         assert len(reports[-1].hierarchy.graph("G").nodes) in (DATA_NODES + 1, DATA_NODES - 1)
     del counts["matching"]
     assert all(value <= DELTA_BUDGET for value in counts.values()), counts
+
+
+def _count_plan_resolution(monkeypatch):
+    """Count `restriction_pullback` calls, patched in every sqpo module that
+    holds the function, and `Hierarchy.composed_typing` calls."""
+    counts = {"restriction_pullback": 0, "composed_typing": 0}
+    original = sqpo.propagation.restriction_pullback
+
+    def pulling(*args):
+        counts["restriction_pullback"] += 1
+        return original(*args)
+
+    for module in (sqpo, sqpo.propagation, sqpo.relations, sqpo.cli):
+        for key, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, key, pulling)
+    composed = Hierarchy.composed_typing
+
+    def composing(self, a, b):
+        counts["composed_typing"] += 1
+        return composed(self, a, b)
+
+    monkeypatch.setattr(Hierarchy, "composed_typing", composing)
+    return counts
+
+
+def test_backward_plan_resolved_once_per_affected_object(typed_data, monkeypatch):
+    """Building, checking and propagating a canonical backward clone of a T
+    node through G -> M -> T plus G -> T makes one restriction pullback per
+    affected object and one composed typing per affected object other than
+    the origin: 3 and 2. When the plan builder, the composability check
+    and the propagation step each made their own, it made 9 and 6."""
+    h = typed_data
+    counts = _count_plan_resolution(monkeypatch)
+    rule = build_rule(Graph(["x"]), [CloneNode("x", "x1", "x2")])
+    (match,) = find_matches(rule, h.graph("T"), RESTRICTIVE, {"x": "t1"})
+    plan = build_canonical_plan(h, "T", rule.left_leg, match.instance, BACKWARD)
+    reports = apply_plan(h, plan)
+    assert [len(r.steps) for r in reports] == [3]
+    assert counts == {"restriction_pullback": 3, "composed_typing": 2}
+
+
+def test_forward_plan_resolved_once_per_affected_object(typed_data, monkeypatch):
+    """A canonical one-node forward add at G makes one composed typing per
+    affected object other than the origin, 2 (4 when the plan builder and
+    the composability check each made their own), and no restriction."""
+    h = typed_data
+    counts = _count_plan_resolution(monkeypatch)
+    rule = build_rule(Graph(["x"]), [AddNode("n"), AddEdge("x", "n")])
+    (match,) = find_matches(rule, h.graph("G"), EXPANSIVE, {"x": "g5"})
+    plan = build_canonical_plan(h, "G", rule.right_leg, match.instance, FORWARD)
+    reports = apply_plan(h, plan)
+    assert [len(r.steps) for r in reports] == [3]
+    assert counts == {"restriction_pullback": 0, "composed_typing": 2}
+
+
+def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
+    """`sqpo rewrite --plan` with an explicit backward factorization at M
+    makes one restriction pullback per affected object: the plan file's
+    retyping is read against the restriction the plan builder made (it
+    made a second one, and each consumer its own: 10 in all)."""
+    h = _typed_hierarchy(48, 40)
+    rule = build_rule(Graph(["x"]), [CloneNode("x", "x1", "x2")])
+    match = find_matches(rule, h.graph("T"), RESTRICTIVE)[0].instance
+    fx = build_canonical_plan(h, "T", rule.left_leg, match, BACKWARD).factorizations["M"]
+    files = {
+        "h.json": hierarchy_to_json(h),
+        "rule.json": rule_to_json(rule),
+        "plan.json": {"factorizations": {"M": {
+            "mid": graph_to_json(fx.mid),
+            "pre": fx.pre_arrow.node_map,
+            "post": fx.post_arrow.node_map,
+            "typing_or_retyping": fx.retyping.node_map,
+        }}},
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    counts = _count_plan_resolution(monkeypatch)
+    code = sqpo.cli.main([
+        "rewrite", str(tmp_path / "h.json"), "T", str(tmp_path / "rule.json"), "0",
+        "--direction", "bwd", "--plan", str(tmp_path / "plan.json"),
+        "-o", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    assert counts["restriction_pullback"] == 3
