@@ -21,9 +21,9 @@ from .exceptions import GraphElementError, SqpoError
 from .graphs import (
     Homomorphism,
     _node_map_from_json,
+    _relocated,
     dumps_canonical,
     graph_from_json,
-    json_shape_message,
 )
 from .hierarchy import Hierarchy, hierarchy_from_json, hierarchy_to_json
 from .propagation import (
@@ -213,15 +213,25 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
         {k: v for k, v in relations.items() if k not in explicit},
     )
     res = _resolve(h, plan)
+    where: tuple = ()
     try:
         for name, spec in sorted(explicit.items()):
+            if name == origin:
+                raise _InputError(
+                    f"plan factorization for {name}: the origin takes no factorization"
+                )
             if name not in res.sub.nodes():
                 raise _InputError(f"plan factorization for {name}: not an affected node")
-            mid = graph_from_json(spec["mid"])
-            what = f"factorization {name}"
-            pre = _node_map_from_json(spec["pre"], f"{what} pre")
-            post = _node_map_from_json(spec["post"], f"{what} post")
-            raw = _node_map_from_json(spec["typing_or_retyping"], f"{what} typing_or_retyping")
+            where = ("factorizations", name, "mid")
+            try:
+                mid = graph_from_json(spec["mid"])
+            except GraphElementError as exc:
+                raise _relocated(_InputError, where, exc, "graph", "malformed plan: ") from exc
+            maps = {}
+            for key in ("pre", "post", "typing_or_retyping"):
+                where = ("factorizations", name, key)
+                maps[key] = _node_map_from_json(spec[key], f"factorization {name} {key}")
+            pre, post, raw = maps["pre"], maps["post"], maps["typing_or_retyping"]
             if direction == FORWARD:
                 plan.factorizations[name] = ForwardFactorization(
                     mid=mid,
@@ -248,19 +258,18 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
                     pre_arrow=Homomorphism(rule_arrow.source, mid, pre),
                     retyping=Homomorphism(rp.pattern, mid, retyping_map),
                 )
-    except (KeyError, TypeError, AttributeError, GraphElementError) as exc:
-        raise _InputError(json_shape_message("plan", exc)) from exc
-    try:
-        for conn in obj.get("connectors", []):
+        for k, conn in enumerate(obj.get("connectors", [])):
+            where = ("connectors", k)
             i, j = conn["from"], conn["to"]
             fx_i = plan.factorizations.get(i)
             fx_j = plan.factorizations.get(j)
             if fx_i is None or fx_j is None:
                 raise _InputError(f"connector {i}->{j} names nodes without factorizations")
+            where = ("connectors", k, "map")
             node_map = _node_map_from_json(conn["map"], f"connector {i}->{j}")
             plan.connectors[(i, j)] = Homomorphism(fx_i.mid, fx_j.mid, node_map)
     except (KeyError, TypeError, AttributeError) as exc:
-        raise _InputError(json_shape_message("plan", exc)) from exc
+        raise _relocated(_InputError, where, exc, "plan") from exc
     return plan
 
 

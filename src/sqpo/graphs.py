@@ -730,16 +730,22 @@ def attrs_from_json(obj: Mapping) -> Attrs:
     for k in obj:
         raw = obj[k]
         if not isinstance(raw, list):
-            raise GraphElementError(f"attribute {k}: expected a list of values")
-        values = [_check_value(v) for v in raw]
+            raise _located(GraphElementError, (k,), f"attribute {k}: expected a list of values")
+        try:
+            values = frozenset(map(_check_value, raw))
+        except GraphElementError as exc:
+            i = next(i for i, v in enumerate(raw) if not isinstance(v, (str, int, bool)))
+            raise _located(GraphElementError, (k, i), str(exc)) from exc
         # sets fuse values that are equal under Python equality (1 == True),
         # which would break byte-exact round-trips; reject them up front
-        if len(frozenset(values)) != len(values):
-            raise GraphElementError(
-                f"attribute {k}: duplicate (or boolean/integer-colliding) value"
+        if len(values) != len(raw):
+            raise _located(
+                GraphElementError,
+                (k,),
+                f"attribute {k}: duplicate (or boolean/integer-colliding) value",
             )
         if values:
-            out[str(k)] = frozenset(values)
+            out[str(k)] = values
     return out
 
 
@@ -764,48 +770,135 @@ def json_shape_message(what: str, exc: Exception) -> str:
     list, string or number where an object was expected (and vice versa)."""
     if isinstance(exc, KeyError):
         return f"malformed {what}: missing key {exc.args[0]!r}"
-    return f"malformed {what}: {exc}"
+    return f"malformed {what}: {getattr(exc, 'detail', exc)}"
 
 
-def _node_map_from_json(raw: Mapping, what: str) -> Mapping:
+def _located(error: type, path: tuple, detail: str) -> Exception:
+    """`error` about the JSON value at `path`, a tuple of object keys and
+    list indices: its message is the path, as in `graphs.G.nodes[3]`, a
+    colon and `detail`. The path and the detail stay on the exception, so
+    a loader that read the value from inside a larger document can re-raise
+    it with the longer path (`_relocated`)."""
+    text = "".join(f"[{p}]" if type(p) is int else f".{p}" for p in path).removeprefix(".")
+    exc = error(f"{text}: {detail}" if text else detail)
+    exc.json_path, exc.detail = path, detail
+    return exc
+
+
+def _relocated(error: type, path: tuple, exc: Exception, what: str, context: str = "") -> Exception:
+    """`exc`, raised while loading the `what` at JSON path `path`, as an
+    `error` located there with `context` before its detail. A value of the
+    wrong shape (KeyError, TypeError, AttributeError) is described by
+    `json_shape_message`; an error a nested loader located keeps its detail
+    and adds its own path to `path`."""
+    if isinstance(exc, (KeyError, TypeError, AttributeError)):
+        detail = json_shape_message(what, exc)
+    else:
+        detail = getattr(exc, "detail", str(exc))
+    return _located(error, path + getattr(exc, "json_path", ()), context + detail)
+
+
+def _node_map_from_json(raw: Mapping, what: str) -> dict[str, str]:
     """A node map read from JSON, whose images must be JSON strings (a
     library constructor would coerce them with str()); raises TypeError
-    naming `what` and the entry otherwise."""
+    naming `what` and the entry, located at the entry's key, otherwise.
+    JSON object keys are always strings, so a copy of the map can back a
+    `Homomorphism._of`."""
     for k, v in raw.items():
         if not isinstance(v, str):
-            raise TypeError(f"{what} maps {k} to {json.dumps(v)}, not to a node id")
-    return raw
+            raise _located(TypeError, (k,), f"{what} maps {k} to {json.dumps(v)}, not to a node id")
+    return dict(raw)
 
 
 def graph_from_json(obj: Mapping) -> Graph:
+    """Load a graph. A malformed node, edge or attribute value raises
+    GraphElementError naming its JSON path (`nodes[3]: ...`); an edge off
+    the listed nodes raises it listing every such violation."""
+    where: tuple = ()
     try:
         nodes = []
         node_attrs = {}
-        for entry in obj.get("nodes", []):
+        for i, entry in enumerate(obj.get("nodes", [])):
+            where = ("nodes", i)
             n = entry["id"]
             if not isinstance(n, str):
                 raise TypeError(f"node id {json.dumps(n)} is not a string")
             nodes.append(n)
             if "attrs" in entry:
-                node_attrs[entry["id"]] = attrs_from_json(entry["attrs"])
+                where = ("nodes", i, "attrs")
+                attrs = attrs_from_json(entry["attrs"])
+                if attrs:
+                    node_attrs[n] = attrs
+                else:  # an empty dict would break `Graph._of`'s precondition
+                    node_attrs.pop(n, None)
         edges = []
         edge_attrs = {}
-        for entry in obj.get("edges", []):
+        for i, entry in enumerate(obj.get("edges", [])):
+            where = ("edges", i)
             e = (entry["from"], entry["to"])
             if not (isinstance(e[0], str) and isinstance(e[1], str)):
                 raise TypeError(f"edge {json.dumps(list(e))} has an endpoint that is not a string")
             edges.append(e)
             if "attrs" in entry:
-                edge_attrs[e] = attrs_from_json(entry["attrs"])
-        g = Graph(nodes, edges, node_attrs, edge_attrs)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise GraphElementError(json_shape_message("graph", exc)) from exc
+                where = ("edges", i, "attrs")
+                attrs = attrs_from_json(entry["attrs"])
+                if attrs:
+                    edge_attrs[e] = attrs
+                else:
+                    edge_attrs.pop(e, None)
+    except (KeyError, TypeError, AttributeError, GraphElementError) as exc:
+        raise _relocated(GraphElementError, where, exc, "graph") from exc
+    g = Graph._of(nodes, edges, node_attrs, edge_attrs)
     problems = g.validate()
     if problems:
-        raise GraphElementError("invalid graph: " + "; ".join(problems))
+        raise _located(GraphElementError, (), "invalid graph: " + "; ".join(problems))
     return g
 
 
+_encode_str = json.encoder.encode_basestring
+
+
 def dumps_canonical(obj) -> str:
-    """Canonical JSON text: sorted keys handled by construction, UTF-8, newline."""
-    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+    """Canonical JSON text: exactly the bytes of `json.dumps(obj, indent=2,
+    ensure_ascii=False)` followed by a newline, for every value made of
+    dicts with str keys (in their insertion order: callers sort keys by
+    construction), lists, tuples, str, int, bool and None; anything else
+    raises TypeError.
+
+    `indent` makes CPython fall back to its pure-Python encoder, so the
+    text is joined here instead: strings are escaped by the C
+    `json.encoder.encode_basestring` the stdlib uses for
+    `ensure_ascii=False`, ints by `int.__repr__`, and each container is one
+    join over its members, with `{}` and `[]` for empty ones."""
+    return _dumps(obj, "\n") + "\n"
+
+
+def _dumps(obj, newline: str) -> str:
+    """obj's indent=2 text; `newline` is a line break plus the indentation
+    of obj's own line, which its members indent two spaces past."""
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        return "{" + inner + ("," + inner).join([
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _dumps(v, inner))
+            for k, v in obj.items()
+        ]) + newline + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        return "[" + inner + ("," + inner).join([
+            _encode_str(v) if type(v) is str else _dumps(v, inner) for v in obj
+        ]) + newline + "]"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")

@@ -39,14 +39,15 @@ from .exceptions import CompositionError, GraphElementError, HierarchyError
 from .graphs import (
     Graph,
     Homomorphism,
+    _located,
     _node_map_from_json,
+    _relocated,
     compose,
     graph_from_json,
     graph_to_json,
     hom_equal,
     homomorphism_violation,
     identity,
-    json_shape_message,
 )
 
 
@@ -589,34 +590,43 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
 def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
     """Parse a hierarchy. With validate=True (the default) any structural
     or commutativity problem raises; validate=False defers to the caller,
-    so invalid files can still be loaded for reporting."""
+    so invalid files can still be loaded for reporting. A malformed value
+    raises HierarchyError naming its JSON path, as in
+    `graphs.G.nodes[3]: graph G: malformed graph: ...`."""
+    where: tuple = ()
     try:
         skeleton = None
         assignment: dict[str, str] = {}
         if "skeleton" in obj and obj["skeleton"] is not None:
+            where = ("skeleton",)
             sk = obj["skeleton"]
             edges = []
-            for e in sk.get("edges", []):
+            for i, e in enumerate(sk.get("edges", [])):
+                where = ("skeleton", "edges", i)
                 if not isinstance(e, list) or len(e) != 2:
                     raise TypeError(f"skeleton edge {json.dumps(e)} is not a pair of kinds")
                 edges.append(tuple(e))
+            where = ("skeleton",)
             skeleton = Skeleton.create(sk.get("nodes", []), edges)
             assignment = dict(sk.get("assignment", {}))
         objects = {}
         for name in obj.get("graphs", {}):
+            where = ("graphs", name)
             try:
                 objects[name] = graph_from_json(obj["graphs"][name])
             except GraphElementError as exc:
-                raise HierarchyError(f"graph {name}: {exc}") from exc
+                raise _relocated(HierarchyError, where, exc, "graph", f"graph {name}: ") from exc
         arrows = {}
-        for typing in obj.get("typings", []):
+        for i, typing in enumerate(obj.get("typings", [])):
+            where = ("typings", i)
             a, b = typing["from"], typing["to"]
             if a not in objects or b not in objects:
-                raise HierarchyError(f"typing {a} -> {b} references an unknown graph")
+                raise _located(HierarchyError, where, f"typing {a} -> {b} references an unknown graph")
+            where = ("typings", i, "map")
             node_map = _node_map_from_json(typing["map"], f"typing {a} -> {b}")
-            arrows[(a, b)] = Homomorphism(objects[a], objects[b], node_map)
+            arrows[(a, b)] = Homomorphism._of(objects[a], objects[b], node_map)
     except (KeyError, TypeError, AttributeError) as exc:
-        raise HierarchyError(json_shape_message("hierarchy", exc)) from exc
+        raise _relocated(HierarchyError, where, exc, "hierarchy") from exc
     h = Hierarchy(objects, arrows, skeleton, assignment)
     if validate:
         problems = h.validate()

@@ -30,13 +30,13 @@ from .graphs import (
     Homomorphism,
     _attrs_within,
     _node_map_from_json,
+    _relocated,
     fresh_id,
     graph_from_json,
     graph_to_json,
     homomorphism_maps,
     identity,
     is_mono,
-    json_shape_message,
     normalize_attrs,
 )
 
@@ -88,19 +88,32 @@ def rule_to_json(rule: Rule) -> dict:
 
 
 def rule_from_json(obj: dict) -> Rule:
+    """Load a rule; a malformed value raises GraphElementError (in one of
+    its graphs) or RewritingError naming its JSON path, as in
+    `lhs.nodes[0]: malformed graph: ...`."""
+    where: tuple = ()
     try:
-        lhs = graph_from_json(obj["lhs"])
-        interface = graph_from_json(obj["interface"])
-        rhs = graph_from_json(obj["rhs"])
+        graphs = []
+        for key in ("lhs", "interface", "rhs"):
+            where = (key,)
+            try:
+                graphs.append(graph_from_json(obj[key]))
+            except GraphElementError as exc:
+                raise _relocated(GraphElementError, where, exc, "graph") from exc
+        lhs, interface, rhs = graphs
+        where = ("left",)
+        left = _node_map_from_json(obj["left"], "left leg")
+        where = ("right",)
+        right = _node_map_from_json(obj["right"], "right leg")
         rule = Rule(
             lhs,
             interface,
             rhs,
-            Homomorphism(interface, lhs, _node_map_from_json(obj["left"], "left leg")),
-            Homomorphism(interface, rhs, _node_map_from_json(obj["right"], "right leg")),
+            Homomorphism._of(interface, lhs, left),
+            Homomorphism._of(interface, rhs, right),
         )
     except (KeyError, TypeError, AttributeError) as exc:
-        raise RewritingError(json_shape_message("rule", exc)) from exc
+        raise _relocated(RewritingError, where, exc, "rule") from exc
     rule.validate()
     return rule
 

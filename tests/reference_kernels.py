@@ -5,7 +5,11 @@ the original whole-hierarchy `validate_commutativity` and wave scheduler,
 the original breadth-first `Hierarchy.composed_typing` (which composes
 from an identity map and has no memo), and the two backtracking searches that `graphs.homomorphism_maps` replaced
 next to `find_matches`' own: propagation's connector search (with the two
-connector derivations that drove it) and `find_isomorphism`.
+connector derivations that drove it) and `find_isomorphism`. Also the
+original canonical writer (the stdlib's `indent=2` encoder) and the
+original graph loader, which normalized every node and edge a second time
+through the public `Graph` constructor and named no JSON path in its
+messages.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -15,6 +19,8 @@ node ids, maps, attribute sets, violation messages and match order.
 """
 
 from __future__ import annotations
+
+import json
 
 from sqpo.category import PbcResult, PullbackResult, PushoutResult
 from sqpo.exceptions import (
@@ -36,6 +42,7 @@ from sqpo.graphs import (
     hom_equal,
     identity,
     is_mono,
+    json_shape_message,
 )
 from sqpo.hierarchy import CommutativityViolation
 from sqpo.propagation import BackwardFactorization, ForwardFactorization
@@ -566,3 +573,61 @@ def find_isomorphism(
         return False
 
     return dict(assignment) if search(0) else None
+
+
+# -- canonical JSON and the graph loader --------------------------------------
+
+
+def dumps_canonical(obj) -> str:
+    """The original canonical writer; `indent` makes CPython run the
+    stdlib's pure-Python encoder."""
+    return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def attrs_from_json(obj):
+    out = {}
+    for k in obj:
+        raw = obj[k]
+        if not isinstance(raw, list):
+            raise GraphElementError(f"attribute {k}: expected a list of values")
+        for v in raw:
+            if not isinstance(v, (str, int, bool)):
+                raise GraphElementError(
+                    f"attribute values must be str, int or bool, got {type(v).__name__}"
+                )
+        if len(frozenset(raw)) != len(raw):
+            raise GraphElementError(
+                f"attribute {k}: duplicate (or boolean/integer-colliding) value"
+            )
+        if raw:
+            out[str(k)] = frozenset(raw)
+    return out
+
+
+def graph_from_json(obj) -> Graph:
+    try:
+        nodes = []
+        node_attrs = {}
+        for entry in obj.get("nodes", []):
+            n = entry["id"]
+            if not isinstance(n, str):
+                raise TypeError(f"node id {json.dumps(n)} is not a string")
+            nodes.append(n)
+            if "attrs" in entry:
+                node_attrs[entry["id"]] = attrs_from_json(entry["attrs"])
+        edges = []
+        edge_attrs = {}
+        for entry in obj.get("edges", []):
+            e = (entry["from"], entry["to"])
+            if not (isinstance(e[0], str) and isinstance(e[1], str)):
+                raise TypeError(f"edge {json.dumps(list(e))} has an endpoint that is not a string")
+            edges.append(e)
+            if "attrs" in entry:
+                edge_attrs[e] = attrs_from_json(entry["attrs"])
+        g = Graph(nodes, edges, node_attrs, edge_attrs)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise GraphElementError(json_shape_message("graph", exc)) from exc
+    problems = g.validate()
+    if problems:
+        raise GraphElementError("invalid graph: " + "; ".join(problems))
+    return g

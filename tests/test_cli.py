@@ -493,6 +493,11 @@ def _numeric_connector(plan):
     return plan
 
 
+def _origin_factorization(plan):
+    plan["factorizations"]["G"] = {"pre": {"p": "zz"}, "post": {"q": "nope"}}
+    return plan
+
+
 @pytest.mark.parametrize(
     "damage, code, needle",
     [
@@ -500,8 +505,12 @@ def _numeric_connector(plan):
         (_numeric_pre, 2, "factorization T pre maps p to 5, not to a node id"),
         (_set_typing_of_a(5), 2, "factorization T typing_or_retyping maps a to 5, not to a node id"),
         (_numeric_connector, 2, "connector T->T maps p to 5, not to a node id"),
+        (_origin_factorization, 2, "plan factorization for G: the origin takes no factorization"),
     ],
-    ids=["unknown-node", "number-in-pre", "number-in-typing", "number-in-connector"],
+    ids=[
+        "unknown-node", "number-in-pre", "number-in-typing", "number-in-connector",
+        "origin-factorization",
+    ],
 )
 def test_rewrite_plan_with_bad_node_ids(tmp_path, damage, code, needle):
     """A plan arrow to a node the object lacks is rejected by the
@@ -524,6 +533,54 @@ def test_rewrite_plan_with_bad_node_ids(tmp_path, damage, code, needle):
     else:
         assert f"invalid plan in {path}: " in proc.stderr
     assert list(tmp_path.iterdir()) == [path]
+
+
+def _fixture_with(name, damage):
+    obj = json.loads((FIXTURES / name).read_text())
+    damage(obj)
+    return obj
+
+
+@pytest.mark.parametrize(
+    "kind, obj, message",
+    [
+        (
+            "plan",
+            _fixture_with("strict_plan.plan.json", lambda p: p["factorizations"]["T"]["mid"]["nodes"][1].update(attrs={"k": [1.5]})),
+            "factorizations.T.mid.nodes[1].attrs.k[0]: malformed plan: "
+            "attribute values must be str, int or bool, got float",
+        ),
+        (
+            "hierarchy",
+            _fixture_with("strict_plan.hierarchy.json", lambda h: h["graphs"]["T"]["nodes"][1].update(id=5)),
+            "graphs.T.nodes[1]: graph T: malformed graph: node id 5 is not a string",
+        ),
+        (
+            "hierarchy",
+            _fixture_with("strict_plan.hierarchy.json", lambda h: h["typings"][0]["map"].update(i=["t1"])),
+            'typings[0].map.i: malformed hierarchy: typing G -> T maps i to ["t1"], not to a node id',
+        ),
+        (
+            "rule",
+            _fixture_with("strict_plan.rule.json", lambda r: r["rhs"]["nodes"][0].update(attrs={"k": "x"})),
+            "rhs.nodes[0].attrs.k: attribute k: expected a list of values",
+        ),
+    ],
+    ids=["graph-attribute-value", "hierarchy-node-id", "hierarchy-typing-entry", "rule-attribute"],
+)
+def test_loader_messages_name_the_json_path(tmp_path, kind, obj, message):
+    """Each loader names the JSON path of a malformed value before the
+    message it gave without one; the graph loader is reached through a
+    plan factorization's `mid`."""
+    files = {k: FIXTURES / f"strict_plan.{k}.json" for k in ("hierarchy", "rule", "plan")}
+    path = files[kind] = tmp_path / f"bad.{kind}.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli(
+        "rewrite", files["hierarchy"], "G", files["rule"], "0", "--direction", "fwd",
+        "--plan", files["plan"], "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: invalid {kind} in {path}: {message}\n"
 
 
 def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):

@@ -34,11 +34,21 @@ object other than the origin. On G -> M -> T plus G -> T that is 3 and 2
 for a backward clone (9 and 6 when each consumer made its own), 2 composed
 typings for a forward add (4 before), and 3 restrictions for `sqpo
 rewrite --plan` with an explicit backward factorization (10 before).
+
+The JSON guards count calls too. `sqpo rewrite` and `sqpo validate` on an
+attributed G -> M -> T plus G -> T hierarchy of 1000 data nodes must never
+reach `json.encoder._make_iterencode`, the stdlib's pure-Python encoder
+that `json.dumps(..., indent=2)` runs; loading that hierarchy must not call
+`normalize_attrs`, which the public `Graph` constructor runs once per
+attributed node and edge (1,976 times here).
 """
 
+import io
 import json
+import json.encoder
 import random
 import time
+from contextlib import redirect_stdout
 
 import pytest
 
@@ -443,3 +453,51 @@ def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert counts["restriction_pullback"] == 3
+
+
+def _attributed_hierarchy_json(n_nodes: int) -> dict:
+    """`_typed_hierarchy(n_nodes, 0.8 n_nodes)` as JSON, every node carrying
+    a kind and every edge a label (their images carry them too, so every
+    typing stays valid)."""
+    obj = hierarchy_to_json(_typed_hierarchy(n_nodes, n_nodes * 4 // 5))
+    for graph in obj["graphs"].values():
+        for node in graph["nodes"]:
+            node["attrs"] = {"kind": ["data", 2, True]}
+        for edge in graph["edges"]:
+            edge["attrs"] = {"label": ["link"]}
+    return obj
+
+
+@pytest.fixture(scope="module")
+def attributed_json():
+    return _attributed_hierarchy_json(1000)
+
+
+def test_loading_a_hierarchy_normalizes_nothing(attributed_json, monkeypatch):
+    calls = _count_attr_work(monkeypatch)
+    h = sqpo.hierarchy_from_json(attributed_json)
+    assert len(h.graph("G").node_attrs) == 1000 and len(h.graph("G").edge_attrs) == 800
+    assert calls["normalize_attrs"] == 0
+
+
+def test_cli_never_runs_the_pure_python_encoder(attributed_json, tmp_path, monkeypatch):
+    (tmp_path / "h.json").write_text(json.dumps(attributed_json))
+    rule = build_rule(Graph(["x"], (), {"x": {"kind": ["data"]}}), [AddNode("y")])
+    (tmp_path / "rule.json").write_text(json.dumps(rule_to_json(rule)))
+    calls = []
+    original = json.encoder._make_iterencode
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting)
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert sqpo.cli.main(["validate", str(tmp_path / "h.json")]) == 0
+        assert sqpo.cli.main([
+            "rewrite", str(tmp_path / "h.json"), "G", str(tmp_path / "rule.json"), "0",
+            "--direction", "fwd", "-o", str(tmp_path / "out.json"),
+        ]) == 0
+    assert (tmp_path / "out.json").read_text().startswith('{\n  "graphs": {')
+    assert calls == []

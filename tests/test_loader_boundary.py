@@ -1,0 +1,207 @@
+"""Boundary fuzz of the hierarchy and rule loaders, and a differential of
+the loaders' trusted construction against the public constructors.
+
+The loaders build graphs through `Graph._of` and typings and rule legs
+through `Homomorphism._of`, skipping the constructors' normalization. A
+bounded `hypothesis` search mutates fixture hierarchy and rule files (a
+dropped key; a value swapped for a number, list, null or dict; a duplicate
+attribute value; a dangling edge; an unknown typing target) and requires:
+
+- `sqpo validate` and `sqpo match`, run in-process on the mutated file,
+  return 0, 1 or 2 and never raise;
+- every graph that loads equals the original loader's result (the public
+  `Graph` constructor over the same JSON) and is normalized, and every
+  typing or leg equals its rebuild by the public `Homomorphism`
+  constructor, with str keys and values;
+- a graph the original loader rejects is rejected too, with the original
+  message behind the JSON path of the offending value.
+"""
+
+import contextlib
+import copy
+import io
+import json
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+import reference_kernels as ref
+import sqpo.cli
+from sqpo import GraphElementError, Homomorphism, SqpoError, hierarchy_from_json, rule_from_json
+from test_kernel_differential import _assert_normalized
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# (hierarchy file, object to match at, rule file)
+CASES = [
+    ("merge_add.hierarchy.json", "G", "merge_add.rule.json"),
+    ("clone_delete.hierarchy.json", "T", "clone_delete.rule.json"),
+    ("diamond.hierarchy.json", "k0", "diamond.rule.json"),
+    ("strict_plan.hierarchy.json", "G", "strict_plan.rule.json"),
+    ("broken_diamond.hierarchy.json", "a", "chain.rule.json"),
+]
+MUTATIONS = ("drop", "number", "list", "null", "dict", "duplicate", "dangling", "unknown")
+
+
+def _spots(obj, path=()):
+    """The JSON path of every value in obj, the root first."""
+    yield path
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _spots(v, path + (k,))
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            yield from _spots(v, path + (i,))
+
+
+def _at(obj, path):
+    for key in path:
+        obj = obj[key]
+    return obj
+
+
+def _mutate(draw, obj):
+    """obj with one drawn mutation applied at a drawn spot (in place; the
+    root itself may be replaced, so the result is returned)."""
+    kind = draw(st.sampled_from(MUTATIONS))
+    spots = list(_spots(obj))
+    if kind == "duplicate":
+        lists = [p for p in spots if len(p) >= 2 and p[-2] == "attrs" and isinstance(_at(obj, p), list)]
+        if lists:
+            values = _at(obj, draw(st.sampled_from(lists)))
+            values.extend(values[:1] or [1, True])
+            return obj
+        kind = "number"
+    if kind == "dangling":
+        graphs = [p for p in spots if isinstance(_at(obj, p), dict) and isinstance(_at(obj, p).get("edges"), list)]
+        if graphs:
+            g = _at(obj, draw(st.sampled_from(graphs)))
+            nodes = g.get("nodes") if isinstance(g.get("nodes"), list) else []
+            ids = [n["id"] for n in nodes if isinstance(n, dict) and "id" in n] or ["x"]
+            g["edges"].append({"from": draw(st.sampled_from(ids)), "to": "nowhere"})
+            return obj
+        kind = "drop"
+    if kind == "unknown":
+        targets = [p for p in spots if len(p) >= 2 and (p[-1] == "to" or p[-2] in ("map", "left", "right"))]
+        if targets:
+            path = draw(st.sampled_from(targets))
+            _at(obj, path[:-1])[path[-1]] = "nowhere"
+            return obj
+        kind = "drop"
+    path = draw(st.sampled_from(spots))
+    if kind == "drop":
+        if not path:
+            return {}
+        parent = _at(obj, path[:-1])
+        del parent[path[-1]]
+        return obj
+    value = {"number": 7, "list": draw(st.sampled_from([[], ["x"]])), "null": None,
+             "dict": draw(st.sampled_from([{}, {"x": "y"}]))}[kind]
+    if not path:
+        return value
+    _at(obj, path[:-1])[path[-1]] = value
+    return obj
+
+
+def _run(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return sqpo.cli.main(argv)
+
+
+def _check_graph(g, raw) -> None:
+    assert g == ref.graph_from_json(raw)
+    _assert_normalized(g)
+
+
+def _check_hom(hom: Homomorphism, raw) -> None:
+    assert hom.node_map == Homomorphism(hom.source, hom.target, raw).node_map
+    assert all(type(k) is str and type(v) is str for k, v in hom.node_map.items())
+
+
+def _check_rejected_graphs(graphs) -> None:
+    """Each graph value the original loader rejects, the new one rejects
+    with the same message behind a JSON path."""
+    if not isinstance(graphs, dict):
+        return
+    for raw in graphs.values():
+        try:
+            ref.graph_from_json(raw)
+        except GraphElementError as old:
+            try:
+                sqpo.graph_from_json(raw)
+            except GraphElementError as new:
+                assert new.detail == str(old) and str(new).endswith(str(old))
+            else:
+                raise AssertionError(f"loaded a graph the original loader rejects: {old}")
+
+
+def _check_hierarchy(obj) -> None:
+    if isinstance(obj, dict):
+        _check_rejected_graphs(obj.get("graphs"))
+    try:
+        h = hierarchy_from_json(obj, validate=False)
+    except SqpoError:
+        return
+    for name in h.nodes():
+        _check_graph(h.graph(name), obj["graphs"][name])
+    for typing in obj.get("typings", []):
+        _check_hom(h.typing(typing["from"], typing["to"]), typing["map"])
+
+
+def _check_rule(obj) -> None:
+    if isinstance(obj, dict):
+        _check_rejected_graphs({k: obj[k] for k in ("lhs", "interface", "rhs") if k in obj})
+    try:
+        rule = rule_from_json(obj)
+    except SqpoError:
+        return
+    for key, g in (("lhs", rule.lhs), ("interface", rule.interface), ("rhs", rule.rhs)):
+        _check_graph(g, obj[key])
+    _check_hom(rule.left_leg, obj["left"])
+    _check_hom(rule.right_leg, obj["right"])
+
+
+@settings(
+    max_examples=250,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_files_end_in_an_exit_code(tmp_path, data):
+    hier, node, rule = data.draw(st.sampled_from(CASES))
+    mutate_rule = data.draw(st.booleans())
+    h_obj = json.loads((FIXTURES / hier).read_text())
+    r_obj = json.loads((FIXTURES / rule).read_text())
+    for _ in range(data.draw(st.integers(1, 2))):
+        if mutate_rule:
+            r_obj = _mutate(data.draw, r_obj)
+        else:
+            h_obj = _mutate(data.draw, h_obj)
+    h_path, r_path = tmp_path / "fuzz.hierarchy.json", tmp_path / "fuzz.rule.json"
+    h_path.write_text(json.dumps(h_obj))
+    r_path.write_text(json.dumps(r_obj))
+    assert _run(["validate", str(h_path)]) in (0, 1, 2)
+    kind = data.draw(st.sampled_from(["restrictive", "expansive"]))
+    assert _run(["match", str(h_path), node, str(r_path), "--kind", kind]) in (0, 1, 2)
+    _check_hierarchy(copy.deepcopy(h_obj))
+    _check_rule(copy.deepcopy(r_obj))
+
+
+def test_fixture_files_load_as_their_rebuilds():
+    for path in sorted(FIXTURES.glob("*.hierarchy.json")):
+        _check_hierarchy(json.loads(path.read_text()))
+    for path in sorted(FIXTURES.glob("*.rule.json")):
+        _check_rule(json.loads(path.read_text()))
+
+
+def test_duplicate_node_entries_keep_the_last_attributes():
+    """A node listed twice takes the attributes of its last entry with an
+    `attrs` key, and an empty `attrs` there leaves it bare, as building
+    through the public constructor does."""
+    for raw in (
+        {"nodes": [{"id": "a", "attrs": {"k": ["x"]}}, {"id": "a", "attrs": {}}], "edges": []},
+        {"nodes": [{"id": "a", "attrs": {"k": ["x"]}}, {"id": "a", "attrs": {"k": []}}], "edges": []},
+        {"nodes": [{"id": "a", "attrs": {"k": ["x"]}}, {"id": "a"}], "edges": []},
+        {"nodes": [{"id": "a"}], "edges": [{"from": "a", "to": "a", "attrs": {"k": [1]}},
+                                           {"from": "a", "to": "a", "attrs": {}}]},
+    ):
+        _check_graph(sqpo.graph_from_json(raw), raw)
