@@ -11,8 +11,10 @@ bit-identical output.
 
 The constructions are driven by edges and indexes, never by pairs of nodes:
 
-* pullback costs O(|A| + |B| + joined edges), up to a sort of the nodes:
-  B nodes are bucketed by image, and A-edges and B-edges are joined on
+* pullback costs O(|B| + pairs + joined edges), up to a sort of the
+  pairs, once f's preimage lists and A's adjacency lists are built (each
+  is cached on its value): the pairs come from f's preimages of g's
+  image, and the A-edges at paired nodes are joined with the B-edges on
   their common image edge;
 * pushout and final_pbc work element by element only on the rewritten part
   of the host: pushout on A, C, f's image in B and the B-edges at it;
@@ -20,10 +22,11 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   of copies(u)·copies(v), where copies(g) is 1 for an untouched node, the
   number of K-preimages for a matched one and 0 for a deleted one. Every
   other host node and edge keeps its id and its attribute dict; they are
-  carried over by set and dict copies. Pushout finds the edges at the
+  carried over by set and dict copies. Both find the edges at the
   rewritten part in the host's cached adjacency lists (built once per
-  graph), final_pbc in one scan of the host's edges; neither sorts the
-  host. Pushout's arrow from the host records which node ids changed;
+  graph); neither sorts the host. Pushout's arrow from the host records
+  which node ids changed, and final_pbc's result the edges it built at the
+  copies;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -42,7 +45,7 @@ attribute values. They never call the construction they verify.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .exceptions import (
     CompositionError,
@@ -84,6 +87,9 @@ class PbcResult:
     apex: Graph
     embed: Homomorphism  # K ↣ apex
     project: Homomorphism  # apex → G
+    # the apex edges built at the copies of matched nodes; every other apex
+    # edge is a host edge between untouched nodes, kept as it was
+    _rebuilt: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -98,15 +104,18 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
 
     Apex nodes are the pairs (a, b) with f(a) = g(b); edges need an edge in
     both components; attributes are intersected key-wise.
+
+    The pairs come from f's cached preimage lists over g's image, in sorted
+    order, and the A-edges from A's cached adjacency lists at the paired
+    nodes, so beyond B the work is proportional to the pairs and their
+    edges, not to A.
     """
     if f.target != g.target:
         raise CompositionError("pullback: arrows do not share a target")
     a_graph, b_graph = f.source, g.source
     f_map, g_map = f.node_map, g.node_map
-    over: dict[str, list[str]] = {}
-    for b in sorted(b_graph.nodes):
-        over.setdefault(g_map[b], []).append(b)
-    pairs = [(a, b) for a in sorted(a_graph.nodes) for b in over.get(f_map[a], ())]
+    over = f._preimages()
+    pairs = sorted((a, b) for b in b_graph.nodes for a in over.get(g_map[b], ()))
     ids: dict[tuple[str, str], str] = {}
     taken: set[str] = set()
     node_attrs: dict[str, dict] = {}
@@ -117,22 +126,25 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
         attrs = attrs_intersection(a_graph.attrs_of(a), b_graph.attrs_of(b))
         if attrs:
             node_attrs[pid] = attrs
-    # join A-edges and B-edges on their common image edge in C
+    # join the A-edges out of paired nodes and the B-edges on their common
+    # image edge in C
     b_edges_over: dict[tuple, list[tuple[str, str]]] = {}
     for (b1, b2) in b_graph.edges:
         b_edges_over.setdefault((g_map.get(b1), g_map.get(b2)), []).append((b1, b2))
+    a_succ = a_graph._adjacency()[0]
     edges: set[tuple[str, str]] = set()
     edge_attrs: dict[tuple[str, str], dict] = {}
-    for (a1, a2) in a_graph.edges:
-        for (b1, b2) in b_edges_over.get((f_map.get(a1), f_map.get(a2)), ()):
-            p1, p2 = ids.get((a1, b1)), ids.get((a2, b2))
-            if p1 is not None and p2 is not None:
-                edges.add((p1, p2))
-                attrs = attrs_intersection(
-                    a_graph.attrs_of((a1, a2)), b_graph.attrs_of((b1, b2))
-                )
-                if attrs:
-                    edge_attrs[(p1, p2)] = attrs
+    for a1 in {a for a, _ in pairs}:
+        for a2 in a_succ.get(a1, ()):
+            for (b1, b2) in b_edges_over.get((f_map[a1], f_map.get(a2)), ()):
+                p1, p2 = ids.get((a1, b1)), ids.get((a2, b2))
+                if p1 is not None and p2 is not None:
+                    edges.add((p1, p2))
+                    attrs = attrs_intersection(
+                        a_graph.attrs_of((a1, a2)), b_graph.attrs_of((b1, b2))
+                    )
+                    if attrs:
+                        edge_attrs[(p1, p2)] = attrs
     apex = Graph._of(taken, edges, node_attrs, edge_attrs)
     to_a = Homomorphism._of(apex, a_graph, {ids[p]: p[0] for p in pairs})
     to_b = Homomorphism._of(apex, b_graph, {ids[p]: p[1] for p in pairs})
@@ -275,8 +287,10 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     choice keeping the square a pullback.
 
     Only the matched part is built element by element: the image of m and
-    the edges at it. Every other G node keeps its id, its attributes and its
-    edges, copied in bulk.
+    the edges at it, found in G's cached adjacency lists. Every other G node
+    keeps its id, its attributes and its edges, copied in bulk. The result
+    records the apex edges built at the copies (`_rebuilt`): they are all
+    the apex edges at a copy.
     """
     if f.target != m.source:
         raise CompositionError("final_pbc: arrows not composable")
@@ -320,12 +334,16 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
             return ((None, g),)
         return [(k, ids[(g, k)]) for k in preimages[l]]
 
-    moved_edges = [e for e in g_graph.edges if e[0] in m_inv or e[1] in m_inv]
-    edges = set(g_graph.edges.difference(moved_edges))
+    succ, pred = g_graph._adjacency()
+    moved_edges = {(g, v) for g in m_inv for v in succ.get(g, ())}
+    moved_edges.update((u, g) for g in m_inv for u in pred.get(g, ()))
+    edges = set(g_graph.edges)
+    edges.difference_update(moved_edges)
     edge_attrs = dict(g_graph.edge_attrs)
     # drop them all first: a copy's id may be another matched node's id
     for g_edge in moved_edges:
         edge_attrs.pop(g_edge, None)
+    rebuilt: list[tuple[str, str]] = []
     for g_edge in moved_edges:
         g_attrs = g_graph.attrs_of(g_edge)
         for k1, d1 in copies(g_edge[0]):
@@ -342,9 +360,10 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
                                 l_graph.attrs_of(l_edge), k_graph.attrs_of((k1, k2))
                             ),
                         )
-                edges.add((d1, d2))
+                rebuilt.append((d1, d2))
                 if attrs:
                     edge_attrs[(d1, d2)] = attrs
+    edges.update(rebuilt)
 
     apex = Graph._of(untouched.union(assigned), edges, node_attrs, edge_attrs)
     embed = Homomorphism._of(
@@ -352,7 +371,9 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     )
     project = dict(zip(untouched, untouched))
     project.update((nid, g) for (g, _), nid in ids.items())
-    return PbcResult(apex, embed, Homomorphism._of(apex, g_graph, project))
+    return PbcResult(
+        apex, embed, Homomorphism._of(apex, g_graph, project), tuple(rebuilt)
+    )
 
 
 def image_factorization(f: Homomorphism) -> ImageFactorizationResult:

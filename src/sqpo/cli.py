@@ -35,7 +35,7 @@ from .propagation import (
     RewriteReport,
     _resolve,
 )
-from .relations import apply_plan, build_canonical_plan, build_relation_plan
+from .relations import _relation_plan, apply_plan, build_canonical_plan, build_relation_plan
 from .rules import EXPANSIVE, RESTRICTIVE, Rule, _iter_matches, find_matches, rule_from_json
 
 
@@ -122,7 +122,7 @@ def _write_atomically(outputs: list[tuple[str, str]]) -> None:
 
 def cmd_validate(args) -> int:
     h = _load_hierarchy(args.hierarchy, validate=False)
-    violations = h.validate()
+    violations = h._validate(graphs=False)  # the loader has checked every graph
     for v in violations:
         print(v)
     return 1 if violations else 0
@@ -194,7 +194,8 @@ def _check_relations(relations, what: str) -> None:
 
 def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan:
     """Build a plan from the plan-file schema: explicit factorizations win,
-    relations (or the canonical default) fill the remaining nodes."""
+    relations (or the canonical default) fill the remaining nodes, and
+    nothing is derived for a node the file gives."""
     if not isinstance(obj, dict):
         raise _InputError("plan file must hold a JSON object")
     if obj.get("origin") not in (None, origin):
@@ -204,13 +205,14 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
     explicit = obj.get("factorizations", {})
     if not isinstance(explicit, dict):
         raise _InputError("plan factorizations must map node names to factorizations")
-    plan = build_relation_plan(
+    plan = _relation_plan(
         h,
         origin,
         rule_arrow,
         match,
         direction,
         {k: v for k, v in relations.items() if k not in explicit},
+        explicit,
     )
     res = _resolve(h, plan)
     where: tuple = ()

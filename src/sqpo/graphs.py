@@ -30,6 +30,7 @@ AttrValue = Union[str, int, bool]
 Attrs = dict[str, frozenset]
 EdgeId = tuple[str, str]
 _EMPTY: frozenset = frozenset()
+_NO_ATTRS: Attrs = {}  # never modified
 
 
 def value_sort_key(value: AttrValue) -> tuple:
@@ -527,18 +528,24 @@ def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | N
         na, ea = source.node_attrs, source.edge_attrs
         node_attrs = [(n, na[n]) for n in nodes if n in na]
         edge_attrs = [(e, ea[e]) for e in edges if e in ea]
+    # equal attributes are contained: the common case costs one comparison
     image_attrs = target.node_attrs.get
     bad = [
         n
         for n, attrs in node_attrs
-        if n in source.nodes and not _attrs_within(attrs, image_attrs(node_map[n], {}))
+        if n in source.nodes
+        and attrs != (image := image_attrs(node_map[n], _NO_ATTRS))
+        and not _attrs_within(attrs, image)
     ]
     if bad:
         return f"attributes of node {min(bad)} not contained in its image"
+    image_attrs = target.edge_attrs.get
     bad = [
         e
         for e, attrs in edge_attrs
-        if e in source.edges and not _attrs_within(attrs, target.attrs_of(h.edge_image(e)))
+        if e in source.edges
+        and attrs != (image := image_attrs(h.edge_image(e), _NO_ATTRS))
+        and not _attrs_within(attrs, image)
     ]
     if bad:
         e = min(bad)
@@ -813,7 +820,8 @@ def _node_map_from_json(raw: Mapping, what: str) -> dict[str, str]:
 def graph_from_json(obj: Mapping) -> Graph:
     """Load a graph. A malformed node, edge or attribute value raises
     GraphElementError naming its JSON path (`nodes[3]: ...`); an edge off
-    the listed nodes raises it listing every such violation."""
+    the listed nodes raises it listing every such violation, at the path of
+    the first entry of the first such edge in sorted order (`edges[4]`)."""
     where: tuple = ()
     try:
         nodes = []
@@ -850,8 +858,11 @@ def graph_from_json(obj: Mapping) -> Graph:
         raise _relocated(GraphElementError, where, exc, "graph") from exc
     g = Graph._of(nodes, edges, node_attrs, edge_attrs)
     problems = g.validate()
-    if problems:
-        raise _located(GraphElementError, (), "invalid graph: " + "; ".join(problems))
+    if problems:  # only dangling edges: attributes sit on listed elements
+        first = min(e for e in edges if not (e[0] in g.nodes and e[1] in g.nodes))
+        raise _located(
+            GraphElementError, ("edges", edges.index(first)), "invalid graph: " + "; ".join(problems)
+        )
     return g
 
 

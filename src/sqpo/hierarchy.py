@@ -461,8 +461,13 @@ class Hierarchy:
 
     def validate(self) -> list[str]:
         """Full structural validation, as messages (commutativity included)."""
+        return self._validate(graphs=True)
+
+    def _validate(self, graphs: bool) -> list[str]:
+        """`validate`, with the graph invariants checked only if `graphs`:
+        graphs a loader has checked already have no violation to report."""
         problems = []
-        for name in self.nodes():
+        for name in self.nodes() if graphs else ():
             for p in self._objects[name].validate():
                 problems.append(f"graph {name}: {p}")
         for (a, b) in self.edges():
@@ -628,8 +633,8 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
     except (KeyError, TypeError, AttributeError) as exc:
         raise _relocated(HierarchyError, where, exc, "hierarchy") from exc
     h = Hierarchy(objects, arrows, skeleton, assignment)
-    if validate:
-        problems = h.validate()
+    if validate:  # `graph_from_json` has checked every graph
+        problems = h._validate(graphs=False)
         if problems:
             raise HierarchyError("invalid hierarchy: " + "; ".join(problems))
     return h

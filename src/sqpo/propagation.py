@@ -373,6 +373,8 @@ class LiftResult:
     trace: Homomorphism  # g⁻: G⁻ → G
     instance: Homomorphism  # m̂⁻: L_G⁻ ↣ G⁻
     typing: Homomorphism | None  # h⁻: G⁻ → T⁻ when the T⁻ square is supplied
+    # the edges of G⁻ at the lifted copies (see `PbcResult`)
+    _rebuilt: tuple = field(default=(), repr=False, compare=False)
 
 
 def lift_rule(
@@ -421,6 +423,7 @@ def lift_rule(
         trace=pbc.project,
         instance=pbc.embed,
         typing=typing,
+        _rebuilt=pbc._rebuilt,
     )
 
 
@@ -829,7 +832,39 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
 
 def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """Propagate a restrictive rewrite from the origin through everything
-    typed by it, sources first, keeping the hierarchy valid throughout."""
+    typed by it, sources first, keeping the hierarchy valid after every
+    object.
+
+    Each step does per-element work only at its delta. Object i is
+    rewritten by a final pullback complement over its matched part (the
+    image of its restriction, or of the match at the origin). It keeps
+    every other node with its id, attributes and edges; its trace is the
+    identity there, and it records the edges it built at the copies. The
+    delta is the set of copies, the images of the lifted pattern. Every
+    typing at i is rebuilt as a patch of the arrow it replaces:
+
+    * k -> i (k was updated earlier, so the arrow is old(k, i) after k's
+      trace) is re-set at k's copies, each to the instance of the image of
+      its lifted pattern node. An untouched node of k whose image lies in
+      i's matched part has no image left; the step raises KeyError naming
+      that image, as a lookup among i's untouched nodes would (a valid plan
+      has none: such a node lies in k's restriction). The arrow is checked
+      only at the copies and at the edges of k built at them, and its
+      square with the traces only at the copies. That check is sound: an
+      untouched node x of k keeps its id, attributes and edges, and its
+      image old(x), outside i's matched part, keeps its own; so every edge
+      between untouched nodes keeps its image edge, and the square holds
+      at x since trace_i is the identity at old(x). A failure raises the
+      message of the full check, since every violation lies in what is
+      checked.
+    * i -> j is re-set at i's matched nodes (which leave i) and at its
+      copies, each copy c taking the image of trace_i(c); elsewhere trace_i
+      is the identity, so the patch is the composite of the old arrow and
+      trace_i.
+
+    The patches record their keys, so each step's commutativity check
+    compares only where they changed (see `hierarchy`).
+    """
     res = _checked_resolution(h, plan, BACKWARD)
     origin = plan.origin
     waves = _waves(res.sub, sinks_first=False)
@@ -840,36 +875,18 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     lifts: dict[str, LiftResult] = {}
     updated: dict[tuple[str, str], Homomorphism] = {}
     steps: list[tuple[str, list[str]]] = []
-    bot_lookup: dict[str, dict[str, str]] = {}
     lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
-
-    def lifted_connector(k: str, i: str, p_minus: str) -> str:
-        """Image of an L_G_k⁻ node in L_G_i⁻ (or in L⁻ when i is the origin)."""
-        lk = lifts[k]
-        if i == origin:
-            return lk.to_rhs[p_minus]
-        pattern_pair = res.pattern_conns[(k, i)][lk.lift[p_minus]]
-        return lifted_pairs[i][(pattern_pair, lk.to_rhs[p_minus])]
-
     for wave in waves:
         for i in wave:
             if i == origin:
                 pbc = final_pbc(plan.rule, plan.match)
-                new_graph = pbc.apex
+                new_graph, matched = pbc.apex, plan.match
                 traces[i] = pbc.project
                 instances[i] = pbc.embed
-                lifts[i] = LiftResult(
-                    pattern=plan.rule.source,
-                    lift=identity(plan.rule.source),
-                    to_rhs=identity(plan.rule.source),
-                    graph=pbc.apex,
-                    trace=pbc.project,
-                    instance=pbc.embed,
-                    typing=None,
-                )
             else:
                 fx = plan.factorizations[i]
-                lift = lift_rule(fx.retyping, fx.pre_arrow, res.restrictions[i].instance)
+                matched = res.restrictions[i].instance
+                lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
                 new_graph = lift.graph
                 traces[i] = lift.trace
                 instances[i] = lift.instance
@@ -877,34 +894,48 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
                 lifted_pairs[i] = {
                     (lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes
                 }
-            embedded = {instances[i][p] for p in instances[i].source.nodes}
-            trace_map = traces[i].node_map
-            bot_lookup[i] = {
-                trace_map[x]: x for x in new_graph.nodes if x not in embedded
-            }
+            ti, ii = traces[i].node_map, instances[i].node_map
+            matched_i = {matched[p] for p in matched.source.nodes}
+            copies_i = [ii[p] for p in instances[i].source.nodes]
             patch: dict[tuple[str, str], Homomorphism] = {}
             for k in current.predecessors(i):
-                old = h.typing(k, i)
-                lk = lifts[k]
-                emb_inv_k = {lk.instance[p]: p for p in lk.pattern.nodes}
-                bot, om, tk = bot_lookup[i], old.node_map, traces[k].node_map
-                mapping = {}
-                for x in lk.graph.nodes:
-                    if x in emb_inv_k:
-                        mapping[x] = instances[i][lifted_connector(k, i, emb_inv_k[x])]
-                    else:
-                        mapping[x] = bot[om[tk[x]]]
-                arrow = Homomorphism._of(lk.graph, new_graph, mapping)
-                arrow.validate()
-                if not hom_equal(
-                    compose(traces[i], arrow), compose(old, traces[k])
-                ):
+                arrow = current.typing(k, i)  # old(k, i) after trace_k
+                old, lk = h.typing(k, i), lifts[k]
+                om, tk = old.node_map, traces[k].node_map
+                # the image in L_G_i⁻ (in L⁻ at the origin) of each node of
+                # L_G_k⁻, through the pattern connector
+                to_rhs = lk.to_rhs.node_map
+                if i == origin:
+                    image = to_rhs
+                else:
+                    conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
+                    pairs = lifted_pairs[i]
+                    image = {q: pairs[(conn[lift_k[q]], to_rhs[q])] for q in lk.pattern.nodes}
+                inst = lk.instance.node_map
+                mapping = {inst[q]: ii[image[q]] for q in lk.pattern.nodes}
+                preimages = old._preimages()
+                stray = [
+                    x for y in matched_i for x in preimages.get(y, ())
+                    if x in tk and x not in mapping
+                ]
+                if stray:  # an untouched node of k over a node that left i
+                    raise KeyError(arrow[min(stray)])
+                arrow = Homomorphism._patched(arrow, lk.graph, new_graph, mapping, mapping)
+                problem = _violation_at(arrow, mapping, lk._rebuilt, mapping)
+                if problem is not None:
+                    raise InvalidHomomorphism(problem)
+                if any(ti[y] != om[tk[x]] for x, y in mapping.items()):
                     raise RewritingError(
                         f"typing {k}->{i}: reconstructed arrow does not commute"
                     )
                 patch[(k, i)] = arrow
+            keys = matched_i.union(copies_i)
             for j in current.successors(i):
-                patch[(i, j)] = compose(current.typing(i, j), traces[i])
+                arrow = current.typing(i, j)
+                am = arrow.node_map
+                patch[(i, j)] = Homomorphism._patched(
+                    arrow, new_graph, arrow.target, {c: am[ti[c]] for c in copies_i}, keys
+                )
             current = current.replace(objects={i: new_graph}, arrows=patch)
             updated.update(patch)
             steps.append((i, [str(v) for v in current.validate_commutativity()]))

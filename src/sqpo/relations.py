@@ -17,6 +17,8 @@ are applied as separate rule applications at the origin's direct neighbours.
 
 from __future__ import annotations
 
+from collections.abc import Container
+
 from .edits import MergeNodes
 from .exceptions import RewritingError
 from .graphs import (
@@ -301,6 +303,20 @@ def build_relation_plan(
 ) -> PropagationPlan:
     """Plan whose factorizations are derived from per-node relations;
     nodes without a relation entry propagate canonically."""
+    return _relation_plan(h, origin, rule, match, direction, relations, ())
+
+
+def _relation_plan(
+    h: Hierarchy,
+    origin: str,
+    rule: Homomorphism,
+    match: Homomorphism,
+    direction: str,
+    relations: dict[str, dict[str, str]],
+    given: Container[str],
+) -> PropagationPlan:
+    """`build_relation_plan`, deriving nothing for the nodes in `given`:
+    the caller supplies their factorizations."""
     plan = PropagationPlan(
         origin=origin, rule=rule, match=match, direction=direction
     )
@@ -314,6 +330,8 @@ def build_relation_plan(
     if origin in relations:
         raise RewritingError("the origin object cannot carry a relation")
     for name in res.typings:
+        if name in given:
+            continue
         relation = relations.get(name, {})
         if direction == FORWARD:
             fact, cleanup = derive_forward_factorization(

@@ -310,11 +310,14 @@ def random_forward_plan(
 
 
 def random_backward_plan(
-    rng: random.Random, h: Hierarchy, origin: str
+    rng: random.Random, h: Hierarchy, origin: str, partial: bool = False
 ) -> PropagationPlan:
     """A consistent backward plan at origin: a rule cloning one matched node
     and possibly deleting another, refined strictly (with one global copy
-    choice) or canonically."""
+    choice) or canonically. With `partial`, the origin's direct
+    predecessors instead relate a proper subset of the clone's instances to
+    drawn copies, which derives clean-up deletions there (such a plan may
+    fail the composability check)."""
     g0 = h.graph(origin)
     match = random_mono_into(rng, g0)
     lhs = match.source
@@ -357,7 +360,14 @@ def random_backward_plan(
     rule = Homomorphism(source, lhs, mapping)
 
     relations: dict[str, dict[str, str]] = {}
-    if clone and rng.random() < 0.5:
+    if partial and clone:
+        for name in h.predecessors(origin):
+            typing = h.composed_typing(name, origin)
+            instances = [n for n in sorted(h.graph(name).nodes) if typing[n] == match[clone]]
+            related = rng.sample(instances, max(len(instances) - 1, 0))
+            if related:
+                relations[name] = {n: rng.choice([f"{clone}_c1", f"{clone}_c2"]) for n in related}
+    elif clone and rng.random() < 0.5:
         copy = f"{clone}_c1"  # one global choice
         sub = h.backward_subgraph(origin)
         for name in sub.nodes():

@@ -9,7 +9,9 @@ connector derivations that drove it) and `find_isomorphism`. Also the
 original canonical writer (the stdlib's `indent=2` encoder) and the
 original graph loader, which normalized every node and edge a second time
 through the public `Graph` constructor and named no JSON path in its
-messages.
+messages. And the original backward propagation step, which rebuilt every
+typing at an updated object over all of its source, validated it in full
+and compared its square with two full composites.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 
 from sqpo.category import PbcResult, PullbackResult, PushoutResult
+from sqpo.category import final_pbc as library_final_pbc
 from sqpo.exceptions import (
     CompositionError,
     GraphElementError,
@@ -45,7 +48,16 @@ from sqpo.graphs import (
     json_shape_message,
 )
 from sqpo.hierarchy import CommutativityViolation
-from sqpo.propagation import BackwardFactorization, ForwardFactorization
+from sqpo.propagation import (
+    BACKWARD,
+    BackwardFactorization,
+    ForwardFactorization,
+    LiftResult,
+    RewriteReport,
+    _checked_resolution,
+    _waves,
+    lift_rule,
+)
 from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule
 
 
@@ -631,3 +643,101 @@ def graph_from_json(obj) -> Graph:
     if problems:
         raise GraphElementError("invalid graph: " + "; ".join(problems))
     return g
+
+
+# -- the backward propagation step ---------------------------------------------
+
+
+def propagate_backward(h, plan) -> RewriteReport:
+    """The original `propagate_backward`: each arrow k -> i into an updated
+    object is rebuilt over every node of k, from the lifted instances and
+    from the "bot" map of i's untouched nodes, validated in full and
+    compared with `hom_equal` after two full composites; each arrow i -> j
+    out of it is the full composite of the old arrow and i's trace."""
+    res = _checked_resolution(h, plan, BACKWARD)
+    origin = plan.origin
+    waves = _waves(res.sub, sinks_first=False)
+
+    current = h
+    traces: dict[str, Homomorphism] = {}
+    instances: dict[str, Homomorphism] = {}
+    lifts: dict[str, LiftResult] = {}
+    updated: dict[tuple[str, str], Homomorphism] = {}
+    steps: list[tuple[str, list[str]]] = []
+    bot_lookup: dict[str, dict[str, str]] = {}
+    lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
+
+    def lifted_connector(k: str, i: str, p_minus: str) -> str:
+        lk = lifts[k]
+        if i == origin:
+            return lk.to_rhs[p_minus]
+        pattern_pair = res.pattern_conns[(k, i)][lk.lift[p_minus]]
+        return lifted_pairs[i][(pattern_pair, lk.to_rhs[p_minus])]
+
+    for wave in waves:
+        for i in wave:
+            if i == origin:
+                pbc = library_final_pbc(plan.rule, plan.match)
+                new_graph = pbc.apex
+                traces[i] = pbc.project
+                instances[i] = pbc.embed
+                lifts[i] = LiftResult(
+                    pattern=plan.rule.source,
+                    lift=identity(plan.rule.source),
+                    to_rhs=identity(plan.rule.source),
+                    graph=pbc.apex,
+                    trace=pbc.project,
+                    instance=pbc.embed,
+                    typing=None,
+                )
+            else:
+                fx = plan.factorizations[i]
+                lift = lift_rule(fx.retyping, fx.pre_arrow, res.restrictions[i].instance)
+                new_graph = lift.graph
+                traces[i] = lift.trace
+                instances[i] = lift.instance
+                lifts[i] = lift
+                lifted_pairs[i] = {
+                    (lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes
+                }
+            embedded = {instances[i][p] for p in instances[i].source.nodes}
+            trace_map = traces[i].node_map
+            bot_lookup[i] = {
+                trace_map[x]: x for x in new_graph.nodes if x not in embedded
+            }
+            patch: dict[tuple[str, str], Homomorphism] = {}
+            for k in current.predecessors(i):
+                old = h.typing(k, i)
+                lk = lifts[k]
+                emb_inv_k = {lk.instance[p]: p for p in lk.pattern.nodes}
+                bot, om, tk = bot_lookup[i], old.node_map, traces[k].node_map
+                mapping = {}
+                for x in lk.graph.nodes:
+                    if x in emb_inv_k:
+                        mapping[x] = instances[i][lifted_connector(k, i, emb_inv_k[x])]
+                    else:
+                        mapping[x] = bot[om[tk[x]]]
+                arrow = Homomorphism._of(lk.graph, new_graph, mapping)
+                arrow.validate()
+                if not hom_equal(
+                    compose(traces[i], arrow), compose(old, traces[k])
+                ):
+                    raise RewritingError(
+                        f"typing {k}->{i}: reconstructed arrow does not commute"
+                    )
+                patch[(k, i)] = arrow
+            for j in current.successors(i):
+                patch[(i, j)] = compose(current.typing(i, j), traces[i])
+            current = current.replace(objects={i: new_graph}, arrows=patch)
+            updated.update(patch)
+            steps.append((i, [str(v) for v in current.validate_commutativity()]))
+    return RewriteReport(
+        hierarchy=current,
+        origin=origin,
+        direction=BACKWARD,
+        waves=waves,
+        traces=traces,
+        instances=instances,
+        updated_typings=updated,
+        steps=steps,
+    )

@@ -565,13 +565,25 @@ def _fixture_with(name, damage):
             _fixture_with("strict_plan.rule.json", lambda r: r["rhs"]["nodes"][0].update(attrs={"k": "x"})),
             "rhs.nodes[0].attrs.k: attribute k: expected a list of values",
         ),
+        (
+            "hierarchy",
+            _fixture_with("strict_plan.hierarchy.json", lambda h: h["graphs"]["T"]["edges"].extend(
+                {"from": u, "to": v} for u, v in (("t2", "zz"), ("t1", "t1"), ("t1", "zz"))
+            )),
+            "graphs.T.edges[2]: graph T: invalid graph: dangling edge (t1,zz): missing target "
+            "node zz; dangling edge (t2,zz): missing target node zz",
+        ),
     ],
-    ids=["graph-attribute-value", "hierarchy-node-id", "hierarchy-typing-entry", "rule-attribute"],
+    ids=[
+        "graph-attribute-value", "hierarchy-node-id", "hierarchy-typing-entry", "rule-attribute",
+        "hierarchy-dangling-edge",
+    ],
 )
 def test_loader_messages_name_the_json_path(tmp_path, kind, obj, message):
     """Each loader names the JSON path of a malformed value before the
     message it gave without one; the graph loader is reached through a
-    plan factorization's `mid`."""
+    plan factorization's `mid`. Dangling edges are named at the first
+    entry of the first of them in sorted order."""
     files = {k: FIXTURES / f"strict_plan.{k}.json" for k in ("hierarchy", "rule", "plan")}
     path = files[kind] = tmp_path / f"bad.{kind}.json"
     path.write_text(json.dumps(obj))

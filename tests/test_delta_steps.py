@@ -1,10 +1,13 @@
-"""Differential and retention tests of the delta forward steps.
+"""Differential and retention tests of the delta propagation steps.
 
-`propagate_forward` rebuilds each typing as a patch of the arrow it
-replaces and checks it only at the step's delta (see its docstring). These
-tests run random forward plans and require:
+`propagate_forward` and `propagate_backward` rebuild each typing as a patch
+of the arrow it replaces and check it only at the step's delta (see their
+docstrings). These tests run random forward and backward plans (backward
+ones with derived clean-up deletions too) and require:
 
-* every rebuilt typing to equal the one the old full rebuild produced;
+* every rebuilt typing to equal the one the old full rebuild produced (for
+  backward steps, the whole report of the old step, kept in
+  reference_kernels.py, with the same exception where it raises);
 * the delta check to answer exactly as the full `homomorphism_violation`
   does, on the rebuilt typing and on copies corrupted at delta nodes, with
   the same message when it fails;
@@ -20,10 +23,16 @@ import sys
 import threading
 import weakref
 
+import pytest
+
+import reference_kernels as ref
 import sqpo.propagation
+import sqpo.relations
 from sqpo import (
+    BACKWARD,
     EXPANSIVE,
     FORWARD,
+    SqpoError,
     AddEdge,
     AddNode,
     MergeNodes,
@@ -36,11 +45,12 @@ from sqpo import (
     build_rule,
     find_matches,
     hierarchy_to_json,
+    propagate_backward,
     propagate_forward,
 )
 from sqpo.graphs import homomorphism_violation
 
-from generators import random_forward_plan, random_hierarchy
+from generators import random_backward_plan, random_forward_plan, random_hierarchy
 
 
 def test_rebuilt_typings_equal_the_full_rebuild():
@@ -78,10 +88,11 @@ KINDS = (
 )
 
 
-def test_delta_check_answers_as_the_full_check(monkeypatch):
-    """Each delta check is repeated by the full check, and so is the check
-    of copies with one delta node sent elsewhere (to each target node, to a
-    missing node, or nowhere); every kind of violation occurs."""
+def _checking_delta_checks(monkeypatch):
+    """Patch propagation's delta check to repeat each call with the full
+    check, and with copies of the arrow that send one delta node elsewhere
+    (to each target node, to a missing node, or nowhere). Returns the
+    outcomes seen and the kinds of violation met."""
     original = sqpo.propagation._violation_at
     outcomes = {"pass": 0, "fail": 0}
     kinds = set()
@@ -107,6 +118,14 @@ def test_delta_check_answers_as_the_full_check(monkeypatch):
         return got
 
     monkeypatch.setattr(sqpo.propagation, "_violation_at", checked)
+    return outcomes, kinds
+
+
+def test_delta_check_answers_as_the_full_check(monkeypatch):
+    """Each delta check of a forward step is repeated by the full check,
+    and so is the check of corrupted copies; every kind of violation
+    occurs."""
+    outcomes, kinds = _checking_delta_checks(monkeypatch)
     rng = random.Random(31)
     for _ in range(60):
         h = random_hierarchy(rng, max_objects=6, max_edges=10)
@@ -126,6 +145,128 @@ def test_delta_check_answers_as_the_full_check(monkeypatch):
     assert not propagate_forward(h, plan).steps[-1][1]
     assert outcomes["pass"] and outcomes["fail"], outcomes
     assert kinds == set(KINDS), kinds
+
+
+def _apply(h, plan, step):
+    """apply_plan with `step` as its backward step: the reports, or the
+    type and message of what it raised."""
+    original = sqpo.relations.propagate_backward
+    sqpo.relations.propagate_backward = step
+    try:
+        return apply_plan(h, plan)
+    except (SqpoError, KeyError, TypeError) as exc:
+        return type(exc), str(exc)
+    finally:
+        sqpo.relations.propagate_backward = original
+
+
+def _summary(report):
+    maps = {
+        "traces": report.traces,
+        "instances": report.instances,
+        "typings": report.updated_typings,
+    }
+    return (
+        report.origin,
+        report.waves,
+        report.steps,
+        {
+            kind: {
+                key: (arrow.source, arrow.target, arrow.node_map)
+                for key, arrow in arrows.items()
+            }
+            for kind, arrows in maps.items()
+        },
+        hierarchy_to_json(report.hierarchy),
+    )
+
+
+def test_backward_typings_equal_the_full_rebuild():
+    """Random backward plans, canonical, strict and with derived clean-up
+    deletions (each applied by `propagate_backward` too), give the reports
+    of the old step that rebuilt, validated and compared every typing in
+    full: the same waves, steps, traces, instances, typings and
+    hierarchies, or the same exception."""
+    rng = random.Random(909)
+    compared = cleanups = 0
+    for trial in range(100):
+        h = random_hierarchy(rng, max_objects=6, max_edges=10)
+        origin = rng.choice(h.nodes())
+        try:
+            plan = random_backward_plan(rng, h, origin, partial=trial % 2 == 1)
+        except SqpoError:
+            continue
+        got = _apply(h, plan, propagate_backward)
+        plan._resolution = None
+        want = _apply(h, plan, ref.propagate_backward)
+        if isinstance(want, tuple):
+            assert got == want
+            continue
+        assert [_summary(r) for r in got] == [_summary(r) for r in want]
+        for report in got:
+            assert all(not v for _, v in report.steps)
+            for arrow in report.updated_typings.values():
+                assert homomorphism_violation(arrow) is None
+        compared += sum(len(r.updated_typings) for r in got)
+        cleanups += len(got) - 1
+    assert compared > 150 and cleanups > 10, (compared, cleanups)
+
+
+def test_backward_delta_check_answers_as_the_full_check(monkeypatch):
+    """Each delta check of a backward step is repeated by the full check,
+    and so is the check of copies corrupted at a delta node: the same
+    answer and message, over every kind of violation."""
+    outcomes, kinds = _checking_delta_checks(monkeypatch)
+    rng = random.Random(37)
+    for trial in range(60):
+        h = random_hierarchy(rng, max_objects=6, max_edges=10)
+        origin = rng.choice(h.nodes())
+        try:
+            plan = random_backward_plan(rng, h, origin, partial=trial % 3 == 2)
+            reports = apply_plan(h, plan)
+        except SqpoError:
+            continue
+        assert all(not v for rep in reports for _, v in rep.steps)
+    assert outcomes["pass"] and outcomes["fail"], outcomes
+    assert kinds == set(KINDS), kinds
+
+
+def test_backward_step_raises_where_the_old_step_raised(monkeypatch):
+    """With the entry checks skipped and G's restriction cut down to b, the
+    step at M meets an untouched node a of G over ma, which the rule
+    deleted from M. The old step's lookup of ma among M's untouched nodes
+    raised KeyError naming it, and the patched step raises the same, in the
+    step itself."""
+    g = Graph(["a", "b"], [("a", "b")])
+    m = Graph(["ma", "mb"], [("ma", "mb")])
+    t = Graph(["t"], [("t", "t")])
+    h = Hierarchy().add_object("G", g).add_object("M", m).add_object("T", t)
+    h = h.add_typing("M", "T", Homomorphism(m, t, {"ma": "t", "mb": "t"}))
+    h = h.add_typing("G", "M", Homomorphism(g, m, {"a": "ma", "b": "mb"}))
+    h = h.add_typing("G", "T", Homomorphism(g, t, {"a": "t", "b": "t"}))
+    lhs = Graph(["x"])
+    rule = Homomorphism(Graph(), lhs, {})
+    match = Homomorphism(lhs, t, {"x": "t"})
+
+    def unchecked(h, plan, direction):
+        return sqpo.propagation._resolve(h, plan)
+
+    monkeypatch.setattr(sqpo.propagation, "_checked_resolution", unchecked)
+    monkeypatch.setattr(ref, "_checked_resolution", unchecked)
+    raised = []
+    for step in (propagate_backward, ref.propagate_backward):
+        plan = build_relation_plan(h, "T", rule, match, BACKWARD, {})
+        res = sqpo.propagation._resolve(h, plan)
+        keep = Graph(["p"])
+        rp = sqpo.propagation.RestrictionResult(
+            keep, Homomorphism(keep, g, {"p": "b"}), Homomorphism(keep, lhs, {"p": "x"})
+        )
+        res.restrictions["G"] = rp
+        plan.factorizations["G"] = sqpo.relations._derive_backward(rule, rp, {})[0]
+        with pytest.raises(KeyError) as exc:
+            step(h, plan)
+        raised.append((exc.value.args, exc.traceback[-1].name))
+    assert raised == [(("ma",), "propagate_backward")] * 2
 
 
 def _typed_chain() -> Hierarchy:

@@ -8,10 +8,12 @@ that, so a host running twice as slow stays far inside them. The pair-loop
 kernels kept in reference_kernels.py take 3.6-12.7 s on the same host, so a
 reintroduced loop over all pairs of nodes fails these tests.
 
-The delta guard counts the work of three one-node forward rewrites into a
-5000-node object: composed and compared map entries, scanned elements and
-host index entries stay within a budget set by the rule, whatever the size
-of the object (the previous steps did 24,000 to 255,195 of each).
+The delta guards count the work of three one-node forward rewrites into a
+5000-node object, and of a backward clone and delete of a type with six
+instances there: composed and compared map entries, scanned elements and
+host index entries stay within a budget set by the rule and its instances,
+whatever the size of the object (the previous steps did 24,000 to 255,195
+of each forward and 36,402 to 90,154 backward).
 
 Two guards count work instead of timing it: a one-node add pushed out into
 that graph and a one-node clone by final_pbc must not re-normalize any
@@ -35,6 +37,11 @@ for a backward clone (9 and 6 when each consumer made its own), 2 composed
 typings for a forward add (4 before), and 3 restrictions for `sqpo
 rewrite --plan` with an explicit backward factorization (10 before).
 
+The CLI guards count calls too: `sqpo validate` on a file of 2 graphs
+checks each graph once (4 `Graph.validate` calls before), and `sqpo
+rewrite --plan` derives no factorization for a node the plan file gives (1
+`derive_forward_factorization` call before, for strict_plan's T).
+
 The JSON guards count calls too. `sqpo rewrite` and `sqpo validate` on an
 attributed G -> M -> T plus G -> T hierarchy of 1000 data nodes must never
 reach `json.encoder._make_iterencode`, the stdlib's pure-Python encoder
@@ -49,6 +56,7 @@ import json.encoder
 import random
 import time
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -67,6 +75,7 @@ from sqpo import (
     AddEdge,
     AddNode,
     CloneNode,
+    DeleteNode,
     Graph,
     Hierarchy,
     Homomorphism,
@@ -370,6 +379,52 @@ def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
     assert all(value <= DELTA_BUDGET for value in counts.values()), counts
 
 
+RARE = 6
+BACKWARD_BUDGET = 500
+
+
+@pytest.fixture(scope="module")
+def rare_type():
+    """G -> M -> T plus G -> T with the 5000-node G of `typed_data`, whose
+    type t3 has only RARE instances: g0 to g5 are typed by m11, which alone
+    lies over t3, and every other node i of G by m(i mod 11), over t(i mod
+    11 mod 3)."""
+    base = _typed_hierarchy(DATA_NODES, EDGES)
+    g, m, t = base.graph("G"), base.graph("M"), base.graph("T")
+    g_m = {f"g{i}": "m11" if i < RARE else f"m{i % 11}" for i in range(DATA_NODES)}
+    m_t = {f"m{j}": "t3" if j == 11 else f"t{j % 3}" for j in range(12)}
+    h = Hierarchy().add_object("G", g).add_object("M", m).add_object("T", t)
+    h = h.add_typing("M", "T", Homomorphism(m, t, m_t))
+    h = h.add_typing("G", "M", Homomorphism(g, m, g_m))
+    return h.add_typing("G", "T", Homomorphism(g, t, {n: m_t[g_m[n]] for n in g.nodes}))
+
+
+def test_backward_steps_work_at_the_delta_only(rare_type, monkeypatch):
+    """A canonical clone and a delete of t3, which has RARE instances in the
+    5000-node G, each from the same base. Typings are rebuilt as patches
+    and checked at the delta, and the commutativity memo compares only
+    patched keys, so the sums of source nodes composed and compared and of
+    elements scanned by validity checks stay within a budget set by the
+    instances of t3 and the edges at them (and at m11 in the 12-node M),
+    whatever the size of G.
+
+    Here the sums are 82 (compose), 56 (hom_equal) and 198 (validity
+    checks). The previous steps, which rebuilt, validated and compared
+    every typing over all of its source, gave 90,154, 50,080 and 36,402."""
+    h = rare_type
+    counts = _count_delta_work(monkeypatch)
+    for edits, nodes in (([CloneNode("x", "x1", "x2")], DATA_NODES + RARE),
+                         ([DeleteNode("x")], DATA_NODES - RARE)):
+        rule = build_rule(Graph(["x"]), edits)
+        (match,) = find_matches(rule, h.graph("T"), RESTRICTIVE, {"x": "t3"})
+        plan = build_canonical_plan(h, "T", rule.left_leg, match.instance, BACKWARD)
+        reports = apply_plan(h, plan)
+        assert all(not v for report in reports for _, v in report.steps)
+        assert len(reports[-1].hierarchy.graph("G").nodes) == nodes
+    sums = {key: counts[key] for key in ("compose", "hom_equal", "violation")}
+    assert all(value <= BACKWARD_BUDGET for value in sums.values()), sums
+
+
 def _count_plan_resolution(monkeypatch):
     """Count `restriction_pullback` calls, patched in every sqpo module that
     holds the function, and `Hierarchy.composed_typing` calls."""
@@ -453,6 +508,48 @@ def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
     ])
     assert code == 0
     assert counts["restriction_pullback"] == 3
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def test_cli_validate_checks_each_graph_once(monkeypatch):
+    """`sqpo validate` on a file of 2 graphs runs `Graph.validate` twice:
+    the loader checks each graph, and the hierarchy check does not check
+    them again (it did, making 4 calls)."""
+    calls = []
+    original = Graph.validate
+
+    def counting(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(Graph, "validate", counting)
+    with redirect_stdout(io.StringIO()):
+        assert sqpo.cli.main(["validate", str(FIXTURES / "merge_add.hierarchy.json")]) == 0
+    assert len(calls) == 2
+
+
+def test_cli_plan_file_derives_nothing_for_its_nodes(tmp_path, monkeypatch):
+    """`sqpo rewrite --plan` with an explicit factorization at T, the one
+    affected node besides the origin, derives no forward factorization (it
+    derived one for T and threw it away)."""
+    calls = []
+    original = sqpo.relations.derive_forward_factorization
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sqpo.relations, "derive_forward_factorization", counting)
+    with redirect_stdout(io.StringIO()):
+        assert sqpo.cli.main([
+            "rewrite", str(FIXTURES / "strict_plan.hierarchy.json"), "G",
+            str(FIXTURES / "strict_plan.rule.json"), "0", "--direction", "fwd",
+            "--plan", str(FIXTURES / "strict_plan.plan.json"),
+            "-o", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json"),
+        ]) == 0
+    assert calls == []
 
 
 def _attributed_hierarchy_json(n_nodes: int) -> dict:

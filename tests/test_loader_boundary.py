@@ -8,7 +8,8 @@ dropped key; a value swapped for a number, list, null or dict; a duplicate
 attribute value; a dangling edge; an unknown typing target) and requires:
 
 - `sqpo validate` and `sqpo match`, run in-process on the mutated file,
-  return 0, 1 or 2 and never raise;
+  return 0, 1 or 2 and never raise, and so does `sqpo rewrite --plan` on
+  a mutated fixture plan file;
 - every graph that loads equals the original loader's result (the public
   `Graph` constructor over the same JSON) and is normalized, and every
   typing or leg equals its rebuild by the public `Homomorphism`
@@ -40,6 +41,10 @@ CASES = [
     ("broken_diamond.hierarchy.json", "a", "chain.rule.json"),
 ]
 MUTATIONS = ("drop", "number", "list", "null", "dict", "duplicate", "dangling", "unknown")
+# the keys of the maps whose values are node ids (typings and connectors,
+# rule legs and plan factorization arrows); the relations of a plan file
+# are such maps too
+MAPS = ("map", "left", "right", "pre", "post", "typing_or_retyping")
 
 
 def _spots(obj, path=()):
@@ -81,7 +86,10 @@ def _mutate(draw, obj):
             return obj
         kind = "drop"
     if kind == "unknown":
-        targets = [p for p in spots if len(p) >= 2 and (p[-1] == "to" or p[-2] in ("map", "left", "right"))]
+        targets = [
+            p for p in spots
+            if len(p) >= 2 and (p[-1] == "to" or p[-2] in MAPS or p[:1] == ("relation",) and len(p) == 3)
+        ]
         if targets:
             path = draw(st.sampled_from(targets))
             _at(obj, path[:-1])[path[-1]] = "nowhere"
@@ -184,6 +192,36 @@ def test_mutated_files_end_in_an_exit_code(tmp_path, data):
     assert _run(["match", str(h_path), node, str(r_path), "--kind", kind]) in (0, 1, 2)
     _check_hierarchy(copy.deepcopy(h_obj))
     _check_rule(copy.deepcopy(r_obj))
+
+
+# (hierarchy file, origin, rule file, plan file); both plans are forward
+PLAN_CASES = [
+    ("strict_plan.hierarchy.json", "G", "strict_plan.rule.json", "strict_plan.plan.json"),
+    ("merge_add.hierarchy.json", "G", "merge_add.rule.json", "merge_add.plan.json"),
+]
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_mutated_plan_files_end_in_an_exit_code(tmp_path, data):
+    """`sqpo rewrite --plan`, run in-process on a fixture plan file with one
+    or two mutations, returns 0, 1 or 2 and never raises."""
+    hier, node, rule, plan = data.draw(st.sampled_from(PLAN_CASES))
+    p_obj = json.loads((FIXTURES / plan).read_text())
+    for _ in range(data.draw(st.integers(1, 2))):
+        p_obj = _mutate(data.draw, p_obj)
+    p_path = tmp_path / "fuzz.plan.json"
+    p_path.write_text(json.dumps(p_obj))
+    code = _run([
+        "rewrite", str(FIXTURES / hier), node, str(FIXTURES / rule), "0",
+        "--direction", "fwd", "--plan", str(p_path),
+        "-o", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json"),
+    ])
+    assert code in (0, 1, 2)
 
 
 def test_fixture_files_load_as_their_rebuilds():
