@@ -9,7 +9,6 @@ that keeps every typing and path equality valid.
 
 from .category import (
     ImageFactorizationResult,
-    OracleConfig,
     PbcResult,
     PullbackResult,
     PushoutResult,
@@ -17,10 +16,6 @@ from .category import (
     image_factorization,
     pullback,
     pushout,
-    verify_final_pbc_up,
-    verify_image_up,
-    verify_pullback_up,
-    verify_pushout_up,
 )
 from .edits import (
     AddAttrs,
@@ -73,15 +68,8 @@ from .propagation import (
     ForwardFactorization,
     PropagationPlan,
     RewriteReport,
-    backward_canonical,
-    backward_cleanup,
-    backward_strict,
     check_composability,
-    forward_canonical,
-    forward_cleanup,
-    forward_strict,
     lift_rule,
-    project_rule,
     propagate_backward,
     propagate_forward,
     restriction_pullback,

@@ -32,14 +32,8 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
 Node ids are still assigned exactly as a loop over all classes, pairs or
 copies in sorted order would assign them.
 
-The verify_*_up functions are brute-force universal-property oracles used
-by the test suite. Each one re-derives the defining property of its
-construction from scratch (own pair enumeration, own union-find) and
-checks mediating-arrow existence and uniqueness against the complete
-generating family of test graphs of this category — single-node and
-single-edge graphs over the attribute alphabet present in the inputs,
-which suffices because every graph is assembled from nodes, edges and
-attribute values. They never call the construction they verify.
+The test suite checks each construction against a brute-force oracle of
+its universal property (`tests/paper_oracles.py`).
 """
 
 from __future__ import annotations
@@ -47,24 +41,15 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field
 
-from .exceptions import (
-    CompositionError,
-    NotMonoError,
-    ResourceBoundExceeded,
-)
+from .exceptions import CompositionError, NotMonoError
 from .graphs import (
     Graph,
     Homomorphism,
-    attrs_contained,
     attrs_difference,
     attrs_intersection,
     attrs_union,
-    compose,
     fresh_id,
-    hom_equal,
-    is_homomorphism,
     is_mono,
-    is_epi,
 )
 
 
@@ -395,327 +380,3 @@ def image_factorization(f: Homomorphism) -> ImageFactorizationResult:
     restrict = Homomorphism(a_graph, image, dict(f.node_map))
     include = Homomorphism(image, b_graph, {n: n for n in image.nodes})
     return ImageFactorizationResult(image, restrict, include)
-
-
-# -- universal-property oracles ----------------------------------------------
-
-
-@dataclass
-class OracleConfig:
-    """Bounds for the universal-property verifiers.
-
-    node_bound caps the size of test graphs (the complete generating family
-    needs graphs of up to 2 nodes); max_probes caps the number of cone /
-    competitor probes before giving up.
-    """
-
-    node_bound: int = 4
-    max_probes: int = 500_000
-
-
-_DEFAULT_CONFIG = OracleConfig()
-
-
-def _guard(config: OracleConfig, probes: int):
-    if config.node_bound < 2:
-        raise ResourceBoundExceeded(
-            f"test-graph node bound {config.node_bound} is below the "
-            "complete generating family (single edges need 2 nodes)"
-        )
-    if probes > config.max_probes:
-        raise ResourceBoundExceeded(
-            f"verifier probe budget exceeded: {probes} > max_probes="
-            f"{config.max_probes}"
-        )
-
-
-def verify_pullback_up(
-    result: PullbackResult,
-    f: Homomorphism,
-    g: Homomorphism,
-    config: OracleConfig = _DEFAULT_CONFIG,
-) -> bool:
-    """Check that `result` satisfies the pullback universal property.
-
-    Probes every cone from single-node and single-edge test graphs (with
-    the largest compatible attribute sets; smaller ones follow by
-    monotonicity) for existence and uniqueness of a mediating arrow.
-    """
-    a_graph, b_graph = f.source, g.source
-    apex, to_a, to_b = result.apex, result.to_a, result.to_b
-    if not (is_homomorphism(to_a) and is_homomorphism(to_b)):
-        return False
-    if not hom_equal(compose(f, to_a), compose(g, to_b)):
-        return False
-    _guard(
-        config,
-        len(a_graph.nodes) * len(b_graph.nodes)
-        + len(a_graph.edges) * len(b_graph.edges),
-    )
-
-    mediator: dict[tuple[str, str], str] = {}
-    seen: dict[tuple[str, str], list[str]] = {}
-    for p in apex.nodes:
-        seen.setdefault((to_a[p], to_b[p]), []).append(p)
-    for a in a_graph.nodes:
-        for b in b_graph.nodes:
-            if f[a] != g[b]:
-                continue
-            candidates = seen.get((a, b), [])
-            if len(candidates) != 1:
-                return False  # no mediator, or two mediators for the bare-node cone
-            p = candidates[0]
-            expected = attrs_intersection(a_graph.attrs_of(a), b_graph.attrs_of(b))
-            if apex.attrs_of(p) != expected:
-                return False
-            mediator[(a, b)] = p
-    required_edges = {}
-    for ea in a_graph.edges:
-        for eb in b_graph.edges:
-            if f.edge_image(ea) != g.edge_image(eb):
-                continue
-            p1 = mediator.get((ea[0], eb[0]))
-            p2 = mediator.get((ea[1], eb[1]))
-            if p1 is None or p2 is None:
-                return False
-            required_edges[(p1, p2)] = attrs_intersection(
-                a_graph.attrs_of(ea), b_graph.attrs_of(eb)
-            )
-    if set(required_edges) != apex.edges:
-        return False
-    return all(apex.attrs_of(e) == attrs for e, attrs in required_edges.items())
-
-
-def verify_pushout_up(
-    result: PushoutResult,
-    f: Homomorphism,
-    g: Homomorphism,
-    config: OracleConfig = _DEFAULT_CONFIG,
-) -> bool:
-    """Check that `result` satisfies the pushout universal property.
-
-    Recomputes the identification classes with an independent union-find
-    and checks that the candidate identifies exactly those, covers exactly
-    the image edges, and unites exactly the class attributes — which is
-    equivalent to unique mediation into every co-cone.
-    """
-    b_graph, c_graph = f.target, g.target
-    apex, from_b, from_c = result.apex, result.from_b, result.from_c
-    if not (is_homomorphism(from_b) and is_homomorphism(from_c)):
-        return False
-    if not hom_equal(compose(from_b, f), compose(from_c, g)):
-        return False
-    _guard(config, len(b_graph.nodes) + len(c_graph.nodes))
-
-    parent = {}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for b in b_graph.nodes:
-        parent[("B", b)] = ("B", b)
-    for c in c_graph.nodes:
-        parent[("C", c)] = ("C", c)
-    for a in f.source.nodes:
-        rx, ry = find(("B", f[a])), find(("C", g[a]))
-        if rx != ry:
-            parent[ry] = rx
-
-    def image(tagged):
-        tag, n = tagged
-        return from_b[n] if tag == "B" else from_c[n]
-
-    by_root: dict = {}
-    for x in parent:
-        by_root.setdefault(find(x), []).append(x)
-    images_seen = set()
-    for members in by_root.values():
-        imgs = {image(x) for x in members}
-        if len(imgs) != 1:
-            return False  # candidate fails to identify a generated pair
-        img = imgs.pop()
-        if img in images_seen:
-            return False  # candidate identifies more than generated
-        images_seen.add(img)
-        attrs: dict = {}
-        for tag, n in members:
-            origin = b_graph if tag == "B" else c_graph
-            attrs = attrs_union(attrs, origin.attrs_of(n))
-        if apex.attrs_of(img) != attrs:
-            return False
-    if images_seen != apex.nodes:
-        return False
-    required_edges: dict = {}
-    for tag, origin, arrow in (("B", b_graph, from_b), ("C", c_graph, from_c)):
-        for e in origin.edges:
-            img = arrow.edge_image(e)
-            required_edges[img] = attrs_union(
-                required_edges.get(img, {}), origin.attrs_of(e)
-            )
-    if set(required_edges) != apex.edges:
-        return False
-    return all(apex.attrs_of(e) == attrs for e, attrs in required_edges.items())
-
-
-def verify_final_pbc_up(
-    result: PbcResult,
-    f: Homomorphism,
-    m: Homomorphism,
-    config: OracleConfig = _DEFAULT_CONFIG,
-) -> bool:
-    """Check that `result` is the *final* pullback complement of (f, m).
-
-    First verifies the square is a pullback (element-level, with apex
-    f.source), then probes finality against every competitor square built
-    on single-node and single-edge test graphs: each one must admit
-    exactly one mediating arrow into the candidate.
-    """
-    k_graph, l_graph, g_graph = f.source, f.target, m.target
-    apex, embed, project = result.apex, result.embed, result.project
-    if not is_mono(m):
-        return False
-    if not (is_homomorphism(embed) and is_homomorphism(project)):
-        return False
-    if not hom_equal(compose(project, embed), compose(m, f)):
-        return False
-    _guard(
-        config,
-        len(l_graph.nodes) * len(apex.nodes)
-        + len(g_graph.edges) * max(1, len(k_graph.nodes)) ** 2,
-    )
-
-    # --- pullback premise, apex K over the cospan (m, project)
-    seen: dict[tuple[str, str], list[str]] = {}
-    for x in k_graph.nodes:
-        seen.setdefault((f[x], embed[x]), []).append(x)
-    k_at: dict[tuple[str, str], str] = {}
-    for l in l_graph.nodes:
-        for d_node in apex.nodes:
-            if m[l] != project[d_node]:
-                continue
-            candidates = seen.get((l, d_node), [])
-            if len(candidates) != 1:
-                return False
-            x = candidates[0]
-            expected = attrs_intersection(l_graph.attrs_of(l), apex.attrs_of(d_node))
-            if k_graph.attrs_of(x) != expected:
-                return False
-            k_at[(l, d_node)] = x
-    required_k_edges = {}
-    for le in l_graph.edges:
-        for de in apex.edges:
-            if m.edge_image(le) != project.edge_image(de):
-                continue
-            x1 = k_at.get((le[0], de[0]))
-            x2 = k_at.get((le[1], de[1]))
-            if x1 is None or x2 is None:
-                return False
-            required_k_edges[(x1, x2)] = attrs_intersection(
-                l_graph.attrs_of(le), apex.attrs_of(de)
-            )
-    if set(required_k_edges) != k_graph.edges:
-        return False
-    for e, attrs in required_k_edges.items():
-        if k_graph.attrs_of(e) != attrs:
-            return False
-
-    # --- finality: node competitors
-    m_inv = {m[l]: l for l in l_graph.nodes}
-    k_preimages: dict[str, list[str]] = {l: [] for l in l_graph.nodes}
-    for x in k_graph.nodes:
-        k_preimages[f[x]].append(x)
-    over: dict[str, list[str]] = {}
-    for d_node in apex.nodes:
-        over.setdefault(project[d_node], []).append(d_node)
-    for g in g_graph.nodes:
-        l = m_inv.get(g)
-        if l is None:
-            candidates = over.get(g, [])
-            if len(candidates) != 1:
-                return False
-            if apex.attrs_of(candidates[0]) != g_graph.attrs_of(g):
-                return False
-        else:
-            for x in k_preimages[l]:
-                widest = attrs_difference(
-                    g_graph.attrs_of(g),
-                    attrs_difference(l_graph.attrs_of(l), k_graph.attrs_of(x)),
-                )
-                if not attrs_contained(widest, apex.attrs_of(embed[x])):
-                    return False
-
-    # --- finality: edge competitors
-    def endpoint_options(g):
-        l = m_inv.get(g)
-        if l is None:
-            return [(over[g][0], None)]
-        return [(embed[x], x) for x in k_preimages[l]]
-
-    for (g1, g2) in g_graph.edges:
-        for (d1, x1) in endpoint_options(g1):
-            for (d2, x2) in endpoint_options(g2):
-                widest = g_graph.attrs_of((g1, g2))
-                if x1 is not None and x2 is not None:
-                    l_edge = (f[x1], f[x2])
-                    if l_edge in l_graph.edges:
-                        if (x1, x2) not in k_graph.edges:
-                            continue  # no homomorphism from the competitor apex
-                        widest = attrs_difference(
-                            widest,
-                            attrs_difference(
-                                l_graph.attrs_of(l_edge),
-                                k_graph.attrs_of((x1, x2)),
-                            ),
-                        )
-                if (d1, d2) not in apex.edges:
-                    return False
-                if not attrs_contained(widest, apex.attrs_of((d1, d2))):
-                    return False
-    return True
-
-
-def verify_image_up(
-    result: ImageFactorizationResult,
-    f: Homomorphism,
-    config: OracleConfig = _DEFAULT_CONFIG,
-) -> bool:
-    """Check the image-factorization universal property.
-
-    The mono part must be injective, the composite must equal f, the first
-    factor must cover the image object, and the image must coincide
-    element-wise with the direct image of f — this forces the unique
-    comparison into every competing mono factorization.
-    """
-    a_graph, b_graph = f.source, f.target
-    image, restrict, include = result.image, result.restrict, result.include
-    if not (is_homomorphism(restrict) and is_homomorphism(include)):
-        return False
-    if not is_mono(include):
-        return False
-    if not hom_equal(compose(include, restrict), f):
-        return False
-    if not is_epi(restrict):
-        return False
-    _guard(config, len(a_graph.nodes) + len(a_graph.edges))
-
-    node_attrs: dict[str, dict] = {}
-    for a in a_graph.nodes:
-        node_attrs[f[a]] = attrs_union(node_attrs.get(f[a], {}), a_graph.attrs_of(a))
-    edge_attrs: dict = {}
-    for e in a_graph.edges:
-        img = f.edge_image(e)
-        edge_attrs[img] = attrs_union(edge_attrs.get(img, {}), a_graph.attrs_of(e))
-    if {include[i] for i in image.nodes} != set(node_attrs):
-        return False
-    for i in image.nodes:
-        if image.attrs_of(i) != node_attrs[include[i]]:
-            return False
-    if {include.edge_image(e) for e in image.edges} != set(edge_attrs):
-        return False
-    for e in image.edges:
-        if image.attrs_of(e) != edge_attrs[include.edge_image(e)]:
-            return False
-    return True

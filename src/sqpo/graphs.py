@@ -91,14 +91,9 @@ def attrs_difference(a: Mapping, b: Mapping) -> Attrs:
     return out
 
 
-def attrs_contained(sub: Mapping, sup: Mapping) -> bool:
-    """Key-wise containment: every value of sub appears in sup under the same key."""
-    return all(frozenset(v) <= frozenset(sup.get(k, frozenset())) for k, v in sub.items())
-
-
-def _attrs_within(sub: Attrs, sup: Attrs) -> bool:
-    """attrs_contained for normalized attributes: compares the frozensets as
-    they are, without re-wrapping each value set."""
+def attrs_contained(sub: Attrs, sup: Attrs) -> bool:
+    """Key-wise containment of normalized attributes: every value of sub
+    appears in sup under the same key."""
     for k, v in sub.items():
         if not v <= sup.get(k, _EMPTY):
             return False
@@ -535,7 +530,7 @@ def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | N
         for n, attrs in node_attrs
         if n in source.nodes
         and attrs != (image := image_attrs(node_map[n], _NO_ATTRS))
-        and not _attrs_within(attrs, image)
+        and not attrs_contained(attrs, image)
     ]
     if bad:
         return f"attributes of node {min(bad)} not contained in its image"
@@ -545,7 +540,7 @@ def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | N
         for e, attrs in edge_attrs
         if e in source.edges
         and attrs != (image := image_attrs(h.edge_image(e), _NO_ATTRS))
-        and not _attrs_within(attrs, image)
+        and not attrs_contained(attrs, image)
     ]
     if bad:
         e = min(bad)
@@ -679,9 +674,9 @@ def homomorphism_maps(
             host_edge = (c, img) if n_is_source else (img, c)
             if host_edge not in host.edges:
                 return False
-            if not _attrs_within(pattern.attrs_of(edge), host.attrs_of(host_edge)):
+            if not attrs_contained(pattern.attrs_of(edge), host.attrs_of(host_edge)):
                 return False
-        return (n, n) not in pattern.edges or _attrs_within(
+        return (n, n) not in pattern.edges or attrs_contained(
             pattern.attrs_of((n, n)), host.attrs_of((c, c))
         )
 

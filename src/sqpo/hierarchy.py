@@ -495,24 +495,18 @@ class Hierarchy:
     # -- queries ---------------------------------------------------------------
 
     def descendants(self, s: str) -> set[str]:
-        self.graph(s)
-        out = {s}
-        frontier = [s]
-        while frontier:
-            u = frontier.pop()
-            for v in self.successors(u):
-                if v not in out:
-                    out.add(v)
-                    frontier.append(v)
-        return out
+        return self._reach(s, self.successors)
 
     def ancestors(self, s: str) -> set[str]:
+        return self._reach(s, self.predecessors)
+
+    def _reach(self, s: str, step) -> set[str]:
+        """s and every object reachable from it through `step`."""
         self.graph(s)
         out = {s}
         frontier = [s]
         while frontier:
-            u = frontier.pop()
-            for v in self.predecessors(u):
+            for v in step(frontier.pop()):
                 if v not in out:
                     out.add(v)
                     frontier.append(v)

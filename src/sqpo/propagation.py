@@ -20,6 +20,11 @@ factorization and, backward, each object's restriction (the pullback of
 its typing against the match) and the pattern connectors along the
 sub-hierarchy's arrows. It is left on the plan and rebuilt only when the
 plan is used with a different `Hierarchy` object.
+
+A rewrite propagates only through `propagate_forward` and
+`propagate_backward`. The paper's per-edge strict, canonical, projection
+and clean-up phases, by which it proves propagation correct, serve the
+test suite as an oracle for them (`tests/paper_oracles.py`).
 """
 
 from __future__ import annotations
@@ -27,11 +32,10 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 
-from .category import final_pbc, image_factorization, pullback, pushout
+from .category import final_pbc, pullback, pushout
 from .exceptions import (
     FactorizationError,
     InvalidHomomorphism,
-    NotEpiError,
     NotMonoError,
     RewritingError,
 )
@@ -45,7 +49,6 @@ from .graphs import (
     homomorphism_maps,
     homomorphism_violation,
     identity,
-    is_epi,
     is_mono,
 )
 from .hierarchy import Hierarchy
@@ -130,132 +133,7 @@ def _merge_assignment(context: str, *parts: dict) -> dict:
     return out
 
 
-# -- single-edge forward phases ------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ForwardStrictResult:
-    graph: Graph  # G′
-    trace: Homomorphism  # G → G′
-    instance: Homomorphism  # mid ↣ G′
-    typing: Homomorphism  # G′ → T
-
-
-def forward_strict(
-    g: Graph,
-    t: Graph,
-    h: Homomorphism,
-    r_prime: Homomorphism,
-    m: Homomorphism,
-    x: Homomorphism,
-) -> ForwardStrictResult:
-    """Strict phase of a forward rewrite: apply the part of the rule that is
-    already typed by the target, leaving the target untouched."""
-    if not is_mono(m):
-        raise NotMonoError("forward_strict: instance must be a mono")
-    if not hom_equal(compose(x, r_prime), compose(h, m)):
-        raise FactorizationError(
-            "forward_strict: typing of the strict part does not extend the instance typing"
-        )
-    if not is_mono(r_prime):
-        warnings.warn(
-            "strict-phase arrow is not a mono: the strict phase merges elements",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    po = pushout(m, r_prime)
-    mapping = _merge_assignment(
-        "forward_strict retyping",
-        {po.from_b[n]: h[n] for n in g.nodes},
-        {po.from_c[l]: x[l] for l in r_prime.target.nodes},
-    )
-    typing = Homomorphism(po.apex, t, mapping)
-    typing.validate()
-    return ForwardStrictResult(po.apex, po.from_b, po.from_c, typing)
-
-
-@dataclass(frozen=True)
-class ForwardCanonicalResult:
-    graph: Graph  # G⁺
-    typing_graph: Graph  # T⁺
-    typing: Homomorphism  # h⁺: G⁺ → T⁺
-    trace: Homomorphism  # g⁺: G′ → G⁺
-    typing_trace: Homomorphism  # t⁺: T → T⁺
-    instance: Homomorphism  # m⁺: L⁺ ↣ G⁺
-
-
-def forward_canonical(
-    g_prime: Graph,
-    t: Graph,
-    h_prime: Homomorphism,
-    r_plus: Homomorphism,
-    m_prime: Homomorphism,
-) -> ForwardCanonicalResult:
-    """Canonical phase: finish the rewrite and propagate its effects to the
-    typing object."""
-    po1 = pushout(m_prime, r_plus)
-    po2 = pushout(h_prime, po1.from_b)
-    return ForwardCanonicalResult(
-        graph=po1.apex,
-        typing_graph=po2.apex,
-        typing=po2.from_c,
-        trace=po1.from_b,
-        typing_trace=po2.from_b,
-        instance=po1.from_c,
-    )
-
-
-@dataclass(frozen=True)
-class ProjectedRule:
-    pattern: Graph  # L_T
-    to_pattern: Homomorphism  # mid → L_T
-    projected: Homomorphism  # L_T → L_T⁺
-    instance: Homomorphism  # L_T ↣ T
-    rhs: Graph  # L_T⁺
-    rhs_embed: Homomorphism  # L⁺ → L_T⁺
-
-
-def project_rule(r_plus: Homomorphism, typing: Homomorphism) -> ProjectedRule:
-    """Project the canonical part of a rule onto the typing object: image
-    factorization of the typing followed by a pushout with the rule."""
-    if r_plus.source != typing.source:
-        raise FactorizationError("project_rule: arrows do not share a source")
-    imf = image_factorization(typing)
-    po = pushout(imf.restrict, r_plus)
-    return ProjectedRule(
-        pattern=imf.image,
-        to_pattern=imf.restrict,
-        projected=po.from_b,
-        instance=imf.include,
-        rhs=po.apex,
-        rhs_embed=po.from_c,
-    )
-
-
-@dataclass(frozen=True)
-class ForwardCleanupResult:
-    graph: Graph  # T⊕
-    trace: Homomorphism  # t⊕: T⁺ ↠ T⊕
-    typing: Homomorphism | None  # t⊕ ∘ h⁺
-
-
-def forward_cleanup(
-    t_plus: Graph,
-    m_hat_plus: Homomorphism,
-    r_oplus: Homomorphism,
-    h_plus: Homomorphism | None = None,
-) -> ForwardCleanupResult:
-    """Merge freshly added elements of the updated typing object."""
-    if not is_epi(r_oplus):
-        raise NotEpiError("forward_cleanup: clean-up rule must be an epi")
-    if m_hat_plus.target != t_plus:
-        raise FactorizationError("forward_cleanup: instance does not land in the target")
-    po = pushout(m_hat_plus, r_oplus)
-    typing = compose(po.from_b, h_plus) if h_plus is not None else None
-    return ForwardCleanupResult(po.apex, po.from_b, typing)
-
-
-# -- single-edge backward phases -------------------------------------------------
+# -- restriction and lifting ----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -265,103 +143,15 @@ class RestrictionResult:
     to_lhs: Homomorphism  # ĥ: L_G → L
 
 
-def restriction_pullback(
-    g: Graph, t: Graph, h: Homomorphism, m: Homomorphism
-) -> RestrictionResult:
-    """The sub-object of g whose typing can be modified by a rule matched
-    at m: the pullback of the typing against the match."""
+def restriction_pullback(h: Homomorphism, m: Homomorphism) -> RestrictionResult:
+    """The sub-object of h's source G whose typing can be modified by a rule
+    matched at m: the pullback of the typing h: G → T against the match."""
     if not is_mono(m):
         raise NotMonoError("restriction_pullback: match must be a mono")
     pb = pullback(h, m)
     if not is_mono(pb.to_a):
         raise RewritingError("restriction_pullback: projection lost injectivity")
     return RestrictionResult(pb.apex, pb.to_a, pb.to_b)
-
-
-@dataclass(frozen=True)
-class BackwardStrictResult:
-    graph: Graph  # T′
-    trace: Homomorphism  # t′: T′ → T
-    instance: Homomorphism  # m′: mid ↣ T′
-    typing: Homomorphism  # h′: G → T′
-    restriction: RestrictionResult
-
-
-def backward_strict(
-    t: Graph,
-    m: Homomorphism,
-    r_prime: Homomorphism,
-    retyping: Homomorphism,
-    g: Graph,
-    h: Homomorphism,
-) -> BackwardStrictResult:
-    """Strict phase of a backward rewrite: clone/delete in the typing object
-    and retype the instances, leaving the typed object untouched."""
-    rp = restriction_pullback(g, t, h, m)
-    if retyping.source != rp.pattern:
-        raise FactorizationError(
-            "backward_strict: retyping must be defined on the canonical restriction"
-        )
-    strict_image = {r_prime[n] for n in r_prime.source.nodes}
-    for p in sorted(rp.pattern.nodes):
-        if rp.to_lhs[p] not in strict_image:
-            raise RewritingError(
-                f"element {rp.to_lhs[p]} deleted by the strict phase still has "
-                f"an instance ({rp.instance[p]})"
-            )
-    if not hom_equal(compose(r_prime, retyping), rp.to_lhs):
-        raise FactorizationError(
-            "backward_strict: retyping does not factor the restriction typing"
-        )
-    pbc = final_pbc(r_prime, m)
-    bot: dict[str, str] = {}
-    m_image = {m[l] for l in m.source.nodes}
-    for d in pbc.apex.nodes:
-        tn = pbc.project[d]
-        if tn not in m_image:
-            bot[tn] = d
-    m_hat_inv = {rp.instance[p]: p for p in rp.pattern.nodes}
-    mapping = {}
-    for n in g.nodes:
-        if n in m_hat_inv:
-            mapping[n] = pbc.embed[retyping[m_hat_inv[n]]]
-        else:
-            mapping[n] = bot[h[n]]
-    typing = Homomorphism(g, pbc.apex, mapping)
-    typing.validate()
-    if not hom_equal(compose(pbc.project, typing), h):
-        raise FactorizationError("backward_strict: retyping does not restore the typing")
-    return BackwardStrictResult(pbc.apex, pbc.project, pbc.embed, typing, rp)
-
-
-@dataclass(frozen=True)
-class BackwardCanonicalResult:
-    typing_graph: Graph  # T⁻
-    typing_trace: Homomorphism  # t⁻: T⁻ → T′
-    instance: Homomorphism  # m⁻: L⁻ ↣ T⁻
-    graph: Graph  # G⁻
-    trace: Homomorphism  # g⁻: G⁻ → G
-    typing: Homomorphism  # h⁻: G⁻ → T⁻
-
-
-def backward_canonical(
-    t_prime: Graph,
-    h_prime: Homomorphism,
-    r_minus: Homomorphism,
-    m_prime: Homomorphism,
-) -> BackwardCanonicalResult:
-    """Canonical phase: finish the rewrite of the typing object and pull the
-    typed object back along it."""
-    pbc = final_pbc(r_minus, m_prime)
-    pb = pullback(h_prime, pbc.project)
-    return BackwardCanonicalResult(
-        typing_graph=pbc.apex,
-        typing_trace=pbc.project,
-        instance=pbc.embed,
-        graph=pb.apex,
-        trace=pb.to_a,
-        typing=pb.to_b,
-    )
 
 
 @dataclass(frozen=True)
@@ -372,17 +162,12 @@ class LiftResult:
     graph: Graph  # G⁻
     trace: Homomorphism  # g⁻: G⁻ → G
     instance: Homomorphism  # m̂⁻: L_G⁻ ↣ G⁻
-    typing: Homomorphism | None  # h⁻: G⁻ → T⁻ when the T⁻ square is supplied
     # the edges of G⁻ at the lifted copies (see `PbcResult`)
     _rebuilt: tuple = field(default=(), repr=False, compare=False)
 
 
 def lift_rule(
-    retyping: Homomorphism,
-    r_minus: Homomorphism,
-    m_hat: Homomorphism,
-    t_minus: BackwardCanonicalResult | None = None,
-    h_prime: Homomorphism | None = None,
+    retyping: Homomorphism, r_minus: Homomorphism, m_hat: Homomorphism
 ) -> LiftResult:
     """Lift the canonical part of a restrictive rule to the typed object:
     pullback against the retyping, then complement out the lifted rule."""
@@ -390,31 +175,6 @@ def lift_rule(
         raise FactorizationError("lift_rule: retyping and rule do not share a target")
     pb = pullback(retyping, r_minus)
     pbc = final_pbc(pb.to_a, m_hat)
-    typing = None
-    if t_minus is not None and h_prime is not None:
-        emb_inv = {pbc.embed[p]: p for p in pb.apex.nodes}
-        minus_clones = {t_minus.instance[k] for k in t_minus.instance.source.nodes}
-        bot = {
-            t_minus.typing_trace[y]: y
-            for y in t_minus.typing_graph.nodes
-            if y not in minus_clones
-        }
-        mapping = {}
-        for x in pbc.apex.nodes:
-            if x in emb_inv:
-                mapping[x] = t_minus.instance[pb.to_b[emb_inv[x]]]
-            else:
-                mapping[x] = bot[h_prime[pbc.project[x]]]
-        typing = Homomorphism(pbc.apex, t_minus.typing_graph, mapping)
-        typing.validate()
-        if not hom_equal(
-            compose(t_minus.typing_trace, typing), compose(h_prime, pbc.project)
-        ):
-            raise FactorizationError("lift_rule: reconstructed typing does not commute")
-        if not hom_equal(
-            compose(typing, pbc.embed), compose(t_minus.instance, pb.to_b)
-        ):
-            raise FactorizationError("lift_rule: reconstructed typing misses the instance")
     return LiftResult(
         pattern=pb.apex,
         lift=pb.to_a,
@@ -422,32 +182,8 @@ def lift_rule(
         graph=pbc.apex,
         trace=pbc.project,
         instance=pbc.embed,
-        typing=typing,
         _rebuilt=pbc._rebuilt,
     )
-
-
-@dataclass(frozen=True)
-class BackwardCleanupResult:
-    graph: Graph  # G⊖
-    trace: Homomorphism  # g⊖: G⊖ ↣ G⁻
-    typing: Homomorphism | None
-
-
-def backward_cleanup(
-    g_minus: Graph,
-    m_hat_minus: Homomorphism,
-    r_ominus: Homomorphism,
-    h_minus: Homomorphism | None = None,
-) -> BackwardCleanupResult:
-    """Delete unwanted clones left over by a canonical backward phase."""
-    if not is_mono(r_ominus):
-        raise NotMonoError("backward_cleanup: clean-up rule must be a mono")
-    if m_hat_minus.target != g_minus:
-        raise FactorizationError("backward_cleanup: instance does not land in the graph")
-    pbc = final_pbc(r_ominus, m_hat_minus)
-    typing = compose(h_minus, pbc.project) if h_minus is not None else None
-    return BackwardCleanupResult(pbc.apex, pbc.project, typing)
 
 
 # -- plans, composability, propagation -------------------------------------------
@@ -493,9 +229,9 @@ def _resolve(h: Hierarchy, plan: PropagationPlan) -> _Resolution:
         sub = h.backward_subgraph(origin)
         typings = {n: h.composed_typing(n, origin) for n in sub.nodes() if n != origin}
         g = h.graph(origin)
-        restrictions[origin] = restriction_pullback(g, g, identity(g), match)
+        restrictions[origin] = restriction_pullback(identity(g), match)
         for name, typing in typings.items():
-            restrictions[name] = restriction_pullback(h.graph(name), g, typing, match)
+            restrictions[name] = restriction_pullback(typing, match)
         for (i, j) in sub.edges():
             pattern_conns[(i, j)] = _restriction_connector(
                 h, i, j, restrictions[i], restrictions[j]

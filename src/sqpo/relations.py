@@ -176,8 +176,9 @@ def derive_backward_factorization(
     relation: dict[str, str],
 ) -> tuple[BackwardFactorization, list[str]]:
     """Derive a backward factorization (plus clean-up selection) from a
-    relation assigning clone copies to instances of the source object."""
-    rp = restriction_pullback(source, match.target, typing_to_origin, match)
+    relation assigning clone copies to instances of the source object
+    (typing_to_origin's source)."""
+    rp = restriction_pullback(typing_to_origin, match)
     return _derive_backward(rule, rp, relation)
 
 

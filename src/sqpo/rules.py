@@ -28,9 +28,9 @@ from .exceptions import GraphElementError, InvalidHomomorphism, RewritingError
 from .graphs import (
     Graph,
     Homomorphism,
-    _attrs_within,
     _node_map_from_json,
     _relocated,
+    attrs_contained,
     fresh_id,
     graph_from_json,
     graph_to_json,
@@ -247,7 +247,7 @@ def _iter_matches(
     for n in pattern.nodes:
         want = pattern.attrs_of(n)
         pool = [anchor[n]] if n in anchor else hosts
-        candidates[n] = [c for c in pool if _attrs_within(want, host_attrs.get(c, {}))]
+        candidates[n] = [c for c in pool if attrs_contained(want, host_attrs.get(c, {}))]
     for node_map in homomorphism_maps(pattern, g, candidates, injective=True):
         yield Match(Homomorphism(pattern, g, node_map), kind)
 

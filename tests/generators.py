@@ -209,13 +209,13 @@ def random_hierarchy(
             allowed_edges = set(universe_edges)
             allowed_attrs = universe_attrs
             allowed_edge_attrs = universe_edge_attrs
-        edge_sets[n] = {e for e in allowed_edges if rng.random() < 0.8}
+        edge_sets[n] = {e for e in sorted(allowed_edges) if rng.random() < 0.8}
         attr_sets[n] = {
-            u: {a for a in allowed_attrs[u] if rng.random() < 0.7}
+            u: {a for a in sorted(allowed_attrs[u]) if rng.random() < 0.7}
             for u in universe_nodes
         }
         edge_attr_sets[n] = {
-            e: {a for a in allowed_edge_attrs[e] if rng.random() < 0.7}
+            e: {a for a in sorted(allowed_edge_attrs[e]) if rng.random() < 0.7}
             for e in universe_edges
         }
 

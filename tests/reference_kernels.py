@@ -688,7 +688,6 @@ def propagate_backward(h, plan) -> RewriteReport:
                     graph=pbc.apex,
                     trace=pbc.project,
                     instance=pbc.embed,
-                    typing=None,
                 )
             else:
                 fx = plan.factorizations[i]

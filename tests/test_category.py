@@ -6,7 +6,6 @@ from sqpo import (
     Graph,
     Homomorphism,
     NotMonoError,
-    OracleConfig,
     ResourceBoundExceeded,
     are_isomorphic,
     compose,
@@ -18,14 +17,17 @@ from sqpo import (
     is_mono,
     pullback,
     pushout,
+)
+from sqpo.isomorphism import find_isomorphism
+
+from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
+from paper_oracles import (
+    OracleConfig,
     verify_final_pbc_up,
     verify_image_up,
     verify_pullback_up,
     verify_pushout_up,
 )
-from sqpo.isomorphism import find_isomorphism
-
-from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
 
 
 def _random_cospan(rng):

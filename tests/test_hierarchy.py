@@ -1,6 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import sqpo
 
 from sqpo import (
     Graph,
@@ -226,3 +232,27 @@ def test_hierarchy_json_with_skeleton():
     assert back == h
     assert back.skeleton == sk
     assert back.skeleton_map == {"G": "d", "T": "s"}
+
+
+def test_random_hierarchy_is_reproducible_across_processes():
+    """The generator draws the same hierarchies whatever the string hash
+    seed, so a randomized test checks the same cases on every run."""
+    script = (
+        "import random\n"
+        "from generators import random_hierarchy\n"
+        "from sqpo import hierarchy_to_json\n"
+        "from sqpo.graphs import dumps_canonical\n"
+        "for seed in (909, 11, 12, 14):\n"
+        "    h = random_hierarchy(random.Random(seed))\n"
+        "    print(dumps_canonical(hierarchy_to_json(h)))\n"
+    )
+    paths = [str(Path(sqpo.__file__).parents[1]), str(Path(__file__).parent)]
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=os.pathsep.join(paths))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]

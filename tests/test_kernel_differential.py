@@ -15,6 +15,7 @@ import pytest
 
 import reference_kernels as ref
 from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
+from paper_oracles import verify_final_pbc_up, verify_pullback_up, verify_pushout_up
 from sqpo import (
     EXPANSIVE,
     RESTRICTIVE,
@@ -31,9 +32,6 @@ from sqpo import (
     graph_to_json,
     pullback,
     pushout,
-    verify_final_pbc_up,
-    verify_pullback_up,
-    verify_pushout_up,
 )
 from sqpo.graphs import dumps_canonical, homomorphism_violation
 from sqpo.propagation import _waves

@@ -17,9 +17,6 @@ from sqpo import (
     PropagationPlan,
     RewritingError,
     apply_plan,
-    backward_canonical,
-    backward_cleanup,
-    backward_strict,
     build_canonical_plan,
     build_relation_plan,
     check_composability,
@@ -28,18 +25,12 @@ from sqpo import (
     derive_forward_factorization,
     final_pbc,
     find_matches,
-    forward_canonical,
-    forward_cleanup,
-    forward_strict,
     hom_equal,
     identity,
-    lift_rule,
-    project_rule,
     propagate_backward,
     propagate_forward,
     pushout,
     restriction_pullback,
-    verify_pullback_up,
 )
 from sqpo import EXPANSIVE, RESTRICTIVE
 from sqpo.category import PullbackResult
@@ -54,6 +45,18 @@ from generators import (
     random_hom_from,
     random_hom_into,
     random_mono_into,
+)
+from paper_oracles import (
+    backward_canonical,
+    backward_cleanup,
+    backward_strict,
+    forward_canonical,
+    forward_cleanup,
+    forward_strict,
+    lift_rule,
+    project_rule,
+    verify_final_pbc_up,
+    verify_pullback_up,
 )
 
 
@@ -240,12 +243,12 @@ def test_restriction_pullback_full_and_empty():
     t = Graph(["circ", "sq"])
     g = Graph(["c1", "c2", "q1", "q2"])
     h = Homomorphism(g, t, {"c1": "circ", "c2": "circ", "q1": "sq", "q2": "sq"})
-    full = restriction_pullback(g, t, h, identity(t))
+    full = restriction_pullback(h, identity(t))
     assert len(full.pattern.nodes) == 4
-    empty = restriction_pullback(g, t, h, Homomorphism(Graph(), t, {}))
+    empty = restriction_pullback(h, Homomorphism(Graph(), t, {}))
     assert empty.pattern.nodes == set()
     with pytest.raises(NotMonoError):
-        restriction_pullback(g, t, h, Homomorphism(Graph(["a", "b"]), t, {"a": "circ", "b": "circ"}))
+        restriction_pullback(h, Homomorphism(Graph(["a", "b"]), t, {"a": "circ", "b": "circ"}))
 
 
 def _backward_pieces(clone_delete_setup):
@@ -278,7 +281,7 @@ def test_backward_strict_identity():
     t = random_graph(rng, max_nodes=4, min_nodes=1, prefix="t")
     h = random_hom_into(rng, t, prefix="g")
     m = random_mono_into(rng, t)
-    rp = restriction_pullback(h.source, t, h, m)
+    rp = restriction_pullback(h, m)
     res = backward_strict(t, m, identity(m.source), rp.to_lhs, h.source, h)
     assert res.graph == t
     assert hom_equal(res.typing, h)
@@ -292,7 +295,7 @@ def test_backward_strict_rejects_deleted_with_instances(clone_delete_setup):
     lhs = rule.lhs
     mid = Graph(["sq"], node_attrs={"sq": {"shape": ["square"]}})
     r_prime = Homomorphism(mid, lhs, {"sq": "sq"})  # strict deletion of circ
-    rp = restriction_pullback(g, t, h, match)
+    rp = restriction_pullback(h, match)
     retyping = Homomorphism(
         rp.pattern,
         mid,
@@ -339,7 +342,7 @@ def _random_backward_instance(rng):
     copies = {}
     for k in sorted(rule.source.nodes):
         copies.setdefault(rule[k], []).append(k)
-    rp = restriction_pullback(g, t, h, m)
+    rp = restriction_pullback(h, m)
     for l, ks in sorted(copies.items()):
         if len(ks) >= 2 and rng.random() < 0.5:
             for p in rp.pattern.nodes:
@@ -350,7 +353,7 @@ def _random_backward_instance(rng):
 
 
 def test_random_backward_liftings_agree_with_direct():
-    from sqpo import PbcResult, verify_final_pbc_up
+    from sqpo import PbcResult
 
     rng = random.Random(6)
     for _ in range(30):
@@ -375,7 +378,7 @@ def test_random_backward_liftings_agree_with_direct():
             lifted.lift,
             strict.restriction.instance,
         )
-        from sqpo import PullbackResult, verify_pullback_up
+        from sqpo import PullbackResult
 
         assert verify_pullback_up(
             PullbackResult(lifted.pattern, lifted.to_rhs, lifted.instance),
@@ -591,17 +594,46 @@ def test_propagate_backward_diamond_example():
     assert rep.hierarchy.validate_commutativity() == []
 
 
-def test_two_object_forward_propagation_matches_pipeline(merge_add_setup):
-    hierarchy, rule = merge_add_setup
+def _random_two_object(rng, direction):
+    """A random typing G -> T as a two-object hierarchy, with a rule matched
+    at G (forward: an expansive rule out of a pattern of G) or at T
+    (backward: a restrictive rule into a pattern of T)."""
+    t = random_graph(rng, max_nodes=4, min_nodes=1, prefix="t")
+    h = random_hom_into(rng, t, max_nodes=5, prefix="g")
+    hierarchy = (
+        Hierarchy().add_object("G", h.source).add_object("T", t).add_typing("G", "T", h)
+    )
+    if direction == FORWARD:
+        match = random_mono_into(rng, h.source)
+        arrow = random_hom_from(rng, match.source, prefix="r")
+    else:
+        match = random_mono_into(rng, t)
+        arrow = random_hom_into(rng, match.source, max_nodes=4, prefix="k")
+    return hierarchy, arrow, match
+
+
+TWO_OBJECT_CASES = ["golden", *range(30)]
+
+
+@pytest.mark.parametrize("case", TWO_OBJECT_CASES)
+def test_two_object_forward_propagation_matches_pipeline(case, request):
+    """The propagator's G and T equal, up to isomorphism, the strict and
+    canonical phases of a canonical plan: on the golden merge-and-add
+    example and on random two-object hierarchies."""
+    if case == "golden":
+        hierarchy, rule = request.getfixturevalue("merge_add_setup")
+        match = find_matches(rule, hierarchy.graph("G"), EXPANSIVE)[0].instance
+        arrow = rule.right_leg
+    else:
+        hierarchy, arrow, match = _random_two_object(random.Random(case), FORWARD)
     g, t = hierarchy.graph("G"), hierarchy.graph("T")
     h = hierarchy.typing("G", "T")
-    match = find_matches(rule, g, EXPANSIVE)[0].instance
-    plan = build_canonical_plan(hierarchy, "G", rule.right_leg, match, FORWARD)
+    plan = build_canonical_plan(hierarchy, "G", arrow, match, FORWARD)
     rep = propagate_forward(hierarchy, plan)
     # pipeline route
-    lhs = rule.interface
+    lhs = arrow.source
     strict = forward_strict(g, t, h, identity(lhs), match, compose(h, match))
-    canon = forward_canonical(strict.graph, t, strict.typing, rule.right_leg, strict.instance)
+    canon = forward_canonical(strict.graph, t, strict.typing, arrow, strict.instance)
     new_g, new_t = rep.hierarchy.graph("G"), rep.hierarchy.graph("T")
     iso_g = find_isomorphism(new_g, canon.graph)
     iso_t = find_isomorphism(new_t, canon.typing_graph)
@@ -609,16 +641,25 @@ def test_two_object_forward_propagation_matches_pipeline(merge_add_setup):
     assert rep.hierarchy.validate_commutativity() == []
 
 
-def test_two_object_backward_propagation_matches_pipeline(clone_delete_setup):
-    hierarchy, rule, g, t, h, match, fact, _ = _backward_pieces(clone_delete_setup)
-    plan = build_relation_plan(
-        hierarchy,
-        "T",
-        rule.left_leg,
-        match,
-        BACKWARD,
-        {"G": {"q1": "sq_w", "q2": "sq_b"}},
-    )
+@pytest.mark.parametrize("case", TWO_OBJECT_CASES)
+def test_two_object_backward_propagation_matches_pipeline(case, request):
+    """The propagator's G and T equal, up to isomorphism, the strict and
+    canonical phases: on the golden clone-and-delete example with its
+    relation, and on random two-object hierarchies with canonical plans."""
+    if case == "golden":
+        hierarchy, rule = request.getfixturevalue("clone_delete_setup")
+        match = find_matches(rule, hierarchy.graph("T"), RESTRICTIVE)[0].instance
+        arrow, relation = rule.left_leg, {"q1": "sq_w", "q2": "sq_b"}
+        plan = build_relation_plan(
+            hierarchy, "T", arrow, match, BACKWARD, {"G": relation}
+        )
+    else:
+        hierarchy, arrow, match = _random_two_object(random.Random(case), BACKWARD)
+        relation = {}
+        plan = build_canonical_plan(hierarchy, "T", arrow, match, BACKWARD)
+    g, t = hierarchy.graph("G"), hierarchy.graph("T")
+    h = hierarchy.typing("G", "T")
+    fact, _ = derive_backward_factorization(arrow, match, g, h, relation)
     rep = propagate_backward(hierarchy, plan)
     strict = backward_strict(t, match, fact.post_arrow, fact.retyping, g, h)
     canon = backward_canonical(strict.graph, strict.typing, fact.pre_arrow, strict.instance)
