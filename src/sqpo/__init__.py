@@ -35,9 +35,7 @@ from .exceptions import (
     GraphElementError,
     HierarchyError,
     InvalidHomomorphism,
-    NotEpiError,
     NotMonoError,
-    ResourceBoundExceeded,
     RewritingError,
     SqpoError,
 )
@@ -94,15 +92,22 @@ from .rules import (
     sqpo_rewrite,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")] + ["Workspace"]
-
-
-def __getattr__(name):
-    # `Workspace` lives in the CLI module, which is loaded only when asked
-    # for: importing it here would load it before `python -m sqpo.cli` runs
-    # it as __main__, and runpy warns about that
-    if name == "Workspace":
-        from .cli import Workspace
-
-        return Workspace
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = [
+    "AddAttrs", "AddEdge", "AddNode", "BACKWARD", "BackwardFactorization",
+    "CloneNode", "CommutativityViolation", "CompositionError", "DeleteEdge",
+    "DeleteNode", "EXPANSIVE", "FORWARD", "FactorizationError",
+    "ForwardFactorization", "Graph", "GraphElementError", "Hierarchy",
+    "HierarchyError", "Homomorphism", "ImageFactorizationResult",
+    "InvalidHomomorphism", "Match", "MergeNodes", "NotMonoError", "PbcResult",
+    "PropagationPlan", "PullbackResult", "PushoutResult", "RESTRICTIVE",
+    "RemoveAttrs", "RewriteReport", "RewritingError", "Rule", "Skeleton",
+    "SqpoError", "SqpoRewriteResult", "apply_edit", "apply_edits", "apply_plan",
+    "are_isomorphic", "build_canonical_plan", "build_relation_plan", "build_rule",
+    "check_composability", "compose", "derive_backward_factorization",
+    "derive_forward_factorization", "final_pbc", "find_isomorphism",
+    "find_matches", "graph_from_json", "graph_to_json", "hierarchy_from_json",
+    "hierarchy_to_json", "hom_equal", "identity", "image_factorization",
+    "is_epi", "is_homomorphism", "is_mono", "lift_rule", "propagate_backward",
+    "propagate_forward", "pullback", "pushout", "restriction_pullback",
+    "rule_from_json", "rule_to_json", "sqpo_rewrite",
+]

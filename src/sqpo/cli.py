@@ -14,7 +14,6 @@ import json
 import os
 import secrets
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from .exceptions import GraphElementError, SqpoError
@@ -25,7 +24,7 @@ from .graphs import (
     dumps_canonical,
     graph_from_json,
 )
-from .hierarchy import Hierarchy, hierarchy_from_json, hierarchy_to_json
+from .hierarchy import hierarchy_from_json, hierarchy_to_json
 from .propagation import (
     BACKWARD,
     FORWARD,
@@ -36,43 +35,11 @@ from .propagation import (
     _resolve,
 )
 from .relations import _relation_plan, apply_plan, build_canonical_plan, build_relation_plan
-from .rules import EXPANSIVE, RESTRICTIVE, Rule, _iter_matches, find_matches, rule_from_json
+from .rules import EXPANSIVE, RESTRICTIVE, _iter_matches, find_matches, rule_from_json
 
 
 class _InputError(Exception):
     """File-level problem: missing, unparsable, schema-invalid."""
-
-
-@dataclass
-class Workspace:
-    """A directory of named hierarchy, rule, plan and relation files.
-
-    Loading eagerly parses and validates everything, so batch scripts fail
-    fast on broken inputs. File roles are keyed by suffix:
-    *.hierarchy.json, *.rule.json, *.plan.json, *.relation.json.
-    """
-
-    root: Path
-    hierarchies: dict[str, Hierarchy] = field(default_factory=dict)
-    rules: dict[str, "Rule"] = field(default_factory=dict)
-    plans: dict[str, dict] = field(default_factory=dict)
-    relations: dict[str, dict] = field(default_factory=dict)
-
-    @classmethod
-    def load(cls, root) -> "Workspace":
-        root = Path(root)
-        ws = cls(root=root)
-        for path in sorted(root.glob("*.json")):
-            stem = path.name
-            if stem.endswith(".hierarchy.json"):
-                ws.hierarchies[stem[: -len(".hierarchy.json")]] = _load_hierarchy(str(path))
-            elif stem.endswith(".rule.json"):
-                ws.rules[stem[: -len(".rule.json")]] = _load_rule(str(path))
-            elif stem.endswith(".plan.json"):
-                ws.plans[stem[: -len(".plan.json")]] = _load_json(str(path))
-            elif stem.endswith(".relation.json"):
-                ws.relations[stem[: -len(".relation.json")]] = _load_json(str(path))
-        return ws
 
 
 def _load_json(path: str):

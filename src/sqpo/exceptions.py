@@ -21,10 +21,6 @@ class NotMonoError(SqpoError):
     """An arrow required to be a mono is not injective."""
 
 
-class NotEpiError(SqpoError):
-    """An arrow required to be an epi is not surjective on nodes, edges and attributes."""
-
-
 class HierarchyError(SqpoError):
     """Structural problem in a hierarchy: cycles, unknown nodes, broken commutativity."""
 
@@ -36,9 +32,3 @@ class RewritingError(SqpoError):
 class FactorizationError(RewritingError):
     """A factorization does not satisfy its defining squares/triangles."""
 
-
-class ResourceBoundExceeded(SqpoError):
-    """A verifier hit its configured enumeration bound.
-
-    The message names the bound that was hit.
-    """

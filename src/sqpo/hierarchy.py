@@ -64,29 +64,46 @@ class Skeleton:
         for (u, v) in sk.edges:
             if u not in sk.nodes or v not in sk.nodes:
                 raise HierarchyError(f"skeleton edge ({u},{v}) has unknown endpoint")
-        if _has_cycle(sk.nodes, sk.edges):
+        if not _acyclic(sk.nodes, *_adjacency(sk.edges)):
             raise HierarchyError("skeleton must be acyclic")
         return sk
 
 
-def _has_cycle(nodes, edges) -> bool:
-    succ: dict[str, list[str]] = {n: [] for n in nodes}
-    for (u, v) in edges:
-        if u == v:
-            return True
-        succ[u].append(v)
-    state: dict[str, int] = {}
+def _adjacency(edges) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """The successors and the predecessors of each endpoint of `edges`, in
+    sorted edge order."""
+    succ: dict[str, list[str]] = {}
+    pred: dict[str, list[str]] = {}
+    for (a, b) in sorted(edges):
+        succ.setdefault(a, []).append(b)
+        pred.setdefault(b, []).append(a)
+    return succ, pred
 
-    def visit(n) -> bool:
-        state[n] = 1
-        for m in succ[n]:
-            s = state.get(m, 0)
-            if s == 1 or (s == 0 and visit(m)):
-                return True
-        state[n] = 2
-        return False
 
-    return any(state.get(n, 0) == 0 and visit(n) for n in nodes)
+def _waves(nodes, ahead, behind) -> list[list[str]]:
+    """Peel a shape into waves: the sorted nodes with nothing left ahead of
+    them, repeatedly. A node joins the wave after the one that removed the
+    last node ahead of it. Passing the successor lists as `ahead` and the
+    predecessor lists as `behind` peels sinks first; the other way round,
+    sources first. A node on a cycle, a self-loop included, never comes
+    free, so the waves hold every node exactly when the shape is acyclic."""
+    pending = {n: len(ahead.get(n, ())) for n in nodes}
+    wave = sorted(n for n, k in pending.items() if k == 0)
+    waves = []
+    while wave:
+        waves.append(wave)
+        freed = []
+        for n in wave:
+            for m in behind.get(n, ()):
+                pending[m] -= 1
+                if pending[m] == 0:
+                    freed.append(m)
+        wave = sorted(freed)
+    return waves
+
+
+def _acyclic(nodes, succ, pred) -> bool:
+    return sum(map(len, _waves(nodes, succ, pred))) == len(nodes)
 
 
 @dataclass(frozen=True)
@@ -184,12 +201,7 @@ class Hierarchy:
         skeleton_map: dict[str, str] | None = None,
     ):
         arrows = dict(arrows or {})
-        succ: dict[str, list[str]] = {}
-        pred: dict[str, list[str]] = {}
-        for (a, b) in sorted(arrows):
-            succ.setdefault(a, []).append(b)
-            pred.setdefault(b, []).append(a)
-        self._fill(dict(objects or {}), arrows, skeleton, skeleton_map, succ, pred, {})
+        self._fill(dict(objects or {}), arrows, skeleton, skeleton_map, *_adjacency(arrows), {})
 
     def _fill(self, objects, arrows, skeleton, skeleton_map, succ, pred, checks):
         object.__setattr__(self, "_objects", objects)
@@ -270,8 +282,7 @@ class Hierarchy:
         problem = homomorphism_violation(hom)
         if problem is not None:
             raise HierarchyError(f"typing {a} -> {b} invalid: {problem}")
-        edges = set(self._arrows) | {(a, b)}
-        if _has_cycle(set(self._objects), edges):
+        if a in self.descendants(b):
             raise HierarchyError(f"typing {a} -> {b} would introduce a cycle")
         if self.skeleton is not None:
             ka, kb = self.skeleton_map[a], self.skeleton_map[b]
@@ -478,12 +489,17 @@ class Hierarchy:
             problem = homomorphism_violation(hom)
             if problem is not None:
                 problems.append(f"typing {a} -> {b}: {problem}")
-        if _has_cycle(set(self._objects), set(self._arrows)):
+        if not _acyclic(self._objects, self._succ, self._pred):
             problems.append("shape contains a cycle")
         if self.skeleton is not None:
             for name in self.nodes():
                 if name not in self.skeleton_map:
                     problems.append(f"node {name} lacks a skeleton assignment")
+            for name, kind in sorted(self.skeleton_map.items()):
+                if name not in self._objects:
+                    problems.append(f"skeleton assignment names unknown graph {name}")
+                elif kind not in self.skeleton.nodes:
+                    problems.append(f"node {name}: unknown skeleton kind {kind}")
             for (a, b) in self.edges():
                 ka, kb = self.skeleton_map.get(a), self.skeleton_map.get(b)
                 if ka is not None and kb is not None and (ka, kb) not in self.skeleton.edges:
@@ -599,6 +615,10 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
         if "skeleton" in obj and obj["skeleton"] is not None:
             where = ("skeleton",)
             sk = obj["skeleton"]
+            nodes = sk.get("nodes", [])
+            if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
+                where = ("skeleton", "nodes")
+                raise TypeError(f"skeleton nodes {json.dumps(nodes)} are not a list of kinds")
             edges = []
             for i, e in enumerate(sk.get("edges", [])):
                 where = ("skeleton", "edges", i)
@@ -606,8 +626,9 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
                     raise TypeError(f"skeleton edge {json.dumps(e)} is not a pair of kinds")
                 edges.append(tuple(e))
             where = ("skeleton",)
-            skeleton = Skeleton.create(sk.get("nodes", []), edges)
-            assignment = dict(sk.get("assignment", {}))
+            skeleton = Skeleton.create(nodes, edges)
+            where = ("skeleton", "assignment")
+            assignment = _node_map_from_json(sk.get("assignment", {}), "skeleton assignment")
         objects = {}
         for name in obj.get("graphs", {}):
             where = ("graphs", name)

@@ -51,7 +51,7 @@ from .graphs import (
     identity,
     is_mono,
 )
-from .hierarchy import Hierarchy
+from .hierarchy import Hierarchy, _waves
 
 FORWARD = "forward"
 BACKWARD = "backward"
@@ -450,29 +450,6 @@ def _checked_resolution(h: Hierarchy, plan: PropagationPlan, direction: str) -> 
     return _resolve(h, plan)
 
 
-def _waves(sub: Hierarchy, sinks_first: bool) -> list[list[str]]:
-    """Peel the shape into waves: the sorted sinks (or sources) of what is
-    left, repeatedly. A node joins the wave after the one that removed its
-    last successor (or predecessor)."""
-    if sinks_first:
-        ahead, behind = sub.successors, sub.predecessors
-    else:
-        ahead, behind = sub.predecessors, sub.successors
-    pending = {n: len(ahead(n)) for n in sub.nodes()}
-    wave = [n for n, k in pending.items() if k == 0]
-    waves = []
-    while wave:
-        waves.append(wave)
-        freed = []
-        for n in wave:
-            for m in behind(n):
-                pending[m] -= 1
-                if pending[m] == 0:
-                    freed.append(m)
-        wave = sorted(freed)
-    return waves
-
-
 def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """Propagate an expansive rewrite from the origin through everything it
     types, sinks first, keeping the hierarchy valid after every object.
@@ -502,7 +479,7 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """
     res = _checked_resolution(h, plan, FORWARD)
     origin = plan.origin
-    waves = _waves(res.sub, sinks_first=True)
+    waves = _waves(res.sub.nodes(), res.sub._succ, res.sub._pred)
     facts = {name: plan.factorizations[name] for name in res.typings}
     facts[origin] = res.origin_fx
     rhs = plan.rule.target
@@ -603,7 +580,7 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """
     res = _checked_resolution(h, plan, BACKWARD)
     origin = plan.origin
-    waves = _waves(res.sub, sinks_first=False)
+    waves = _waves(res.sub.nodes(), res.sub._pred, res.sub._succ)
 
     current = h
     traces: dict[str, Homomorphism] = {}

@@ -17,6 +17,10 @@ typed object (backward) and the clean-up rules. `sqpo` propagates through
 the wave propagators `propagate_forward` and `propagate_backward` only;
 the tests compare those against these phases. `lift_rule` here wraps the
 library's and also reconstructs the typing of the lifted object.
+
+Two errors are raised only here: `ResourceBoundExceeded` by a verifier
+that hits its `OracleConfig` bound, and `NotEpiError` by the forward
+clean-up phase.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ from sqpo.category import (
 )
 from sqpo.exceptions import (
     FactorizationError,
-    NotEpiError,
     NotMonoError,
-    ResourceBoundExceeded,
     RewritingError,
+    SqpoError,
 )
 from sqpo.graphs import (
     Graph,
@@ -56,6 +59,17 @@ from sqpo.graphs import (
 )
 from sqpo.propagation import LiftResult, _merge_assignment, restriction_pullback
 from sqpo.propagation import lift_rule as library_lift_rule
+
+
+class NotEpiError(SqpoError):
+    """An arrow required to be an epi is not surjective on nodes, edges and attributes."""
+
+
+class ResourceBoundExceeded(SqpoError):
+    """A verifier hit its configured enumeration bound.
+
+    The message names the bound that was hit.
+    """
 
 
 # -- universal-property oracles ----------------------------------------------

@@ -1,7 +1,8 @@
 """Test-only reference kernels: the original pair-loop implementations of
 `pullback`, `final_pbc`, `homomorphism_violation` and `find_matches`, the
 original whole-host `pushout` (a union-find entry and an id for every node),
-the original whole-hierarchy `validate_commutativity` and wave scheduler,
+the original whole-hierarchy `validate_commutativity`, wave scheduler and
+recursive acyclicity check,
 the original breadth-first `Hierarchy.composed_typing` (which composes
 from an identity map and has no memo), and the two backtracking searches that `graphs.homomorphism_maps` replaced
 next to `find_matches`' own: propagation's connector search (with the two
@@ -47,7 +48,7 @@ from sqpo.graphs import (
     is_mono,
     json_shape_message,
 )
-from sqpo.hierarchy import CommutativityViolation
+from sqpo.hierarchy import CommutativityViolation, _waves
 from sqpo.propagation import (
     BACKWARD,
     BackwardFactorization,
@@ -55,7 +56,6 @@ from sqpo.propagation import (
     LiftResult,
     RewriteReport,
     _checked_resolution,
-    _waves,
     lift_rule,
 )
 from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule
@@ -421,6 +421,28 @@ def waves(h, sinks_first: bool) -> list[list[str]]:
     return out
 
 
+def _has_cycle(nodes, edges) -> bool:
+    """The original acyclicity check of `hierarchy`, a recursive depth-first
+    search (so it overflows the stack on a long chain)."""
+    succ: dict[str, list[str]] = {n: [] for n in nodes}
+    for (u, v) in edges:
+        if u == v:
+            return True
+        succ[u].append(v)
+    state: dict[str, int] = {}
+
+    def visit(n) -> bool:
+        state[n] = 1
+        for m in succ[n]:
+            s = state.get(m, 0)
+            if s == 1 or (s == 0 and visit(m)):
+                return True
+        state[n] = 2
+        return False
+
+    return any(state.get(n, 0) == 0 and visit(n) for n in nodes)
+
+
 # -- the connector and isomorphism searches, as they were before
 # `graphs.homomorphism_maps` replaced them (with `find_matches` above) -------
 
@@ -656,7 +678,7 @@ def propagate_backward(h, plan) -> RewriteReport:
     out of it is the full composite of the old arrow and i's trace."""
     res = _checked_resolution(h, plan, BACKWARD)
     origin = plan.origin
-    waves = _waves(res.sub, sinks_first=False)
+    waves = _waves(res.sub.nodes(), res.sub._pred, res.sub._succ)
 
     current = h
     traces: dict[str, Homomorphism] = {}

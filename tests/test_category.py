@@ -6,7 +6,6 @@ from sqpo import (
     Graph,
     Homomorphism,
     NotMonoError,
-    ResourceBoundExceeded,
     are_isomorphic,
     compose,
     final_pbc,
@@ -23,6 +22,7 @@ from sqpo.isomorphism import find_isomorphism
 from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
 from paper_oracles import (
     OracleConfig,
+    ResourceBoundExceeded,
     verify_final_pbc_up,
     verify_image_up,
     verify_pullback_up,

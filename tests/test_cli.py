@@ -238,35 +238,6 @@ def test_plan_file_relation_field_matches_relation_flag(tmp_path):
     assert out.read_text() == (GOLDEN / "merge_add.out.json").read_text()
 
 
-def test_workspace_loads_and_validates(tmp_path):
-    import shutil
-
-    from sqpo import Workspace
-    from sqpo.cli import _InputError
-
-    for name in (
-        "merge_add.hierarchy.json",
-        "merge_add.rule.json",
-        "merge_add.plan.json",
-        "diamond.relation.json",
-        "clone_delete.rule.json",
-    ):
-        shutil.copy(FIXTURES / name, tmp_path / name)
-    ws = Workspace.load(tmp_path)
-    assert ws.root == tmp_path
-    assert "merge_add" in ws.hierarchies
-    assert "clone_delete" in ws.rules and "merge_add" in ws.rules
-    assert "merge_add" in ws.plans
-    assert "diamond" in ws.relations
-    # a workspace containing an invalid hierarchy fails on load
-    shutil.copy(
-        FIXTURES / "broken_diamond.hierarchy.json",
-        tmp_path / "broken_diamond.hierarchy.json",
-    )
-    with pytest.raises(_InputError):
-        Workspace.load(tmp_path)
-
-
 def test_cli_runs_are_byte_identical(tmp_path):
     results = []
     for attempt in range(2):
@@ -310,6 +281,19 @@ def _with_skeleton_edge(edge):
     return damage
 
 
+def _with_skeleton(**part):
+    """A skeleton over merge_add's G -> T, with `part` replacing its nodes,
+    edges or assignment."""
+    def damage(obj):
+        obj["skeleton"] = {
+            "nodes": ["g", "t"], "edges": [["g", "t"]], "assignment": {"G": "g", "T": "t"},
+            **part,
+        }
+        return obj
+
+    return damage
+
+
 def _with_first_node_id(value):
     def damage(obj):
         obj["graphs"]["G"]["nodes"][0]["id"] = value
@@ -338,6 +322,14 @@ def _with_number_in_typing_map(obj):
          'malformed hierarchy: skeleton edge ["a"] is not a pair of kinds'),
         (_with_skeleton_edge(["a", "a", "a"]),
          'malformed hierarchy: skeleton edge ["a", "a", "a"] is not a pair of kinds'),
+        (_with_skeleton(nodes="kk"),
+         'skeleton.nodes: malformed hierarchy: skeleton nodes "kk" are not a list of kinds'),
+        (_with_skeleton(nodes=["g", 5]),
+         'skeleton.nodes: malformed hierarchy: skeleton nodes ["g", 5] are not a list of kinds'),
+        (_with_skeleton(assignment=["abc"]), "skeleton.assignment: malformed hierarchy"),
+        (_with_skeleton(assignment=["Ak"]), "skeleton.assignment: malformed hierarchy"),
+        (_with_skeleton(assignment={"G": 5, "T": "t"}),
+         "skeleton.assignment.G: malformed hierarchy: skeleton assignment maps G to 5, not to a node id"),
         (_with_first_node_id([1]), "graph G: malformed graph: node id [1] is not a string"),
         (_with_first_node_id(None), "graph G: malformed graph: node id null is not a string"),
         (_with_edge_to_a_number,
@@ -351,6 +343,11 @@ def _with_number_in_typing_map(obj):
         "top-level-list",
         "skeleton-edge-of-one",
         "skeleton-edge-of-three",
+        "skeleton-nodes-string",
+        "skeleton-kind-number",
+        "skeleton-assignment-list",
+        "skeleton-assignment-pair-string",
+        "skeleton-assignment-kind-number",
         "node-id-list",
         "node-id-null",
         "edge-endpoint-number",
@@ -365,6 +362,45 @@ def test_validate_malformed_json_exits_2(tmp_path, damage, needle):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert str(path) in proc.stderr and needle in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "assignment, violations",
+    [
+        ({"G": "g", "T": "t"}, []),
+        ({"G": "zzz", "T": "t"},
+         ["node G: unknown skeleton kind zzz", "typing G -> T has no skeleton edge zzz -> t"]),
+        ({"G": "g", "T": "t", "X": "g"}, ["skeleton assignment names unknown graph X"]),
+        ({"G": "g"}, ["node T lacks a skeleton assignment"]),
+    ],
+    ids=["valid", "unknown-kind", "unknown-graph", "missing"],
+)
+def test_validate_reports_skeleton_assignment(tmp_path, assignment, violations):
+    obj = json.loads((FIXTURES / "merge_add.hierarchy.json").read_text())
+    path = tmp_path / "skeleton.hierarchy.json"
+    path.write_text(json.dumps(_with_skeleton(assignment=assignment)(obj)))
+    proc = run_cli("validate", path)
+    assert (proc.returncode, proc.stderr) == (1 if violations else 0, "")
+    assert proc.stdout.splitlines() == violations
+
+
+def test_validate_deep_skeleton_chain(tmp_path):
+    """A skeleton chain of 5,000 kinds, far deeper than the interpreter's
+    recursion limit, validates."""
+    kinds = [f"k{i:04d}" for i in range(5000)]
+    obj = {
+        "skeleton": {
+            "nodes": kinds,
+            "edges": [[u, v] for u, v in zip(kinds, kinds[1:])],
+            "assignment": {"G": kinds[0]},
+        },
+        "graphs": {"G": {"nodes": [{"id": "a"}], "edges": []}},
+        "typings": [],
+    }
+    path = tmp_path / "deep.hierarchy.json"
+    path.write_text(json.dumps(obj))
+    proc = run_cli("validate", path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def test_rewrite_malformed_rule_exits_2(tmp_path):

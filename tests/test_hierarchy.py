@@ -21,6 +21,7 @@ from sqpo import (
     identity,
 )
 from sqpo.graphs import dumps_canonical
+from sqpo.hierarchy import _acyclic, _waves
 
 from generators import random_hierarchy
 
@@ -106,6 +107,12 @@ def test_add_typing_rejects_cycles_and_bad_homs():
     fresh = Hierarchy().add_object("1", g1).add_object("2", g2)
     with pytest.raises(HierarchyError):
         fresh.add_typing("1", "2", Homomorphism(g1, g2, {"u": "zz"}))
+    with pytest.raises(HierarchyError, match="cycle"):
+        h.add_typing("1", "1", identity(g1))
+    g3 = Graph(["w"])
+    h = h.add_object("3", g3).add_typing("2", "3", Homomorphism(g2, g3, {"v": "w"}))
+    with pytest.raises(HierarchyError, match="cycle"):
+        h.add_typing("3", "1", Homomorphism(g3, g1, {"w": "u"}))
 
 
 def test_tree_hierarchies_always_commute():
@@ -207,6 +214,32 @@ def test_skeleton_constrains_shape():
 def test_skeleton_must_be_acyclic():
     with pytest.raises(HierarchyError):
         Skeleton.create(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(HierarchyError):
+        Skeleton.create(["a", "b"], [("a", "b"), ("b", "b")])
+
+
+def _chain(n: int) -> tuple[list[str], list[tuple[str, str]]]:
+    names = [f"k{i:05d}" for i in range(n)]
+    return names, list(zip(names, names[1:]))
+
+
+def test_skeleton_on_a_deep_chain():
+    """Acyclicity is checked by an iterative peel, so a chain far deeper
+    than the interpreter's recursion limit is accepted, and closing it into
+    a cycle is rejected."""
+    kinds, edges = _chain(20000)
+    assert len(Skeleton.create(kinds, edges).edges) == 19999
+    with pytest.raises(HierarchyError, match="acyclic"):
+        Skeleton.create(kinds, edges + [(kinds[-1], kinds[0])])
+
+
+def test_waves_on_a_deep_chain():
+    names, edges = _chain(5000)
+    empty = Graph()
+    h = Hierarchy({n: empty for n in names}, {e: identity(empty) for e in edges})
+    assert _waves(h.nodes(), h._succ, h._pred) == [[n] for n in reversed(names)]
+    assert _waves(h.nodes(), h._pred, h._succ) == [[n] for n in names]
+    assert _acyclic(h.nodes(), h._succ, h._pred)
 
 
 def test_hierarchy_json_roundtrip():

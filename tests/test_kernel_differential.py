@@ -34,7 +34,7 @@ from sqpo import (
     pushout,
 )
 from sqpo.graphs import dumps_canonical, homomorphism_violation
-from sqpo.propagation import _waves
+from sqpo.hierarchy import _acyclic, _adjacency, _waves
 
 
 def _canonical(g: Graph) -> str:
@@ -434,8 +434,24 @@ def test_wave_scheduler_matches_reference():
             if rng.random() < 0.3
         }
         h = Hierarchy({n: empty for n in names}, arrows)
-        for sinks_first in (True, False):
-            got = _waves(h, sinks_first)
+        for ahead, behind, sinks_first in ((h._succ, h._pred, True), (h._pred, h._succ, False)):
+            got = _waves(names, ahead, behind)
             assert got == ref.waves(h, sinks_first)
             wide += any(len(wave) > 1 for wave in got[1:])
     assert wide > 100
+
+
+def test_acyclicity_check_matches_reference():
+    """Random shapes of up to 10 nodes, with self-loops, back edges and
+    isolated nodes: the peel finds a cycle exactly when the original
+    depth-first search does."""
+    rng = random.Random(505)
+    cyclic = 0
+    for _ in range(1500):
+        nodes = [f"n{i}" for i in range(rng.randint(1, 10))]
+        density = rng.choice([0.05, 0.15, 0.3])
+        edges = {(a, b) for a in nodes for b in nodes if rng.random() < density}
+        expected = ref._has_cycle(set(nodes), edges)
+        assert _acyclic(nodes, *_adjacency(edges)) == (not expected)
+        cyclic += expected
+    assert 300 < cyclic < 1200

@@ -5,7 +5,8 @@ The loaders build graphs through `Graph._of` and typings and rule legs
 through `Homomorphism._of`, skipping the constructors' normalization. A
 bounded `hypothesis` search mutates fixture hierarchy and rule files (a
 dropped key; a value swapped for a number, list, null or dict; a duplicate
-attribute value; a dangling edge; an unknown typing target) and requires:
+attribute value; a dangling edge; an unknown typing target), one hierarchy
+given a skeleton first, and requires:
 
 - `sqpo validate` and `sqpo match`, run in-process on the mutated file,
   return 0, 1 or 2 and never raise, and so does `sqpo rewrite --plan` on
@@ -32,13 +33,15 @@ from sqpo import GraphElementError, Homomorphism, SqpoError, hierarchy_from_json
 from test_kernel_differential import _assert_normalized
 
 FIXTURES = Path(__file__).parent / "fixtures"
-# (hierarchy file, object to match at, rule file)
+# (hierarchy file, object to match at, rule file, whether to give the
+# hierarchy a skeleton: no fixture file has one)
 CASES = [
-    ("merge_add.hierarchy.json", "G", "merge_add.rule.json"),
-    ("clone_delete.hierarchy.json", "T", "clone_delete.rule.json"),
-    ("diamond.hierarchy.json", "k0", "diamond.rule.json"),
-    ("strict_plan.hierarchy.json", "G", "strict_plan.rule.json"),
-    ("broken_diamond.hierarchy.json", "a", "chain.rule.json"),
+    ("merge_add.hierarchy.json", "G", "merge_add.rule.json", False),
+    ("clone_delete.hierarchy.json", "T", "clone_delete.rule.json", False),
+    ("diamond.hierarchy.json", "k0", "diamond.rule.json", False),
+    ("strict_plan.hierarchy.json", "G", "strict_plan.rule.json", False),
+    ("broken_diamond.hierarchy.json", "a", "chain.rule.json", False),
+    ("strict_plan.hierarchy.json", "G", "strict_plan.rule.json", True),
 ]
 MUTATIONS = ("drop", "number", "list", "null", "dict", "duplicate", "dangling", "unknown")
 # the keys of the maps whose values are node ids (typings and connectors,
@@ -110,6 +113,16 @@ def _mutate(draw, obj):
     return obj
 
 
+def _with_skeleton(obj):
+    """obj with a skeleton of one kind per graph and one edge per typing."""
+    obj["skeleton"] = {
+        "nodes": [f"kind_{name}" for name in obj["graphs"]],
+        "edges": [[f"kind_{t['from']}", f"kind_{t['to']}"] for t in obj["typings"]],
+        "assignment": {name: f"kind_{name}" for name in obj["graphs"]},
+    }
+    return obj
+
+
 def _run(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return sqpo.cli.main(argv)
@@ -175,9 +188,11 @@ def _check_rule(obj) -> None:
 )
 @given(data=st.data())
 def test_mutated_files_end_in_an_exit_code(tmp_path, data):
-    hier, node, rule = data.draw(st.sampled_from(CASES))
+    hier, node, rule, skeleton = data.draw(st.sampled_from(CASES))
     mutate_rule = data.draw(st.booleans())
     h_obj = json.loads((FIXTURES / hier).read_text())
+    if skeleton:
+        h_obj = _with_skeleton(h_obj)
     r_obj = json.loads((FIXTURES / rule).read_text())
     for _ in range(data.draw(st.integers(1, 2))):
         if mutate_rule:
@@ -192,6 +207,29 @@ def test_mutated_files_end_in_an_exit_code(tmp_path, data):
     assert _run(["match", str(h_path), node, str(r_path), "--kind", kind]) in (0, 1, 2)
     _check_hierarchy(copy.deepcopy(h_obj))
     _check_rule(copy.deepcopy(r_obj))
+
+
+_DROP = object()
+
+
+def test_every_skeleton_mutation_ends_in_an_exit_code(tmp_path):
+    """The fuzz rarely draws a spot in the skeleton, so every spot there is
+    swept with every mutation: `sqpo validate` returns 0, 1 or 2."""
+    base = _with_skeleton(json.loads((FIXTURES / "strict_plan.hierarchy.json").read_text()))
+    values = [7, [], ["x"], None, {}, {"x": "y"}]
+    path = tmp_path / "sweep.hierarchy.json"
+    spots = [p for p in _spots(base) if p[:1] == ("skeleton",)]
+    for spot in spots:
+        for value in [_DROP, *values]:
+            obj = copy.deepcopy(base)
+            if value is _DROP:
+                del _at(obj, spot[:-1])[spot[-1]]
+            else:
+                _at(obj, spot[:-1])[spot[-1]] = value
+            path.write_text(json.dumps(obj))
+            assert _run(["validate", str(path)]) in (0, 1, 2), (spot, value)
+            _check_hierarchy(obj)
+    assert len(spots) == 11
 
 
 # (hierarchy file, origin, rule file, plan file); both plans are forward

@@ -12,7 +12,6 @@ from sqpo import (
     Graph,
     Hierarchy,
     Homomorphism,
-    NotEpiError,
     NotMonoError,
     PropagationPlan,
     RewritingError,
@@ -47,6 +46,7 @@ from generators import (
     random_mono_into,
 )
 from paper_oracles import (
+    NotEpiError,
     backward_canonical,
     backward_cleanup,
     backward_strict,

@@ -1,11 +1,21 @@
-"""The package's exported names. The paper's per-edge propagation phases and
-the universal-property verifiers live in `paper_oracles`, next to the tests
-that use them, and no longer resolve on the package."""
+"""The package's exported names: a literal list with no submodule in it.
+The paper's per-edge propagation phases, the universal-property verifiers
+and the two errors only they raise live in `paper_oracles`, next to the
+tests that use them, and no longer resolve on the package; nor does the
+CLI's former `Workspace`. Every exception the package exports is raised
+somewhere in it."""
+
+import ast
+import inspect
+import types
+from pathlib import Path
 
 import pytest
 
 import sqpo
 import sqpo.category
+import sqpo.cli
+import sqpo.exceptions
 import sqpo.propagation
 
 PUBLIC_NAMES = [
@@ -14,21 +24,18 @@ PUBLIC_NAMES = [
     "DeleteNode", "EXPANSIVE", "FORWARD", "FactorizationError",
     "ForwardFactorization", "Graph", "GraphElementError", "Hierarchy",
     "HierarchyError", "Homomorphism", "ImageFactorizationResult",
-    "InvalidHomomorphism", "Match", "MergeNodes", "NotEpiError", "NotMonoError",
-    "PbcResult", "PropagationPlan", "PullbackResult", "PushoutResult",
-    "RESTRICTIVE", "RemoveAttrs", "ResourceBoundExceeded", "RewriteReport",
-    "RewritingError", "Rule", "Skeleton", "SqpoError", "SqpoRewriteResult",
-    "Workspace", "apply_edit", "apply_edits", "apply_plan", "are_isomorphic",
-    "build_canonical_plan", "build_relation_plan", "build_rule", "category",
+    "InvalidHomomorphism", "Match", "MergeNodes", "NotMonoError", "PbcResult",
+    "PropagationPlan", "PullbackResult", "PushoutResult", "RESTRICTIVE",
+    "RemoveAttrs", "RewriteReport", "RewritingError", "Rule", "Skeleton",
+    "SqpoError", "SqpoRewriteResult", "apply_edit", "apply_edits", "apply_plan",
+    "are_isomorphic", "build_canonical_plan", "build_relation_plan", "build_rule",
     "check_composability", "compose", "derive_backward_factorization",
-    "derive_forward_factorization", "edits", "exceptions", "final_pbc",
-    "find_isomorphism", "find_matches", "graph_from_json", "graph_to_json",
-    "graphs", "hierarchy", "hierarchy_from_json", "hierarchy_to_json",
-    "hom_equal", "identity", "image_factorization", "is_epi", "is_homomorphism",
-    "is_mono", "isomorphism", "lift_rule", "propagate_backward",
-    "propagate_forward", "propagation", "pullback", "pushout", "relations",
-    "restriction_pullback", "rule_from_json", "rule_to_json", "rules",
-    "sqpo_rewrite",
+    "derive_forward_factorization", "final_pbc", "find_isomorphism",
+    "find_matches", "graph_from_json", "graph_to_json", "hierarchy_from_json",
+    "hierarchy_to_json", "hom_equal", "identity", "image_factorization",
+    "is_epi", "is_homomorphism", "is_mono", "lift_rule", "propagate_backward",
+    "propagate_forward", "pullback", "pushout", "restriction_pullback",
+    "rule_from_json", "rule_to_json", "sqpo_rewrite",
 ]
 
 MOVED_NAMES = [
@@ -39,6 +46,7 @@ MOVED_NAMES = [
     "BackwardCleanupResult",
     "OracleConfig", "verify_pullback_up", "verify_pushout_up",
     "verify_final_pbc_up", "verify_image_up",
+    "Workspace", "NotEpiError", "ResourceBoundExceeded",
 ]
 
 
@@ -46,6 +54,32 @@ def test_public_names_are_pinned():
     assert sorted(sqpo.__all__) == PUBLIC_NAMES
 
 
-@pytest.mark.parametrize("module", [sqpo, sqpo.propagation, sqpo.category])
+@pytest.mark.parametrize(
+    "module", [sqpo, sqpo.propagation, sqpo.category, sqpo.cli, sqpo.exceptions]
+)
 def test_moved_names_do_not_resolve(module):
     assert [name for name in MOVED_NAMES if hasattr(module, name)] == []
+
+
+def test_no_submodule_is_exported():
+    assert [n for n in sqpo.__all__ if isinstance(getattr(sqpo, n), types.ModuleType)] == []
+    namespace: dict = {}
+    exec("from sqpo import *", namespace)
+    assert [n for n, v in namespace.items() if isinstance(v, types.ModuleType)] == []
+
+
+def test_every_leaf_exception_is_raised_in_the_library():
+    """Each exception class no other one derives from appears in a `raise`
+    statement of the package's source, raised itself or handed to the
+    helper that builds it (as in `raise _located(HierarchyError, ...)`)."""
+    classes = [
+        c for _, c in inspect.getmembers(sqpo.exceptions, inspect.isclass)
+        if c.__module__ == sqpo.exceptions.__name__
+    ]
+    leaves = {c.__name__ for c in classes if not any(d is not c and issubclass(d, c) for d in classes)}
+    raised = set()
+    for path in Path(sqpo.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
+    assert leaves and sorted(leaves - raised) == []
