@@ -7,30 +7,39 @@ between any two names are equal (the commutativity condition). An optional
 skeleton constrains the shape: when present, every shape edge must map to
 a skeleton edge under the declared assignment.
 
-Commutativity checks are incremental. For each source, the check memo keeps
-the composite fixed for every node of the source's cone and the verdict of
-every other edge (a violation or none). The composite at a successor of the
-source is the arrow to it itself, so no identity map is built or composed.
-`replace` carries the memo to the new hierarchy only when the set of arrow
-keys is unchanged, since the shape fixes each source's walk; each entry is
-marked with the replaced names and arrow keys, and the next check composes
-again only the edges whose own arrow, tree path or source graph was
-replaced; a source whose cone holds none of them reuses its verdicts without
-walking. A replaced arrow built as a patch of the one it replaces (see
-`Homomorphism._patched`) also leaves the keys at which the two may differ;
-a comparing edge that held before is then compared only at those keys and
-at their preimages, which is all a rewrite can change. Every other
-construction starts with an empty memo, and a check that raises keeps the
-entry it started from. The memo holds no hierarchy and patches hold the maps
-they patched only weakly, so a chain of rewrites does not keep its
-ancestors alive; equality, repr and JSON ignore the memo. Two threads
-checking the same hierarchy write equal entries, so concurrent fills are
-idempotent. `composed_typing` returns the memo's composite when the entry is
-current.
+Commutativity checks cost what a step touched. Each source's memo entry
+keeps its breadth-first walk (each node's place and tree parent), the
+composite fixed at each node of its cone (at a successor, the arrow
+itself, never composed with an identity) and, in walk order, the verdict
+of every other edge.
+
+* Cone index. `replace` adds to the memo's log, one record of what was
+  replaced since its entries were filled: the objects, the arrows with
+  the keys at which each patch (see `Homomorphism._patched`) may differ
+  from the arrow it replaced, and the sources that can see them, the
+  ancestors of the arrows' tails. A check walks only those sources; every
+  other keeps its verdicts.
+* Dirty-region walk. A walk visits only the replaced edges and the edges
+  at nodes whose composite changed, popped from a heap keyed by (tail's
+  place in the walk, head). They come in the full walk's order, so the
+  first failing tree edge still wins and the verdicts keep their order.
+* Patched composites. Below the first hop a composite is a patch of the
+  entry's at the keys where it can differ (`_moved_keys`); one that keeps
+  the entry's values and endpoints is the entry's object, and the walk
+  stops below it. A comparing edge that held is compared only there.
+* `add_typing(a, b)` carries the memo, dropping only the entries of a's
+  ancestors, whose walks the new arrow changes.
+
+The memo holds no hierarchy, patches hold their bases only weakly, and
+equality, repr and JSON ignore it. A check installs a new memo in one
+assignment and a check that raises installs none, so concurrent checks
+are idempotent. `composed_typing` returns the memo's composite when the
+entry is current.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -60,10 +69,15 @@ class Skeleton:
 
     @classmethod
     def create(cls, nodes, edges) -> "Skeleton":
-        sk = cls(frozenset(nodes), frozenset(tuple(e) for e in edges))
-        for (u, v) in sk.edges:
+        """A skeleton over `nodes`; the first edge (in the given order) with
+        an unknown endpoint raises, its index kept as the error's JSON path."""
+        edges = [tuple(e) for e in edges]
+        sk = cls(frozenset(nodes), frozenset(edges))
+        for i, (u, v) in enumerate(edges):
             if u not in sk.nodes or v not in sk.nodes:
-                raise HierarchyError(f"skeleton edge ({u},{v}) has unknown endpoint")
+                exc = HierarchyError(f"skeleton edge ({u},{v}) has unknown endpoint")
+                exc.json_path = ("edges", i)
+                raise exc
         if not _acyclic(sk.nodes, *_adjacency(sk.edges)):
             raise HierarchyError("skeleton must be acyclic")
         return sk
@@ -123,52 +137,60 @@ class CommutativityViolation:
 
 
 class _Check(NamedTuple):
-    """Memo of one source's commutativity check: the composite fixed for
-    each node of its cone (None at the source itself), the verdict of each
-    comparing edge (a violation or None), the names and arrow keys replaced
-    since it was filled, and for each replaced arrow that was patched from
-    the one before it every time, the keys at which it may differ from the
-    arrow the entry saw."""
+    """One source's memo entry: its cone in walk order, each node's place
+    and tree parent, composite (None at the source) and each comparing
+    edge's verdict, in walk order, with the violations among them.
+    `Hierarchy._checks` sets `changed`: what was replaced since."""
 
+    order: list[str]
+    pos: dict[str, int]
+    parent: dict[str, str]
     canon: dict[str, Homomorphism | None]
     verdicts: dict[tuple[str, str], CommutativityViolation | None]
-    changed: frozenset
-    patched: dict[tuple[str, str], frozenset]
+    found: list[CommutativityViolation]
+    changed: frozenset = frozenset()
 
 
-def _merge_patches(entry: _Check, replaced, known: dict) -> dict:
-    """The entry's patch keys after one more replacement of the arrows
-    `replaced`, of which those in `known` are patches of the arrows they
-    replace: key sets of one arrow unite, and an arrow replaced once
-    without a patch stays unknown. Neither input is modified."""
-    if not entry.changed:
-        return known
-    out = {e: keys for e, keys in entry.patched.items() if e not in replaced}
-    for e, keys in known.items():
-        if e not in entry.changed:
-            out[e] = keys
-        elif e in entry.patched:
-            out[e] = entry.patched[e] | keys
+class _Record(NamedTuple):
+    """The replacements since the entries were filled: objects, arrows with
+    their patch keys (None when not known) and the sources that see them."""
+
+    objects: frozenset
+    arrows: dict[tuple[str, str], frozenset | None]
+    sources: frozenset
+
+
+class _Memo(NamedTuple):
+    """Entries current up to the replacements `log` records since."""
+
+    entries: dict[str, _Check]
+    log: _Record | None = None
+
+
+def _reach(starts, step: dict) -> set[str]:
+    """`starts` and everything reachable from them through the lists of `step`."""
+    out = set(starts)
+    frontier = list(out)
+    while frontier:
+        for v in step.get(frontier.pop(), ()):
+            if v not in out:
+                out.add(v)
+                frontier.append(v)
     return out
 
 
 _NOTHING: frozenset = frozenset()
 
 
-def _moved_keys(ku, kv, ke, old_u: Homomorphism) -> set | None:
-    """The nodes of the source's graph at which a comparing edge u -> v can
-    have changed since it held, or None when that is not known.
-
-    ku and kv are the keys at which the composites at u and v may differ
-    from the ones it was checked with, and ke the keys at which the arrow
-    u -> v may differ from the old one. Outside ku the composite at u keeps
-    its image y (under old_u, the old composite at u), and unless y lies in
-    ke the arrow keeps y's image, so the edge's candidate composite keeps
-    its value; outside kv so does the fixed one. They were equal, so they
-    can only differ in ku, kv and the old_u-preimages of ke.
-    """
-    if ku is None or kv is None or ke is None:
-        return None
+def _moved_keys(ku, kv, ke, old_u: Homomorphism, new_u=None) -> set:
+    """The source's nodes at which edge u -> v's composite or comparison
+    can have changed, given the keys ku, kv at which the composites at u and
+    v may differ from the entry's and ke at which the arrow may. Outside ku
+    the composite at u keeps its image y under old_u (the entry's), and the
+    arrow keeps y's image unless y is in ke; outside kv, v's composite keeps
+    its value. So only ku, kv and the old_u-preimages of ke can change.
+    An arrow `new_u` patched from old_u derives its preimage lists while
+    old_u lives: the next check reads them as its old_u's."""
     keys = set(ku)
     keys.update(kv)
     hit = [y for y in ke if y in old_u.target.nodes]
@@ -176,7 +198,29 @@ def _moved_keys(ku, kv, ke, old_u: Homomorphism) -> set | None:
         preimages = old_u._preimages()
         for y in hit:
             keys.update(preimages.get(y, ()))
+        if new_u is not None and new_u._changes_since(old_u):
+            new_u._preimages()
     return keys
+
+
+def _popped(heap: list, order: list[str]):
+    """The edges (order[p], v) for the keys (p, v) popped from `heap`, in
+    increasing order, including those pushed while it is read."""
+    while heap:
+        p, v = heapq.heappop(heap)
+        yield order[p], v
+
+
+def _breadth_first(succ: dict, a: str) -> tuple[list[str], dict[str, int], dict[str, str]]:
+    """The walk from a in sorted successor order: the nodes reached, in
+    order, each one's place in it and the node it was first reached from."""
+    order, pos, parent = [a], {a: 0}, {}
+    for u in order:  # grows while walking
+        for v in succ.get(u, ()):
+            if v not in pos:
+                pos[v], parent[v] = len(order), u
+                order.append(v)
+    return order, pos, parent
 
 
 def _tree_path(parent: dict[str, str], v: str) -> tuple[str, ...]:
@@ -190,7 +234,7 @@ class Hierarchy:
     """Immutable hierarchy value; mutators return extended copies."""
 
     __slots__ = (
-        "_objects", "_arrows", "skeleton", "skeleton_map", "_succ", "_pred", "_checks"
+        "_objects", "_arrows", "skeleton", "skeleton_map", "_succ", "_pred", "_memo"
     )
 
     def __init__(
@@ -201,19 +245,28 @@ class Hierarchy:
         skeleton_map: dict[str, str] | None = None,
     ):
         arrows = dict(arrows or {})
-        self._fill(dict(objects or {}), arrows, skeleton, skeleton_map, *_adjacency(arrows), {})
+        memo = _Memo({})
+        self._fill(dict(objects or {}), arrows, skeleton, skeleton_map, *_adjacency(arrows), memo)
 
-    def _fill(self, objects, arrows, skeleton, skeleton_map, succ, pred, checks):
+    def _fill(self, objects, arrows, skeleton, skeleton_map, succ, pred, memo):
         object.__setattr__(self, "_objects", objects)
         object.__setattr__(self, "_arrows", arrows)
         object.__setattr__(self, "skeleton", skeleton)
         object.__setattr__(self, "skeleton_map", dict(skeleton_map or {}))
         object.__setattr__(self, "_succ", succ)
         object.__setattr__(self, "_pred", pred)
-        object.__setattr__(self, "_checks", checks)
+        object.__setattr__(self, "_memo", memo)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hierarchy instances are immutable")
+
+    @property
+    def _checks(self) -> dict[str, _Check]:
+        """The memo entries, each with `changed` set to the names and arrow
+        keys replaced since it was filled."""
+        log = self._memo.log
+        changed = log.objects.union(log.arrows) if log else _NOTHING
+        return {a: c._replace(changed=changed) for a, c in self._memo.entries.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Hierarchy):
@@ -268,9 +321,9 @@ class Hierarchy:
             if kind not in self.skeleton.nodes:
                 raise HierarchyError(f"node {name}: unknown skeleton kind {kind}")
             skeleton_map[name] = kind
-        return Hierarchy(
-            {**self._objects, name: g}, self._arrows, self.skeleton, skeleton_map
-        )
+        out = Hierarchy({**self._objects, name: g}, self._arrows, self.skeleton, skeleton_map)
+        object.__setattr__(out, "_memo", self._memo)  # an isolated object changes no cone
+        return out
 
     def add_typing(self, a: str, b: str, hom: Homomorphism) -> "Hierarchy":
         if a not in self._objects or b not in self._objects:
@@ -290,9 +343,7 @@ class Hierarchy:
                 raise HierarchyError(
                     f"typing {a} -> {b} has no skeleton edge {ka} -> {kb}"
                 )
-        candidate = Hierarchy(
-            self._objects, {**self._arrows, (a, b): hom}, self.skeleton, self.skeleton_map
-        )
+        candidate = self.replace(arrows={(a, b): hom})
         violations = candidate.validate_commutativity()
         if violations:
             raise HierarchyError(
@@ -306,37 +357,32 @@ class Hierarchy:
         arrows: dict[tuple[str, str], Homomorphism] | None = None,
     ) -> "Hierarchy":
         """Bulk functional update used by propagation; does not re-validate.
-
-        When no new arrow key appears, the shape is shared and the check
-        memo is carried over, each entry marked with the replaced names and
-        arrow keys (and the patch keys of patched arrows) so the next
-        `validate_commutativity` redoes only the composites those reach.
-        """
-        new_objects = {**self._objects, **(objects or {})}
-        new_arrows = {**self._arrows, **(arrows or {})}
-        if len(new_arrows) != len(self._arrows):
-            return Hierarchy(new_objects, new_arrows, self.skeleton, self.skeleton_map)
-        arrows = arrows or {}
-        changed = frozenset(objects or ()) | frozenset(arrows)
-        known = {}
-        for e, arrow in arrows.items():
-            keys = arrow._changes_since(self._arrows[e])
-            if keys is not None:
-                known[e] = keys
-        # iterate a copy: another thread may be filling this memo
-        checks = {
-            a: _Check(
-                entry.canon,
-                entry.verdicts,
-                entry.changed | changed,
-                _merge_patches(entry, arrows, known),
-            )
-            for a, entry in self._checks.copy().items()
-        }
+        The memo is carried with the replacements added to its log (see the
+        module docstring); a new arrow drops the entries of its tail's
+        ancestors."""
+        objects, arrows = objects or {}, arrows or {}
+        old, memo = self._arrows, self._memo
+        new_arrows = {**old, **arrows}
+        entries, succ, pred = memo.entries, self._succ, self._pred
+        if len(new_arrows) != len(old):
+            succ, pred = _adjacency(new_arrows)
+            stale = _reach({u for (u, v) in arrows if (u, v) not in old}, pred)
+            entries = {s: c for s, c in entries.items() if s not in stale}
+        known = {e: h._changes_since(old[e]) for e, h in arrows.items() if e in old}
+        log = memo.log
+        if objects or known:
+            names = frozenset(objects)
+            sources = _reach({u for (u, _) in known}, pred).union(names)
+            if log is not None:  # one record since the entries: patch keys unite
+                for e, keys in log.arrows.items():
+                    now = known.get(e, _NOTHING)
+                    known[e] = None if keys is None or now is None else keys | now
+                names, sources = names | log.objects, sources | log.sources
+            log = _Record(names, known, frozenset(sources))
         out = object.__new__(Hierarchy)
         out._fill(
-            new_objects, new_arrows, self.skeleton, self.skeleton_map,
-            self._succ, self._pred, checks,
+            {**self._objects, **objects}, new_arrows, self.skeleton, self.skeleton_map,
+            succ, pred, _Memo(entries, log),
         )
         return out
 
@@ -348,126 +394,154 @@ class Hierarchy:
         For each source, a breadth-first walk in sorted successor order fixes
         one composite per reachable node along the first edge that reaches
         it; every other edge extension is compared against it, which covers
-        all path pairs by induction. Each source's composites and verdicts
-        are memoized (see the module docstring), so only the parts of its
-        cone that a `replace` touched are composed again.
+        all path pairs by induction. Memo entries are rechecked only where
+        the logged replacements reach (see the module docstring).
         """
+        memo = self._memo
+        log = memo.log or _Record(_NOTHING, {}, _NOTHING)
+        fresh: dict[str, _Check] = {}
         violations = []
         for a in self.nodes():
-            violations.extend(self._check_source(a, self._checks.get(a)))
+            entry = memo.entries.get(a)
+            if entry is None:
+                entry = self._walk(a, None, {}, True)
+            elif a in log.sources:
+                entry = self._walk(a, entry, log.arrows, a in log.objects)
+            fresh[a] = entry
+            violations.extend(entry.found)
+        if memo.log or len(fresh) != len(memo.entries):
+            object.__setattr__(self, "_memo", _Memo(fresh))
         return violations
 
-    def _check_source(self, a: str, entry: _Check | None) -> list[CommutativityViolation]:
-        """Walk a's cone once: redo each edge whose inputs changed since
-        `entry` was filled (every edge without an entry), reuse the rest.
-
-        A failing compose on a tree edge raises at once; a failure on a
-        comparing edge is raised after the walk, so the first tree-edge
-        failure wins, as when all tree edges are composed before any
-        comparison. Only a walk that raises nothing updates the memo. When
-        nothing replaced lies in the cone (no object of it, no arrow out of
-        it), the stored verdicts are returned without a walk.
-
-        `moved[v]` holds the keys of a's graph at which canon[v] may differ
-        from the entry's composite, or None when that is not known (always
-        at a itself): nothing for a reused composite, the arrow's patch keys
-        for a successor of a, and None for a composite built again. A
-        comparing edge that held when the entry was filled, and whose keys
-        are known, is compared at those keys only (see `_moved_keys`).
-        """
-        if entry is not None and not any(
-            (x[0] if isinstance(x, tuple) else x) in entry.canon for x in entry.changed
-        ):
-            if entry.changed:
-                self._checks[a] = entry._replace(changed=frozenset(), patched={})
-            return [v for v in entry.verdicts.values() if v is not None]
-        arrows, succ = self._arrows, self._succ
-        changed = entry.changed if entry is not None else frozenset()
-        patched = entry.patched if entry is not None else {}
-        dirty = {a: entry is None or a in changed}
-        canon: dict[str, Homomorphism | None] = {a: None}
+    def _walk(self, a: str, entry: _Check | None, replaced: dict, renewed: bool) -> _Check:
+        """a's check: with no `entry`, every edge of its cone; with one, the
+        `replaced` arrows (mapped to their patch keys), the first hops if a's
+        object was `renewed`, and the edges at each node whose composite
+        changes. Edges pop from a heap keyed by (tail's place, head), in walk
+        order. A failing compose on a tree edge raises at once, one on a
+        comparing edge after the walk, so the first tree-edge failure wins.
+        `moved[v]` holds the keys at which canon[v] may differ from the
+        entry's (None when not known, as at a); a comparing edge that held
+        is compared only where it can have changed (`_moved_keys`)."""
+        succ, pred = self._succ, self._pred
+        if entry is None:
+            order, pos, parent = _breadth_first(succ, a)
+            canon: dict[str, Homomorphism | None] = {a: None}
+            verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
+            edges = ((u, v) for u in order for v in succ.get(u, ()))
+        else:
+            order, pos, parent = entry.order, entry.pos, entry.parent
+            canon, verdicts = entry.canon.copy(), entry.verdicts
+            queued = {(pos[u], v) for (u, v) in replaced if u in pos}
+            if renewed:
+                queued.update((0, v) for v in succ.get(a, ()))
+                queued.update((pos[x], a) for x in pred.get(a, ()) if x in pos)
+            heap = sorted(queued)
+            edges = _popped(heap, order)
         moved: dict[str, frozenset | None] = {a: None}
-        parent: dict[str, str] = {}
-        verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
-        deferred: Exception | None = None
-        order = [a]
-        for u in order:  # grows while walking: breadth-first
-            for v in succ.get(u, ()):
-                e = (u, v)
-                if v not in canon:
-                    redo = dirty[u] or e in changed
-                    if not redo:
-                        canon[v], moved[v] = entry.canon[v], _NOTHING
-                    elif u == a:
+        flipped, deferred = entry is None, None
+        for u, v in edges:
+            e = (u, v)
+            if parent.get(v) == u:
+                if entry is None:
+                    if u == a:
                         canon[v] = self._first_hop(a, v)
-                        moved[v] = (
-                            None if entry is None
-                            else patched.get(e) if e in changed
-                            else _NOTHING
-                        )
                     else:
-                        canon[v], moved[v] = compose(arrows[e], canon[u]), None
-                    dirty[v] = redo
-                    parent[v] = u
-                    order.append(v)
-                elif deferred is not None:
+                        canon[v] = compose(self._arrows[e], canon[u])
                     continue
-                elif dirty[u] or dirty[v] or e in changed:
-                    try:
-                        keys = None
-                        ku, kv = moved[u], moved[v]
-                        if ku is not None and kv is not None and entry.verdicts[e] is None:
-                            ke = patched.get(e) if e in changed else _NOTHING
-                            keys = _moved_keys(ku, kv, ke, entry.canon[u])
-                        verdicts[e] = self._verdict(a, u, v, canon, parent, keys)
-                    except (CompositionError, KeyError) as exc:
-                        deferred = exc
+                old, ke = entry.canon[v], replaced.get(e, _NOTHING)
+                if u == a:
+                    new, keys = self._first_hop(a, v), ke
                 else:
-                    verdicts[e] = entry.verdicts[e]
+                    ku, prev = moved.get(u, _NOTHING), entry.canon[u]
+                    new, keys = self._composite(e, canon[u], ku, ke, old, prev)
+                if new is old:
+                    continue
+                canon[v], moved[v] = new, keys
+                for key in [(pos[v], w) for w in succ.get(v, ())] + [
+                    (pos[x], v) for x in pred.get(v, ()) if x in pos
+                ]:
+                    if key not in queued:
+                        queued.add(key)
+                        heapq.heappush(heap, key)
+            elif deferred is None:
+                keys = None
+                if entry is not None and entry.verdicts[e] is None:
+                    ku, kv = moved.get(u, _NOTHING), moved.get(v, _NOTHING)
+                    ke = replaced.get(e, _NOTHING)
+                    if None not in (ku, kv, ke):
+                        arrow = canon[u] if parent.get(u) == a else None
+                        keys = _moved_keys(ku, kv, ke, entry.canon[u], arrow)
+                try:
+                    verdict = self._verdict(a, u, v, canon, parent, keys)
+                except (CompositionError, KeyError) as exc:
+                    deferred = exc
+                    continue
+                if entry is None:
+                    verdicts[e] = verdict
+                elif verdict is not None or entry.verdicts[e] is not None:
+                    if not flipped:  # the entry's verdicts change: copy them
+                        verdicts, flipped = verdicts.copy(), True
+                    verdicts[e] = verdict
         if deferred is not None:
             raise deferred
-        self._checks[a] = _Check(canon, verdicts, frozenset(), {})
-        return [v for v in verdicts.values() if v is not None]
+        found = [x for x in verdicts.values() if x is not None] if flipped else entry.found
+        return _Check(order, pos, parent, canon, verdicts, found)
+
+    def _composite(self, e, first, ku, ke, old, prev) -> tuple[Homomorphism, frozenset | None]:
+        """Arrow e after `first`, with the keys at which it differs from
+        `old`, the entry's composite at e's head (None when not known). With
+        the keys ku, ke at which `first` and the arrow may differ from `prev`
+        (the entry's composite at e's tail) and from the old arrow, it is a
+        patch of old at `_moved_keys`, or old itself when that keeps its
+        values and endpoints."""
+        arrow = self._arrows[e]
+        if ku is None or ke is None:
+            return compose(arrow, first), None
+        if first.target is not arrow.source and first.target != arrow.source:
+            raise CompositionError("compose: f.target differs from g.source")
+        keys = _moved_keys(ku, _NOTHING, ke, prev)
+        nodes, am, fm, om = first.source.nodes, arrow.node_map, first.node_map, old.node_map
+        updates = {n: am[fm[n]] for n in keys if n in nodes}
+        if (
+            arrow.target is old.target and first.source is old.source
+            and all(om.get(n) == updates.get(n) for n in keys)
+        ):
+            return old, _NOTHING
+        new = Homomorphism._patched(old, first.source, arrow.target, updates, keys)
+        return new, new._changes_since(old)
 
     def _first_hop(self, a: str, v: str) -> Homomorphism:
-        """The composite along the one arrow a -> v: the arrow itself, once
-        it passes the endpoint check that composing it with a's identity
-        would make. Its map is taken to be total on a's graph, as a typing's
-        is; a map that is not is no homomorphism, which `validate` reports
-        before it checks commutativity."""
+        """The composite along the one arrow a -> v: the arrow itself, after
+        the endpoint check composing it with a's identity would make (its
+        map is taken to be total, as `validate` checks first)."""
         arrow = self._arrows[(a, v)]
-        if arrow.source != self._objects[a]:
+        if arrow.source is not self._objects[a] and arrow.source != self._objects[a]:
             raise CompositionError("compose: f.target differs from g.source")
         return arrow
 
     def _verdict(self, a, u, v, canon, parent, keys) -> CommutativityViolation | None:
-        """Compare the arrow u -> v after canon[u] with canon[v]: everywhere,
-        or with `keys` only at those nodes of a's graph, after the endpoint
-        checks of `compose` and `hom_equal`."""
+        """Compare the arrow u -> v after canon[u] with canon[v] at `keys`
+        (None: at every node of a's graph), with the endpoint checks and the
+        lookups of `compose` and then of `hom_equal`."""
         arrow, first, fixed = self._arrows[(u, v)], canon[u], canon[v]
         if a in (u, v):  # a cycle back to the source, in a shape left unchecked
             first = first or identity(self._objects[a])
             fixed = fixed or identity(self._objects[a])
-        if keys is None:
-            candidate = compose(arrow, first)
-            if hom_equal(candidate, fixed):
-                return None
-            witness = next(
-                n for n in sorted(self._objects[a].nodes) if candidate[n] != fixed[n]
-            )
-        else:
-            if first.target != arrow.source:
-                raise CompositionError("compose: f.target differs from g.source")
-            if first.source != fixed.source or arrow.target != fixed.target:
-                raise CompositionError("hom_equal: endpoints differ")
-            am, fm, xm = arrow.node_map, first.node_map, fixed.node_map
-            nodes = first.source.nodes
-            bad = [n for n in keys if n in nodes and am[fm[n]] != xm[n]]
-            if not bad:
-                return None
-            witness = min(bad)
+        if first.target is not arrow.source and first.target != arrow.source:
+            raise CompositionError("compose: f.target differs from g.source")
+        am, fm, nodes = arrow.node_map, first.node_map, first.source.nodes
+        values = {n: am[fm[n]] for n in (nodes if keys is None else keys) if n in nodes}
+        if (first.source is not fixed.source and first.source != fixed.source) or (
+            arrow.target is not fixed.target and arrow.target != fixed.target
+        ):  # identity first: graphs compare by value
+            raise CompositionError("hom_equal: endpoints differ")
+        xm = fixed.node_map
+        bad = [n for n, y in values.items() if y != xm[n]]
+        if not bad:
+            return None
         return CommutativityViolation(
-            a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,), witness
+            a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,), min(bad)
         )
 
     def validate(self) -> list[str]:
@@ -511,22 +585,12 @@ class Hierarchy:
     # -- queries ---------------------------------------------------------------
 
     def descendants(self, s: str) -> set[str]:
-        return self._reach(s, self.successors)
+        self.graph(s)
+        return _reach((s,), self._succ)
 
     def ancestors(self, s: str) -> set[str]:
-        return self._reach(s, self.predecessors)
-
-    def _reach(self, s: str, step) -> set[str]:
-        """s and every object reachable from it through `step`."""
         self.graph(s)
-        out = {s}
-        frontier = [s]
-        while frontier:
-            for v in step(frontier.pop()):
-                if v not in out:
-                    out.add(v)
-                    frontier.append(v)
-        return out
+        return _reach((s,), self._pred)
 
     def _induced(self, keep: set[str]) -> "Hierarchy":
         return Hierarchy(
@@ -549,31 +613,28 @@ class Hierarchy:
     def composed_typing(self, a: str, b: str) -> Homomorphism:
         """The (unique, by commutativity) composite of any path a → b: the
         one along the path a breadth-first walk in sorted successor order
-        reaches b by, whose first hop is an arrow itself. When a's check
-        memo is current (filled, nothing replaced since), its composite is
-        returned without a walk."""
+        reaches b by, whose first hop is an arrow itself. It is the memo's
+        when a's entry is current; otherwise the walk composes each node's
+        composite as it reaches it, until it leaves b."""
         if a == b:
             return identity(self.graph(a))
         self.graph(b)
-        entry = self._checks.get(a)
-        if entry is not None and not entry.changed:
-            if b in entry.canon:
-                return entry.canon[b]
-            raise HierarchyError(f"no path {a} -> {b}")
-        self.graph(a)
-        canon: dict[str, Homomorphism | None] = {a: None}
-        frontier = [a]
-        while frontier:
-            u = frontier.pop(0)
-            if u == b:
-                return canon[b]
-            for v in self.successors(u):
-                if v not in canon:
-                    if u == a:
-                        canon[v] = self._first_hop(a, v)
-                    else:
-                        canon[v] = compose(self._arrows[(u, v)], canon[u])
-                    frontier.append(v)
+        memo = self._memo
+        entry = memo.entries.get(a)
+        if entry is not None and (memo.log is None or a not in memo.log.sources):
+            canon = entry.canon
+        else:
+            self.graph(a)
+            order, pos, parent = _breadth_first(self._succ, a)
+            canon = {}
+            for v in order[1:]:
+                u = parent[v]
+                if b in pos and pos[u] >= pos[b]:
+                    break
+                if u == a:
+                    canon[v] = self._first_hop(a, v)
+                else:
+                    canon[v] = compose(self._arrows[(u, v)], canon[u])
         if b in canon:
             return canon[b]
         raise HierarchyError(f"no path {a} -> {b}")
@@ -626,7 +687,10 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
                     raise TypeError(f"skeleton edge {json.dumps(e)} is not a pair of kinds")
                 edges.append(tuple(e))
             where = ("skeleton",)
-            skeleton = Skeleton.create(nodes, edges)
+            try:
+                skeleton = Skeleton.create(nodes, edges)
+            except HierarchyError as exc:
+                raise _relocated(HierarchyError, where, exc, "skeleton") from exc
             where = ("skeleton", "assignment")
             assignment = _node_map_from_json(sk.get("assignment", {}), "skeleton assignment")
         objects = {}

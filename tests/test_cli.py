@@ -322,6 +322,10 @@ def _with_number_in_typing_map(obj):
          'malformed hierarchy: skeleton edge ["a"] is not a pair of kinds'),
         (_with_skeleton_edge(["a", "a", "a"]),
          'malformed hierarchy: skeleton edge ["a", "a", "a"] is not a pair of kinds'),
+        (_with_skeleton(edges=[["g", "t"], ["g", "zz"]]),
+         "skeleton.edges[1]: skeleton edge (g,zz) has unknown endpoint"),
+        (_with_skeleton(edges=[["g", "t"], ["t", "g"]]), "skeleton: skeleton must be acyclic"),
+        (_with_skeleton(edges=[["t", "t"]]), "skeleton: skeleton must be acyclic"),
         (_with_skeleton(nodes="kk"),
          'skeleton.nodes: malformed hierarchy: skeleton nodes "kk" are not a list of kinds'),
         (_with_skeleton(nodes=["g", 5]),
@@ -343,6 +347,9 @@ def _with_number_in_typing_map(obj):
         "top-level-list",
         "skeleton-edge-of-one",
         "skeleton-edge-of-three",
+        "skeleton-edge-unknown-endpoint",
+        "skeleton-cycle",
+        "skeleton-self-loop",
         "skeleton-nodes-string",
         "skeleton-kind-number",
         "skeleton-assignment-list",

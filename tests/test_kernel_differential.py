@@ -455,3 +455,46 @@ def test_acyclicity_check_matches_reference():
         assert _acyclic(nodes, *_adjacency(edges)) == (not expected)
         cyclic += expected
     assert 300 < cyclic < 1200
+
+
+def _full_preimages(h: Homomorphism) -> dict[str, list[str]]:
+    """The preimage lists built from scratch, each sorted."""
+    inverse: dict[str, list[str]] = {}
+    for n in sorted(h.source.nodes):
+        inverse.setdefault(h.node_map[n], []).append(n)
+    return inverse
+
+
+def test_patched_preimages_match_full_build():
+    """A patch of an arrow whose preimage lists are cached derives its own
+    from them at its keys. Random chains of patches re-set, drop and add
+    keys, and change the source graph (also outside the keys) or keep it;
+    every derived list must hold the nodes of the full build, and the
+    base's lists stay as they were."""
+    rng = random.Random(1212)
+    derived = 0
+    for _ in range(300):
+        target = random_graph(rng, max_nodes=5, min_nodes=1, prefix="t")
+        images = sorted(target.nodes)
+        source = Graph([f"s{i}" for i in range(rng.randint(1, 8))])
+        h = Homomorphism(source, target, {n: rng.choice(images) for n in source.nodes})
+        for _ in range(rng.randint(1, 4)):
+            before = {y: sorted(xs) for y, xs in h._preimages().items()}
+            assert before == _full_preimages(h)
+            nodes = set(h.source.nodes)
+            dropped = set(rng.sample(sorted(nodes), rng.randint(0, len(nodes) - 1)))
+            added = {f"n{rng.randrange(10**6)}" for _ in range(rng.randint(0, 3))}
+            reset = set(rng.sample(sorted(nodes - dropped), rng.randint(0, len(nodes - dropped))))
+            new_nodes = (nodes - dropped) | added
+            if rng.random() < 0.2 and new_nodes - reset:  # leaves the source, stays in the map
+                new_nodes -= {rng.choice(sorted(new_nodes - reset))}
+            new_source = h.source if new_nodes == nodes and rng.random() < 0.5 else Graph(new_nodes)
+            updates = {n: rng.choice(images) for n in reset | added}
+            patch = Homomorphism._patched(h, new_source, target, updates, dropped | added | reset)
+            got = patch._preimages()
+            assert {y: sorted(xs) for y, xs in got.items()} == _full_preimages(patch)
+            assert {y: sorted(xs) for y, xs in h._preimages().items()} == before
+            # an untouched list is the base's own: the lists were derived
+            derived += any(got.get(y) is xs for y, xs in h._preimages().items())
+            h = patch
+    assert derived > 100, derived

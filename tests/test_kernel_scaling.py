@@ -22,11 +22,14 @@ edges at the matched node. Building every node of the result afresh made
 9,001-9,003 such calls here.
 
 The hierarchy guards count calls instead of timing them: one rewrite
-propagated through a 20-layer hierarchy must not compose typings as often as
-re-checking every path pair of the whole hierarchy after each object does.
-That full re-check makes 87,548 (fwd add) and 88,236 (bwd clone) composes
-here; the memoized check makes 14,210 and 14,898 against a budget of
-25,000. The counts are deterministic, so host speed cannot trip them.
+propagated through a 20-layer hierarchy must build few composites (`compose`
+and `Homomorphism._patched` calls made by sqpo.hierarchy), and each step
+must recheck only the sources that reach the updated object. Re-checking
+every path pair of the whole hierarchy after each object makes 87,548 (fwd
+add) and 88,236 (bwd clone) composes here, a memo that walks every
+affected source's whole cone 12,396, and the dirty-region recheck 1,332
+against a budget of 2,000. The counts are deterministic, so host speed
+cannot trip them.
 
 The plan-resolution guards count `restriction_pullback` (patched in every
 sqpo module that holds it) and `Hierarchy.composed_typing` calls. A plan is
@@ -54,6 +57,7 @@ import io
 import json
 import json.encoder
 import random
+import sys
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -210,7 +214,7 @@ def test_final_pbc_of_a_node_clone_works_on_the_match_only(big, monkeypatch):
 
 
 LAYERS = 20
-COMPOSE_BUDGET = 25_000
+COMPOSITE_BUDGET = 2_000
 
 
 @pytest.fixture(scope="module")
@@ -236,15 +240,37 @@ def layered():
 
 
 def _counted_rewrite(monkeypatch, h, origin, edits, direction):
-    calls = 0
-    original = sqpo.hierarchy.compose
+    """Apply a canonical plan of `edits` at origin; returns the composites
+    sqpo.hierarchy built, the sources each commutativity check walked
+    (one list per check) and the last report."""
+    composites, walked = 0, []
+    compose, patched = sqpo.hierarchy.compose, Homomorphism._patched.__func__
+    walk = Hierarchy._walk
 
-    def counting(g, f):
-        nonlocal calls
-        calls += 1
-        return original(g, f)
+    def counting_compose(g, f):
+        nonlocal composites
+        composites += 1
+        return compose(g, f)
 
-    monkeypatch.setattr(sqpo.hierarchy, "compose", counting)
+    def counting_patched(cls, *args):
+        nonlocal composites
+        composites += sys._getframe(1).f_globals["__name__"] == "sqpo.hierarchy"
+        return patched(cls, *args)
+
+    def recording_walk(self, a, *args):
+        walked[-1].append(a)
+        return walk(self, a, *args)
+
+    check = Hierarchy.validate_commutativity
+
+    def recording_check(self):
+        walked.append([])
+        return check(self)
+
+    monkeypatch.setattr(sqpo.hierarchy, "compose", counting_compose)
+    monkeypatch.setattr(Homomorphism, "_patched", classmethod(counting_patched))
+    monkeypatch.setattr(Hierarchy, "_walk", recording_walk)
+    monkeypatch.setattr(Hierarchy, "validate_commutativity", recording_check)
     rule = build_rule(Graph(["x"]), edits)
     forward = direction == FORWARD
     kind = EXPANSIVE if forward else RESTRICTIVE
@@ -253,24 +279,35 @@ def _counted_rewrite(monkeypatch, h, origin, edits, direction):
     plan = build_canonical_plan(h, origin, arrow, match.instance, direction)
     reports = apply_plan(h, plan)
     assert all(not v for report in reports for _, v in report.steps)
-    return calls, reports[-1]
+    return composites, walked, reports[-1]
+
+
+def _assert_cone_rechecks(h, walked, report):
+    """Each step's check walked only the updated object and its ancestors,
+    each once; the first steps walk far fewer than all objects."""
+    assert len(walked) == len(report.steps)
+    for sources, (i, _) in zip(walked, report.steps):
+        assert sorted(sources) == sorted(set(sources)) and set(sources) <= h.ancestors(i), i
+    assert min(map(len, walked)) <= 3 < len(h.nodes())
 
 
 def test_forward_add_in_deep_hierarchy_composes_little(layered, monkeypatch):
-    calls, report = _counted_rewrite(
+    composites, walked, report = _counted_rewrite(
         monkeypatch, layered, "L00a", [AddNode("n"), AddEdge("x", "n")], FORWARD
     )
     assert len(report.steps) == 2 * LAYERS - 1
-    assert 0 < calls <= COMPOSE_BUDGET, f"{calls} composes in sqpo.hierarchy"
+    assert 0 < composites <= COMPOSITE_BUDGET, f"{composites} composites in sqpo.hierarchy"
+    _assert_cone_rechecks(layered, walked, report)
 
 
 def test_backward_clone_in_deep_hierarchy_composes_little(layered, monkeypatch):
     top = f"L{LAYERS - 1:02d}a"
-    calls, report = _counted_rewrite(
+    composites, walked, report = _counted_rewrite(
         monkeypatch, layered, top, [CloneNode("x", "x1", "x2")], BACKWARD
     )
     assert len(report.steps) == 2 * LAYERS - 1
-    assert 0 < calls <= COMPOSE_BUDGET, f"{calls} composes in sqpo.hierarchy"
+    assert 0 < composites <= COMPOSITE_BUDGET, f"{composites} composites in sqpo.hierarchy"
+    _assert_cone_rechecks(layered, walked, report)
 
 
 DATA_NODES = 5000
