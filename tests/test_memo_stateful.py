@@ -11,6 +11,8 @@ bytes (or the same exception type and message).
 """
 
 import random
+import sys
+import threading
 from collections import Counter
 
 from hypothesis import settings, strategies as st
@@ -152,3 +154,50 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
     for key in ["clean", "typing added", "typing refused", "clean-ups", ("fwd", "relation"),
                 ("fwd", "canonical"), ("bwd", "relation"), ("bwd", "canonical")]:
         assert seen[key], (key, seen)
+
+
+def _answers(h):
+    """Every answer the memo serves: the verdicts and each pair's composite
+    (or what they raise)."""
+    verdicts = _outcome(lambda: [str(v) for v in h.validate_commutativity()])
+    pairs = {(a, b): _outcome(lambda: _composite(h, a, b)) for a in h.nodes() for b in h.nodes()}
+    return verdicts, pairs
+
+
+def test_concurrent_checks_agree():
+    """Threads check and query the same hierarchies at once, each after a
+    rewrite and one more arrow replaced, so every memo starts stale and
+    several threads install theirs. Every answer equals the memo-free
+    copy's."""
+    rng = random.Random(9)
+    cases = []
+    for _ in range(12):
+        h = random_hierarchy(rng, max_objects=6, max_edges=8)
+        h = apply_plan(h, random_forward_plan(rng, h, rng.choice(h.nodes())))[-1].hierarchy
+        a, b = rng.choice(h.edges())
+        arrow = h.typing(a, b)
+        mapping = dict(arrow.node_map)
+        mapping[rng.choice(sorted(mapping))] = rng.choice(sorted(arrow.target.nodes))
+        h = h.replace(arrows={(a, b): Homomorphism(arrow.source, arrow.target, mapping)})
+        cases.append((h, _answers(_memo_free(h))))
+    failures = []
+
+    def worker(seed):
+        order = random.Random(seed).sample(cases, len(cases))
+        for h, expected in order:
+            if _answers(h) != expected:
+                failures.append(h)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert not failures
+    assert any(expected[0] for _, expected in cases)  # some memo holds violations
