@@ -7,9 +7,9 @@ finite sets of scalar values). Homomorphisms are total node maps that
 preserve edges and satisfy key-wise attribute containment.
 
 All edit operations return new graphs; nothing here mutates in place, so
-values can be shared freely across threads. Two private caches fill on
-first use and never go stale, since nothing changes: a graph's successor
-and predecessor lists, and a homomorphism's preimage lists. A homomorphism
+values can be shared freely across threads. Private caches fill on first
+use and never go stale, since nothing changes: a graph's adjacency lists
+and candidate index, and a homomorphism's preimage lists. A homomorphism
 built as a patch of another records the keys whose image changed, which
 lets propagation and the commutativity memo work only where a rewrite did.
 """
@@ -113,7 +113,7 @@ def fresh_id(base: str, taken) -> str:
 class Graph:
     """A finite attributed simple directed graph."""
 
-    __slots__ = ("nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "__weakref__")
+    __slots__ = ("nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_index", "__weakref__")
 
     def __init__(
         self,
@@ -205,6 +205,25 @@ class Graph:
             pred.setdefault(v, []).append(u)
         object.__setattr__(self, "_adjacent", (succ, pred))
         return succ, pred
+
+    def _candidate_index(self) -> tuple[list[str], dict[tuple, list[str]]]:
+        """The node ids in sorted order and, for each (attribute key, value)
+        pair, the nodes carrying it in that order; built on first use and
+        kept. Keys compare by Python equality, as `attrs_contained` does, so
+        1 and True share a list."""
+        try:
+            return self._index
+        except AttributeError:
+            pass
+        ordered = sorted(self.nodes)
+        postings: dict[tuple, list[str]] = {}
+        attrs = self.node_attrs.get
+        for n in ordered:
+            for k, values in attrs(n, _NO_ATTRS).items():
+                for v in values:
+                    postings.setdefault((k, v), []).append(n)
+        object.__setattr__(self, "_index", (ordered, postings))
+        return ordered, postings
 
     def validate(self) -> list[str]:
         """Check the graph invariants; one message per violation."""
@@ -390,16 +409,18 @@ class Homomorphism:
     def _patched(
         cls, old: "Homomorphism", source: Graph, target: Graph, updates: dict[str, str], keys
     ) -> "Homomorphism":
-        """old's node map (a C-level copy) re-set at `keys`: a key takes its
-        value in `updates`, or is dropped when `updates` lacks it; every
-        other key keeps old's image. Records the keys whose image really
-        changed (see `_changes_since`) and holds old only weakly, so a chain
-        of patches does not keep its ancestors alive."""
-        node_map = dict(old.node_map)
-        changed = []
+        """old's node map re-set at `keys`: a key takes its value in
+        `updates`, or is dropped when `updates` lacks it; every other key
+        keeps old's image. The map is a C-level copy of old's, or old's own
+        when no image changes (maps are never modified). Records the keys
+        whose image really changed (see `_changes_since`) and holds old only
+        weakly, so a chain of patches does not keep its ancestors alive."""
+        node_map, changed = old.node_map, []
         for k in keys:
             now = updates.get(k)
             if node_map.get(k) != now:
+                if not changed:
+                    node_map = dict(node_map)
                 changed.append(k)
                 if now is None:
                     del node_map[k]
@@ -633,7 +654,8 @@ def homomorphism_maps(
     with key-wise attribute containment, each node's image drawn from its
     sorted candidate list; yielded in lexicographic order over the sorted
     pattern nodes. Node attributes are for the caller to filter into the
-    candidates.
+    candidates (`rules._iter_matches` draws them from the host's
+    `_candidate_index`); the lists are read, never modified.
 
     A VF2-style backtracking search (Cordella et al. 2004): each pattern
     node checks only its edges to earlier nodes, and its candidates narrow
@@ -771,16 +793,17 @@ def attrs_from_json(obj: Mapping) -> Attrs:
 
 def graph_to_json(g: Graph) -> dict:
     nodes = []
+    node_attrs, edge_attrs = g.node_attrs.get, g.edge_attrs.get
     for n in sorted(g.nodes):
         entry: dict = {"id": n}
-        if g.node_attrs.get(n):
-            entry["attrs"] = attrs_to_json(g.node_attrs[n])
+        if attrs := node_attrs(n):
+            entry["attrs"] = attrs_to_json(attrs)
         nodes.append(entry)
     edges = []
-    for (u, v) in sorted(g.edges):
-        entry = {"from": u, "to": v}
-        if g.edge_attrs.get((u, v)):
-            entry["attrs"] = attrs_to_json(g.edge_attrs[(u, v)])
+    for e in sorted(g.edges):
+        entry = {"from": e[0], "to": e[1]}
+        if attrs := edge_attrs(e):
+            entry["attrs"] = attrs_to_json(attrs)
         edges.append(entry)
     return {"nodes": nodes, "edges": edges}
 

@@ -652,14 +652,10 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
             "assignment": {k: h.skeleton_map[k] for k in sorted(h.skeleton_map)},
         }
     out["graphs"] = {name: graph_to_json(h.graph(name)) for name in h.nodes()}
-    out["typings"] = [
-        {
-            "from": a,
-            "to": b,
-            "map": {k: h.typing(a, b)[k] for k in sorted(h.graph(a).nodes)},
-        }
-        for (a, b) in h.edges()
-    ]
+    out["typings"] = []
+    for (a, b) in h.edges():
+        m, nodes = h.typing(a, b).node_map, sorted(h.graph(a).nodes)
+        out["typings"].append({"from": a, "to": b, "map": {k: m[k] for k in nodes}})
     return out
 
 

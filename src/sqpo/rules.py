@@ -240,13 +240,21 @@ def _iter_matches(
             raise GraphElementError(f"anchor: unknown pattern node {k}")
         if v not in g.nodes:
             raise GraphElementError(f"anchor: unknown graph node {v}")
-    # the host's nodes are sorted only for a pattern node without an anchor
-    hosts = sorted(g.nodes) if pattern.nodes - anchor.keys() else []
+    # only a pattern node without an anchor indexes the host; its smallest
+    # posting list is a subsequence of the sorted host, so order is kept
+    hosts, postings = g._candidate_index() if pattern.nodes - anchor.keys() else ([], {})
     host_attrs = g.node_attrs
     candidates = {}
     for n in pattern.nodes:
         want = pattern.attrs_of(n)
-        pool = [anchor[n]] if n in anchor else hosts
+        pairs = [(k, v) for k, vs in want.items() for v in vs]
+        if n in anchor:
+            pool = [anchor[n]]
+        elif len(pairs) > 1:
+            pool = min((postings.get(p, ()) for p in pairs), key=len)
+        else:  # all hosts, or the one posting list, hold exactly the nodes that match
+            candidates[n] = postings.get(pairs[0], []) if pairs else hosts
+            continue
         candidates[n] = [c for c in pool if attrs_contained(want, host_attrs.get(c, {}))]
     for node_map in homomorphism_maps(pattern, g, candidates, injective=True):
         yield Match(Homomorphism(pattern, g, node_map), kind)

@@ -7,6 +7,8 @@ the original breadth-first `Hierarchy.composed_typing` (which composes
 from an identity map and has no memo), and the two backtracking searches that `graphs.homomorphism_maps` replaced
 next to `find_matches`' own: propagation's connector search (with the two
 connector derivations that drove it) and `find_isomorphism`. Also the
+candidate builder `rules._iter_matches` used before the host's candidate
+index, which filtered the whole sorted host for every pattern node; the
 original canonical writer (the stdlib's `indent=2` encoder) and the
 original graph loader, which normalized every node and edge a second time
 through the public `Graph` constructor and named no JSON path in its
@@ -337,6 +339,21 @@ def find_matches(
 
     search(0)
     return matches
+
+
+def match_candidates(pattern: Graph, g: Graph, anchor: dict[str, str]) -> dict[str, list[str]]:
+    """The candidate lists `rules._iter_matches` built before the candidate
+    index: each pattern node's anchor, or else the whole sorted host,
+    filtered by attribute containment."""
+    # the host's nodes are sorted only for a pattern node without an anchor
+    hosts = sorted(g.nodes) if pattern.nodes - anchor.keys() else []
+    host_attrs = g.node_attrs
+    candidates = {}
+    for n in pattern.nodes:
+        want = pattern.attrs_of(n)
+        pool = [anchor[n]] if n in anchor else hosts
+        candidates[n] = [c for c in pool if attrs_contained(want, host_attrs.get(c, {}))]
+    return candidates
 
 
 def validate_commutativity(

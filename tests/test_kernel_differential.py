@@ -14,6 +14,7 @@ import random
 import pytest
 
 import reference_kernels as ref
+import sqpo.rules
 from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
 from paper_oracles import verify_final_pbc_up, verify_pullback_up, verify_pushout_up
 from sqpo import (
@@ -331,6 +332,97 @@ def test_find_matches_dense_host_matches_reference():
         assert _match_maps(new) == _match_maps(ref.find_matches(rule, host))
 
 
+_KEYS = ("a", "b", "c")
+_VALUES = (0, 1, True, False, 2, "x", "y")
+
+
+def _draw_attrs(rng, p_key: float) -> dict:
+    """Each key with probability p_key, holding one or two values among ints
+    and bools that are equal in Python (1 == True, 0 == False) and strings;
+    the public constructor keeps one value of a colliding pair."""
+    return {k: rng.sample(_VALUES, rng.randint(1, 2)) for k in _KEYS if rng.random() < p_key}
+
+
+def _attributed_pair(rng):
+    """A host whose nodes carry several keys or none, and a pattern whose
+    nodes want a few of them, nothing, or a value no host node carries."""
+    nodes = [f"h{i}" for i in range(rng.randint(1, 9))]
+    edges = [(u, v) for u in nodes for v in nodes if rng.random() < 0.3]
+    host = Graph(nodes, edges, {n: _draw_attrs(rng, 0.5) for n in nodes})
+    p_nodes = [f"p{i}" for i in range(rng.randint(1, 3))]
+    wants = {n: _draw_attrs(rng, 0.25) for n in p_nodes}
+    if rng.random() < 0.3:
+        wants[rng.choice(p_nodes)][rng.choice(_KEYS)] = ["absent"]
+    p_edges = [(u, v) for u in p_nodes for v in p_nodes if rng.random() < 0.2]
+    return host, Graph(p_nodes, p_edges, wants)
+
+
+def _rewritten(rng, host: Graph) -> Graph:
+    """host after a pushout that adds an attributed node next to one of its
+    nodes and adds attributes to that node: a graph built by `Graph._of`."""
+    interface = Graph(["x"])
+    rhs = Graph(["x", "new"], [("x", "new")], {"x": _draw_attrs(rng, 0.5),
+                                                "new": _draw_attrs(rng, 1.0)})
+    match = Homomorphism(interface, host, {"x": rng.choice(sorted(host.nodes))})
+    return pushout(match, Homomorphism(interface, rhs, {"x": "x"})).apex
+
+
+def _index_candidates(monkeypatch, pattern: Graph, g: Graph, anchor) -> dict[str, list[str]]:
+    """The candidate lists `find_matches` hands the search kernel."""
+    seen = []
+
+    def capture(p, host, candidates, injective):
+        seen.append({n: list(c) for n, c in candidates.items()})
+        return iter(())
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sqpo.rules, "homomorphism_maps", capture)
+        find_matches(Rule.identity_rule(pattern), g, anchor=anchor)
+    (candidates,) = seen
+    return candidates
+
+
+def _other_type(want, have) -> bool:
+    """Whether some wanted value is carried only as an equal value of
+    another type (True for 1, 0 for False)."""
+    return any(
+        v not in {w for w in have.get(k, ()) if type(w) is type(v)}
+        for k, vs in want.items() for v in vs
+    )
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_indexed_candidates_match_reference(seed, monkeypatch):
+    """Candidates drawn from the host's posting lists equal the sorted-host
+    filter on a cold graph, on the same graph queried again (the index is
+    built once and kept) and on a graph a rewrite built through
+    `Graph._of`, anchored or not; the matches equal the reference's."""
+    rng = random.Random(9600 + seed)
+    collided = absent = empty_wants = 0
+    for _ in range(80):
+        host, pattern = _attributed_pair(rng)
+        for g in (host, _rewritten(rng, host)):
+            anchor = {}
+            if rng.random() < 0.3:
+                anchor = {rng.choice(sorted(pattern.nodes)): rng.choice(sorted(g.nodes))}
+            want = ref.match_candidates(pattern, g, anchor)
+            assert not hasattr(g, "_index")
+            assert _index_candidates(monkeypatch, pattern, g, anchor) == want
+            index = getattr(g, "_index", None)
+            assert _index_candidates(monkeypatch, pattern, g, anchor) == want
+            assert getattr(g, "_index", None) is index
+            rule = Rule.identity_rule(pattern)
+            assert _match_maps(find_matches(rule, g, anchor=anchor)) == _match_maps(
+                ref.find_matches(rule, g, anchor=anchor)
+            )
+            for n, found in want.items():
+                wanted = pattern.attrs_of(n)
+                collided += any(_other_type(wanted, g.attrs_of(c)) for c in found)
+                absent += "absent" in {v for vs in wanted.values() for v in vs}
+                empty_wants += not wanted and n not in anchor
+    assert collided > 10 and absent > 20 and empty_wants > 50, (collided, absent, empty_wants)
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_homomorphism_violation_matches_reference(seed):
     """Valid maps, and maps damaged by retargeting one node, so every kind
@@ -498,3 +590,20 @@ def test_patched_preimages_match_full_build():
             derived += any(got.get(y) is xs for y, xs in h._preimages().items())
             h = patch
     assert derived > 100, derived
+
+
+def test_patch_without_changes_shares_the_map():
+    """A patch whose keys all keep their image (a re-target onto a new graph)
+    takes over old's map instead of copying it, records no changed key and
+    derives old's preimage lists; a patch that changes a key copies."""
+    target = Graph(["t", "u"])
+    old = Homomorphism(Graph(["a", "b"]), target, {"a": "t", "b": "u"})
+    old._preimages()
+    new_target = Graph(["t", "u", "w"])
+    same = Homomorphism._patched(old, old.source, new_target, {"a": "t", "b": "u"}, ["a", "b"])
+    assert same.node_map is old.node_map and same.target is new_target
+    assert same._changes_since(old) == frozenset()
+    assert same._preimages() == old._preimages() == {"t": ["a"], "u": ["b"]}
+    moved = Homomorphism._patched(old, old.source, new_target, {"a": "w", "b": "u"}, ["b", "a"])
+    assert moved.node_map == {"a": "w", "b": "u"} and old.node_map == {"a": "t", "b": "u"}
+    assert moved._changes_since(old) == frozenset({"a"})

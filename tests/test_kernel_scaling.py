@@ -15,6 +15,12 @@ host index entries stay within a budget set by the rule and its instances,
 whatever the size of the object (the previous steps did 24,000 to 255,195
 of each forward and 36,402 to 90,154 backward).
 
+Two matching guards count work too: matching two attributed nodes twice
+on that graph indexes it once and checks attributes only on the smallest
+posting list of the node that wants two values (at most 20 calls here,
+against 20,000 when every pattern node filtered the whole sorted host),
+and a fully anchored match indexes nothing.
+
 Two guards count work instead of timing it: a one-node add pushed out into
 that graph and a one-node clone by final_pbc must not re-normalize any
 attribute dict and may call the attribute algebra only for the rule and the
@@ -170,6 +176,51 @@ def _count_attr_work(monkeypatch):
 
         monkeypatch.setattr(module, name, counting)
     return calls
+
+
+def test_repeated_match_filters_posting_lists_only(big, monkeypatch):
+    """Matching twice on the same host indexes it once. A pattern node that
+    wants two values checks node attributes only on its smallest posting
+    list; one that wants a single value takes its posting list as it is."""
+    g, _, _ = big
+    node_attrs = dict(g.node_attrs)
+    node_attrs.update({f"n{i}": {"k": frozenset({"x"})} for i in range(1, 100)})
+    node_attrs.update({f"n{i}": {"k": frozenset({"x"}), "j": frozenset({1})} for i in range(50, 60)})
+    g = Graph._of(g.nodes, g.edges, node_attrs, g.edge_attrs)  # no cached index yet
+    pattern = Graph(["u", "v"], [], {"u": {"k": ["x"], "j": [True]}, "v": {"k": ["x"]}})
+    calls = {"attrs_contained": 0, "index_builds": 0}
+    contained, index = sqpo.rules.attrs_contained, Graph._candidate_index
+
+    def counting(sub, sup):
+        calls["attrs_contained"] += 1
+        return contained(sub, sup)
+
+    def indexing(host):
+        calls["index_builds"] += not hasattr(host, "_index")
+        return index(host)
+
+    monkeypatch.setattr(sqpo.rules, "attrs_contained", counting)
+    monkeypatch.setattr(Graph, "_candidate_index", indexing)
+    rule = Rule.identity_rule(pattern)
+    runs = [find_matches(rule, g) for _ in range(2)]
+    assert [m.instance.node_map for m in runs[0]] == [m.instance.node_map for m in runs[1]]
+    us, vs = sorted(f"n{i}" for i in range(50, 60)), sorted(f"n{i}" for i in range(100))
+    assert [(m.instance["u"], m.instance["v"]) for m in runs[0]] == [
+        (u, v) for u in us for v in vs if u != v
+    ]
+    postings = g._index[1]
+    budget = 2 * min(len(postings[("k", "x")]), len(postings[("j", 1)]))
+    assert budget == 20
+    assert calls["index_builds"] == 1 and calls["attrs_contained"] <= budget, calls
+
+
+def test_anchored_match_builds_no_index(big):
+    g, _, _ = big
+    g = Graph._of(g.nodes, g.edges, g.node_attrs, g.edge_attrs)
+    pattern = Graph(["u", "v"], [], {"u": {"k": ["x"]}})
+    matches = find_matches(Rule.identity_rule(pattern), g, anchor={"u": "n0", "v": "n1"})
+    assert len(matches) == 1
+    assert not hasattr(g, "_index") and not hasattr(g, "_adjacent")
 
 
 def _edges_at(g, n):
