@@ -2,7 +2,8 @@
 
 Each command is a small value object; apply_edit dispatches it to the
 corresponding Graph method and returns the edited graph. The rule builder
-replays the same commands symbolically to derive a rewrite rule.
+(`rules.build_rule`) calls apply_edit to build a rule's right-hand side and
+tracks each command's effect on the rule's interface.
 """
 
 from __future__ import annotations

@@ -458,33 +458,15 @@ class Homomorphism:
 
     def _preimages(self) -> dict[str, list[str]]:
         """For each image, the source nodes that map to it; built on first
-        use and kept. A patch whose base is alive and has its lists derives
-        them from the base's, redoing only the keys it changed and the
-        nodes its source gained or lost."""
+        use and kept."""
         try:
             return self._inverse
         except AttributeError:
             pass
-        base, changed = getattr(self, "_patch", (None, None))
-        base = base and base()
-        node_map, nodes = self.node_map, self.source.nodes
-        inverse: dict[str, list[str]] = getattr(base, "_inverse", None)
-        if inverse is None:
-            inverse = {}
-            for n in nodes:
-                inverse.setdefault(node_map[n], []).append(n)
-        else:
-            old = base.source.nodes
-            keys = changed.union(nodes ^ old) if nodes is not old else changed
-            touched = {base.node_map[n] for n in keys & old} | {node_map[n] for n in keys & nodes}
-            inverse = dict(inverse)
-            for y in touched:  # copies: the base's lists are shared
-                inverse[y] = [x for x in inverse.get(y, ()) if x not in keys]
-            for n in keys & nodes:
-                inverse[node_map[n]].append(n)
-            for y in touched:
-                if not inverse[y]:
-                    del inverse[y]
+        node_map = self.node_map
+        inverse: dict[str, list[str]] = {}
+        for n in self.source.nodes:
+            inverse.setdefault(node_map[n], []).append(n)
         object.__setattr__(self, "_inverse", inverse)
         return inverse
 

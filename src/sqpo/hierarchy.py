@@ -182,15 +182,13 @@ def _reach(starts, step: dict) -> set[str]:
 _NOTHING: frozenset = frozenset()
 
 
-def _moved_keys(ku, kv, ke, old_u: Homomorphism, new_u=None) -> set:
+def _moved_keys(ku, kv, ke, old_u: Homomorphism) -> set:
     """The source's nodes at which edge u -> v's composite or comparison
     can have changed, given the keys ku, kv at which the composites at u and
     v may differ from the entry's and ke at which the arrow may. Outside ku
     the composite at u keeps its image y under old_u (the entry's), and the
     arrow keeps y's image unless y is in ke; outside kv, v's composite keeps
-    its value. So only ku, kv and the old_u-preimages of ke can change.
-    An arrow `new_u` patched from old_u derives its preimage lists while
-    old_u lives: the next check reads them as its old_u's."""
+    its value. So only ku, kv and the old_u-preimages of ke can change."""
     keys = set(ku)
     keys.update(kv)
     hit = [y for y in ke if y in old_u.target.nodes]
@@ -198,8 +196,6 @@ def _moved_keys(ku, kv, ke, old_u: Homomorphism, new_u=None) -> set:
         preimages = old_u._preimages()
         for y in hit:
             keys.update(preimages.get(y, ()))
-        if new_u is not None and new_u._changes_since(old_u):
-            new_u._preimages()
     return keys
 
 
@@ -470,8 +466,7 @@ class Hierarchy:
                     ku, kv = moved.get(u, _NOTHING), moved.get(v, _NOTHING)
                     ke = replaced.get(e, _NOTHING)
                     if None not in (ku, kv, ke):
-                        arrow = canon[u] if parent.get(u) == a else None
-                        keys = _moved_keys(ku, kv, ke, entry.canon[u], arrow)
+                        keys = _moved_keys(ku, kv, ke, entry.canon[u])
                 try:
                     verdict = self._verdict(a, u, v, canon, parent, keys)
                 except (CompositionError, KeyError) as exc:

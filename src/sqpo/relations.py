@@ -268,7 +268,9 @@ def _derive_backward(
     fact.retyping.validate()
 
     # clean-up: over the canonical lifted pattern, drop clone copies the
-    # relation rejected (partial refinements)
+    # relation rejected (partial refinements); an empty relation rejects none
+    if not relation:
+        return fact, []
     lifted = pullback(fact.retyping, fact.pre_arrow)
     doomed = []
     for q in sorted(lifted.apex.nodes):
@@ -372,26 +374,18 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
     reports = [main]
     current = main.hierarchy
 
-    # one clean-up application may propagate into the objects a later one
-    # touches; track where each post-propagation element went
-    adjust: dict[str, dict[str, str]] = {}
-
-    def resolve(node: str, element: str) -> str | None:
-        mapping = adjust.get(node)
-        if mapping is None:
-            return element
-        return mapping.get(element)
-
-    def advance(rep: RewriteReport) -> None:
-        for n, trace in rep.traces.items():
-            if rep.direction == FORWARD:
-                step = {x: trace[x] for x in trace.source.nodes}
-                pre_nodes = trace.source.nodes
+    def resolve(node: str, element: str | None) -> str | None:
+        """Where a post-propagation element of `node` went, followed through
+        the traces of the clean-ups made so far (one may propagate into the
+        objects a later one touches); None once deleted. A backward clean-up
+        only deletes, so the element has at most one preimage."""
+        for trace in (rep.traces[node] for rep in reports[1:] if node in rep.traces):
+            if plan.direction == FORWARD:
+                element = trace.node_map.get(element)
             else:
-                step = {trace[y]: y for y in trace.source.nodes}
-                pre_nodes = trace.target.nodes
-            base = adjust.get(n) or {x: x for x in pre_nodes}
-            adjust[n] = {k: step[v] for k, v in base.items() if v in step}
+                preimage = trace._preimages().get(element)
+                element = preimage[0] if preimage else None
+        return element
 
     for node in sorted(plan.cleanups):
         if plan.direction == FORWARD:
@@ -438,7 +432,6 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
             match2 = Homomorphism(pattern, g_minus, {n: n for n in pattern.nodes})
             plan2 = build_canonical_plan(current, node, arrow, match2, BACKWARD)
             rep = propagate_backward(current, plan2)
-        advance(rep)
         current = rep.hierarchy
         reports.append(rep)
     return reports

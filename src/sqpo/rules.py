@@ -14,15 +14,13 @@ from typing import Iterator
 
 from .category import final_pbc, pushout
 from .edits import (
-    AddAttrs,
-    AddEdge,
-    AddNode,
     CloneNode,
     DeleteEdge,
     DeleteNode,
     Edit,
     MergeNodes,
     RemoveAttrs,
+    apply_edit,
 )
 from .exceptions import GraphElementError, InvalidHomomorphism, RewritingError
 from .graphs import (
@@ -140,22 +138,17 @@ class _RuleState:
 
 def build_rule(pattern: Graph, edits: list[Edit]) -> Rule:
     """Derive a span rule whose effect on any match equals replaying the
-    edits imperatively.
+    edits imperatively; the rhs replays them through `apply_edit`.
 
     Clones and deletions accumulate on the left leg, merges and additions
     on the right; attribute edits adjust the legs' containments.
     """
     st = _RuleState(pattern)
     for edit in edits:
-        if isinstance(edit, AddNode):
-            st.r = st.r.add_node(edit.node, edit.attrs)
-        elif isinstance(edit, AddEdge):
-            st.r = st.r.add_edge(edit.source, edit.target, edit.attrs)
-        elif isinstance(edit, DeleteNode):
-            st.r = st.r.delete_node(edit.node)
+        st.r = apply_edit(st.r, edit)
+        if isinstance(edit, DeleteNode):
             st.drop_interface_nodes(st.preimages(edit.node))
         elif isinstance(edit, DeleteEdge):
-            st.r = st.r.delete_edge(edit.source, edit.target)
             doomed = [
                 e
                 for e in st.p.edges
@@ -164,7 +157,6 @@ def build_rule(pattern: Graph, edits: list[Edit]) -> Rule:
             for e in sorted(doomed):
                 st.p = st.p.delete_edge(*e)
         elif isinstance(edit, CloneNode):
-            st.r = st.r.clone_node(edit.node, edit.copy1, edit.copy2)
             pre = st.preimages(edit.node)
             for p_node in pre:
                 if len(pre) == 1:
@@ -180,15 +172,11 @@ def build_rule(pattern: Graph, edits: list[Edit]) -> Rule:
                 st.p2r[c1] = edit.copy1
                 st.p2r[c2] = edit.copy2
         elif isinstance(edit, MergeNodes):
-            st.r = st.r.merge_nodes(edit.group, edit.merged)
             group = set(edit.group)
             for p_node, img in st.p2r.items():
                 if img in group:
                     st.p2r[p_node] = edit.merged
-        elif isinstance(edit, AddAttrs):
-            st.r = st.r.add_attrs(edit.element, edit.attrs)
         elif isinstance(edit, RemoveAttrs):
-            st.r = st.r.remove_attrs(edit.element, edit.attrs)
             drop = normalize_attrs(edit.attrs)
             if isinstance(edit.element, tuple):
                 for e in sorted(st.p.edges):
@@ -197,8 +185,6 @@ def build_rule(pattern: Graph, edits: list[Edit]) -> Rule:
             else:
                 for p_node in st.preimages(edit.element):
                     st.p = st.p.remove_attrs(p_node, drop)
-        else:
-            raise GraphElementError(f"unknown edit {edit!r}")
     rule = Rule(
         st.lhs,
         st.p,

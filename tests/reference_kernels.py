@@ -14,7 +14,9 @@ original graph loader, which normalized every node and edge a second time
 through the public `Graph` constructor and named no JSON path in its
 messages. And the original backward propagation step, which rebuilt every
 typing at an updated object over all of its source, validated it in full
-and compared its square with two full composites.
+and compared its square with two full composites. And the original
+clean-up loop of `relations.apply_plan`, which rebuilt a map over every
+node of every traced object after each clean-up.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -50,17 +52,23 @@ from sqpo.graphs import (
     is_mono,
     json_shape_message,
 )
-from sqpo.hierarchy import CommutativityViolation, _waves
+from sqpo.edits import MergeNodes
+from sqpo.hierarchy import CommutativityViolation, Hierarchy, _waves
 from sqpo.propagation import (
     BACKWARD,
+    FORWARD,
     BackwardFactorization,
     ForwardFactorization,
     LiftResult,
+    PropagationPlan,
     RewriteReport,
     _checked_resolution,
     lift_rule,
+    propagate_forward,
 )
-from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule
+from sqpo.propagation import propagate_backward as library_propagate_backward
+from sqpo.relations import build_canonical_plan, induced_subgraph
+from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule, build_rule
 
 
 def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
@@ -779,3 +787,91 @@ def propagate_backward(h, plan) -> RewriteReport:
         updated_typings=updated,
         steps=steps,
     )
+
+
+# -- the clean-up loop --------------------------------------------------------
+
+
+def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
+    """The original `relations.apply_plan`, which tracked where each
+    element went by rebuilding an `adjust` map over every node of every
+    traced object after each clean-up. It runs the library's backward step,
+    named `library_propagate_backward` here because this module's
+    `propagate_backward` is the original one."""
+    if plan.direction == FORWARD:
+        main = propagate_forward(h, plan)
+    else:
+        main = library_propagate_backward(h, plan)
+    reports = [main]
+    current = main.hierarchy
+
+    # one clean-up application may propagate into the objects a later one
+    # touches; track where each post-propagation element went
+    adjust: dict[str, dict[str, str]] = {}
+
+    def resolve(node: str, element: str) -> str | None:
+        mapping = adjust.get(node)
+        if mapping is None:
+            return element
+        return mapping.get(element)
+
+    def advance(rep: RewriteReport) -> None:
+        for n, trace in rep.traces.items():
+            if rep.direction == FORWARD:
+                step = {x: trace[x] for x in trace.source.nodes}
+                pre_nodes = trace.source.nodes
+            else:
+                step = {trace[y]: y for y in trace.source.nodes}
+                pre_nodes = trace.target.nodes
+            base = adjust.get(n) or {x: x for x in pre_nodes}
+            adjust[n] = {k: step[v] for k, v in base.items() if v in step}
+
+    for node in sorted(plan.cleanups):
+        if plan.direction == FORWARD:
+            groups = []
+            for refs in plan.cleanups[node]:
+                raw = {
+                    main.traces[node][elem] if tag == "old" else main.instances[node][elem]
+                    for tag, elem in refs
+                }
+                resolved = {r for r in (resolve(node, x) for x in raw) if r}
+                if len(resolved) >= 2:
+                    # coalesce with any group sharing an element (two groups
+                    # may point at the same existing target)
+                    for other in [g2 for g2 in groups if g2 & resolved]:
+                        groups.remove(other)
+                        resolved |= other
+                    groups.append(resolved)
+            if not groups:
+                continue
+            groups = sorted(sorted(grp) for grp in groups)
+            pattern = Graph(n for grp in groups for n in grp)
+            edits = []
+            taken = set(pattern.nodes)
+            for grp in groups:
+                merged = fresh_id("_".join(grp), taken - set(grp))
+                taken.add(merged)
+                edits.append(MergeNodes(tuple(grp), merged))
+            merge_rule = build_rule(pattern, edits)
+            match2 = Homomorphism(
+                pattern, current.graph(node), {n: n for n in pattern.nodes}
+            )
+            plan2 = build_canonical_plan(
+                current, node, merge_rule.right_leg, match2, FORWARD
+            )
+            rep = propagate_forward(current, plan2)
+        else:
+            raw = {main.instances[node][q] for q in plan.cleanups[node]}
+            doomed = sorted({r for r in (resolve(node, x) for x in raw) if r})
+            if not doomed:
+                continue
+            g_minus = current.graph(node)
+            pattern = induced_subgraph(g_minus, doomed)
+            arrow = Homomorphism(Graph(), pattern, {})
+            match2 = Homomorphism(pattern, g_minus, {n: n for n in pattern.nodes})
+            plan2 = build_canonical_plan(current, node, arrow, match2, BACKWARD)
+            rep = library_propagate_backward(current, plan2)
+        advance(rep)
+        current = rep.hierarchy
+        reports.append(rep)
+    return reports

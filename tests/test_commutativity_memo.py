@@ -238,6 +238,61 @@ def test_tree_edge_failure_wins_over_earlier_comparison_failure():
     assert _assert_matches_oracle(bad) == "raised"
 
 
+def test_cycle_back_to_the_source_compares_the_round_trip():
+    """A shape built directly, without validation, with arrows a -> b and
+    b -> a: from each source the edge back to it compares the source's
+    identity with the round trip. Identities both ways hold; a swap on the
+    way back breaks at x from both sides, as in the full check."""
+    g = Graph(["x", "y"])
+    there = Homomorphism(g, g, {"x": "x", "y": "y"})
+    for back, expected in [
+        (there, []),
+        (
+            Homomorphism(g, g, {"x": "y", "y": "x"}),
+            ["PAIR a a: a != a->b->a at node x", "PAIR b b: b != b->a->b at node x"],
+        ),
+    ]:
+        h = Hierarchy({"a": g, "b": g}, {("a", "b"): there, ("b", "a"): back})
+        assert [str(v) for v in h.validate_commutativity()] == expected
+        assert _assert_matches_oracle(h) == ("violations" if expected else "clean")
+
+
+def test_patched_composite_checks_its_endpoints(monkeypatch):
+    """With the memo of a -> u -> v filled, u's object and a -> u (a patch
+    of the old arrow) are replaced but u -> v is not, so its source is
+    stale. The patched composite at v raises, without composing, the error
+    that the same hierarchy rebuilt without a memo and the full check
+    raise."""
+    g = Graph(["x"])
+    ident = Homomorphism(g, g, {"x": "x"})
+    h = Hierarchy()
+    for name in "auv":
+        h = h.add_object(name, g)
+    h = h.add_typing("a", "u", ident).add_typing("u", "v", ident)
+    assert h.validate_commutativity() == []
+    u2 = Graph(["x", "y"])
+    patch = Homomorphism._patched(ident, g, u2, {"x": "y"}, ["x"])
+    bad = h.replace(objects={"u": u2}, arrows={("a", "u"): patch})
+    unmemoized = Hierarchy(
+        {n: bad.graph(n) for n in bad.nodes()}, {e: bad.typing(*e) for e in bad.edges()}
+    )
+    message = "compose: f.target differs from g.source"
+    with pytest.raises(CompositionError, match=message):
+        unmemoized.validate_commutativity()
+    composed = []
+    original = sqpo.hierarchy.compose
+
+    def counting(g, f):
+        composed.append(f)
+        return original(g, f)
+
+    monkeypatch.setattr(sqpo.hierarchy, "compose", counting)
+    with pytest.raises(CompositionError, match=message):
+        bad.validate_commutativity()
+    assert composed == []
+    assert _assert_matches_oracle(bad) == "raised"
+
+
 def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     """Source a's cone {a, b, c} holds a violation; replacing e and the
     arrows d -> e and d -> c (which ends in the cone but starts outside it)

@@ -12,6 +12,8 @@ ones with derived clean-up deletions too) and require:
   does, on the rebuilt typing and on copies corrupted at delta nodes, with
   the same message when it fails;
 * the edges it checks to be exactly the edges at the delta;
+* `apply_plan` to give the reports of the old one, which rebuilt
+  a map over every node of every traced object after each clean-up;
 * a chain of rewrites to keep no earlier graph alive;
 * threads racing to fill the lazy caches of a shared base to get the
   results of a sequential run.
@@ -35,6 +37,7 @@ from sqpo import (
     SqpoError,
     AddEdge,
     AddNode,
+    CloneNode,
     MergeNodes,
     Graph,
     Hierarchy,
@@ -48,7 +51,8 @@ from sqpo import (
     propagate_backward,
     propagate_forward,
 )
-from sqpo.graphs import homomorphism_violation
+from sqpo.cli import _report_json
+from sqpo.graphs import dumps_canonical, homomorphism_violation
 
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
 
@@ -367,3 +371,149 @@ def test_a_node_renamed_by_the_pushout_is_retyped_everywhere():
         "ka": "a_b", "kb": "a_b", "kab": "a_b#2", "kc": "c"
     }
     assert rep.hierarchy.typing("G", "T").node_map == dict.fromkeys(["a_b", "a_b#2", "c"], "t")
+
+
+def _typed_layer(rng, prefix: str, size: int, under: Graph | None):
+    """A graph of `size` nodes named prefix0, prefix1, ... with each edge
+    drawn with probability 1/2, and its typing into `under` (a random node
+    map; only edges over an edge of `under` are drawn). No typing when
+    `under` is None."""
+    nodes = [f"{prefix}{i}" for i in range(size)]
+    typing = None if under is None else {n: rng.choice(sorted(under.nodes)) for n in nodes}
+    edges = [
+        (a, b)
+        for a in nodes
+        for b in nodes
+        if (typing is None or (typing[a], typing[b]) in under.edges) and rng.random() < 0.5
+    ]
+    g = Graph(nodes, edges)
+    return g, None if typing is None else Homomorphism(g, under, typing)
+
+
+def _chain(rng, names, prefixes, sizes):
+    """The hierarchy low -> mid -> top plus low -> top, for `names` (low,
+    mid, top), of random typed layers with node counts drawn from `sizes`
+    (low, mid, top ranges)."""
+    top, _ = _typed_layer(rng, prefixes[2], rng.randint(*sizes[2]), None)
+    mid, mid_top = _typed_layer(rng, prefixes[1], rng.randint(*sizes[1]), top)
+    low, low_mid = _typed_layer(rng, prefixes[0], rng.randint(*sizes[0]), mid)
+    low_name, mid_name, top_name = names
+    h = Hierarchy().add_object(low_name, low).add_object(mid_name, mid).add_object(top_name, top)
+    h = h.add_typing(low_name, mid_name, low_mid).add_typing(mid_name, top_name, mid_top)
+    low_top = Homomorphism(low, top, {n: mid_top[low_mid[n]] for n in low.nodes})
+    return h.add_typing(low_name, top_name, low_top)
+
+
+def _backward_cleanup_chain(rng):
+    """A clone of a node of T, with relations at G1 -> T and G2 -> G1 (G2
+    -> T too) that each relate some of its instances: both derive clean-up
+    deletions, and G1's propagates into G2. G2's relation mostly follows
+    G1's through G2 -> G1, so it often names what G1's clean-up deleted."""
+    h = _chain(rng, ("G2", "G1", "T"), "rqt", ((3, 7), (3, 6), (1, 2)))
+    x = rng.choice(sorted(h.graph("T").nodes))
+    loop = [("p", "p")] if (x, x) in h.graph("T").edges and rng.random() < 0.5 else []
+    edits = [CloneNode("p", "w", "b")]
+    if rng.random() < 0.3:
+        edits.append(CloneNode("b", "b1", "b2"))
+    rule = build_rule(Graph(["p"], loop), edits)
+    copies = sorted(rule.interface.nodes)
+    match = Homomorphism(rule.lhs, h.graph("T"), {"p": x})
+    to_t, g2_g1 = h.typing("G1", "T"), h.typing("G2", "G1")
+    first = {
+        q: rng.choice(copies)
+        for q in sorted(to_t.source.nodes)
+        if to_t[q] == x and rng.random() < 0.5
+    }
+    second = {}
+    for r in sorted(g2_g1.source.nodes):
+        if to_t[g2_g1[r]] == x and rng.random() < 0.7:
+            mirrored = first.get(g2_g1[r])
+            second[r] = mirrored if mirrored and rng.random() < 0.8 else rng.choice(copies)
+    relations = {name: rel for name, rel in (("G1", first), ("G2", second)) if rel}
+    return h, build_relation_plan(h, "T", rule.left_leg, match, BACKWARD, relations)
+
+
+def _forward_cleanup_chain(rng):
+    """Nodes added next to a node of G, with relations at G -> T1 and T1
+    -> T2 (G -> T2 too) that merge added nodes among themselves or with
+    old ones: both derive clean-up merges, and T1's propagates into T2.
+    T2's relation mostly follows T1's through T1 -> T2, so it often names
+    what T1's clean-up merged."""
+    h = _chain(rng, ("G", "T1", "T2"), "iuv", ((1, 5), (1, 5), (1, 3)))
+    added = [f"s{j}" for j in range(rng.randint(2, 4))]
+    edits = [AddNode(s) for s in added] + [AddEdge("p", s) for s in added if rng.random() < 0.3]
+    rule = build_rule(Graph(["p"]), edits)
+    anchor = rng.choice(sorted(h.graph("G").nodes))
+    match = Homomorphism(rule.interface, h.graph("G"), {"p": anchor})
+    t1_t2 = h.typing("T1", "T2")
+    first = {}
+    for s in added[1:]:
+        roll = rng.random()
+        if roll < 0.6:
+            first[s] = rng.choice(added)
+        elif roll < 0.75:
+            first[s] = rng.choice(sorted(t1_t2.source.nodes))
+    second = {}
+    for s in added[1:]:
+        if s in first and rng.random() < 0.8:
+            value = first[s]
+            second[s] = value if value in added else t1_t2[value]
+        elif rng.random() < 0.4:
+            second[s] = rng.choice(added)
+    relations = {name: rel for name, rel in (("T1", first), ("T2", second)) if rel}
+    return h, build_relation_plan(h, "G", rule.right_leg, match, FORWARD, relations)
+
+
+def _named_after_moving(plan, reports) -> bool:
+    """Whether the first clean-up moved or deleted an element that the
+    second one names (what `apply_plan`'s element tracking is for)."""
+    nodes = sorted(plan.cleanups)
+    if len(nodes) < 2 or len(reports) < 2 or nodes[1] not in reports[1].traces:
+        return False
+    main, node, trace = reports[0], nodes[1], reports[1].traces[nodes[1]]
+    if plan.direction == FORWARD:
+        named = {
+            main.traces[node][e] if tag == "old" else main.instances[node][e]
+            for refs in plan.cleanups[node]
+            for tag, e in refs
+        }
+        return any(trace[x] != x for x in named)
+    kept = {trace[y]: y for y in trace.source.nodes}
+    named = {main.instances[node][q] for q in plan.cleanups[node]}
+    return any(kept.get(x) != x for x in named)
+
+
+def _outcome(h, plan, apply):
+    """The reports `apply` makes and their hierarchy and report bytes, or
+    None and the type and message of what it raised."""
+    plan._resolution = None
+    try:
+        reports = apply(h, plan)
+    except (SqpoError, KeyError, TypeError) as exc:
+        return None, (type(exc), str(exc))
+    hierarchies = [dumps_canonical(hierarchy_to_json(r.hierarchy)) for r in reports]
+    return reports, (hierarchies, dumps_canonical(_report_json(reports)))
+
+
+@pytest.mark.parametrize("build", [_backward_cleanup_chain, _forward_cleanup_chain])
+def test_cleanup_tracking_equals_the_rebuilt_maps(build):
+    """Random relation plans with clean-ups at two neighbours of the origin,
+    one typed by the other, give the hierarchies and report bytes of the
+    old `apply_plan`, which rebuilt a map over every node of every traced
+    object after each clean-up, or the same exception. At least 20 of them
+    have the first clean-up move or delete an element that the second
+    names."""
+    rng = random.Random(1414)
+    compared = followed = 0
+    for _ in range(150):
+        try:
+            h, plan = build(rng)
+        except SqpoError:
+            continue
+        got, got_bytes = _outcome(h, plan, apply_plan)
+        want, want_bytes = _outcome(h, plan, ref.apply_plan)
+        assert got_bytes == want_bytes
+        if want is not None:
+            compared += 1
+            followed += _named_after_moving(plan, want)
+    assert compared > 100 and followed >= 20, (compared, followed)

@@ -558,13 +558,12 @@ def _full_preimages(h: Homomorphism) -> dict[str, list[str]]:
 
 
 def test_patched_preimages_match_full_build():
-    """A patch of an arrow whose preimage lists are cached derives its own
-    from them at its keys. Random chains of patches re-set, drop and add
-    keys, and change the source graph (also outside the keys) or keep it;
-    every derived list must hold the nodes of the full build, and the
-    base's lists stay as they were."""
+    """A patch of an arrow whose preimage lists are cached builds its own
+    from its map. Random chains of patches re-set, drop and add keys, and
+    change the source graph (also outside the keys) or keep it; every list
+    must hold the nodes of the full build, and the base's lists stay as
+    they were."""
     rng = random.Random(1212)
-    derived = 0
     for _ in range(300):
         target = random_graph(rng, max_nodes=5, min_nodes=1, prefix="t")
         images = sorted(target.nodes)
@@ -586,16 +585,13 @@ def test_patched_preimages_match_full_build():
             got = patch._preimages()
             assert {y: sorted(xs) for y, xs in got.items()} == _full_preimages(patch)
             assert {y: sorted(xs) for y, xs in h._preimages().items()} == before
-            # an untouched list is the base's own: the lists were derived
-            derived += any(got.get(y) is xs for y, xs in h._preimages().items())
             h = patch
-    assert derived > 100, derived
 
 
 def test_patch_without_changes_shares_the_map():
     """A patch whose keys all keep their image (a re-target onto a new graph)
     takes over old's map instead of copying it, records no changed key and
-    derives old's preimage lists; a patch that changes a key copies."""
+    has old's preimage lists; a patch that changes a key copies."""
     target = Graph(["t", "u"])
     old = Homomorphism(Graph(["a", "b"]), target, {"a": "t", "b": "u"})
     old._preimages()

@@ -44,7 +44,10 @@ restriction per affected object and one composed typing per affected
 object other than the origin. On G -> M -> T plus G -> T that is 3 and 2
 for a backward clone (9 and 6 when each consumer made its own), 2 composed
 typings for a forward add (4 before), and 3 restrictions for `sqpo
-rewrite --plan` with an explicit backward factorization (10 before).
+rewrite --plan` with an explicit backward factorization (10 before). The
+backward clone calls `category.pullback` 5 times (3 restrictions and 2
+lifts); 7 when `build_canonical_plan` also pulled back for a clean-up that an
+empty relation cannot derive.
 
 The CLI guards count calls too: `sqpo validate` on a file of 2 graphs
 checks each graph once (4 `Graph.validate` calls before), and `sqpo
@@ -514,19 +517,23 @@ def test_backward_steps_work_at_the_delta_only(rare_type, monkeypatch):
 
 
 def _count_plan_resolution(monkeypatch):
-    """Count `restriction_pullback` calls, patched in every sqpo module that
-    holds the function, and `Hierarchy.composed_typing` calls."""
-    counts = {"restriction_pullback": 0, "composed_typing": 0}
-    original = sqpo.propagation.restriction_pullback
+    """Count `restriction_pullback` and `category.pullback` calls, each
+    patched in every sqpo module that holds the function, and
+    `Hierarchy.composed_typing` calls."""
+    counts = {"restriction_pullback": 0, "pullback": 0, "composed_typing": 0}
+    for name, original in [
+        ("restriction_pullback", sqpo.propagation.restriction_pullback),
+        ("pullback", sqpo.category.pullback),
+    ]:
 
-    def pulling(*args):
-        counts["restriction_pullback"] += 1
-        return original(*args)
+        def pulling(*args, name=name, original=original):
+            counts[name] += 1
+            return original(*args)
 
-    for module in (sqpo, sqpo.propagation, sqpo.relations, sqpo.cli):
-        for key, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, key, pulling)
+        for module in (sqpo, sqpo.category, sqpo.propagation, sqpo.relations, sqpo.cli):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, pulling)
     composed = Hierarchy.composed_typing
 
     def composing(self, a, b):
@@ -542,7 +549,10 @@ def test_backward_plan_resolved_once_per_affected_object(typed_data, monkeypatch
     node through G -> M -> T plus G -> T makes one restriction pullback per
     affected object and one composed typing per affected object other than
     the origin: 3 and 2. When the plan builder, the composability check
-    and the propagation step each made their own, it made 9 and 6."""
+    and the propagation step each made their own, it made 9 and 6. It calls
+    `category.pullback` 5 times, for the 3 restrictions and the lifts at M
+    and G: an empty relation rejects no copy, so `build_canonical_plan` makes no
+    clean-up pullback (7 calls when it made one at M and G)."""
     h = typed_data
     counts = _count_plan_resolution(monkeypatch)
     rule = build_rule(Graph(["x"]), [CloneNode("x", "x1", "x2")])
@@ -550,7 +560,7 @@ def test_backward_plan_resolved_once_per_affected_object(typed_data, monkeypatch
     plan = build_canonical_plan(h, "T", rule.left_leg, match.instance, BACKWARD)
     reports = apply_plan(h, plan)
     assert [len(r.steps) for r in reports] == [3]
-    assert counts == {"restriction_pullback": 3, "composed_typing": 2}
+    assert counts == {"restriction_pullback": 3, "pullback": 5, "composed_typing": 2}
 
 
 def test_forward_plan_resolved_once_per_affected_object(typed_data, monkeypatch):
@@ -564,7 +574,7 @@ def test_forward_plan_resolved_once_per_affected_object(typed_data, monkeypatch)
     plan = build_canonical_plan(h, "G", rule.right_leg, match.instance, FORWARD)
     reports = apply_plan(h, plan)
     assert [len(r.steps) for r in reports] == [3]
-    assert counts == {"restriction_pullback": 0, "composed_typing": 2}
+    assert counts == {"restriction_pullback": 0, "pullback": 0, "composed_typing": 2}
 
 
 def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
