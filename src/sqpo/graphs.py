@@ -226,19 +226,18 @@ class Graph:
         return ordered, postings
 
     def validate(self) -> list[str]:
-        """Check the graph invariants; one message per violation."""
+        """Check the graph invariants; one message per violation, sorted."""
         violations = []
-        for (u, v) in sorted(self.edges):
-            if u not in self.nodes:
+        nodes = self.nodes
+        for (u, v) in sorted(e for e in self.edges if not (e[0] in nodes and e[1] in nodes)):
+            if u not in nodes:
                 violations.append(f"dangling edge ({u},{v}): missing source node {u}")
-            if v not in self.nodes:
+            if v not in nodes:
                 violations.append(f"dangling edge ({u},{v}): missing target node {v}")
-        for n in sorted(self.node_attrs):
-            if n not in self.nodes:
-                violations.append(f"attributes on unknown node {n}")
-        for e in sorted(self.edge_attrs):
-            if e not in self.edges:
-                violations.append(f"attributes on unknown edge ({e[0]},{e[1]})")
+        for n in sorted(self.node_attrs.keys() - nodes):
+            violations.append(f"attributes on unknown node {n}")
+        for e in sorted(self.edge_attrs.keys() - self.edges):
+            violations.append(f"attributes on unknown edge ({e[0]},{e[1]})")
         return violations
 
     # -- primitive edits ---------------------------------------------------
@@ -773,19 +772,23 @@ def attrs_from_json(obj: Mapping) -> Attrs:
     return out
 
 
-def graph_to_json(g: Graph) -> dict:
+def graph_to_json(g: Graph, shared: dict | None = None) -> dict:
+    """g as JSON, with one JSON object per attribute dict: `shared` maps its
+    `id()` to it. A caller writing several graphs may pass them one map if
+    it keeps them all alive meanwhile, so that no id is reused."""
+    shared = {} if shared is None else shared
     nodes = []
     node_attrs, edge_attrs = g.node_attrs.get, g.edge_attrs.get
     for n in sorted(g.nodes):
         entry: dict = {"id": n}
-        if attrs := node_attrs(n):
-            entry["attrs"] = attrs_to_json(attrs)
+        if attrs := node_attrs(n):  # attribute JSON is never empty
+            entry["attrs"] = shared.get(id(attrs)) or shared.setdefault(id(attrs), attrs_to_json(attrs))
         nodes.append(entry)
     edges = []
     for e in sorted(g.edges):
         entry = {"from": e[0], "to": e[1]}
         if attrs := edge_attrs(e):
-            entry["attrs"] = attrs_to_json(attrs)
+            entry["attrs"] = shared.get(id(attrs)) or shared.setdefault(id(attrs), attrs_to_json(attrs))
         edges.append(entry)
     return {"nodes": nodes, "edges": edges}
 
@@ -835,11 +838,16 @@ def _node_map_from_json(raw: Mapping, what: str) -> dict[str, str]:
     return dict(raw)
 
 
-def graph_from_json(obj: Mapping) -> Graph:
+def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
     """Load a graph. A malformed node, edge or attribute value raises
     GraphElementError naming its JSON path (`nodes[3]: ...`); an edge off
     the listed nodes raises it listing every such violation, at the path of
-    the first entry of the first such edge in sorted order (`edges[4]`)."""
+    the first entry of the first such edge in sorted order (`edges[4]`).
+
+    Equal raw attribute values are checked once and share one dict: `memo`,
+    one per document, holds each valid value by its repr, which tells `[1]`,
+    `[true]`, `["1"]` and `[1.0]` apart where equality would not."""
+    memo = {} if memo is None else memo
     where: tuple = ()
     try:
         nodes = []
@@ -852,7 +860,8 @@ def graph_from_json(obj: Mapping) -> Graph:
             nodes.append(n)
             if "attrs" in entry:
                 where = ("nodes", i, "attrs")
-                attrs = attrs_from_json(entry["attrs"])
+                if (attrs := memo.get(key := repr(raw := entry["attrs"]))) is None:
+                    attrs = memo[key] = attrs_from_json(raw)
                 if attrs:
                     node_attrs[n] = attrs
                 else:  # an empty dict would break `Graph._of`'s precondition
@@ -867,7 +876,8 @@ def graph_from_json(obj: Mapping) -> Graph:
             edges.append(e)
             if "attrs" in entry:
                 where = ("edges", i, "attrs")
-                attrs = attrs_from_json(entry["attrs"])
+                if (attrs := memo.get(key := repr(raw := entry["attrs"]))) is None:
+                    attrs = memo[key] = attrs_from_json(raw)
                 if attrs:
                     edge_attrs[e] = attrs
                 else:
@@ -898,11 +908,14 @@ def dumps_canonical(obj) -> str:
     text is joined here instead: strings are escaped by the C
     `json.encoder.encode_basestring` the stdlib uses for
     `ensure_ascii=False`, ints by `int.__repr__`, and each container is one
-    join over its members, with `{}` and `[]` for empty ones."""
-    return _dumps(obj, "\n") + "\n"
+    join over its members, with `{}` and `[]` for empty ones. A list joins
+    its dict members (rows) itself, and caches the text of their non-str
+    values by (id, indentation): a value that many rows share is encoded
+    once per depth. obj outlives the call's cache, so no id is reused."""
+    return _dumps(obj, "\n", {}) + "\n"
 
 
-def _dumps(obj, newline: str) -> str:
+def _dumps(obj, newline: str, texts: dict) -> str:
     """obj's indent=2 text; `newline` is a line break plus the indentation
     of obj's own line, which its members indent two spaces past."""
     if isinstance(obj, str):
@@ -912,16 +925,33 @@ def _dumps(obj, newline: str) -> str:
             return "{}"
         inner = newline + "  "
         return "{" + inner + ("," + inner).join([
-            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _dumps(v, inner))
+            _encode_str(k) + ": " + (_encode_str(v) if type(v) is str else _dumps(v, inner, texts))
             for k, v in obj.items()
         ]) + newline + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
         inner = newline + "  "
-        return "[" + inner + ("," + inner).join([
-            _encode_str(v) if type(v) is str else _dumps(v, inner) for v in obj
-        ]) + newline + "]"
+        row_inner = inner + "  "
+        heads: dict = {}  # each row key's text, with the separator before it
+        members = []
+        for v in obj:
+            if type(v) is str:
+                members.append(_encode_str(v))
+            elif type(v) is dict and v:
+                row = ""
+                for k, x in v.items():
+                    if (head := heads.get(k)) is None:
+                        head = heads[k] = "," + row_inner + _encode_str(k) + ": "
+                    if type(x) is str:
+                        text = _encode_str(x)
+                    elif (text := texts.get((id(x), row_inner))) is None:
+                        text = texts[id(x), row_inner] = _dumps(x, row_inner, texts)
+                    row += head + text
+                members.append("{" + row[1:] + inner + "}")
+            else:
+                members.append(_dumps(v, inner, texts))
+        return "[" + inner + ("," + inner).join(members) + newline + "]"
     if obj is None:
         return "null"
     if obj is True:

@@ -646,7 +646,8 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
             "edges": [list(e) for e in sorted(h.skeleton.edges)],
             "assignment": {k: h.skeleton_map[k] for k in sorted(h.skeleton_map)},
         }
-    out["graphs"] = {name: graph_to_json(h.graph(name)) for name in h.nodes()}
+    shared: dict = {}  # one attribute JSON object per dict, across graphs
+    out["graphs"] = {name: graph_to_json(h.graph(name), shared) for name in h.nodes()}
     out["typings"] = []
     for (a, b) in h.edges():
         m, nodes = h.typing(a, b).node_map, sorted(h.graph(a).nodes)
@@ -685,10 +686,11 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
             where = ("skeleton", "assignment")
             assignment = _node_map_from_json(sk.get("assignment", {}), "skeleton assignment")
         objects = {}
+        memo: dict = {}  # one attribute memo for every graph in the file
         for name in obj.get("graphs", {}):
             where = ("graphs", name)
             try:
-                objects[name] = graph_from_json(obj["graphs"][name])
+                objects[name] = graph_from_json(obj["graphs"][name], memo)
             except GraphElementError as exc:
                 raise _relocated(HierarchyError, where, exc, "graph", f"graph {name}: ") from exc
         arrows = {}

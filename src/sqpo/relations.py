@@ -378,13 +378,14 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
         """Where a post-propagation element of `node` went, followed through
         the traces of the clean-ups made so far (one may propagate into the
         objects a later one touches); None once deleted. A backward clean-up
-        only deletes, so the element has at most one preimage."""
+        rule has an empty interface, so each final pullback complement it
+        makes (at its origin or propagated) deletes all it matches and keeps
+        every other node's id: its trace is the identity on its source."""
         for trace in (rep.traces[node] for rep in reports[1:] if node in rep.traces):
             if plan.direction == FORWARD:
                 element = trace.node_map.get(element)
-            else:
-                preimage = trace._preimages().get(element)
-                element = preimage[0] if preimage else None
+            elif element not in trace.source.nodes:
+                element = None
         return element
 
     for node in sorted(plan.cleanups):

@@ -76,10 +76,11 @@ class Match:
 
 
 def rule_to_json(rule: Rule) -> dict:
+    shared: dict = {}
     return {
-        "lhs": graph_to_json(rule.lhs),
-        "interface": graph_to_json(rule.interface),
-        "rhs": graph_to_json(rule.rhs),
+        "lhs": graph_to_json(rule.lhs, shared),
+        "interface": graph_to_json(rule.interface, shared),
+        "rhs": graph_to_json(rule.rhs, shared),
         "left": {k: rule.left_leg[k] for k in sorted(rule.interface.nodes)},
         "right": {k: rule.right_leg[k] for k in sorted(rule.interface.nodes)},
     }
@@ -91,11 +92,11 @@ def rule_from_json(obj: dict) -> Rule:
     `lhs.nodes[0]: malformed graph: ...`."""
     where: tuple = ()
     try:
-        graphs = []
+        graphs, memo = [], {}
         for key in ("lhs", "interface", "rhs"):
             where = (key,)
             try:
-                graphs.append(graph_from_json(obj[key]))
+                graphs.append(graph_from_json(obj[key], memo))
             except GraphElementError as exc:
                 raise _relocated(GraphElementError, where, exc, "graph") from exc
         lhs, interface, rhs = graphs

@@ -5,7 +5,9 @@ the fixture generator still writes the checked-in input files.
 The writer must give exactly `json.dumps(obj, indent=2,
 ensure_ascii=False) + "\\n"` for every value sqpo writes: every fixture
 file, random hierarchies and rules, the outputs and reports of the golden
-CLI runs, strings that need escaping and arbitrary JSON trees."""
+CLI runs, strings that need escaping, arbitrary JSON trees and values that
+reach one object from several places. Attribute values that Python equality
+fuses (1, True, 1.0) stay apart through the loader's attribute memo."""
 
 import contextlib
 import io
@@ -20,7 +22,10 @@ import make_fixtures
 import reference_kernels as ref
 import sqpo.cli
 from generators import random_graph, random_hierarchy
-from sqpo import CloneNode, DeleteNode, MergeNodes, Rule, build_rule, hierarchy_to_json, rule_to_json
+from sqpo import (
+    AddNode, CloneNode, DeleteNode, Graph, HierarchyError, MergeNodes, Rule, build_rule,
+    hierarchy_from_json, hierarchy_to_json, rule_to_json,
+)
 from sqpo.graphs import dumps_canonical
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -124,6 +129,93 @@ _json_trees = st.recursive(
 @given(_json_trees)
 def test_arbitrary_json_trees(value):
     _same_bytes(value)
+
+
+@st.composite
+def _shared_values(draw):
+    """A JSON value in which a few dict and list objects are reached from
+    several places, at one depth and at different depths: mostly as the
+    values of rows (the dict members of a list), mixed with scalars and with
+    empty `{}` and `[]`. `json.dumps` sees a tree; the writer caches the
+    text of a row value by its id and indentation, which this exercises."""
+    pool = draw(st.lists(
+        st.dictionaries(st.text(max_size=3), _json_trees, min_size=1, max_size=3)
+        | st.lists(_json_trees, min_size=1, max_size=3),
+        min_size=1, max_size=3,
+    ))
+    value = st.sampled_from(pool) | _json_trees | st.just({}) | st.just([])
+    rows = draw(st.lists(st.dictionaries(st.text(max_size=3), value, max_size=3) | value, max_size=6))
+    return {"rows": rows, "pool": pool, "deeper": [rows, {"rows": rows}, [[draw(value)]]]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shared_values())
+def test_shared_json_values(value):
+    _same_bytes(value)
+
+
+def _exactness_hierarchy() -> dict:
+    """A hierarchy file whose G nodes carry `[1]`, `[true]`, `["1"]`, `[0]`
+    and `[false]`, values that Python equality fuses (1 == True == 1.0), and
+    whose first edge and a T edge carry the same raw value as node n0."""
+    values = [[1], [True], ["1"], [0], [False]]
+    kinds = ["ints", "bools", "strs", "ints", "bools"]
+    return {
+        "graphs": {
+            "G": {
+                "nodes": [{"id": f"n{i}", "attrs": {"v": v}} for i, v in enumerate(values)],
+                "edges": [{"from": "n0", "to": "n1", "attrs": {"v": [1]}},
+                          {"from": "n2", "to": "n4"}],
+            },
+            "T": {
+                "nodes": [{"id": "bools", "attrs": {"v": [False, True]}},
+                          {"id": "ints", "attrs": {"v": [0, 1]}},
+                          {"id": "strs", "attrs": {"v": ["1"]}}],
+                "edges": [{"from": "ints", "to": "bools", "attrs": {"v": [1]}},
+                          {"from": "strs", "to": "bools"}],
+            },
+        },
+        "typings": [{"from": "G", "to": "T", "map": {f"n{i}": k for i, k in enumerate(kinds)}}],
+    }
+
+
+def test_colliding_attribute_values_round_trip_exactly(tmp_path):
+    """The loader's attribute memo tells apart values that compare equal,
+    and shares a dict only between equal raw values: the file comes back
+    byte for byte from the library and through `sqpo rewrite`."""
+    text = dumps_canonical(_exactness_hierarchy())
+    h = hierarchy_from_json(json.loads(text))
+    g = h.graph("G")
+    assert [type(x) for n in sorted(g.nodes) for x in g.node_attrs[n]["v"]] == [int, bool, str, int, bool]
+    assert g.node_attrs["n0"] is g.edge_attrs[("n0", "n1")] is h.graph("T").edge_attrs[("ints", "bools")]
+    assert dumps_canonical(hierarchy_to_json(h)) == text
+
+    (tmp_path / "h.json").write_text(text, encoding="utf-8")
+    rule = build_rule(Graph(), [AddNode("new", {"v": [True]})])
+    (tmp_path / "rule.json").write_text(dumps_canonical(rule_to_json(rule)), encoding="utf-8")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert sqpo.cli.main([
+            "rewrite", str(tmp_path / "h.json"), "G", str(tmp_path / "rule.json"), "0",
+            "--direction", "fwd", "-o", str(tmp_path / "out.json"),
+        ]) == 0
+    before, after = json.loads(text)["graphs"], json.loads((tmp_path / "out.json").read_text())["graphs"]
+    for name in before:
+        for part in ("nodes", "edges"):
+            kept = {dumps_canonical(entry) for entry in after[name][part]}
+            assert {dumps_canonical(entry) for entry in before[name][part]} <= kept, (name, part)
+
+
+@pytest.mark.parametrize("bad, path", [
+    ({"v": [1.0]}, "graphs.G.nodes[5].attrs.v[0]: "),  # 1.0 == 1
+    ({"v": [1, True]}, "graphs.G.nodes[5].attrs.v: "),
+    ({"v": 1}, "graphs.G.nodes[5].attrs.v: "),
+])
+def test_malformed_value_after_an_equal_valid_one_names_its_own_path(bad, path):
+    obj = _exactness_hierarchy()
+    obj["graphs"]["G"]["nodes"].append({"id": "n5", "attrs": bad})
+    with pytest.raises(HierarchyError) as info:
+        hierarchy_from_json(obj)
+    assert str(info.value).startswith(path)
 
 
 def test_fixture_inputs_regenerate_byte_for_byte(tmp_path, monkeypatch):

@@ -60,6 +60,16 @@ reach `json.encoder._make_iterencode`, the stdlib's pure-Python encoder
 that `json.dumps(..., indent=2)` runs; loading that hierarchy must not call
 `normalize_attrs`, which the public `Graph` constructor runs once per
 attributed node and edge (1,976 times here).
+
+On a hierarchy shaped like the benchmark's data hierarchy (1000 data nodes
+over 32 mid types over 8 kinds, each node carrying its kind), whose file
+holds 8 distinct raw attribute values, the loader checks 8 values
+(`attrs_from_json`; 1,040 calls when each node's value was checked), the
+writer builds 8 attribute objects (`attrs_to_json`; 1,040 before) and
+`dumps_canonical` makes 31 `_dumps` calls, one per list, map or distinct
+shared value (5,026 before, one per member). Four threads that
+load and dump that file at once each get the single-thread bytes: the memos
+live in one call.
 """
 
 import io
@@ -67,6 +77,7 @@ import json
 import json.encoder
 import random
 import sys
+import threading
 import time
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -696,3 +707,100 @@ def test_cli_never_runs_the_pure_python_encoder(attributed_json, tmp_path, monke
         ]) == 0
     assert (tmp_path / "out.json").read_text().startswith('{\n  "graphs": {')
     assert calls == []
+
+
+def _data_hierarchy_json(n: int) -> dict:
+    """A hierarchy shaped like the benchmark's data hierarchy, as JSON: G of
+    n nodes and 0.8 n seeded edges, each node typed by one of 32 mid types
+    of a complete M and each mid type by one of 8 kinds of a complete T.
+    Every node carries its kind (`{"kind": ["k3"]}`), and edges carry none."""
+    rng = random.Random(7)
+    mid_of = [i % 32 for i in range(n)]
+    rng.shuffle(mid_of)
+    edges = set()
+    while len(edges) < n * 4 // 5:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((f"g{u}", f"g{v}"))
+    kinds = {f"g{i}": mid_of[i] % 8 for i in range(n)}
+    kinds.update({f"m{j}": j % 8 for j in range(32)})
+    kinds.update({f"t{k}": k for k in range(8)})
+
+    def graph(ids, graph_edges):
+        return Graph(ids, graph_edges, {x: {"kind": [f"k{kinds[x]}"]} for x in ids})
+
+    t_ids, m_ids = [f"t{k}" for k in range(8)], [f"m{j}" for j in range(32)]
+    t = graph(t_ids, [(a, b) for a in t_ids for b in t_ids])
+    m = graph(m_ids, [(a, b) for a in m_ids for b in m_ids])
+    g = graph([f"g{i}" for i in range(n)], edges)
+    h = Hierarchy().add_object("G", g).add_object("M", m).add_object("T", t)
+    h = h.add_typing("M", "T", Homomorphism(m, t, {x: f"t{kinds[x]}" for x in m.nodes}))
+    h = h.add_typing("G", "M", Homomorphism(g, m, {f"g{i}": f"m{mid_of[i]}" for i in range(n)}))
+    h = h.add_typing("G", "T", Homomorphism(g, t, {x: f"t{kinds[x]}" for x in g.nodes}))
+    return hierarchy_to_json(h)
+
+
+@pytest.fixture(scope="module")
+def data_text():
+    return sqpo.graphs.dumps_canonical(_data_hierarchy_json(1000))
+
+
+def _counting(monkeypatch, module, name) -> list:
+    calls = []
+    original = getattr(module, name)
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_json_work_follows_distinct_attribute_values(data_text, monkeypatch):
+    obj = json.loads(data_text)
+    raw = {json.dumps(e["attrs"]) for g in obj["graphs"].values() for e in g["nodes"] + g["edges"] if "attrs" in e}
+    assert len(raw) == 8
+    checked = _counting(monkeypatch, sqpo.graphs, "attrs_from_json")
+    h = sqpo.hierarchy_from_json(obj)
+    assert len(checked) <= 8
+
+    graphs = [h.graph(name) for name in h.nodes()]
+    distinct = {id(a) for g in graphs for a in [*g.node_attrs.values(), *g.edge_attrs.values()]}
+    assert len(distinct) == 8
+    built = _counting(monkeypatch, sqpo.graphs, "attrs_to_json")
+    out = hierarchy_to_json(h)
+    assert len(built) <= len(distinct)
+
+    encoded = _counting(monkeypatch, sqpo.graphs, "_dumps")
+    assert sqpo.graphs.dumps_canonical(out) == data_text
+    assert len(encoded) <= 40
+
+
+def test_threads_load_and_dump_one_file_alike(data_text):
+    """4 threads, more than the cores of a small host, with a short switch
+    interval, each round-tripping the file and a variant with renamed
+    attribute keys and values in turn: each round trip must give its input's
+    own bytes, which a text cache kept across calls breaks once ids are
+    reused."""
+    texts = [data_text, data_text.replace('"k', '"kind ')]
+    results: dict[int, list[str]] = {}
+
+    def work(i):
+        results[i] = [
+            sqpo.graphs.dumps_canonical(hierarchy_to_json(sqpo.hierarchy_from_json(json.loads(text))))
+            for text in texts * 2
+        ]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == {i: texts * 2 for i in range(4)}
