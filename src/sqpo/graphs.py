@@ -644,12 +644,12 @@ def homomorphism_maps(
     With `injective`, images are distinct and a candidate with fewer in- or
     out-edges than its pattern node is pruned up front.
 
-    Pruning and narrowing read the host's cached adjacency lists. When no
-    node has more than one candidate (a fully anchored match) they cannot
-    change the result, so the host is not indexed at all.
+    Pruning and narrowing read the host's cached adjacency lists. When the
+    pattern has no edge or no node has two candidates (a fully anchored
+    match) they cannot change the result, so the host is not indexed.
     """
     no_nodes: list[str] = []
-    narrow = any(len(candidates[n]) > 1 for n in pattern.nodes)
+    narrow = bool(pattern.edges) and any(len(candidates[n]) > 1 for n in pattern.nodes)
     g_succ, g_pred = host._adjacency() if narrow else ({}, {})
     p_out: dict[str, int] = {}
     p_in: dict[str, int] = {}

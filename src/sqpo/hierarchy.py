@@ -7,26 +7,22 @@ between any two names are equal (the commutativity condition). An optional
 skeleton constrains the shape: when present, every shape edge must map to
 a skeleton edge under the declared assignment.
 
-Commutativity checks cost what a step touched. Each source's memo entry
-keeps its breadth-first walk (each node's place and tree parent), the
-composite fixed at each node of its cone (at a successor, the arrow
-itself, never composed with an identity) and, in walk order, the verdict
-of every other edge.
+Commutativity checks cost what a rewrite touched. Each source's memo entry
+keeps its breadth-first walk (its cone in walk order and each node's tree
+parent), the composite fixed at each node of its cone (at a successor, the
+arrow itself, never composed with an identity) and, in walk order, the
+verdict of every other edge.
 
-* Cone index. `replace` adds to the memo's log, one record of what was
-  replaced since its entries were filled: the objects, the arrows with
-  the keys at which each patch (see `Homomorphism._patched`) may differ
-  from the arrow it replaced, and the sources that can see them, the
-  ancestors of the arrows' tails. A check walks only those sources; every
-  other keeps its verdicts.
-* Dirty-region walk. A walk visits only the replaced edges and the edges
-  at nodes whose composite changed, popped from a heap keyed by (tail's
-  place in the walk, head). They come in the full walk's order, so the
-  first failing tree edge still wins and the verdicts keep their order.
-* Patched composites. Below the first hop a composite is a patch of the
-  entry's at the keys where it can differ (`_moved_keys`); one that keeps
-  the entry's values and endpoints is the entry's object, and the walk
-  stops below it. A comparing edge that held is compared only there.
+* Cone index. `replace` logs in the memo what was replaced since its
+  entries were filled: the arrows, with the keys at which each patch (see
+  `Homomorphism._patched`) may differ from the arrow it replaced, and the
+  sources that see them (the ancestors of the arrows' tails) or whose
+  object was replaced. A check walks only those sources.
+* One-pass walk. A walk visits each edge of the source's cone once, in
+  walk order. A first hop is the arrow, with its logged keys; below it a
+  composite is the entry's when its arrow is not logged and its tail's is
+  the entry's, else composed whole. A comparing edge that held is compared
+  only where it can have changed (`_moved_keys`).
 * `add_typing(a, b)` carries the memo, dropping only the entries of a's
   ancestors, whose walks the new arrow changes.
 
@@ -39,7 +35,6 @@ entry is current.
 
 from __future__ import annotations
 
-import heapq
 import json
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -137,34 +132,26 @@ class CommutativityViolation:
 
 
 class _Check(NamedTuple):
-    """One source's memo entry: its cone in walk order, each node's place
-    and tree parent, composite (None at the source) and each comparing
-    edge's verdict, in walk order, with the violations among them.
-    `Hierarchy._checks` sets `changed`: what was replaced since."""
+    """One source's memo entry: its cone in walk order, each node's tree
+    parent, composite (None at the source) and each comparing edge's
+    verdict (None where it held), in walk order. `Hierarchy._checks` sets
+    `changed`: what was replaced since."""
 
     order: list[str]
-    pos: dict[str, int]
     parent: dict[str, str]
     canon: dict[str, Homomorphism | None]
     verdicts: dict[tuple[str, str], CommutativityViolation | None]
-    found: list[CommutativityViolation]
     changed: frozenset = frozenset()
 
 
-class _Record(NamedTuple):
-    """The replacements since the entries were filled: objects, arrows with
-    their patch keys (None when not known) and the sources that see them."""
-
-    objects: frozenset
-    arrows: dict[tuple[str, str], frozenset | None]
-    sources: frozenset
-
-
 class _Memo(NamedTuple):
-    """Entries current up to the replacements `log` records since."""
+    """Entries current up to the replacements since they were filled (the
+    log): the arrows, with their patch keys (None when not known), and the
+    sources that see them or whose object was replaced."""
 
     entries: dict[str, _Check]
-    log: _Record | None = None
+    arrows: dict[tuple[str, str], frozenset | None] = {}  # never modified
+    sources: frozenset = frozenset()
 
 
 def _reach(starts, step: dict) -> set[str]:
@@ -197,14 +184,6 @@ def _moved_keys(ku, kv, ke, old_u: Homomorphism) -> set:
         for y in hit:
             keys.update(preimages.get(y, ()))
     return keys
-
-
-def _popped(heap: list, order: list[str]):
-    """The edges (order[p], v) for the keys (p, v) popped from `heap`, in
-    increasing order, including those pushed while it is read."""
-    while heap:
-        p, v = heapq.heappop(heap)
-        yield order[p], v
 
 
 def _breadth_first(succ: dict, a: str) -> tuple[list[str], dict[str, int], dict[str, str]]:
@@ -258,10 +237,9 @@ class Hierarchy:
 
     @property
     def _checks(self) -> dict[str, _Check]:
-        """The memo entries, each with `changed` set to the names and arrow
-        keys replaced since it was filled."""
-        log = self._memo.log
-        changed = log.objects.union(log.arrows) if log else _NOTHING
+        """The memo entries, each with `changed` set to the arrow keys
+        replaced since it was filled and the sources that see them."""
+        changed = self._memo.sources.union(self._memo.arrows)
         return {a: c._replace(changed=changed) for a, c in self._memo.entries.items()}
 
     def __eq__(self, other):
@@ -365,20 +343,18 @@ class Hierarchy:
             stale = _reach({u for (u, v) in arrows if (u, v) not in old}, pred)
             entries = {s: c for s, c in entries.items() if s not in stale}
         known = {e: h._changes_since(old[e]) for e, h in arrows.items() if e in old}
-        log = memo.log
+        sources = memo.sources
         if objects or known:
-            names = frozenset(objects)
-            sources = _reach({u for (u, _) in known}, pred).union(names)
-            if log is not None:  # one record since the entries: patch keys unite
-                for e, keys in log.arrows.items():
-                    now = known.get(e, _NOTHING)
-                    known[e] = None if keys is None or now is None else keys | now
-                names, sources = names | log.objects, sources | log.sources
-            log = _Record(names, known, frozenset(sources))
+            sources = frozenset(_reach({u for (u, _) in known}, pred).union(objects, sources))
+            for e, keys in memo.arrows.items():  # one log since the entries: patch keys unite
+                now = known.get(e, _NOTHING)
+                known[e] = None if keys is None or now is None else keys | now
+        else:
+            known = memo.arrows
         out = object.__new__(Hierarchy)
         out._fill(
             {**self._objects, **objects}, new_arrows, self.skeleton, self.skeleton_map,
-            succ, pred, _Memo(entries, log),
+            succ, pred, _Memo(entries, known, sources),
         )
         return out
 
@@ -394,117 +370,57 @@ class Hierarchy:
         the logged replacements reach (see the module docstring).
         """
         memo = self._memo
-        log = memo.log or _Record(_NOTHING, {}, _NOTHING)
         fresh: dict[str, _Check] = {}
         violations = []
         for a in self.nodes():
             entry = memo.entries.get(a)
-            if entry is None:
-                entry = self._walk(a, None, {}, True)
-            elif a in log.sources:
-                entry = self._walk(a, entry, log.arrows, a in log.objects)
+            if entry is None or a in memo.sources:
+                entry = self._walk(a, entry, memo.arrows)
             fresh[a] = entry
-            violations.extend(entry.found)
-        if memo.log or len(fresh) != len(memo.entries):
+            violations.extend(x for x in entry.verdicts.values() if x is not None)
+        if memo.sources or len(fresh) != len(memo.entries):
             object.__setattr__(self, "_memo", _Memo(fresh))
         return violations
 
-    def _walk(self, a: str, entry: _Check | None, replaced: dict, renewed: bool) -> _Check:
-        """a's check: with no `entry`, every edge of its cone; with one, the
-        `replaced` arrows (mapped to their patch keys), the first hops if a's
-        object was `renewed`, and the edges at each node whose composite
-        changes. Edges pop from a heap keyed by (tail's place, head), in walk
-        order. A failing compose on a tree edge raises at once, one on a
-        comparing edge after the walk, so the first tree-edge failure wins.
-        `moved[v]` holds the keys at which canon[v] may differ from the
-        entry's (None when not known, as at a); a comparing edge that held
-        is compared only where it can have changed (`_moved_keys`)."""
-        succ, pred = self._succ, self._pred
+    def _walk(self, a: str, entry: _Check | None, replaced: dict) -> _Check:
+        """a's check: one pass over its cone's edges in walk order (the
+        entry's walk, if any). A failing compose on a tree edge raises at
+        once, one on a comparing edge after the walk, so the first tree-edge
+        failure wins. `moved[v]` holds the keys at which canon[v] may differ
+        from the entry's (None when not known, as at a and at a composite
+        composed whole); a first hop's are its keys in `replaced`."""
+        succ = self._succ
         if entry is None:
-            order, pos, parent = _breadth_first(succ, a)
-            canon: dict[str, Homomorphism | None] = {a: None}
-            verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
-            edges = ((u, v) for u in order for v in succ.get(u, ()))
+            order, _, parent = _breadth_first(succ, a)
         else:
-            order, pos, parent = entry.order, entry.pos, entry.parent
-            canon, verdicts = entry.canon.copy(), entry.verdicts
-            queued = {(pos[u], v) for (u, v) in replaced if u in pos}
-            if renewed:
-                queued.update((0, v) for v in succ.get(a, ()))
-                queued.update((pos[x], a) for x in pred.get(a, ()) if x in pos)
-            heap = sorted(queued)
-            edges = _popped(heap, order)
+            order, parent = entry.order, entry.parent
+        canon: dict[str, Homomorphism | None] = {a: None}
+        verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
         moved: dict[str, frozenset | None] = {a: None}
-        flipped, deferred = entry is None, None
-        for u, v in edges:
-            e = (u, v)
-            if parent.get(v) == u:
-                if entry is None:
+        deferred = None
+        for u in order:
+            for v in succ.get(u, ()):
+                e = (u, v)
+                if parent.get(v) == u:
                     if u == a:
-                        canon[v] = self._first_hop(a, v)
+                        canon[v], moved[v] = self._first_hop(a, v), replaced.get(e, _NOTHING)
+                    elif entry is not None and e not in replaced and canon[u] is entry.canon[u]:
+                        canon[v], moved[v] = entry.canon[v], _NOTHING
                     else:
-                        canon[v] = compose(self._arrows[e], canon[u])
-                    continue
-                old, ke = entry.canon[v], replaced.get(e, _NOTHING)
-                if u == a:
-                    new, keys = self._first_hop(a, v), ke
-                else:
-                    ku, prev = moved.get(u, _NOTHING), entry.canon[u]
-                    new, keys = self._composite(e, canon[u], ku, ke, old, prev)
-                if new is old:
-                    continue
-                canon[v], moved[v] = new, keys
-                for key in [(pos[v], w) for w in succ.get(v, ())] + [
-                    (pos[x], v) for x in pred.get(v, ()) if x in pos
-                ]:
-                    if key not in queued:
-                        queued.add(key)
-                        heapq.heappush(heap, key)
-            elif deferred is None:
-                keys = None
-                if entry is not None and entry.verdicts[e] is None:
-                    ku, kv = moved.get(u, _NOTHING), moved.get(v, _NOTHING)
-                    ke = replaced.get(e, _NOTHING)
-                    if None not in (ku, kv, ke):
-                        keys = _moved_keys(ku, kv, ke, entry.canon[u])
-                try:
-                    verdict = self._verdict(a, u, v, canon, parent, keys)
-                except (CompositionError, KeyError) as exc:
-                    deferred = exc
-                    continue
-                if entry is None:
-                    verdicts[e] = verdict
-                elif verdict is not None or entry.verdicts[e] is not None:
-                    if not flipped:  # the entry's verdicts change: copy them
-                        verdicts, flipped = verdicts.copy(), True
-                    verdicts[e] = verdict
+                        canon[v], moved[v] = compose(self._arrows[e], canon[u]), None
+                elif deferred is None:
+                    keys = None
+                    if entry is not None and entry.verdicts[e] is None:
+                        ku, kv, ke = moved[u], moved[v], replaced.get(e, _NOTHING)
+                        if None not in (ku, kv, ke):
+                            keys = _moved_keys(ku, kv, ke, entry.canon[u])
+                    try:
+                        verdicts[e] = self._verdict(a, u, v, canon, parent, keys)
+                    except (CompositionError, KeyError) as exc:
+                        deferred = exc
         if deferred is not None:
             raise deferred
-        found = [x for x in verdicts.values() if x is not None] if flipped else entry.found
-        return _Check(order, pos, parent, canon, verdicts, found)
-
-    def _composite(self, e, first, ku, ke, old, prev) -> tuple[Homomorphism, frozenset | None]:
-        """Arrow e after `first`, with the keys at which it differs from
-        `old`, the entry's composite at e's head (None when not known). With
-        the keys ku, ke at which `first` and the arrow may differ from `prev`
-        (the entry's composite at e's tail) and from the old arrow, it is a
-        patch of old at `_moved_keys`, or old itself when that keeps its
-        values and endpoints."""
-        arrow = self._arrows[e]
-        if ku is None or ke is None:
-            return compose(arrow, first), None
-        if first.target is not arrow.source and first.target != arrow.source:
-            raise CompositionError("compose: f.target differs from g.source")
-        keys = _moved_keys(ku, _NOTHING, ke, prev)
-        nodes, am, fm, om = first.source.nodes, arrow.node_map, first.node_map, old.node_map
-        updates = {n: am[fm[n]] for n in keys if n in nodes}
-        if (
-            arrow.target is old.target and first.source is old.source
-            and all(om.get(n) == updates.get(n) for n in keys)
-        ):
-            return old, _NOTHING
-        new = Homomorphism._patched(old, first.source, arrow.target, updates, keys)
-        return new, new._changes_since(old)
+        return _Check(order, parent, canon, verdicts)
 
     def _first_hop(self, a: str, v: str) -> Homomorphism:
         """The composite along the one arrow a -> v: the arrow itself, after
@@ -616,7 +532,7 @@ class Hierarchy:
         self.graph(b)
         memo = self._memo
         entry = memo.entries.get(a)
-        if entry is not None and (memo.log is None or a not in memo.log.sources):
+        if entry is not None and a not in memo.sources:
             canon = entry.canon
         else:
             self.graph(a)

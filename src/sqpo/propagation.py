@@ -30,6 +30,7 @@ test suite as an oracle for them (`tests/paper_oracles.py`).
 from __future__ import annotations
 
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .category import final_pbc, pullback, pushout
@@ -450,6 +451,39 @@ def _checked_resolution(h: Hierarchy, plan: PropagationPlan, direction: str) -> 
     return _resolve(h, plan)
 
 
+def _commutes(h: Hierarchy) -> bool:
+    """Whether h's commutativity check finds no violation and raises nothing
+    (a check that raises has the steps checked one by one)."""
+    try:
+        return not h.validate_commutativity()
+    except Exception:
+        return False
+
+
+@contextmanager
+def _step_checks(h: Hierarchy, steps: list):
+    """Yield `add(name, after)`, called after each step with the object it
+    updated and the hierarchy after it; on leaving, fill `steps` with each
+    step's violations. A valid input stays valid through every step of a
+    plan that passed the composability check (the paper's preservation
+    results), so if the result commutes too every step reports []. Else the
+    steps are checked in order (as added, if the input does not commute)."""
+    clean, kept = _commutes(h), []
+
+    def add(name: str, after: Hierarchy) -> None:
+        found = None if clean else [str(v) for v in after.validate_commutativity()]
+        kept.append((name, after, found))
+
+    try:
+        yield add
+    finally:  # also after a step raised: an earlier step's check raises first
+        clean = clean and kept and _commutes(kept[-1][1])
+        for name, after, found in kept:
+            if found is None:
+                found = [] if clean else [str(v) for v in after.validate_commutativity()]
+            steps.append((name, found))
+
+
 def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     """Propagate an expansive rewrite from the origin through everything it
     types, sinks first, keeping the hierarchy valid after every object.
@@ -474,8 +508,8 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     * k -> i is re-set at the preimages of the moved nodes: elsewhere its
       composite with i's trace keeps its value.
 
-    The patches record their keys, so each step's commutativity check
-    compares only where they changed (see `hierarchy`).
+    The patches record their keys, so the result's commutativity check
+    compares only where they changed (see `hierarchy`, `_step_checks`).
     """
     res = _checked_resolution(h, plan, FORWARD)
     origin = plan.origin
@@ -489,8 +523,8 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     instances: dict[str, Homomorphism] = {}
     updated: dict[tuple[str, str], Homomorphism] = {}
     steps: list[tuple[str, list[str]]] = []
-    for wave in waves:
-        for i in wave:
+    with _step_checks(h, steps) as add:
+        for i in [n for wave in waves for n in wave]:
             fx = facts[i]
             po = pushout(fx.typing, fx.post_arrow)
             traces[i] = po.from_b
@@ -530,7 +564,7 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
                 )
             current = current.replace(objects={i: po.apex}, arrows=patch)
             updated.update(patch)
-            steps.append((i, [str(v) for v in current.validate_commutativity()]))
+            add(i, current)
     return RewriteReport(
         hierarchy=current,
         origin=origin,
@@ -575,8 +609,8 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
       is the identity, so the patch is the composite of the old arrow and
       trace_i.
 
-    The patches record their keys, so each step's commutativity check
-    compares only where they changed (see `hierarchy`).
+    The patches record their keys, so the result's commutativity check
+    compares only where they changed (see `hierarchy`, `_step_checks`).
     """
     res = _checked_resolution(h, plan, BACKWARD)
     origin = plan.origin
@@ -589,8 +623,8 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     updated: dict[tuple[str, str], Homomorphism] = {}
     steps: list[tuple[str, list[str]]] = []
     lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
-    for wave in waves:
-        for i in wave:
+    with _step_checks(h, steps) as add:
+        for i in [n for wave in waves for n in wave]:
             if i == origin:
                 pbc = final_pbc(plan.rule, plan.match)
                 new_graph, matched = pbc.apex, plan.match
@@ -651,7 +685,7 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
                 )
             current = current.replace(objects={i: new_graph}, arrows=patch)
             updated.update(patch)
-            steps.append((i, [str(v) for v in current.validate_commutativity()]))
+            add(i, current)
     return RewriteReport(
         hierarchy=current,
         origin=origin,

@@ -16,7 +16,8 @@ messages. And the original backward propagation step, which rebuilt every
 typing at an updated object over all of its source, validated it in full
 and compared its square with two full composites. And the original
 clean-up loop of `relations.apply_plan`, which rebuilt a map over every
-node of every traced object after each clean-up.
+node of every traced object after each clean-up. And the forward and
+backward propagation loops that checked commutativity after every step.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -31,10 +32,12 @@ import json
 
 from sqpo.category import PbcResult, PullbackResult, PushoutResult
 from sqpo.category import final_pbc as library_final_pbc
+from sqpo.category import pushout as library_pushout
 from sqpo.exceptions import (
     CompositionError,
     GraphElementError,
     HierarchyError,
+    InvalidHomomorphism,
     NotMonoError,
     RewritingError,
 )
@@ -63,6 +66,8 @@ from sqpo.propagation import (
     PropagationPlan,
     RewriteReport,
     _checked_resolution,
+    _merge_assignment,
+    _violation_at,
     lift_rule,
     propagate_forward,
 )
@@ -875,3 +880,165 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
         current = rep.hierarchy
         reports.append(rep)
     return reports
+
+
+# -- the per-step propagation loops --------------------------------------------
+
+
+def propagate_forward_per_step(h, plan) -> RewriteReport:
+    """The forward propagation loop that checked commutativity after every
+    step: each report step lists the violations of the hierarchy built by
+    that step, and a check that raises stops the propagation there."""
+    res = _checked_resolution(h, plan, FORWARD)
+    origin = plan.origin
+    waves = _waves(res.sub.nodes(), res.sub._succ, res.sub._pred)
+    facts = {name: plan.factorizations[name] for name in res.typings}
+    facts[origin] = res.origin_fx
+    rhs = plan.rule.target
+
+    current = h
+    traces: dict[str, Homomorphism] = {}
+    instances: dict[str, Homomorphism] = {}
+    updated: dict[tuple[str, str], Homomorphism] = {}
+    steps: list[tuple[str, list[str]]] = []
+    for wave in waves:
+        for i in wave:
+            fx = facts[i]
+            po = library_pushout(fx.typing, fx.post_arrow)
+            traces[i] = po.from_b
+            instances[i] = po.from_c
+            ti, ii = po.from_b.node_map, po.from_c.node_map
+            moved = po.from_b._changes_since(None)
+            touched = {fx.typing[m] for m in fx.mid.nodes} | moved
+            delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
+            succ, pred = po.from_b.source._adjacency()
+            delta_edges = {(ii[u], ii[v]) for (u, v) in rhs.edges}
+            for n in touched:
+                delta_edges.update((ti[n], ti[v]) for v in succ.get(n, ()))
+                delta_edges.update((ti[u], ti[n]) for u in pred.get(n, ()))
+            patch: dict[tuple[str, str], Homomorphism] = {}
+            for j in current.successors(i):
+                arrow = current.typing(i, j)
+                am, ij = arrow.node_map, instances[j].node_map
+                mapping = _merge_assignment(
+                    f"typing {i}->{j} after update",
+                    {ti[n]: am[n] for n in sorted(touched)},
+                    {ii[c]: ij[c] for c in rhs.nodes},
+                )
+                arrow = Homomorphism._patched(
+                    arrow, po.apex, arrow.target, mapping, touched | delta
+                )
+                problem = _violation_at(arrow, delta, delta_edges, touched)
+                if problem is not None:
+                    raise InvalidHomomorphism(problem)
+                patch[(i, j)] = arrow
+            for k in current.predecessors(i):
+                arrow = current.typing(k, i)
+                am = arrow.node_map
+                preimages = arrow._preimages() if moved else {}
+                keys = [x for n in moved for x in preimages.get(n, ())]
+                patch[(k, i)] = Homomorphism._patched(
+                    arrow, arrow.source, po.apex, {x: ti[am[x]] for x in keys}, keys
+                )
+            current = current.replace(objects={i: po.apex}, arrows=patch)
+            updated.update(patch)
+            steps.append((i, [str(v) for v in current.validate_commutativity()]))
+    return RewriteReport(
+        hierarchy=current,
+        origin=origin,
+        direction=FORWARD,
+        waves=waves,
+        traces=traces,
+        instances=instances,
+        updated_typings=updated,
+        steps=steps,
+    )
+
+
+def propagate_backward_per_step(h, plan) -> RewriteReport:
+    """The backward propagation loop that checked commutativity after every
+    step, as `propagate_forward_per_step` does."""
+    res = _checked_resolution(h, plan, BACKWARD)
+    origin = plan.origin
+    waves = _waves(res.sub.nodes(), res.sub._pred, res.sub._succ)
+
+    current = h
+    traces: dict[str, Homomorphism] = {}
+    instances: dict[str, Homomorphism] = {}
+    lifts: dict[str, LiftResult] = {}
+    updated: dict[tuple[str, str], Homomorphism] = {}
+    steps: list[tuple[str, list[str]]] = []
+    lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
+    for wave in waves:
+        for i in wave:
+            if i == origin:
+                pbc = library_final_pbc(plan.rule, plan.match)
+                new_graph, matched = pbc.apex, plan.match
+                traces[i] = pbc.project
+                instances[i] = pbc.embed
+            else:
+                fx = plan.factorizations[i]
+                matched = res.restrictions[i].instance
+                lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
+                new_graph = lift.graph
+                traces[i] = lift.trace
+                instances[i] = lift.instance
+                lifts[i] = lift
+                lifted_pairs[i] = {
+                    (lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes
+                }
+            ti, ii = traces[i].node_map, instances[i].node_map
+            matched_i = {matched[p] for p in matched.source.nodes}
+            copies_i = [ii[p] for p in instances[i].source.nodes]
+            patch: dict[tuple[str, str], Homomorphism] = {}
+            for k in current.predecessors(i):
+                arrow = current.typing(k, i)  # old(k, i) after trace_k
+                old, lk = h.typing(k, i), lifts[k]
+                om, tk = old.node_map, traces[k].node_map
+                # the image in L_G_i⁻ (in L⁻ at the origin) of each node of
+                # L_G_k⁻, through the pattern connector
+                to_rhs = lk.to_rhs.node_map
+                if i == origin:
+                    image = to_rhs
+                else:
+                    conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
+                    pairs = lifted_pairs[i]
+                    image = {q: pairs[(conn[lift_k[q]], to_rhs[q])] for q in lk.pattern.nodes}
+                inst = lk.instance.node_map
+                mapping = {inst[q]: ii[image[q]] for q in lk.pattern.nodes}
+                preimages = old._preimages()
+                stray = [
+                    x for y in matched_i for x in preimages.get(y, ())
+                    if x in tk and x not in mapping
+                ]
+                if stray:  # an untouched node of k over a node that left i
+                    raise KeyError(arrow[min(stray)])
+                arrow = Homomorphism._patched(arrow, lk.graph, new_graph, mapping, mapping)
+                problem = _violation_at(arrow, mapping, lk._rebuilt, mapping)
+                if problem is not None:
+                    raise InvalidHomomorphism(problem)
+                if any(ti[y] != om[tk[x]] for x, y in mapping.items()):
+                    raise RewritingError(
+                        f"typing {k}->{i}: reconstructed arrow does not commute"
+                    )
+                patch[(k, i)] = arrow
+            keys = matched_i.union(copies_i)
+            for j in current.successors(i):
+                arrow = current.typing(i, j)
+                am = arrow.node_map
+                patch[(i, j)] = Homomorphism._patched(
+                    arrow, new_graph, arrow.target, {c: am[ti[c]] for c in copies_i}, keys
+                )
+            current = current.replace(objects={i: new_graph}, arrows=patch)
+            updated.update(patch)
+            steps.append((i, [str(v) for v in current.validate_commutativity()]))
+    return RewriteReport(
+        hierarchy=current,
+        origin=origin,
+        direction=BACKWARD,
+        waves=waves,
+        traces=traces,
+        instances=instances,
+        updated_typings=updated,
+        steps=steps,
+    )
