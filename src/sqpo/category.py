@@ -65,6 +65,8 @@ class PushoutResult:
     apex: Graph
     from_b: Homomorphism  # f.target → apex
     from_c: Homomorphism  # g.target → apex
+    # the apex edges built at re-identified B nodes and C images (see `pushout`)
+    _rebuilt: tuple = field(default=(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -170,6 +172,8 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     unless a class before it in the sorted class order took its id (a fused
     class "x_y" against a host node "x_y", say). Such a node is renamed in
     its turn, exactly as a pass over all classes in sorted order would.
+    The result records the apex edges it built (`_rebuilt`): they are all
+    the apex edges at a re-identified B node or at an image of C.
     """
     if f.source != g.source:
         raise CompositionError("pushout: arrows do not share a source")
@@ -259,7 +263,7 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     )
     from_b = Homomorphism._renaming(b_graph, apex, b_ids)
     from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
-    return PushoutResult(apex, from_b, from_c)
+    return PushoutResult(apex, from_b, from_c, tuple(new_edge_attrs))
 
 
 def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:

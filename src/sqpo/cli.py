@@ -242,35 +242,30 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
     return plan
 
 
+# per --direction: the propagation direction, the match kind, the rule side
+# and leg that must be trivial, the leg that is rewritten, and the part of
+# the rule that the trivial leg leaves out
+_DIRECTIONS = {
+    "fwd": (FORWARD, EXPANSIVE, "lhs", "left_leg", "right_leg", "restrictive"),
+    "bwd": (BACKWARD, RESTRICTIVE, "rhs", "right_leg", "left_leg", "expansive"),
+}
+
+
 def cmd_rewrite(args) -> int:
     h = _load_hierarchy(args.hierarchy)
     rule = _load_rule(args.rule)
     g = h.graph(args.node)
 
-    if args.direction == "fwd":
-        direction = FORWARD
-        trivial = rule.left_leg
-        if rule.lhs != rule.interface or any(
-            trivial[n] != n for n in rule.interface.nodes
-        ):
-            raise _InputError(
-                "forward rewriting needs a rule whose restrictive part is trivial "
-                "(lhs equal to the interface, identity left leg)"
-            )
-        rule_arrow = rule.right_leg
-        kind = EXPANSIVE
-    else:
-        direction = BACKWARD
-        trivial = rule.right_leg
-        if rule.rhs != rule.interface or any(
-            trivial[n] != n for n in rule.interface.nodes
-        ):
-            raise _InputError(
-                "backward rewriting needs a rule whose expansive part is trivial "
-                "(rhs equal to the interface, identity right leg)"
-            )
-        rule_arrow = rule.left_leg
-        kind = RESTRICTIVE
+    direction, kind, side, leg, rewritten, part = _DIRECTIONS[args.direction]
+    trivial = getattr(rule, leg)
+    if getattr(rule, side) != rule.interface or any(
+        trivial[n] != n for n in rule.interface.nodes
+    ):
+        raise _InputError(
+            f"{direction} rewriting needs a rule whose {part} part is trivial "
+            f"({side} equal to the interface, identity {leg.replace('_', ' ')})"
+        )
+    rule_arrow = getattr(rule, rewritten)
 
     # draw matches only up to the requested one; a miss has drawn them all
     count = 0

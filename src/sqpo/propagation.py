@@ -30,7 +30,6 @@ test suite as an oracle for them (`tests/paper_oracles.py`).
 from __future__ import annotations
 
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .category import final_pbc, pullback, pushout
@@ -453,35 +452,48 @@ def _checked_resolution(h: Hierarchy, plan: PropagationPlan, direction: str) -> 
 
 def _commutes(h: Hierarchy) -> bool:
     """Whether h's commutativity check finds no violation and raises nothing
-    (a check that raises has the steps checked one by one)."""
+    (a check that raises has the steps checked in order)."""
     try:
         return not h.validate_commutativity()
     except Exception:
         return False
 
 
-@contextmanager
-def _step_checks(h: Hierarchy, steps: list):
-    """Yield `add(name, after)`, called after each step with the object it
-    updated and the hierarchy after it; on leaving, fill `steps` with each
-    step's violations. A valid input stays valid through every step of a
-    plan that passed the composability check (the paper's preservation
-    results), so if the result commutes too every step reports []. Else the
-    steps are checked in order (as added, if the input does not commute)."""
+def _propagate(h: Hierarchy, plan: PropagationPlan, direction: str, step) -> RewriteReport:
+    """The wave loop of both directions: after the entry checks, each object
+    of the affected sub-hierarchy, sinks first forward and sources first
+    backward, is updated by `step(res, i, current, traces, instances)`,
+    which returns i's new graph, trace and instance and the patched arrows
+    at i, and the hierarchy is rebuilt by one `replace` per object.
+
+    A valid input stays valid through every step of a plan that passed the
+    composability check (the paper's preservation results), so if the
+    input and the result both commute every step reports []. Else the
+    per-step hierarchies are checked in order, also after a step raised, so
+    that a check that raises before that step raises first: the report and
+    any exception are those of a check after every step."""
+    res = _checked_resolution(h, plan, direction)
+    sub = res.sub
+    ahead, behind = (sub._succ, sub._pred) if direction == FORWARD else (sub._pred, sub._succ)
+    waves = _waves(sub.nodes(), ahead, behind)
+    current = h
+    traces: dict[str, Homomorphism] = {}
+    instances: dict[str, Homomorphism] = {}
+    updated: dict[tuple[str, str], Homomorphism] = {}
     clean, kept = _commutes(h), []
-
-    def add(name: str, after: Hierarchy) -> None:
-        found = None if clean else [str(v) for v in after.validate_commutativity()]
-        kept.append((name, after, found))
-
     try:
-        yield add
-    finally:  # also after a step raised: an earlier step's check raises first
-        clean = clean and kept and _commutes(kept[-1][1])
-        for name, after, found in kept:
-            if found is None:
-                found = [] if clean else [str(v) for v in after.validate_commutativity()]
-            steps.append((name, found))
+        for i in [n for wave in waves for n in wave]:
+            graph, traces[i], instances[i], patch = step(res, i, current, traces, instances)
+            current = current.replace(objects={i: graph}, arrows=patch)
+            updated.update(patch)
+            kept.append((i, current))
+    finally:
+        clean = clean and _commutes(current)
+        steps = [
+            (i, [] if clean else [str(v) for v in after.validate_commutativity()])
+            for i, after in kept
+        ]
+    return RewriteReport(current, plan.origin, direction, waves, traces, instances, updated, steps)
 
 
 def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
@@ -499,8 +511,8 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     * i -> j (j was updated earlier, so the arrow already lands in the new
       j) is re-set at the touched old nodes of i and at the delta, from the
       old arrow and the instance squares, and is checked only at the delta
-      and at the new edges incident to it. That check is sound: an
-      untouched node x keeps its id, attributes and edges, its image is
+      and at the edges the pushout built (`_rebuilt`). That check is sound:
+      an untouched node x keeps its id, attributes and edges, its image is
       trace_j(old(x)), a composite of homomorphisms, so every edge and
       attribute at x that does not meet the delta keeps a valid image.
       A failure raises the message of the full check, since every
@@ -509,72 +521,44 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
       composite with i's trace keeps its value.
 
     The patches record their keys, so the result's commutativity check
-    compares only where they changed (see `hierarchy`, `_step_checks`).
+    compares only where they changed (see `hierarchy`, `_propagate`).
     """
-    res = _checked_resolution(h, plan, FORWARD)
-    origin = plan.origin
-    waves = _waves(res.sub.nodes(), res.sub._succ, res.sub._pred)
-    facts = {name: plan.factorizations[name] for name in res.typings}
-    facts[origin] = res.origin_fx
     rhs = plan.rule.target
 
-    current = h
-    traces: dict[str, Homomorphism] = {}
-    instances: dict[str, Homomorphism] = {}
-    updated: dict[tuple[str, str], Homomorphism] = {}
-    steps: list[tuple[str, list[str]]] = []
-    with _step_checks(h, steps) as add:
-        for i in [n for wave in waves for n in wave]:
-            fx = facts[i]
-            po = pushout(fx.typing, fx.post_arrow)
-            traces[i] = po.from_b
-            instances[i] = po.from_c
-            ti, ii = po.from_b.node_map, po.from_c.node_map
-            moved = po.from_b._changes_since(None)
-            touched = {fx.typing[m] for m in fx.mid.nodes} | moved
-            delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
-            succ, pred = po.from_b.source._adjacency()
-            delta_edges = {(ii[u], ii[v]) for (u, v) in rhs.edges}
-            for n in touched:
-                delta_edges.update((ti[n], ti[v]) for v in succ.get(n, ()))
-                delta_edges.update((ti[u], ti[n]) for u in pred.get(n, ()))
-            patch: dict[tuple[str, str], Homomorphism] = {}
-            for j in current.successors(i):
-                arrow = current.typing(i, j)
-                am, ij = arrow.node_map, instances[j].node_map
-                mapping = _merge_assignment(
-                    f"typing {i}->{j} after update",
-                    {ti[n]: am[n] for n in sorted(touched)},
-                    {ii[c]: ij[c] for c in rhs.nodes},
-                )
-                arrow = Homomorphism._patched(
-                    arrow, po.apex, arrow.target, mapping, touched | delta
-                )
-                problem = _violation_at(arrow, delta, delta_edges, touched)
-                if problem is not None:
-                    raise InvalidHomomorphism(problem)
-                patch[(i, j)] = arrow
-            for k in current.predecessors(i):
-                arrow = current.typing(k, i)
-                am = arrow.node_map
-                preimages = arrow._preimages() if moved else {}
-                keys = [x for n in moved for x in preimages.get(n, ())]
-                patch[(k, i)] = Homomorphism._patched(
-                    arrow, arrow.source, po.apex, {x: ti[am[x]] for x in keys}, keys
-                )
-            current = current.replace(objects={i: po.apex}, arrows=patch)
-            updated.update(patch)
-            add(i, current)
-    return RewriteReport(
-        hierarchy=current,
-        origin=origin,
-        direction=FORWARD,
-        waves=waves,
-        traces=traces,
-        instances=instances,
-        updated_typings=updated,
-        steps=steps,
-    )
+    def step(res, i, current, traces, instances):
+        fx = res.origin_fx if i == plan.origin else plan.factorizations[i]
+        po = pushout(fx.typing, fx.post_arrow)
+        ti, ii = po.from_b.node_map, po.from_c.node_map
+        moved = po.from_b._changes_since(None)
+        touched = {fx.typing[m] for m in fx.mid.nodes} | moved
+        delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
+        patch: dict[tuple[str, str], Homomorphism] = {}
+        for j in current.successors(i):
+            arrow = current.typing(i, j)
+            am, ij = arrow.node_map, instances[j].node_map
+            mapping = _merge_assignment(
+                f"typing {i}->{j} after update",
+                {ti[n]: am[n] for n in sorted(touched)},
+                {ii[c]: ij[c] for c in rhs.nodes},
+            )
+            arrow = Homomorphism._patched(
+                arrow, po.apex, arrow.target, mapping, touched | delta
+            )
+            problem = _violation_at(arrow, delta, po._rebuilt, touched)
+            if problem is not None:
+                raise InvalidHomomorphism(problem)
+            patch[(i, j)] = arrow
+        for k in current.predecessors(i):
+            arrow = current.typing(k, i)
+            am = arrow.node_map
+            preimages = arrow._preimages() if moved else {}
+            keys = [x for n in moved for x in preimages.get(n, ())]
+            patch[(k, i)] = Homomorphism._patched(
+                arrow, arrow.source, po.apex, {x: ti[am[x]] for x in keys}, keys
+            )
+        return po.apex, po.from_b, po.from_c, patch
+
+    return _propagate(h, plan, FORWARD, step)
 
 
 def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
@@ -610,89 +594,64 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
       trace_i.
 
     The patches record their keys, so the result's commutativity check
-    compares only where they changed (see `hierarchy`, `_step_checks`).
+    compares only where they changed (see `hierarchy`, `_propagate`).
     """
-    res = _checked_resolution(h, plan, BACKWARD)
-    origin = plan.origin
-    waves = _waves(res.sub.nodes(), res.sub._pred, res.sub._succ)
-
-    current = h
-    traces: dict[str, Homomorphism] = {}
-    instances: dict[str, Homomorphism] = {}
     lifts: dict[str, LiftResult] = {}
-    updated: dict[tuple[str, str], Homomorphism] = {}
-    steps: list[tuple[str, list[str]]] = []
     lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
-    with _step_checks(h, steps) as add:
-        for i in [n for wave in waves for n in wave]:
-            if i == origin:
-                pbc = final_pbc(plan.rule, plan.match)
-                new_graph, matched = pbc.apex, plan.match
-                traces[i] = pbc.project
-                instances[i] = pbc.embed
+
+    def step(res, i, current, traces, instances):
+        if i == plan.origin:
+            pbc = final_pbc(plan.rule, plan.match)
+            new_graph, trace, instance, matched = pbc.apex, pbc.project, pbc.embed, plan.match
+        else:
+            fx = plan.factorizations[i]
+            matched = res.restrictions[i].instance
+            lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
+            new_graph, trace, instance = lift.graph, lift.trace, lift.instance
+            lifts[i] = lift
+            lifted_pairs[i] = {(lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes}
+        ti, ii = trace.node_map, instance.node_map
+        matched_i = {matched[p] for p in matched.source.nodes}
+        copies_i = [ii[p] for p in instance.source.nodes]
+        patch: dict[tuple[str, str], Homomorphism] = {}
+        for k in current.predecessors(i):
+            arrow = current.typing(k, i)  # old(k, i) after trace_k
+            old, lk = h.typing(k, i), lifts[k]
+            om, tk = old.node_map, traces[k].node_map
+            # the image in L_G_i⁻ (in L⁻ at the origin) of each node of
+            # L_G_k⁻, through the pattern connector
+            to_rhs = lk.to_rhs.node_map
+            if i == plan.origin:
+                image = to_rhs
             else:
-                fx = plan.factorizations[i]
-                matched = res.restrictions[i].instance
-                lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
-                new_graph = lift.graph
-                traces[i] = lift.trace
-                instances[i] = lift.instance
-                lifts[i] = lift
-                lifted_pairs[i] = {
-                    (lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes
-                }
-            ti, ii = traces[i].node_map, instances[i].node_map
-            matched_i = {matched[p] for p in matched.source.nodes}
-            copies_i = [ii[p] for p in instances[i].source.nodes]
-            patch: dict[tuple[str, str], Homomorphism] = {}
-            for k in current.predecessors(i):
-                arrow = current.typing(k, i)  # old(k, i) after trace_k
-                old, lk = h.typing(k, i), lifts[k]
-                om, tk = old.node_map, traces[k].node_map
-                # the image in L_G_i⁻ (in L⁻ at the origin) of each node of
-                # L_G_k⁻, through the pattern connector
-                to_rhs = lk.to_rhs.node_map
-                if i == origin:
-                    image = to_rhs
-                else:
-                    conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
-                    pairs = lifted_pairs[i]
-                    image = {q: pairs[(conn[lift_k[q]], to_rhs[q])] for q in lk.pattern.nodes}
-                inst = lk.instance.node_map
-                mapping = {inst[q]: ii[image[q]] for q in lk.pattern.nodes}
-                preimages = old._preimages()
-                stray = [
-                    x for y in matched_i for x in preimages.get(y, ())
-                    if x in tk and x not in mapping
-                ]
-                if stray:  # an untouched node of k over a node that left i
-                    raise KeyError(arrow[min(stray)])
-                arrow = Homomorphism._patched(arrow, lk.graph, new_graph, mapping, mapping)
-                problem = _violation_at(arrow, mapping, lk._rebuilt, mapping)
-                if problem is not None:
-                    raise InvalidHomomorphism(problem)
-                if any(ti[y] != om[tk[x]] for x, y in mapping.items()):
-                    raise RewritingError(
-                        f"typing {k}->{i}: reconstructed arrow does not commute"
-                    )
-                patch[(k, i)] = arrow
-            keys = matched_i.union(copies_i)
-            for j in current.successors(i):
-                arrow = current.typing(i, j)
-                am = arrow.node_map
-                patch[(i, j)] = Homomorphism._patched(
-                    arrow, new_graph, arrow.target, {c: am[ti[c]] for c in copies_i}, keys
+                conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
+                pairs = lifted_pairs[i]
+                image = {q: pairs[(conn[lift_k[q]], to_rhs[q])] for q in lk.pattern.nodes}
+            inst = lk.instance.node_map
+            mapping = {inst[q]: ii[image[q]] for q in lk.pattern.nodes}
+            preimages = old._preimages()
+            stray = [
+                x for y in matched_i for x in preimages.get(y, ())
+                if x in tk and x not in mapping
+            ]
+            if stray:  # an untouched node of k over a node that left i
+                raise KeyError(arrow[min(stray)])
+            arrow = Homomorphism._patched(arrow, lk.graph, new_graph, mapping, mapping)
+            problem = _violation_at(arrow, mapping, lk._rebuilt, mapping)
+            if problem is not None:
+                raise InvalidHomomorphism(problem)
+            if any(ti[y] != om[tk[x]] for x, y in mapping.items()):
+                raise RewritingError(
+                    f"typing {k}->{i}: reconstructed arrow does not commute"
                 )
-            current = current.replace(objects={i: new_graph}, arrows=patch)
-            updated.update(patch)
-            add(i, current)
-    return RewriteReport(
-        hierarchy=current,
-        origin=origin,
-        direction=BACKWARD,
-        waves=waves,
-        traces=traces,
-        instances=instances,
-        updated_typings=updated,
-        steps=steps,
-    )
+            patch[(k, i)] = arrow
+        keys = matched_i.union(copies_i)
+        for j in current.successors(i):
+            arrow = current.typing(i, j)
+            am = arrow.node_map
+            patch[(i, j)] = Homomorphism._patched(
+                arrow, new_graph, arrow.target, {c: am[ti[c]] for c in copies_i}, keys
+            )
+        return new_graph, trace, instance, patch
+
+    return _propagate(h, plan, BACKWARD, step)

@@ -177,20 +177,33 @@ def test_rewrite_bad_match_index(tmp_path):
 
 
 def test_rewrite_direction_requires_trivial_other_leg(tmp_path):
-    proc = run_cli(
-        "rewrite",
-        FIXTURES / "clone_delete.hierarchy.json",
-        "T",
-        FIXTURES / "clone_delete.rule.json",
-        "0",
-        "--direction",
-        "fwd",
-        "--canonical",
-        "-o",
-        tmp_path / "out.json",
-    )
-    assert proc.returncode == 2
-    assert "restrictive part is trivial" in proc.stderr
+    cases = [
+        (
+            "clone_delete", "T", "fwd",
+            "forward rewriting needs a rule whose restrictive part is trivial "
+            "(lhs equal to the interface, identity left leg)",
+        ),
+        (
+            "merge_add", "G", "bwd",
+            "backward rewriting needs a rule whose expansive part is trivial "
+            "(rhs equal to the interface, identity right leg)",
+        ),
+    ]
+    for fixture, node, direction, message in cases:
+        proc = run_cli(
+            "rewrite",
+            FIXTURES / f"{fixture}.hierarchy.json",
+            node,
+            FIXTURES / f"{fixture}.rule.json",
+            "0",
+            "--direction",
+            direction,
+            "--canonical",
+            "-o",
+            tmp_path / "out.json",
+        )
+        assert proc.returncode == 2
+        assert proc.stderr == f"error: {message}\n"
 
 
 def test_rewrite_with_explicit_plan_file(tmp_path):

@@ -240,7 +240,8 @@ def test_backward_step_raises_where_the_old_step_raised(monkeypatch):
     step at M meets an untouched node a of G over ma, which the rule
     deleted from M. The old step's lookup of ma among M's untouched nodes
     raised KeyError naming it, and the patched step raises the same, in the
-    step itself."""
+    step itself: the per-object `step` of `propagate_backward`, and the
+    body of the reference loop."""
     g = Graph(["a", "b"], [("a", "b")])
     m = Graph(["ma", "mb"], [("ma", "mb")])
     t = Graph(["t"], [("t", "t")])
@@ -270,7 +271,7 @@ def test_backward_step_raises_where_the_old_step_raised(monkeypatch):
         with pytest.raises(KeyError) as exc:
             step(h, plan)
         raised.append((exc.value.args, exc.traceback[-1].name))
-    assert raised == [(("ma",), "propagate_backward")] * 2
+    assert raised == [(("ma",), "step"), (("ma",), "propagate_backward")]
 
 
 def _typed_chain() -> Hierarchy:

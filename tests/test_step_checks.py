@@ -1,8 +1,9 @@
 """Differential test of the commutativity checks of a propagation.
 
 `propagate_forward` and `propagate_backward` check the input before the
-first step and the result after the last, and check step by step only
-when one of those is not clean (see `propagation._step_checks`). The
+first step and the result after the last, and check the kept per-step
+hierarchies in order only when one of those is not clean, also after a
+step raised (see `propagation._propagate`, the wave loop both share). The
 loops that check after every step are kept in reference_kernels.py. A
 `hypothesis` test runs both on the same plans and requires the same whole
 report, every field and its `--report` JSON bytes, or the same exception
@@ -17,8 +18,10 @@ one step, outside the objects the propagation updates, so that no later
 step touches it: a stale object or a moved arrow from then on, and
 sometimes a raise at a later step. On a clean input that is the only way
 to reach a result that is not clean, or a step that raises after an
-earlier step's check would have. The test asserts that each of these
-cases occurred.
+earlier step's check would have. On an input with violations, the per-step
+loop stops at the first check that raises, while the loop under test runs
+every step before it checks. The test asserts that each of these cases
+occurred.
 """
 
 import random
@@ -135,7 +138,7 @@ def _input_check(h: Hierarchy) -> str:
 CASES = [
     "input clean", "input violations", "input raised", "step raised", "injected step raised",
     "check raised", "plan refused", "clean input, result not clean",
-    "clean input, a step's check raised",
+    "clean input, a step's check raised", "input violations, a step's check raised",
 ]
 
 
@@ -188,6 +191,8 @@ def test_reports_equal_the_per_step_checks():
             seen["clean input, result not clean"] += 1
         if checked == "clean" and where == "check raised":
             seen["clean input, a step's check raised"] += 1
+        if checked == "violations" and where == "check raised":
+            seen["input violations, a step's check raised"] += 1
 
     compare()
     for case in CASES:
