@@ -252,6 +252,10 @@ _DIRECTIONS = {
 
 
 def cmd_rewrite(args) -> int:
+    out_path = args.output or str(Path(args.hierarchy).with_suffix("")) + ".rewritten.json"
+    report_path = args.report or out_path + ".report.json"
+    if os.path.realpath(out_path) == os.path.realpath(report_path):
+        raise _InputError(f"--output and --report name the same file: {report_path}")
     h = _load_hierarchy(args.hierarchy)
     rule = _load_rule(args.rule)
     g = h.graph(args.node)
@@ -296,9 +300,6 @@ def cmd_rewrite(args) -> int:
 
     reports = apply_plan(h, plan)
     final = reports[-1].hierarchy
-
-    out_path = args.output or str(Path(args.hierarchy).with_suffix("")) + ".rewritten.json"
-    report_path = args.report or out_path + ".report.json"
     _write_atomically([
         (out_path, dumps_canonical(hierarchy_to_json(final))),
         (report_path, dumps_canonical(_report_json(reports))),

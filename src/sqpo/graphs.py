@@ -749,6 +749,8 @@ def attrs_to_json(attrs: Mapping) -> dict:
 
 
 def attrs_from_json(obj: Mapping) -> Attrs:
+    if not isinstance(obj, dict):
+        raise TypeError(f"attributes must be an object, not {type(obj).__name__}")
     out = {}
     for k in obj:
         raw = obj[k]

@@ -603,10 +603,13 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
             assignment = _node_map_from_json(sk.get("assignment", {}), "skeleton assignment")
         objects = {}
         memo: dict = {}  # one attribute memo for every graph in the file
-        for name in obj.get("graphs", {}):
+        where, graphs = ("graphs",), obj.get("graphs", {})
+        if not isinstance(graphs, dict):
+            raise TypeError(f"graphs must be an object, not {type(graphs).__name__}")
+        for name in graphs:
             where = ("graphs", name)
             try:
-                objects[name] = graph_from_json(obj["graphs"][name], memo)
+                objects[name] = graph_from_json(graphs[name], memo)
             except GraphElementError as exc:
                 raise _relocated(HierarchyError, where, exc, "graph", f"graph {name}: ") from exc
         arrows = {}

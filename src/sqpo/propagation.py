@@ -17,9 +17,9 @@ A plan is resolved once: the plan builders, the composability check and
 the propagation steps share one resolution holding the affected
 sub-hierarchy, each affected object's composed typing, the origin's
 factorization and, backward, each object's restriction (the pullback of
-its typing against the match) and the pattern connectors along the
-sub-hierarchy's arrows. It is left on the plan and rebuilt only when the
-plan is used with a different `Hierarchy` object.
+its typing against the match; at the origin, the match itself) and the
+pattern connectors along the sub-hierarchy's arrows. It is left on the
+plan and rebuilt only for a different `Hierarchy` object.
 
 A rewrite propagates only through `propagate_forward` and
 `propagate_backward`. The paper's per-edge strict, canonical, projection
@@ -174,16 +174,14 @@ def lift_rule(
     if retyping.target != r_minus.target:
         raise FactorizationError("lift_rule: retyping and rule do not share a target")
     pb = pullback(retyping, r_minus)
-    pbc = final_pbc(pb.to_a, m_hat)
-    return LiftResult(
-        pattern=pb.apex,
-        lift=pb.to_a,
-        to_rhs=pb.to_b,
-        graph=pbc.apex,
-        trace=pbc.project,
-        instance=pbc.embed,
-        _rebuilt=pbc._rebuilt,
-    )
+    return _lifted(pb.to_a, pb.to_b, m_hat)
+
+
+def _lifted(lift: Homomorphism, to_rhs: Homomorphism, m_hat: Homomorphism) -> LiftResult:
+    """The lifted rule `lift` with its arrow `to_rhs` to L⁻, complemented out
+    at m̂."""
+    pbc = final_pbc(lift, m_hat)
+    return LiftResult(lift.source, lift, to_rhs, pbc.apex, pbc.project, pbc.embed, pbc._rebuilt)
 
 
 # -- plans, composability, propagation -------------------------------------------
@@ -195,9 +193,9 @@ class _Resolution:
     steps all read, built once per plan and hierarchy: the affected
     sub-hierarchy; each affected object's composed typing (from the origin
     forward, to it backward; the origin has none); the origin's
-    factorization; and, backward, each object's restriction and the
-    pattern connector along each arrow of the sub-hierarchy (None where the
-    two restrictions are inconsistent)."""
+    factorization; and, backward, each object's restriction (the match at
+    the origin) and the pattern connector along each arrow of the
+    sub-hierarchy (None where the two restrictions are inconsistent)."""
 
     hierarchy: Hierarchy
     sub: Hierarchy
@@ -211,7 +209,10 @@ def _resolve(h: Hierarchy, plan: PropagationPlan) -> _Resolution:
     """The plan's resolution against h: the one left on the plan when it
     was made against this very hierarchy object (hierarchies are immutable,
     and a plan's origin, rule, match and direction are fixed once built),
-    else a new one, which is left on the plan in its place."""
+    else a new one, which is left on the plan in its place. Backward, the
+    origin's restriction, the pullback of its identity typing against the
+    match, is the match itself: (L, match, identity(L)), built without a
+    pullback and with L's ids, which no output shows."""
     res = plan._resolution
     if res is not None and res.hierarchy is h:
         return res
@@ -228,8 +229,9 @@ def _resolve(h: Hierarchy, plan: PropagationPlan) -> _Resolution:
     else:
         sub = h.backward_subgraph(origin)
         typings = {n: h.composed_typing(n, origin) for n in sub.nodes() if n != origin}
-        g = h.graph(origin)
-        restrictions[origin] = restriction_pullback(identity(g), match)
+        if not is_mono(match):
+            raise NotMonoError("restriction_pullback: match must be a mono")
+        restrictions[origin] = RestrictionResult(match.source, match, identity(match.source))
         for name, typing in typings.items():
             restrictions[name] = restriction_pullback(typing, match)
         for (i, j) in sub.edges():
@@ -567,27 +569,27 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     object.
 
     Each step does per-element work only at its delta. Object i is
-    rewritten by a final pullback complement over its matched part (the
-    image of its restriction, or of the match at the origin). It keeps
-    every other node with its id, attributes and edges; its trace is the
-    identity there, and it records the edges it built at the copies. The
-    delta is the set of copies, the images of the lifted pattern. Every
+    rewritten by a final pullback complement of its lifted rule (at the
+    origin, the rule) over the image of its restriction (the match). It
+    keeps every other node with its id, attributes and edges; its trace is
+    the identity there, and it records the edges it built at the copies.
+    The delta is the set of copies, the images of the lifted pattern. Every
     typing at i is rebuilt as a patch of the arrow it replaces:
 
     * k -> i (k was updated earlier, so the arrow is old(k, i) after k's
       trace) is re-set at k's copies, each to the instance of the image of
-      its lifted pattern node. An untouched node of k whose image lies in
-      i's matched part has no image left; the step raises KeyError naming
-      that image, as a lookup among i's untouched nodes would (a valid plan
-      has none: such a node lies in k's restriction). The arrow is checked
-      only at the copies and at the edges of k built at them, and its
-      square with the traces only at the copies. That check is sound: an
-      untouched node x of k keeps its id, attributes and edges, and its
-      image old(x), outside i's matched part, keeps its own; so every edge
-      between untouched nodes keeps its image edge, and the square holds
-      at x since trace_i is the identity at old(x). A failure raises the
-      message of the full check, since every violation lies in what is
-      checked.
+      its lifted pattern node through the pattern connector and i's lift. An
+      untouched node of k whose image lies in i's matched part has no image
+      left; the step raises KeyError naming that image, as a lookup among
+      i's untouched nodes would (a valid plan has none: such a node lies in
+      k's restriction). The arrow is checked only at the copies and at the
+      edges of k built at them, and its square with the traces only at the
+      copies. That check is sound: an untouched node x of k keeps its id,
+      attributes and edges, and its image old(x), outside i's matched part,
+      keeps its own; so every edge between untouched nodes keeps its image
+      edge, and the square holds at x since trace_i is the identity at
+      old(x). A failure raises the message of the full check, since every
+      violation lies in what is checked.
     * i -> j is re-set at i's matched nodes (which leave i) and at its
       copies, each copy c taking the image of trace_i(c); elsewhere trace_i
       is the identity, so the patch is the composite of the old arrow and
@@ -597,38 +599,29 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     compares only where they changed (see `hierarchy`, `_propagate`).
     """
     lifts: dict[str, LiftResult] = {}
-    lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
 
     def step(res, i, current, traces, instances):
-        if i == plan.origin:
-            pbc = final_pbc(plan.rule, plan.match)
-            new_graph, trace, instance, matched = pbc.apex, pbc.project, pbc.embed, plan.match
+        matched = res.restrictions[i].instance
+        if i == plan.origin:  # the origin's restriction is L: the rule is its lift
+            lift = _lifted(plan.rule, identity(plan.rule.source), matched)
         else:
             fx = plan.factorizations[i]
-            matched = res.restrictions[i].instance
             lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
-            new_graph, trace, instance = lift.graph, lift.trace, lift.instance
-            lifts[i] = lift
-            lifted_pairs[i] = {(lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes}
-        ti, ii = trace.node_map, instance.node_map
+        lifts[i], new_graph = lift, lift.graph
+        pairs = {(lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes}
+        ti, ii = lift.trace.node_map, lift.instance.node_map
         matched_i = {matched[p] for p in matched.source.nodes}
-        copies_i = [ii[p] for p in instance.source.nodes]
+        copies_i = [ii[p] for p in lift.pattern.nodes]
         patch: dict[tuple[str, str], Homomorphism] = {}
         for k in current.predecessors(i):
             arrow = current.typing(k, i)  # old(k, i) after trace_k
             old, lk = h.typing(k, i), lifts[k]
             om, tk = old.node_map, traces[k].node_map
-            # the image in L_G_i⁻ (in L⁻ at the origin) of each node of
-            # L_G_k⁻, through the pattern connector
-            to_rhs = lk.to_rhs.node_map
-            if i == plan.origin:
-                image = to_rhs
-            else:
-                conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
-                pairs = lifted_pairs[i]
-                image = {q: pairs[(conn[lift_k[q]], to_rhs[q])] for q in lk.pattern.nodes}
-            inst = lk.instance.node_map
-            mapping = {inst[q]: ii[image[q]] for q in lk.pattern.nodes}
+            # each node of L_G_k⁻ goes to the instance of its image in L_G_i⁻
+            # (in L⁻ at the origin), found through the pattern connector
+            conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
+            to_rhs, inst = lk.to_rhs.node_map, lk.instance.node_map
+            mapping = {inst[q]: ii[pairs[conn[lift_k[q]], to_rhs[q]]] for q in lk.pattern.nodes}
             preimages = old._preimages()
             stray = [
                 x for y in matched_i for x in preimages.get(y, ())
@@ -652,6 +645,6 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
             patch[(i, j)] = Homomorphism._patched(
                 arrow, new_graph, arrow.target, {c: am[ti[c]] for c in copies_i}, keys
             )
-        return new_graph, trace, instance, patch
+        return new_graph, lift.trace, lift.instance, patch
 
     return _propagate(h, plan, BACKWARD, step)

@@ -427,10 +427,10 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
             doomed = sorted({r for r in (resolve(node, x) for x in raw) if r})
             if not doomed:
                 continue
-            g_minus = current.graph(node)
-            pattern = induced_subgraph(g_minus, doomed)
+            # a deletion with an empty interface reads no edge or attribute of its pattern
+            pattern = Graph._of(doomed, (), {}, {})
             arrow = Homomorphism(Graph(), pattern, {})
-            match2 = Homomorphism(pattern, g_minus, {n: n for n in pattern.nodes})
+            match2 = Homomorphism._of(pattern, current.graph(node), dict(zip(doomed, doomed)))
             plan2 = build_canonical_plan(current, node, arrow, match2, BACKWARD)
             rep = propagate_backward(current, plan2)
         current = rep.hierarchy

@@ -18,6 +18,9 @@ and compared its square with two full composites. And the original
 clean-up loop of `relations.apply_plan`, which rebuilt a map over every
 node of every traced object after each clean-up. And the forward and
 backward propagation loops that checked commutativity after every step.
+And the backward plan resolution that pulled the origin's identity typing
+back against the match, with the backward step that complemented the match
+out at the origin on a path of its own.
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -67,9 +70,14 @@ from sqpo.propagation import (
     RewriteReport,
     _checked_resolution,
     _merge_assignment,
+    _propagate,
+    _resolve as library_resolve,
+    _Resolution,
+    _restriction_connector,
     _violation_at,
     lift_rule,
     propagate_forward,
+    restriction_pullback,
 )
 from sqpo.propagation import propagate_backward as library_propagate_backward
 from sqpo.relations import build_canonical_plan, induced_subgraph
@@ -1042,3 +1050,102 @@ def propagate_backward_per_step(h, plan) -> RewriteReport:
         updated_typings=updated,
         steps=steps,
     )
+
+
+# -- the origin's restriction as a pullback ------------------------------------
+
+
+def resolve_pulled_back_origin(h: Hierarchy, plan: PropagationPlan) -> _Resolution:
+    """The original `propagation._resolve` of a backward plan: the origin's
+    restriction is the pullback of its identity typing against the match,
+    whose pattern is L with `a⋈b` ids. A forward plan is resolved by the
+    library."""
+    if plan.direction == FORWARD:
+        return library_resolve(h, plan)
+    res = plan._resolution
+    if res is not None and res.hierarchy is h:
+        return res
+    origin, match = plan.origin, plan.match
+    sub = h.backward_subgraph(origin)
+    typings = {n: h.composed_typing(n, origin) for n in sub.nodes() if n != origin}
+    restrictions = {origin: restriction_pullback(identity(h.graph(origin)), match)}
+    for name, typing in typings.items():
+        restrictions[name] = restriction_pullback(typing, match)
+    pattern_conns = {
+        (i, j): _restriction_connector(h, i, j, restrictions[i], restrictions[j])
+        for (i, j) in sub.edges()
+    }
+    lhs = plan.rule.target
+    origin_fx = BackwardFactorization(
+        mid=lhs,
+        post_arrow=identity(lhs),
+        pre_arrow=plan.rule,
+        retyping=restrictions[origin].to_lhs,
+    )
+    res = _Resolution(h, sub, typings, origin_fx, restrictions, pattern_conns)
+    plan._resolution = res
+    return res
+
+
+def propagate_backward_origin_branch(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
+    """The original `propagate_backward`, whose step complemented the match
+    out at the origin without a lift, and patched an arrow into the origin
+    from each lifted node's image in L⁻ (`to_rhs`), without the pattern
+    connector; every other step is the library's."""
+    lifts: dict[str, LiftResult] = {}
+    lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
+
+    def step(res, i, current, traces, instances):
+        if i == plan.origin:
+            pbc = library_final_pbc(plan.rule, plan.match)
+            new_graph, trace, instance, matched = pbc.apex, pbc.project, pbc.embed, plan.match
+        else:
+            fx = plan.factorizations[i]
+            matched = res.restrictions[i].instance
+            lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
+            new_graph, trace, instance = lift.graph, lift.trace, lift.instance
+            lifts[i] = lift
+            lifted_pairs[i] = {(lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes}
+        ti, ii = trace.node_map, instance.node_map
+        matched_i = {matched[p] for p in matched.source.nodes}
+        copies_i = [ii[p] for p in instance.source.nodes]
+        patch: dict[tuple[str, str], Homomorphism] = {}
+        for k in current.predecessors(i):
+            arrow = current.typing(k, i)
+            old, lk = h.typing(k, i), lifts[k]
+            om, tk = old.node_map, traces[k].node_map
+            to_rhs = lk.to_rhs.node_map
+            if i == plan.origin:
+                image = to_rhs
+            else:
+                conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
+                pairs = lifted_pairs[i]
+                image = {q: pairs[(conn[lift_k[q]], to_rhs[q])] for q in lk.pattern.nodes}
+            inst = lk.instance.node_map
+            mapping = {inst[q]: ii[image[q]] for q in lk.pattern.nodes}
+            preimages = old._preimages()
+            stray = [
+                x for y in matched_i for x in preimages.get(y, ())
+                if x in tk and x not in mapping
+            ]
+            if stray:
+                raise KeyError(arrow[min(stray)])
+            arrow = Homomorphism._patched(arrow, lk.graph, new_graph, mapping, mapping)
+            problem = _violation_at(arrow, mapping, lk._rebuilt, mapping)
+            if problem is not None:
+                raise InvalidHomomorphism(problem)
+            if any(ti[y] != om[tk[x]] for x, y in mapping.items()):
+                raise RewritingError(
+                    f"typing {k}->{i}: reconstructed arrow does not commute"
+                )
+            patch[(k, i)] = arrow
+        keys = matched_i.union(copies_i)
+        for j in current.successors(i):
+            arrow = current.typing(i, j)
+            am = arrow.node_map
+            patch[(i, j)] = Homomorphism._patched(
+                arrow, new_graph, arrow.target, {c: am[ti[c]] for c in copies_i}, keys
+            )
+        return new_graph, trace, instance, patch
+
+    return _propagate(h, plan, BACKWARD, step)

@@ -629,10 +629,39 @@ def _fixture_with(name, damage):
             "graphs.T.edges[2]: graph T: invalid graph: dangling edge (t1,zz): missing target "
             "node zz; dangling edge (t2,zz): missing target node zz",
         ),
+        (
+            "hierarchy",
+            _fixture_with("strict_plan.hierarchy.json", lambda h: h["graphs"]["G"]["nodes"][0].update(attrs=[1])),
+            "graphs.G.nodes[0].attrs: graph G: malformed graph: attributes must be an object, not list",
+        ),
+        (
+            "hierarchy",
+            _fixture_with("strict_plan.hierarchy.json", lambda h: h["graphs"]["T"]["edges"].append(
+                {"from": "t1", "to": "t2", "attrs": [5, 6]}
+            )),
+            "graphs.T.edges[0].attrs: graph T: malformed graph: attributes must be an object, not list",
+        ),
+        (
+            "hierarchy",
+            _fixture_with("strict_plan.hierarchy.json", lambda h: h.update(graphs=[1])),
+            "graphs: malformed hierarchy: graphs must be an object, not list",
+        ),
+        (
+            "rule",
+            _fixture_with("strict_plan.rule.json", lambda r: r["lhs"]["nodes"][0].update(attrs=[1])),
+            "lhs.nodes[0].attrs: malformed graph: attributes must be an object, not list",
+        ),
+        (
+            "plan",
+            _fixture_with("strict_plan.plan.json", lambda p: p["factorizations"]["T"]["mid"]["nodes"][0].update(attrs=[1])),
+            "factorizations.T.mid.nodes[0].attrs: malformed plan: malformed graph: "
+            "attributes must be an object, not list",
+        ),
     ],
     ids=[
         "graph-attribute-value", "hierarchy-node-id", "hierarchy-typing-entry", "rule-attribute",
-        "hierarchy-dangling-edge",
+        "hierarchy-dangling-edge", "hierarchy-node-attrs-list", "hierarchy-edge-attrs-list",
+        "hierarchy-graphs-list", "rule-attrs-list", "plan-mid-attrs-list",
     ],
 )
 def test_loader_messages_name_the_json_path(tmp_path, kind, obj, message):
@@ -649,6 +678,29 @@ def test_loader_messages_name_the_json_path(tmp_path, kind, obj, message):
     )
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr == f"error: invalid {kind} in {path}: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["validate", "match"])
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda h: h["graphs"]["G"]["nodes"][0].update(attrs=[1]),
+        lambda h: h["graphs"]["T"]["edges"].append({"from": "t1", "to": "t2", "attrs": [5, 6]}),
+        lambda h: h.update(graphs=[1]),
+    ],
+    ids=["node-attrs", "edge-attrs", "graphs"],
+)
+def test_non_object_attrs_or_graphs_exit_2(tmp_path, command, damage):
+    """A list where a hierarchy file needs the object of a node's or an
+    edge's attributes, or of its graphs, is an input error naming its JSON
+    path (a list of numbers was read by index and raised IndexError)."""
+    path = tmp_path / "bad.hierarchy.json"
+    path.write_text(json.dumps(_fixture_with("strict_plan.hierarchy.json", damage)))
+    args = [command, path] + (["G", FIXTURES / "strict_plan.rule.json"] if command == "match" else [])
+    proc = run_cli(*args)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"error: invalid hierarchy in {path}: graphs")
+    assert "must be an object, not list" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
@@ -693,6 +745,25 @@ def test_rewrite_unwritable_output_exits_2(tmp_path):
     assert "Traceback" not in proc.stderr
     assert f"cannot write {missing / 'out.json'}" in proc.stderr
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("report", ["out.json", "sub/../out.json", "link.json"])
+def test_rewrite_output_and_report_on_one_file_exits_2(tmp_path, report):
+    """`-o F --report F` (also through another spelling of the path, or a
+    symlink to it) is an input error before anything is written: the
+    report's rename would replace the rewritten hierarchy."""
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "link.json").symlink_to(tmp_path / "out.json")
+    report = f"{tmp_path}/{report}"
+    proc = run_cli(
+        "rewrite", FIXTURES / "merge_add.hierarchy.json", "G",
+        FIXTURES / "merge_add.rule.json", "0", "--direction", "fwd",
+        "-o", tmp_path / "out.json", "--report", report,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == f"error: --output and --report name the same file: {report}\n"
+    assert proc.stdout == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "sub"]
 
 
 @pytest.mark.parametrize(

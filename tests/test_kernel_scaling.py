@@ -580,13 +580,15 @@ def _count_plan_resolution(monkeypatch):
 
 def test_backward_plan_resolved_once_per_affected_object(typed_data, monkeypatch):
     """Building, checking and propagating a canonical backward clone of a T
-    node through G -> M -> T plus G -> T makes one restriction pullback per
-    affected object and one composed typing per affected object other than
-    the origin: 3 and 2. When the plan builder, the composability check
-    and the propagation step each made their own, it made 9 and 6. It calls
-    `category.pullback` 5 times, for the 3 restrictions and the lifts at M
-    and G: an empty relation rejects no copy, so `build_canonical_plan` makes no
-    clean-up pullback (7 calls when it made one at M and G)."""
+    node through G -> M -> T plus G -> T makes one restriction pullback and
+    one composed typing per affected object other than the origin: 2 and 2.
+    The origin's restriction is the match itself (3 restriction pullbacks
+    when the origin's was pulled back along its identity typing; 9 and 6
+    when the plan builder, the composability check and the propagation
+    step each made their own). It calls `category.pullback` 4 times, for
+    the 2 restrictions and the lifts at M and G: the origin's lift is the
+    rule, and an empty relation rejects no copy, so `build_canonical_plan`
+    makes no clean-up pullback (7 calls when it made one at M and G)."""
     h = typed_data
     counts = _count_plan_resolution(monkeypatch)
     rule = build_rule(Graph(["x"]), [CloneNode("x", "x1", "x2")])
@@ -594,7 +596,7 @@ def test_backward_plan_resolved_once_per_affected_object(typed_data, monkeypatch
     plan = build_canonical_plan(h, "T", rule.left_leg, match.instance, BACKWARD)
     reports = apply_plan(h, plan)
     assert [len(r.steps) for r in reports] == [3]
-    assert counts == {"restriction_pullback": 3, "pullback": 5, "composed_typing": 2}
+    assert counts == {"restriction_pullback": 2, "pullback": 4, "composed_typing": 2}
 
 
 def test_forward_plan_resolved_once_per_affected_object(typed_data, monkeypatch):
@@ -613,9 +615,11 @@ def test_forward_plan_resolved_once_per_affected_object(typed_data, monkeypatch)
 
 def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
     """`sqpo rewrite --plan` with an explicit backward factorization at M
-    makes one restriction pullback per affected object: the plan file's
-    retyping is read against the restriction the plan builder made (it
-    made a second one, and each consumer its own: 10 in all)."""
+    makes one restriction pullback per affected object other than the
+    origin, whose restriction is the match: the plan file's retyping is read
+    against the restriction the plan builder made (it made a second one,
+    and each consumer its own: 10 in all; 3 while the origin's was pulled
+    back along its identity typing)."""
     h = _typed_hierarchy(48, 40)
     rule = build_rule(Graph(["x"]), [CloneNode("x", "x1", "x2")])
     match = find_matches(rule, h.graph("T"), RESTRICTIVE)[0].instance
@@ -639,7 +643,7 @@ def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
         "-o", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json"),
     ])
     assert code == 0
-    assert counts["restriction_pullback"] == 3
+    assert counts["restriction_pullback"] == 2
 
 
 FIXTURES = Path(__file__).parent / "fixtures"

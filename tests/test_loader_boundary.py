@@ -16,7 +16,8 @@ given a skeleton first, and requires:
   typing or leg equals its rebuild by the public `Homomorphism`
   constructor, with str keys and values;
 - a graph the original loader rejects is rejected too, with the original
-  message behind the JSON path of the offending value.
+  message behind the JSON path of the offending value, or, for an `attrs`
+  value that is not an object, with the message that says so.
 """
 
 import contextlib
@@ -105,7 +106,7 @@ def _mutate(draw, obj):
         parent = _at(obj, path[:-1])
         del parent[path[-1]]
         return obj
-    value = {"number": 7, "list": draw(st.sampled_from([[], ["x"]])), "null": None,
+    value = {"number": 7, "list": draw(st.sampled_from([[], ["x"], [1]])), "null": None,
              "dict": draw(st.sampled_from([{}, {"x": "y"}]))}[kind]
     if not path:
         return value
@@ -140,19 +141,29 @@ def _check_hom(hom: Homomorphism, raw) -> None:
 
 def _check_rejected_graphs(graphs) -> None:
     """Each graph value the original loader rejects, the new one rejects
-    with the same message behind a JSON path."""
+    with the same message behind a JSON path. The original loader does not
+    check that an `attrs` value is an object: it reports the error of
+    iterating over it, or raises IndexError for a list of numbers
+    (`[1]`). Where the new loader rejects such a value, its message says
+    so instead."""
     if not isinstance(graphs, dict):
         return
     for raw in graphs.values():
         try:
             ref.graph_from_json(raw)
-        except GraphElementError as old:
+        except (GraphElementError, IndexError) as old:
             try:
                 sqpo.graph_from_json(raw)
             except GraphElementError as new:
-                assert new.detail == str(old) and str(new).endswith(str(old))
+                at_attrs = new.json_path[-1:] == ("attrs",)
+                if at_attrs and not isinstance(value := _at(raw, new.json_path), dict):
+                    expected = f"attributes must be an object, not {type(value).__name__}"
+                    assert new.detail == f"malformed graph: {expected}"
+                else:
+                    assert isinstance(old, GraphElementError)
+                    assert new.detail == str(old) and str(new).endswith(str(old))
             else:
-                raise AssertionError(f"loaded a graph the original loader rejects: {old}")
+                raise AssertionError(f"loaded a graph the original loader rejects: {old!r}")
 
 
 def _check_hierarchy(obj) -> None:

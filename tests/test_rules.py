@@ -236,6 +236,41 @@ def test_build_rule_matches_imperative_edits():
         assert are_isomorphic(res.output, expected)
 
 
+@pytest.mark.parametrize(
+    "edits",
+    [
+        [AddAttrs(("u", "v"), {"k": ["n"]})],
+        [RemoveAttrs(("u", "v"), {"k": ["x"]})],
+        [AddAttrs(("v", "u"), {"m": ["q"]}), RemoveAttrs(("u", "v"), {"k": ["x", "y"]})],
+        [CloneNode("u", "u1", "u2"), AddAttrs(("u1", "v"), {"k": ["n"]})],
+        [CloneNode("u", "u1", "u2"), RemoveAttrs(("u1", "v"), {"k": ["y"]})],
+        [CloneNode("v", "v1", "v2"), RemoveAttrs(("u", "v2"), {"k": ["x"]}),
+         AddAttrs(("v1", "u"), {"m": ["q"]})],
+    ],
+    ids=["add", "remove", "add-and-remove", "clone-add", "clone-remove", "clone-both"],
+)
+def test_edge_attribute_edits_match_imperative_edits(edits):
+    """Attribute edits on an edge, alone and after a clone of one of its
+    endpoints: rewriting a larger host at the pattern's match gives the
+    host with the edits applied, attributes included. The host's edges
+    carry values the pattern does not name, which the rewrite keeps."""
+    pattern = Graph(
+        ["u", "v"], [("u", "v"), ("v", "u")], {"u": {"k": ["a"]}},
+        {("u", "v"): {"k": ["x", "y"]}, ("v", "u"): {"k": ["x"]}},
+    )
+    host = Graph(
+        ["u", "v", "w"], [("u", "v"), ("v", "u"), ("w", "u"), ("v", "w")],
+        {"u": {"k": ["a", "b"]}, "w": {"k": ["c"]}},
+        {("u", "v"): {"k": ["x", "y", "z"], "m": ["p"]}, ("v", "u"): {"k": ["x"]},
+         ("w", "u"): {"k": ["x"]}},
+    )
+    rule = build_rule(pattern, edits)
+    match = Match(Homomorphism(pattern, host, {"u": "u", "v": "v"}), RESTRICTIVE)
+    expected = apply_edits(host, edits)
+    assert expected != host
+    assert are_isomorphic(sqpo_rewrite(rule, match).output, expected)
+
+
 def test_dpo_like_rules_have_no_side_effects():
     rng = random.Random(88)
     for _ in range(40):
