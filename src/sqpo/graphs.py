@@ -243,6 +243,7 @@ class Graph:
     # -- primitive edits ---------------------------------------------------
 
     def add_node(self, n: str, attrs: Mapping | None = None) -> "Graph":
+        n = str(n)  # as the constructor coerces it
         if n in self.nodes:
             raise GraphElementError(f"node id collision: {n}")
         return Graph(
@@ -253,6 +254,7 @@ class Graph:
         )
 
     def add_edge(self, u: str, v: str, attrs: Mapping | None = None) -> "Graph":
+        u, v = str(u), str(v)  # as the constructor coerces them
         if u not in self.nodes or v not in self.nodes:
             raise GraphElementError(f"add_edge({u},{v}): unknown endpoint")
         if (u, v) in self.edges:

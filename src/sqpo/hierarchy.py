@@ -13,18 +13,25 @@ parent), the composite fixed at each node of its cone (at a successor, the
 arrow itself, never composed with an identity) and, in walk order, the
 verdict of every other edge.
 
-* Cone index. `replace` logs in the memo what was replaced since its
-  entries were filled: the arrows, with the keys at which each patch (see
+* Cone index. `replace` logs in the memo what changed since its entries
+  were filled: the arrows replaced, with the keys at which each patch (see
   `Homomorphism._patched`) may differ from the arrow it replaced, and the
   sources that see them (the ancestors of the arrows' tails) or whose
-  object was replaced. A check walks only those sources.
+  object was replaced; and the arrows added, logged with unknown keys. A
+  check walks those sources and the sources whose cone holds an added
+  arrow's tail.
 * One-pass walk. A walk visits each edge of the source's cone once, in
-  walk order. A first hop is the arrow, with its logged keys; below it a
-  composite is the entry's when its arrow is not logged and its tail's is
-  the entry's, else composed whole. A comparing edge that held is compared
-  only where it can have changed (`_moved_keys`).
-* `add_typing(a, b)` carries the memo, dropping only the entries of a's
-  ancestors, whose walks the new arrow changes.
+  walk order, the first edge to reach a node being its tree edge. A first
+  hop is the arrow, with its logged keys; below it a composite is the
+  entry's when its tree edge is the entry's and not logged and its tail's
+  composite is the entry's, else composed whole. A comparing edge that
+  held is compared only where it can have changed (`_moved_keys`).
+* `add_typing(a, b)` costs the paths its arrow adds. The entries of a's
+  ancestors stay. An ancestor that sees nothing else, whose old walk
+  ends before the new arrow (`_extension`; always so in a hierarchy typed
+  layer by layer), keeps its walk and visits only the new arrow and the
+  nodes first reached through it. Any other ancestor walks anew in the new
+  order, reusing every composite and verdict whose edge is unchanged.
 
 The memo holds no hierarchy, patches hold their bases only weakly, and
 equality, repr and JSON ignore it. A check installs a new memo in one
@@ -37,6 +44,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .exceptions import CompositionError, GraphElementError, HierarchyError
@@ -89,6 +97,16 @@ def _adjacency(edges) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     return succ, pred
 
 
+def _extended(succ: dict, pred: dict, edges) -> tuple[dict, dict]:
+    """`_adjacency` of the edges behind succ and pred (left as they are)
+    and of `edges`, which are new."""
+    succ, pred = dict(succ), dict(pred)
+    for (a, b) in edges:
+        succ[a] = sorted((*succ.get(a, ()), b))
+        pred[b] = sorted((*pred.get(b, ()), a))
+    return succ, pred
+
+
 def _waves(nodes, ahead, behind) -> list[list[str]]:
     """Peel a shape into waves: the sorted nodes with nothing left ahead of
     them, repeatedly. A node joins the wave after the one that removed the
@@ -134,24 +152,31 @@ class CommutativityViolation:
 class _Check(NamedTuple):
     """One source's memo entry: its cone in walk order, each node's tree
     parent, composite (None at the source) and each comparing edge's
-    verdict (None where it held), in walk order. `Hierarchy._checks` sets
-    `changed`: what was replaced since."""
+    verdict (None where it held), in walk order, and the violations among
+    them. `Hierarchy._checks` sets `changed`: what was replaced since."""
 
     order: list[str]
     parent: dict[str, str]
     canon: dict[str, Homomorphism | None]
     verdicts: dict[tuple[str, str], CommutativityViolation | None]
+    violations: tuple[CommutativityViolation, ...]
     changed: frozenset = frozenset()
 
 
 class _Memo(NamedTuple):
-    """Entries current up to the replacements since they were filled (the
-    log): the arrows, with their patch keys (None when not known), and the
-    sources that see them or whose object was replaced."""
+    """Entries current up to the changes since they were filled (the log):
+    the arrows replaced or added, with their patch keys (None when not
+    known, as for an added arrow); the sources that see a replaced arrow or
+    whose object was replaced; and the arrows added."""
 
     entries: dict[str, _Check]
     arrows: dict[tuple[str, str], frozenset | None] = {}  # never modified
     sources: frozenset = frozenset()
+    added: frozenset = frozenset()
+
+    def grown(self, entry: _Check) -> list[tuple[str, str]]:
+        """The added arrows that start in entry's cone."""
+        return [e for e in self.added if e[0] in entry.canon]
 
 
 def _reach(starts, step: dict) -> set[str]:
@@ -198,6 +223,27 @@ def _breadth_first(succ: dict, a: str) -> tuple[list[str], dict[str, int], dict[
     return order, pos, parent
 
 
+def _extension(entry: _Check, grown: list) -> list | None:
+    """The added arrows `grown`, which start in entry's cone, as (tail,
+    (head,)) pairs in walk order, when they all come after the last edge of
+    entry's walk; else None. The old walk is then the start of the new one:
+    each old node keeps its place, tree parent, composite and verdicts, an
+    added arrow compares or first reaches a node new to the cone, and the
+    new nodes come after every old one."""
+    at = entry.order.index
+    keys = sorted((at(u), v, u) for (u, v) in grown)
+    ends = []  # the last tree edge, and the last comparing one
+    if len(entry.order) > 1:
+        v = entry.order[-1]
+        ends.append((at(entry.parent[v]), v))
+    if entry.verdicts:
+        u, v = next(reversed(entry.verdicts))
+        ends.append((at(u), v))
+    if ends and keys[0][:2] < max(ends):
+        return None
+    return [(u, (v,)) for _, v, u in keys]
+
+
 def _tree_path(parent: dict[str, str], v: str) -> tuple[str, ...]:
     path = [v]
     while path[-1] in parent:
@@ -238,7 +284,8 @@ class Hierarchy:
     @property
     def _checks(self) -> dict[str, _Check]:
         """The memo entries, each with `changed` set to the arrow keys
-        replaced since it was filled and the sources that see them."""
+        replaced or added since it was filled and the sources that see a
+        replaced one."""
         changed = self._memo.sources.union(self._memo.arrows)
         return {a: c._replace(changed=changed) for a, c in self._memo.entries.items()}
 
@@ -312,6 +359,9 @@ class Hierarchy:
         if a in self.descendants(b):
             raise HierarchyError(f"typing {a} -> {b} would introduce a cycle")
         if self.skeleton is not None:
+            for n in (a, b):  # possible in a hierarchy built or loaded unvalidated
+                if n not in self.skeleton_map:
+                    raise HierarchyError(f"node {n} lacks a skeleton assignment")
             ka, kb = self.skeleton_map[a], self.skeleton_map[b]
             if (ka, kb) not in self.skeleton.edges:
                 raise HierarchyError(
@@ -332,20 +382,21 @@ class Hierarchy:
     ) -> "Hierarchy":
         """Bulk functional update used by propagation; does not re-validate.
         The memo is carried with the replacements added to its log (see the
-        module docstring); a new arrow drops the entries of its tail's
-        ancestors."""
+        module docstring); a new arrow is logged with unknown patch keys, and
+        its tail's ancestors keep their entries."""
         objects, arrows = objects or {}, arrows or {}
         old, memo = self._arrows, self._memo
         new_arrows = {**old, **arrows}
-        entries, succ, pred = memo.entries, self._succ, self._pred
+        succ, pred, added = self._succ, self._pred, memo.added
         if len(new_arrows) != len(old):
-            succ, pred = _adjacency(new_arrows)
-            stale = _reach({u for (u, v) in arrows if (u, v) not in old}, pred)
-            entries = {s: c for s, c in entries.items() if s not in stale}
-        known = {e: h._changes_since(old[e]) for e, h in arrows.items() if e in old}
+            new = [e for e in arrows if e not in old]
+            succ, pred = _extended(succ, pred, new)
+            added = added.union(new)
+        known = {e: h._changes_since(old[e]) if e in old else None for e, h in arrows.items()}
         sources = memo.sources
         if objects or known:
-            sources = frozenset(_reach({u for (u, _) in known}, pred).union(objects, sources))
+            tails = {u for (u, v) in known if (u, v) in old}
+            sources = frozenset(_reach(tails, pred).union(objects, sources))
             for e, keys in memo.arrows.items():  # one log since the entries: patch keys unite
                 now = known.get(e, _NOTHING)
                 known[e] = None if keys is None or now is None else keys | now
@@ -354,7 +405,7 @@ class Hierarchy:
         out = object.__new__(Hierarchy)
         out._fill(
             {**self._objects, **objects}, new_arrows, self.skeleton, self.skeleton_map,
-            succ, pred, _Memo(entries, known, sources),
+            succ, pred, _Memo(memo.entries, known, sources, added),
         )
         return out
 
@@ -367,60 +418,77 @@ class Hierarchy:
         one composite per reachable node along the first edge that reaches
         it; every other edge extension is compared against it, which covers
         all path pairs by induction. Memo entries are rechecked only where
-        the logged replacements reach (see the module docstring).
+        the logged changes reach (see the module docstring).
         """
         memo = self._memo
+        widened = _reach({u for (u, _) in memo.added}, self._pred)  # ancestors of added arrows
         fresh: dict[str, _Check] = {}
         violations = []
         for a in self.nodes():
             entry = memo.entries.get(a)
-            if entry is None or a in memo.sources:
+            grown = memo.grown(entry) if a in widened and entry is not None else None
+            if grown and a not in memo.sources:
+                entry = self._walk(a, entry, memo.arrows, _extension(entry, grown))
+            elif entry is None or grown or a in memo.sources:
                 entry = self._walk(a, entry, memo.arrows)
             fresh[a] = entry
-            violations.extend(x for x in entry.verdicts.values() if x is not None)
-        if memo.sources or len(fresh) != len(memo.entries):
+            violations.extend(entry.violations)
+        if memo.sources or memo.added or len(fresh) != len(memo.entries):
             object.__setattr__(self, "_memo", _Memo(fresh))
         return violations
 
-    def _walk(self, a: str, entry: _Check | None, replaced: dict) -> _Check:
-        """a's check: one pass over its cone's edges in walk order (the
-        entry's walk, if any). A failing compose on a tree edge raises at
-        once, one on a comparing edge after the walk, so the first tree-edge
-        failure wins. `moved[v]` holds the keys at which canon[v] may differ
-        from the entry's (None when not known, as at a and at a composite
-        composed whole); a first hop's are its keys in `replaced`."""
+    def _walk(self, a: str, entry: _Check | None, replaced: dict, head=None) -> _Check:
+        """a's check: one pass over its cone's edges in walk order, where the
+        first edge to reach a node is its tree edge and every other edge
+        compares. With `head` (see `_extension`), the pass starts from a copy
+        of the entry and visits only the added arrows in `head` and the
+        edges of the nodes they reach first. A failing compose on a tree
+        edge raises at once, one on a comparing edge after the walk, so the
+        first tree-edge failure wins. `moved[v]` holds the keys at which
+        canon[v] may differ from the entry's (None when not known, as at a
+        and at a composite composed whole); a first hop's are its keys in
+        `replaced`."""
         succ = self._succ
-        if entry is None:
-            order, _, parent = _breadth_first(succ, a)
+        if head is None:
+            order, parent, canon, verdicts, failed, head = [a], {}, {a: None}, {}, [], ()
         else:
-            order, parent = entry.order, entry.parent
-        canon: dict[str, Homomorphism | None] = {a: None}
-        verdicts: dict[tuple[str, str], CommutativityViolation | None] = {}
+            order, parent = list(entry.order), dict(entry.parent)
+            canon, verdicts = dict(entry.canon), dict(entry.verdicts)
+            failed = list(entry.violations)
         moved: dict[str, frozenset | None] = {a: None}
         deferred = None
-        for u in order:
-            for v in succ.get(u, ()):
+        tails = islice(order, len(order) if head else 0, None)  # grows while walking
+        for u, vs in chain(head, ((u, succ.get(u, ())) for u in tails)):
+            for v in vs:
                 e = (u, v)
-                if parent.get(v) == u:
+                if v not in canon:
+                    order.append(v)
+                    parent[v] = u
                     if u == a:
                         canon[v], moved[v] = self._first_hop(a, v), replaced.get(e, _NOTHING)
-                    elif entry is not None and e not in replaced and canon[u] is entry.canon[u]:
+                    elif (
+                        entry is not None and entry.parent.get(v) == u and e not in replaced
+                        and canon[u] is entry.canon[u]
+                    ):
                         canon[v], moved[v] = entry.canon[v], _NOTHING
                     else:
                         canon[v], moved[v] = compose(self._arrows[e], canon[u]), None
                 elif deferred is None:
                     keys = None
-                    if entry is not None and entry.verdicts[e] is None:
+                    if entry is not None and entry.verdicts.get(e, _NOTHING) is None:
                         ku, kv, ke = moved[u], moved[v], replaced.get(e, _NOTHING)
                         if None not in (ku, kv, ke):
                             keys = _moved_keys(ku, kv, ke, entry.canon[u])
                     try:
-                        verdicts[e] = self._verdict(a, u, v, canon, parent, keys)
+                        verdicts[e] = x = self._verdict(a, u, v, canon, parent, keys)
                     except (CompositionError, KeyError) as exc:
                         deferred = exc
+                    else:
+                        if x is not None:
+                            failed.append(x)
         if deferred is not None:
             raise deferred
-        return _Check(order, parent, canon, verdicts)
+        return _Check(order, parent, canon, verdicts, tuple(failed))
 
     def _first_hop(self, a: str, v: str) -> Homomorphism:
         """The composite along the one arrow a -> v: the arrow itself, after
@@ -532,7 +600,7 @@ class Hierarchy:
         self.graph(b)
         memo = self._memo
         entry = memo.entries.get(a)
-        if entry is not None and a not in memo.sources:
+        if entry is not None and a not in memo.sources and not memo.grown(entry):
             canon = entry.canon
         else:
             self.graph(a)

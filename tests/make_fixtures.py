@@ -2,6 +2,10 @@
 
 Run from the repository root:  python tests/make_fixtures.py
 
+`python tests/make_fixtures.py --goldens-into DIR` writes only the golden
+outputs, from the committed inputs, into DIR, so that they can be compared
+byte for byte with tests/fixtures/golden without rewriting it.
+
 Inputs are written from first principles; golden outputs are produced by
 driving the CLI on them, after the suite's structural assertions have
 pinned their content."""
@@ -248,20 +252,26 @@ def run_cli(*args) -> subprocess.CompletedProcess:
     )
 
 
-def goldens():
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    jobs = [
-        ("merge_add", "merge_add.hierarchy.json", "G", "merge_add.rule.json", "0", "fwd", "merge_add.relation.json"),
-        ("merge_add_variant", "merge_add_variant.hierarchy.json", "G", "merge_add.rule.json", "0", "fwd", "merge_add_variant.relation.json"),
-        ("merge_add_direct", "merge_add_variant.hierarchy.json", "G", "merge_add.rule.json", "0", "fwd", "merge_add_direct.relation.json"),
-        ("clone_delete", "clone_delete.hierarchy.json", "T", "clone_delete.rule.json", "0", "bwd", "clone_delete.relation.json"),
-        ("clone_delete_partial", "clone_delete_partial.hierarchy.json", "T", "clone_delete.rule.json", "0", "bwd", "clone_delete.relation.json"),
-        ("set_example", "set_example.hierarchy.json", "n0", "set_example.rule.json", "0", "fwd", "set_example.relation.json"),
-        ("diamond", "diamond.hierarchy.json", "k0", "diamond.rule.json", "0", "bwd", "diamond.relation.json"),
-    ]
-    for name, hier, node, rule, idx, direction, relation in jobs:
-        out = GOLDEN / f"{name}.out.json"
-        report = GOLDEN / f"{name}.report.json"
+# name, hierarchy, origin, rule, match index, direction, relation
+REWRITE_JOBS = [
+    ("merge_add", "merge_add.hierarchy.json", "G", "merge_add.rule.json", "0", "fwd", "merge_add.relation.json"),
+    ("merge_add_variant", "merge_add_variant.hierarchy.json", "G", "merge_add.rule.json", "0", "fwd", "merge_add_variant.relation.json"),
+    ("merge_add_direct", "merge_add_variant.hierarchy.json", "G", "merge_add.rule.json", "0", "fwd", "merge_add_direct.relation.json"),
+    ("clone_delete", "clone_delete.hierarchy.json", "T", "clone_delete.rule.json", "0", "bwd", "clone_delete.relation.json"),
+    ("clone_delete_partial", "clone_delete_partial.hierarchy.json", "T", "clone_delete.rule.json", "0", "bwd", "clone_delete.relation.json"),
+    ("set_example", "set_example.hierarchy.json", "n0", "set_example.rule.json", "0", "fwd", "set_example.relation.json"),
+    ("diamond", "diamond.hierarchy.json", "k0", "diamond.rule.json", "0", "bwd", "diamond.relation.json"),
+]
+
+
+def goldens(into: Path = GOLDEN) -> None:
+    """Drive the CLI on the committed inputs and write the golden outputs
+    into `into`: each rewrite job's hierarchy and report, and the matches
+    of merge_add."""
+    into.mkdir(parents=True, exist_ok=True)
+    for name, hier, node, rule, idx, direction, relation in REWRITE_JOBS:
+        out = into / f"{name}.out.json"
+        report = into / f"{name}.report.json"
         proc = run_cli(
             "rewrite",
             str(FIXTURES / hier),
@@ -289,10 +299,13 @@ def goldens():
     )
     if match.returncode != 0:
         raise SystemExit(f"match failed\n{match.stderr}")
-    (GOLDEN / "merge_add.matches.json").write_text(match.stdout, encoding="utf-8")
+    (into / "merge_add.matches.json").write_text(match.stdout, encoding="utf-8")
 
 
 def main():
+    if sys.argv[1:2] == ["--goldens-into"]:  # the committed inputs stay as they are
+        goldens(Path(sys.argv[2]).resolve())
+        return
     if FIXTURES.exists():
         shutil.rmtree(FIXTURES)
     merge_add_inputs()

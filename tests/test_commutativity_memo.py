@@ -338,6 +338,200 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     assert _assert_matches_oracle(h2) == "violations"
 
 
+def _unmemoized(h: Hierarchy) -> Hierarchy:
+    return Hierarchy({n: h.graph(n) for n in h.nodes()}, {e: h.typing(*e) for e in h.edges()})
+
+
+def _walks(h: Hierarchy) -> dict:
+    """Each memo entry as the walk it records: the order, the tree parents,
+    the nodes holding a composite and each comparing edge's verdict, all in
+    walk order."""
+    return {
+        a: (c.order, c.parent, list(c.canon), [(e, str(x)) for e, x in c.verdicts.items()])
+        for a, c in h._memo.entries.items()
+    }
+
+
+@pytest.fixture
+def rechecks(monkeypatch) -> dict:
+    """How each check re-checks a source that has an entry: "extended" from
+    its entry at the added arrows, or "re-walked" in a new walk order."""
+    seen: dict = {}
+    walk = Hierarchy._walk
+
+    def recording(self, a, entry, replaced, head=None):
+        if entry is not None:
+            seen[a] = "extended" if head else "re-walked"
+        return walk(self, a, entry, replaced, head)
+
+    monkeypatch.setattr(Hierarchy, "_walk", recording)
+    return seen
+
+
+def _answer(h: Hierarchy):
+    """h's violations, or the type and message of what its check raises."""
+    try:
+        return [str(v) for v in h.validate_commutativity()]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _check_added(h: Hierarchy, arrows: dict) -> tuple[Hierarchy, str]:
+    """h with `arrows` added by `replace`: its check equals the full check
+    and the check of the same hierarchy without a memo, and after a check
+    that passes each memo entry records the walk a memo-free check records.
+    Before that check, `composed_typing` answers as the breadth-first walk
+    does. Adding the arrows one at a time by `add_typing` answers as on the
+    memo-free copy too."""
+    out = h.replace(arrows=arrows)
+    for a in out.nodes():
+        for b in out.nodes():
+            _same_composite(out, a, b)
+    outcome = _assert_matches_oracle(out)
+    fresh = _unmemoized(out)
+    assert _answer(out) == _answer(fresh)
+    if outcome != "raised":
+        assert _walks(out) == _walks(fresh)
+    assert _added_one_by_one(h, arrows) == _added_one_by_one(_unmemoized(h), arrows)
+    return out, outcome
+
+
+def _added_one_by_one(h: Hierarchy, arrows: dict):
+    """`add_typing` of each arrow in turn: the memo entries and the arrows
+    of the result, or the type and message of what it raises."""
+    try:
+        for e, hom in arrows.items():
+            h = h.add_typing(*e, hom)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return _walks(h), [(e, h.typing(*e).node_map) for e in h.edges()]
+
+
+_G = Graph(["x", "y"])
+_SAME, _SWAP = {"x": "x", "y": "y"}, {"x": "y", "y": "x"}
+
+
+def _chain_of(edges, maps=None) -> Hierarchy:
+    """Objects holding _G, with the identity along `edges` unless `maps`
+    gives a map, checked."""
+    h = Hierarchy({n: _G for e in edges for n in e}, {})
+    for e in edges:
+        h = h.add_typing(*e, Homomorphism(_G, _G, (maps or {}).get(e, _SAME)))
+    return h
+
+
+@pytest.mark.parametrize("mapping", [_SAME, _SWAP])
+def test_added_arrow_with_an_earlier_path_re_walks(mapping, rechecks):
+    """From a, e is reached through a -> c -> d -> e; an arrow b -> e
+    reaches it earlier, so e's tree parent and place in the walk change:
+    the order, the tree and the paths in a violation must be the new
+    walk's."""
+    h = _chain_of([("a", "b"), ("a", "c"), ("c", "d"), ("d", "e")])
+    assert h._checks["a"].order == ["a", "b", "c", "d", "e"]
+    rechecks.clear()
+    out, outcome = _check_added(h, {("b", "e"): Homomorphism(_G, _G, mapping)})
+    assert out._checks["a"].order == ["a", "b", "c", "e", "d"]
+    assert out._checks["a"].parent["e"] == "b"
+    assert rechecks["a"] == "re-walked" and rechecks["b"] == "extended"
+    if mapping is _SWAP:
+        assert outcome == "violations"
+        assert [str(v) for v in out.validate_commutativity()] == [
+            "PAIR a e: a->b->e != a->c->d->e at node x"
+        ]
+    else:
+        assert outcome == "clean"
+
+
+@pytest.mark.parametrize("mapping", [_SAME, _SWAP])
+def test_added_arrow_to_a_node_new_to_the_cone_extends(mapping, rechecks):
+    """From a, the arrow b -> c reaches c and f, new to a's cone, after
+    every old node; c -> d then compares with a -> d. a's entry is extended,
+    not walked again."""
+    h = _chain_of([("a", "b"), ("a", "d"), ("c", "d"), ("c", "f")], {("c", "d"): mapping})
+    rechecks.clear()
+    out, outcome = _check_added(h, {("b", "c"): Homomorphism(_G, _G, _SAME)})
+    assert out._checks["a"].order == ["a", "b", "d", "c", "f"]
+    assert rechecks == {"a": "extended", "b": "extended"}
+    if mapping is _SWAP:
+        assert [str(v) for v in out.validate_commutativity()] == [
+            "PAIR a d: a->d != a->b->c->d at node x"
+        ]
+    else:
+        assert outcome == "clean"
+
+
+def test_extended_entry_keeps_its_violations(rechecks):
+    """From a, the comparing edge b -> d breaks; an arrow d -> c, to an
+    object new to a's cone, comes after it in a's walk, so a's entry is
+    extended and its violation, found by the walk before, stays."""
+    h = Hierarchy(
+        {n: _G for n in "abcd"},
+        {
+            ("a", "b"): Homomorphism(_G, _G, _SAME),
+            ("a", "d"): Homomorphism(_G, _G, _SAME),
+            ("b", "d"): Homomorphism(_G, _G, _SWAP),
+        },
+    )
+    assert _answer(h) == ["PAIR a d: a->d != a->b->d at node x"]
+    out, outcome = _check_added(h, {("d", "c"): Homomorphism(_G, _G, _SAME)})
+    assert outcome == "violations"
+    assert rechecks == {"a": "extended", "b": "extended", "d": "extended"}
+    assert _answer(out) == ["PAIR a d: a->d != a->b->d at node x"]
+
+
+def test_added_arrow_after_a_swap_re_walks_with_the_log_holding_both(rechecks):
+    """Object b is replaced by a renamed copy with an extra node and its
+    arrows re-pointed; before any check, b gets a new arrow to d. The log
+    then holds the re-pointed arrows and the added one, and a and b, which
+    see a re-pointed arrow, are walked anew."""
+    h = _chain_of([("a", "b"), ("b", "c"), ("a", "c")]).add_object("d", Graph(["p"]))
+    new, rename = _renamed(_G, extra=True)
+    swapped = h.replace(
+        objects={"b": new},
+        arrows={
+            ("a", "b"): Homomorphism(_G, new, {n: rename[n] for n in _G.nodes}),
+            ("b", "c"): Homomorphism(new, _G, {"x'": "x", "y'": "y", "extra'": "x"}),
+        },
+    )
+    added = {("b", "d"): Homomorphism(new, h.graph("d"), dict.fromkeys(new.nodes, "p"))}
+    assert set(swapped.replace(arrows=added)._memo.arrows) == {("a", "b"), ("b", "c"), ("b", "d")}
+    rechecks.clear()
+    out, outcome = _check_added(swapped, added)
+    assert outcome == "clean"
+    assert rechecks["a"] == rechecks["b"] == "re-walked"
+    assert out._checks["a"].order == ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("touched", [False, True])
+def test_added_comparing_edge_fails_but_a_later_tree_edge_fails_first(touched, rechecks):
+    """Objects y and w are replaced by renamed copies, their arrows left as
+    they were. Two arrows are added from the new graphs' side: u -> y, a
+    comparing edge from a whose endpoints differ, and, later in a's walk,
+    w -> z, a tree edge whose compose fails. The tree-edge failure is what
+    the check raises, whether a's entry is extended or (with one of its
+    arrows re-set, which makes a walk again) walked anew."""
+    h = _chain_of([("a", "u"), ("a", "y"), ("u", "w"), ("z", "q")])
+    y2, _ = _renamed(_G, extra=False)
+    w2 = Graph(["x'", "y'", "w'"])
+    h = h.replace(objects={"y": y2, "w": w2})
+    if touched:
+        h = h.replace(arrows={("a", "u"): Homomorphism(_G, _G, _SAME)})
+    added = {
+        ("u", "y"): Homomorphism(_G, y2, {"x": "x'", "y": "y'"}),
+        ("w", "z"): Homomorphism(w2, _G, {"x'": "x", "y'": "y", "w'": "x"}),
+    }
+    rechecks.clear()
+    _, outcome = _check_added(h, added)
+    assert outcome == "raised"
+    assert rechecks["a"] == ("re-walked" if touched else "extended")
+    with pytest.raises(CompositionError, match="f.target differs from g.source"):
+        h.replace(arrows=added).validate_commutativity()
+    only = h.replace(arrows={("u", "y"): added[("u", "y")]})
+    with pytest.raises(CompositionError, match="hom_equal: endpoints differ"):
+        only.validate_commutativity()
+    assert _assert_matches_oracle(only) == "raised"
+
+
 def test_propagation_steps_match_full_check(monkeypatch):
     """Every check a propagation makes equals the full check. A clean input
     gets two checks, its own and the result's, and every step reports [].

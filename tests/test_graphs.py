@@ -171,6 +171,23 @@ def test_edit_errors():
         g.add_edge("a", "zz")
 
 
+def test_add_node_coerces_its_id_before_the_collision_check():
+    """The constructor stores node ids as str, so 5 names node "5": adding
+    it again collides instead of replacing "5"'s attributes."""
+    g = Graph(["5"], [], {"5": {"a": ["x"]}})
+    with pytest.raises(GraphElementError, match="node id collision: 5"):
+        g.add_node(5, {"b": ["y"]})
+    assert g.add_node(6).nodes == {"5", "6"}
+
+
+def test_add_edge_coerces_its_endpoints():
+    g = Graph(["5"])
+    looped = g.add_edge(5, "5")
+    assert looped.edges == {("5", "5")}
+    with pytest.raises(GraphElementError, match=r"edge \(5,5\) already exists"):
+        looped.add_edge("5", 5)
+
+
 def test_clone_then_merge_restores_graph():
     rng = random.Random(3)
     for _ in range(25):

@@ -211,6 +211,24 @@ def test_skeleton_constrains_shape():
         Hierarchy(skeleton=sk).add_object("G", g)  # kind required
 
 
+def test_skeleton_add_typing_names_an_unassigned_endpoint():
+    """A skeleton hierarchy built by the constructor, or loaded unvalidated,
+    may hold an object with no kind: add_typing refuses an arrow at it with
+    the message validate() gives, not a bare KeyError."""
+    sk = Skeleton.create(["data", "schema"], [("data", "schema")])
+    g, t = Graph(["x"]), Graph(["y"])
+    h = Hierarchy({"x": g, "y": t}, {}, sk, {"x": "data"})
+    message = "node y lacks a skeleton assignment"
+    assert h.validate() == [message]
+    with pytest.raises(HierarchyError, match=f"^{message}$"):
+        h.add_typing("x", "y", Homomorphism(g, t, {"x": "y"}))
+    loaded = hierarchy_from_json(hierarchy_to_json(h), validate=False)
+    with pytest.raises(HierarchyError, match=f"^{message}$"):
+        loaded.add_typing("x", "y", Homomorphism(g, t, {"x": "y"}))
+    with pytest.raises(HierarchyError, match="^node y lacks a skeleton assignment$"):
+        loaded.add_typing("y", "x", Homomorphism(t, g, {"y": "x"}))
+
+
 def test_skeleton_must_be_acyclic():
     with pytest.raises(HierarchyError):
         Skeleton.create(["a", "b"], [("a", "b"), ("b", "a")])

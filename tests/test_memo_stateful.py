@@ -7,7 +7,11 @@ each step the hierarchy, which carries its memo from step to step, must
 answer exactly as a memo-free copy read back from its own JSON: the same
 `validate_commutativity` verdicts, the same `composed_typing` for every
 pair of objects, and for a rewrite the same report bytes and hierarchy
-bytes (or the same exception type and message).
+bytes (or the same exception type and message). After a check that passes,
+each memo entry records the walk the copy's check records: the same order,
+tree parents, nodes with a composite and verdicts in walk order, so a later
+violation message names the same paths. Typings added by `add_typing`
+extend some entries at the new arrow and make others walk anew; both occur.
 """
 
 import random
@@ -19,6 +23,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
 import generators
+import sqpo.hierarchy
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
 from sqpo import Homomorphism, apply_plan, hierarchy_from_json, hierarchy_to_json
 from sqpo.cli import _report_json
@@ -37,6 +42,14 @@ def _outcome(call):
         return call()
     except Exception as exc:
         return (type(exc), str(exc))
+
+
+def _walks(h):
+    """Each memo entry as the walk it records (see the module docstring)."""
+    return {
+        a: (c.order, c.parent, list(c.canon), [(e, str(x)) for e, x in c.verdicts.items()])
+        for a, c in h._memo.entries.items()
+    }
 
 
 def _composite(h, a, b):
@@ -60,6 +73,8 @@ class MemoMachine(RuleBasedStateMachine):
         assert verdicts == _outcome(lambda: [str(v) for v in fresh.validate_commutativity()])
         kind = "raised" if isinstance(verdicts, tuple) else "violations" if verdicts else "clean"
         self.seen[kind] += 1
+        if kind != "raised":
+            assert _walks(h) == _walks(fresh)
         for a in h.nodes():
             for b in h.nodes():
                 got = _outcome(lambda: _composite(h, a, b))
@@ -91,6 +106,8 @@ class MemoMachine(RuleBasedStateMachine):
         if isinstance(got, tuple):
             assert got == fresh
             self.seen["typing refused"] += 1
+            # the refused arrow added unchecked: its violations and walks
+            self._same_answers(self.h.replace(arrows={(a, b): hom}))
             return
         assert dumps_canonical(hierarchy_to_json(got)) == dumps_canonical(
             hierarchy_to_json(fresh)
@@ -138,6 +155,14 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
     seen: Counter = Counter()
     relations: list[bool] = []  # whether each plan built had relations
     build = generators.build_relation_plan
+    extension = sqpo.hierarchy._extension
+
+    def recording_extension(entry, grown):
+        head = extension(entry, grown)
+        seen["entry extended" if head else "entry re-walked"] += 1
+        return head
+
+    monkeypatch.setattr(sqpo.hierarchy, "_extension", recording_extension)
 
     def recording(h, origin, rule, match, direction, given):
         relations.append(bool(given))
@@ -151,8 +176,9 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
             database=None,
         ),
     )
-    for key in ["clean", "typing added", "typing refused", "clean-ups", ("fwd", "relation"),
-                ("fwd", "canonical"), ("bwd", "relation"), ("bwd", "canonical")]:
+    for key in ["clean", "violations", "typing added", "typing refused", "clean-ups", ("fwd", "relation"),
+                ("fwd", "canonical"), ("bwd", "relation"), ("bwd", "canonical"),
+                "entry extended", "entry re-walked"]:
         assert seen[key], (key, seen)
 
 
@@ -166,20 +192,32 @@ def _answers(h):
 
 def test_concurrent_checks_agree():
     """Threads check and query the same hierarchies at once, each after a
-    rewrite and one more arrow replaced, so every memo starts stale and
-    several threads install theirs. Every answer equals the memo-free
-    copy's."""
+    rewrite and one more arrow replaced or added, so every memo starts
+    stale and several threads install theirs. Every answer equals the
+    memo-free copy's."""
     rng = random.Random(9)
     cases = []
-    for _ in range(12):
+    added = 0
+    for i in range(12):
         h = random_hierarchy(rng, max_objects=6, max_edges=8)
         h = apply_plan(h, random_forward_plan(rng, h, rng.choice(h.nodes())))[-1].hierarchy
-        a, b = rng.choice(h.edges())
-        arrow = h.typing(a, b)
-        mapping = dict(arrow.node_map)
-        mapping[rng.choice(sorted(mapping))] = rng.choice(sorted(arrow.target.nodes))
-        h = h.replace(arrows={(a, b): Homomorphism(arrow.source, arrow.target, mapping)})
+        names = sorted(h.nodes(), key=lambda n: int(n[1:]))
+        free = [(a, b) for j, a in enumerate(names) for b in names[j + 1:] if (a, b) not in h.edges()]
+        if i % 2 and free:  # a random map along a free pair, lower index to higher
+            a, b = rng.choice(free)
+            source, target = h.graph(a), h.graph(b)
+            images = sorted(target.nodes)
+            mapping = {n: rng.choice(images) for n in source.nodes}
+            h = h.replace(arrows={(a, b): Homomorphism(source, target, mapping)})
+            added += 1
+        else:
+            a, b = rng.choice(h.edges())
+            arrow = h.typing(a, b)
+            mapping = dict(arrow.node_map)
+            mapping[rng.choice(sorted(mapping))] = rng.choice(sorted(arrow.target.nodes))
+            h = h.replace(arrows={(a, b): Homomorphism(arrow.source, arrow.target, mapping)})
         cases.append((h, _answers(_memo_free(h))))
+    assert added  # some memos see an added arrow
     failures = []
 
     def worker(seed):
