@@ -17,7 +17,9 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   image, and the A-edges at paired nodes are joined with the B-edges on
   their common image edge;
 * pushout and final_pbc work element by element only on the rewritten part
-  of the host: pushout on A, C, f's image in B and the B-edges at it;
+  of the host: pushout on A, C, f's image in B and the B-edges at it, of
+  which it builds again only those at a node whose id changed (the rest
+  keep their ids and attribute dicts, but are still listed as built);
   final_pbc on K, L, m's image in G and the sum over G-edges (u, v) at it
   of copies(u)·copies(v), where copies(g) is 1 for an untouched node, the
   number of K-preimages for a matched one and 0 for a deleted one. Every
@@ -26,7 +28,8 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   rewritten part in the host's cached adjacency lists (built once per
   graph); neither sorts the host. Pushout's arrow from the host records
   which node ids changed, and final_pbc's result the edges it built at the
-  copies;
+  copies. Pushout's arrow from the host and final_pbc's projection start
+  from a copy of the host's cached identity map;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -65,7 +68,9 @@ class PushoutResult:
     apex: Graph
     from_b: Homomorphism  # f.target → apex
     from_c: Homomorphism  # g.target → apex
-    # the apex edges built at re-identified B nodes and C images (see `pushout`)
+    # every apex edge at an image of f or of C, or at a B node whose id
+    # changed: built there, or carried over at a touched node that kept its
+    # id; the forward step checks its typings at these edges (see `pushout`)
     _rebuilt: tuple = field(default=(), repr=False, compare=False)
 
 
@@ -166,14 +171,18 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     class fuses several), so unchanged host nodes keep their ids.
     Attributes are united over each class.
 
-    Only the touched part is built element by element: the image of f in B,
-    all of C, and the edges at those nodes. Every other B node is a class of
-    its own; it keeps its id, its attributes and its edges, copied in bulk,
-    unless a class before it in the sorted class order took its id (a fused
-    class "x_y" against a host node "x_y", say). Such a node is renamed in
-    its turn, exactly as a pass over all classes in sorted order would.
-    The result records the apex edges it built (`_rebuilt`): they are all
-    the apex edges at a re-identified B node or at an image of C.
+    Only the touched part is built element by element: the image of f in B
+    and all of C. Every other B node is a class of its own; it keeps its id,
+    its attributes and its edges, copied in bulk, unless a class before it
+    in the sorted class order took its id (a fused class "x_y" against a
+    host node "x_y", say). Such a node is renamed in its turn, exactly as a
+    pass over all classes in sorted order would. Of the edges, only those
+    at a B node whose id changed and the images of C's edges are built
+    again; a C edge landing on a host edge unites its attributes with that
+    edge's. Every other edge at a touched node keeps its id and its
+    attribute dict. The result lists (`_rebuilt`) every apex edge at an
+    image of f or of C, or at a B node whose id changed, carried or built:
+    the forward step checks its typings there.
     """
     if f.source != g.source:
         raise CompositionError("pushout: arrows do not share a source")
@@ -238,32 +247,40 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     node_attrs.update(new_attrs)
 
     b_ids = {n: qid for (tag, n), qid in ids.items() if tag == "B"}
+    moved = {n: qid for n, qid in b_ids.items() if qid != n}
+    # every B edge at a touched or renamed node is listed for the check, but
+    # only those at a moved node are built again, under the new ids; the
+    # others keep their ids and attribute dicts
     succ, pred = b_graph._adjacency()
-    moved_edges = {(n, v) for n in b_ids for v in succ.get(n, ())}
-    moved_edges.update((u, n) for n in b_ids for u in pred.get(n, ()))
-    edges = b_graph.edges.difference(moved_edges)
+    listed = {(n, v) for n in b_ids for v in succ.get(n, ())}
+    listed.update((u, n) for n in b_ids for u in pred.get(n, ()))
+    moved_edges = [e for e in listed if e[0] in moved or e[1] in moved]
     edge_attrs = dict(b_graph.edge_attrs)
     new_edge_attrs: dict[tuple[str, str], dict] = {}
     for (u, v) in sorted(moved_edges):
-        e = (b_ids.get(u, u), b_ids.get(v, v))
+        e = (moved.get(u, u), moved.get(v, v))
         new_edge_attrs[e] = attrs_union(
             new_edge_attrs.get(e, {}), edge_attrs.pop((u, v), {})
         )
+    # a C edge unites its attributes with those of the apex edge it lands
+    # on: one built above, or a carried B edge
     for (u, v) in sorted(c_graph.edges):
         e = (ids[("C", u)], ids[("C", v)])
+        united = new_edge_attrs.get(e)
         new_edge_attrs[e] = attrs_union(
-            new_edge_attrs.get(e, {}), c_graph.attrs_of((u, v))
+            edge_attrs.get(e, {}) if united is None else united, c_graph.attrs_of((u, v))
         )
     edge_attrs.update((e, attrs) for e, attrs in new_edge_attrs.items() if attrs)
+    nodes = b_nodes.difference(moved) if moved else b_nodes
+    edges = b_graph.edges.difference(moved_edges) if moved_edges else b_graph.edges
     apex = Graph._of(
-        b_nodes.difference(b_ids).union(assigned),
-        edges.union(new_edge_attrs),
-        node_attrs,
-        edge_attrs,
+        nodes.union(assigned), edges.union(new_edge_attrs), node_attrs, edge_attrs
     )
     from_b = Homomorphism._renaming(b_graph, apex, b_ids)
     from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
-    return PushoutResult(apex, from_b, from_c, tuple(new_edge_attrs))
+    listed.difference_update(moved_edges)
+    listed.update(new_edge_attrs)
+    return PushoutResult(apex, from_b, from_c, tuple(listed))
 
 
 def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
@@ -358,7 +375,9 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     embed = Homomorphism._of(
         k_graph, apex, {k: ids[(m_map[f_map[k]], k)] for k in k_graph.nodes}
     )
-    project = dict(zip(untouched, untouched))
+    project = g_graph._identity_map().copy()
+    for g in m_inv:
+        del project[g]
     project.update((nid, g) for (g, _), nid in ids.items())
     return PbcResult(
         apex, embed, Homomorphism._of(apex, g_graph, project), tuple(rebuilt)

@@ -335,15 +335,19 @@ class Hierarchy:
         problems = g.validate()
         if problems:
             raise HierarchyError(f"invalid graph for {name}: " + "; ".join(problems))
-        skeleton_map = dict(self.skeleton_map)
+        skeleton_map = self.skeleton_map
         if self.skeleton is not None:
             if kind is None:
                 raise HierarchyError(f"node {name}: skeleton kind required")
             if kind not in self.skeleton.nodes:
                 raise HierarchyError(f"node {name}: unknown skeleton kind {kind}")
-            skeleton_map[name] = kind
-        out = Hierarchy({**self._objects, name: g}, self._arrows, self.skeleton, skeleton_map)
-        object.__setattr__(out, "_memo", self._memo)  # an isolated object changes no cone
+            skeleton_map = {**skeleton_map, name: kind}
+        # an isolated object adds no arrow and changes no cone
+        out = object.__new__(Hierarchy)
+        out._fill(
+            {**self._objects, name: g}, self._arrows, self.skeleton, skeleton_map,
+            self._succ, self._pred, self._memo,
+        )
         return out
 
     def add_typing(self, a: str, b: str, hom: Homomorphism) -> "Hierarchy":

@@ -34,7 +34,7 @@ from sqpo import (
     pullback,
     pushout,
 )
-from sqpo.graphs import dumps_canonical, homomorphism_violation
+from sqpo.graphs import dumps_canonical, homomorphism_violation, identity
 from sqpo.hierarchy import _acyclic, _adjacency, _waves
 
 
@@ -74,6 +74,7 @@ def _assert_same_pbc(f, m):
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.embed, old.embed)
     _same_hom(new.project, old.project)
+    assert new.project.node_map is not m.target._identity
     _assert_normalized(new.apex)
     return new
 
@@ -91,6 +92,13 @@ def _assert_same_pushout(f, g):
     built = {b_map[f[a]] for a in f.source.nodes}.union(old.from_c.node_map.values())
     built.update(n for b, n in b_map.items() if n != b)
     assert sorted(new._rebuilt) == sorted(e for e in new.apex.edges if built.intersection(e))
+    # it builds again only the edges at moved nodes and C's edge images: every
+    # other edge keeps its id and B's attribute dict
+    c_images = {new.from_c.edge_image(e) for e in g.target.edges}
+    for e, attrs in f.target.edge_attrs.items():
+        if new.from_b.edge_image(e) == e and e not in c_images:
+            assert new.apex.edge_attrs[e] is attrs
+    assert new.from_b.node_map is not f.target._identity
     return new
 
 
@@ -242,6 +250,65 @@ def test_pushout_of_generic_spans_matches_reference(seed):
         f = random_hom_from(rng, a, prefix="b", max_extra_nodes=4)
         g = random_hom_from(rng, a, prefix="c")
         _assert_same_pushout(f, g)
+
+
+def _span_onto_host_edges(rng):
+    """A span A -> B, A -> C with A a subgraph of B and both arrows inclusions.
+    C adds a node and edges to A, each edge with attributes of its own, so
+    many C edges land on B edges whose endpoints keep their ids."""
+    b = _graph_over(rng, [f"b{i}" for i in range(rng.randint(1, 6))])
+    a_nodes = rng.sample(sorted(b.nodes), rng.randint(1, len(b.nodes)))
+    a_edges = [(u, v) for (u, v) in sorted(b.edges) if u in a_nodes and v in a_nodes]
+    c_nodes = [*a_nodes, "new"]
+    c_edges = set(a_edges).union(
+        (u, v) for u in c_nodes for v in c_nodes if rng.random() < 0.3
+    )
+    edge_attrs = {e: {"k": rng.sample("xyz", rng.randint(0, 2))} for e in c_edges}
+    c = Graph(c_nodes, c_edges, {"new": {"k": ["z"]}}, edge_attrs)
+    a = Graph(a_nodes, a_edges)
+    inclusion = {n: n for n in a_nodes}
+    return Homomorphism(a, b, inclusion), Homomorphism(a, c, inclusion)
+
+
+def test_pushout_unites_c_edges_with_the_host_edges_they_land_on():
+    """Many attributed C edges land on attributed host edges that keep
+    their ids; the apex edge must unite both, as the reference's does."""
+    rng = random.Random(9550)
+    landed = 0
+    for _ in range(200):
+        f, g = _span_onto_host_edges(rng)
+        res = _assert_same_pushout(f, g)
+        b, c = f.target, g.target
+        landed += sum(1 for e in c.edges if c.attrs_of(e) and b.attrs_of(e))
+        assert all(res.from_c.edge_image(e) == e for e in c.edges if e in b.edges)
+    assert landed > 100  # attributed C edges on attributed host edges
+
+
+def test_identity_maps_are_fresh_copies_of_the_cached_map():
+    """`identity`, `Homomorphism._renaming` and final_pbc's projection build
+    the maps the full constructions built, cold and from the graph's cached
+    identity map alike, and never hand out the cached map itself: changing
+    one of them changes no later one."""
+    rng = random.Random(9650)
+    for _ in range(60):
+        g = random_graph(rng, max_nodes=6, prefix="g")
+        renamed = {n: f"{n}'" for n in sorted(g.nodes) if rng.random() < 0.3}
+        want = {n: n for n in g.nodes}
+        for _ in range(2):  # the first call fills the cache, the second reads it
+            ident = identity(g).node_map
+            assert ident == want and ident is not g._identity
+            ident["spoiled"] = "spoiled"
+            renaming = Homomorphism._renaming(g, g, renamed)
+            assert renaming.node_map == {**want, **renamed}
+            assert renaming.node_map is not g._identity
+            assert renaming._changes_since(None) == frozenset(renamed)
+            renaming.node_map["spoiled"] = "spoiled"
+        assert g._identity == want
+        m = random_mono_into(rng, g)
+        f = random_hom_into(rng, m.source, max_nodes=4, prefix="k")
+        for _ in range(2):
+            _assert_same_pbc(f, m)
+        assert g._identity == want
 
 
 def test_pushout_renames_untouched_nodes_in_class_order():

@@ -44,7 +44,18 @@ benchmark sets it up) must build exactly the composites and full
 comparisons of one check of the same hierarchy built in bulk (220 of each
 at 12 layers, 1,012 at 24), and each `add_typing` may walk only ancestors
 of its arrow's tail. Dropping those ancestors' entries at each new arrow
-built 3,410 composites at 12 layers and 31,878 at 24.
+built 3,410 composites at 12 layers and 31,878 at 24. Adding 200 isolated
+objects to such a hierarchy sorts no arrow (the constructor sorted all 44
+on each call).
+
+The forward pushout guards count `attrs_union` calls inside each pushout of
+a canonical insert, a relation insert and a merge into G of G -> M -> T
+plus G -> T, over a complete 12-node M and 4-node T: one per class member
+and per edge built, which is one per C edge plus one per host edge at a
+node whose id changed. The edges at a touched node that keeps its id are
+carried over, though still listed for the step's check: rebuilding them
+made up to 7 more calls in T's pushout, 23 in M's and 3 in G's. Two
+inserts from the same base build each base graph's identity node map once.
 
 The plan-resolution guards count `restriction_pullback` (patched in every
 sqpo module that holds it) and `Hierarchy.composed_typing` calls. A plan is
@@ -114,6 +125,7 @@ from sqpo import (
     Homomorphism,
     MergeNodes,
     Rule,
+    Skeleton,
     apply_plan,
     build_canonical_plan,
     build_relation_plan,
@@ -336,6 +348,44 @@ def _typed_one_by_one(graphs: dict, arrows: dict) -> Hierarchy:
     return h
 
 
+@pytest.mark.parametrize("kinds", [False, True], ids=["plain", "skeleton"])
+def test_add_object_sorts_no_arrows(kinds, monkeypatch):
+    """Adding 200 isolated objects to a typed 12-layer hierarchy, one at a
+    time as a KAMI-style build adds its nuggets, sorts no arrow
+    (`hierarchy._adjacency`, which the constructor runs over every arrow:
+    once per call before) and gives the hierarchy the constructor builds,
+    with the same shape lists and skeleton assignment."""
+    graphs, arrows = _layered_shape(12)
+    skeleton, assignment = None, {}
+    if kinds:
+        skeleton = Skeleton.create([f"k{i:02d}" for i in range(12)],
+                                   [(f"k{i:02d}", f"k{i + 1:02d}") for i in range(11)])
+        assignment = {name: f"k{name[1:3]}" for name in graphs}
+    h = Hierarchy(graphs, arrows, skeleton, assignment)
+    nuggets = {f"N{i:03d}": Graph([f"x{i}", "y"], [(f"x{i}", "y")]) for i in range(200)}
+    nugget_kinds = dict.fromkeys(nuggets, "k00") if kinds else {}
+    sorts = []
+    adjacency = sqpo.hierarchy._adjacency
+
+    def counting(edges):
+        sorts.append(len(edges))
+        return adjacency(edges)
+
+    monkeypatch.setattr(sqpo.hierarchy, "_adjacency", counting)
+    out = h
+    for name, g in nuggets.items():
+        out = out.add_object(name, g, nugget_kinds.get(name))
+    assert sorts == []
+    monkeypatch.undo()
+    want = Hierarchy({**graphs, **nuggets}, arrows, skeleton, {**assignment, **nugget_kinds})
+    assert out == want and out.skeleton_map == want.skeleton_map
+    assert out.nodes() == want.nodes() and out.edges() == want.edges()
+    for n in want.nodes():
+        assert out.successors(n) == want.successors(n)
+        assert out.predecessors(n) == want.predecessors(n)
+    assert out.validate() == [] and h.nodes() == sorted(graphs)
+
+
 @pytest.fixture(scope="module")
 def layered():
     """The layered shape at 20 layers, typed one arrow at a time."""
@@ -535,6 +585,20 @@ def _count_delta_work(monkeypatch):
     return counts
 
 
+_FORWARD_OPS = [
+    ([AddNode("n"), AddEdge("x", "n")], {"x": "g5"}, {}),
+    ([AddNode("n"), AddEdge("x", "n")], {"x": "g7"}, {"M": {"n": "m7"}, "T": {"n": "t3"}}),
+    ([MergeNodes(("x", "y"), "xy")], {"x": "g1", "y": "g13"}, {}),
+]
+
+
+def _forward_rewrite(h, edits, anchor, relations):
+    rule = build_rule(Graph(sorted(anchor)), edits)
+    (match,) = find_matches(rule, h.graph("G"), EXPANSIVE, anchor)
+    plan = build_relation_plan(h, "G", rule.right_leg, match.instance, FORWARD, relations)
+    return apply_plan(h, plan)
+
+
 def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
     """A one-node canonical insert, a relation insert and a merge into the
     5000-node G of G -> M -> T plus G -> T, each from the same base, with an
@@ -552,12 +616,7 @@ def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
     h = typed_data
     counts = _count_delta_work(monkeypatch)
     g = h.graph("G")
-    ops = [
-        ([AddNode("n"), AddEdge("x", "n")], {"x": "g5"}, {}),
-        ([AddNode("n"), AddEdge("x", "n")], {"x": "g7"}, {"M": {"n": "m7"}, "T": {"n": "t3"}}),
-        ([MergeNodes(("x", "y"), "xy")], {"x": "g1", "y": "g13"}, {}),
-    ]
-    for edits, anchor, relations in ops:
+    for edits, anchor, relations in _FORWARD_OPS:
         rule = build_rule(Graph(sorted(anchor)), edits)
         counts["matching"] = 1
         (match,) = find_matches(rule, g, EXPANSIVE, anchor)
@@ -568,6 +627,86 @@ def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
         assert len(reports[-1].hierarchy.graph("G").nodes) in (DATA_NODES + 1, DATA_NODES - 1)
     del counts["matching"]
     assert all(value <= DELTA_BUDGET for value in counts.values()), counts
+
+
+def _count_pushout_work(monkeypatch) -> list:
+    """One record per `category.pushout` call that propagation makes: the
+    span, the result and the `attrs_union` calls made inside it."""
+    records: list[dict] = []
+    union, construct = sqpo.category.attrs_union, sqpo.category.pushout
+
+    def counting(a, b):
+        if records and "result" not in records[-1]:
+            records[-1]["unions"] += 1
+        return union(a, b)
+
+    def recording(f, g):
+        records.append({"f": f, "g": g, "unions": 0})
+        records[-1]["result"] = construct(f, g)
+        return records[-1]["result"]
+
+    monkeypatch.setattr(sqpo.category, "attrs_union", counting)
+    monkeypatch.setattr(sqpo.propagation, "pushout", recording)
+    return records
+
+
+@pytest.mark.parametrize("op", range(len(_FORWARD_OPS)), ids=["insert", "relation", "merge"])
+def test_forward_pushouts_build_only_moved_and_rule_edges(typed_data, op, monkeypatch):
+    """A canonical insert, a relation insert and a merge into G of G -> M ->
+    T plus G -> T, whose M and T are complete. Each pushout unites the
+    attributes of the classes of its touched nodes and C's nodes, and builds
+    again only C's edge images and the edges at the host nodes whose id
+    changed: the inserts none of the 7 edges at a touched type of T or
+    the 23 at one of M, the merge the edges at its two merged nodes. The
+    other edges at touched nodes are carried over, yet listed for the check
+    (`_rebuilt`). Building every edge at a touched node again made that
+    many more `attrs_union` calls."""
+    records = _count_pushout_work(monkeypatch)
+    _forward_rewrite(typed_data, *_FORWARD_OPS[op])
+    assert [r["f"].target for r in records] == [typed_data.graph(n) for n in "TMG"]
+    carried = []
+    for r in records:
+        f, c, res = r["f"], r["g"].target, r["result"]
+        b = f.target
+        touched = {f[a] for a in f.source.nodes}
+        moved = res.from_b._changes_since(None)
+        at_moved = sum(1 for e in b.edges if moved.intersection(e))
+        classes = len(touched) + len(moved - touched) + len(c.nodes)
+        assert r["unions"] == classes + len(c.edges) + at_moved, (b, r["unions"])
+        assert bool(moved) == (op == 2 and b is typed_data.graph("G"))
+        assert at_moved or not moved
+        listed = {res.from_b[n] for n in touched | moved} | set(res.from_c.node_map.values())
+        assert sorted(res._rebuilt) == sorted(e for e in res.apex.edges if listed.intersection(e))
+        built = {res.from_c.edge_image(e) for e in c.edges}
+        built.update(res.from_b.edge_image(e) for e in b.edges if moved.intersection(e))
+        carried.append(len(set(res._rebuilt) - built))
+    # all but at most one of the 7 edges at a touched type of the complete T
+    # and of the 23 at one of M are carried
+    assert carried[0] >= 6 and carried[1] >= 22, carried
+
+
+def test_base_graph_pushed_out_twice_builds_its_identity_map_once(monkeypatch):
+    """Two inserts from the same base push out each of G, M and T twice; each
+    graph builds its identity node map on first use only, and each pushout's
+    arrow from the host gets a map of its own."""
+    h = _typed_hierarchy(240, 200)
+    builds: dict[int, int] = {}
+    identity_map = Graph._identity_map
+
+    def counting(g):
+        if not hasattr(g, "_identity"):
+            builds[id(g)] = builds.get(id(g), 0) + 1
+        return identity_map(g)
+
+    monkeypatch.setattr(Graph, "_identity_map", counting)
+    records = _count_pushout_work(monkeypatch)
+    for _ in range(2):
+        _forward_rewrite(h, *_FORWARD_OPS[0])
+    bases = [h.graph(n) for n in "GMT"]
+    assert sorted(id(r["f"].target) for r in records) == sorted(2 * [id(b) for b in bases])
+    assert [builds.get(id(b)) for b in bases] == [1, 1, 1]
+    first, second = records[2]["result"].from_b, records[5]["result"].from_b
+    assert first.node_map == second.node_map and first.node_map is not second.node_map
 
 
 RARE = 6
