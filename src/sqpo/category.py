@@ -28,8 +28,7 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   rewritten part in the host's cached adjacency lists (built once per
   graph); neither sorts the host. Pushout's arrow from the host records
   which node ids changed, and final_pbc's result the edges it built at the
-  copies. Pushout's arrow from the host and final_pbc's projection start
-  from a copy of the host's cached identity map;
+  copies;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -375,9 +374,7 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     embed = Homomorphism._of(
         k_graph, apex, {k: ids[(m_map[f_map[k]], k)] for k in k_graph.nodes}
     )
-    project = g_graph._identity_map().copy()
-    for g in m_inv:
-        del project[g]
+    project = dict(zip(untouched, untouched))
     project.update((nid, g) for (g, _), nid in ids.items())
     return PbcResult(
         apex, embed, Homomorphism._of(apex, g_graph, project), tuple(rebuilt)

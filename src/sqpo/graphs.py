@@ -8,11 +8,10 @@ preserve edges and satisfy key-wise attribute containment.
 
 All edit operations return new graphs; nothing here mutates in place, so
 values can be shared freely across threads. Private caches fill on first
-use and never go stale, since nothing changes: a graph's adjacency lists,
-candidate index and identity node map, and a homomorphism's preimage
-lists. A homomorphism built as a patch of another records the keys whose
-image changed, which lets propagation and the commutativity memo work only
-where a rewrite did.
+use and never go stale, since nothing changes: a graph's adjacency lists
+and candidate index, and a homomorphism's preimage lists. A homomorphism
+built as a patch of another records the keys whose image changed, which
+lets propagation and the commutativity memo work only where a rewrite did.
 """
 
 from __future__ import annotations
@@ -114,10 +113,7 @@ def fresh_id(base: str, taken) -> str:
 class Graph:
     """A finite attributed simple directed graph."""
 
-    __slots__ = (
-        "nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_index", "_identity",
-        "__weakref__",
-    )
+    __slots__ = ("nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_index", "__weakref__")
 
     def __init__(
         self,
@@ -209,18 +205,6 @@ class Graph:
             pred.setdefault(v, []).append(u)
         object.__setattr__(self, "_adjacent", (succ, pred))
         return succ, pred
-
-    def _identity_map(self) -> dict[str, str]:
-        """The map sending each node to itself, built on first use and kept.
-        Callers copy it before they build on it: `Homomorphism._of` takes
-        its map over, and a node map can be reached from outside."""
-        try:
-            return self._identity
-        except AttributeError:
-            pass
-        identical = dict(zip(self.nodes, self.nodes))
-        object.__setattr__(self, "_identity", identical)
-        return identical
 
     def _candidate_index(self) -> tuple[list[str], dict[tuple, list[str]]]:
         """The node ids in sorted order and, for each (attribute key, value)
@@ -452,7 +436,7 @@ class Homomorphism:
         """The map sending each node of source to the node of target with
         the same id, except that each key of `renamed` goes to its value.
         Records the keys whose id changed (see `_changes_since`)."""
-        node_map = source._identity_map().copy()
+        node_map = dict(zip(source.nodes, source.nodes))
         node_map.update(renamed)
         h = cls._of(source, target, node_map)
         moved = frozenset(n for n, m in renamed.items() if m != n)
@@ -625,7 +609,7 @@ def is_epi(h: Homomorphism) -> bool:
 
 
 def identity(g: Graph) -> Homomorphism:
-    return Homomorphism._of(g, g, g._identity_map().copy())
+    return Homomorphism._of(g, g, {n: n for n in g.nodes})
 
 
 def compose(g: Homomorphism, f: Homomorphism) -> Homomorphism:

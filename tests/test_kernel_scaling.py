@@ -54,8 +54,7 @@ plus G -> T, over a complete 12-node M and 4-node T: one per class member
 and per edge built, which is one per C edge plus one per host edge at a
 node whose id changed. The edges at a touched node that keeps its id are
 carried over, though still listed for the step's check: rebuilding them
-made up to 7 more calls in T's pushout, 23 in M's and 3 in G's. Two
-inserts from the same base build each base graph's identity node map once.
+made up to 7 more calls in T's pushout, 23 in M's and 3 in G's.
 
 The plan-resolution guards count `restriction_pullback` (patched in every
 sqpo module that holds it) and `Hierarchy.composed_typing` calls. A plan is
@@ -683,30 +682,6 @@ def test_forward_pushouts_build_only_moved_and_rule_edges(typed_data, op, monkey
     # all but at most one of the 7 edges at a touched type of the complete T
     # and of the 23 at one of M are carried
     assert carried[0] >= 6 and carried[1] >= 22, carried
-
-
-def test_base_graph_pushed_out_twice_builds_its_identity_map_once(monkeypatch):
-    """Two inserts from the same base push out each of G, M and T twice; each
-    graph builds its identity node map on first use only, and each pushout's
-    arrow from the host gets a map of its own."""
-    h = _typed_hierarchy(240, 200)
-    builds: dict[int, int] = {}
-    identity_map = Graph._identity_map
-
-    def counting(g):
-        if not hasattr(g, "_identity"):
-            builds[id(g)] = builds.get(id(g), 0) + 1
-        return identity_map(g)
-
-    monkeypatch.setattr(Graph, "_identity_map", counting)
-    records = _count_pushout_work(monkeypatch)
-    for _ in range(2):
-        _forward_rewrite(h, *_FORWARD_OPS[0])
-    bases = [h.graph(n) for n in "GMT"]
-    assert sorted(id(r["f"].target) for r in records) == sorted(2 * [id(b) for b in bases])
-    assert [builds.get(id(b)) for b in bases] == [1, 1, 1]
-    first, second = records[2]["result"].from_b, records[5]["result"].from_b
-    assert first.node_map == second.node_map and first.node_map is not second.node_map
 
 
 RARE = 6
