@@ -26,9 +26,8 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   other host node and edge keeps its id and its attribute dict; they are
   carried over by set and dict copies. Both find the edges at the
   rewritten part in the host's cached adjacency lists (built once per
-  graph); neither sorts the host. Pushout's arrow from the host records
-  which node ids changed, and final_pbc's result the edges it built at the
-  copies;
+  graph); neither sorts the host. Pushout's result lists the host nodes
+  whose id changed, and final_pbc's the edges it built at the copies;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -71,6 +70,8 @@ class PushoutResult:
     # changed: built there, or carried over at a touched node that kept its
     # id; the forward step checks its typings at these edges (see `pushout`)
     _rebuilt: tuple = field(default=(), repr=False, compare=False)
+    # the B nodes whose id changed: fused with another, or renamed
+    _moved: frozenset = field(default=frozenset(), repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -179,9 +180,10 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     at a B node whose id changed and the images of C's edges are built
     again; a C edge landing on a host edge unites its attributes with that
     edge's. Every other edge at a touched node keeps its id and its
-    attribute dict. The result lists (`_rebuilt`) every apex edge at an
-    image of f or of C, or at a B node whose id changed, carried or built:
-    the forward step checks its typings there.
+    attribute dict. The result lists the B nodes whose id changed
+    (`_moved`) and every apex edge at an image of f or of C, or at such a
+    node, carried or built (`_rebuilt`): the forward step checks its
+    typings there.
     """
     if f.source != g.source:
         raise CompositionError("pushout: arrows do not share a source")
@@ -275,11 +277,13 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     apex = Graph._of(
         nodes.union(assigned), edges.union(new_edge_attrs), node_attrs, edge_attrs
     )
-    from_b = Homomorphism._renaming(b_graph, apex, b_ids)
+    b_map = dict(zip(b_nodes, b_nodes))
+    b_map.update(b_ids)
+    from_b = Homomorphism._of(b_graph, apex, b_map)
     from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
     listed.difference_update(moved_edges)
     listed.update(new_edge_attrs)
-    return PushoutResult(apex, from_b, from_c, tuple(listed))
+    return PushoutResult(apex, from_b, from_c, tuple(listed), frozenset(moved))
 
 
 def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:

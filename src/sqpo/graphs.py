@@ -185,12 +185,6 @@ class Graph:
             return self.edge_attrs.get(element, {})
         return self.node_attrs.get(element, {})
 
-    def successors(self, n: str) -> list[str]:
-        return sorted(self._adjacency()[0].get(n, ()))
-
-    def predecessors(self, n: str) -> list[str]:
-        return sorted(self._adjacency()[1].get(n, ()))
-
     def _adjacency(self) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
         """Unsorted successor and predecessor lists of every node with an
         edge, built on first use and kept: the graph never changes."""
@@ -431,31 +425,16 @@ class Homomorphism:
         object.__setattr__(h, "_patch", (weakref.ref(old), frozenset(changed)))
         return h
 
-    @classmethod
-    def _renaming(cls, source: Graph, target: Graph, renamed: dict[str, str]) -> "Homomorphism":
-        """The map sending each node of source to the node of target with
-        the same id, except that each key of `renamed` goes to its value.
-        Records the keys whose id changed (see `_changes_since`)."""
-        node_map = dict(zip(source.nodes, source.nodes))
-        node_map.update(renamed)
-        h = cls._of(source, target, node_map)
-        moved = frozenset(n for n, m in renamed.items() if m != n)
-        object.__setattr__(h, "_patch", (None, moved))
-        return h
-
-    def _changes_since(self, old: "Homomorphism | None") -> frozenset | None:
-        """The keys at which this map may differ from old's (or, for old
-        None, from the identity), when it was built by `_patched` from old
-        (or by `_renaming`); None when that is not known."""
+    def _changes_since(self, old: "Homomorphism") -> frozenset | None:
+        """The keys at which this map may differ from old's: none if it is
+        old, the keys `_patched` re-set if it was patched from old (while
+        old is alive); None when that is not known."""
         if self is old:
             return frozenset()
         record = getattr(self, "_patch", None)
-        if record is None:
+        if record is None or record[0]() is not old:
             return None
-        base, changed = record
-        if old is None:
-            return changed if base is None else None
-        return changed if base is not None and base() is old else None
+        return record[1]
 
     def _preimages(self) -> dict[str, list[str]]:
         """For each image, the source nodes that map to it; built on first

@@ -22,16 +22,15 @@ verdict of every other edge.
   arrow's tail.
 * One-pass walk. A walk visits each edge of the source's cone once, in
   walk order, the first edge to reach a node being its tree edge. A first
-  hop is the arrow, with its logged keys; below it a composite is the
-  entry's when its tree edge is the entry's and not logged and its tail's
-  composite is the entry's, else composed whole. A comparing edge that
-  held is compared only where it can have changed (`_moved_keys`).
+  hop is the arrow, with its logged keys; below it a composite is composed
+  whole. A comparing edge that held and joins two first hops is compared
+  only where it can have changed (`_moved_keys`).
 * `add_typing(a, b)` costs the paths its arrow adds. The entries of a's
   ancestors stay. An ancestor that sees nothing else, whose old walk
   ends before the new arrow (`_extension`; always so in a hierarchy typed
   layer by layer), keeps its walk and visits only the new arrow and the
   nodes first reached through it. Any other ancestor walks anew in the new
-  order, reusing every composite and verdict whose edge is unchanged.
+  order.
 
 The memo holds no hierarchy, patches hold their bases only weakly, and
 equality, repr and JSON ignore it. A check installs a new memo in one
@@ -294,6 +293,8 @@ class Hierarchy:
             return NotImplemented
         return (
             self._objects == other._objects
+            and self.skeleton == other.skeleton
+            and self.skeleton_map == other.skeleton_map
             and set(self._arrows) == set(other._arrows)
             and all(hom_equal(self._arrows[e], other._arrows[e]) for e in self._arrows)
         )
@@ -397,15 +398,11 @@ class Hierarchy:
             succ, pred = _extended(succ, pred, new)
             added = added.union(new)
         known = {e: h._changes_since(old[e]) if e in old else None for e, h in arrows.items()}
-        sources = memo.sources
-        if objects or known:
-            tails = {u for (u, v) in known if (u, v) in old}
-            sources = frozenset(_reach(tails, pred).union(objects, sources))
-            for e, keys in memo.arrows.items():  # one log since the entries: patch keys unite
-                now = known.get(e, _NOTHING)
-                known[e] = None if keys is None or now is None else keys | now
-        else:
-            known = memo.arrows
+        tails = {u for (u, v) in known if (u, v) in old}
+        sources = frozenset(_reach(tails, pred).union(objects, memo.sources))
+        for e, keys in memo.arrows.items():  # one log since the entries: patch keys unite
+            now = known.get(e, _NOTHING)
+            known[e] = None if keys is None or now is None else keys | now
         out = object.__new__(Hierarchy)
         out._fill(
             {**self._objects, **objects}, new_arrows, self.skeleton, self.skeleton_map,
@@ -448,10 +445,9 @@ class Hierarchy:
         of the entry and visits only the added arrows in `head` and the
         edges of the nodes they reach first. A failing compose on a tree
         edge raises at once, one on a comparing edge after the walk, so the
-        first tree-edge failure wins. `moved[v]` holds the keys at which
-        canon[v] may differ from the entry's (None when not known, as at a
-        and at a composite composed whole); a first hop's are its keys in
-        `replaced`."""
+        first tree-edge failure wins. Only a first hop's composite has known
+        keys at which it may differ from the entry's: its arrow's keys in
+        `replaced`; every other composite is composed whole."""
         succ = self._succ
         if head is None:
             order, parent, canon, verdicts, failed, head = [a], {}, {a: None}, {}, [], ()
@@ -459,7 +455,10 @@ class Hierarchy:
             order, parent = list(entry.order), dict(entry.parent)
             canon, verdicts = dict(entry.canon), dict(entry.verdicts)
             failed = list(entry.violations)
-        moved: dict[str, frozenset | None] = {a: None}
+
+        def moved(x):
+            return replaced.get((a, x), _NOTHING) if parent.get(x) == a else None
+
         deferred = None
         tails = islice(order, len(order) if head else 0, None)  # grows while walking
         for u, vs in chain(head, ((u, succ.get(u, ())) for u in tails)):
@@ -469,18 +468,13 @@ class Hierarchy:
                     order.append(v)
                     parent[v] = u
                     if u == a:
-                        canon[v], moved[v] = self._first_hop(a, v), replaced.get(e, _NOTHING)
-                    elif (
-                        entry is not None and entry.parent.get(v) == u and e not in replaced
-                        and canon[u] is entry.canon[u]
-                    ):
-                        canon[v], moved[v] = entry.canon[v], _NOTHING
+                        canon[v] = self._first_hop(a, v)
                     else:
-                        canon[v], moved[v] = compose(self._arrows[e], canon[u]), None
+                        canon[v] = compose(self._arrows[e], canon[u])
                 elif deferred is None:
                     keys = None
                     if entry is not None and entry.verdicts.get(e, _NOTHING) is None:
-                        ku, kv, ke = moved[u], moved[v], replaced.get(e, _NOTHING)
+                        ku, kv, ke = moved(u), moved(v), replaced.get(e, _NOTHING)
                         if None not in (ku, kv, ke):
                             keys = _moved_keys(ku, kv, ke, entry.canon[u])
                     try:

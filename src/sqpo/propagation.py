@@ -505,7 +505,7 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     Each step does per-element work only at its delta. Object i is pushed
     out along its factorization; the pushout keeps every node of i outside
     the typing's image with its id, attributes and edges, unless a fused
-    class took its id, and its trace records the nodes whose id changed
+    class took its id, and its result lists the nodes whose id changed
     (`moved`). The delta is the set of new nodes the pushout built: the
     images of the rule's right-hand side and of the moved nodes. Every
     typing at i is rebuilt as a patch of the arrow it replaces:
@@ -531,7 +531,7 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
         fx = res.origin_fx if i == plan.origin else plan.factorizations[i]
         po = pushout(fx.typing, fx.post_arrow)
         ti, ii = po.from_b.node_map, po.from_c.node_map
-        moved = po.from_b._changes_since(None)
+        moved = po._moved
         touched = {fx.typing[m] for m in fx.mid.nodes} | moved
         delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
         patch: dict[tuple[str, str], Homomorphism] = {}

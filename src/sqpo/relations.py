@@ -31,7 +31,6 @@ from .graphs import (
 from .category import pullback
 from .hierarchy import Hierarchy
 from .propagation import (
-    BACKWARD,
     FORWARD,
     BackwardFactorization,
     ForwardFactorization,
@@ -332,6 +331,10 @@ def _relation_plan(
         )
     if origin in relations:
         raise RewritingError("the origin object cannot carry a relation")
+    if direction == FORWARD:
+        neighbours, words = h.successors, ("merge", "successors", "elements")
+    else:
+        neighbours, words = h.predecessors, ("deletion", "predecessors", "instances")
     for name in res.typings:
         if name in given:
             continue
@@ -340,26 +343,18 @@ def _relation_plan(
             fact, cleanup = derive_forward_factorization(
                 rule, compose(res.typings[name], match), relation
             )
-            plan.factorizations[name] = fact
-            if cleanup:
-                if name not in h.successors(origin):
-                    raise RewritingError(
-                        f"relation at {name} derives a clean-up merge, but clean-ups "
-                        "are applied at the origin's direct successors; relate the "
-                        "elements there instead"
-                    )
-                plan.cleanups[name] = cleanup
         else:
-            fact, doomed = _derive_backward(rule, res.restrictions[name], relation)
-            plan.factorizations[name] = fact
-            if doomed:
-                if name not in h.predecessors(origin):
-                    raise RewritingError(
-                        f"relation at {name} derives a clean-up deletion, but "
-                        "clean-ups are applied at the origin's direct predecessors; "
-                        "relate the instances there instead"
-                    )
-                plan.cleanups[name] = doomed
+            fact, cleanup = _derive_backward(rule, res.restrictions[name], relation)
+        plan.factorizations[name] = fact
+        if cleanup:
+            if name not in neighbours(origin):
+                what, side, elements = words
+                raise RewritingError(
+                    f"relation at {name} derives a clean-up {what}, but clean-ups are "
+                    f"applied at the origin's direct {side}; relate the {elements} there "
+                    "instead"
+                )
+            plan.cleanups[name] = cleanup
     return plan
 
 
@@ -367,10 +362,9 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
     """Run the propagation, then any derived clean-ups as separate rule
     applications at the origin's direct neighbours. Returns all reports;
     the last one holds the final hierarchy."""
-    if plan.direction == FORWARD:
-        main = propagate_forward(h, plan)
-    else:
-        main = propagate_backward(h, plan)
+    forward = plan.direction == FORWARD
+    propagate = propagate_forward if forward else propagate_backward
+    main = propagate(h, plan)
     reports = [main]
     current = main.hierarchy
 
@@ -382,14 +376,14 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
         makes (at its origin or propagated) deletes all it matches and keeps
         every other node's id: its trace is the identity on its source."""
         for trace in (rep.traces[node] for rep in reports[1:] if node in rep.traces):
-            if plan.direction == FORWARD:
+            if forward:
                 element = trace.node_map.get(element)
             elif element not in trace.source.nodes:
                 element = None
         return element
 
     for node in sorted(plan.cleanups):
-        if plan.direction == FORWARD:
+        if forward:
             groups = []
             for refs in plan.cleanups[node]:
                 raw = {
@@ -414,14 +408,10 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
                 merged = fresh_id("_".join(grp), taken - set(grp))
                 taken.add(merged)
                 edits.append(MergeNodes(tuple(grp), merged))
-            merge_rule = build_rule(pattern, edits)
+            arrow = build_rule(pattern, edits).right_leg
             match2 = Homomorphism(
                 pattern, current.graph(node), {n: n for n in pattern.nodes}
             )
-            plan2 = build_canonical_plan(
-                current, node, merge_rule.right_leg, match2, FORWARD
-            )
-            rep = propagate_forward(current, plan2)
         else:
             raw = {main.instances[node][q] for q in plan.cleanups[node]}
             doomed = sorted({r for r in (resolve(node, x) for x in raw) if r})
@@ -431,8 +421,8 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
             pattern = Graph._of(doomed, (), {}, {})
             arrow = Homomorphism(Graph(), pattern, {})
             match2 = Homomorphism._of(pattern, current.graph(node), dict(zip(doomed, doomed)))
-            plan2 = build_canonical_plan(current, node, arrow, match2, BACKWARD)
-            rep = propagate_backward(current, plan2)
+        plan2 = build_canonical_plan(current, node, arrow, match2, plan.direction)
+        rep = propagate(current, plan2)
         current = rep.hierarchy
         reports.append(rep)
     return reports

@@ -916,7 +916,7 @@ def propagate_forward_per_step(h, plan) -> RewriteReport:
             traces[i] = po.from_b
             instances[i] = po.from_c
             ti, ii = po.from_b.node_map, po.from_c.node_map
-            moved = po.from_b._changes_since(None)
+            moved = po._moved
             touched = {fx.typing[m] for m in fx.mid.nodes} | moved
             delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
             succ, pred = po.from_b.source._adjacency()

@@ -1,7 +1,8 @@
 """Differential tests of the memoized commutativity check.
 
-`Hierarchy.validate_commutativity` reuses each source's composites and
-verdicts across `replace()` and recomputes only what a replacement touched.
+`Hierarchy.validate_commutativity` keeps each source's composites and
+verdicts across `replace()` and walks again only the sources a replacement
+touched.
 These tests drive random chains of replacements, and whole propagations,
 and require every check to equal the original full check kept in
 reference_kernels.py: the same violations in the same order, or the same

@@ -285,6 +285,45 @@ def test_hierarchy_json_with_skeleton():
     assert back.skeleton_map == {"G": "d", "T": "s"}
 
 
+def test_hierarchies_differing_only_in_the_skeleton_are_unequal():
+    """Equality covers what `hierarchy_to_json` writes: the skeleton and
+    each object's assignment, as well as the objects and arrows."""
+    sk = Skeleton.create(["X", "Y"], [("X", "Y")])
+    g = Graph(["x"])
+    plain = Hierarchy().add_object("A", g)
+    kinded = Hierarchy({"A": g}, {}, sk, {"A": "X"})
+    assert plain != kinded and kinded != plain
+    assert dumps_canonical(hierarchy_to_json(plain)) != dumps_canonical(hierarchy_to_json(kinded))
+    other = Skeleton.create(["X", "Y"], [])
+    assert kinded != Hierarchy({"A": g}, {}, other, {"A": "X"})
+    assert kinded == Hierarchy({"A": g}, {}, Skeleton.create(["Y", "X"], [("X", "Y")]), {"A": "X"})
+
+
+def test_hierarchies_differing_only_in_one_assignment_are_unequal():
+    sk = Skeleton.create(["d", "m", "s"], [("d", "s"), ("m", "s")])
+    g, t = Graph(["x"]), Graph(["y"])
+    typing = {("G", "T"): Homomorphism(g, t, {"x": "y"})}
+    one = Hierarchy({"G": g, "T": t}, typing, sk, {"G": "d", "T": "s"})
+    assert one == Hierarchy({"G": g, "T": t}, typing, sk, {"G": "d", "T": "s"})
+    assert one != Hierarchy({"G": g, "T": t}, typing, sk, {"G": "m", "T": "s"})
+    assert one != Hierarchy({"G": g, "T": t}, typing, sk, {"G": "d"})
+
+
+def test_hierarchy_json_roundtrip_keeps_the_skeleton():
+    sk = Skeleton.create(["d", "m", "s"], [("d", "m"), ("m", "s"), ("d", "s")])
+    rng = random.Random(31)
+    for _ in range(5):
+        h = random_hierarchy(rng)
+        kinds = dict(zip(h.nodes(), "dms" * len(h.nodes())))
+        with_sk = Hierarchy(
+            {n: h.graph(n) for n in h.nodes()}, {e: h.typing(*e) for e in h.edges()}, sk, kinds
+        )
+        obj = hierarchy_to_json(with_sk)
+        back = hierarchy_from_json(obj, validate=False)
+        assert back == with_sk and back != h
+        assert dumps_canonical(hierarchy_to_json(back)) == dumps_canonical(obj)
+
+
 def test_random_hierarchy_is_reproducible_across_processes():
     """The generator draws the same hierarchies whatever the string hash
     seed, so a randomized test checks the same cases on every run."""

@@ -88,6 +88,8 @@ def _assert_same_pushout(f, g):
     # the edges it built are every apex edge at an image of f or of C, or
     # at a B node whose id changed
     b_map = old.from_b.node_map
+    # it lists the B nodes whose id changed
+    assert new._moved == {b for b, n in b_map.items() if n != b}
     built = {b_map[f[a]] for a in f.source.nodes}.union(old.from_c.node_map.values())
     built.update(n for b, n in b_map.items() if n != b)
     assert sorted(new._rebuilt) == sorted(e for e in new.apex.edges if built.intersection(e))

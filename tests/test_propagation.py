@@ -33,6 +33,7 @@ from sqpo import (
 )
 from sqpo import EXPANSIVE, RESTRICTIVE
 from sqpo.category import PullbackResult
+from sqpo.propagation import lift_rule as library_lift_rule
 from sqpo.isomorphism import find_isomorphism
 
 from generators import (
@@ -840,3 +841,224 @@ def test_deterministic_reports():
     r1, r2 = propagate_forward(h1, p1), propagate_forward(h2, p2)
     assert r1.hierarchy == r2.hierarchy
     assert r1.waves == r2.waves
+
+
+# -- refusals, each with its full message ------------------------------------------
+
+
+def _raised(cls, call, *args):
+    with pytest.raises(cls) as caught:
+        call(*args)
+    return str(caught.value)
+
+
+def _pair(g0: Graph, g1: Graph, typing: dict) -> Hierarchy:
+    """g0 typed by g1."""
+    return (
+        Hierarchy()
+        .add_object("g0", g0)
+        .add_object("g1", g1)
+        .add_typing("g0", "g1", Homomorphism(g0, g1, typing))
+    )
+
+
+def _add_plan() -> tuple[Hierarchy, PropagationPlan]:
+    """x typed by u; a forward plan adding a at the origin g0."""
+    g0 = Graph(["x"])
+    h = _pair(g0, Graph(["u"]), {"x": "u"})
+    rule = Homomorphism(g0, Graph(["x", "a"]), {"x": "x"})
+    return h, PropagationPlan(origin="g0", rule=rule, match=identity(g0), direction=FORWARD)
+
+
+def test_lift_rule_refuses_a_rule_on_another_pattern():
+    lhs, other = Graph(["l"]), Graph(["o"])
+    retyping = identity(lhs)
+    r_minus = Homomorphism(Graph(["k"]), other, {"k": "o"})
+    message = _raised(FactorizationError, library_lift_rule, retyping, r_minus, identity(lhs))
+    assert message == "lift_rule: retyping and rule do not share a target"
+
+
+def test_plan_with_a_factorization_of_the_other_direction_is_reported():
+    h, plan = _add_plan()
+    lhs = Graph(["x"])
+    plan.factorizations["g1"] = BackwardFactorization(
+        mid=lhs, post_arrow=identity(lhs), pre_arrow=identity(lhs), retyping=identity(lhs)
+    )
+    assert check_composability(h, plan) == ["node g1: expected a forward factorization"]
+
+
+def test_strict_phase_that_merges_warns():
+    g0 = Graph(["x", "y"])
+    h = _pair(g0, Graph(["t"]), {"x": "t", "y": "t"})
+    merged = Graph(["xy"])
+    rule = Homomorphism(g0, merged, {"x": "xy", "y": "xy"})
+    plan = PropagationPlan(origin="g0", rule=rule, match=identity(g0), direction=FORWARD)
+    plan.factorizations["g1"] = ForwardFactorization(
+        mid=merged,
+        pre_arrow=rule,
+        post_arrow=identity(merged),
+        typing=Homomorphism(merged, h.graph("g1"), {"xy": "t"}),
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert check_composability(h, plan) == []
+    assert [(w.category, str(w.message)) for w in caught] == [
+        (
+            RuntimeWarning,
+            "factorization at g1: strict-phase arrow is not a mono "
+            "(the strict phase merges elements)",
+        )
+    ]
+
+
+def test_parts_that_do_not_compose_to_the_rule_are_reported():
+    h, plan = _add_plan()
+    lhs, rhs = plan.rule.source, plan.rule.target
+    plan.factorizations["g1"] = ForwardFactorization(
+        mid=lhs,
+        pre_arrow=identity(lhs),
+        post_arrow=Homomorphism(lhs, rhs, {"x": "a"}),
+        typing=Homomorphism(lhs, h.graph("g1"), {"x": "u"}),
+    )
+    assert check_composability(h, plan) == [
+        "node g1: strict and canonical parts do not compose to the rule"
+    ]
+
+
+def test_retyping_square_failure_is_reported():
+    t = Graph(["sq", "ci"])
+    h = (
+        Hierarchy()
+        .add_object("G", Graph(["q1"]))
+        .add_object("T", t)
+        .add_typing("G", "T", Homomorphism(Graph(["q1"]), t, {"q1": "sq"}))
+    )
+    plan = PropagationPlan(origin="T", rule=identity(t), match=identity(t), direction=BACKWARD)
+    (p,) = restriction_pullback(h.typing("G", "T"), identity(t)).pattern.nodes
+    pattern = Graph([p])
+    plan.factorizations["G"] = BackwardFactorization(
+        mid=t,
+        post_arrow=identity(t),
+        pre_arrow=identity(t),
+        retyping=Homomorphism(pattern, t, {p: "ci"}),
+    )
+    assert check_composability(h, plan) == [
+        "node G: retyping square fails (instances retyped incompatibly)"
+    ]
+
+
+def test_connector_that_breaks_the_typing_square_is_reported():
+    """g0 -> g1 -> g2, with a connector g1 -> g2 that keeps both rule
+    triangles but sends the added node to a type other than its type's
+    image."""
+    g0, g1, g2 = Graph(["x"]), Graph(["u"]), Graph(["v", "v2"])
+    h = (
+        Hierarchy()
+        .add_object("g0", g0).add_object("g1", g1).add_object("g2", g2)
+        .add_typing("g0", "g1", Homomorphism(g0, g1, {"x": "u"}))
+        .add_typing("g1", "g2", Homomorphism(g1, g2, {"u": "v"}))
+    )
+    rhs = Graph(["x", "a"])
+    rule = Homomorphism(g0, rhs, {"x": "x"})
+    plan = PropagationPlan(origin="g0", rule=rule, match=identity(g0), direction=FORWARD)
+    for name, types in (("g1", {"x": "u", "a": "u"}), ("g2", {"x": "v", "a": "v2"})):
+        plan.factorizations[name] = ForwardFactorization(
+            mid=rhs, pre_arrow=rule, post_arrow=identity(rhs),
+            typing=Homomorphism(rhs, h.graph(name), types),
+        )
+    plan.connectors[("g1", "g2")] = identity(rhs)
+    assert check_composability(h, plan) == ["connector g1->g2: typing square fails"]
+
+
+@pytest.mark.parametrize(
+    "case, message",
+    [
+        ("direction", "propagate_forward needs a forward plan"),
+        ("side", "match must be an instance of the rule's source"),
+        ("origin", "match does not land in the origin object"),
+        ("mono", "match must be a mono"),
+    ],
+)
+def test_forward_plan_entry_refusals(case, message):
+    g0 = Graph(["x"])
+    h = _pair(g0, Graph(["u"]), {"x": "u"})
+    rule, match, direction = identity(g0), identity(g0), FORWARD
+    if case == "direction":
+        direction = BACKWARD
+    elif case == "side":
+        match = Homomorphism(Graph(["y"]), g0, {"y": "x"})
+    elif case == "origin":
+        match = Homomorphism(g0, Graph(["x", "z"]), {"x": "x"})
+    else:
+        two = Graph(["p", "q"])
+        rule, match = identity(two), Homomorphism(two, g0, {"p": "x", "q": "x"})
+    plan = PropagationPlan(origin="g0", rule=rule, match=match, direction=direction)
+    assert _raised(RewritingError, propagate_forward, h, plan) == message
+
+
+def test_backward_relations_naming_no_instance_or_a_wrong_copy_are_refused(clone_delete_setup):
+    hierarchy, rule = clone_delete_setup
+    match = find_matches(rule, hierarchy.graph("T"), RESTRICTIVE)[0].instance
+    args = (rule.left_leg, match, hierarchy.graph("G"), hierarchy.typing("G", "T"))
+    assert _raised(
+        RewritingError, derive_backward_factorization, *args, {"ghost": "sq_w"}
+    ) == "related element ghost is not an instance of the matched pattern"
+    assert _raised(
+        RewritingError, derive_backward_factorization, *args, {"c1": "sq_w"}
+    ) == "relation inconsistent with typing: sq_w is not a copy of the element typing c1"
+
+
+def test_relation_plan_refuses_nodes_outside_the_sub_hierarchy_and_the_origin():
+    h, plan = _add_plan()
+    args = (h.add_object("far", Graph()), "g0", plan.rule, plan.match, FORWARD)
+    assert _raised(RewritingError, build_relation_plan, *args, {"far": {}}) == (
+        "relations given for nodes outside the affected sub-hierarchy: ['far']"
+    )
+    assert _raised(RewritingError, build_relation_plan, *args, {"g0": {}}) == (
+        "the origin object cannot carry a relation"
+    )
+
+
+def test_forward_clean_up_beyond_the_origins_successors_is_refused():
+    """G -> T1 -> T2 with no arrow G -> T2: a relation at T2 that links two
+    added elements derives a clean-up merge at T2, where none is applied."""
+    g, t1, t2 = Graph(["i"]), Graph(["u"]), Graph(["v"])
+    h = (
+        Hierarchy()
+        .add_object("G", g).add_object("T1", t1).add_object("T2", t2)
+        .add_typing("G", "T1", Homomorphism(g, t1, {"i": "u"}))
+        .add_typing("T1", "T2", Homomorphism(t1, t2, {"u": "v"}))
+    )
+    lhs = Graph(["p"])
+    arrow = Homomorphism(lhs, Graph(["p", "s1", "s2"]), {"p": "p"})
+    match = Homomorphism(lhs, g, {"p": "i"})
+    message = _raised(
+        RewritingError, build_relation_plan, h, "G", arrow, match, FORWARD,
+        {"T2": {"s2": "s1"}},
+    )
+    assert message == (
+        "relation at T2 derives a clean-up merge, but clean-ups are applied at the "
+        "origin's direct successors; relate the elements there instead"
+    )
+
+
+def test_backward_clean_up_beyond_the_origins_predecessors_is_refused():
+    """T <- G1 <- G2 with no arrow G2 -> T: a relation at G2 that keeps one
+    copy of a clone for one of its two instances derives a clean-up
+    deletion at G2, where none is applied."""
+    t, g1, g2 = Graph(["sq"]), Graph(["q1"]), Graph(["r1", "r2"])
+    h = (
+        Hierarchy()
+        .add_object("T", t).add_object("G1", g1).add_object("G2", g2)
+        .add_typing("G1", "T", Homomorphism(g1, t, {"q1": "sq"}))
+        .add_typing("G2", "G1", Homomorphism(g2, g1, {"r1": "q1", "r2": "q1"}))
+    )
+    rule_arrow = Homomorphism(Graph(["w", "b"]), t, {"w": "sq", "b": "sq"})
+    message = _raised(
+        RewritingError, build_relation_plan, h, "T", rule_arrow, identity(t), BACKWARD,
+        {"G2": {"r1": "w"}},
+    )
+    assert message == (
+        "relation at G2 derives a clean-up deletion, but clean-ups are applied at the "
+        "origin's direct predecessors; relate the instances there instead"
+    )
