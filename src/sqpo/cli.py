@@ -10,6 +10,7 @@ produce byte-identical outputs. Exit codes: 0 success, 1 domain violation,
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import secrets
@@ -19,12 +20,15 @@ from pathlib import Path
 from .exceptions import GraphElementError, SqpoError
 from .graphs import (
     Homomorphism,
+    _dumps,
+    _encode_str,
     _node_map_from_json,
+    _node_map_text,
     _relocated,
     dumps_canonical,
     graph_from_json,
 )
-from .hierarchy import hierarchy_from_json, hierarchy_to_json
+from .hierarchy import _hierarchy_text, hierarchy_from_json
 from .propagation import (
     BACKWARD,
     FORWARD,
@@ -69,6 +73,9 @@ def _load_rule(path: str):
 def _write_atomically(outputs: list[tuple[str, str]]) -> None:
     """Write each (path, text) to a fresh file beside its path, then rename
     them into place in order, so a failed run leaves no partial output."""
+    for path, _ in outputs:
+        if os.path.isdir(path):  # os.replace would fail only after earlier renames
+            raise _InputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     staged: list[tuple[str, str]] = []
     try:
         for path, text in outputs:
@@ -123,6 +130,9 @@ def _hom_map(hom: Homomorphism) -> dict:
 
 
 def _report_json(reports: list[RewriteReport]) -> dict:
+    """The report as a JSON tree, which `_report_text` writes as text.
+    Nothing in the package calls it; perfbench's tracer resolves it by name
+    for its `cli.write` span."""
     apps = []
     for rep in reports:
         apps.append(
@@ -144,6 +154,49 @@ def _report_json(reports: list[RewriteReport]) -> dict:
             }
         )
     return {"applications": apps}
+
+
+def _report_text(reports: list[RewriteReport]) -> str:
+    """`dumps_canonical(_report_json(reports))`, written from the reports
+    without the tree: each map is one `_node_map_text` call, and each graph's
+    node ids are sorted once (the reports keep every graph alive meanwhile,
+    so no id is reused)."""
+    field, row, row_field = "\n      ", "\n        ", "\n          "  # depths in an application
+    order: dict[int, list[str]] = {}  # id(graph) -> its sorted node ids
+
+    def map_text(hom: Homomorphism, newline: str) -> str:
+        if (nodes := order.get(id(hom.source))) is None:
+            nodes = order[id(hom.source)] = sorted(hom.source.nodes)
+        m = hom.node_map
+        return _node_map_text({k: m[k] for k in nodes}, newline)
+
+    def maps_text(homs: dict[str, Homomorphism]) -> str:
+        if not homs:
+            return "{}"
+        return "{" + row + ("," + row).join(
+            _encode_str(n) + ": " + map_text(homs[n], row) for n in sorted(homs)
+        ) + field + "}"
+
+    apps = []
+    for rep in reports:
+        typings = [
+            "{" + row_field + '"from": ' + _encode_str(a) + "," + row_field + '"to": ' + _encode_str(b)
+            + "," + row_field + '"map": ' + map_text(rep.updated_typings[(a, b)], row_field) + row + "}"
+            for (a, b) in sorted(rep.updated_typings)
+        ]
+        steps = [{"node": node, "violations": viols} for node, viols in rep.steps]
+        members = [
+            '"origin": ' + _encode_str(rep.origin),
+            '"direction": ' + _encode_str(rep.direction),
+            '"waves": ' + _dumps(rep.waves, field, {}),
+            '"traces": ' + maps_text(rep.traces),
+            '"instances": ' + maps_text(rep.instances),
+            '"typings": ' + ("[" + row + ("," + row).join(typings) + field + "]" if typings else "[]"),
+            '"steps": ' + _dumps(steps, field, {}),
+        ]
+        apps.append("{" + field + ("," + field).join(members) + "\n    }")
+    body = "[\n    " + ",\n    ".join(apps) + "\n  ]" if apps else "[]"
+    return '{\n  "applications": ' + body + "\n}\n"
 
 
 def _check_relations(relations, what: str) -> None:
@@ -301,8 +354,8 @@ def cmd_rewrite(args) -> int:
     reports = apply_plan(h, plan)
     final = reports[-1].hierarchy
     _write_atomically([
-        (out_path, dumps_canonical(hierarchy_to_json(final))),
-        (report_path, dumps_canonical(_report_json(reports))),
+        (out_path, _hierarchy_text(final)),
+        (report_path, _report_text(reports)),
     ])
     print(f"wrote {out_path}")
     print(f"wrote {report_path}")

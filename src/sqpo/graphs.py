@@ -944,3 +944,49 @@ def _dumps(obj, newline: str, texts: dict) -> str:
     if isinstance(obj, int):
         return int.__repr__(obj)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _node_map_text(m: dict, newline: str) -> str:
+    """`_dumps(m, newline, ...)` for a dict of str to str, in one call of the
+    C encoder: without `indent` it joins the members with any separator, so
+    the separator carries the line break and the indentation."""
+    if not m:
+        return "{}"
+    inner = newline + "  "
+    text = json.dumps(m, ensure_ascii=False, separators=("," + inner, ": "))
+    return "{" + inner + text[1:-1] + newline + "}"
+
+
+def _graph_text(g: Graph, newline: str, nodes: list[str], attr_texts: dict) -> str:
+    """`_dumps(graph_to_json(g), newline, ...)`, one f-string per row and no
+    row dicts. `nodes` is `sorted(g.nodes)`. `attr_texts` maps the `id()`
+    of each attribute dict to its text at the rows' depth and fills as rows
+    need it: a caller writing several graphs at one depth may pass them one
+    map if it keeps them all alive meanwhile, so that no id is reused."""
+    inner = newline + "  "
+    rows = inner + "  "
+    fields = rows + "  "
+    sep, end = "," + rows, rows + "}"
+    id_head, from_head = "{" + fields + '"id": ', "{" + fields + '"from": '
+    to_sep, attrs_sep = "," + fields + '"to": ', "," + fields + '"attrs": '
+
+    def attrs_text(attrs) -> str:
+        if (text := attr_texts.get(id(attrs))) is None:
+            text = attr_texts[id(attrs)] = _dumps(attrs_to_json(attrs), fields, {})
+        return text
+
+    enc, node_attrs, edge_attrs = _encode_str, g.node_attrs.get, g.edge_attrs.get
+    node_rows = [
+        f"{id_head}{enc(n)}{attrs_sep}{attrs_text(attrs)}{end}" if (attrs := node_attrs(n))
+        else f"{id_head}{enc(n)}{end}"
+        for n in nodes
+    ]
+    edge_rows = [
+        f"{from_head}{enc(e[0])}{to_sep}{enc(e[1])}{attrs_sep}{attrs_text(attrs)}{end}"
+        if (attrs := edge_attrs(e))
+        else f"{from_head}{enc(e[0])}{to_sep}{enc(e[1])}{end}"
+        for e in sorted(g.edges)
+    ]
+    node_list = "[" + rows + sep.join(node_rows) + inner + "]" if node_rows else "[]"
+    edge_list = "[" + rows + sep.join(edge_rows) + inner + "]" if edge_rows else "[]"
+    return "{" + inner + '"nodes": ' + node_list + "," + inner + '"edges": ' + edge_list + newline + "}"

@@ -50,8 +50,12 @@ from .exceptions import CompositionError, GraphElementError, HierarchyError
 from .graphs import (
     Graph,
     Homomorphism,
+    _dumps,
+    _encode_str,
+    _graph_text,
     _located,
     _node_map_from_json,
+    _node_map_text,
     _relocated,
     compose,
     graph_from_json,
@@ -620,14 +624,18 @@ class Hierarchy:
 # -- JSON format -----------------------------------------------------------------
 
 
+def _skeleton_json(h: Hierarchy) -> dict:
+    return {
+        "nodes": sorted(h.skeleton.nodes),
+        "edges": [list(e) for e in sorted(h.skeleton.edges)],
+        "assignment": {k: h.skeleton_map[k] for k in sorted(h.skeleton_map)},
+    }
+
+
 def hierarchy_to_json(h: Hierarchy) -> dict:
     out: dict = {}
     if h.skeleton is not None:
-        out["skeleton"] = {
-            "nodes": sorted(h.skeleton.nodes),
-            "edges": [list(e) for e in sorted(h.skeleton.edges)],
-            "assignment": {k: h.skeleton_map[k] for k in sorted(h.skeleton_map)},
-        }
+        out["skeleton"] = _skeleton_json(h)
     shared: dict = {}  # one attribute JSON object per dict, across graphs
     out["graphs"] = {name: graph_to_json(h.graph(name), shared) for name in h.nodes()}
     out["typings"] = []
@@ -635,6 +643,33 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
         m, nodes = h.typing(a, b).node_map, sorted(h.graph(a).nodes)
         out["typings"].append({"from": a, "to": b, "map": {k: m[k] for k in nodes}})
     return out
+
+
+def _hierarchy_text(h: Hierarchy) -> str:
+    """`dumps_canonical(hierarchy_to_json(h))`, written from h's graphs and
+    arrows without the tree: each graph's node ids are sorted once, for its
+    rows and for the maps of its typings, and each attribute dict's text is
+    rendered once (h keeps every dict alive meanwhile, so no id is reused)."""
+    members = []
+    if h.skeleton is not None:
+        members.append('"skeleton": ' + _dumps(_skeleton_json(h), "\n  ", {}))
+    order: dict[str, list[str]] = {}
+    attr_texts: dict = {}
+    graphs = []
+    for name in h.nodes():
+        g = h.graph(name)
+        nodes = order[name] = sorted(g.nodes)
+        graphs.append(_encode_str(name) + ": " + _graph_text(g, "\n    ", nodes, attr_texts))
+    members.append('"graphs": ' + ("{\n    " + ",\n    ".join(graphs) + "\n  }" if graphs else "{}"))
+    typings = []
+    for (a, b) in h.edges():
+        m = h.typing(a, b).node_map
+        typings.append(
+            f'{{\n      "from": {_encode_str(a)},\n      "to": {_encode_str(b)},\n      "map": '
+            + _node_map_text({k: m[k] for k in order[a]}, "\n      ") + "\n    }"
+        )
+    members.append('"typings": ' + ("[\n    " + ",\n    ".join(typings) + "\n  ]" if typings else "[]"))
+    return "{\n  " + ",\n  ".join(members) + "\n}\n"
 
 
 def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:

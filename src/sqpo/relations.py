@@ -84,14 +84,11 @@ def derive_forward_factorization(
                 "element of the target object"
             )
 
+    # a group of k added elements is joined by k - 1 keys, each mapped to an
+    # added element, so at most one of its keys is typed into the target
     group_target: dict[str, str] = {}
     for a, t in direct.items():
-        root = find(a)
-        if group_target.setdefault(root, t) != t:
-            raise RewritingError(
-                f"relation maps connected added elements to two different "
-                f"target elements ({group_target[root]} and {t})"
-            )
+        group_target[find(a)] = t
 
     strict: dict[str, str] = {}  # added element -> target element
     for a, t in sorted(direct.items()):

@@ -9,10 +9,10 @@ next to `find_matches`' own: propagation's connector search (with the two
 connector derivations that drove it) and `find_isomorphism`. Also the
 candidate builder `rules._iter_matches` used before the host's candidate
 index, which filtered the whole sorted host for every pattern node; the
-original canonical writer (the stdlib's `indent=2` encoder) and the
-original graph loader, which normalized every node and edge a second time
-through the public `Graph` constructor and named no JSON path in its
-messages. And the original backward propagation step, which rebuilt every
+original canonical writer (the stdlib's `indent=2` encoder), the report
+tree it wrote for `sqpo rewrite`, and the original graph loader, which
+normalized every node and edge a second time through the public `Graph`
+constructor and named no JSON path in its messages. And the original backward propagation step, which rebuilt every
 typing at an updated object over all of its source, validated it in full
 and compared its square with two full composites. And the original
 clean-up loop of `relations.apply_plan`, which rebuilt a map over every
@@ -654,6 +654,36 @@ def dumps_canonical(obj) -> str:
     """The original canonical writer; `indent` makes CPython run the
     stdlib's pure-Python encoder."""
     return json.dumps(obj, indent=2, ensure_ascii=False) + "\n"
+
+
+def _hom_map(hom: Homomorphism) -> dict:
+    return {k: hom[k] for k in sorted(hom.source.nodes)}
+
+
+def report_json(reports) -> dict:
+    """The original report tree, which `sqpo rewrite` passed to
+    `dumps_canonical` before it wrote the report's text from the reports."""
+    apps = []
+    for rep in reports:
+        apps.append(
+            {
+                "origin": rep.origin,
+                "direction": rep.direction,
+                "waves": rep.waves,
+                "traces": {n: _hom_map(rep.traces[n]) for n in sorted(rep.traces)},
+                "instances": {
+                    n: _hom_map(rep.instances[n]) for n in sorted(rep.instances)
+                },
+                "typings": [
+                    {"from": a, "to": b, "map": _hom_map(rep.updated_typings[(a, b)])}
+                    for (a, b) in sorted(rep.updated_typings)
+                ],
+                "steps": [
+                    {"node": node, "violations": viols} for node, viols in rep.steps
+                ],
+            }
+        )
+    return {"applications": apps}
 
 
 def attrs_from_json(obj):

@@ -69,25 +69,29 @@ GOLDEN_RUNS = [
 
 @pytest.mark.parametrize("hier, node, rule, direction, relation", GOLDEN_RUNS)
 def test_golden_runs_write_the_reference_bytes(tmp_path, monkeypatch, hier, node, rule, direction, relation):
-    """Every text the CLI renders in a golden run, the rewritten hierarchy
-    and the report, equals the reference encoder's."""
-    rendered = []
+    """Both texts the CLI writes in a golden run, the rewritten hierarchy and
+    the report, equal the reference encoder's text of `hierarchy_to_json` of
+    the result and of the reference kernels' `report_json` of the reports."""
+    runs, apply_plan = [], sqpo.cli.apply_plan
 
-    def checked(obj):
-        text = dumps_canonical(obj)
-        assert text == ref.dumps_canonical(obj)
-        rendered.append(text)
-        return text
+    def recorded(h, plan):
+        runs.append(apply_plan(h, plan))
+        return runs[-1]
 
-    monkeypatch.setattr(sqpo.cli, "dumps_canonical", checked)
+    monkeypatch.setattr(sqpo.cli, "apply_plan", recorded)
     with contextlib.redirect_stdout(io.StringIO()):
         code = sqpo.cli.main([
             "rewrite", str(FIXTURES / hier), node, str(FIXTURES / rule), "0",
             "--direction", direction, "--relation", str(FIXTURES / relation),
             "-o", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json"),
         ])
-    assert code == 0
-    assert len(rendered) == 2 and '"applications"' in rendered[1]
+    assert code == 0 and len(runs) == 1
+    reports = runs[0]
+    written = [(tmp_path / name).read_text(encoding="utf-8") for name in ("out.json", "report.json")]
+    assert written == [
+        ref.dumps_canonical(hierarchy_to_json(reports[-1].hierarchy)),
+        ref.dumps_canonical(ref.report_json(reports)),
+    ]
 
 
 CONTROL = "".join(chr(c) for c in range(0x20))

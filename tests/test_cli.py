@@ -722,7 +722,7 @@ def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
         raise RuntimeError("report rendering failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sqpo.cli, "_report_json", broken_report)
+        patch.setattr(sqpo.cli, "_report_text", broken_report)
         with pytest.raises(RuntimeError, match="report rendering failed"):
             sqpo.cli.main(args)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]
@@ -732,6 +732,30 @@ def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "report.json"]
     assert out.read_text() == (GOLDEN / "merge_add.out.json").read_text()
     assert report.read_text() == (GOLDEN / "merge_add.report.json").read_text()
+
+
+@pytest.mark.parametrize("directory", ["out", "report"])
+def test_rewrite_onto_a_directory_keeps_the_old_output(tmp_path, directory):
+    """A target that is an existing directory is refused before any file is
+    staged or renamed: the other output keeps its old bytes and no temporary
+    file is left."""
+    targets = {"out": tmp_path / "out", "report": tmp_path / "report"}
+    for name, path in targets.items():
+        if name == directory:
+            path.mkdir()
+        else:
+            path.write_text("old\n")
+    proc = run_cli(
+        "rewrite", FIXTURES / "merge_add.hierarchy.json", "G",
+        FIXTURES / "merge_add.rule.json", "0", "--direction", "fwd",
+        "-o", targets["out"], "--report", targets["report"],
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert f"error: cannot write {targets[directory]}: Is a directory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out", "report"]
+    assert list(targets[directory].iterdir()) == []
+    assert [path.read_text() for name, path in targets.items() if name != directory] == ["old\n"]
 
 
 def test_rewrite_unwritable_output_exits_2(tmp_path):

@@ -51,7 +51,6 @@ from sqpo import (
     propagate_backward,
     propagate_forward,
 )
-from sqpo.cli import _report_json
 from sqpo.graphs import dumps_canonical, homomorphism_violation
 
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
@@ -493,7 +492,7 @@ def _outcome(h, plan, apply):
     except (SqpoError, KeyError, TypeError) as exc:
         return None, (type(exc), str(exc))
     hierarchies = [dumps_canonical(hierarchy_to_json(r.hierarchy)) for r in reports]
-    return reports, (hierarchies, dumps_canonical(_report_json(reports)))
+    return reports, (hierarchies, dumps_canonical(ref.report_json(reports)))
 
 
 @pytest.mark.parametrize("build", [_backward_cleanup_chain, _forward_cleanup_chain])

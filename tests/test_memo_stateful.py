@@ -23,10 +23,10 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_state_machine_as_test
 
 import generators
+import reference_kernels as ref
 import sqpo.hierarchy
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
 from sqpo import Homomorphism, apply_plan, hierarchy_from_json, hierarchy_to_json
-from sqpo.cli import _report_json
 from sqpo.graphs import dumps_canonical
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -138,8 +138,8 @@ class MemoMachine(RuleBasedStateMachine):
             self.seen["rewrite refused"] += 1
             return
         (reports, kind, cleanups), (fresh_reports, _, _) = got, fresh
-        assert dumps_canonical(_report_json(reports)) == dumps_canonical(
-            _report_json(fresh_reports)
+        assert dumps_canonical(ref.report_json(reports)) == dumps_canonical(
+            ref.report_json(fresh_reports)
         )
         after, fresh_after = reports[-1].hierarchy, fresh_reports[-1].hierarchy
         assert dumps_canonical(hierarchy_to_json(after)) == dumps_canonical(

@@ -37,7 +37,6 @@ from sqpo import (
     apply_plan,
     build_canonical_plan,
 )
-from sqpo.cli import _report_json
 from sqpo.graphs import dumps_canonical
 from test_step_checks import _summary
 
@@ -91,7 +90,7 @@ def _outcome(seed: int, kind: str):
         reports = apply_plan(h, plan)
     except Exception as exc:
         return (type(exc), str(exc)), True
-    return ([_summary(r) for r in reports], dumps_canonical(_report_json(reports))), True
+    return ([_summary(r) for r in reports], dumps_canonical(ref.report_json(reports))), True
 
 
 def _pulled_back_origin(patch: pytest.MonkeyPatch) -> None:

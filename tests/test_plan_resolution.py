@@ -8,6 +8,7 @@ import dataclasses
 
 import pytest
 
+import reference_kernels as ref
 from sqpo import (
     BACKWARD,
     EXPANSIVE,
@@ -30,7 +31,6 @@ from sqpo import (
     propagate_backward,
     propagate_forward,
 )
-from sqpo.cli import _report_json
 
 
 def _typed(g_types: dict[str, int]) -> Hierarchy:
@@ -57,7 +57,7 @@ def _outcome(h: Hierarchy, plan: PropagationPlan):
         report = propagate(h, plan)
     except RewritingError as exc:
         return violations, str(exc)
-    return violations, (hierarchy_to_json(report.hierarchy), _report_json([report]))
+    return violations, (hierarchy_to_json(report.hierarchy), ref.report_json([report]))
 
 
 def _plan(h: Hierarchy, direction: str) -> PropagationPlan:

@@ -34,7 +34,6 @@ import reference_kernels as ref
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
 from sqpo import Graph, Hierarchy, Homomorphism, RewritingError, SqpoError
 from sqpo import propagate_backward, propagate_forward
-from sqpo.cli import _report_json
 from sqpo.graphs import dumps_canonical
 
 
@@ -103,7 +102,7 @@ def _summary(report) -> tuple:
         arrows(report.instances),
         arrows(report.updated_typings),
         report.steps,
-        dumps_canonical(_report_json([report])),
+        dumps_canonical(ref.report_json([report])),
     )
 
 
