@@ -125,40 +125,9 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _hom_map(hom: Homomorphism) -> dict:
-    return {k: hom[k] for k in sorted(hom.source.nodes)}
-
-
-def _report_json(reports: list[RewriteReport]) -> dict:
-    """The report as a JSON tree, which `_report_text` writes as text.
-    Nothing in the package calls it; perfbench's tracer resolves it by name
-    for its `cli.write` span."""
-    apps = []
-    for rep in reports:
-        apps.append(
-            {
-                "origin": rep.origin,
-                "direction": rep.direction,
-                "waves": rep.waves,
-                "traces": {n: _hom_map(rep.traces[n]) for n in sorted(rep.traces)},
-                "instances": {
-                    n: _hom_map(rep.instances[n]) for n in sorted(rep.instances)
-                },
-                "typings": [
-                    {"from": a, "to": b, "map": _hom_map(rep.updated_typings[(a, b)])}
-                    for (a, b) in sorted(rep.updated_typings)
-                ],
-                "steps": [
-                    {"node": node, "violations": viols} for node, viols in rep.steps
-                ],
-            }
-        )
-    return {"applications": apps}
-
-
-def _report_text(reports: list[RewriteReport]) -> str:
-    """`dumps_canonical(_report_json(reports))`, written from the reports
-    without the tree: each map is one `_node_map_text` call, and each graph's
+def _report_json(reports: list[RewriteReport]) -> str:
+    """The report file's canonical text, written from the reports without
+    a JSON tree: each map is one `_node_map_text` call, and each graph's
     node ids are sorted once (the reports keep every graph alive meanwhile,
     so no id is reused)."""
     field, row, row_field = "\n      ", "\n        ", "\n          "  # depths in an application
@@ -355,7 +324,7 @@ def cmd_rewrite(args) -> int:
     final = reports[-1].hierarchy
     _write_atomically([
         (out_path, _hierarchy_text(final)),
-        (report_path, _report_text(reports)),
+        (report_path, _report_json(reports)),
     ])
     print(f"wrote {out_path}")
     print(f"wrote {report_path}")

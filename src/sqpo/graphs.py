@@ -426,11 +426,10 @@ class Homomorphism:
         return h
 
     def _changes_since(self, old: "Homomorphism") -> frozenset | None:
-        """The keys at which this map may differ from old's: none if it is
-        old, the keys `_patched` re-set if it was patched from old (while
-        old is alive); None when that is not known."""
-        if self is old:
-            return frozenset()
+        """The keys at which this map may differ from old's: the keys
+        `_patched` re-set if it was patched from old (while old is alive),
+        else None, as for old itself, which no caller passes (propagation
+        replaces arrows by new maps); unknown keys are merely conservative."""
         record = getattr(self, "_patch", None)
         if record is None or record[0]() is not old:
             return None

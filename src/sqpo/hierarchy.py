@@ -156,14 +156,13 @@ class _Check(NamedTuple):
     """One source's memo entry: its cone in walk order, each node's tree
     parent, composite (None at the source) and each comparing edge's
     verdict (None where it held), in walk order, and the violations among
-    them. `Hierarchy._checks` sets `changed`: what was replaced since."""
+    them."""
 
     order: list[str]
     parent: dict[str, str]
     canon: dict[str, Homomorphism | None]
     verdicts: dict[tuple[str, str], CommutativityViolation | None]
     violations: tuple[CommutativityViolation, ...]
-    changed: frozenset = frozenset()
 
 
 class _Memo(NamedTuple):
@@ -283,14 +282,6 @@ class Hierarchy:
 
     def __setattr__(self, name, value):
         raise AttributeError("Hierarchy instances are immutable")
-
-    @property
-    def _checks(self) -> dict[str, _Check]:
-        """The memo entries, each with `changed` set to the arrow keys
-        replaced or added since it was filled and the sources that see a
-        replaced one."""
-        changed = self._memo.sources.union(self._memo.arrows)
-        return {a: c._replace(changed=changed) for a, c in self._memo.entries.items()}
 
     def __eq__(self, other):
         if not isinstance(other, Hierarchy):

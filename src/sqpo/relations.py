@@ -424,12 +424,3 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
         reports.append(rep)
     return reports
 
-
-def induced_subgraph(g: Graph, nodes) -> Graph:
-    keep = set(nodes)
-    return Graph(
-        keep,
-        {e for e in g.edges if e[0] in keep and e[1] in keep},
-        {n: a for n, a in g.node_attrs.items() if n in keep},
-        {e: a for e, a in g.edge_attrs.items() if e[0] in keep and e[1] in keep},
-    )

@@ -16,7 +16,8 @@ constructor and named no JSON path in its messages. And the original backward pr
 typing at an updated object over all of its source, validated it in full
 and compared its square with two full composites. And the original
 clean-up loop of `relations.apply_plan`, which rebuilt a map over every
-node of every traced object after each clean-up. And the forward and
+node of every traced object after each clean-up, with the induced subgraph
+it matched a backward clean-up's deletion from. And the forward and
 backward propagation loops that checked commutativity after every step.
 And the backward plan resolution that pulled the origin's identity typing
 back against the match, with the backward step that complemented the match
@@ -80,7 +81,7 @@ from sqpo.propagation import (
     restriction_pullback,
 )
 from sqpo.propagation import propagate_backward as library_propagate_backward
-from sqpo.relations import build_canonical_plan, induced_subgraph
+from sqpo.relations import build_canonical_plan
 from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule, build_rule
 
 
@@ -833,6 +834,18 @@ def propagate_backward(h, plan) -> RewriteReport:
 
 
 # -- the clean-up loop --------------------------------------------------------
+
+
+def induced_subgraph(g: Graph, nodes) -> Graph:
+    """The subgraph of g on `nodes`, with every edge and attribute of g
+    between them."""
+    keep = set(nodes)
+    return Graph(
+        keep,
+        {e for e in g.edges if e[0] in keep and e[1] in keep},
+        {n: a for n, a in g.node_attrs.items() if n in keep},
+        {e: a for e, a in g.edge_attrs.items() if e[0] in keep and e[1] in keep},
+    )
 
 
 def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:

@@ -244,7 +244,7 @@ def test_criterion_3_backward_golden_example(tmp_path):
             t_minus=canon3, h_prime=strict3.typing,
         )
         from paper_oracles import backward_cleanup
-        from sqpo.relations import induced_subgraph
+        from reference_kernels import induced_subgraph
 
         keep = sorted(set(lifted3.pattern.nodes) - set(doomed3))
         selection = induced_subgraph(lifted3.pattern, keep)

@@ -722,7 +722,7 @@ def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
         raise RuntimeError("report rendering failed")
 
     with monkeypatch.context() as patch:
-        patch.setattr(sqpo.cli, "_report_text", broken_report)
+        patch.setattr(sqpo.cli, "_report_json", broken_report)
         with pytest.raises(RuntimeError, match="report rendering failed"):
             sqpo.cli.main(args)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json"]

@@ -307,7 +307,7 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     )
     before = h.validate_commutativity()
     assert [str(v) for v in before] == ["PAIR a c: a->c != a->b->c at node x"]
-    entry = h._checks["a"]
+    entry = h._memo.entries["a"]
     ge2 = Graph(["t", "u"])
     h2 = h.replace(
         objects={"e": ge2},
@@ -316,7 +316,7 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
             ("d", "c"): Homomorphism(gd, gc, {"s": "r2"}),
         },
     )
-    assert h2._checks["a"].changed
+    assert h2._memo.sources and h2._memo.arrows
 
     composed_from = []
     original = sqpo.hierarchy.compose
@@ -328,14 +328,13 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     monkeypatch.setattr(sqpo.hierarchy, "compose", counting)
     assert h2.validate_commutativity() == before
     assert not any(src is ga for src in composed_from)
-    walked = h2._checks["d"]
-    assert walked is not h._checks["d"]
+    walked = h2._memo.entries["d"]
+    assert walked is not h._memo.entries["d"]
     assert walked.canon["e"] is h2.typing("d", "e")
     assert walked.canon["c"] is h2.typing("d", "c")
-    assert not walked.changed
-    after = h2._checks["a"]
+    assert h2._memo.sources == frozenset() and h2._memo.arrows == {}
+    after = h2._memo.entries["a"]
     assert after.canon is entry.canon and after.verdicts is entry.verdicts
-    assert after.changed == frozenset()
     assert _assert_matches_oracle(h2) == "violations"
 
 
@@ -428,11 +427,11 @@ def test_added_arrow_with_an_earlier_path_re_walks(mapping, rechecks):
     the order, the tree and the paths in a violation must be the new
     walk's."""
     h = _chain_of([("a", "b"), ("a", "c"), ("c", "d"), ("d", "e")])
-    assert h._checks["a"].order == ["a", "b", "c", "d", "e"]
+    assert h._memo.entries["a"].order == ["a", "b", "c", "d", "e"]
     rechecks.clear()
     out, outcome = _check_added(h, {("b", "e"): Homomorphism(_G, _G, mapping)})
-    assert out._checks["a"].order == ["a", "b", "c", "e", "d"]
-    assert out._checks["a"].parent["e"] == "b"
+    assert out._memo.entries["a"].order == ["a", "b", "c", "e", "d"]
+    assert out._memo.entries["a"].parent["e"] == "b"
     assert rechecks["a"] == "re-walked" and rechecks["b"] == "extended"
     if mapping is _SWAP:
         assert outcome == "violations"
@@ -451,7 +450,7 @@ def test_added_arrow_to_a_node_new_to_the_cone_extends(mapping, rechecks):
     h = _chain_of([("a", "b"), ("a", "d"), ("c", "d"), ("c", "f")], {("c", "d"): mapping})
     rechecks.clear()
     out, outcome = _check_added(h, {("b", "c"): Homomorphism(_G, _G, _SAME)})
-    assert out._checks["a"].order == ["a", "b", "d", "c", "f"]
+    assert out._memo.entries["a"].order == ["a", "b", "d", "c", "f"]
     assert rechecks == {"a": "extended", "b": "extended"}
     if mapping is _SWAP:
         assert [str(v) for v in out.validate_commutativity()] == [
@@ -500,7 +499,7 @@ def test_added_arrow_after_a_swap_re_walks_with_the_log_holding_both(rechecks):
     out, outcome = _check_added(swapped, added)
     assert outcome == "clean"
     assert rechecks["a"] == rechecks["b"] == "re-walked"
-    assert out._checks["a"].order == ["a", "b", "c", "d"]
+    assert out._memo.entries["a"].order == ["a", "b", "c", "d"]
 
 
 @pytest.mark.parametrize("touched", [False, True])
@@ -625,8 +624,8 @@ def test_composed_typing_matches_the_breadth_first_walk():
                     kinds["mismatch"] += 1
             for _ in range(4):
                 a, b = rng.choice(h.nodes()), rng.choice(h.nodes())
-                entry = h._checks.get(a)
-                memo["none" if entry is None else "stale" if entry.changed else "current"] += 1
+                logged = h._memo.sources or h._memo.arrows
+                memo["none" if a not in h._memo.entries else "stale" if logged else "current"] += 1
                 outcomes[_same_composite(h, a, b)] += 1
     assert all(outcomes.values()), outcomes
     assert all(memo.values()), memo

@@ -83,3 +83,39 @@ def test_every_leaf_exception_is_raised_in_the_library():
             if isinstance(node, ast.Raise) and node.exc is not None:
                 raised.update(n.id for n in ast.walk(node.exc) if isinstance(n, ast.Name))
     assert leaves and sorted(leaves - raised) == []
+
+
+def test_every_unexported_definition_is_used_in_the_package():
+    """Each module-level function or class of the package that `sqpo.__all__`
+    does not export, and each private method, is referenced somewhere in
+    the package's source: loaded by name, read as an attribute or imported.
+    A definition only tests or the benchmark tracer reach belongs with
+    them, not in the package."""
+    trees = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(Path(sqpo.__file__).parent.glob("*.py"))
+    }
+    defined = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name not in sqpo.__all__:
+                defined.append((f"{module}.{node.name}", node.name))
+            if isinstance(node, ast.ClassDef):
+                defined.extend(
+                    (f"{module}.{node.name}.{item.name}", item.name)
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and item.name.startswith("_")
+                    and not item.name.endswith("__")
+                )
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    assert defined
+    assert [where for where, name in defined if name not in used] == []

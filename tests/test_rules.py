@@ -176,7 +176,7 @@ def test_sqpo_rewrite_needs_restrictive_mono():
     rule = Rule.identity_rule(Graph(["p"]))
     g = Graph(["x"])
     expansive = Match(Homomorphism(rule.interface, g, {"p": "x"}), EXPANSIVE)
-    with pytest.raises(RewritingError):
+    with pytest.raises(RewritingError, match="^sqpo_rewrite needs a restrictive match$"):
         sqpo_rewrite(rule, expansive)
 
 

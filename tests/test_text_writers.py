@@ -1,6 +1,6 @@
 """Byte-for-byte differential tests of the text writers that `sqpo rewrite`
 uses, `hierarchy._hierarchy_text`, `graphs._graph_text` and
-`cli._report_text`, against the stdlib's `indent=2` encoder over the trees
+`cli._report_json`, against the stdlib's `indent=2` encoder over the trees
 written before: `hierarchy_to_json`, `graph_to_json` and the reference
 kernels' `report_json`.
 
@@ -23,7 +23,7 @@ from sqpo import (
     Graph, Hierarchy, Homomorphism, RewriteReport, Skeleton, SqpoError, apply_plan, graph_to_json,
     hierarchy_from_json, hierarchy_to_json,
 )
-from sqpo.cli import _report_text
+from sqpo.cli import _report_json
 from sqpo.graphs import _graph_text
 from sqpo.hierarchy import _hierarchy_text
 
@@ -44,7 +44,7 @@ def _same_hierarchy_bytes(h: Hierarchy) -> str:
 
 
 def _same_report_bytes(reports) -> None:
-    assert _report_text(reports) == ref.dumps_canonical(ref.report_json(reports))
+    assert _report_json(reports) == ref.dumps_canonical(ref.report_json(reports))
 
 
 def test_fixture_hierarchies():

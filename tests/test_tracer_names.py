@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture(scope="module")
@@ -47,3 +48,21 @@ def test_tracer_builds_its_patches(spans):
     tracer = spans.Tracer(max_spans=1)
     wrapped = {attr for owner, attr, _, _ in tracer._patches}
     assert {"restriction_pullback", "lift_rule", "check_composability"} <= wrapped
+
+
+def test_tracer_times_a_rewrites_loads_and_report(spans, tmp_path):
+    """An in-process `sqpo rewrite` under the tracer records its file loads
+    as `cli.load` and its report writer as one `cli.write` span."""
+    import sqpo.cli
+
+    args = [
+        "rewrite", str(FIXTURES / "merge_add.hierarchy.json"), "G",
+        str(FIXTURES / "merge_add.rule.json"), "0", "--direction", "fwd",
+        "--relation", str(FIXTURES / "merge_add.relation.json"),
+        "-o", str(tmp_path / "out.json"), "--report", str(tmp_path / "report.json"),
+    ]
+    tracer = spans.Tracer(max_spans=1)
+    code, totals = tracer.run("rewrite", sqpo.cli.main, args)
+    assert code == 0
+    assert totals.calls["cli.write"] == 1
+    assert totals.calls["cli.load"] >= 2
