@@ -27,7 +27,11 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   carried over by set and dict copies. Both find the edges at the
   rewritten part in the host's cached adjacency lists (built once per
   graph); neither sorts the host. Pushout's result lists the host nodes
-  whose id changed, and final_pbc's the edges it built at the copies;
+  whose id changed, and final_pbc's the edges it built at the copies. The
+  trace each returns (pushout's arrow from the host, final_pbc's projection
+  to it) is a `graphs._Trace`: it holds its images at the rewritten part
+  only and is the identity elsewhere, so no host-sized map is built unless
+  a caller reads the whole map;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -46,6 +50,7 @@ from .exceptions import CompositionError, NotMonoError
 from .graphs import (
     Graph,
     Homomorphism,
+    _Trace,
     attrs_difference,
     attrs_intersection,
     attrs_union,
@@ -184,6 +189,9 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     (`_moved`) and every apex edge at an image of f or of C, or at such a
     node, carried or built (`_rebuilt`): the forward step checks its
     typings there.
+
+    `from_b` is a `_Trace` whose delta maps f's image and the moved nodes
+    to their classes; every other B node is its own image.
     """
     if f.source != g.source:
         raise CompositionError("pushout: arrows do not share a source")
@@ -277,9 +285,7 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     apex = Graph._of(
         nodes.union(assigned), edges.union(new_edge_attrs), node_attrs, edge_attrs
     )
-    b_map = dict(zip(b_nodes, b_nodes))
-    b_map.update(b_ids)
-    from_b = Homomorphism._of(b_graph, apex, b_map)
+    from_b = _Trace(b_graph, apex, b_ids)
     from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
     listed.difference_update(moved_edges)
     listed.update(new_edge_attrs)
@@ -300,6 +306,9 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     keeps its id, its attributes and its edges, copied in bulk. The result
     records the apex edges built at the copies (`_rebuilt`): they are all
     the apex edges at a copy.
+
+    `project` is a `_Trace` whose delta maps each copy to the G node it
+    copies; every other apex node is an untouched G node and its own image.
     """
     if f.target != m.source:
         raise CompositionError("final_pbc: arrows not composable")
@@ -378,11 +387,8 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     embed = Homomorphism._of(
         k_graph, apex, {k: ids[(m_map[f_map[k]], k)] for k in k_graph.nodes}
     )
-    project = dict(zip(untouched, untouched))
-    project.update((nid, g) for (g, _), nid in ids.items())
-    return PbcResult(
-        apex, embed, Homomorphism._of(apex, g_graph, project), tuple(rebuilt)
-    )
+    project = _Trace(apex, g_graph, {nid: g for (g, _), nid in ids.items()})
+    return PbcResult(apex, embed, project, tuple(rebuilt))
 
 
 def image_factorization(f: Homomorphism) -> ImageFactorizationResult:

@@ -12,6 +12,9 @@ use and never go stale, since nothing changes: a graph's adjacency lists
 and candidate index, and a homomorphism's preimage lists. A homomorphism
 built as a patch of another records the keys whose image changed, which
 lets propagation and the commutativity memo work only where a rewrite did.
+A rewrite's trace is the identity except at the nodes the rewrite touched
+(`_Trace`), so it holds only those and builds its node map when read.
+Copies and pickles hold the values alone and drop every private cache.
 """
 
 from __future__ import annotations
@@ -159,6 +162,9 @@ class Graph:
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph instances are immutable")
+
+    def __reduce__(self):
+        return (Graph._of, (self.nodes, self.edges, self.node_attrs, self.edge_attrs))
 
     def __eq__(self, other):
         if self is other:
@@ -452,6 +458,9 @@ class Homomorphism:
     def __setattr__(self, name, value):
         raise AttributeError("Homomorphism instances are immutable")
 
+    def __reduce__(self):
+        return (Homomorphism._of, (self.source, self.target, self.node_map))
+
     def __getitem__(self, node: str) -> str:
         return self.node_map[node]
 
@@ -477,6 +486,40 @@ class Homomorphism:
         problem = homomorphism_violation(self)
         if problem is not None:
             raise InvalidHomomorphism(problem)
+
+
+class _Trace(Homomorphism):
+    """The identity on its source's nodes except at the keys of `delta`,
+    which are source nodes: the trace of a rewrite step, which keeps every
+    node it does not touch. It holds only `delta`, so a step costs what it
+    touches; indexing reads through it, and `node_map` is built on its
+    first read and kept. Two racing readers build equal maps."""
+
+    __slots__ = ("_delta",)
+
+    def __init__(self, source: Graph, target: Graph, delta: dict[str, str]):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "_delta", delta)
+
+    def __getattr__(self, name):  # only reached while a slot is unset
+        if name != "node_map":
+            raise AttributeError(f"'_Trace' object has no attribute '{name}'")
+        node_map = {n: n for n in self.source.nodes}
+        node_map.update(self._delta)
+        object.__setattr__(self, "node_map", node_map)
+        return node_map
+
+    def __getitem__(self, node: str) -> str:
+        image = self._delta.get(node)
+        if image is not None:
+            return image
+        if node in self.source.nodes:
+            return node
+        raise KeyError(node)
+
+    def __reduce__(self):
+        return (_Trace, (self.source, self.target, self._delta))
 
 
 def homomorphism_violation(h: Homomorphism) -> str | None:

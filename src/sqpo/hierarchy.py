@@ -283,6 +283,9 @@ class Hierarchy:
     def __setattr__(self, name, value):
         raise AttributeError("Hierarchy instances are immutable")
 
+    def __reduce__(self):  # the memo is a private cache, so it is dropped
+        return (Hierarchy, (self._objects, self._arrows, self.skeleton, self.skeleton_map))
+
     def __eq__(self, other):
         if not isinstance(other, Hierarchy):
             return NotImplemented

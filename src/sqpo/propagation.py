@@ -115,22 +115,13 @@ class RewriteReport:
     origin: str
     direction: str
     waves: list[list[str]]
-    traces: dict[str, Homomorphism]  # forward: old→new; backward: new→old
+    # forward: old→new; backward: new→old. Each is a `graphs._Trace`, the
+    # identity except at the nodes its step touched, whose node map is
+    # built only when read
+    traces: dict[str, Homomorphism]
     instances: dict[str, Homomorphism]
     updated_typings: dict[tuple[str, str], Homomorphism]
     steps: list[tuple[str, list[str]]]  # per-object validation results
-
-
-def _merge_assignment(context: str, *parts: dict) -> dict:
-    out: dict = {}
-    for part in parts:
-        for k, v in part.items():
-            if k in out and out[k] != v:
-                raise FactorizationError(
-                    f"{context}: element {k} would need to map to both {out[k]} and {v}"
-                )
-            out[k] = v
-    return out
 
 
 # -- restriction and lifting ----------------------------------------------------
@@ -466,9 +457,9 @@ def _commutes(h: Hierarchy) -> bool:
 def _propagate(h: Hierarchy, plan: PropagationPlan, direction: str, step) -> RewriteReport:
     """The wave loop of both directions: after the entry checks, each object
     of the affected sub-hierarchy, sinks first forward and sources first
-    backward, is updated by `step(res, i, current, traces, instances)`,
-    which returns i's new graph, trace and instance and the patched arrows
-    at i, and the hierarchy is rebuilt by one `replace` per object.
+    backward, is updated by `step(res, i, current, instances)`, which
+    returns i's new graph, trace and instance and the patched arrows at i,
+    and the hierarchy is rebuilt by one `replace` per object.
 
     A valid input stays valid through every step of a plan that passed the
     composability check (the paper's preservation results), so if the
@@ -487,7 +478,7 @@ def _propagate(h: Hierarchy, plan: PropagationPlan, direction: str, step) -> Rew
     clean, kept = _commutes(h), []
     try:
         for i in [n for wave in waves for n in wave]:
-            graph, traces[i], instances[i], patch = step(res, i, current, traces, instances)
+            graph, traces[i], instances[i], patch = step(res, i, current, instances)
             current = current.replace(objects={i: graph}, arrows=patch)
             updated.update(patch)
             kept.append((i, current))
@@ -524,15 +515,34 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
     * k -> i is re-set at the preimages of the moved nodes: elsewhere its
       composite with i's trace keeps its value.
 
+    i's trace is the pushout's `from_b`, a `_Trace`; the step reads its
+    images through the trace's delta, which holds every key it reads (the
+    touched and the moved nodes), and never builds its node map.
+
+    The two parts of the new i -> j agree wherever both define an image,
+    so they are joined without a check: on a plan that passed
+    `check_composability`, each generator typing_i(m) ~ post_i(m) of the
+    pushout's classes gets one image, since the current arrow is
+    trace_j ∘ h_ij (j's step re-set it at the preimages of j's moved
+    nodes, and trace_j is the identity elsewhere) and
+
+        trace_j(h_ij(typing_i(m))) = trace_j(typing_j(ell(m)))  (typing square)
+                                   = inst_j(post_j(ell(m)))      (j's pushout square)
+                                   = inst_j(post_i(m))           (post triangle)
+
+    for the connector ell: mid_i -> mid_j that the check found. So both
+    parts are one map on classes; a moved node that f does not touch is a
+    class of its own.
+
     The patches record their keys, so the result's commutativity check
     compares only where they changed (see `hierarchy`, `_propagate`).
     """
     rhs = plan.rule.target
 
-    def step(res, i, current, traces, instances):
+    def step(res, i, current, instances):
         fx = res.origin_fx if i == plan.origin else plan.factorizations[i]
         po = pushout(fx.typing, fx.post_arrow)
-        ti, ii = po.from_b.node_map, po.from_c.node_map
+        ti, ii = po.from_b._delta, po.from_c.node_map
         moved = po._moved
         touched = {fx.typing[m] for m in fx.mid.nodes} | moved
         delta = {ii[c] for c in rhs.nodes} | {ti[n] for n in moved}
@@ -540,11 +550,8 @@ def propagate_forward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
         for j in current.successors(i):
             arrow = current.typing(i, j)
             am, ij = arrow.node_map, instances[j].node_map
-            mapping = _merge_assignment(
-                f"typing {i}->{j} after update",
-                {ti[n]: am[n] for n in sorted(touched)},
-                {ii[c]: ij[c] for c in rhs.nodes},
-            )
+            mapping = {ti[n]: am[n] for n in touched}
+            mapping.update((ii[c], ij[c]) for c in rhs.nodes)
             arrow = Homomorphism._patched(
                 arrow, po.apex, arrow.target, mapping, touched | delta
             )
@@ -597,12 +604,26 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
       is the identity, so the patch is the composite of the old arrow and
       trace_i.
 
+    i's trace is the final pullback complement's `project`, a `_Trace`; the
+    step reads its images, and k's, through their deltas, which hold every
+    key it reads (the copies), and never builds a node map.
+
+    The re-set k -> i commutes with the traces at every copy by
+    construction, so it is not compared with them: a copy x = inst_k(q)
+    maps to y = inst_i(q') with lift_i(q') = conn(p) for p = lift_k(q), and
+
+        trace_i(y) = matched_i(conn(p))         (i's complement square)
+                   = h_ki(matched_k(p))         (conn is built by this lookup)
+                   = h_ki(trace_k(x))           (k's complement square)
+
+    where conn is the pattern connector along k -> i and h_ki the old arrow.
+
     The patches record their keys, so the result's commutativity check
     compares only where they changed (see `hierarchy`, `_propagate`).
     """
     lifts: dict[str, LiftResult] = {}
 
-    def step(res, i, current, traces, instances):
+    def step(res, i, current, instances):
         matched = res.restrictions[i].instance
         if i == plan.origin:  # the origin's restriction is L: the rule is its lift
             lift = _lifted(plan.rule, identity(plan.rule.source), matched)
@@ -611,14 +632,13 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
             lift = lift_rule(fx.retyping, fx.pre_arrow, matched)
         lifts[i], new_graph = lift, lift.graph
         pairs = {(lift.lift[q], lift.to_rhs[q]): q for q in lift.pattern.nodes}
-        ti, ii = lift.trace.node_map, lift.instance.node_map
+        ti, ii = lift.trace._delta, lift.instance.node_map
         matched_i = {matched[p] for p in matched.source.nodes}
         copies_i = [ii[p] for p in lift.pattern.nodes]
         patch: dict[tuple[str, str], Homomorphism] = {}
         for k in current.predecessors(i):
             arrow = current.typing(k, i)  # old(k, i) after trace_k
             old, lk = h.typing(k, i), lifts[k]
-            om, tk = old.node_map, traces[k].node_map
             # each node of L_G_k⁻ goes to the instance of its image in L_G_i⁻
             # (in L⁻ at the origin), found through the pattern connector
             conn, lift_k = res.pattern_conns[(k, i)].node_map, lk.lift.node_map
@@ -627,7 +647,7 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
             preimages = old._preimages()
             stray = [
                 x for y in matched_i for x in preimages.get(y, ())
-                if x in tk and x not in mapping
+                if x in lk.graph.nodes and x not in mapping
             ]
             if stray:  # an untouched node of k over a node that left i
                 raise KeyError(arrow[min(stray)])
@@ -635,10 +655,6 @@ def propagate_backward(h: Hierarchy, plan: PropagationPlan) -> RewriteReport:
             problem = _violation_at(arrow, mapping, lk._rebuilt, mapping)
             if problem is not None:
                 raise InvalidHomomorphism(problem)
-            if any(ti[y] != om[tk[x]] for x, y in mapping.items()):
-                raise RewritingError(
-                    f"typing {k}->{i}: reconstructed arrow does not commute"
-                )
             patch[(k, i)] = arrow
         keys = matched_i.union(copies_i)
         for j in current.successors(i):

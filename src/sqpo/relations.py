@@ -371,10 +371,12 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
         objects a later one touches); None once deleted. A backward clean-up
         rule has an empty interface, so each final pullback complement it
         makes (at its origin or propagated) deletes all it matches and keeps
-        every other node's id: its trace is the identity on its source."""
+        every other node's id: its trace is the identity on its source.
+        Forward, the element is always a node of the trace's source, and
+        the trace reads it without building its node map."""
         for trace in (rep.traces[node] for rep in reports[1:] if node in rep.traces):
             if forward:
-                element = trace.node_map.get(element)
+                element = trace[element]
             elif element not in trace.source.nodes:
                 element = None
         return element
@@ -417,7 +419,7 @@ def apply_plan(h: Hierarchy, plan: PropagationPlan) -> list[RewriteReport]:
             # a deletion with an empty interface reads no edge or attribute of its pattern
             pattern = Graph._of(doomed, (), {}, {})
             arrow = Homomorphism(Graph(), pattern, {})
-            match2 = Homomorphism._of(pattern, current.graph(node), dict(zip(doomed, doomed)))
+            match2 = Homomorphism._of(pattern, current.graph(node), {n: n for n in doomed})
         plan2 = build_canonical_plan(current, node, arrow, match2, plan.direction)
         rep = propagate(current, plan2)
         current = rep.hierarchy

@@ -57,8 +57,22 @@ from sqpo.graphs import (
     is_homomorphism,
     is_mono,
 )
-from sqpo.propagation import LiftResult, _merge_assignment, restriction_pullback
+from sqpo.propagation import LiftResult, restriction_pullback
 from sqpo.propagation import lift_rule as library_lift_rule
+
+
+def merge_assignment(context: str, *parts: dict) -> dict:
+    """The union of the maps `parts`, raising FactorizationError at a key
+    two of them send to different images."""
+    out: dict = {}
+    for part in parts:
+        for k, v in part.items():
+            if k in out and out[k] != v:
+                raise FactorizationError(
+                    f"{context}: element {k} would need to map to both {out[k]} and {v}"
+                )
+            out[k] = v
+    return out
 
 
 class NotEpiError(SqpoError):
@@ -430,7 +444,7 @@ def forward_strict(
             stacklevel=2,
         )
     po = pushout(m, r_prime)
-    mapping = _merge_assignment(
+    mapping = merge_assignment(
         "forward_strict retyping",
         {po.from_b[n]: h[n] for n in g.nodes},
         {po.from_c[l]: x[l] for l in r_prime.target.nodes},

@@ -22,6 +22,8 @@ backward propagation loops that checked commutativity after every step.
 And the backward plan resolution that pulled the origin's identity typing
 back against the match, with the backward step that complemented the match
 out at the origin on a path of its own.
+And the eager trace map that `pushout` and `final_pbc` built for every
+step before their traces held only the touched nodes (`identity_except`).
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -70,7 +72,6 @@ from sqpo.propagation import (
     PropagationPlan,
     RewriteReport,
     _checked_resolution,
-    _merge_assignment,
     _propagate,
     _resolve as library_resolve,
     _Resolution,
@@ -83,6 +84,8 @@ from sqpo.propagation import (
 from sqpo.propagation import propagate_backward as library_propagate_backward
 from sqpo.relations import build_canonical_plan
 from sqpo.rules import EXPANSIVE, RESTRICTIVE, Match, Rule, build_rule
+
+from paper_oracles import merge_assignment
 
 
 def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
@@ -121,6 +124,24 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     to_a = Homomorphism(apex, a_graph, {ids[p]: p[0] for p in pairs})
     to_b = Homomorphism(apex, b_graph, {ids[p]: p[1] for p in pairs})
     return PullbackResult(apex, to_a, to_b)
+
+
+def identity_except(nodes, delta: dict) -> dict:
+    """The trace map `pushout` (as `from_b`) and `final_pbc` (as `project`)
+    built whole on every call: the identity on `nodes`, re-set at `delta`."""
+    node_map = dict(zip(nodes, nodes))
+    node_map.update(delta)
+    return node_map
+
+
+def node_map_built(hom: Homomorphism) -> bool:
+    """Whether hom's node map is set, read through the slot itself, which
+    does not build a trace's map."""
+    try:
+        Homomorphism.node_map.__get__(hom)
+    except AttributeError:
+        return False
+    return True
 
 
 def _pushout_classes(f: Homomorphism, g: Homomorphism):
@@ -971,7 +992,7 @@ def propagate_forward_per_step(h, plan) -> RewriteReport:
             for j in current.successors(i):
                 arrow = current.typing(i, j)
                 am, ij = arrow.node_map, instances[j].node_map
-                mapping = _merge_assignment(
+                mapping = merge_assignment(
                     f"typing {i}->{j} after update",
                     {ti[n]: am[n] for n in sorted(touched)},
                     {ii[c]: ij[c] for c in rhs.nodes},
@@ -1138,7 +1159,7 @@ def propagate_backward_origin_branch(h: Hierarchy, plan: PropagationPlan) -> Rew
     lifts: dict[str, LiftResult] = {}
     lifted_pairs: dict[str, dict[tuple[str, str], str]] = {}
 
-    def step(res, i, current, traces, instances):
+    def step(res, i, current, instances):
         if i == plan.origin:
             pbc = library_final_pbc(plan.rule, plan.match)
             new_graph, trace, instance, matched = pbc.apex, pbc.project, pbc.embed, plan.match
@@ -1156,7 +1177,7 @@ def propagate_backward_origin_branch(h: Hierarchy, plan: PropagationPlan) -> Rew
         for k in current.predecessors(i):
             arrow = current.typing(k, i)
             old, lk = h.typing(k, i), lifts[k]
-            om, tk = old.node_map, traces[k].node_map
+            om, tk = old.node_map, lk.trace.node_map  # k is not the origin
             to_rhs = lk.to_rhs.node_map
             if i == plan.origin:
                 image = to_rhs

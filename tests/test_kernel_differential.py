@@ -6,10 +6,15 @@ byte-identical results: the canonical JSON of every constructed graph, every
 returned node map, every violation message and the order of the match list.
 Every graph a construction builds must also be normalized exactly as the
 public `Graph` constructor would leave it, since the constructions build
-their results without that normalization pass.
+their results without that normalization pass. A trace (pushout's `from_b`,
+final_pbc's `project`) holds only the images at the nodes the construction
+touched: read node by node before its map is built, and once built, it
+must give the reference's map.
 """
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -34,7 +39,7 @@ from sqpo import (
     pullback,
     pushout,
 )
-from sqpo.graphs import dumps_canonical, homomorphism_violation
+from sqpo.graphs import _Trace, dumps_canonical, homomorphism_violation
 from sqpo.hierarchy import _acyclic, _adjacency, _waves
 
 
@@ -60,6 +65,20 @@ def _assert_normalized(g: Graph) -> None:
         )
 
 
+def _same_trace(new: Homomorphism, old: Homomorphism) -> None:
+    """new is a lazy trace that equals the reference kernel's eager map:
+    read node by node through its delta without building its map, as the
+    old whole-host identity map re-set at the delta, and once built."""
+    assert isinstance(new, _Trace) and not ref.node_map_built(new)
+    nodes = new.source.nodes
+    assert new._delta.keys() <= nodes
+    assert {n: new[n] for n in nodes} == old.node_map
+    assert ref.identity_except(nodes, new._delta) == old.node_map
+    assert not ref.node_map_built(new)
+    _same_hom(new, old)
+    assert ref.node_map_built(new)
+
+
 def _assert_same_pullback(f, g):
     new, old = pullback(f, g), ref.pullback(f, g)
     assert _canonical(new.apex) == _canonical(old.apex)
@@ -73,7 +92,7 @@ def _assert_same_pbc(f, m):
     new, old = final_pbc(f, m), ref.final_pbc(f, m)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.embed, old.embed)
-    _same_hom(new.project, old.project)
+    _same_trace(new.project, old.project)
     _assert_normalized(new.apex)
     return new
 
@@ -81,7 +100,7 @@ def _assert_same_pbc(f, m):
 def _assert_same_pushout(f, g):
     new, old = pushout(f, g), ref.pushout(f, g)
     assert _canonical(new.apex) == _canonical(old.apex)
-    _same_hom(new.from_b, old.from_b)
+    _same_trace(new.from_b, old.from_b)
     _same_hom(new.from_c, old.from_c)
     _assert_normalized(new.apex)
     assert verify_pushout_up(new, f, g)
@@ -329,6 +348,39 @@ def test_final_pbc_of_colliding_ids_matches_reference(seed):
         copies = [res.embed[k] for k in f.source.nodes]
         collided += any(d in matched and res.project[d] != d for d in copies)
     assert collided  # some copy took the id of another matched node
+
+
+def test_racing_readers_build_equal_trace_maps():
+    """Eight threads read the node map of one unbuilt trace at once, after
+    a barrier and with a short switch interval: each gets the reference's
+    map, whichever build is kept."""
+    host = Graph([f"n{i}" for i in range(3000)], [("n0", "n1")])
+    pattern = Graph(["x"])
+    f = Homomorphism(pattern, host, {"x": "n0"})
+    g = Homomorphism(pattern, Graph(["x", "y"], [("x", "y")]), {"x": "x"})
+    want = ref.pushout(f, g).from_b.node_map
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            trace = pushout(f, g).from_b
+            barrier = threading.Barrier(8)
+            seen = []
+
+            def read():
+                barrier.wait(timeout=30)
+                seen.append(trace.node_map)
+
+            threads = [threading.Thread(target=read) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+            assert not any(t.is_alive() for t in threads)
+            assert len(seen) == 8 and all(m == want for m in seen)
+            assert trace.node_map == want
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def _random_rule(rng, pattern: Graph) -> Rule:
