@@ -3,11 +3,19 @@ final pullback complement over a mono, and image factorization.
 
 Attribute flow is fixed per construction: intersection on pullbacks,
 union on pushouts and image factorizations, and a subtractive rule on
-pullback complements. Node ids of constructed graphs are derived
-deterministically from the input ids ("a⋈b" for pullback pairs,
-representative concatenation for pushout classes, "g∥k" for complement
-clones), with a counter suffix on collision, so repeated runs produce
-bit-identical output.
+pullback complements. Attributes are computed only where they differ:
+where that algebra would give back a dict equal to one of its inputs (two
+equal dicts intersected, a union with an empty or an equal side, a
+complement that subtracts nothing), the result holds that input's dict
+object itself, the one whose values the algebra keeps on a tie between 1
+and True. Attribute dicts are shared immutable values, as the loader and
+the untouched host elements of every step share them; nothing writes into
+one.
+
+Node ids of constructed graphs are derived deterministically from the
+input ids ("a⋈b" for pullback pairs, representative concatenation for
+pushout classes, "g∥k" for complement clones), with a counter suffix on
+collision, so repeated runs produce bit-identical output.
 
 The constructions are driven by edges and indexes, never by pairs of nodes:
 
@@ -48,6 +56,8 @@ from dataclasses import dataclass, field
 
 from .exceptions import CompositionError, NotMonoError
 from .graphs import (
+    _NO_ATTRS,
+    Attrs,
     Graph,
     Homomorphism,
     _Trace,
@@ -96,11 +106,45 @@ class ImageFactorizationResult:
     include: Homomorphism  # image ↣ B
 
 
+# The attribute algebra of the constructions. Each hands on an input's dict
+# itself where the algebra would give back a dict equal to it, with the
+# same values: attribute dicts are shared immutable values, which no
+# construction writes into.
+
+
+def _met(x: Attrs, y: Attrs) -> Attrs:
+    """attrs_intersection(x, y), or y itself if x equals it: of two equal
+    values of different types (1 and True), the intersection keeps y's."""
+    if x is y or x == y:
+        return y
+    return attrs_intersection(x, y)
+
+
+def _joined(x: Attrs, y: Attrs) -> Attrs:
+    """attrs_union(x, y), or x itself if y is empty or equals it (the union
+    keeps x's values), or y itself if x is empty."""
+    if not y or x is y or x == y:
+        return x
+    if not x:
+        return y
+    return attrs_union(x, y)
+
+
+def _kept(g: Attrs, l: Attrs, k: Attrs) -> Attrs:
+    """The subtractive rule g - (l - k), or g itself if l equals k, when
+    nothing is subtracted."""
+    if l is k or l == k:
+        return g
+    return attrs_difference(g, attrs_difference(l, k))
+
+
 def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     """Pullback of the cospan f: A→C ← B :g.
 
     Apex nodes are the pairs (a, b) with f(a) = g(b); edges need an edge in
-    both components; attributes are intersected key-wise.
+    both components; attributes are intersected key-wise. A pair whose two
+    dicts are equal holds b's dict itself, whose values the intersection
+    keeps.
 
     The pairs come from f's cached preimage lists over g's image, in sorted
     order, and the A-edges from A's cached adjacency lists at the paired
@@ -116,11 +160,12 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     ids: dict[tuple[str, str], str] = {}
     taken: set[str] = set()
     node_attrs: dict[str, dict] = {}
+    a_attrs, b_attrs = a_graph.node_attrs.get, b_graph.node_attrs.get
     for (a, b) in pairs:
         pid = fresh_id(f"{a}⋈{b}", taken)
         taken.add(pid)
         ids[(a, b)] = pid
-        attrs = attrs_intersection(a_graph.attrs_of(a), b_graph.attrs_of(b))
+        attrs = _met(a_attrs(a, _NO_ATTRS), b_attrs(b, _NO_ATTRS))
         if attrs:
             node_attrs[pid] = attrs
     # join the A-edges out of paired nodes and the B-edges on their common
@@ -129,6 +174,7 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
     for (b1, b2) in b_graph.edges:
         b_edges_over.setdefault((g_map.get(b1), g_map.get(b2)), []).append((b1, b2))
     a_succ = a_graph._adjacency()[0]
+    a_attrs, b_attrs = a_graph.edge_attrs.get, b_graph.edge_attrs.get
     edges: set[tuple[str, str]] = set()
     edge_attrs: dict[tuple[str, str], dict] = {}
     for a1 in {a for a, _ in pairs}:
@@ -137,9 +183,7 @@ def pullback(f: Homomorphism, g: Homomorphism) -> PullbackResult:
                 p1, p2 = ids.get((a1, b1)), ids.get((a2, b2))
                 if p1 is not None and p2 is not None:
                     edges.add((p1, p2))
-                    attrs = attrs_intersection(
-                        a_graph.attrs_of((a1, a2)), b_graph.attrs_of((b1, b2))
-                    )
+                    attrs = _met(a_attrs((a1, a2), _NO_ATTRS), b_attrs((b1, b2), _NO_ATTRS))
                     if attrs:
                         edge_attrs[(p1, p2)] = attrs
     apex = Graph._of(taken, edges, node_attrs, edge_attrs)
@@ -174,7 +218,9 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     Apex nodes are equivalence classes of B ⊔ C generated by f(a) ~ g(a);
     classes keep the id of their B-side member(s) (concatenated when the
     class fuses several), so unchanged host nodes keep their ids.
-    Attributes are united over each class.
+    Attributes are united over each class, in sorted member order; a class
+    whose other members' dicts are empty or equal to its first attributed
+    member's holds that member's dict itself, as does an edge.
 
     Only the touched part is built element by element: the image of f in B
     and all of C. Every other B node is a class of its own; it keeps its id,
@@ -228,6 +274,7 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     assigned: set[str] = set()
     renamed: list[tuple[str, list]] = []
     node_attrs = dict(b_graph.node_attrs)
+    c_attrs = c_graph.node_attrs.get
     new_attrs: dict[str, dict] = {}
     i = 0
     while i < len(keyed) or renamed:
@@ -244,13 +291,13 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
         assigned.add(qid)
         if untouched(qid):
             heapq.heappush(renamed, (qid, [("B", qid)]))
-        attrs: dict = {}
+        attrs = _NO_ATTRS
         for tag, n in members:
             ids[(tag, n)] = qid
             if tag == "B":
-                attrs = attrs_union(attrs, node_attrs.pop(n, {}))
+                attrs = _joined(attrs, node_attrs.pop(n, _NO_ATTRS))
             else:
-                attrs = attrs_union(attrs, c_graph.attrs_of(n))
+                attrs = _joined(attrs, c_attrs(n, _NO_ATTRS))
         if attrs:
             new_attrs[qid] = attrs
     node_attrs.update(new_attrs)
@@ -268,16 +315,18 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     new_edge_attrs: dict[tuple[str, str], dict] = {}
     for (u, v) in sorted(moved_edges):
         e = (moved.get(u, u), moved.get(v, v))
-        new_edge_attrs[e] = attrs_union(
-            new_edge_attrs.get(e, {}), edge_attrs.pop((u, v), {})
+        new_edge_attrs[e] = _joined(
+            new_edge_attrs.get(e, _NO_ATTRS), edge_attrs.pop((u, v), _NO_ATTRS)
         )
     # a C edge unites its attributes with those of the apex edge it lands
     # on: one built above, or a carried B edge
+    c_attrs = c_graph.edge_attrs.get
     for (u, v) in sorted(c_graph.edges):
         e = (ids[("C", u)], ids[("C", v)])
         united = new_edge_attrs.get(e)
-        new_edge_attrs[e] = attrs_union(
-            edge_attrs.get(e, {}) if united is None else united, c_graph.attrs_of((u, v))
+        new_edge_attrs[e] = _joined(
+            edge_attrs.get(e, _NO_ATTRS) if united is None else united,
+            c_attrs((u, v), _NO_ATTRS),
         )
     edge_attrs.update((e, attrs) for e, attrs in new_edge_attrs.items() if attrs)
     nodes = b_nodes.difference(moved) if moved else b_nodes
@@ -299,13 +348,16 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     disappear from G together with incident edges) and cloning (nodes of L
     with several preimages are duplicated). Clone attributes follow the
     subtractive rule G(g) minus (L(l) minus K(k)), which is the largest
-    choice keeping the square a pullback.
+    choice keeping the square a pullback. A copy of a node or edge loses
+    nothing, and holds G's dict itself, where its K element carries the
+    attributes of its L image, or where it lies over no L element.
 
     Only the matched part is built element by element: the image of m and
-    the edges at it, found in G's cached adjacency lists. Every other G node
-    keeps its id, its attributes and its edges, copied in bulk. The result
-    records the apex edges built at the copies (`_rebuilt`): they are all
-    the apex edges at a copy.
+    the edges at it, found in G's cached adjacency lists, once per pair of
+    copies of its ends (each matched node's copy list is built once). Every
+    other G node keeps its id, its attributes and its edges, copied in
+    bulk. The result records the apex edges built at the copies
+    (`_rebuilt`): they are all the apex edges at a copy.
 
     `project` is a `_Trace` whose delta maps each copy to the G node it
     copies; every other apex node is an untouched G node and its own image.
@@ -316,67 +368,62 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
         raise NotMonoError("final_pbc: second arrow must be a mono")
     k_graph, l_graph, g_graph = f.source, f.target, m.target
     f_map, m_map = f.node_map, m.node_map
-    m_inv = {m_map[l]: l for l in l_graph.nodes}
+    matched = {m_map[l] for l in l_graph.nodes}
     preimages: dict[str, list[str]] = {l: [] for l in l_graph.nodes}
     for k in sorted(k_graph.nodes):
         preimages[f_map[k]].append(k)
-    untouched = g_graph.nodes.difference(m_inv)
+    untouched = g_graph.nodes.difference(matched)
 
     # copies of matched nodes; untouched nodes keep their ids and come first
     # in the id order, so a copy id skips them
-    ids: dict[tuple[str, str], str] = {}
     assigned: set[str] = set()
     taken = _Taken(assigned, untouched.__contains__)
     node_attrs = dict(g_graph.node_attrs)
-    for g in m_inv:
+    for g in matched:
         node_attrs.pop(g, None)
+    g_attrs, l_attrs, k_attrs = (x.node_attrs.get for x in (g_graph, l_graph, k_graph))
+    # the copies of each matched G node, as (k, copy id) pairs
+    copied: dict[str, list[tuple[str, str]]] = {}
     for l in sorted(l_graph.nodes):
         g = m_map[l]
+        copied[g] = []
         for k in preimages[l]:
             base = g if len(preimages[l]) == 1 else f"{g}∥{k}"
             nid = fresh_id(base, taken)
             assigned.add(nid)
-            ids[(g, k)] = nid
-            attrs = attrs_difference(
-                g_graph.attrs_of(g),
-                attrs_difference(l_graph.attrs_of(l), k_graph.attrs_of(k)),
+            copied[g].append((k, nid))
+            attrs = _kept(
+                g_attrs(g, _NO_ATTRS), l_attrs(l, _NO_ATTRS), k_attrs(k, _NO_ATTRS)
             )
             if attrs:
                 node_attrs[nid] = attrs
 
-    # copies of a G node: itself if untouched, its K-preimages if matched
-    # (none if deleted); every apex edge lies over a G edge
-    def copies(g):
-        l = m_inv.get(g)
-        if l is None:
-            return ((None, g),)
-        return [(k, ids[(g, k)]) for k in preimages[l]]
-
     succ, pred = g_graph._adjacency()
-    moved_edges = {(g, v) for g in m_inv for v in succ.get(g, ())}
-    moved_edges.update((u, g) for g in m_inv for u in pred.get(g, ()))
+    moved_edges = {(g, v) for g in matched for v in succ.get(g, ())}
+    moved_edges.update((u, g) for g in matched for u in pred.get(g, ()))
     edges = set(g_graph.edges)
     edges.difference_update(moved_edges)
     edge_attrs = dict(g_graph.edge_attrs)
     # drop them all first: a copy's id may be another matched node's id
     for g_edge in moved_edges:
         edge_attrs.pop(g_edge, None)
+    g_attrs, l_attrs, k_attrs = (x.edge_attrs.get for x in (g_graph, l_graph, k_graph))
     rebuilt: list[tuple[str, str]] = []
+    # every apex edge lies over a G edge, between copies of its ends: an
+    # untouched node is its own copy, a deleted one has none
     for g_edge in moved_edges:
-        g_attrs = g_graph.attrs_of(g_edge)
-        for k1, d1 in copies(g_edge[0]):
-            for k2, d2 in copies(g_edge[1]):
-                attrs = g_attrs
+        over = g_attrs(g_edge, _NO_ATTRS)
+        u, v = g_edge
+        for k1, d1 in copied.get(u, ((None, u),)):
+            for k2, d2 in copied.get(v, ((None, v),)):
+                attrs = over
                 if k1 is not None and k2 is not None:
                     l_edge = (f_map[k1], f_map[k2])
                     if l_edge in l_graph.edges:
                         if (k1, k2) not in k_graph.edges:
                             continue
-                        attrs = attrs_difference(
-                            g_attrs,
-                            attrs_difference(
-                                l_graph.attrs_of(l_edge), k_graph.attrs_of((k1, k2))
-                            ),
+                        attrs = _kept(
+                            over, l_attrs(l_edge, _NO_ATTRS), k_attrs((k1, k2), _NO_ATTRS)
                         )
                 rebuilt.append((d1, d2))
                 if attrs:
@@ -384,10 +431,8 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     edges.update(rebuilt)
 
     apex = Graph._of(untouched.union(assigned), edges, node_attrs, edge_attrs)
-    embed = Homomorphism._of(
-        k_graph, apex, {k: ids[(m_map[f_map[k]], k)] for k in k_graph.nodes}
-    )
-    project = _Trace(apex, g_graph, {nid: g for (g, _), nid in ids.items()})
+    embed = Homomorphism._of(k_graph, apex, {k: d for cs in copied.values() for k, d in cs})
+    project = _Trace(apex, g_graph, {d: g for g, cs in copied.items() for _, d in cs})
     return PbcResult(apex, embed, project, tuple(rebuilt))
 
 
@@ -396,17 +441,25 @@ def image_factorization(f: Homomorphism) -> ImageFactorizationResult:
 
     The image carries the hit nodes and hit edges with attributes united
     over preimages, making the first factor a homomorphism and the second
-    a mono.
+    a mono. An element hit once, or only by equal or empty dicts besides
+    its first, holds its first preimage's dict itself.
     """
     a_graph, b_graph = f.source, f.target
+    a_attrs = a_graph.node_attrs.get
     node_attrs: dict[str, dict] = {}
     for a in sorted(a_graph.nodes):
-        node_attrs[f[a]] = attrs_union(node_attrs.get(f[a], {}), a_graph.attrs_of(a))
+        node_attrs[f[a]] = _joined(node_attrs.get(f[a], _NO_ATTRS), a_attrs(a, _NO_ATTRS))
+    a_attrs = a_graph.edge_attrs.get
     edge_attrs: dict[tuple[str, str], dict] = {}
     for e in sorted(a_graph.edges):
         img = f.edge_image(e)
-        edge_attrs[img] = attrs_union(edge_attrs.get(img, {}), a_graph.attrs_of(e))
-    image = Graph(node_attrs.keys(), edge_attrs.keys(), node_attrs, edge_attrs)
+        edge_attrs[img] = _joined(edge_attrs.get(img, _NO_ATTRS), a_attrs(e, _NO_ATTRS))
+    image = Graph._of(
+        node_attrs.keys(),
+        edge_attrs.keys(),
+        {n: attrs for n, attrs in node_attrs.items() if attrs},
+        {e: attrs for e, attrs in edge_attrs.items() if attrs},
+    )
     restrict = Homomorphism(a_graph, image, dict(f.node_map))
     include = Homomorphism(image, b_graph, {n: n for n in image.nodes})
     return ImageFactorizationResult(image, restrict, include)

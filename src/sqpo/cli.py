@@ -52,7 +52,9 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        # text that is not UTF-8, and arrays or objects nested deeper than
+        # the decoder recurses, are parse errors too
         raise _InputError(f"cannot parse {path}: {exc}") from exc
 
 

@@ -9,12 +9,16 @@ public `Graph` constructor would leave it, since the constructions build
 their results without that normalization pass. A trace (pushout's `from_b`,
 final_pbc's `project`) holds only the images at the nodes the construction
 touched: read node by node before its map is built, and once built, it
-must give the reference's map.
+must give the reference's map. No construction may write into an attribute
+dict or map of its inputs, and a result must hold an input's dict itself
+exactly where the attribute algebra would give back a dict equal to it.
 """
 
+import copy
 import random
 import sys
 import threading
+from collections import Counter
 
 import pytest
 
@@ -39,7 +43,7 @@ from sqpo import (
     pullback,
     pushout,
 )
-from sqpo.graphs import _Trace, dumps_canonical, homomorphism_violation
+from sqpo.graphs import _Trace, dumps_canonical, homomorphism_violation, value_sort_key
 from sqpo.hierarchy import _acyclic, _adjacency, _waves
 
 
@@ -79,8 +83,35 @@ def _same_trace(new: Homomorphism, old: Homomorphism) -> None:
     assert ref.node_map_built(new)
 
 
+def _typed(attrs) -> dict:
+    """attrs with each value paired with its type, so that 1 and True, or 0
+    and False, differ."""
+    return {k: frozenset((type(v), v) for v in vs) for k, vs in attrs.items()}
+
+
+def _attr_snapshot(*graphs) -> tuple:
+    """Each attribute map of the graphs with a copy of it, and each
+    attribute dict in them with a deep copy of it, taken before a
+    construction or propagation."""
+    maps = [(m, dict(m)) for g in graphs for m in (g.node_attrs, g.edge_attrs)]
+    return maps, [(attrs, copy.deepcopy(attrs)) for m, _ in maps for attrs in m.values()]
+
+
+def _assert_unchanged(snapshot) -> None:
+    """Nothing was written into an attribute map or dict of the snapshot:
+    each map holds the same dict objects, each dict the same typed values."""
+    maps, dicts = snapshot
+    for mapping, before in maps:
+        assert mapping.keys() == before.keys()
+        assert all(mapping[key] is attrs for key, attrs in before.items())
+    for attrs, before in dicts:
+        assert _typed(attrs) == _typed(before)
+
+
 def _assert_same_pullback(f, g):
+    snapshot = _attr_snapshot(f.source, f.target, g.source)
     new, old = pullback(f, g), ref.pullback(f, g)
+    _assert_unchanged(snapshot)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.to_a, old.to_a)
     _same_hom(new.to_b, old.to_b)
@@ -89,7 +120,9 @@ def _assert_same_pullback(f, g):
 
 
 def _assert_same_pbc(f, m):
+    snapshot = _attr_snapshot(f.source, f.target, m.target)
     new, old = final_pbc(f, m), ref.final_pbc(f, m)
+    _assert_unchanged(snapshot)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.embed, old.embed)
     _same_trace(new.project, old.project)
@@ -97,13 +130,15 @@ def _assert_same_pbc(f, m):
     return new
 
 
-def _assert_same_pushout(f, g):
+def _assert_same_pushout(f, g, oracle=True):
+    snapshot = _attr_snapshot(f.source, f.target, g.target)
     new, old = pushout(f, g), ref.pushout(f, g)
+    _assert_unchanged(snapshot)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_trace(new.from_b, old.from_b)
     _same_hom(new.from_c, old.from_c)
     _assert_normalized(new.apex)
-    assert verify_pushout_up(new, f, g)
+    assert not oracle or verify_pushout_up(new, f, g)
     # the edges it built are every apex edge at an image of f or of C, or
     # at a B node whose id changed
     b_map = old.from_b.node_map
@@ -348,6 +383,209 @@ def test_final_pbc_of_colliding_ids_matches_reference(seed):
         copies = [res.embed[k] for k in f.source.nodes]
         collided += any(d in matched and res.project[d] != d for d in copies)
     assert collided  # some copy took the id of another matched node
+
+
+# -- attribute pass-through ---------------------------------------------------
+
+# each instance draws every attribute dict as a variant of one of these, so
+# any two dicts are identical, equal, of 1 against True, nested or disjoint
+_BASES = (
+    {"k": frozenset({1, "x"})},
+    {"k": frozenset({0, True}), "j": frozenset({"y"})},
+    {"j": frozenset({False})},
+)
+# how often each variant of a dict is drawn
+_VARIANTS = {
+    "same": 6, "equal": 2, "retyped": 2, "subset": 2, "superset": 2, "disjoint": 1, "empty": 2,
+}
+# the variants that contain the dict, as a mono's target must
+_COVERING = {"same": 6, "equal": 2, "retyped": 2, "superset": 2}
+
+
+def _retyped(v):
+    """The equal value of the other type (True for 1, 0 for False), or v."""
+    if isinstance(v, bool):
+        return int(v)
+    return bool(v) if isinstance(v, int) and v in (0, 1) else v
+
+
+def _variant(rng, base: dict, kinds: dict) -> dict:
+    """One of `kinds` drawn by weight: base itself, an equal copy, an equal
+    copy whose 0, 1, False and True take the other type, base less its
+    last value under one key, base with one more key, a dict with no key of
+    base, or an empty dict."""
+    kind = rng.choices(list(kinds), weights=list(kinds.values()))[0]
+    if kind == "same" or not base and kind != "superset":
+        return base
+    if kind == "equal":
+        return dict(base)
+    if kind == "retyped":
+        return {k: frozenset(map(_retyped, vs)) for k, vs in base.items()}
+    if kind == "subset":
+        key = rng.choice(sorted(base))
+        kept = frozenset(sorted(base[key], key=value_sort_key)[:-1])
+        return {k: kept if k == key else vs for k, vs in base.items() if k != key or kept}
+    if kind == "superset":
+        key = min(set("stu") - base.keys())
+        return {**base, key: frozenset({rng.choice((1, True, "z"))})}
+    if kind == "disjoint":
+        return {"d": frozenset({rng.choice((0, False, "w"))})}
+    return {}
+
+
+def _reattributed(g: Graph, draw) -> Graph:
+    """g with every node and edge x, in sorted order, carrying draw(x)."""
+    node_attrs = {n: a for n in sorted(g.nodes) if (a := draw(n))}
+    edge_attrs = {e: a for e in sorted(g.edges) if (a := draw(e))}
+    return Graph._of(g.nodes, g.edges, node_attrs, edge_attrs)
+
+
+def _passed(attrs, got, seen: Counter, tie: bool = False) -> None:
+    """got is attrs itself (None when attrs is empty)."""
+    if attrs:
+        assert got is attrs
+        seen["shared"] += 1
+        seen["shared 1/True"] += tie
+    else:
+        assert got is None
+
+
+def _computed(dicts, got, seen: Counter) -> None:
+    """got is a new dict, not one of dicts, which the algebra combined."""
+    if any(dicts):
+        assert all(got is not d for d in dicts)
+        seen["computed"] += 1
+
+
+def _united(dicts, got, seen: Counter) -> None:
+    """got unites dicts in order: it is the first non-empty one itself when
+    every other is empty or equal to it, else none of them."""
+    present = [d for d in dicts if d]
+    if all(d == present[0] for d in present):
+        tie = any(_typed(d) != _typed(present[0]) for d in present)
+        _passed(present[0] if present else {}, got, seen, tie)
+    else:
+        _computed(present, got, seen)
+
+
+def _check_pullback_sharing(f, g, res, seen: Counter) -> None:
+    """A pair's attributes are g's source dict itself when f's source dict
+    equals it: of 1 and True, the intersection keeps the second operand's."""
+    a, b, apex = f.source, g.source, res.apex
+    pairs = [(p, res.to_a[p], res.to_b[p], apex.node_attrs) for p in apex.nodes]
+    pairs += [
+        (e, res.to_a.edge_image(e), res.to_b.edge_image(e), apex.edge_attrs)
+        for e in apex.edges
+    ]
+    for p, x, y, attrs in pairs:
+        x, y = a.attrs_of(x), b.attrs_of(y)
+        if x == y:
+            _passed(y, attrs.get(p), seen, _typed(x) != _typed(y))
+        else:
+            _computed([x, y], attrs.get(p), seen)
+
+
+def _check_pushout_sharing(f, g, res, seen: Counter) -> None:
+    """A class, and an edge, unites its members' dicts in sorted order, B's
+    before C's: it holds the first non-empty one itself where the others
+    are empty or equal to it."""
+    b, c, apex = f.target, g.target, res.apex
+    members: dict = {}
+    for tag, graph, arrow in (("B", b, res.from_b), ("C", c, res.from_c)):
+        for x in sorted(graph.nodes):
+            members.setdefault(arrow[x], []).append(graph.attrs_of(x))
+        for e in sorted(graph.edges):
+            members.setdefault(arrow.edge_image(e), []).append(graph.attrs_of(e))
+    for q in apex.nodes:
+        _united(members[q], apex.node_attrs.get(q), seen)
+    for e in apex.edges:
+        _united(members[e], apex.edge_attrs.get(e), seen)
+
+
+def _check_pbc_sharing(f, m, res, seen: Counter) -> None:
+    """A copy holds G's dict itself where its K element carries its L
+    image's attributes, or where it lies over no L element; an untouched
+    node or edge holds G's dict as it is."""
+    k_graph, l_graph, apex = f.source, f.target, res.apex
+    copy_of = {d: k for k, d in res.embed.node_map.items()}
+
+    def check(over, k, l, got):
+        if l is None or l_graph.attrs_of(l) == k_graph.attrs_of(k):
+            _passed(over, got, seen)
+        else:
+            _computed([over], got, seen)
+
+    for d in apex.nodes:
+        k = copy_of.get(d)
+        l = None if k is None else f[k]
+        check(res.project.target.attrs_of(res.project[d]), k, l, apex.node_attrs.get(d))
+    for (d1, d2) in apex.edges:
+        k = (copy_of.get(d1), copy_of.get(d2))
+        l = None if None in k else (f[k[0]], f[k[1]])
+        if l not in l_graph.edges:
+            l = None
+        over = res.project.target.attrs_of((res.project[d1], res.project[d2]))
+        check(over, k, l, apex.edge_attrs.get((d1, d2)))
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_attribute_pass_through_matches_reference(seed):
+    """Pullbacks, pushouts and final pullback complements of random graphs
+    whose attribute dicts are variants of one dict: the same object, equal
+    copies (also with 1 written True or 0 written False), subsets,
+    supersets, disjoint dicts or empty ones. Each result is byte-identical
+    to the reference's, holds an input's dict itself exactly where the
+    algebra would give back a dict equal to it, with its values, and leaves
+    every input dict as it was. Both paths run, and so does a pass-through
+    across a 1/True tie."""
+    rng = random.Random(9700 + seed)
+    seen: Counter = Counter()
+    for _ in range(80):
+        base = rng.choice(_BASES)
+
+        def of_base(x):
+            return _variant(rng, base, _VARIANTS)
+
+        def over(h: Homomorphism, target: Graph):
+            """Draws a variant of the dict in target at an element's image
+            under h."""
+            return lambda x: _variant(
+                rng, target.attrs_of(h.edge_image(x) if isinstance(x, tuple) else h[x]), _VARIANTS
+            )
+
+        c = random_graph(rng, max_nodes=4, min_nodes=1, p_edge=0.5, prefix="c", p_attr=0)
+        f, g = (random_hom_into(rng, c, max_nodes=5, prefix=x) for x in "ab")
+        c = _reattributed(c, of_base)
+        f, g = (
+            Homomorphism._of(_reattributed(h.source, over(h, c)), c, h.node_map) for h in (f, g)
+        )
+        _check_pullback_sharing(f, g, _assert_same_pullback(f, g), seen)
+
+        a = random_graph(rng, max_nodes=4, p_edge=0.4, prefix="a")
+        f = random_hom_from(rng, a, prefix="b", max_extra_nodes=3)
+        g = random_hom_from(rng, a, prefix="c")
+        a, b, c = (_reattributed(x, of_base) for x in (a, f.target, g.target))
+        f, g = Homomorphism._of(a, b, f.node_map), Homomorphism._of(a, c, g.node_map)
+        _check_pushout_sharing(f, g, _assert_same_pushout(f, g, oracle=False), seen)
+
+        # K draws variants of its L images' dicts; G, at the match, variants
+        # that contain them, so that m is a mono
+        l_graph = random_graph(rng, max_nodes=4, p_edge=0.5, prefix="l")
+        f = random_hom_into(rng, l_graph, max_nodes=6, prefix="k")
+        m = random_hom_from(rng, l_graph, prefix="g", injective=True, max_extra_nodes=3)
+        l_graph = _reattributed(l_graph, of_base)
+        f = Homomorphism._of(_reattributed(f.source, over(f, l_graph)), l_graph, f.node_map)
+        matched = {m[l]: l for l in l_graph.nodes}
+        matched.update((m.edge_image(e), e) for e in l_graph.edges)
+
+        def covering(x):
+            if x not in matched:
+                return of_base(x)
+            return _variant(rng, l_graph.attrs_of(matched[x]), _COVERING)
+
+        m = Homomorphism._of(l_graph, _reattributed(m.target, covering), m.node_map)
+        _check_pbc_sharing(f, m, _assert_same_pbc(f, m), seen)
+    assert seen["shared"] > 500 and seen["computed"] > 200 and seen["shared 1/True"] > 20, seen
 
 
 def test_racing_readers_build_equal_trace_maps():

@@ -48,13 +48,21 @@ built 3,410 composites at 12 layers and 31,878 at 24. Adding 200 isolated
 objects to such a hierarchy sorts no arrow (the constructor sorted all 44
 on each call).
 
-The forward pushout guards count `attrs_union` calls inside each pushout of
-a canonical insert, a relation insert and a merge into G of G -> M -> T
-plus G -> T, over a complete 12-node M and 4-node T: one per class member
-and per edge built, which is one per C edge plus one per host edge at a
-node whose id changed. The edges at a touched node that keeps its id are
-carried over, though still listed for the step's check: rebuilding them
-made up to 7 more calls in T's pushout, 23 in M's and 3 in G's.
+The forward pushout guards count union steps (`category._joined` calls,
+each an `attrs_union` call unless it hands on an operand) inside each
+pushout of a canonical insert, a relation insert and a merge into G of
+G -> M -> T plus G -> T, over a complete 12-node M and 4-node T: one per
+class member and per edge built, which is one per C edge plus one per
+host edge at a node whose id changed. The edges at a touched node that
+keeps its id are carried over, though still listed for the step's check:
+rebuilding them made up to 7 more steps in T's pushout, 23 in M's and 3
+in G's.
+
+The sharing guard clones a type whose instances, their type in M and the
+pattern carry equal attribute dicts, through the 5000-node G: every
+element of each rewritten object holds the very dict of the element it
+copies or keeps, and no pair or copy computes an intersection or a
+difference (53 calls when each was computed).
 
 The trace guard runs forward inserts and a merge, and backward clones and
 a delete, on the 5000-node G (relation plans with clean-ups among them),
@@ -105,6 +113,7 @@ import random
 import sys
 import threading
 import time
+from collections import Counter
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -638,9 +647,10 @@ def test_forward_steps_work_at_the_delta_only(typed_data, monkeypatch):
 
 def _count_pushout_work(monkeypatch) -> list:
     """One record per `category.pushout` call that propagation makes: the
-    span, the result and the `attrs_union` calls made inside it."""
+    span, the result and the union steps (`category._joined` calls, each
+    of which calls `attrs_union` or hands on an operand) made inside it."""
     records: list[dict] = []
-    union, construct = sqpo.category.attrs_union, sqpo.category.pushout
+    union, construct = sqpo.category._joined, sqpo.category.pushout
 
     def counting(a, b):
         if records and "result" not in records[-1]:
@@ -652,7 +662,7 @@ def _count_pushout_work(monkeypatch) -> list:
         records[-1]["result"] = construct(f, g)
         return records[-1]["result"]
 
-    monkeypatch.setattr(sqpo.category, "attrs_union", counting)
+    monkeypatch.setattr(sqpo.category, "_joined", counting)
     monkeypatch.setattr(sqpo.propagation, "pushout", recording)
     return records
 
@@ -667,7 +677,7 @@ def test_forward_pushouts_build_only_moved_and_rule_edges(typed_data, op, monkey
     the 23 at one of M, the merge the edges at its two merged nodes. The
     other edges at touched nodes are carried over, yet listed for the check
     (`_rebuilt`). Building every edge at a touched node again made that
-    many more `attrs_union` calls."""
+    many more union steps."""
     records = _count_pushout_work(monkeypatch)
     _forward_rewrite(typed_data, *_FORWARD_OPS[op])
     assert [r["f"].target for r in records] == [typed_data.graph(n) for n in "TMG"]
@@ -736,6 +746,72 @@ def test_backward_steps_work_at_the_delta_only(rare_type, monkeypatch):
         assert len(reports[-1].hierarchy.graph("G").nodes) == nodes
     sums = {key: counts[key] for key in ("compose", "hom_equal", "violation")}
     assert all(value <= BACKWARD_BUDGET for value in sums.values()), sums
+
+
+@pytest.fixture(scope="module")
+def kinded_rare_type(rare_type):
+    """rare_type with every node carrying its type in T as its kind
+    ({"kind": ["t3"]} on g0 to g5, m11 and t3) and every edge {"e": ["y"]}.
+    Each graph shares one dict per kind, as the loader does; the graphs
+    hold distinct, equal dicts, so each typing maps every element to one
+    with an equal dict."""
+    h = rare_type
+    to_t = {"G": h.typing("G", "T"), "M": h.typing("M", "T")}
+    graphs = {}
+    for name in ("G", "M", "T"):
+        g = h.graph(name)
+        kinds = {t: {"kind": frozenset({t})} for t in h.graph("T").nodes}
+        kind_of = to_t[name].node_map if name in to_t else {t: t for t in g.nodes}
+        graphs[name] = Graph._of(
+            g.nodes, g.edges, {n: kinds[kind_of[n]] for n in g.nodes},
+            dict.fromkeys(g.edges, {"e": frozenset({"y"})}),
+        )
+    out = Hierarchy()
+    for name, g in graphs.items():
+        out = out.add_object(name, g)
+    for a, b in (("M", "T"), ("G", "M"), ("G", "T")):
+        out = out.add_typing(a, b, Homomorphism(graphs[a], graphs[b], h.typing(a, b).node_map))
+    return out
+
+
+def test_backward_clone_hands_on_attribute_dicts(kinded_rare_type, monkeypatch):
+    """A canonical clone of t3, whose pattern carries t3's kind, through the
+    5000-node G of kinded_rare_type. Every node and edge of each rewritten
+    object holds the attribute dict of the element it copies or keeps,
+    the same object, and the constructions call neither
+    `attrs_intersection` nor `attrs_difference`: each element's attributes
+    equal those of the element it is paired with, and the clone subtracts
+    nothing. Computing every pair's and copy's attributes made 21
+    intersections and 32 differences here, each a new dict."""
+    h = kinded_rare_type
+    calls = Counter()
+    for name in ("attrs_intersection", "attrs_difference"):
+        original = getattr(sqpo.graphs, name)
+
+        def counting(*args, _original=original, _name=name):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in (sqpo.graphs, sqpo.category, sqpo.propagation, sqpo.relations):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counting)
+    pattern = Graph(["x"], [], {"x": {"kind": ["t3"]}})
+    rule = build_rule(pattern, [CloneNode("x", "x1", "x2")])
+    (match,) = find_matches(rule, h.graph("T"), RESTRICTIVE, {"x": "t3"})
+    plan = build_canonical_plan(h, "T", rule.left_leg, match.instance, BACKWARD)
+    (report,) = apply_plan(h, plan)
+    assert all(not v for _, v in report.steps)
+    assert dict(calls) == {}, calls
+    new = report.hierarchy
+    assert len(new.graph("G").nodes) == DATA_NODES + RARE
+    assert sorted(report.traces) == ["G", "M", "T"]
+    for name, trace in report.traces.items():
+        old, now = h.graph(name), new.graph(name)
+        assert trace.source is now and trace.target is old
+        for n in now.nodes:
+            assert now.node_attrs[n] is old.node_attrs[trace[n]], (name, n)
+        for (u, v) in now.edges:
+            assert now.edge_attrs[(u, v)] is old.edge_attrs[(trace[u], trace[v])], (name, u, v)
 
 
 def test_rewrites_build_no_trace_map(typed_data, rare_type):

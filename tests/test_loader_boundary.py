@@ -18,6 +18,9 @@ given a skeleton first, and requires:
 - a graph the original loader rejects is rejected too, with the original
   message behind the JSON path of the offending value, or, for an `attrs`
   value that is not an object, with the message that says so.
+
+A hierarchy, rule, relation or plan file that is not UTF-8, or whose JSON
+nests deeper than the decoder recurses, exits 2 with `cannot parse PATH`.
 """
 
 import contextlib
@@ -292,3 +295,45 @@ def test_duplicate_node_entries_keep_the_last_attributes():
                                            {"from": "a", "to": "a", "attrs": {}}]},
     ):
         _check_graph(sqpo.graph_from_json(raw), raw)
+
+
+# text that is not UTF-8 (a UTF-16 byte order mark), and JSON nested far
+# deeper than the decoder recurses
+UNPARSABLE = {"not utf-8": b"\xff\xfe{}", "deeply nested": b"[" * 200_000}
+# each input file of `sqpo rewrite` on merge_add, in its place on the
+# command line; with its fixture files the rewrite exits 0
+REWRITE_FILES = {"hierarchy": "merge_add.hierarchy.json", "rule": "merge_add.rule.json"}
+
+
+def _rewrite_argv(tmp_path, files: dict, option: str, extra: str) -> list:
+    return [
+        "rewrite", files["hierarchy"], "G", files["rule"], "0", "--direction", "fwd",
+        option, files[extra], "-o", str(tmp_path / "out.json"),
+        "--report", str(tmp_path / "report.json"),
+    ]
+
+
+def test_unparsable_files_exit_2_naming_the_file(tmp_path):
+    """A hierarchy, rule, relation or plan file that is not UTF-8, or whose
+    JSON nests deeper than the decoder recurses, ends in exit 2 with
+    `cannot parse PATH`, not in a traceback."""
+    fixtures = {
+        **{role: str(FIXTURES / name) for role, name in REWRITE_FILES.items()},
+        "relation": str(FIXTURES / "merge_add.relation.json"),
+        "plan": str(FIXTURES / "merge_add.plan.json"),
+    }
+    for option, extra in (("--relation", "relation"), ("--plan", "plan")):
+        assert _run(_rewrite_argv(tmp_path, fixtures, option, extra)) == 0
+    for case, data in UNPARSABLE.items():
+        for role in fixtures:
+            path = tmp_path / f"{role}.json"
+            path.write_bytes(data)
+            files = {**fixtures, role: str(path)}
+            option, extra = ("--plan", "plan") if role == "plan" else ("--relation", "relation")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = sqpo.cli.main(_rewrite_argv(tmp_path, files, option, extra))
+            assert code == 2, (case, role)
+            assert err.getvalue().startswith(f"error: cannot parse {path}: "), (case, role)
+            if role == "hierarchy":
+                assert _run(["validate", str(path)]) == 2, case

@@ -12,6 +12,9 @@ each memo entry records the walk the copy's check records: the same order,
 tree parents, nodes with a composite and verdicts in walk order, so a later
 violation message names the same paths. Typings added by `add_typing`
 extend some entries at the new arrow and make others walk anew; both occur.
+Neither a typing added nor a rewrite, refused or not, writes into an
+attribute dict of the hierarchy's graphs or the rule's: the constructions
+share those dicts instead of copying them.
 """
 
 import random
@@ -28,6 +31,7 @@ import sqpo.hierarchy
 from generators import random_backward_plan, random_forward_plan, random_hierarchy
 from sqpo import Homomorphism, apply_plan, hierarchy_from_json, hierarchy_to_json
 from sqpo.graphs import dumps_canonical
+from test_kernel_differential import _assert_unchanged, _attr_snapshot
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -101,8 +105,10 @@ class MemoMachine(RuleBasedStateMachine):
         else:
             images = sorted(target.nodes)
             hom = Homomorphism(source, target, {n: rng.choice(images) for n in source.nodes})
+        snapshot = _attr_snapshot(*map(self.h.graph, self.h.nodes()))
         got = _outcome(lambda: self.h.add_typing(a, b, hom))
         fresh = _outcome(lambda: _memo_free(self.h).add_typing(a, b, hom))
+        _assert_unchanged(snapshot)
         if isinstance(got, tuple):
             assert got == fresh
             self.seen["typing refused"] += 1
@@ -121,6 +127,7 @@ class MemoMachine(RuleBasedStateMachine):
         """A random forward or backward plan at a random origin, built the
         same way for both hierarchies, and applied with its clean-ups."""
         origin = random.Random(seed).choice(self.h.nodes())
+        snapshots = []
 
         def run(h):
             rng = random.Random(seed + 1)
@@ -129,10 +136,16 @@ class MemoMachine(RuleBasedStateMachine):
             else:
                 plan = random_backward_plan(rng, h, origin, partial=partial)
             kind = "relation" if self.relations.pop() else "canonical"
+            graphs = [h.graph(n) for n in h.nodes()]
+            snapshots.append(_attr_snapshot(*graphs, plan.rule.source, plan.rule.target))
             return apply_plan(h, plan), kind, bool(plan.cleanups)
 
         got = _outcome(lambda: run(self.h))
         fresh = _outcome(lambda: run(_memo_free(self.h)))
+        # propagation wrote into no attribute dict of its inputs, whether it
+        # succeeded or raised
+        for snapshot in snapshots:
+            _assert_unchanged(snapshot)
         if isinstance(got, tuple) and isinstance(got[0], type):
             assert got == fresh
             self.seen["rewrite refused"] += 1
