@@ -52,9 +52,10 @@ def _load_json(path: str):
             return json.load(fh)
     except OSError as exc:
         raise _InputError(f"cannot read {path}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # text that is not UTF-8, and arrays or objects nested deeper than
-        # the decoder recurses, are parse errors too
+    except (ValueError, RecursionError) as exc:
+        # ValueError covers malformed JSON, text that is not UTF-8 and
+        # integers longer than int() converts; RecursionError, arrays or
+        # objects nested deeper than the decoder recurses
         raise _InputError(f"cannot parse {path}: {exc}") from exc
 
 

@@ -1,9 +1,11 @@
 """Seeded random generators for graphs, homomorphisms, rules, hierarchies
 and propagation plans. Everything is driven by an explicit random.Random so
-test runs are reproducible."""
+test runs are reproducible. Also a snapshot of the attribute dicts of
+graphs, to check that a construction or propagation wrote into none."""
 
 from __future__ import annotations
 
+import copy
 import random
 
 from sqpo import (
@@ -382,3 +384,28 @@ def random_backward_plan(
             if instances:
                 relations[name] = instances
     return build_relation_plan(h, origin, rule, match, BACKWARD, relations)
+
+
+def typed_attrs(attrs) -> dict:
+    """attrs with each value paired with its type, so that 1 and True, or 0
+    and False, differ."""
+    return {k: frozenset((type(v), v) for v in vs) for k, vs in attrs.items()}
+
+
+def attr_snapshot(*graphs) -> tuple:
+    """Each attribute map of the graphs with a copy of it, and each
+    attribute dict in them with a deep copy of it, taken before a
+    construction or propagation."""
+    maps = [(m, dict(m)) for g in graphs for m in (g.node_attrs, g.edge_attrs)]
+    return maps, [(attrs, copy.deepcopy(attrs)) for m, _ in maps for attrs in m.values()]
+
+
+def assert_attrs_unchanged(snapshot) -> None:
+    """Nothing was written into an attribute map or dict of the snapshot:
+    each map holds the same dict objects, each dict the same typed values."""
+    maps, dicts = snapshot
+    for mapping, before in maps:
+        assert mapping.keys() == before.keys()
+        assert all(mapping[key] is attrs for key, attrs in before.items())
+    for attrs, before in dicts:
+        assert typed_attrs(attrs) == typed_attrs(before)

@@ -14,7 +14,7 @@ dict or map of its inputs, and a result must hold an input's dict itself
 exactly where the attribute algebra would give back a dict equal to it.
 """
 
-import copy
+import functools
 import random
 import sys
 import threading
@@ -24,7 +24,15 @@ import pytest
 
 import reference_kernels as ref
 import sqpo.rules
-from generators import random_graph, random_hom_from, random_hom_into, random_mono_into
+from generators import (
+    assert_attrs_unchanged,
+    attr_snapshot,
+    random_graph,
+    random_hom_from,
+    random_hom_into,
+    random_mono_into,
+    typed_attrs,
+)
 from paper_oracles import verify_final_pbc_up, verify_pullback_up, verify_pushout_up
 from sqpo import (
     EXPANSIVE,
@@ -43,7 +51,13 @@ from sqpo import (
     pullback,
     pushout,
 )
-from sqpo.graphs import _Trace, dumps_canonical, homomorphism_violation, value_sort_key
+from sqpo.graphs import (
+    _Trace,
+    attrs_union,
+    dumps_canonical,
+    homomorphism_violation,
+    value_sort_key,
+)
 from sqpo.hierarchy import _acyclic, _adjacency, _waves
 
 
@@ -83,35 +97,10 @@ def _same_trace(new: Homomorphism, old: Homomorphism) -> None:
     assert ref.node_map_built(new)
 
 
-def _typed(attrs) -> dict:
-    """attrs with each value paired with its type, so that 1 and True, or 0
-    and False, differ."""
-    return {k: frozenset((type(v), v) for v in vs) for k, vs in attrs.items()}
-
-
-def _attr_snapshot(*graphs) -> tuple:
-    """Each attribute map of the graphs with a copy of it, and each
-    attribute dict in them with a deep copy of it, taken before a
-    construction or propagation."""
-    maps = [(m, dict(m)) for g in graphs for m in (g.node_attrs, g.edge_attrs)]
-    return maps, [(attrs, copy.deepcopy(attrs)) for m, _ in maps for attrs in m.values()]
-
-
-def _assert_unchanged(snapshot) -> None:
-    """Nothing was written into an attribute map or dict of the snapshot:
-    each map holds the same dict objects, each dict the same typed values."""
-    maps, dicts = snapshot
-    for mapping, before in maps:
-        assert mapping.keys() == before.keys()
-        assert all(mapping[key] is attrs for key, attrs in before.items())
-    for attrs, before in dicts:
-        assert _typed(attrs) == _typed(before)
-
-
 def _assert_same_pullback(f, g):
-    snapshot = _attr_snapshot(f.source, f.target, g.source)
+    snapshot = attr_snapshot(f.source, f.target, g.source)
     new, old = pullback(f, g), ref.pullback(f, g)
-    _assert_unchanged(snapshot)
+    assert_attrs_unchanged(snapshot)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.to_a, old.to_a)
     _same_hom(new.to_b, old.to_b)
@@ -120,9 +109,9 @@ def _assert_same_pullback(f, g):
 
 
 def _assert_same_pbc(f, m):
-    snapshot = _attr_snapshot(f.source, f.target, m.target)
+    snapshot = attr_snapshot(f.source, f.target, m.target)
     new, old = final_pbc(f, m), ref.final_pbc(f, m)
-    _assert_unchanged(snapshot)
+    assert_attrs_unchanged(snapshot)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.embed, old.embed)
     _same_trace(new.project, old.project)
@@ -130,15 +119,15 @@ def _assert_same_pbc(f, m):
     return new
 
 
-def _assert_same_pushout(f, g, oracle=True):
-    snapshot = _attr_snapshot(f.source, f.target, g.target)
+def _assert_same_pushout(f, g):
+    snapshot = attr_snapshot(f.source, f.target, g.target)
     new, old = pushout(f, g), ref.pushout(f, g)
-    _assert_unchanged(snapshot)
+    assert_attrs_unchanged(snapshot)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_trace(new.from_b, old.from_b)
     _same_hom(new.from_c, old.from_c)
     _assert_normalized(new.apex)
-    assert not oracle or verify_pushout_up(new, f, g)
+    assert verify_pushout_up(new, f, g)
     # the edges it built are every apex edge at an image of f or of C, or
     # at a B node whose id changed
     b_map = old.from_b.node_map
@@ -398,8 +387,10 @@ _BASES = (
 _VARIANTS = {
     "same": 6, "equal": 2, "retyped": 2, "subset": 2, "superset": 2, "disjoint": 1, "empty": 2,
 }
-# the variants that contain the dict, as a mono's target must
+# the variants that contain the dict, as an arrow's target must at an image
 _COVERING = {"same": 6, "equal": 2, "retyped": 2, "superset": 2}
+# the variants that the dict contains, as an arrow's source must
+_CONTAINED = {"same": 6, "equal": 2, "retyped": 2, "subset": 2, "empty": 2}
 
 
 def _retyped(v):
@@ -440,6 +431,27 @@ def _reattributed(g: Graph, draw) -> Graph:
     return Graph._of(g.nodes, g.edges, node_attrs, edge_attrs)
 
 
+def _covering(rng, h: Homomorphism, draw):
+    """A draw for the elements of h's target, so that h stays a
+    homomorphism: at an image, a covering variant of the dict all its
+    preimages' dicts equal, or of their union; elsewhere draw(y)."""
+    preimages: dict = {}
+    for x in sorted(h.source.nodes):
+        preimages.setdefault(h[x], []).append(h.source.attrs_of(x))
+    for e in sorted(h.source.edges):
+        preimages.setdefault(h.edge_image(e), []).append(h.source.attrs_of(e))
+
+    def covering(y):
+        if y not in preimages:
+            return draw(y)
+        dicts = preimages[y]
+        if any(d != dicts[0] for d in dicts):
+            return _variant(rng, functools.reduce(attrs_union, dicts), _COVERING)
+        return _variant(rng, dicts[0], _COVERING)
+
+    return covering
+
+
 def _passed(attrs, got, seen: Counter, tie: bool = False) -> None:
     """got is attrs itself (None when attrs is empty)."""
     if attrs:
@@ -462,7 +474,7 @@ def _united(dicts, got, seen: Counter) -> None:
     every other is empty or equal to it, else none of them."""
     present = [d for d in dicts if d]
     if all(d == present[0] for d in present):
-        tie = any(_typed(d) != _typed(present[0]) for d in present)
+        tie = any(typed_attrs(d) != typed_attrs(present[0]) for d in present)
         _passed(present[0] if present else {}, got, seen, tie)
     else:
         _computed(present, got, seen)
@@ -480,7 +492,7 @@ def _check_pullback_sharing(f, g, res, seen: Counter) -> None:
     for p, x, y, attrs in pairs:
         x, y = a.attrs_of(x), b.attrs_of(y)
         if x == y:
-            _passed(y, attrs.get(p), seen, _typed(x) != _typed(y))
+            _passed(y, attrs.get(p), seen, typed_attrs(x) != typed_attrs(y))
         else:
             _computed([x, y], attrs.get(p), seen)
 
@@ -533,11 +545,11 @@ def test_attribute_pass_through_matches_reference(seed):
     """Pullbacks, pushouts and final pullback complements of random graphs
     whose attribute dicts are variants of one dict: the same object, equal
     copies (also with 1 written True or 0 written False), subsets,
-    supersets, disjoint dicts or empty ones. Each result is byte-identical
-    to the reference's, holds an input's dict itself exactly where the
-    algebra would give back a dict equal to it, with its values, and leaves
-    every input dict as it was. Both paths run, and so does a pass-through
-    across a 1/True tie."""
+    supersets, disjoint dicts or empty ones, drawn so that every arrow is a
+    homomorphism. Each result is byte-identical to the reference's, holds
+    an input's dict itself exactly where the algebra would give back a dict
+    equal to it, with its values, and leaves every input dict as it was.
+    Both paths run, and so does a pass-through across a 1/True tie."""
     rng = random.Random(9700 + seed)
     seen: Counter = Counter()
     for _ in range(80):
@@ -546,45 +558,49 @@ def test_attribute_pass_through_matches_reference(seed):
         def of_base(x):
             return _variant(rng, base, _VARIANTS)
 
-        def over(h: Homomorphism, target: Graph):
-            """Draws a variant of the dict in target at an element's image
-            under h."""
+        def within(target: Graph, h: Homomorphism):
+            """Draws a variant that the dict in target at an element's image
+            under h contains."""
             return lambda x: _variant(
-                rng, target.attrs_of(h.edge_image(x) if isinstance(x, tuple) else h[x]), _VARIANTS
+                rng, target.attrs_of(h.edge_image(x) if isinstance(x, tuple) else h[x]), _CONTAINED
             )
 
+        # A and B draw variants that their C images' dicts contain
         c = random_graph(rng, max_nodes=4, min_nodes=1, p_edge=0.5, prefix="c", p_attr=0)
         f, g = (random_hom_into(rng, c, max_nodes=5, prefix=x) for x in "ab")
         c = _reattributed(c, of_base)
         f, g = (
-            Homomorphism._of(_reattributed(h.source, over(h, c)), c, h.node_map) for h in (f, g)
+            Homomorphism._of(_reattributed(h.source, within(c, h)), c, h.node_map) for h in (f, g)
         )
-        _check_pullback_sharing(f, g, _assert_same_pullback(f, g), seen)
+        res = _assert_same_pullback(f, g)
+        assert verify_pullback_up(res, f, g)
+        _check_pullback_sharing(f, g, res, seen)
 
+        # B and C, at the images of A, draw variants that contain A's dicts
         a = random_graph(rng, max_nodes=4, p_edge=0.4, prefix="a")
         f = random_hom_from(rng, a, prefix="b", max_extra_nodes=3)
         g = random_hom_from(rng, a, prefix="c")
-        a, b, c = (_reattributed(x, of_base) for x in (a, f.target, g.target))
-        f, g = Homomorphism._of(a, b, f.node_map), Homomorphism._of(a, c, g.node_map)
-        _check_pushout_sharing(f, g, _assert_same_pushout(f, g, oracle=False), seen)
+        a = _reattributed(a, of_base)
+        f, g = (Homomorphism._of(a, h.target, h.node_map) for h in (f, g))
+        f, g = (
+            Homomorphism._of(a, _reattributed(h.target, _covering(rng, h, of_base)), h.node_map)
+            for h in (f, g)
+        )
+        _check_pushout_sharing(f, g, _assert_same_pushout(f, g), seen)
 
-        # K draws variants of its L images' dicts; G, at the match, variants
-        # that contain them, so that m is a mono
+        # K draws variants that its L images' dicts contain; G, at the
+        # match, variants that contain L's dicts
         l_graph = random_graph(rng, max_nodes=4, p_edge=0.5, prefix="l")
         f = random_hom_into(rng, l_graph, max_nodes=6, prefix="k")
         m = random_hom_from(rng, l_graph, prefix="g", injective=True, max_extra_nodes=3)
         l_graph = _reattributed(l_graph, of_base)
-        f = Homomorphism._of(_reattributed(f.source, over(f, l_graph)), l_graph, f.node_map)
-        matched = {m[l]: l for l in l_graph.nodes}
-        matched.update((m.edge_image(e), e) for e in l_graph.edges)
-
-        def covering(x):
-            if x not in matched:
-                return of_base(x)
-            return _variant(rng, l_graph.attrs_of(matched[x]), _COVERING)
-
-        m = Homomorphism._of(l_graph, _reattributed(m.target, covering), m.node_map)
-        _check_pbc_sharing(f, m, _assert_same_pbc(f, m), seen)
+        f = Homomorphism._of(_reattributed(f.source, within(l_graph, f)), l_graph, f.node_map)
+        m = Homomorphism._of(l_graph, m.target, m.node_map)
+        g_graph = _reattributed(m.target, _covering(rng, m, of_base))
+        m = Homomorphism._of(l_graph, g_graph, m.node_map)
+        res = _assert_same_pbc(f, m)
+        assert verify_final_pbc_up(res, f, m)
+        _check_pbc_sharing(f, m, res, seen)
     assert seen["shared"] > 500 and seen["computed"] > 200 and seen["shared 1/True"] > 20, seen
 
 

@@ -23,9 +23,10 @@ and a fully anchored match indexes nothing.
 
 Two guards count work instead of timing it: a one-node add pushed out into
 that graph and a one-node clone by final_pbc must not re-normalize any
-attribute dict and may call the attribute algebra only for the rule and the
-edges at the matched node. Building every node of the result afresh made
-9,001-9,003 such calls here.
+attribute dict and may take a union or subtractive step (a
+`category._joined` or `category._kept` call, whether it computes a dict or
+hands on an operand) only for the rule and the edges at the matched node.
+Building every node of the result afresh made 9,001-9,003 such calls here.
 
 The hierarchy guards count calls instead of timing them: one rewrite
 propagated through a 20-layer hierarchy must build few composites (`compose`
@@ -211,13 +212,15 @@ def test_find_matches_edge_pattern_scales(big):
 
 
 def _count_attr_work(monkeypatch):
-    """Count calls of the attribute normalizer and of the attribute algebra
-    the constructions use."""
-    calls = {"normalize_attrs": 0, "attrs_union": 0, "attrs_difference": 0}
+    """Count calls of the attribute normalizer and the union and
+    subtractive steps of the constructions (`category._joined` and
+    `category._kept`), which count whether they compute a dict or hand on
+    an operand."""
+    calls = {"normalize_attrs": 0, "_joined": 0, "_kept": 0}
     for module, name in (
         (sqpo.graphs, "normalize_attrs"),
-        (sqpo.category, "attrs_union"),
-        (sqpo.category, "attrs_difference"),
+        (sqpo.category, "_joined"),
+        (sqpo.category, "_kept"),
     ):
         original = getattr(module, name)
 
@@ -312,8 +315,8 @@ def test_pushout_of_a_node_add_works_on_the_match_only(big, monkeypatch):
     assert len(res.apex.edges) == EDGES + 1
     assert calls["normalize_attrs"] == 0
     budget = len(rhs.nodes) + len(rhs.edges) + 1 + _edges_at(g, "n0")
-    assert calls["attrs_union"] <= budget, calls
-    assert calls["attrs_difference"] == 0
+    assert calls["_joined"] <= budget, calls
+    assert calls["_kept"] == 0
 
 
 def test_final_pbc_of_a_node_clone_works_on_the_match_only(big, monkeypatch):
@@ -329,9 +332,9 @@ def test_final_pbc_of_a_node_clone_works_on_the_match_only(big, monkeypatch):
     assert len(res.apex.nodes) == NODES + 1
     assert all(res.project[n] == n for n in g.nodes if n != "n0")
     assert calls["normalize_attrs"] == 0
-    budget = 2 * (len(interface.nodes) + len(interface.edges) + 4 * _edges_at(g, "n0"))
-    assert calls["attrs_difference"] <= budget, calls
-    assert calls["attrs_union"] == 0
+    budget = len(interface.nodes) + len(interface.edges) + 4 * _edges_at(g, "n0")
+    assert calls["_kept"] <= budget, calls
+    assert calls["_joined"] == 0
 
 
 LAYERS = 20

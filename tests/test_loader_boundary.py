@@ -297,9 +297,14 @@ def test_duplicate_node_entries_keep_the_last_attributes():
         _check_graph(sqpo.graph_from_json(raw), raw)
 
 
-# text that is not UTF-8 (a UTF-16 byte order mark), and JSON nested far
-# deeper than the decoder recurses
-UNPARSABLE = {"not utf-8": b"\xff\xfe{}", "deeply nested": b"[" * 200_000}
+# text that is not UTF-8 (a UTF-16 byte order mark), JSON nested far
+# deeper than the decoder recurses, and an integer with more digits than
+# int() converts by default (4300)
+UNPARSABLE = {
+    "not utf-8": b"\xff\xfe{}",
+    "deeply nested": b"[" * 200_000,
+    "long integer": b"[" + b"9" * 5000 + b"]",
+}
 # each input file of `sqpo rewrite` on merge_add, in its place on the
 # command line; with its fixture files the rewrite exits 0
 REWRITE_FILES = {"hierarchy": "merge_add.hierarchy.json", "rule": "merge_add.rule.json"}
@@ -314,9 +319,10 @@ def _rewrite_argv(tmp_path, files: dict, option: str, extra: str) -> list:
 
 
 def test_unparsable_files_exit_2_naming_the_file(tmp_path):
-    """A hierarchy, rule, relation or plan file that is not UTF-8, or whose
-    JSON nests deeper than the decoder recurses, ends in exit 2 with
-    `cannot parse PATH`, not in a traceback."""
+    """A hierarchy, rule, relation or plan file that is not UTF-8, whose
+    JSON nests deeper than the decoder recurses, or whose integer is too
+    long to convert, ends in exit 2 with `cannot parse PATH`, not in a
+    traceback."""
     fixtures = {
         **{role: str(FIXTURES / name) for role, name in REWRITE_FILES.items()},
         "relation": str(FIXTURES / "merge_add.relation.json"),

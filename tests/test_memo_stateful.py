@@ -28,10 +28,15 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, rule, run_sta
 import generators
 import reference_kernels as ref
 import sqpo.hierarchy
-from generators import random_backward_plan, random_forward_plan, random_hierarchy
+from generators import (
+    assert_attrs_unchanged,
+    attr_snapshot,
+    random_backward_plan,
+    random_forward_plan,
+    random_hierarchy,
+)
 from sqpo import Homomorphism, apply_plan, hierarchy_from_json, hierarchy_to_json
 from sqpo.graphs import dumps_canonical
-from test_kernel_differential import _assert_unchanged, _attr_snapshot
 
 SEEDS = st.integers(0, 2**32 - 1)
 
@@ -105,10 +110,10 @@ class MemoMachine(RuleBasedStateMachine):
         else:
             images = sorted(target.nodes)
             hom = Homomorphism(source, target, {n: rng.choice(images) for n in source.nodes})
-        snapshot = _attr_snapshot(*map(self.h.graph, self.h.nodes()))
+        snapshot = attr_snapshot(*map(self.h.graph, self.h.nodes()))
         got = _outcome(lambda: self.h.add_typing(a, b, hom))
         fresh = _outcome(lambda: _memo_free(self.h).add_typing(a, b, hom))
-        _assert_unchanged(snapshot)
+        assert_attrs_unchanged(snapshot)
         if isinstance(got, tuple):
             assert got == fresh
             self.seen["typing refused"] += 1
@@ -137,7 +142,7 @@ class MemoMachine(RuleBasedStateMachine):
                 plan = random_backward_plan(rng, h, origin, partial=partial)
             kind = "relation" if self.relations.pop() else "canonical"
             graphs = [h.graph(n) for n in h.nodes()]
-            snapshots.append(_attr_snapshot(*graphs, plan.rule.source, plan.rule.target))
+            snapshots.append(attr_snapshot(*graphs, plan.rule.source, plan.rule.target))
             return apply_plan(h, plan), kind, bool(plan.cleanups)
 
         got = _outcome(lambda: run(self.h))
@@ -145,7 +150,7 @@ class MemoMachine(RuleBasedStateMachine):
         # propagation wrote into no attribute dict of its inputs, whether it
         # succeeded or raised
         for snapshot in snapshots:
-            _assert_unchanged(snapshot)
+            assert_attrs_unchanged(snapshot)
         if isinstance(got, tuple) and isinstance(got[0], type):
             assert got == fresh
             self.seen["rewrite refused"] += 1
