@@ -20,10 +20,9 @@ from pathlib import Path
 from .exceptions import GraphElementError, SqpoError
 from .graphs import (
     Homomorphism,
-    _dumps,
-    _encode_str,
+    _Leaf,
+    _map_text,
     _node_map_from_json,
-    _node_map_text,
     _relocated,
     dumps_canonical,
     graph_from_json,
@@ -120,55 +119,33 @@ def cmd_match(args) -> int:
     rule = _load_rule(args.rule)
     g = h.graph(args.node)
     matches = find_matches(rule, g, args.kind, _parse_anchor(args.anchor))
-    out = [
-        {"kind": m.kind, "map": {k: m.instance[k] for k in sorted(m.instance.source.nodes)}}
-        for m in matches
-    ]
+    out = [{"kind": m.kind, "map": _Leaf(_map_text, m.instance)} for m in matches]
     sys.stdout.write(dumps_canonical(out))
     return 0
 
 
 def _report_json(reports: list[RewriteReport]) -> str:
-    """The report file's canonical text, written from the reports without
-    a JSON tree: each map is one `_node_map_text` call, and each graph's
-    node ids are sorted once (the reports keep every graph alive meanwhile,
-    so no id is reused)."""
-    field, row, row_field = "\n      ", "\n        ", "\n          "  # depths in an application
-    order: dict[int, list[str]] = {}  # id(graph) -> its sorted node ids
+    """The report file's canonical text, from a tree whose node maps are
+    leaves that `_map_text` writes."""
 
-    def map_text(hom: Homomorphism, newline: str) -> str:
-        if (nodes := order.get(id(hom.source))) is None:
-            nodes = order[id(hom.source)] = sorted(hom.source.nodes)
-        m = hom.node_map
-        return _node_map_text({k: m[k] for k in nodes}, newline)
+    def maps(homs: dict[str, Homomorphism]) -> dict:
+        return {n: _Leaf(_map_text, homs[n]) for n in sorted(homs)}
 
-    def maps_text(homs: dict[str, Homomorphism]) -> str:
-        if not homs:
-            return "{}"
-        return "{" + row + ("," + row).join(
-            _encode_str(n) + ": " + map_text(homs[n], row) for n in sorted(homs)
-        ) + field + "}"
-
-    apps = []
-    for rep in reports:
-        typings = [
-            "{" + row_field + '"from": ' + _encode_str(a) + "," + row_field + '"to": ' + _encode_str(b)
-            + "," + row_field + '"map": ' + map_text(rep.updated_typings[(a, b)], row_field) + row + "}"
-            for (a, b) in sorted(rep.updated_typings)
-        ]
-        steps = [{"node": node, "violations": viols} for node, viols in rep.steps]
-        members = [
-            '"origin": ' + _encode_str(rep.origin),
-            '"direction": ' + _encode_str(rep.direction),
-            '"waves": ' + _dumps(rep.waves, field, {}),
-            '"traces": ' + maps_text(rep.traces),
-            '"instances": ' + maps_text(rep.instances),
-            '"typings": ' + ("[" + row + ("," + row).join(typings) + field + "]" if typings else "[]"),
-            '"steps": ' + _dumps(steps, field, {}),
-        ]
-        apps.append("{" + field + ("," + field).join(members) + "\n    }")
-    body = "[\n    " + ",\n    ".join(apps) + "\n  ]" if apps else "[]"
-    return '{\n  "applications": ' + body + "\n}\n"
+    return dumps_canonical({"applications": [
+        {
+            "origin": rep.origin,
+            "direction": rep.direction,
+            "waves": rep.waves,
+            "traces": maps(rep.traces),
+            "instances": maps(rep.instances),
+            "typings": [
+                {"from": a, "to": b, "map": _Leaf(_map_text, rep.updated_typings[(a, b)])}
+                for (a, b) in sorted(rep.updated_typings)
+            ],
+            "steps": [{"node": node, "violations": viols} for node, viols in rep.steps],
+        }
+        for rep in reports
+    ]})
 
 
 def _check_relations(relations, what: str) -> None:

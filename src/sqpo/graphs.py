@@ -8,19 +8,21 @@ preserve edges and satisfy key-wise attribute containment.
 
 All edit operations return new graphs; nothing here mutates in place, so
 values can be shared freely across threads. Private caches fill on first
-use and never go stale, since nothing changes: a graph's adjacency lists
-and candidate index, and a homomorphism's preimage lists. A homomorphism
-built as a patch of another records the keys whose image changed, which
-lets propagation and the commutativity memo work only where a rewrite did.
-A rewrite's trace is the identity except at the nodes the rewrite touched
-(`_Trace`), so it holds only those and builds its node map when read.
-Copies and pickles hold the values alone and drop every private cache.
+use and never go stale, since nothing changes: a graph's adjacency lists,
+sorted node ids and candidate index, and a homomorphism's preimage lists.
+A homomorphism built as a patch of another records the keys whose image
+changed, which lets propagation and the commutativity memo work only where
+a rewrite did. A rewrite's trace is the identity except at the nodes the
+rewrite touched (`_Trace`), so it holds only those and builds its node map
+when read. Copies and pickles hold the values alone and drop every private
+cache.
 """
 
 from __future__ import annotations
 
 import json
 import weakref
+from functools import partial
 from typing import Iterable, Iterator, Mapping, Union
 
 from .exceptions import (
@@ -116,7 +118,9 @@ def fresh_id(base: str, taken) -> str:
 class Graph:
     """A finite attributed simple directed graph."""
 
-    __slots__ = ("nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_index", "__weakref__")
+    __slots__ = (
+        "nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_order", "_index", "__weakref__"
+    )
 
     def __init__(
         self,
@@ -206,6 +210,17 @@ class Graph:
         object.__setattr__(self, "_adjacent", (succ, pred))
         return succ, pred
 
+    def _node_order(self) -> list[str]:
+        """The node ids in sorted order, sorted on first use and kept; two
+        racing readers build equal lists. Callers only read the list."""
+        try:
+            return self._order
+        except AttributeError:
+            pass
+        ordered = sorted(self.nodes)
+        object.__setattr__(self, "_order", ordered)
+        return ordered
+
     def _candidate_index(self) -> tuple[list[str], dict[tuple, list[str]]]:
         """The node ids in sorted order and, for each (attribute key, value)
         pair, the nodes carrying it in that order; built on first use and
@@ -215,7 +230,7 @@ class Graph:
             return self._index
         except AttributeError:
             pass
-        ordered = sorted(self.nodes)
+        ordered = self._node_order()
         postings: dict[tuple, list[str]] = {}
         attrs = self.node_attrs.get
         for n in ordered:
@@ -804,7 +819,7 @@ def graph_to_json(g: Graph, shared: dict | None = None) -> dict:
     shared = {} if shared is None else shared
     nodes = []
     node_attrs, edge_attrs = g.node_attrs.get, g.edge_attrs.get
-    for n in sorted(g.nodes):
+    for n in g._node_order():
         entry: dict = {"id": n}
         if attrs := node_attrs(n):  # attribute JSON is never empty
             entry["attrs"] = shared.get(id(attrs)) or shared.setdefault(id(attrs), attrs_to_json(attrs))
@@ -922,12 +937,21 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
 _encode_str = json.encoder.encode_basestring
 
 
+class _Leaf(partial):
+    """A value of a tree for `_dumps` that writes its own text: `_dumps`
+    calls it with the line break and indentation of its line. The CLI's
+    writers put a graph (`_graph_text`) or a node map (`_map_text`) in
+    their trees as one."""
+
+    __slots__ = ()
+
+
 def dumps_canonical(obj) -> str:
     """Canonical JSON text: exactly the bytes of `json.dumps(obj, indent=2,
     ensure_ascii=False)` followed by a newline, for every value made of
     dicts with str keys (in their insertion order: callers sort keys by
-    construction), lists, tuples, str, int, bool and None; anything else
-    raises TypeError.
+    construction), lists, tuples, str, int, bool and None; a `_Leaf` is
+    written by calling it, and anything else raises TypeError.
 
     `indent` makes CPython fall back to its pure-Python encoder, so the
     text is joined here instead: strings are escaped by the C
@@ -985,26 +1009,29 @@ def _dumps(obj, newline: str, texts: dict) -> str:
         return "false"
     if isinstance(obj, int):
         return int.__repr__(obj)
+    if type(obj) is _Leaf:
+        return obj(newline)
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _node_map_text(m: dict, newline: str) -> str:
-    """`_dumps(m, newline, ...)` for a dict of str to str, in one call of the
-    C encoder: without `indent` it joins the members with any separator, so
-    the separator carries the line break and the indentation."""
-    if not m:
+def _map_text(hom: Homomorphism, newline: str) -> str:
+    """`_dumps` of hom's node map over its source's sorted node ids, in one
+    call of the C encoder: without `indent` it joins the members with any
+    separator, so the separator carries the line break and the indentation."""
+    nodes = hom.source._node_order()
+    if not nodes:
         return "{}"
-    inner = newline + "  "
-    text = json.dumps(m, ensure_ascii=False, separators=("," + inner, ": "))
+    m, inner = hom.node_map, newline + "  "
+    text = json.dumps({k: m[k] for k in nodes}, ensure_ascii=False, separators=("," + inner, ": "))
     return "{" + inner + text[1:-1] + newline + "}"
 
 
-def _graph_text(g: Graph, newline: str, nodes: list[str], attr_texts: dict) -> str:
+def _graph_text(g: Graph, newline: str, attr_texts: dict) -> str:
     """`_dumps(graph_to_json(g), newline, ...)`, one f-string per row and no
-    row dicts. `nodes` is `sorted(g.nodes)`. `attr_texts` maps the `id()`
-    of each attribute dict to its text at the rows' depth and fills as rows
-    need it: a caller writing several graphs at one depth may pass them one
-    map if it keeps them all alive meanwhile, so that no id is reused."""
+    row dicts. `attr_texts` maps the `id()` of each attribute dict to its
+    text at the rows' depth and fills as rows need it: a caller writing
+    several graphs at one depth may pass them one map if it keeps them all
+    alive meanwhile, so that no id is reused."""
     inner = newline + "  "
     rows = inner + "  "
     fields = rows + "  "
@@ -1021,7 +1048,7 @@ def _graph_text(g: Graph, newline: str, nodes: list[str], attr_texts: dict) -> s
     node_rows = [
         f"{id_head}{enc(n)}{attrs_sep}{attrs_text(attrs)}{end}" if (attrs := node_attrs(n))
         else f"{id_head}{enc(n)}{end}"
-        for n in nodes
+        for n in g._node_order()
     ]
     edge_rows = [
         f"{from_head}{enc(e[0])}{to_sep}{enc(e[1])}{attrs_sep}{attrs_text(attrs)}{end}"

@@ -50,17 +50,16 @@ from .exceptions import CompositionError, GraphElementError, HierarchyError
 from .graphs import (
     Graph,
     Homomorphism,
-    _dumps,
-    _encode_str,
     _graph_text,
+    _Leaf,
     _located,
+    _map_text,
     _node_map_from_json,
-    _node_map_text,
     _relocated,
     compose,
+    dumps_canonical,
     graph_from_json,
     graph_to_json,
-    hom_equal,
     homomorphism_violation,
     identity,
 )
@@ -293,8 +292,7 @@ class Hierarchy:
             self._objects == other._objects
             and self.skeleton == other.skeleton
             and self.skeleton_map == other.skeleton_map
-            and set(self._arrows) == set(other._arrows)
-            and all(hom_equal(self._arrows[e], other._arrows[e]) for e in self._arrows)
+            and self._arrows == other._arrows
         )
 
     def __repr__(self):
@@ -634,36 +632,21 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
     out["graphs"] = {name: graph_to_json(h.graph(name), shared) for name in h.nodes()}
     out["typings"] = []
     for (a, b) in h.edges():
-        m, nodes = h.typing(a, b).node_map, sorted(h.graph(a).nodes)
-        out["typings"].append({"from": a, "to": b, "map": {k: m[k] for k in nodes}})
+        m = h.typing(a, b).node_map
+        out["typings"].append({"from": a, "to": b, "map": {k: m[k] for k in h.graph(a)._node_order()}})
     return out
 
 
 def _hierarchy_text(h: Hierarchy) -> str:
-    """`dumps_canonical(hierarchy_to_json(h))`, written from h's graphs and
-    arrows without the tree: each graph's node ids are sorted once, for its
-    rows and for the maps of its typings, and each attribute dict's text is
-    rendered once (h keeps every dict alive meanwhile, so no id is reused)."""
-    members = []
-    if h.skeleton is not None:
-        members.append('"skeleton": ' + _dumps(_skeleton_json(h), "\n  ", {}))
-    order: dict[str, list[str]] = {}
-    attr_texts: dict = {}
-    graphs = []
-    for name in h.nodes():
-        g = h.graph(name)
-        nodes = order[name] = sorted(g.nodes)
-        graphs.append(_encode_str(name) + ": " + _graph_text(g, "\n    ", nodes, attr_texts))
-    members.append('"graphs": ' + ("{\n    " + ",\n    ".join(graphs) + "\n  }" if graphs else "{}"))
-    typings = []
-    for (a, b) in h.edges():
-        m = h.typing(a, b).node_map
-        typings.append(
-            f'{{\n      "from": {_encode_str(a)},\n      "to": {_encode_str(b)},\n      "map": '
-            + _node_map_text({k: m[k] for k in order[a]}, "\n      ") + "\n    }"
-        )
-    members.append('"typings": ' + ("[\n    " + ",\n    ".join(typings) + "\n  ]" if typings else "[]"))
-    return "{\n  " + ",\n  ".join(members) + "\n}\n"
+    """`dumps_canonical(hierarchy_to_json(h))`, from a tree whose graphs and
+    typing maps are leaves: each graph's rows are written as strings and
+    each map by the C encoder, and each attribute dict's text is rendered
+    once (h keeps every dict alive meanwhile, so no id is reused)."""
+    tree: dict = {} if h.skeleton is None else {"skeleton": _skeleton_json(h)}
+    attr_texts: dict = {}  # every graph sits at one depth
+    tree["graphs"] = {name: _Leaf(_graph_text, h.graph(name), attr_texts=attr_texts) for name in h.nodes()}
+    tree["typings"] = [{"from": a, "to": b, "map": _Leaf(_map_text, h.typing(a, b))} for (a, b) in h.edges()]
+    return dumps_canonical(tree)
 
 
 def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:

@@ -317,8 +317,9 @@ def _derive_backward_connector(
 def check_composability(h: Hierarchy, plan: PropagationPlan) -> list[str]:
     """All reasons the plan cannot drive a validity-preserving propagation.
 
-    Checks coverage of the affected sub-hierarchy, that every arrow of each
-    factorization and every explicit connector is a homomorphism, the
+    Checks coverage of the affected sub-hierarchy, that every explicit
+    connector sits on a typing of the sub-hierarchy, that every arrow of
+    each factorization and every explicit connector is a homomorphism, the
     per-object factorization squares, and — for every typing arrow inside
     the sub-hierarchy — the composability triangles and typing (forward)
     or retyping (backward) square of the connector, deriving one when the
@@ -376,6 +377,8 @@ def check_composability(h: Hierarchy, plan: PropagationPlan) -> list[str]:
                     )
         except Exception as exc:
             violations.append(f"node {name}: malformed factorization ({exc})")
+    for (i, j) in sorted(plan.connectors.keys() - set(res.sub.edges())):
+        violations.append(f"connector {i}->{j}: not a typing of the affected sub-hierarchy")
 
     if violations:
         return violations

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import random
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -113,7 +114,11 @@ def test_hand_made_values(value):
 
 
 def test_unsupported_values_raise_type_error():
-    for value in (1.5, {1: "a"}, {"a": {1, 2}}, object()):
+    """Callables too: only the writers' private leaf type is called."""
+    def leaf(newline):
+        return "{}"
+
+    for value in (1.5, {1: "a"}, {"a": {1, 2}}, object(), leaf, partial(str, "x"), [{"k": leaf}]):
         with pytest.raises(TypeError):
             dumps_canonical(value)
 

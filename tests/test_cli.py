@@ -591,6 +591,101 @@ def test_rewrite_plan_with_bad_node_ids(tmp_path, damage, code, needle):
     assert list(tmp_path.iterdir()) == [path]
 
 
+def _graph(*ids):
+    return {"nodes": [{"id": n} for n in ids], "edges": []}
+
+
+def _run_typed_chain_plan(tmp_path, connectors=None):
+    """`sqpo rewrite --plan` at G of G -> M -> T plus G -> T, with a rule
+    that adds a node beside x and a forward plan file that types it as x at
+    M and at T, plus `connectors` when given; returns the process."""
+    tmp_path.mkdir()
+    plan = {"factorizations": {
+        name: {"mid": _graph("x", "a"), "pre": {"x": "x"}, "post": {"x": "x", "a": "a"},
+               "typing_or_retyping": {"x": image, "a": image}}
+        for name, image in (("M", "u"), ("T", "v"))
+    }}
+    if connectors is not None:
+        plan["connectors"] = connectors
+    files = {
+        "h.json": {
+            "graphs": {"G": _graph("x"), "M": _graph("u"), "T": _graph("v")},
+            "typings": [
+                {"from": "G", "to": "M", "map": {"x": "u"}},
+                {"from": "G", "to": "T", "map": {"x": "v"}},
+                {"from": "M", "to": "T", "map": {"u": "v"}},
+            ],
+        },
+        "rule.json": {"lhs": _graph("x"), "interface": _graph("x"), "rhs": _graph("x", "a"),
+                      "left": {"x": "x"}, "right": {"x": "x"}},
+        "plan.json": plan,
+    }
+    for name, obj in files.items():
+        (tmp_path / name).write_text(json.dumps(obj))
+    return run_cli(
+        "rewrite", tmp_path / "h.json", "G", tmp_path / "rule.json", "0", "--direction", "fwd",
+        "--plan", tmp_path / "plan.json", "-o", tmp_path / "out.json", "--report", tmp_path / "report.json",
+    )
+
+
+def test_rewrite_plan_with_an_explicit_connector(tmp_path):
+    """A valid connector in the plan file gives the bytes of the same plan
+    without it, from which the same connector is derived."""
+    derived = _run_typed_chain_plan(tmp_path / "derived")
+    given = _run_typed_chain_plan(
+        tmp_path / "given", [{"from": "M", "to": "T", "map": {"x": "x", "a": "a"}}]
+    )
+    assert derived.returncode == given.returncode == 0, derived.stderr + given.stderr
+    for name in ("out.json", "report.json"):
+        text = (tmp_path / "given" / name).read_bytes()
+        assert text == (tmp_path / "derived" / name).read_bytes()
+    assert '"a": "u"' in (tmp_path / "given" / "out.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "connector, code, needle",
+    [
+        ({"from": "T", "to": "M", "map": {"x": "zz"}}, 1,
+         "connector T->M: not a typing of the affected sub-hierarchy"),
+        ({"from": "M", "to": "T", "map": {"x": "zz", "a": "a"}}, 1,
+         "connector M->T: node x maps to unknown node zz"),
+        ({"from": "G", "to": "M", "map": {"x": "x"}}, 2,
+         "connector G->M names nodes without factorizations"),
+    ],
+    ids=["reversed-typing", "unknown-node", "from-the-origin"],
+)
+def test_rewrite_plan_with_a_bad_connector(tmp_path, connector, code, needle):
+    """A connector on a pair that is no typing, or one that maps a node off
+    its target, fails the composability check (exit 1); one that names the
+    origin, which takes no factorization, is an input error (exit 2)."""
+    proc = _run_typed_chain_plan(tmp_path / "run", [connector])
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr and needle in proc.stderr
+    assert not (tmp_path / "run" / "out.json").exists()
+
+
+def test_rewrite_plan_with_an_unknown_retyping_key_exits_2(tmp_path):
+    """A backward `typing_or_retyping` key that is neither a node of the
+    restriction pattern nor an instance element is an input error."""
+    plan = {"factorizations": {"G": {
+        "mid": _graph("q"), "pre": {}, "post": {}, "typing_or_retyping": {"nowhere": "q"},
+    }}}
+    path = tmp_path / "bad.plan.json"
+    path.write_text(json.dumps(plan))
+    proc = run_cli(
+        "rewrite", FIXTURES / "clone_delete.hierarchy.json", "T",
+        FIXTURES / "clone_delete.rule.json", "0", "--direction", "bwd",
+        "--plan", path, "-o", tmp_path / "out.json",
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert (
+        f"invalid plan in {path}: plan factorization for G: nowhere is neither a "
+        "restriction-pattern node nor an instance element"
+    ) in proc.stderr
+    assert list(tmp_path.iterdir()) == [path]
+
+
 def _fixture_with(name, damage):
     obj = json.loads((FIXTURES / name).read_text())
     damage(obj)

@@ -3,14 +3,17 @@
 `copy.copy`, `copy.deepcopy` and a pickle round trip of a `Graph`, a
 `Homomorphism`, a rewrite trace, a `Hierarchy` and a `Rule` give an equal
 value that is still immutable. Private caches are not carried: a graph's
-adjacency lists and candidate index, a homomorphism's preimage lists and
-patch record, and a hierarchy's commutativity memo are rebuilt on first use
-by the copy. A trace reduces to its delta, so neither the trace nor its copy
-builds its node map.
+adjacency lists, sorted node ids and candidate index, a homomorphism's
+preimage lists and patch record, and a hierarchy's commutativity memo are
+rebuilt on first use by the copy. A trace reduces to its delta, so neither
+the trace nor its copy builds its node map. Threads that race to fill a
+graph's sorted node ids build equal lists.
 """
 
 import copy
 import pickle
+import sys
+import threading
 
 import pytest
 
@@ -57,7 +60,7 @@ def graph():
         {"a": {"k": ["x", 1]}, "b": {"k": [True]}},
         {("a", "b"): {"e": ["y"]}},
     )
-    g._adjacency(), g._candidate_index()  # fill both caches
+    g._adjacency(), g._node_order(), g._candidate_index()  # fill the caches
     return g
 
 
@@ -77,12 +80,39 @@ def test_graph_copies_are_equal_values_without_caches(graph, how):
     other = COPIES[how](graph)
     assert other == graph and hash(other) == hash(graph)
     assert other.node_attrs == graph.node_attrs and other.edge_attrs == graph.edge_attrs
-    assert not _slot_set(other, Graph, "_adjacent") and not _slot_set(other, Graph, "_index")
+    for slot in ("_adjacent", "_order", "_index"):
+        assert not _slot_set(other, Graph, slot), slot
     assert list(map(_sorted_lists, other._adjacency())) == list(
         map(_sorted_lists, graph._adjacency())
     )
+    assert other._node_order() == graph._node_order() == ["a", "b", "c"]
     with pytest.raises(AttributeError, match="immutable"):
         other.nodes = frozenset()
+
+
+def test_racing_readers_build_equal_node_orders():
+    """Threads that read a new graph's sorted node ids at once, with a
+    short switch interval, each get the sorted list; the graph keeps one."""
+    graphs = [Graph([f"n{i}" for i in range(2000, 0, -1)]) for _ in range(20)]
+    results: dict[int, list] = {}
+
+    def read(i):
+        results[i] = [g._node_order() for g in graphs]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    expected = sorted(graphs[0].nodes)
+    assert all(order == expected for lists in results.values() for order in lists)
+    assert all(g._order == expected for g in graphs) and len(results) == 4
 
 
 @pytest.mark.parametrize("how", COPIES)

@@ -96,6 +96,22 @@ def test_epi_needs_attr_coverage():
     assert is_homomorphism(h) and not is_epi(h)
 
 
+def test_epi_needs_a_homomorphism():
+    """A map onto every node and edge that drops an edge is no epi."""
+    g = Graph(["a", "b"], [("a", "b")])
+    t = Graph(["c", "d"], [("d", "c")])
+    h = Homomorphism(g, t, {"a": "c", "b": "d"})
+    assert not is_homomorphism(h) and not is_epi(h)
+
+
+def test_a_scalar_attribute_value_is_a_set_of_one():
+    """A str, int or bool where a collection of values belongs is one
+    value; a string is not split into its characters."""
+    g = Graph(["a"], [("a", "a")], {"a": {"k": "xy", "n": 3, "b": True}}, {("a", "a"): {"e": 0}})
+    assert g.node_attrs["a"] == {"k": frozenset({"xy"}), "n": frozenset({3}), "b": frozenset({True})}
+    assert g.edge_attrs[("a", "a")] == {"e": frozenset({0})}
+
+
 def test_compose_identity_and_chain():
     chain = Graph(["a", "b", "c"], [("a", "b"), ("b", "c")])
     other = Graph(["x", "y", "z"], [("x", "y"), ("y", "z")])

@@ -309,6 +309,30 @@ def test_hierarchies_differing_only_in_one_assignment_are_unequal():
     assert one != Hierarchy({"G": g, "T": t}, typing, sk, {"G": "d"})
 
 
+def test_hierarchies_whose_arrow_targets_differ_are_unequal():
+    """Two hierarchies with the same objects and arrow keys, one of whose
+    arrows (left stale by `replace`) targets another graph than the
+    other's: they compare unequal, without raising."""
+    a, b, b2 = Graph(["x"]), Graph(["y"]), Graph(["y", "z"])
+    h = Hierarchy().add_object("a", a).add_object("b", b)
+    h = h.add_typing("a", "b", Homomorphism(a, b, {"x": "y"}))
+    stale = h.replace(objects={"b": b2})
+    retargeted = h.replace(objects={"b": b2}, arrows={("a", "b"): Homomorphism(a, b2, {"x": "y"})})
+    assert stale != retargeted and retargeted != stale
+    same = h.replace(objects={"b": b2}, arrows={("a", "b"): Homomorphism(a, b2, {"x": "y"})})
+    assert retargeted == same and h == _rebuilt(h)
+    assert retargeted != h.replace(
+        objects={"b": b2}, arrows={("a", "b"): Homomorphism(a, b2, {"x": "z"})}
+    )
+
+
+def _rebuilt(h: Hierarchy) -> Hierarchy:
+    """An equal hierarchy of new graph and arrow objects."""
+    graphs = {n: Graph(h.graph(n).nodes, h.graph(n).edges) for n in h.nodes()}
+    arrows = {(u, v): Homomorphism(graphs[u], graphs[v], h.typing(u, v).node_map) for (u, v) in h.edges()}
+    return Hierarchy(graphs, arrows)
+
+
 def test_hierarchy_json_roundtrip_keeps_the_skeleton():
     sk = Skeleton.create(["d", "m", "s"], [("d", "m"), ("m", "s"), ("d", "s")])
     rng = random.Random(31)

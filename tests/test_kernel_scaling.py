@@ -94,7 +94,11 @@ attributed G -> M -> T plus G -> T hierarchy of 1000 data nodes must never
 reach `json.encoder._make_iterencode`, the stdlib's pure-Python encoder
 that `json.dumps(..., indent=2)` runs; loading that hierarchy must not call
 `normalize_attrs`, which the public `Graph` constructor runs once per
-attributed node and edge (1,976 times here).
+attributed node and edge (1,976 times here). One `sqpo rewrite` of that
+file sorts the node ids of each graph it loads or writes at most once
+(`sorted` patched in every sqpo module): a forward insert sorted the loaded
+G twice (candidate index, report trace) and the rewritten G twice (output
+file, report typings), and a backward delete sorted the rewritten G twice.
 
 On a hierarchy shaped like the benchmark's data hierarchy (1000 data nodes
 over 32 mid types over 8 kinds, each node carrying its kind), whose file
@@ -1052,6 +1056,41 @@ def test_cli_never_runs_the_pure_python_encoder(attributed_json, tmp_path, monke
         ]) == 0
     assert (tmp_path / "out.json").read_text().startswith('{\n  "graphs": {')
     assert calls == []
+
+
+@pytest.mark.parametrize("edit, direction", [(AddNode("y"), "fwd"), (DeleteNode("x"), "bwd")])
+def test_cli_rewrite_sorts_each_graph_once(attributed_json, tmp_path, monkeypatch, edit, direction):
+    """One `sqpo rewrite` of the 1000-node file, a forward insert or a
+    backward delete at G, sorts the node ids of each graph it loads or
+    writes at most once, and each written graph's exactly once."""
+    (tmp_path / "h.json").write_text(json.dumps(attributed_json))
+    rule = build_rule(Graph(["x"], (), {"x": {"kind": ["data"]}}), [edit])
+    (tmp_path / "rule.json").write_text(json.dumps(rule_to_json(rule)))
+    loaded, written = [], []
+    load, write = sqpo.cli._load_hierarchy, sqpo.cli._hierarchy_text
+    monkeypatch.setattr(sqpo.cli, "_load_hierarchy", lambda *args: loaded.append(load(*args)) or loaded[-1])
+    monkeypatch.setattr(sqpo.cli, "_hierarchy_text", lambda h: written.append(h) or write(h))
+    sorts = []  # each frozenset sorted, kept alive so that no id is reused
+
+    def counting(iterable, *args, **kwargs):
+        if type(iterable) is frozenset:
+            sorts.append(iterable)
+        return sorted(iterable, *args, **kwargs)
+
+    for name in [m for m in sys.modules if m.startswith("sqpo.")]:
+        monkeypatch.setattr(sys.modules[name], "sorted", counting, raising=False)
+    assert sqpo.cli.main([
+        "rewrite", str(tmp_path / "h.json"), "G", str(tmp_path / "rule.json"), "0",
+        "--direction", direction, "-o", str(tmp_path / "out.json"),
+    ]) == 0
+    (before,), (after,) = loaded, written
+    assert len(after.graph("G").nodes) == (1001 if direction == "fwd" else 999)
+    counts = {
+        (which, name): sum(s is h.graph(name).nodes for s in sorts)
+        for which, h in (("loaded", before), ("written", after)) for name in h.nodes()
+    }
+    assert all(counts["written", name] == 1 for name in after.nodes()), counts
+    assert max(counts.values()) == 1, counts
 
 
 def _data_hierarchy_json(n: int) -> dict:

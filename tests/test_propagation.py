@@ -970,6 +970,35 @@ def test_connector_that_breaks_the_typing_square_is_reported():
     assert check_composability(h, plan) == ["connector g1->g2: typing square fails"]
 
 
+def test_connector_off_the_typings_is_reported():
+    """G -> M -> T plus G -> T, with valid factorizations at M and T and a
+    connector on T -> M, which is no typing of the hierarchy: the check
+    names it, and the propagation refuses the plan."""
+    g, m, t = Graph(["x"]), Graph(["u"]), Graph(["v"])
+    h = (
+        Hierarchy()
+        .add_object("G", g).add_object("M", m).add_object("T", t)
+        .add_typing("M", "T", Homomorphism(m, t, {"u": "v"}))
+        .add_typing("G", "M", Homomorphism(g, m, {"x": "u"}))
+        .add_typing("G", "T", Homomorphism(g, t, {"x": "v"}))
+    )
+    rhs = Graph(["x", "a"])
+    rule = Homomorphism(g, rhs, {"x": "x"})
+    plan = PropagationPlan(origin="G", rule=rule, match=identity(g), direction=FORWARD)
+    for name, image in (("M", "u"), ("T", "v")):
+        plan.factorizations[name] = ForwardFactorization(
+            mid=rhs, pre_arrow=rule, post_arrow=identity(rhs),
+            typing=Homomorphism(rhs, h.graph(name), {"x": image, "a": image}),
+        )
+    assert check_composability(h, plan) == []
+    plan.connectors[("T", "M")] = Homomorphism(rhs, rhs, {"x": "zz"})
+    assert check_composability(h, plan) == [
+        "connector T->M: not a typing of the affected sub-hierarchy"
+    ]
+    with pytest.raises(RewritingError, match="connector T->M: not a typing"):
+        propagate_forward(h, plan)
+
+
 @pytest.mark.parametrize(
     "case, message",
     [
