@@ -39,7 +39,9 @@ The constructions are driven by edges and indexes, never by pairs of nodes:
   trace each returns (pushout's arrow from the host, final_pbc's projection
   to it) is a `graphs._Trace`: it holds its images at the rewritten part
   only and is the identity elsewhere, so no host-sized map is built unless
-  a caller reads the whole map;
+  a caller reads the whole map. Where the host holds its sorted node ids
+  or edges as a list, the result starts with that list as a deferred
+  order (`graphs._carry_orders`), which its first reader completes;
 * image_factorization is near-linear (sorting).
 
 Node ids are still assigned exactly as a loop over all classes, pairs or
@@ -61,6 +63,7 @@ from .graphs import (
     Graph,
     Homomorphism,
     _Trace,
+    _carry_orders,
     attrs_difference,
     attrs_intersection,
     attrs_union,
@@ -334,6 +337,7 @@ def pushout(f: Homomorphism, g: Homomorphism) -> PushoutResult:
     apex = Graph._of(
         nodes.union(assigned), edges.union(new_edge_attrs), node_attrs, edge_attrs
     )
+    _carry_orders(b_graph, apex)
     from_b = _Trace(b_graph, apex, b_ids)
     from_c = Homomorphism._of(c_graph, apex, {c: ids[("C", c)] for c in c_graph.nodes})
     listed.difference_update(moved_edges)
@@ -431,6 +435,7 @@ def final_pbc(f: Homomorphism, m: Homomorphism) -> PbcResult:
     edges.update(rebuilt)
 
     apex = Graph._of(untouched.union(assigned), edges, node_attrs, edge_attrs)
+    _carry_orders(g_graph, apex)
     embed = Homomorphism._of(k_graph, apex, {k: d for cs in copied.values() for k, d in cs})
     project = _Trace(apex, g_graph, {d: g for g, cs in copied.items() for _, d in cs})
     return PbcResult(apex, embed, project, tuple(rebuilt))

@@ -9,7 +9,10 @@ preserve edges and satisfy key-wise attribute containment.
 All edit operations return new graphs; nothing here mutates in place, so
 values can be shared freely across threads. Private caches fill on first
 use and never go stale, since nothing changes: a graph's adjacency lists,
-sorted node ids and candidate index, and a homomorphism's preimage lists.
+sorted node ids, sorted edges and candidate index, and a homomorphism's
+preimage lists. A graph may start with a deferred order instead of a
+sorted one, which its first reader completes: the ids its file listed, or
+the sorted ids of the host a construction changed (`_sorted_ids`).
 A homomorphism built as a patch of another records the keys whose image
 changed, which lets propagation and the commutativity memo work only where
 a rewrite did. A rewrite's trace is the identity except at the nodes the
@@ -23,6 +26,8 @@ from __future__ import annotations
 import json
 import weakref
 from functools import partial
+from itertools import chain, islice
+from operator import lt
 from typing import Iterable, Iterator, Mapping, Union
 
 from .exceptions import (
@@ -119,7 +124,8 @@ class Graph:
     """A finite attributed simple directed graph."""
 
     __slots__ = (
-        "nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_order", "_index", "__weakref__"
+        "nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_order", "_sorted_edges",
+        "_index", "__weakref__",
     )
 
     def __init__(
@@ -211,15 +217,14 @@ class Graph:
         return succ, pred
 
     def _node_order(self) -> list[str]:
-        """The node ids in sorted order, sorted on first use and kept; two
-        racing readers build equal lists. Callers only read the list."""
-        try:
-            return self._order
-        except AttributeError:
-            pass
-        ordered = sorted(self.nodes)
-        object.__setattr__(self, "_order", ordered)
-        return ordered
+        """The node ids in sorted order, built on first use and kept (see
+        `_sorted_ids`). Callers only read the list."""
+        return _sorted_ids(self, "_order", self.nodes)
+
+    def _edge_order(self) -> list[EdgeId]:
+        """The edges in sorted order, built on first use and kept (see
+        `_sorted_ids`). Callers only read the list."""
+        return _sorted_ids(self, "_sorted_edges", self.edges)
 
     def _candidate_index(self) -> tuple[list[str], dict[tuple, list[str]]]:
         """The node ids in sorted order and, for each (attribute key, value)
@@ -399,6 +404,76 @@ class Graph:
             raise GraphElementError(f"unknown node {element}")
 
 
+# A graph's sorted node ids and its sorted edges sit in a slot each
+# (`_order`, `_sorted_edges`). Until a reader needs the list, a slot may hold
+# a deferred order, which holds lists and sets of ids but never a graph:
+#
+# * a `_Listed`: the ids as the graph's file listed them (`graph_from_json`),
+#   kept if strictly increasing and sorted otherwise;
+# * a (host order, ids) pair that `pushout` and `final_pbc` leave their
+#   apex when their host holds its order as a list (`_carry_orders`): the
+#   host's order without the ids gone, merged with the new ids sorted.
+#
+# Either costs a linear pass where a sort would cost n log n comparisons,
+# and either is completed by its first reader; racing readers build equal
+# lists. A carried pair is not carried on, so no chain of rewrites grows one.
+
+
+class _Listed(list):
+    """The ids of a graph as its file listed them: a deferred order."""
+
+    __slots__ = ()
+
+
+def _sorted_ids(g: Graph, slot: str, ids: frozenset) -> list:
+    """`ids`, g's nodes or edges, in sorted order: the list in g's `slot`,
+    built on first use from the deferred order there, if any, else by
+    sorting, and kept."""
+    order = getattr(g, slot, None)
+    if type(order) is list:
+        return order
+    if order is None:
+        order = sorted(ids)
+    elif type(order) is _Listed:
+        order = _checked_order(order)
+    else:
+        order = _carried_order(*order)
+    object.__setattr__(g, slot, order)
+    return order
+
+
+def _checked_order(listed: _Listed) -> list:
+    """The ids a file listed, in sorted order without repeats: the list
+    itself if strictly increasing."""
+    if all(map(lt, listed, islice(listed, 1, None))):
+        return list(listed)
+    return sorted(set(listed))
+
+
+def _carried_order(host: list, ids: frozenset) -> list:
+    """`ids` in sorted order, from `host`, the sorted ids of a graph that
+    shares most of them (or a `_Listed` of them): host without the ids
+    that are gone, merged with the sorted new ones."""
+    if type(host) is _Listed:
+        host = _checked_order(host)
+    order = [x for x in host if x in ids]
+    if len(order) < len(ids):
+        order += sorted(ids.difference(order))
+        order.sort()  # one merge of two sorted runs
+    return order
+
+
+def _carry_orders(host: Graph, apex: Graph) -> None:
+    """Leave apex, a graph built from host by changing a few of its nodes
+    and edges, a deferred order of each kind that host holds as a list."""
+    order = getattr(host, "_order", None)
+    if isinstance(order, list):
+        object.__setattr__(apex, "_order", (order, apex.nodes))
+    order = getattr(host, "_sorted_edges", None)
+    if isinstance(order, list):
+        object.__setattr__(apex, "_sorted_edges", (order, apex.edges))
+
+
 class Homomorphism:
     """A structure-preserving node map between two graphs."""
 
@@ -540,12 +615,38 @@ class _Trace(Homomorphism):
 def homomorphism_violation(h: Homomorphism) -> str | None:
     """First reason h fails to be a homomorphism, or None if it is one.
 
-    Each check collects its offenders in one unsorted pass and reports the
-    smallest, so the message names the first violation in sorted element
-    order without sorting on the valid path.
+    The checks run at C level first: every source node has an image in
+    the target and no other node has one, every source edge's image is a
+    target edge, and every attribute dict equals its image's. Only what
+    fails them is walked in Python, where each check collects its
+    offenders in one unsorted pass and reports the smallest: the whole map
+    after a failed node or edge check, the attribute dicts after a failed
+    equality (a dict contained in its image but not equal to it passes).
+    So the message names the first violation in sorted element order, and
+    nothing is sorted on the valid path.
     """
-    source = h.source
-    return _violation(h, source.nodes, source.edges, h.node_map, everywhere=True)
+    source, target, node_map = h.source, h.target, h.node_map
+    nodes, get = source.nodes, node_map.get
+    ends = map(get, chain.from_iterable(source.edges))
+    if not (
+        len(node_map) == len(nodes)
+        and target.nodes.issuperset(map(get, nodes))
+        and target.edges.issuperset(zip(ends, ends))
+    ):
+        return _violation(h, nodes, source.edges, node_map, everywhere=True)
+    node_attrs, edge_attrs = source.node_attrs, source.edge_attrs
+    ends = map(get, chain.from_iterable(edge_attrs))
+    # list equality compares each pair by identity first: a loaded file and
+    # the constructions share equal attribute dicts
+    if (
+        not node_attrs
+        or list(node_attrs.values()) == list(map(target.node_attrs.get, map(get, node_attrs)))
+    ) and (
+        not edge_attrs
+        or list(edge_attrs.values()) == list(map(target.edge_attrs.get, zip(ends, ends)))
+    ):
+        return None
+    return _attrs_violation(h, node_attrs.items(), edge_attrs.items())
 
 
 def _violation_at(h: Homomorphism, nodes, edges, keys) -> str | None:
@@ -575,12 +676,18 @@ def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | N
         h.edge_image(e)  # raises KeyError if e dangles off an unmapped node
         return f"edge ({e[0]},{e[1]}) has no image edge"
     if everywhere:  # every attribute dict, without a lookup per element
-        node_attrs = source.node_attrs.items()
-        edge_attrs = source.edge_attrs.items()
-    else:
-        na, ea = source.node_attrs, source.edge_attrs
-        node_attrs = [(n, na[n]) for n in nodes if n in na]
-        edge_attrs = [(e, ea[e]) for e in edges if e in ea]
+        return _attrs_violation(h, source.node_attrs.items(), source.edge_attrs.items())
+    na, ea = source.node_attrs, source.edge_attrs
+    return _attrs_violation(
+        h, [(n, na[n]) for n in nodes if n in na], [(e, ea[e]) for e in edges if e in ea]
+    )
+
+
+def _attrs_violation(h: Homomorphism, node_attrs, edge_attrs) -> str | None:
+    """The smallest node, else the smallest edge, of the (element,
+    attribute dict) pairs given whose dict is not contained in its image's,
+    for an h whose nodes and edges all have images."""
+    source, target, node_map = h.source, h.target, h.node_map
     # equal attributes are contained: the common case costs one comparison
     image_attrs = target.node_attrs.get
     bad = [
@@ -825,7 +932,7 @@ def graph_to_json(g: Graph, shared: dict | None = None) -> dict:
             entry["attrs"] = shared.get(id(attrs)) or shared.setdefault(id(attrs), attrs_to_json(attrs))
         nodes.append(entry)
     edges = []
-    for e in sorted(g.edges):
+    for e in g._edge_order():
         entry = {"from": e[0], "to": e[1]}
         if attrs := edge_attrs(e):
             entry["attrs"] = shared.get(id(attrs)) or shared.setdefault(id(attrs), attrs_to_json(attrs))
@@ -890,7 +997,7 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
     memo = {} if memo is None else memo
     where: tuple = ()
     try:
-        nodes = []
+        nodes = _Listed()
         node_attrs = {}
         for i, entry in enumerate(obj.get("nodes", [])):
             where = ("nodes", i)
@@ -906,7 +1013,7 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
                     node_attrs[n] = attrs
                 else:  # an empty dict would break `Graph._of`'s precondition
                     node_attrs.pop(n, None)
-        edges = []
+        edges = _Listed()
         edge_attrs = {}
         for i, entry in enumerate(obj.get("edges", [])):
             where = ("edges", i)
@@ -931,6 +1038,8 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
         raise _located(
             GraphElementError, ("edges", edges.index(first)), "invalid graph: " + "; ".join(problems)
         )
+    object.__setattr__(g, "_order", nodes)  # deferred orders: see `_sorted_ids`
+    object.__setattr__(g, "_sorted_edges", edges)
     return g
 
 
@@ -1054,7 +1163,7 @@ def _graph_text(g: Graph, newline: str, attr_texts: dict) -> str:
         f"{from_head}{enc(e[0])}{to_sep}{enc(e[1])}{attrs_sep}{attrs_text(attrs)}{end}"
         if (attrs := edge_attrs(e))
         else f"{from_head}{enc(e[0])}{to_sep}{enc(e[1])}{end}"
-        for e in sorted(g.edges)
+        for e in g._edge_order()
     ]
     node_list = "[" + rows + sep.join(node_rows) + inner + "]" if node_rows else "[]"
     edge_list = "[" + rows + sep.join(edge_rows) + inner + "]" if edge_rows else "[]"

@@ -24,6 +24,9 @@ back against the match, with the backward step that complemented the match
 out at the origin on a path of its own.
 And the eager trace map that `pushout` and `final_pbc` built for every
 step before their traces held only the touched nodes (`identity_except`).
+And the one-pass Python walk that `homomorphism_violation` ran on every
+map before it checked at C level first and walked only a failed map
+(`violation_walk`).
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -304,6 +307,50 @@ def homomorphism_violation(h: Homomorphism) -> str | None:
     for e in sorted(h.source.edges):
         if not attrs_contained(h.source.attrs_of(e), h.target.attrs_of(h.edge_image(e))):
             return f"attributes of edge ({e[0]},{e[1]}) not contained in its image"
+    return None
+
+
+def violation_walk(h: Homomorphism) -> str | None:
+    """`homomorphism_violation` as a Python walk over every node, key, edge
+    and attribute dict: each check collects its offenders in one unsorted
+    pass and reports the smallest."""
+    source, target, node_map = h.source, h.target, h.node_map
+    bad = [n for n in source.nodes if n not in node_map or node_map[n] not in target.nodes]
+    if bad:
+        n = min(bad)
+        if n not in node_map:
+            return f"map not total: node {n} has no image"
+        return f"node {n} maps to unknown node {node_map[n]}"
+    bad = [n for n in node_map if n not in source.nodes]
+    if bad:
+        return f"map defined on unknown node {min(bad)}"
+    get = node_map.get
+    bad = [e for e in source.edges if (get(e[0]), get(e[1])) not in target.edges]
+    if bad:
+        e = min(bad)
+        h.edge_image(e)  # raises KeyError if e dangles off an unmapped node
+        return f"edge ({e[0]},{e[1]}) has no image edge"
+    image_attrs = target.node_attrs.get
+    bad = [
+        n
+        for n, attrs in source.node_attrs.items()
+        if n in source.nodes
+        and attrs != (image := image_attrs(node_map[n], {}))
+        and not attrs_contained(attrs, image)
+    ]
+    if bad:
+        return f"attributes of node {min(bad)} not contained in its image"
+    image_attrs = target.edge_attrs.get
+    bad = [
+        e
+        for e, attrs in source.edge_attrs.items()
+        if e in source.edges
+        and attrs != (image := image_attrs(h.edge_image(e), {}))
+        and not attrs_contained(attrs, image)
+    ]
+    if bad:
+        e = min(bad)
+        return f"attributes of edge ({e[0]},{e[1]}) not contained in its image"
     return None
 
 

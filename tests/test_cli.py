@@ -1,9 +1,12 @@
 import json
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+import sqpo.cli
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "golden"
@@ -77,17 +80,17 @@ def test_match_no_matches_is_ok():
     assert json.loads(proc.stdout) == []
 
 
-@pytest.mark.parametrize(
-    "name, hier, node, rule, direction, relation",
-    [
-        ("merge_add", "merge_add.hierarchy.json", "G", "merge_add.rule.json", "fwd", "merge_add.relation.json"),
-        ("merge_add_variant", "merge_add_variant.hierarchy.json", "G", "merge_add.rule.json", "fwd", "merge_add_variant.relation.json"),
-        ("clone_delete", "clone_delete.hierarchy.json", "T", "clone_delete.rule.json", "bwd", "clone_delete.relation.json"),
-        ("clone_delete_partial", "clone_delete_partial.hierarchy.json", "T", "clone_delete.rule.json", "bwd", "clone_delete.relation.json"),
-        ("set_example", "set_example.hierarchy.json", "n0", "set_example.rule.json", "fwd", "set_example.relation.json"),
-        ("diamond", "diamond.hierarchy.json", "k0", "diamond.rule.json", "bwd", "diamond.relation.json"),
-    ],
-)
+GOLDEN_REWRITES = [
+    ("merge_add", "merge_add.hierarchy.json", "G", "merge_add.rule.json", "fwd", "merge_add.relation.json"),
+    ("merge_add_variant", "merge_add_variant.hierarchy.json", "G", "merge_add.rule.json", "fwd", "merge_add_variant.relation.json"),
+    ("clone_delete", "clone_delete.hierarchy.json", "T", "clone_delete.rule.json", "bwd", "clone_delete.relation.json"),
+    ("clone_delete_partial", "clone_delete_partial.hierarchy.json", "T", "clone_delete.rule.json", "bwd", "clone_delete.relation.json"),
+    ("set_example", "set_example.hierarchy.json", "n0", "set_example.rule.json", "fwd", "set_example.relation.json"),
+    ("diamond", "diamond.hierarchy.json", "k0", "diamond.rule.json", "bwd", "diamond.relation.json"),
+]
+
+
+@pytest.mark.parametrize("name, hier, node, rule, direction, relation", GOLDEN_REWRITES)
 def test_rewrite_matches_golden(tmp_path, name, hier, node, rule, direction, relation):
     out = tmp_path / "out.json"
     report = tmp_path / "report.json"
@@ -112,6 +115,54 @@ def test_rewrite_matches_golden(tmp_path, name, hier, node, rule, direction, rel
     # rewritten hierarchies validate cleanly
     check = run_cli("validate", out)
     assert check.returncode == 0
+
+
+def _shuffled(obj: dict, seed: int) -> dict:
+    """A copy of the hierarchy file `obj` whose graphs list their nodes and
+    edges in a shuffled order, each with one entry listed twice."""
+    rng = random.Random(seed)
+    out = json.loads(json.dumps(obj))
+    for graph in out["graphs"].values():
+        for key in ("nodes", "edges"):
+            entries = graph.get(key, [])
+            if entries:
+                entries.append(dict(rng.choice(entries)))
+                rng.shuffle(entries)
+    return out
+
+
+@pytest.mark.parametrize("name, hier, node, rule, direction, relation", GOLDEN_REWRITES)
+def test_rewrite_of_a_shuffled_file_writes_the_same_bytes(
+    tmp_path, capsys, name, hier, node, rule, direction, relation
+):
+    """The loader keeps the sorted node and edge lists a file gives, and
+    sorts those of a file that lists them otherwise: `sqpo rewrite` of a
+    file listing them shuffled, with repeats, writes the golden output and
+    report bytes, and `sqpo validate` of it prints what it prints for the
+    sorted file (in process, so the CLI's caches are shared between runs)."""
+    shuffled = tmp_path / "shuffled.hierarchy.json"
+    shuffled.write_text(json.dumps(_shuffled(json.loads((FIXTURES / hier).read_text()), 27)))
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    for path in (shuffled, FIXTURES / hier):
+        assert sqpo.cli.main([
+            "rewrite", str(path), node, str(FIXTURES / rule), "0", "--direction", direction,
+            "--relation", str(FIXTURES / relation), "-o", str(out), "--report", str(report),
+        ]) == 0
+        assert out.read_text() == (GOLDEN / f"{name}.out.json").read_text()
+        assert report.read_text() == (GOLDEN / f"{name}.report.json").read_text()
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("hier", sorted(p.name for p in FIXTURES.glob("*.hierarchy.json")))
+def test_validate_of_a_shuffled_file_prints_the_same(tmp_path, capsys, hier):
+    shuffled = tmp_path / "shuffled.hierarchy.json"
+    shuffled.write_text(json.dumps(_shuffled(json.loads((FIXTURES / hier).read_text()), 27)))
+    results = []
+    for path in (FIXTURES / hier, shuffled):
+        code = sqpo.cli.main(["validate", str(path)])
+        results.append((code, capsys.readouterr()))
+    assert results[0] == results[1]
+    assert hier != "broken_diamond.hierarchy.json" or results[0][0] == 1
 
 
 def test_rewrite_canonical_flag(tmp_path):

@@ -14,7 +14,8 @@ ones with derived clean-up deletions too) and require:
 * the edges it checks to be exactly the edges at the delta;
 * `apply_plan` to give the reports of the old one, which rebuilt
   a map over every node of every traced object after each clean-up;
-* a chain of rewrites to keep no earlier graph alive;
+* a chain of rewrites to keep no earlier graph alive, also through the
+  deferred orders that carry a host's sorted ids over to a rewritten graph;
 * threads racing to fill the lazy caches of a shared base to get the
   results of a sequential run.
 """
@@ -34,6 +35,7 @@ from sqpo import (
     BACKWARD,
     EXPANSIVE,
     FORWARD,
+    RESTRICTIVE,
     SqpoError,
     AddEdge,
     AddNode,
@@ -47,6 +49,7 @@ from sqpo import (
     build_relation_plan,
     build_rule,
     find_matches,
+    hierarchy_from_json,
     hierarchy_to_json,
     propagate_backward,
     propagate_forward,
@@ -301,6 +304,43 @@ def test_a_chain_of_forward_rewrites_keeps_no_earlier_graph_alive():
     gc.collect()
     assert len(earlier) == 9
     assert [ref() for ref in earlier] == [None] * 9
+
+
+def test_carried_orders_keep_no_earlier_graph_alive():
+    """A construction leaves its apex a deferred order that holds the host's
+    id list and the apex's own sets, never a graph. Rewrites alternate
+    between forward adds at G and backward clones at T, starting from a
+    loaded file (deferred orders of the ids it listed), and every other
+    hierarchy's orders are read before the next rewrite (lists, which it
+    carries over): only the last hierarchy's graphs survive a collection."""
+    h = hierarchy_from_json(hierarchy_to_json(_typed_chain()))
+    earlier, carried = [], 0
+    for step in range(6):
+        for n in h.nodes():
+            g = h.graph(n)
+            for slot in ("_order", "_sorted_edges"):
+                deferred = getattr(g, slot, None)
+                assert not any(isinstance(x, Graph) for x in gc.get_referents(deferred))
+                carried += type(deferred) is tuple
+            earlier.append(weakref.ref(g))
+            if step % 2:
+                g._node_order(), g._edge_order()
+        if step % 2:
+            rule = build_rule(Graph(["x"]), [CloneNode("x", "x1", "x2")])
+            (match,) = find_matches(rule, h.graph("T"), RESTRICTIVE, {"x": min(h.graph("T").nodes)})
+            plan = build_canonical_plan(h, "T", rule.left_leg, match.instance, BACKWARD)
+        else:
+            rule = build_rule(Graph(["x"]), [AddNode(f"n{step}"), AddEdge("x", f"n{step}")])
+            anchor = min(h.graph("G").nodes)
+            (match,) = find_matches(rule, h.graph("G"), EXPANSIVE, {"x": anchor})
+            plan = build_canonical_plan(h, "G", rule.right_leg, match.instance, FORWARD)
+        h = apply_plan(h, plan)[-1].hierarchy
+        del rule, match, plan, g, deferred
+    assert carried >= 12
+    assert h.validate() == []
+    gc.collect()
+    assert len(earlier) == 18
+    assert [ref() for ref in earlier] == [None] * 18
 
 
 def test_threads_sharing_cold_caches_get_the_sequential_results():

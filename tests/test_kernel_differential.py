@@ -6,7 +6,10 @@ byte-identical results: the canonical JSON of every constructed graph, every
 returned node map, every violation message and the order of the match list.
 Every graph a construction builds must also be normalized exactly as the
 public `Graph` constructor would leave it, since the constructions build
-their results without that normalization pass. A trace (pushout's `from_b`,
+their results without that normalization pass, and its sorted node ids and
+edges must be the sorted sets, also where `pushout` and `final_pbc` carry
+them over from a host that held its orders as lists or as a file listed
+them (in order, or shuffled with a repeat). A trace (pushout's `from_b`,
 final_pbc's `project`) holds only the images at the nodes the construction
 touched: read node by node before its map is built, and once built, it
 must give the reference's map. No construction may write into an attribute
@@ -52,6 +55,7 @@ from sqpo import (
     pushout,
 )
 from sqpo.graphs import (
+    _Listed,
     _Trace,
     attrs_union,
     dumps_canonical,
@@ -83,6 +87,33 @@ def _assert_normalized(g: Graph) -> None:
         )
 
 
+def _host_orders(host: Graph) -> None:
+    """Give host's sorted node ids and edges one of four states, chosen by
+    its size: as they are (unset, unless an earlier case read them),
+    sorted lists, or deferred lists as a file listed them, in order or
+    shuffled with a repeat. `pushout` and `final_pbc` carry the last three
+    over to their apex."""
+    state = (len(host.nodes) + len(host.edges)) % 4
+    if state == 1:
+        host._node_order(), host._edge_order()
+    elif state > 1:
+        for slot, ids in (("_order", host.nodes), ("_sorted_edges", host.edges)):
+            listed = sorted(ids)
+            if state == 3 and listed:
+                listed = random.Random(len(listed)).sample(listed, len(listed)) + listed[-1:]
+            object.__setattr__(host, slot, _Listed(listed))
+
+
+def _assert_sorted_orders(g: Graph, host: Graph | None = None) -> None:
+    """g's sorted node ids and edges are the sorted sets. Built from a host
+    that held an order as a list, g holds a deferred order of that kind
+    until it is read."""
+    for slot, ids, read in (("_order", g.nodes, g._node_order), ("_sorted_edges", g.edges, g._edge_order)):
+        if host is not None and isinstance(getattr(host, slot, None), list):
+            assert type(getattr(g, slot)) is tuple
+        assert read() == sorted(ids)
+
+
 def _same_trace(new: Homomorphism, old: Homomorphism) -> None:
     """new is a lazy trace that equals the reference kernel's eager map:
     read node by node through its delta without building its map, as the
@@ -101,6 +132,7 @@ def _assert_same_pullback(f, g):
     snapshot = attr_snapshot(f.source, f.target, g.source)
     new, old = pullback(f, g), ref.pullback(f, g)
     assert_attrs_unchanged(snapshot)
+    _assert_sorted_orders(new.apex)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.to_a, old.to_a)
     _same_hom(new.to_b, old.to_b)
@@ -110,8 +142,10 @@ def _assert_same_pullback(f, g):
 
 def _assert_same_pbc(f, m):
     snapshot = attr_snapshot(f.source, f.target, m.target)
+    _host_orders(m.target)
     new, old = final_pbc(f, m), ref.final_pbc(f, m)
     assert_attrs_unchanged(snapshot)
+    _assert_sorted_orders(new.apex, m.target)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_hom(new.embed, old.embed)
     _same_trace(new.project, old.project)
@@ -121,8 +155,10 @@ def _assert_same_pbc(f, m):
 
 def _assert_same_pushout(f, g):
     snapshot = attr_snapshot(f.source, f.target, g.target)
+    _host_orders(f.target)
     new, old = pushout(f, g), ref.pushout(f, g)
     assert_attrs_unchanged(snapshot)
+    _assert_sorted_orders(new.apex, f.target)
     assert _canonical(new.apex) == _canonical(old.apex)
     _same_trace(new.from_b, old.from_b)
     _same_hom(new.from_c, old.from_c)
@@ -860,6 +896,112 @@ def test_homomorphism_violation_raises_on_first_dangling_edge():
         ref.homomorphism_violation(h)
     with pytest.raises(KeyError):
         homomorphism_violation(h)
+
+
+def _large_hom(rng, n: int) -> Homomorphism:
+    """A valid map of about n source nodes and 1.5 n edges into a dense
+    target of 30 nodes. Half the attributed sources share their image's
+    dict (the loader and the constructions do); the others hold an equal
+    copy or a strictly smaller dict."""
+    target = random_graph(rng, max_nodes=30, min_nodes=30, p_edge=0.6, p_attr=0.7,
+                          p_edge_attr=0.5, prefix="t")
+    images = sorted(target.nodes)
+    node_map = {f"s{i}": rng.choice(images) for i in range(n)}
+    nodes = sorted(node_map)
+    edges = {
+        (u, v) for u, v in ((rng.choice(nodes), rng.choice(nodes)) for _ in range(3 * n // 2))
+        if (node_map[u], node_map[v]) in target.edges
+    }
+
+    def under(attrs):
+        draw = rng.random()
+        if not attrs or draw < 0.3:
+            return None
+        if draw < 0.65:
+            return attrs
+        if draw < 0.85:
+            return dict(attrs)
+        key = sorted(attrs)[0]
+        smaller = sorted(attrs[key], key=value_sort_key)[1:]
+        return {key: frozenset(smaller)} if smaller else None
+
+    node_attrs = {n: a for n in nodes if (a := under(target.node_attrs.get(node_map[n])))}
+    edge_attrs = {
+        e: a for e in sorted(edges)
+        if (a := under(target.edge_attrs.get((node_map[e[0]], node_map[e[1]]))))
+    }
+    return Homomorphism._of(Graph._of(nodes, edges, node_attrs, edge_attrs), target, node_map)
+
+
+# one violation of each kind injected into a valid map, with the first word
+# of its message
+_INJECTED = {
+    "no image": "map",
+    "unknown image": "node",
+    "key outside the source": "map",
+    "missing image edge": "edge",
+    "node attributes": "attributes",
+    "edge attributes": "attributes",
+}
+
+
+def _injected(rng, h: Homomorphism, kind: str) -> Homomorphism | None:
+    """h with one violation of `kind`, or None if h has no element for it."""
+    source, target = h.source, h.target
+    node_map = dict(h.node_map)
+    nodes, edges = sorted(source.nodes), sorted(source.edges)
+    if kind == "no image" and nodes:
+        del node_map[rng.choice(nodes)]
+    elif kind == "unknown image" and nodes:
+        node_map[rng.choice(nodes)] = "ghost"
+    elif kind == "key outside the source":
+        node_map["s_outside"] = rng.choice(sorted(target.nodes))
+    elif kind == "missing image edge" and edges:
+        image = h.edge_image(rng.choice(edges))
+        target = Graph._of(
+            target.nodes, target.edges - {image}, target.node_attrs,
+            {e: a for e, a in target.edge_attrs.items() if e != image},
+        )
+    elif kind == "node attributes" and nodes:
+        n = rng.choice(nodes)
+        attrs = {**source.node_attrs.get(n, {}), "zz": frozenset(["outside"])}
+        source = Graph._of(source.nodes, source.edges, {**source.node_attrs, n: attrs},
+                           source.edge_attrs)
+    elif kind == "edge attributes" and edges:
+        e = rng.choice(edges)
+        attrs = {**source.edge_attrs.get(e, {}), "zz": frozenset(["outside"])}
+        source = Graph._of(source.nodes, source.edges, source.node_attrs,
+                           {**source.edge_attrs, e: attrs})
+    else:
+        return None
+    return Homomorphism._of(source, target, node_map)
+
+
+@pytest.mark.parametrize("size", ["tiny", "large"])
+def test_homomorphism_violation_matches_the_walk(size):
+    """The C-level checks let a valid map through and hand any other to the
+    Python walk, so `homomorphism_violation` gives exactly the walk's answer
+    (and the original sorted pair loop's): on valid random maps, with
+    attribute dicts shared with, equal to or smaller than their images', and
+    on copies with one injected violation of each kind, of 2-8 source nodes
+    or of about 10^3."""
+    rng = random.Random(2700 if size == "tiny" else 2701)
+    seen = Counter()
+    for _ in range(300 if size == "tiny" else 6):
+        if size == "tiny":
+            target = random_graph(rng, max_nodes=5, min_nodes=1, p_edge=0.5, prefix="t")
+            h = random_hom_into(rng, target, max_nodes=8)
+        else:
+            h = _large_hom(rng, rng.randint(900, 1100))
+        cases = [("valid", h)] + [(kind, _injected(rng, h, kind)) for kind in _INJECTED]
+        for kind, case in cases:
+            if case is None:
+                continue
+            got = homomorphism_violation(case)
+            assert got == ref.violation_walk(case) == ref.homomorphism_violation(case)
+            assert (got is None) if kind == "valid" else got.split(" ")[0] == _INJECTED[kind]
+            seen[kind] += 1
+    assert set(seen) == {"valid", *_INJECTED}, seen
 
 
 def test_wave_scheduler_matches_reference():

@@ -95,10 +95,14 @@ reach `json.encoder._make_iterencode`, the stdlib's pure-Python encoder
 that `json.dumps(..., indent=2)` runs; loading that hierarchy must not call
 `normalize_attrs`, which the public `Graph` constructor runs once per
 attributed node and edge (1,976 times here). One `sqpo rewrite` of that
-file sorts the node ids of each graph it loads or writes at most once
-(`sorted` patched in every sqpo module): a forward insert sorted the loaded
-G twice (candidate index, report trace) and the rewritten G twice (output
-file, report typings), and a backward delete sorted the rewritten G twice.
+file sorts the node set or the edge set of no graph it loads, and each set
+of a graph it writes at most once (`sorted` patched in every sqpo module):
+the loader keeps the file's sorted lists and the constructions carry them
+over, where each written graph's node set and edge set were sorted once
+each before (and a forward insert once sorted the loaded G's nodes twice,
+a backward delete the rewritten G's twice). Repeated `sqpo.cli.main` calls
+in one process build no argument parser (each built one before, with
+three subparsers).
 
 On a hierarchy shaped like the benchmark's data hierarchy (1000 data nodes
 over 32 mid types over 8 kinds, each node carrying its kind), whose file
@@ -111,6 +115,7 @@ load and dump that file at once each get the single-thread bytes: the memos
 live in one call.
 """
 
+import argparse
 import io
 import json
 import json.encoder
@@ -1061,8 +1066,10 @@ def test_cli_never_runs_the_pure_python_encoder(attributed_json, tmp_path, monke
 @pytest.mark.parametrize("edit, direction", [(AddNode("y"), "fwd"), (DeleteNode("x"), "bwd")])
 def test_cli_rewrite_sorts_each_graph_once(attributed_json, tmp_path, monkeypatch, edit, direction):
     """One `sqpo rewrite` of the 1000-node file, a forward insert or a
-    backward delete at G, sorts the node ids of each graph it loads or
-    writes at most once, and each written graph's exactly once."""
+    backward delete at G, sorts the node set or the edge set of no graph it
+    loads: the file lists them in order. It sorts each set of a graph it
+    writes at most once (none here: the rewritten graphs carry their host's
+    order over)."""
     (tmp_path / "h.json").write_text(json.dumps(attributed_json))
     rule = build_rule(Graph(["x"], (), {"x": {"kind": ["data"]}}), [edit])
     (tmp_path / "rule.json").write_text(json.dumps(rule_to_json(rule)))
@@ -1086,11 +1093,34 @@ def test_cli_rewrite_sorts_each_graph_once(attributed_json, tmp_path, monkeypatc
     (before,), (after,) = loaded, written
     assert len(after.graph("G").nodes) == (1001 if direction == "fwd" else 999)
     counts = {
-        (which, name): sum(s is h.graph(name).nodes for s in sorts)
-        for which, h in (("loaded", before), ("written", after)) for name in h.nodes()
+        (which, name, part): sum(s is getattr(h.graph(name), part) for s in sorts)
+        for which, h in (("loaded", before), ("written", after))
+        for name in h.nodes() for part in ("nodes", "edges")
     }
-    assert all(counts["written", name] == 1 for name in after.nodes()), counts
-    assert max(counts.values()) == 1, counts
+    assert not any(n for (which, _, _), n in counts.items() if which == "loaded"), counts
+    assert max(counts.values()) <= 1, counts
+
+
+def test_cli_main_builds_its_parser_once(tmp_path, monkeypatch):
+    """The CLI's argument parser is built once per process: repeated
+    `sqpo.cli.main` calls build no parser of their own."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    with redirect_stdout(io.StringIO()):
+        for _ in range(3):
+            assert sqpo.cli.main(["validate", str(FIXTURES / "merge_add.hierarchy.json")]) == 0
+        assert sqpo.cli.main([
+            "rewrite", str(FIXTURES / "merge_add.hierarchy.json"), "G",
+            str(FIXTURES / "merge_add.rule.json"), "0", "--direction", "fwd",
+            "-o", str(tmp_path / "out.json"),
+        ]) == 0
+    assert built == []
 
 
 def _data_hierarchy_json(n: int) -> dict:
