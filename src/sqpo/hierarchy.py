@@ -17,20 +17,37 @@ verdict of every other edge.
   were filled: the arrows replaced, with the keys at which each patch (see
   `Homomorphism._patched`) may differ from the arrow it replaced, and the
   sources that see them (the ancestors of the arrows' tails) or whose
-  object was replaced; and the arrows added, logged with unknown keys. A
-  check walks those sources and the sources whose cone holds an added
-  arrow's tail.
+  object was replaced; and the arrows added, logged with unknown keys.
+  Each call links its own changes to the log, in time proportional to
+  them, and a check reads the chain as one change. It walks those sources
+  and the sources whose cone holds an added arrow's tail.
 * One-pass walk. A walk visits each edge of the source's cone once, in
   walk order, the first edge to reach a node being its tree edge. A first
   hop is the arrow, with its logged keys; below it a composite is composed
   whole. A comparing edge that held and joins two first hops is compared
   only where it can have changed (`_moved_keys`).
-* `add_typing(a, b)` costs the paths its arrow adds. The entries of a's
-  ancestors stay. An ancestor that sees nothing else, whose old walk
-  ends before the new arrow (`_extension`; always so in a hierarchy typed
-  layer by layer), keeps its walk and visits only the new arrow and the
-  nodes first reached through it. Any other ancestor walks anew in the new
-  order.
+* Valid mark. The memo also records whether the hierarchy is known
+  valid: every arrow a homomorphism between its endpoint objects and all
+  parallel paths equal. A hierarchy with no arrows is, a `validate` that
+  finds nothing marks it, and `add_typing` into a valid hierarchy keeps
+  it, as does `add_object`; `replace` and pickling drop it. A check alone
+  never marks it, since it does not check that maps are total.
+* `add_typing(a, b)` on a valid hierarchy compares only the path pairs its
+  arrow creates. Each new path runs s ~> a -> b ~> t, for s in a's
+  ancestors (a included) and t in b's cone, and the old paths agree, so
+  the new ones agree with each other and only a pair that had a path
+  before can break. It is compared at the frontier pairs only: where an
+  arrow s -> x leaves a's ancestors and the walk on from x first enters
+  b's cone, at t. Any other pair follows from one of these by composing
+  one old arrow: from (s', t) if the old path's first hop s' reaches a,
+  else from (s, t'), t' the node before t on a path inside b's cone. Each
+  composite is built along one path. The ancestors' entries are left to
+  the log, for the next check to rebuild. A comparison that differs, or a
+  hierarchy not known valid, takes the full check, so a refusal reads as
+  before.
+* Composite typings. `validate` does not walk an arrow a -> b whose map
+  equals the composite of arrows a -> w and w -> b it found to be
+  homomorphisms: so is their composite.
 
 The memo holds no hierarchy, patches hold their bases only weakly, and
 equality, repr and JSON ignore it. A check installs a new memo in one
@@ -42,6 +59,7 @@ entry is current.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import NamedTuple
@@ -104,8 +122,9 @@ def _extended(succ: dict, pred: dict, edges) -> tuple[dict, dict]:
     and of `edges`, which are new."""
     succ, pred = dict(succ), dict(pred)
     for (a, b) in edges:
-        succ[a] = sorted((*succ.get(a, ()), b))
-        pred[b] = sorted((*pred.get(b, ()), a))
+        for lists, u, v in ((succ, a, b), (pred, b, a)):
+            lists[u] = new = list(lists.get(u, ()))  # the old list stays as it is
+            insort(new, v)
     return succ, pred
 
 
@@ -164,20 +183,61 @@ class _Check(NamedTuple):
     violations: tuple[CommutativityViolation, ...]
 
 
-class _Memo(NamedTuple):
-    """Entries current up to the changes since they were filled (the log):
-    the arrows replaced or added, with their patch keys (None when not
-    known, as for an added arrow); the sources that see a replaced arrow or
-    whose object was replaced; and the arrows added."""
+_NOTHING: frozenset = frozenset()
+_CLEAN = ({}, _NOTHING, _NOTHING)  # an empty log, merged (never modified)
 
-    entries: dict[str, _Check]
-    arrows: dict[tuple[str, str], frozenset | None] = {}  # never modified
-    sources: frozenset = frozenset()
-    added: frozenset = frozenset()
+
+class _Memo:
+    """A hierarchy's entries, current up to the changes since they were
+    filled (the log), and whether the hierarchy is known `valid`: every
+    arrow a homomorphism between its endpoint objects and all parallel
+    paths equal. The log is a chain of `replace` calls, newest first, each
+    with the arrows it replaced or added and their patch keys (None when not
+    known, as for an added arrow), the sources that see a replaced arrow or
+    whose object it replaced, and the arrows it added; `merged` reads it as
+    one change."""
+
+    __slots__ = ("entries", "valid", "_log", "_merged")
+
+    def __init__(self, entries: dict[str, _Check], valid: bool = False, log=None, merged=None):
+        self.entries, self.valid, self._log = entries, valid, log
+        self._merged = _CLEAN if log is None else merged
+
+    def logged(self, arrows: dict, sources, added) -> "_Memo":
+        """This memo with one more call in its log, in time proportional to
+        that call's changes; a replaced hierarchy is not known valid."""
+        return _Memo(self.entries, False, (self._log, arrows, sources, added))
+
+    def marked(self) -> "_Memo":
+        """This memo, known valid."""
+        return _Memo(self.entries, True, self._log, self._merged)
+
+    def merged(self) -> tuple[dict, frozenset, frozenset]:
+        """The log as one change: each arrow's patch keys united over the
+        calls (unknown if unknown in any), and the union of the sources and
+        of the added arrows. Built on first use and kept; racing readers
+        build equal values."""
+        merged = self._merged
+        if merged is None:
+            calls, log = [], self._log
+            while log is not None:
+                log, *call = log
+                calls.append(call)
+            arrows: dict = {}
+            sources: set = set()
+            added: set = set()
+            for known, seen, new in reversed(calls):
+                for e, keys in known.items():
+                    was = arrows.get(e, _NOTHING)
+                    arrows[e] = None if was is None or keys is None else was | keys
+                sources.update(seen)
+                added.update(new)
+            merged = self._merged = (arrows, frozenset(sources), frozenset(added))
+        return merged
 
     def grown(self, entry: _Check) -> list[tuple[str, str]]:
         """The added arrows that start in entry's cone."""
-        return [e for e in self.added if e[0] in entry.canon]
+        return [e for e in self.merged()[2] if e[0] in entry.canon]
 
 
 def _reach(starts, step: dict) -> set[str]:
@@ -192,7 +252,63 @@ def _reach(starts, step: dict) -> set[str]:
     return out
 
 
-_NOTHING: frozenset = frozenset()
+def _entries(succ: dict, starts, below) -> dict[str, set[str]]:
+    """For each node reachable from `starts` without entering `below`, the
+    nodes of `below` it reaches by a path whose other nodes lie outside it:
+    where it enters `below`. The shape must be acyclic."""
+    entries: dict[str, set[str]] = {}
+    stack = list(starts)
+    while stack:
+        x = stack[-1]
+        if x in entries:
+            stack.pop()
+            continue
+        later = [y for y in succ.get(x, ()) if y not in below and y not in entries]
+        if later:
+            stack.extend(later)
+            continue
+        stack.pop()
+        got = set()
+        for y in succ.get(x, ()):
+            if y in below:
+                got.add(y)
+            else:
+                got.update(entries[y])
+        entries[x] = got
+    return entries
+
+
+def _frontier(succ: dict, pred: dict, a: str, below: set[str]):
+    """For a new arrow a -> b whose head's cone is `below`: a's ancestors
+    (a included), the `_entries` of the nodes their arrows leave them for,
+    and the frontier pairs (s, t), where an arrow s -> x leaves a's
+    ancestors and t is x or where x's walk enters `below`."""
+    ups = _reach((a,), pred)
+    sides = {s: [x for x in succ.get(s, ()) if x not in ups] for s in ups}
+    entries = _entries(succ, (x for xs in sides.values() for x in xs if x not in below), below)
+    pairs = [
+        (s, t) for s, xs in sides.items()
+        for t in set().union(*((x,) if x in below else entries[x] for x in xs))
+    ]
+    return ups, entries, pairs
+
+
+def _composite(arrows: dict, known: dict, x: str, step, forward: bool = True):
+    """The composite along the path from x that `step` extends one node at a
+    time until it meets a node `known` holds. Forward, `known` maps a node
+    to the composite from it to the path's end; backward (`step` picks a
+    predecessor), from the path's start to it. None stands for an identity.
+    Fills `known` along the path."""
+    path = [x]
+    while path[-1] not in known:
+        path.append(step(path[-1]))
+    got = known[path[-1]]
+    for near, far in reversed(list(zip(path, path[1:]))):
+        arrow = arrows[(near, far) if forward else (far, near)]
+        if got is not None:
+            arrow = compose(got, arrow) if forward else compose(arrow, got)
+        known[near] = got = arrow
+    return got
 
 
 def _moved_keys(ku, kv, ke, old_u: Homomorphism) -> set:
@@ -267,7 +383,7 @@ class Hierarchy:
         skeleton_map: dict[str, str] | None = None,
     ):
         arrows = dict(arrows or {})
-        memo = _Memo({})
+        memo = _Memo({}, valid=not arrows)
         self._fill(dict(objects or {}), arrows, skeleton, skeleton_map, *_adjacency(arrows), memo)
 
     def _fill(self, objects, arrows, skeleton, skeleton_map, succ, pred, memo):
@@ -357,7 +473,8 @@ class Hierarchy:
         problem = homomorphism_violation(hom)
         if problem is not None:
             raise HierarchyError(f"typing {a} -> {b} invalid: {problem}")
-        if a in self.descendants(b):
+        below = self.descendants(b)
+        if a in below:
             raise HierarchyError(f"typing {a} -> {b} would introduce a cycle")
         if self.skeleton is not None:
             for n in (a, b):  # possible in a hierarchy built or loaded unvalidated
@@ -369,12 +486,45 @@ class Hierarchy:
                     f"typing {a} -> {b} has no skeleton edge {ka} -> {kb}"
                 )
         candidate = self.replace(arrows={(a, b): hom})
-        violations = candidate.validate_commutativity()
-        if violations:
-            raise HierarchyError(
-                "typing breaks commutativity: " + "; ".join(str(v) for v in violations)
-            )
+        valid = self._memo.valid
+        if not (valid and self._frontier_agrees(a, b, hom, below)):
+            violations = candidate.validate_commutativity()
+            if violations:
+                raise HierarchyError(
+                    "typing breaks commutativity: " + "; ".join(str(v) for v in violations)
+                )
+        if valid:
+            object.__setattr__(candidate, "_memo", candidate._memo.marked())
         return candidate
+
+    def _frontier_agrees(self, a: str, b: str, hom: Homomorphism, below: set[str]) -> bool:
+        """Whether this valid hierarchy keeps all parallel paths equal once
+        hom, a homomorphism, types a by b, where `below` is b's cone and
+        holds no ancestor of a: whether the composite through the new arrow
+        equals the old one at each frontier pair (see the module docstring).
+        Each composite is built along one path, which in a valid hierarchy
+        every parallel path equals."""
+        succ, pred, arrows = self._succ, self._pred, self._arrows
+        ups, entries, pairs = _frontier(succ, pred, a, below)
+        em = hom.node_map
+        down: dict = {a: None}  # s -> the composite s ~> a
+        into: dict = {b: None}  # t -> the composite b ~> t
+        for s, t in pairs:
+            first = _composite(arrows, down, s, lambda x: next(y for y in succ[x] if y in ups))
+            then = _composite(
+                arrows, into, t, lambda x: next(y for y in pred[x] if y in below), forward=False
+            )
+            was = _composite(  # only a first hop x out of `ups` has entries[x]
+                arrows, {t: None}, s,
+                lambda x: next(y for y in succ[x] if y == t or t in entries.get(y, ())),
+            )
+            m = em if first is None else {n: em[y] for n, y in first.node_map.items()}
+            if then is not None:
+                tm = then.node_map
+                m = {n: tm[y] for n, y in m.items()}
+            if m != was.node_map:
+                return False
+        return True
 
     def replace(
         self,
@@ -386,23 +536,20 @@ class Hierarchy:
         module docstring); a new arrow is logged with unknown patch keys, and
         its tail's ancestors keep their entries."""
         objects, arrows = objects or {}, arrows or {}
-        old, memo = self._arrows, self._memo
+        old = self._arrows
         new_arrows = {**old, **arrows}
-        succ, pred, added = self._succ, self._pred, memo.added
+        succ, pred, added = self._succ, self._pred, ()
         if len(new_arrows) != len(old):
-            new = [e for e in arrows if e not in old]
-            succ, pred = _extended(succ, pred, new)
-            added = added.union(new)
+            added = tuple(e for e in arrows if e not in old)
+            succ, pred = _extended(succ, pred, added)
         known = {e: h._changes_since(old[e]) if e in old else None for e, h in arrows.items()}
-        tails = {u for (u, v) in known if (u, v) in old}
-        sources = frozenset(_reach(tails, pred).union(objects, memo.sources))
-        for e, keys in memo.arrows.items():  # one log since the entries: patch keys unite
-            now = known.get(e, _NOTHING)
-            known[e] = None if keys is None or now is None else keys | now
+        tails = {u for (u, v) in arrows if (u, v) in old}
+        sources = _reach(tails, pred).union(objects)
         out = object.__new__(Hierarchy)
         out._fill(
-            {**self._objects, **objects}, new_arrows, self.skeleton, self.skeleton_map,
-            succ, pred, _Memo(memo.entries, known, sources, added),
+            {**self._objects, **objects} if objects else self._objects, new_arrows,
+            self.skeleton, self.skeleton_map, succ, pred,
+            self._memo.logged(known, sources, added),
         )
         return out
 
@@ -418,20 +565,21 @@ class Hierarchy:
         the logged changes reach (see the module docstring).
         """
         memo = self._memo
-        widened = _reach({u for (u, _) in memo.added}, self._pred)  # ancestors of added arrows
+        replaced, sources, added = memo.merged()
+        widened = _reach({u for (u, _) in added}, self._pred)  # ancestors of added arrows
         fresh: dict[str, _Check] = {}
         violations = []
         for a in self.nodes():
             entry = memo.entries.get(a)
             grown = memo.grown(entry) if a in widened and entry is not None else None
-            if grown and a not in memo.sources:
-                entry = self._walk(a, entry, memo.arrows, _extension(entry, grown))
-            elif entry is None or grown or a in memo.sources:
-                entry = self._walk(a, entry, memo.arrows)
+            if grown and a not in sources:
+                entry = self._walk(a, entry, replaced, _extension(entry, grown))
+            elif entry is None or grown or a in sources:
+                entry = self._walk(a, entry, replaced)
             fresh[a] = entry
             violations.extend(entry.violations)
-        if memo.sources or memo.added or len(fresh) != len(memo.entries):
-            object.__setattr__(self, "_memo", _Memo(fresh))
+        if sources or added or len(fresh) != len(memo.entries):
+            object.__setattr__(self, "_memo", _Memo(fresh, memo.valid))
         return violations
 
     def _walk(self, a: str, entry: _Check | None, replaced: dict, head=None) -> _Check:
@@ -528,14 +676,10 @@ class Hierarchy:
         for name in self.nodes() if graphs else ():
             for p in self._objects[name].validate():
                 problems.append(f"graph {name}: {p}")
+        found = self._typing_problems()
         for (a, b) in self.edges():
-            hom = self._arrows[(a, b)]
-            if hom.source != self._objects[a] or hom.target != self._objects[b]:
-                problems.append(f"typing {a} -> {b}: endpoint graphs do not match")
-                continue
-            problem = homomorphism_violation(hom)
-            if problem is not None:
-                problems.append(f"typing {a} -> {b}: {problem}")
+            if found[(a, b)] is not None:
+                problems.append(f"typing {a} -> {b}: {found[(a, b)]}")
         if not _acyclic(self._objects, self._succ, self._pred):
             problems.append("shape contains a cycle")
         if self.skeleton is not None:
@@ -553,7 +697,44 @@ class Hierarchy:
                     problems.append(f"typing {a} -> {b} has no skeleton edge {ka} -> {kb}")
         if not problems:
             problems.extend(str(v) for v in self.validate_commutativity())
+        if not problems:
+            object.__setattr__(self, "_memo", self._memo.marked())
         return problems
+
+    def _typing_problems(self) -> dict[tuple[str, str], str | None]:
+        """Each arrow's endpoint or homomorphism problem, or None. Endpoints
+        are compared first, in sorted edge order. An arrow a -> b whose map
+        equals the composite of arrows a -> w and w -> b already judged
+        without a problem is a homomorphism, as a composite of homomorphisms
+        is, and is not walked. Tails are judged sinks first and each tail's
+        arrows sources first, so both arrows of such a composite come before
+        it; the arrows of a tail on or behind a cycle, which the peel leaves
+        out, come last."""
+        objects, arrows, succ, pred = self._objects, self._arrows, self._succ, self._pred
+        found: dict[tuple[str, str], str | None] = {}
+        for (a, b) in self.edges():
+            hom = arrows[(a, b)]
+            if hom.source != objects[a] or hom.target != objects[b]:
+                found[(a, b)] = "endpoint graphs do not match"
+        rank = {n: i for i, n in enumerate(chain.from_iterable(_waves(objects, succ, pred)))}
+        ordered = [
+            (a, b) for a in rank for b in sorted(succ.get(a, ()), key=rank.get, reverse=True)
+        ]
+        for e in chain(ordered, (e for e in arrows if e[0] not in rank)):
+            if e in found:
+                continue
+            a, b = e
+            hom = arrows[e]
+            between = min(succ[a], pred[b], key=len)  # found.get(e, "") is None: judged valid
+            w = next((w for w in between if found.get((a, w), "") is None
+                      and found.get((w, b), "") is None), None)
+            if w is not None:
+                m1, m2 = arrows[(a, w)].node_map, arrows[(w, b)].node_map
+                if hom.node_map == dict(zip(m1, map(m2.__getitem__, m1.values()))):
+                    found[e] = None
+                    continue
+            found[e] = homomorphism_violation(hom)
+        return found
 
     # -- queries ---------------------------------------------------------------
 
@@ -594,7 +775,7 @@ class Hierarchy:
         self.graph(b)
         memo = self._memo
         entry = memo.entries.get(a)
-        if entry is not None and a not in memo.sources and not memo.grown(entry):
+        if entry is not None and a not in memo.merged()[1] and not memo.grown(entry):
             canon = entry.canon
         else:
             self.graph(a)

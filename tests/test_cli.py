@@ -992,3 +992,73 @@ def test_rewrite_builds_matches_only_up_to_the_index(tmp_path, monkeypatch):
     assert sqpo.cli.main(args) == 0
     assert len(built) == 1
     assert built[0][0].node_map == {"a": "v00", "b": "v01", "c": "v02"}
+
+
+def _typed_data_file(path: Path, g_t: dict | None = None, m_t: dict | None = None,
+                     complete: bool = False) -> Path:
+    """G -> M -> T plus G -> T over a 3-kind T whose only edges are the
+    loops and k0 -> k1 (all 9 if `complete`), a 6-node M and a 12-node G,
+    each with every edge its typing allows. G -> T is the composite unless
+    `g_t` re-maps some of its nodes; `m_t` re-maps M's."""
+    kinds = ["k0", "k1", "k2"]
+    t_edges = [[k, k] for k in kinds] + [["k0", "k1"]]
+    if complete:
+        t_edges = [[u, v] for u in kinds for v in kinds]
+    m_kind = {f"m{j}": kinds[j % 3] for j in range(6)}
+    m_edges = [[m, n] for m in m_kind for n in m_kind if [m_kind[m], m_kind[n]] in t_edges]
+    g_mid = {f"g{i:02d}": f"m{i // 2 % 6}" for i in range(12)}
+    g_edges = [[g, h] for g in g_mid for h in g_mid if [g_mid[g], g_mid[h]] in m_edges]
+    m_map = {**m_kind, **(m_t or {})}
+    g_map = {g: m_kind[m] for g, m in g_mid.items()}
+    g_map.update(g_t or {})
+
+    def graph(ids, edges):
+        return {"nodes": [{"id": n} for n in ids], "edges": [{"from": u, "to": v} for u, v in edges]}
+
+    obj = {
+        "graphs": {"T": graph(kinds, t_edges), "M": graph(m_kind, m_edges), "G": graph(g_mid, g_edges)},
+        "typings": [
+            {"from": "G", "to": "M", "map": g_mid},
+            {"from": "G", "to": "T", "map": g_map},
+            {"from": "M", "to": "T", "map": m_map},
+        ],
+    }
+    path.write_text(json.dumps(obj))
+    return path
+
+
+@pytest.mark.parametrize("g_t, m_t, lines", [
+    ({}, {}, []),
+    ({"g00": "k2"}, {}, ["typing G -> T: edge (g00,g01) has no image edge"]),
+    ({"g00": "k2"}, {"m1": "k0"}, [
+        "typing G -> T: edge (g00,g01) has no image edge",
+        "typing M -> T: edge (m4,m1) has no image edge",
+    ]),
+    ({"g02": "zz"}, {}, ["typing G -> T: node g02 maps to unknown node zz"]),
+], ids=["commutes", "g-t-invalid", "both-invalid", "g-t-off-target"])
+def test_validate_judges_each_typing_in_sorted_order(tmp_path, capsys, monkeypatch, g_t, m_t, lines):
+    """`sqpo validate` of G -> M -> T plus G -> T: a G -> T that equals the
+    composite of the other two is a homomorphism without a walk of its own
+    (`homomorphism_violation`); one that does not is walked, and its
+    problem is reported where sorted edge order puts it, before M -> T's."""
+    path = _typed_data_file(tmp_path / "h.json", g_t, m_t)
+    walked = []
+    violation = sqpo.hierarchy.homomorphism_violation
+
+    def recording(hom):
+        walked.append(len(hom.source.nodes))
+        return violation(hom)
+
+    monkeypatch.setattr(sqpo.hierarchy, "homomorphism_violation", recording)
+    code = sqpo.cli.main(["validate", str(path)])
+    assert (code, capsys.readouterr().out.splitlines()) == (1 if lines else 0, lines)
+    assert sorted(walked) == ([6, 12] if not lines else [6, 12, 12])  # M -> T, G -> M (, G -> T)
+
+
+def test_validate_reports_a_g_t_that_does_not_commute(tmp_path, capsys):
+    """Into a complete T, G -> T is a homomorphism but sends g00 and g01 to
+    k1 where G -> M -> T sends them to k0: the file's only problem is the
+    pair (G, T), reported by the commutativity check."""
+    path = _typed_data_file(tmp_path / "h.json", {"g00": "k1", "g01": "k1"}, complete=True)
+    code = sqpo.cli.main(["validate", str(path)])
+    assert (code, capsys.readouterr().out) == (1, "PAIR G T: G->T != G->M->T at node g00\n")

@@ -18,6 +18,7 @@ from sqpo import (
     CompositionError,
     Graph,
     Hierarchy,
+    HierarchyError,
     Homomorphism,
     SqpoError,
     propagate_backward,
@@ -316,7 +317,8 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
             ("d", "c"): Homomorphism(gd, gc, {"s": "r2"}),
         },
     )
-    assert h2._memo.sources and h2._memo.arrows
+    replaced, sources, _ = h2._memo.merged()
+    assert sources and replaced
 
     composed_from = []
     original = sqpo.hierarchy.compose
@@ -332,7 +334,7 @@ def test_replace_outside_a_cone_leaves_that_source_unwalked(monkeypatch):
     assert walked is not h._memo.entries["d"]
     assert walked.canon["e"] is h2.typing("d", "e")
     assert walked.canon["c"] is h2.typing("d", "c")
-    assert h2._memo.sources == frozenset() and h2._memo.arrows == {}
+    assert h2._memo.merged() == ({}, frozenset(), frozenset())
     after = h2._memo.entries["a"]
     assert after.canon is entry.canon and after.verdicts is entry.verdicts
     assert _assert_matches_oracle(h2) == "violations"
@@ -397,13 +399,16 @@ def _check_added(h: Hierarchy, arrows: dict) -> tuple[Hierarchy, str]:
 
 
 def _added_one_by_one(h: Hierarchy, arrows: dict):
-    """`add_typing` of each arrow in turn: the memo entries and the arrows
-    of the result, or the type and message of what it raises."""
+    """`add_typing` of each arrow in turn: the memo entries after a check of
+    the result, and its arrows, or the type and message of what it raises.
+    (On a valid hierarchy `add_typing` leaves the entries it makes stale to
+    the log, so they are read after the check that rebuilds them.)"""
     try:
         for e, hom in arrows.items():
             h = h.add_typing(*e, hom)
     except Exception as exc:
         return type(exc), str(exc)
+    h.validate_commutativity()
     return _walks(h), [(e, h.typing(*e).node_map) for e in h.edges()]
 
 
@@ -413,11 +418,29 @@ _SAME, _SWAP = {"x": "x", "y": "y"}, {"x": "y", "y": "x"}
 
 def _chain_of(edges, maps=None) -> Hierarchy:
     """Objects holding _G, with the identity along `edges` unless `maps`
-    gives a map, checked."""
+    gives a map, typed one arrow at a time and then checked, so that every
+    object has a current entry."""
     h = Hierarchy({n: _G for e in edges for n in e}, {})
     for e in edges:
         h = h.add_typing(*e, Homomorphism(_G, _G, (maps or {}).get(e, _SAME)))
+    h.validate_commutativity()
     return h
+
+
+def _typed_then_checked(h: Hierarchy, arrows: dict, rechecks: dict):
+    """How `add_typing` of each arrow in turn, and a check of the result
+    after it, re-check the sources that have an entry: what add_typing
+    walked, and what the check walked or the refusal's message."""
+    rechecks.clear()
+    try:
+        for e, hom in arrows.items():
+            h = h.add_typing(*e, hom)
+    except HierarchyError as exc:
+        return dict(rechecks), str(exc)
+    typed = dict(rechecks)
+    rechecks.clear()
+    h.validate_commutativity()
+    return typed, dict(rechecks)
 
 
 @pytest.mark.parametrize("mapping", [_SAME, _SWAP])
@@ -425,11 +448,23 @@ def test_added_arrow_with_an_earlier_path_re_walks(mapping, rechecks):
     """From a, e is reached through a -> c -> d -> e; an arrow b -> e
     reaches it earlier, so e's tree parent and place in the walk change:
     the order, the tree and the paths in a violation must be the new
-    walk's."""
+    walk's. Typed by `add_typing` into the valid hierarchy, an arrow whose
+    frontier pair (a, e) agrees walks nothing, and the next check re-walks
+    a and extends b from the log; one that disagrees makes add_typing run
+    the full check, which walks the same way and names the new walk's
+    paths."""
     h = _chain_of([("a", "b"), ("a", "c"), ("c", "d"), ("d", "e")])
     assert h._memo.entries["a"].order == ["a", "b", "c", "d", "e"]
+    added = {("b", "e"): Homomorphism(_G, _G, mapping)}
+    walks = {"a": "re-walked", "b": "extended"}
+    if mapping is _SAME:
+        assert _typed_then_checked(h, added, rechecks) == ({}, walks)
+    else:
+        assert _typed_then_checked(h, added, rechecks) == (
+            walks, "typing breaks commutativity: PAIR a e: a->b->e != a->c->d->e at node x"
+        )
     rechecks.clear()
-    out, outcome = _check_added(h, {("b", "e"): Homomorphism(_G, _G, mapping)})
+    out, outcome = _check_added(h, added)
     assert out._memo.entries["a"].order == ["a", "b", "c", "e", "d"]
     assert out._memo.entries["a"].parent["e"] == "b"
     assert rechecks["a"] == "re-walked" and rechecks["b"] == "extended"
@@ -446,10 +481,20 @@ def test_added_arrow_with_an_earlier_path_re_walks(mapping, rechecks):
 def test_added_arrow_to_a_node_new_to_the_cone_extends(mapping, rechecks):
     """From a, the arrow b -> c reaches c and f, new to a's cone, after
     every old node; c -> d then compares with a -> d. a's entry is extended,
-    not walked again."""
+    not walked again: by the check after `add_typing`, which walks nothing
+    when the frontier pair (a, d) agrees, or by add_typing's full check
+    when it does not."""
     h = _chain_of([("a", "b"), ("a", "d"), ("c", "d"), ("c", "f")], {("c", "d"): mapping})
+    walks = {"a": "extended", "b": "extended"}
+    added = {("b", "c"): Homomorphism(_G, _G, _SAME)}
+    if mapping is _SAME:
+        assert _typed_then_checked(h, added, rechecks) == ({}, walks)
+    else:
+        assert _typed_then_checked(h, added, rechecks) == (
+            walks, "typing breaks commutativity: PAIR a d: a->d != a->b->c->d at node x"
+        )
     rechecks.clear()
-    out, outcome = _check_added(h, {("b", "c"): Homomorphism(_G, _G, _SAME)})
+    out, outcome = _check_added(h, added)
     assert out._memo.entries["a"].order == ["a", "b", "d", "c", "f"]
     assert rechecks == {"a": "extended", "b": "extended"}
     if mapping is _SWAP:
@@ -483,7 +528,9 @@ def test_added_arrow_after_a_swap_re_walks_with_the_log_holding_both(rechecks):
     """Object b is replaced by a renamed copy with an extra node and its
     arrows re-pointed; before any check, b gets a new arrow to d. The log
     then holds the re-pointed arrows and the added one, and a and b, which
-    see a re-pointed arrow, are walked anew."""
+    see a re-pointed arrow, are walked anew. A replaced hierarchy is not
+    known valid, so `add_typing` walks them itself, in its full check, and
+    leaves nothing to the check after it."""
     h = _chain_of([("a", "b"), ("b", "c"), ("a", "c")]).add_object("d", Graph(["p"]))
     new, rename = _renamed(_G, extra=True)
     swapped = h.replace(
@@ -494,7 +541,10 @@ def test_added_arrow_after_a_swap_re_walks_with_the_log_holding_both(rechecks):
         },
     )
     added = {("b", "d"): Homomorphism(new, h.graph("d"), dict.fromkeys(new.nodes, "p"))}
-    assert set(swapped.replace(arrows=added)._memo.arrows) == {("a", "b"), ("b", "c"), ("b", "d")}
+    logged = swapped.replace(arrows=added)._memo.merged()[0]
+    assert set(logged) == {("a", "b"), ("b", "c"), ("b", "d")}
+    walks = {"a": "re-walked", "b": "re-walked"}
+    assert _typed_then_checked(swapped, added, rechecks) == (walks, {})
     rechecks.clear()
     out, outcome = _check_added(swapped, added)
     assert outcome == "clean"
@@ -624,7 +674,8 @@ def test_composed_typing_matches_the_breadth_first_walk():
                     kinds["mismatch"] += 1
             for _ in range(4):
                 a, b = rng.choice(h.nodes()), rng.choice(h.nodes())
-                logged = h._memo.sources or h._memo.arrows
+                replaced, sources, _ = h._memo.merged()
+                logged = sources or replaced
                 memo["none" if a not in h._memo.entries else "stale" if logged else "current"] += 1
                 outcomes[_same_composite(h, a, b)] += 1
     assert all(outcomes.values()), outcomes

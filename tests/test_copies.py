@@ -76,7 +76,7 @@ def hierarchy(graph):
     sk = Skeleton.create(["data", "schema"], [("data", "schema")])
     h = Hierarchy(skeleton=sk).add_object("G", graph, "data").add_object("T", t, "schema")
     h = h.add_typing("G", "T", typing)
-    assert h._memo.entries  # the check filled the memo
+    assert h.validate_commutativity() == [] and h._memo.entries  # the check filled the memo
     return h
 
 
@@ -224,12 +224,15 @@ def test_trace_copies_keep_the_delta_and_build_no_map(graph, how):
 
 @pytest.mark.parametrize("how", COPIES)
 def test_hierarchy_copies_are_equal_values_with_a_fresh_memo(hierarchy, how):
+    """A copy drops the memo with its valid mark; a validate that finds
+    nothing fills the memo and marks it again."""
     other = COPIES[how](hierarchy)
     assert other == hierarchy
     assert other.skeleton == hierarchy.skeleton and other.skeleton_map == hierarchy.skeleton_map
     assert other.successors("G") == ["T"] and other.predecessors("T") == ["G"]
-    assert not other._memo.entries
-    assert other.validate() == [] and other._memo.entries
+    assert hierarchy._memo.valid  # typed into a hierarchy with no arrows
+    assert not other._memo.entries and not other._memo.valid
+    assert other.validate() == [] and other._memo.entries and other._memo.valid
     with pytest.raises(AttributeError, match="immutable"):
         other.skeleton = None
 

@@ -41,13 +41,18 @@ check of the result 684, against a budget of 1,000. The counts are
 deterministic, so host speed cannot trip them.
 
 A layered hierarchy typed one arrow at a time (as the deep_layers
-benchmark sets it up) must build exactly the composites and full
-comparisons of one check of the same hierarchy built in bulk (220 of each
-at 12 layers, 1,012 at 24), and each `add_typing` may walk only ancestors
-of its arrow's tail. Dropping those ancestors' entries at each new arrow
-built 3,410 composites at 12 layers and 31,878 at 24. Adding 200 isolated
-objects to such a hierarchy sorts no arrow (the constructor sorted all 44
-on each call).
+benchmark sets it up) stays known valid, so each `add_typing` walks no
+source and composes only along its frontier pairs: 2 composites for an
+arrow whose tail has up to 45 ancestors, 40 in all at 12 layers and 88 at
+24. Extending each ancestor's entry at every arrow built 220 and 1,012,
+and dropping those entries 3,410 and 31,878. The first check after the
+build walks every source once and builds what one check of the same
+hierarchy built in bulk builds (220 composites and full comparisons at 12
+layers, 1,012 at 24). Typing 200 nuggets into the action graph of a
+KAMI-style hierarchy composes nothing, and each call hands the memo's log
+its one arrow without reading what the log holds already. Adding 200
+isolated objects to a layered hierarchy sorts no arrow (the constructor
+sorted all 44 on each call).
 
 The forward pushout guards count union steps (`category._joined` calls,
 each an `attrs_union` call unless it hands on an operand) inside each
@@ -416,8 +421,13 @@ def test_add_object_sorts_no_arrows(kinds, monkeypatch):
 
 @pytest.fixture(scope="module")
 def layered():
-    """The layered shape at 20 layers, typed one arrow at a time."""
-    return _typed_one_by_one(*_layered_shape(LAYERS))
+    """The layered shape at 20 layers, typed one arrow at a time and then
+    checked once. Typing leaves every entry to that first check, which
+    walks all 40 sources and builds the 684 composites that the add_typing
+    calls built before; the rewrites below count from its memo."""
+    h = _typed_one_by_one(*_layered_shape(LAYERS))
+    assert h.validate_commutativity() == []
+    return h
 
 
 def _counted_rewrite(monkeypatch, h, origin, edits, direction):
@@ -517,29 +527,97 @@ def _count_check_work(monkeypatch) -> dict:
     return counts
 
 
+def _count_frontier_pairs(monkeypatch) -> list:
+    """The number of frontier pairs of each add_typing that looks for them."""
+    pairs = []
+    frontier = sqpo.hierarchy._frontier
+
+    def recording(*args):
+        got = frontier(*args)
+        pairs.append(len(got[2]))
+        return got
+
+    monkeypatch.setattr(sqpo.hierarchy, "_frontier", recording)
+    return pairs
+
+
 @pytest.mark.parametrize("layers, composites", [(12, 220), (24, 1_012)])
 def test_add_typing_builds_what_the_bulk_check_builds(layers, composites, monkeypatch):
     """Typing a layered hierarchy one arrow at a time, as the deep_layers
-    benchmark sets it up, builds as many composites and makes as many full
-    comparisons as one check of the same hierarchy built in bulk: each
-    add_typing composes and compares only at the paths its arrow adds, and
-    walks only ancestors of its tail. Dropping the entries of those
-    ancestors made them walk their whole cones again: 3,410 composites and
-    2,970 full comparisons at 12 layers, 31,878 and 29,854 at 24."""
+    benchmark sets it up, keeps it known valid: each add_typing walks no
+    source, compares nothing in full and composes along its frontier pairs
+    only, at most path length times per pair and here at most 2 per arrow,
+    however many ancestors its tail has. The first check after the build
+    walks every source once and builds as many composites and makes as
+    many full comparisons as one check of the same hierarchy built in
+    bulk. When each add_typing extended its tail's ancestors' entries, the
+    build itself built those composites; dropping the entries instead
+    built 3,410 at 12 layers and 31,878 at 24."""
     graphs, arrows = _layered_shape(layers)
     counts = _count_check_work(monkeypatch)
     assert Hierarchy(graphs, arrows).validate() == []
     assert counts["composites"] == counts["full"] == composites
 
     h = _typed_one_by_one(graphs, {})
-    assert h.validate_commutativity() == []  # every object gets an entry
-    counts.update(composites=0, full=0)
+    pairs = _count_frontier_pairs(monkeypatch)
+    counts.update(composites=0, full=0, walked=[])
+    per_arrow, ancestors = [], []
     for (a, b), hom in arrows.items():
-        counts["walked"] = []
+        before = counts["composites"]
+        ancestors.append(len(h.ancestors(a)))
         h = h.add_typing(a, b, hom)
-        assert set(counts["walked"]) <= h.ancestors(a), (a, b, counts["walked"])
-    assert (counts["composites"], counts["full"]) == (composites, composites)
+        per_arrow.append(counts["composites"] - before)
+    assert counts["walked"] == [] and counts["full"] == 0
+    assert len(pairs) == len(arrows)
+    assert all(n <= p * (layers - 1) for n, p in zip(per_arrow, pairs)), (per_arrow, pairs)
+    assert max(per_arrow) == 2 and max(ancestors) == 2 * layers - 3
+    assert sum(per_arrow) == 4 * (layers - 2)
+
+    assert h.validate_commutativity() == []
+    assert counts["composites"] - sum(per_arrow) == counts["full"] == composites
+    assert sorted(counts["walked"]) == sorted(graphs)
     assert h == Hierarchy(graphs, arrows)
+
+
+def test_typing_nuggets_composes_nothing_and_logs_one_arrow(monkeypatch):
+    """A KAMI-style build: an action graph A typed by a meta-model T, then
+    200 nuggets, each added and typed into A. A nugget's only ancestor is
+    itself and it has no other arrow, so its add_typing has no frontier
+    pair and composes nothing. Each call hands the memo's log just its
+    arrow and never reads the log as a whole (`_Memo.merged`), so the log
+    costs every call the same however many arrows came before; only the
+    check after the build reads it, once."""
+    kinds = [f"t{i}" for i in range(4)]
+    t = Graph(kinds, [(u, v) for u in kinds for v in kinds])
+    a_nodes = [f"a{i}" for i in range(12)]
+    action = Graph(a_nodes, [(a_nodes[i], a_nodes[i + 1]) for i in range(11)])
+    h = Hierarchy().add_object("T", t).add_object("A", action)
+    h = h.add_typing("A", "T", Homomorphism(action, t, {x: kinds[i % 4] for i, x in enumerate(a_nodes)}))
+    nuggets = {f"N{j:03d}": Graph(["x", "y"], [("x", "y")]) for j in range(200)}
+    counts = _count_check_work(monkeypatch)
+    pairs = _count_frontier_pairs(monkeypatch)
+    logged, merged = [], []
+    logged_fn, merged_fn = sqpo.hierarchy._Memo.logged, sqpo.hierarchy._Memo.merged
+
+    def recording_logged(memo, arrows, sources, added):
+        logged.append((len(arrows), len(sources), len(added)))
+        return logged_fn(memo, arrows, sources, added)
+
+    def recording_merged(memo):
+        merged.append(memo)
+        return merged_fn(memo)
+
+    monkeypatch.setattr(sqpo.hierarchy._Memo, "logged", recording_logged)
+    monkeypatch.setattr(sqpo.hierarchy._Memo, "merged", recording_merged)
+    for j, (name, g) in enumerate(nuggets.items()):
+        typing = Homomorphism(g, action, {"x": f"a{j % 11}", "y": f"a{j % 11 + 1}"})
+        h = h.add_object(name, g).add_typing(name, "A", typing)
+    assert counts["composites"] == 0 and counts["walked"] == []
+    assert pairs == [0] * len(nuggets)
+    assert logged == [(1, 0, 1)] * len(nuggets) and merged == []
+    assert h.validate_commutativity() == [] and len(merged) == 1
+    arrows = {(n, "A"): h.typing(n, "A") for n in nuggets}
+    assert h == Hierarchy({"T": t, "A": action, **nuggets}, {("A", "T"): h.typing("A", "T"), **arrows})
 
 
 DATA_NODES = 5000

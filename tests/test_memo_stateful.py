@@ -7,7 +7,11 @@ each step the hierarchy, which carries its memo from step to step, must
 answer exactly as a memo-free copy read back from its own JSON: the same
 `validate_commutativity` verdicts, the same `composed_typing` for every
 pair of objects, and for a rewrite the same report bytes and hierarchy
-bytes (or the same exception type and message). After a check that passes,
+bytes (or the same exception type and message). A full validation, as
+the copy's, marks a hierarchy that passes it valid; a typing added to a
+valid hierarchy is compared at its frontier pairs only, and one added to
+any other hierarchy (the copy, or one a rewrite returned) by the full
+check, so the typing rule compares the two paths. After a check that passes,
 each memo entry records the walk the copy's check records: the same order,
 tree parents, nodes with a composite and verdicts in walk order, so a later
 violation message names the same paths. Typings added by `add_typing`
@@ -111,6 +115,7 @@ class MemoMachine(RuleBasedStateMachine):
             images = sorted(target.nodes)
             hom = Homomorphism(source, target, {n: rng.choice(images) for n in source.nodes})
         snapshot = attr_snapshot(*map(self.h.graph, self.h.nodes()))
+        self.seen["typing on a valid hierarchy" if self.h._memo.valid else "typing unmarked"] += 1
         got = _outcome(lambda: self.h.add_typing(a, b, hom))
         fresh = _outcome(lambda: _memo_free(self.h).add_typing(a, b, hom))
         assert_attrs_unchanged(snapshot)
@@ -126,6 +131,16 @@ class MemoMachine(RuleBasedStateMachine):
         self.seen["typing added"] += 1
         self.h = got
         self._same_answers(self.h)
+
+    @rule()
+    def validate(self):
+        """A full validation, as the memo-free copy's; one that finds
+        nothing marks the hierarchy valid, so that a typing added next is
+        compared at its frontier pairs only."""
+        problems = self.h.validate()
+        assert problems == _memo_free(self.h).validate()
+        assert self.h._memo.valid == (not problems)
+        self.seen["marked valid" if not problems else "validation failed"] += 1
 
     @rule(seed=SEEDS, forward=st.booleans(), partial=st.booleans())
     def rewrite(self, seed, forward, partial):
@@ -181,6 +196,14 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
         return head
 
     monkeypatch.setattr(sqpo.hierarchy, "_extension", recording_extension)
+    frontier = sqpo.hierarchy.Hierarchy._frontier_agrees
+
+    def recording_frontier(h, a, b, hom, below):
+        agrees = frontier(h, a, b, hom, below)
+        seen["frontier agrees" if agrees else "frontier differs"] += 1
+        return agrees
+
+    monkeypatch.setattr(sqpo.hierarchy.Hierarchy, "_frontier_agrees", recording_frontier)
 
     def recording(h, origin, rule, match, direction, given):
         relations.append(bool(given))
@@ -196,7 +219,8 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
     )
     for key in ["clean", "violations", "typing added", "typing refused", "clean-ups", ("fwd", "relation"),
                 ("fwd", "canonical"), ("bwd", "relation"), ("bwd", "canonical"),
-                "entry extended", "entry re-walked"]:
+                "entry extended", "entry re-walked", "marked valid", "typing on a valid hierarchy",
+                "typing unmarked", "frontier agrees", "frontier differs"]:
         assert seen[key], (key, seen)
 
 
