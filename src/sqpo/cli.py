@@ -124,9 +124,10 @@ def cmd_match(args) -> int:
     return 0
 
 
-def _report_json(reports: list[RewriteReport]) -> str:
+def _report_json(reports: list[RewriteReport], map_texts: dict | None = None) -> str:
     """The report file's canonical text, from a tree whose node maps are
-    leaves that `_map_text` writes."""
+    leaves that `_map_text` writes; the typing maps through `map_texts`, if
+    given, which the output hierarchy's writer may share."""
 
     def maps(homs: dict[str, Homomorphism]) -> dict:
         return {n: _Leaf(_map_text, homs[n]) for n in sorted(homs)}
@@ -139,7 +140,7 @@ def _report_json(reports: list[RewriteReport]) -> str:
             "traces": maps(rep.traces),
             "instances": maps(rep.instances),
             "typings": [
-                {"from": a, "to": b, "map": _Leaf(_map_text, rep.updated_typings[(a, b)])}
+                {"from": a, "to": b, "map": _Leaf(_map_text, rep.updated_typings[(a, b)], texts=map_texts)}
                 for (a, b) in sorted(rep.updated_typings)
             ],
             "steps": [{"node": node, "violations": viols} for node, viols in rep.steps],
@@ -302,9 +303,10 @@ def cmd_rewrite(args) -> int:
 
     reports = apply_plan(h, plan)
     final = reports[-1].hierarchy
+    map_texts: dict = {}  # each typing map both files write is encoded once
     _write_atomically([
-        (out_path, _hierarchy_text(final)),
-        (report_path, _report_json(reports)),
+        (out_path, _hierarchy_text(final, map_texts)),
+        (report_path, _report_json(reports, map_texts)),
     ])
     print(f"wrote {out_path}")
     print(f"wrote {report_path}")

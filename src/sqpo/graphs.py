@@ -978,11 +978,32 @@ def _node_map_from_json(raw: Mapping, what: str) -> dict[str, str]:
     library constructor would coerce them with str()); raises TypeError
     naming `what` and the entry, located at the entry's key, otherwise.
     JSON object keys are always strings, so a copy of the map can back a
-    `Homomorphism._of`."""
+    `Homomorphism._of`. The images of a dict are checked at C level; only
+    a map that fails the check is walked, to name its first offender."""
+    if type(raw) is dict and _all_str(raw.values()):
+        return dict(raw)
     for k, v in raw.items():
         if not isinstance(v, str):
             raise _located(TypeError, (k,), f"{what} maps {k} to {json.dumps(v)}, not to a node id")
     return dict(raw)
+
+
+def _all_str(values) -> bool:
+    """Whether every value is a str (not of a subclass), checked at C level."""
+    return {*map(type, values)} <= {str}
+
+
+def _memo_key(raw):
+    """The key of a raw attribute value in `graph_from_json`'s memo: the
+    (key, value) pair of the common shape, one str key with a list of one
+    str value, and the repr of any other. Two values that `json.load` made
+    get equal keys exactly when their reprs are equal: a pair never equals
+    a repr, and two pairs are equal only when their texts are."""
+    if type(raw) is dict and len(raw) == 1:
+        for k, values in raw.items():
+            if type(k) is str and type(values) is list and len(values) == 1 and type(values[0]) is str:
+                return k, values[0]
+    return repr(raw)
 
 
 def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
@@ -992,9 +1013,51 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
     the first entry of the first such edge in sorted order (`edges[4]`).
 
     Equal raw attribute values are checked once and share one dict: `memo`,
-    one per document, holds each valid value by its repr, which tells `[1]`,
-    `[true]`, `["1"]` and `[1.0]` apart where equality would not."""
+    one per document, holds each valid value by `_memo_key`, which tells
+    `[1]`, `[true]`, `["1"]` and `[1.0]` apart where equality would not.
+
+    One pass reads the rows and keeps no JSON path; then one C-level check
+    each finds the node ids all str and the edge endpoints all listed. Any
+    failure loads the graph again by `_graph_walk`, which locates and words
+    the first problem."""
     memo = {} if memo is None else memo
+    try:
+        nodes, node_attrs = _Listed(), {}
+        for entry in obj.get("nodes", []):
+            nodes.append(n := entry["id"])
+            if "attrs" in entry:
+                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
+                    attrs = memo[key] = attrs_from_json(raw)
+                if attrs:
+                    node_attrs[n] = attrs
+                else:  # an empty dict would break `Graph._of`'s precondition
+                    node_attrs.pop(n, None)
+        edges, edge_attrs = _Listed(), {}
+        for entry in obj.get("edges", []):
+            edges.append(e := (entry["from"], entry["to"]))
+            if "attrs" in entry:
+                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
+                    attrs = memo[key] = attrs_from_json(raw)
+                if attrs:
+                    edge_attrs[e] = attrs
+                else:
+                    edge_attrs.pop(e, None)
+        node_set = frozenset(nodes)
+        # ids all str, so an endpoint in node_set is a str id too
+        loaded = _all_str(nodes) and node_set.issuperset(chain.from_iterable(edges))
+    except (KeyError, TypeError, AttributeError, RecursionError, GraphElementError):
+        loaded = False  # the walk raises on the first problem, with its path
+    if not loaded:
+        return _graph_walk(obj, memo)
+    g = Graph._of(node_set, edges, node_attrs, edge_attrs)
+    object.__setattr__(g, "_order", nodes)  # deferred orders: see `_sorted_ids`
+    object.__setattr__(g, "_sorted_edges", edges)
+    return g
+
+
+def _graph_walk(obj: Mapping, memo: dict) -> Graph:
+    """`graph_from_json` row by row, keeping the JSON path of the value it
+    reads, so that the first problem raises located there."""
     where: tuple = ()
     try:
         nodes = _Listed()
@@ -1007,11 +1070,11 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
             nodes.append(n)
             if "attrs" in entry:
                 where = ("nodes", i, "attrs")
-                if (attrs := memo.get(key := repr(raw := entry["attrs"]))) is None:
+                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
                     attrs = memo[key] = attrs_from_json(raw)
                 if attrs:
                     node_attrs[n] = attrs
-                else:  # an empty dict would break `Graph._of`'s precondition
+                else:
                     node_attrs.pop(n, None)
         edges = _Listed()
         edge_attrs = {}
@@ -1023,7 +1086,7 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
             edges.append(e)
             if "attrs" in entry:
                 where = ("edges", i, "attrs")
-                if (attrs := memo.get(key := repr(raw := entry["attrs"]))) is None:
+                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
                     attrs = memo[key] = attrs_from_json(raw)
                 if attrs:
                     edge_attrs[e] = attrs
@@ -1038,7 +1101,7 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
         raise _located(
             GraphElementError, ("edges", edges.index(first)), "invalid graph: " + "; ".join(problems)
         )
-    object.__setattr__(g, "_order", nodes)  # deferred orders: see `_sorted_ids`
+    object.__setattr__(g, "_order", nodes)
     object.__setattr__(g, "_sorted_edges", edges)
     return g
 
@@ -1123,16 +1186,30 @@ def _dumps(obj, newline: str, texts: dict) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _map_text(hom: Homomorphism, newline: str) -> str:
+def _map_text(hom: Homomorphism, newline: str, texts: dict | None = None) -> str:
     """`_dumps` of hom's node map over its source's sorted node ids, in one
     call of the C encoder: without `indent` it joins the members with any
-    separator, so the separator carries the line break and the indentation."""
+    separator, so the separator carries the line break and the indentation.
+
+    `texts`, if given, maps the `id()` of each hom already written to its
+    line break and text, so that a caller writing one map twice (as both
+    files of a `sqpo rewrite` do) encodes it once and keeps the hom alive
+    meanwhile. At another depth the text is the kept one with each line
+    break and its indentation replaced: the encoder escapes every control
+    character inside a string, so a raw line break only starts a separator
+    or the closing line."""
+    if texts is not None and (known := texts.get(id(hom))) is not None:
+        at, text = known
+        return text if at == newline else text.replace(at, newline)
     nodes = hom.source._node_order()
     if not nodes:
         return "{}"
     m, inner = hom.node_map, newline + "  "
     text = json.dumps({k: m[k] for k in nodes}, ensure_ascii=False, separators=("," + inner, ": "))
-    return "{" + inner + text[1:-1] + newline + "}"
+    text = "{" + inner + text[1:-1] + newline + "}"
+    if texts is not None:
+        texts[id(hom)] = newline, text
+    return text
 
 
 def _graph_text(g: Graph, newline: str, attr_texts: dict) -> str:

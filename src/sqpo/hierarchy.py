@@ -644,7 +644,11 @@ class Hierarchy:
     def _verdict(self, a, u, v, canon, parent, keys) -> CommutativityViolation | None:
         """Compare the arrow u -> v after canon[u] with canon[v] at `keys`
         (None: at every node of a's graph), with the endpoint checks and the
-        lookups of `compose` and then of `hom_equal`."""
+        lookups of `compose` and then of `hom_equal`. At every node, with
+        canon[u]'s map total, the whole composite is built and compared with
+        canon[v]'s map at C level; the walk below runs only if they differ,
+        to name the smallest node that differs, or if a lookup fails, to
+        raise as the walk does."""
         arrow, first, fixed = self._arrows[(u, v)], canon[u], canon[v]
         if a in (u, v):  # a cycle back to the source, in a shape left unchecked
             first = first or identity(self._objects[a])
@@ -652,10 +656,17 @@ class Hierarchy:
         if first.target is not arrow.source and first.target != arrow.source:
             raise CompositionError("compose: f.target differs from g.source")
         am, fm, nodes = arrow.node_map, first.node_map, first.source.nodes
+        same_ends = (first.source is fixed.source or first.source == fixed.source) and (
+            arrow.target is fixed.target or arrow.target == fixed.target
+        )  # identity first: graphs compare by value
+        if keys is None and same_ends and fm.keys() == nodes:
+            try:
+                if dict(zip(fm, map(am.__getitem__, fm.values()))) == fixed.node_map:
+                    return None
+            except KeyError:
+                pass
         values = {n: am[fm[n]] for n in (nodes if keys is None else keys) if n in nodes}
-        if (first.source is not fixed.source and first.source != fixed.source) or (
-            arrow.target is not fixed.target and arrow.target != fixed.target
-        ):  # identity first: graphs compare by value
+        if not same_ends:
             raise CompositionError("hom_equal: endpoints differ")
         xm = fixed.node_map
         bad = [n for n, y in values.items() if y != xm[n]]
@@ -818,15 +829,19 @@ def hierarchy_to_json(h: Hierarchy) -> dict:
     return out
 
 
-def _hierarchy_text(h: Hierarchy) -> str:
+def _hierarchy_text(h: Hierarchy, map_texts: dict | None = None) -> str:
     """`dumps_canonical(hierarchy_to_json(h))`, from a tree whose graphs and
     typing maps are leaves: each graph's rows are written as strings and
     each map by the C encoder, and each attribute dict's text is rendered
-    once (h keeps every dict alive meanwhile, so no id is reused)."""
+    once (h keeps every dict alive meanwhile, so no id is reused). A caller
+    that writes some of h's typings elsewhere in the same call may pass one
+    `map_texts` to both writers (see `_map_text`)."""
     tree: dict = {} if h.skeleton is None else {"skeleton": _skeleton_json(h)}
     attr_texts: dict = {}  # every graph sits at one depth
     tree["graphs"] = {name: _Leaf(_graph_text, h.graph(name), attr_texts=attr_texts) for name in h.nodes()}
-    tree["typings"] = [{"from": a, "to": b, "map": _Leaf(_map_text, h.typing(a, b))} for (a, b) in h.edges()]
+    tree["typings"] = [
+        {"from": a, "to": b, "map": _Leaf(_map_text, h.typing(a, b), texts=map_texts)} for (a, b) in h.edges()
+    ]
     return dumps_canonical(tree)
 
 

@@ -27,6 +27,10 @@ step before their traces held only the touched nodes (`identity_except`).
 And the one-pass Python walk that `homomorphism_violation` ran on every
 map before it checked at C level first and walked only a failed map
 (`violation_walk`).
+And the located loader that read every graph row by row with a memo keyed
+by repr (`loader_walk`), the node map loader that walked every map
+(`node_map_walk`), and the commutativity verdict that compared every
+composite in Python (`verdict_walk`).
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -53,6 +57,9 @@ from sqpo.exceptions import (
 from sqpo.graphs import (
     Graph,
     Homomorphism,
+    _Listed,
+    _located,
+    _relocated,
     attrs_contained,
     attrs_difference,
     attrs_intersection,
@@ -65,7 +72,8 @@ from sqpo.graphs import (
     json_shape_message,
 )
 from sqpo.edits import MergeNodes
-from sqpo.hierarchy import CommutativityViolation, Hierarchy, _waves
+from sqpo.graphs import attrs_from_json as library_attrs_from_json
+from sqpo.hierarchy import CommutativityViolation, Hierarchy, _tree_path, _waves
 from sqpo.propagation import (
     BACKWARD,
     FORWARD,
@@ -803,6 +811,93 @@ def graph_from_json(obj) -> Graph:
         raise GraphElementError("invalid graph: " + "; ".join(problems))
     return g
 
+
+
+def loader_walk(obj, memo: dict | None = None) -> Graph:
+    """The located loader that `graphs.graph_from_json` ran on every graph
+    before it read the rows in one pass and walked only a failed graph: the
+    row walk with its JSON path, and a memo keyed by the repr of each raw
+    attribute value."""
+    memo = {} if memo is None else memo
+    where: tuple = ()
+    try:
+        nodes = _Listed()
+        node_attrs = {}
+        for i, entry in enumerate(obj.get("nodes", [])):
+            where = ("nodes", i)
+            n = entry["id"]
+            if not isinstance(n, str):
+                raise TypeError(f"node id {json.dumps(n)} is not a string")
+            nodes.append(n)
+            if "attrs" in entry:
+                where = ("nodes", i, "attrs")
+                if (attrs := memo.get(key := repr(raw := entry["attrs"]))) is None:
+                    attrs = memo[key] = library_attrs_from_json(raw)
+                if attrs:
+                    node_attrs[n] = attrs
+                else:
+                    node_attrs.pop(n, None)
+        edges = _Listed()
+        edge_attrs = {}
+        for i, entry in enumerate(obj.get("edges", [])):
+            where = ("edges", i)
+            e = (entry["from"], entry["to"])
+            if not (isinstance(e[0], str) and isinstance(e[1], str)):
+                raise TypeError(f"edge {json.dumps(list(e))} has an endpoint that is not a string")
+            edges.append(e)
+            if "attrs" in entry:
+                where = ("edges", i, "attrs")
+                if (attrs := memo.get(key := repr(raw := entry["attrs"]))) is None:
+                    attrs = memo[key] = library_attrs_from_json(raw)
+                if attrs:
+                    edge_attrs[e] = attrs
+                else:
+                    edge_attrs.pop(e, None)
+    except (KeyError, TypeError, AttributeError, GraphElementError) as exc:
+        raise _relocated(GraphElementError, where, exc, "graph") from exc
+    g = Graph._of(nodes, edges, node_attrs, edge_attrs)
+    problems = g.validate()
+    if problems:
+        first = min(e for e in edges if not (e[0] in g.nodes and e[1] in g.nodes))
+        raise _located(
+            GraphElementError, ("edges", edges.index(first)), "invalid graph: " + "; ".join(problems)
+        )
+    object.__setattr__(g, "_order", nodes)
+    object.__setattr__(g, "_sorted_edges", edges)
+    return g
+
+
+def node_map_walk(raw, what: str) -> dict[str, str]:
+    """The original `graphs._node_map_from_json`, which walked every entry
+    of every map in Python."""
+    for k, v in raw.items():
+        if not isinstance(v, str):
+            raise _located(TypeError, (k,), f"{what} maps {k} to {json.dumps(v)}, not to a node id")
+    return dict(raw)
+
+
+def verdict_walk(h, a, u, v, canon, parent, keys) -> CommutativityViolation | None:
+    """The original `Hierarchy._verdict`, with `self` as `h`: the composite
+    at every node is built and compared with the fixed one in Python."""
+    arrow, first, fixed = h._arrows[(u, v)], canon[u], canon[v]
+    if a in (u, v):
+        first = first or identity(h._objects[a])
+        fixed = fixed or identity(h._objects[a])
+    if first.target is not arrow.source and first.target != arrow.source:
+        raise CompositionError("compose: f.target differs from g.source")
+    am, fm, nodes = arrow.node_map, first.node_map, first.source.nodes
+    values = {n: am[fm[n]] for n in (nodes if keys is None else keys) if n in nodes}
+    if (first.source is not fixed.source and first.source != fixed.source) or (
+        arrow.target is not fixed.target and arrow.target != fixed.target
+    ):
+        raise CompositionError("hom_equal: endpoints differ")
+    xm = fixed.node_map
+    bad = [n for n, y in values.items() if y != xm[n]]
+    if not bad:
+        return None
+    return CommutativityViolation(
+        a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,), min(bad)
+    )
 
 # -- the backward propagation step ---------------------------------------------
 

@@ -864,7 +864,7 @@ def test_rewrite_failing_report_leaves_no_partial_output(tmp_path, monkeypatch):
         "-o", str(out), "--report", str(report),
     ]
 
-    def broken_report(reports):
+    def broken_report(reports, map_texts=None):
         raise RuntimeError("report rendering failed")
 
     with monkeypatch.context() as patch:

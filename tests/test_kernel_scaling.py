@@ -121,6 +121,7 @@ live in one call.
 """
 
 import argparse
+import contextlib
 import io
 import json
 import json.encoder
@@ -1054,21 +1055,33 @@ def test_cli_plan_file_resolved_once_per_affected_object(tmp_path, monkeypatch):
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
-def test_cli_validate_checks_each_graph_once(monkeypatch):
-    """`sqpo validate` on a file of 2 graphs runs `Graph.validate` twice:
-    the loader checks each graph, and the hierarchy check does not check
-    them again (it did, making 4 calls)."""
-    calls = []
-    original = Graph.validate
+def test_cli_validate_checks_each_graph_once(tmp_path, monkeypatch):
+    """`sqpo validate` on a valid file of 2 graphs runs `Graph.validate`
+    on neither: the loader checks each graph's node ids and edge endpoints
+    at C level, and the hierarchy check does not check the graphs again (it
+    did, making 4 calls, and the loader alone made 2). A graph with a
+    dangling edge is loaded again by the located walk, which runs
+    `Graph.validate` once, for its message."""
+    calls, walks = [], []
+    original, walk = Graph.validate, sqpo.graphs._graph_walk
 
     def counting(g):
         calls.append(g)
         return original(g)
 
     monkeypatch.setattr(Graph, "validate", counting)
+    monkeypatch.setattr(sqpo.graphs, "_graph_walk", lambda *args: walks.append(args) or walk(*args))
+    path = FIXTURES / "merge_add.hierarchy.json"
     with redirect_stdout(io.StringIO()):
-        assert sqpo.cli.main(["validate", str(FIXTURES / "merge_add.hierarchy.json")]) == 0
-    assert len(calls) == 2
+        assert sqpo.cli.main(["validate", str(path)]) == 0
+    assert (len(calls), len(walks)) == (0, 0)
+
+    broken = json.loads(path.read_text(encoding="utf-8"))
+    broken["graphs"]["T"]["edges"].append({"from": "b", "to": "nowhere"})
+    (tmp_path / "broken.json").write_text(json.dumps(broken), encoding="utf-8")
+    with redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert sqpo.cli.main(["validate", str(tmp_path / "broken.json")]) == 2
+    assert (len(calls), len(walks)) == (1, 1)
 
 
 def test_cli_plan_file_derives_nothing_for_its_nodes(tmp_path, monkeypatch):
@@ -1154,7 +1167,7 @@ def test_cli_rewrite_sorts_each_graph_once(attributed_json, tmp_path, monkeypatc
     loaded, written = [], []
     load, write = sqpo.cli._load_hierarchy, sqpo.cli._hierarchy_text
     monkeypatch.setattr(sqpo.cli, "_load_hierarchy", lambda *args: loaded.append(load(*args)) or loaded[-1])
-    monkeypatch.setattr(sqpo.cli, "_hierarchy_text", lambda h: written.append(h) or write(h))
+    monkeypatch.setattr(sqpo.cli, "_hierarchy_text", lambda h, *rest: written.append(h) or write(h, *rest))
     sorts = []  # each frozenset sorted, kept alive so that no id is reused
 
     def counting(iterable, *args, **kwargs):

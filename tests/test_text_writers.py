@@ -7,14 +7,16 @@ kernels' `report_json`.
 The cases cover every fixture hierarchy, random hierarchies with the
 reports of forward and backward runs (clean-ups included), a skeleton, an
 empty hierarchy, graphs without nodes or edges, attributed edges, ids and
-values that need escaping, int and bool values and one attribute dict shared
-by several graphs. The golden CLI runs, forward clean-ups among them, are
-checked in test_canonical_json.py."""
+values that need escaping, int and bool values, one attribute dict shared
+by several graphs, and typing maps that the report and the output
+hierarchy both write, encoded once for both. The golden CLI runs, forward
+clean-ups among them, are checked in test_canonical_json.py."""
 
 import json
 import random
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
@@ -37,14 +39,14 @@ HIERARCHY_FILES = sorted(
 AWKWARD = ['q"uote', "back\\slash", "".join(map(chr, range(0x20))), "\x7f", "é∥ß", "😀", "\ud800"]
 
 
-def _same_hierarchy_bytes(h: Hierarchy) -> str:
-    text = _hierarchy_text(h)
+def _same_hierarchy_bytes(h: Hierarchy, map_texts: dict | None = None) -> str:
+    text = _hierarchy_text(h, map_texts)
     assert text == ref.dumps_canonical(hierarchy_to_json(h))
     return text
 
 
-def _same_report_bytes(reports) -> None:
-    assert _report_json(reports) == ref.dumps_canonical(ref.report_json(reports))
+def _same_report_bytes(reports, map_texts: dict | None = None) -> None:
+    assert _report_json(reports, map_texts) == ref.dumps_canonical(ref.report_json(reports))
 
 
 def test_fixture_hierarchies():
@@ -76,6 +78,9 @@ def test_random_hierarchies_and_the_reports_of_their_runs():
                 continue
             _same_hierarchy_bytes(reports[-1].hierarchy)
             _same_report_bytes(reports)
+            map_texts: dict = {}  # as `sqpo rewrite` writes them: output first
+            _same_hierarchy_bytes(reports[-1].hierarchy, map_texts)
+            _same_report_bytes(reports, map_texts)
             runs[direction] += 1
             cleanups[direction] += len(reports) - 1
     assert min(runs.values()) > 40 and cleanups["backward"] > 5, (runs, cleanups)
@@ -179,3 +184,37 @@ def test_hand_made_reports():
     _same_report_bytes(reports)
     _same_report_bytes(reports[:1])
     _same_report_bytes([])
+
+
+@pytest.mark.parametrize("first", ["hierarchy", "report"])
+def test_a_typing_map_both_files_write_is_encoded_once(first, monkeypatch):
+    """The report and the output hierarchy write the same typing maps, at
+    different depths, over node ids holding a line break (one followed by
+    the spaces of an indentation), a tab, a quote, a backslash, U+2028 and
+    non-ASCII text. With one `map_texts`, whichever writer runs first
+    encodes each map and the other indents its text anew; both files are
+    the stdlib's indent=2 text of their trees."""
+    ids = ["a\nb", "\n    ", "t\tab", 'q"uote', "back\\slash", "line\u2028sep", "é∥ß"]
+    g = Graph(ids, [(ids[0], ids[1]), (ids[5], ids[5])])
+    m = Graph(["m\n", "m\u2028"], [("m\n", "m\u2028"), ("m\u2028", "m\u2028")])
+    t = Graph(["t\n  x"], [("t\n  x", "t\n  x")])
+    g_m = Homomorphism(g, m, {n: "m\n" if n == ids[0] else "m\u2028" for n in ids})
+    m_t = Homomorphism(m, t, {"m\n": "t\n  x", "m\u2028": "t\n  x"})
+    h = Hierarchy({"G\n": g, "M": m, "T": t}, {("G\n", "M"): g_m, ("M", "T"): m_t,
+                                               ("G\n", "T"): Homomorphism(g, t, {n: "t\n  x" for n in ids})})
+    assert h.validate() == []
+    typings = {e: h.typing(*e) for e in h.edges()}
+    reports = [_report(h, updated_typings=typings),
+               _report(h, updated_typings={("M", "T"): typings[("M", "T")]})]
+    encoded = []
+    dumps = json.dumps
+    monkeypatch.setattr(json, "dumps", lambda *args, **kwargs: encoded.append(args[0]) or dumps(*args, **kwargs))
+    map_texts: dict = {}
+    if first == "hierarchy":
+        written, report = _hierarchy_text(h, map_texts), _report_json(reports, map_texts)
+    else:
+        report, written = _report_json(reports, map_texts), _hierarchy_text(h, map_texts)
+    monkeypatch.undo()
+    assert len(encoded) == len(typings) == len(map_texts)  # one encoding per map
+    assert written == json.dumps(hierarchy_to_json(h), indent=2, ensure_ascii=False) + "\n"
+    assert report == json.dumps(ref.report_json(reports), indent=2, ensure_ascii=False) + "\n"
