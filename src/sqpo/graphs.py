@@ -315,6 +315,7 @@ class Graph:
         """
         if n not in self.nodes:
             raise GraphElementError(f"clone_node: unknown node {n}")
+        copy1, copy2 = str(copy1), str(copy2)  # as the constructor coerces them
         if copy1 == copy2:
             raise GraphElementError("clone_node: copies need distinct ids")
         for c in (copy1, copy2):
@@ -348,6 +349,7 @@ class Graph:
             raise GraphElementError(f"merge_nodes: unknown nodes {sorted(unknown)}")
         if not group:
             raise GraphElementError("merge_nodes: empty group")
+        new_id = str(new_id)  # as the constructor coerces it
         if new_id in self.nodes - group:
             raise GraphElementError(f"merge_nodes: id collision {new_id}")
 
@@ -561,8 +563,9 @@ class Homomorphism:
             return False
         return all(self.node_map[n] == other.node_map[n] for n in self.source.nodes)
 
-    def __hash__(self):
-        return hash(frozenset(self.node_map.items()))
+    def __hash__(self):  # over what __eq__ reads: the images of the source's nodes
+        nodes = self.source.nodes
+        return hash(frozenset(zip(nodes, map(self.node_map.get, nodes))))
 
     def __repr__(self):
         items = ", ".join(f"{k}→{v}" for k, v in sorted(self.node_map.items()))

@@ -8,10 +8,10 @@ skeleton constrains the shape: when present, every shape edge must map to
 a skeleton edge under the declared assignment.
 
 Commutativity checks cost what a rewrite touched. Each source's memo entry
-keeps its breadth-first walk (its cone in walk order and each node's tree
-parent), the composite fixed at each node of its cone (at a successor, the
-arrow itself, never composed with an identity) and, in walk order, the
-verdict of every other edge.
+keeps, in the order of its breadth-first walk, the composite fixed at each
+node of its cone (at a successor, the arrow itself, never composed with an
+identity) and the verdict of every other edge, and the violations among
+those verdicts. A source the log reaches is walked anew.
 
 * Cone index. `replace` logs in the memo what changed since its entries
   were filled: the arrows replaced, with the keys at which each patch (see
@@ -61,7 +61,7 @@ from __future__ import annotations
 import json
 from bisect import insort
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 from typing import NamedTuple
 
 from .exceptions import CompositionError, GraphElementError, HierarchyError
@@ -171,13 +171,10 @@ class CommutativityViolation:
 
 
 class _Check(NamedTuple):
-    """One source's memo entry: its cone in walk order, each node's tree
-    parent, composite (None at the source) and each comparing edge's
-    verdict (None where it held), in walk order, and the violations among
-    them."""
+    """One source's memo entry: the composite at each node of its cone
+    (None at the source) and each comparing edge's verdict (None where it
+    held), both in walk order, and the violations among them."""
 
-    order: list[str]
-    parent: dict[str, str]
     canon: dict[str, Homomorphism | None]
     verdicts: dict[tuple[str, str], CommutativityViolation | None]
     violations: tuple[CommutativityViolation, ...]
@@ -338,27 +335,6 @@ def _breadth_first(succ: dict, a: str) -> tuple[list[str], dict[str, int], dict[
                 pos[v], parent[v] = len(order), u
                 order.append(v)
     return order, pos, parent
-
-
-def _extension(entry: _Check, grown: list) -> list | None:
-    """The added arrows `grown`, which start in entry's cone, as (tail,
-    (head,)) pairs in walk order, when they all come after the last edge of
-    entry's walk; else None. The old walk is then the start of the new one:
-    each old node keeps its place, tree parent, composite and verdicts, an
-    added arrow compares or first reaches a node new to the cone, and the
-    new nodes come after every old one."""
-    at = entry.order.index
-    keys = sorted((at(u), v, u) for (u, v) in grown)
-    ends = []  # the last tree edge, and the last comparing one
-    if len(entry.order) > 1:
-        v = entry.order[-1]
-        ends.append((at(entry.parent[v]), v))
-    if entry.verdicts:
-        u, v = next(reversed(entry.verdicts))
-        ends.append((at(u), v))
-    if ends and keys[0][:2] < max(ends):
-        return None
-    return [(u, (v,)) for _, v, u in keys]
 
 
 def _tree_path(parent: dict[str, str], v: str) -> tuple[str, ...]:
@@ -571,10 +547,7 @@ class Hierarchy:
         violations = []
         for a in self.nodes():
             entry = memo.entries.get(a)
-            grown = memo.grown(entry) if a in widened and entry is not None else None
-            if grown and a not in sources:
-                entry = self._walk(a, entry, replaced, _extension(entry, grown))
-            elif entry is None or grown or a in sources:
+            if entry is None or a in sources or (a in widened and memo.grown(entry)):
                 entry = self._walk(a, entry, replaced)
             fresh[a] = entry
             violations.extend(entry.violations)
@@ -582,31 +555,23 @@ class Hierarchy:
             object.__setattr__(self, "_memo", _Memo(fresh, memo.valid))
         return violations
 
-    def _walk(self, a: str, entry: _Check | None, replaced: dict, head=None) -> _Check:
+    def _walk(self, a: str, entry: _Check | None, replaced: dict) -> _Check:
         """a's check: one pass over its cone's edges in walk order, where the
         first edge to reach a node is its tree edge and every other edge
-        compares. With `head` (see `_extension`), the pass starts from a copy
-        of the entry and visits only the added arrows in `head` and the
-        edges of the nodes they reach first. A failing compose on a tree
-        edge raises at once, one on a comparing edge after the walk, so the
-        first tree-edge failure wins. Only a first hop's composite has known
-        keys at which it may differ from the entry's: its arrow's keys in
-        `replaced`; every other composite is composed whole."""
+        compares. A failing compose on a tree edge raises at once, one on a
+        comparing edge after the walk, so the first tree-edge failure wins.
+        Only a first hop's composite has known keys at which it may differ
+        from the entry's: its arrow's keys in `replaced`; every other
+        composite is composed whole."""
         succ = self._succ
-        if head is None:
-            order, parent, canon, verdicts, failed, head = [a], {}, {a: None}, {}, [], ()
-        else:
-            order, parent = list(entry.order), dict(entry.parent)
-            canon, verdicts = dict(entry.canon), dict(entry.verdicts)
-            failed = list(entry.violations)
+        order, parent, canon, verdicts, failed = [a], {}, {a: None}, {}, []
 
         def moved(x):
             return replaced.get((a, x), _NOTHING) if parent.get(x) == a else None
 
         deferred = None
-        tails = islice(order, len(order) if head else 0, None)  # grows while walking
-        for u, vs in chain(head, ((u, succ.get(u, ())) for u in tails)):
-            for v in vs:
+        for u in order:  # grows while walking
+            for v in succ.get(u, ()):
                 e = (u, v)
                 if v not in canon:
                     order.append(v)
@@ -630,7 +595,7 @@ class Hierarchy:
                             failed.append(x)
         if deferred is not None:
             raise deferred
-        return _Check(order, parent, canon, verdicts, tuple(failed))
+        return _Check(canon, verdicts, tuple(failed))
 
     def _first_hop(self, a: str, v: str) -> Homomorphism:
         """The composite along the one arrow a -> v: the arrow itself, after
@@ -644,36 +609,28 @@ class Hierarchy:
     def _verdict(self, a, u, v, canon, parent, keys) -> CommutativityViolation | None:
         """Compare the arrow u -> v after canon[u] with canon[v] at `keys`
         (None: at every node of a's graph), with the endpoint checks and the
-        lookups of `compose` and then of `hom_equal`. At every node, with
-        canon[u]'s map total, the whole composite is built and compared with
-        canon[v]'s map at C level; the walk below runs only if they differ,
-        to name the smallest node that differs, or if a lookup fails, to
-        raise as the walk does."""
+        lookups of `compose` and then of `hom_equal`. The two image lists are
+        built and compared at C level; only lists that differ are walked, to
+        name the smallest node at which they do."""
         arrow, first, fixed = self._arrows[(u, v)], canon[u], canon[v]
         if a in (u, v):  # a cycle back to the source, in a shape left unchecked
             first = first or identity(self._objects[a])
             fixed = fixed or identity(self._objects[a])
         if first.target is not arrow.source and first.target != arrow.source:
             raise CompositionError("compose: f.target differs from g.source")
-        am, fm, nodes = arrow.node_map, first.node_map, first.source.nodes
-        same_ends = (first.source is fixed.source or first.source == fixed.source) and (
-            arrow.target is fixed.target or arrow.target == fixed.target
-        )  # identity first: graphs compare by value
-        if keys is None and same_ends and fm.keys() == nodes:
-            try:
-                if dict(zip(fm, map(am.__getitem__, fm.values()))) == fixed.node_map:
-                    return None
-            except KeyError:
-                pass
-        values = {n: am[fm[n]] for n in (nodes if keys is None else keys) if n in nodes}
-        if not same_ends:
+        nodes = first.source.nodes
+        at = nodes if keys is None else [*filter(nodes.__contains__, keys)]
+        got = [*map(arrow.node_map.__getitem__, map(first.node_map.__getitem__, at))]
+        if (first.source is not fixed.source and first.source != fixed.source) or (
+            arrow.target is not fixed.target and arrow.target != fixed.target
+        ):  # identity first: graphs compare by value
             raise CompositionError("hom_equal: endpoints differ")
-        xm = fixed.node_map
-        bad = [n for n, y in values.items() if y != xm[n]]
-        if not bad:
+        want = [*map(fixed.node_map.__getitem__, at)]
+        if got == want:
             return None
         return CommutativityViolation(
-            a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,), min(bad)
+            a, v, _tree_path(parent, v), _tree_path(parent, u) + (v,),
+            min(n for n, y, x in zip(at, got, want) if y != x),
         )
 
     def validate(self) -> list[str]:

@@ -345,26 +345,24 @@ def _unmemoized(h: Hierarchy) -> Hierarchy:
 
 
 def _walks(h: Hierarchy) -> dict:
-    """Each memo entry as the walk it records: the order, the tree parents,
-    the nodes holding a composite and each comparing edge's verdict, all in
-    walk order."""
+    """Each memo entry as the walk it records: the nodes holding a composite
+    and each comparing edge's verdict, both in walk order."""
     return {
-        a: (c.order, c.parent, list(c.canon), [(e, str(x)) for e, x in c.verdicts.items()])
+        a: (list(c.canon), [(e, str(x)) for e, x in c.verdicts.items()])
         for a, c in h._memo.entries.items()
     }
 
 
 @pytest.fixture
-def rechecks(monkeypatch) -> dict:
-    """How each check re-checks a source that has an entry: "extended" from
-    its entry at the added arrows, or "re-walked" in a new walk order."""
-    seen: dict = {}
+def rechecks(monkeypatch) -> set:
+    """The sources that have an entry and are walked anew."""
+    seen: set = set()
     walk = Hierarchy._walk
 
-    def recording(self, a, entry, replaced, head=None):
+    def recording(self, a, entry, replaced):
         if entry is not None:
-            seen[a] = "extended" if head else "re-walked"
-        return walk(self, a, entry, replaced, head)
+            seen.add(a)
+        return walk(self, a, entry, replaced)
 
     monkeypatch.setattr(Hierarchy, "_walk", recording)
     return seen
@@ -427,20 +425,20 @@ def _chain_of(edges, maps=None) -> Hierarchy:
     return h
 
 
-def _typed_then_checked(h: Hierarchy, arrows: dict, rechecks: dict):
-    """How `add_typing` of each arrow in turn, and a check of the result
-    after it, re-check the sources that have an entry: what add_typing
-    walked, and what the check walked or the refusal's message."""
+def _typed_then_checked(h: Hierarchy, arrows: dict, rechecks: set):
+    """Which sources that have an entry `add_typing` of each arrow in turn,
+    and a check of the result after it, walk anew: what add_typing walked,
+    and what the check walked or the refusal's message."""
     rechecks.clear()
     try:
         for e, hom in arrows.items():
             h = h.add_typing(*e, hom)
     except HierarchyError as exc:
-        return dict(rechecks), str(exc)
-    typed = dict(rechecks)
+        return set(rechecks), str(exc)
+    typed = set(rechecks)
     rechecks.clear()
     h.validate_commutativity()
-    return typed, dict(rechecks)
+    return typed, set(rechecks)
 
 
 @pytest.mark.parametrize("mapping", [_SAME, _SWAP])
@@ -449,25 +447,23 @@ def test_added_arrow_with_an_earlier_path_re_walks(mapping, rechecks):
     reaches it earlier, so e's tree parent and place in the walk change:
     the order, the tree and the paths in a violation must be the new
     walk's. Typed by `add_typing` into the valid hierarchy, an arrow whose
-    frontier pair (a, e) agrees walks nothing, and the next check re-walks
-    a and extends b from the log; one that disagrees makes add_typing run
-    the full check, which walks the same way and names the new walk's
-    paths."""
+    frontier pair (a, e) agrees walks nothing, and the next check walks a
+    and b anew from the log; one that disagrees makes add_typing run the
+    full check, which walks the same way and names the new walk's paths."""
     h = _chain_of([("a", "b"), ("a", "c"), ("c", "d"), ("d", "e")])
-    assert h._memo.entries["a"].order == ["a", "b", "c", "d", "e"]
+    assert list(h._memo.entries["a"].canon) == ["a", "b", "c", "d", "e"]
     added = {("b", "e"): Homomorphism(_G, _G, mapping)}
-    walks = {"a": "re-walked", "b": "extended"}
+    walks = {"a", "b"}
     if mapping is _SAME:
-        assert _typed_then_checked(h, added, rechecks) == ({}, walks)
+        assert _typed_then_checked(h, added, rechecks) == (set(), walks)
     else:
         assert _typed_then_checked(h, added, rechecks) == (
             walks, "typing breaks commutativity: PAIR a e: a->b->e != a->c->d->e at node x"
         )
     rechecks.clear()
     out, outcome = _check_added(h, added)
-    assert out._memo.entries["a"].order == ["a", "b", "c", "e", "d"]
-    assert out._memo.entries["a"].parent["e"] == "b"
-    assert rechecks["a"] == "re-walked" and rechecks["b"] == "extended"
+    assert list(out._memo.entries["a"].canon) == ["a", "b", "c", "e", "d"]
+    assert rechecks == walks
     if mapping is _SWAP:
         assert outcome == "violations"
         assert [str(v) for v in out.validate_commutativity()] == [
@@ -478,25 +474,25 @@ def test_added_arrow_with_an_earlier_path_re_walks(mapping, rechecks):
 
 
 @pytest.mark.parametrize("mapping", [_SAME, _SWAP])
-def test_added_arrow_to_a_node_new_to_the_cone_extends(mapping, rechecks):
+def test_added_arrow_to_a_node_new_to_the_cone_re_walks(mapping, rechecks):
     """From a, the arrow b -> c reaches c and f, new to a's cone, after
-    every old node; c -> d then compares with a -> d. a's entry is extended,
-    not walked again: by the check after `add_typing`, which walks nothing
-    when the frontier pair (a, d) agrees, or by add_typing's full check
-    when it does not."""
+    every old node; c -> d then compares with a -> d. a's entry is walked
+    anew: by the check after `add_typing`, which walks nothing when the
+    frontier pair (a, d) agrees, or by add_typing's full check when it does
+    not."""
     h = _chain_of([("a", "b"), ("a", "d"), ("c", "d"), ("c", "f")], {("c", "d"): mapping})
-    walks = {"a": "extended", "b": "extended"}
+    walks = {"a", "b"}
     added = {("b", "c"): Homomorphism(_G, _G, _SAME)}
     if mapping is _SAME:
-        assert _typed_then_checked(h, added, rechecks) == ({}, walks)
+        assert _typed_then_checked(h, added, rechecks) == (set(), walks)
     else:
         assert _typed_then_checked(h, added, rechecks) == (
             walks, "typing breaks commutativity: PAIR a d: a->d != a->b->c->d at node x"
         )
     rechecks.clear()
     out, outcome = _check_added(h, added)
-    assert out._memo.entries["a"].order == ["a", "b", "d", "c", "f"]
-    assert rechecks == {"a": "extended", "b": "extended"}
+    assert list(out._memo.entries["a"].canon) == ["a", "b", "d", "c", "f"]
+    assert rechecks == walks
     if mapping is _SWAP:
         assert [str(v) for v in out.validate_commutativity()] == [
             "PAIR a d: a->d != a->b->c->d at node x"
@@ -505,10 +501,10 @@ def test_added_arrow_to_a_node_new_to_the_cone_extends(mapping, rechecks):
         assert outcome == "clean"
 
 
-def test_extended_entry_keeps_its_violations(rechecks):
+def test_re_walked_entry_keeps_its_violations(rechecks):
     """From a, the comparing edge b -> d breaks; an arrow d -> c, to an
-    object new to a's cone, comes after it in a's walk, so a's entry is
-    extended and its violation, found by the walk before, stays."""
+    object new to a's cone, comes after it in a's walk. a's entry is walked
+    anew and finds the violation again."""
     h = Hierarchy(
         {n: _G for n in "abcd"},
         {
@@ -520,7 +516,7 @@ def test_extended_entry_keeps_its_violations(rechecks):
     assert _answer(h) == ["PAIR a d: a->d != a->b->d at node x"]
     out, outcome = _check_added(h, {("d", "c"): Homomorphism(_G, _G, _SAME)})
     assert outcome == "violations"
-    assert rechecks == {"a": "extended", "b": "extended", "d": "extended"}
+    assert rechecks == {"a", "b", "d"}
     assert _answer(out) == ["PAIR a d: a->d != a->b->d at node x"]
 
 
@@ -543,13 +539,13 @@ def test_added_arrow_after_a_swap_re_walks_with_the_log_holding_both(rechecks):
     added = {("b", "d"): Homomorphism(new, h.graph("d"), dict.fromkeys(new.nodes, "p"))}
     logged = swapped.replace(arrows=added)._memo.merged()[0]
     assert set(logged) == {("a", "b"), ("b", "c"), ("b", "d")}
-    walks = {"a": "re-walked", "b": "re-walked"}
-    assert _typed_then_checked(swapped, added, rechecks) == (walks, {})
+    walks = {"a", "b"}
+    assert _typed_then_checked(swapped, added, rechecks) == (walks, set())
     rechecks.clear()
     out, outcome = _check_added(swapped, added)
     assert outcome == "clean"
-    assert rechecks["a"] == rechecks["b"] == "re-walked"
-    assert out._memo.entries["a"].order == ["a", "b", "c", "d"]
+    assert rechecks == walks
+    assert list(out._memo.entries["a"].canon) == ["a", "b", "c", "d"]
 
 
 @pytest.mark.parametrize("touched", [False, True])
@@ -558,8 +554,7 @@ def test_added_comparing_edge_fails_but_a_later_tree_edge_fails_first(touched, r
     they were. Two arrows are added from the new graphs' side: u -> y, a
     comparing edge from a whose endpoints differ, and, later in a's walk,
     w -> z, a tree edge whose compose fails. The tree-edge failure is what
-    the check raises, whether a's entry is extended or (with one of its
-    arrows re-set, which makes a walk again) walked anew."""
+    the check raises, whether or not one of a's arrows is re-set too."""
     h = _chain_of([("a", "u"), ("a", "y"), ("u", "w"), ("z", "q")])
     y2, _ = _renamed(_G, extra=False)
     w2 = Graph(["x'", "y'", "w'"])
@@ -573,7 +568,7 @@ def test_added_comparing_edge_fails_but_a_later_tree_edge_fails_first(touched, r
     rechecks.clear()
     _, outcome = _check_added(h, added)
     assert outcome == "raised"
-    assert rechecks["a"] == ("re-walked" if touched else "extended")
+    assert "a" in rechecks
     with pytest.raises(CompositionError, match="f.target differs from g.source"):
         h.replace(arrows=added).validate_commutativity()
     only = h.replace(arrows={("u", "y"): added[("u", "y")]})

@@ -19,7 +19,9 @@ replaced, which reference_kernels.py keeps:
   partial map, a map with extra keys, an image missing from the next
   arrow) or every arrow out of one object partial at one node,
   `validate_commutativity` gives the same violations with the same
-  witness, or raises the same exception.
+  witness, or raises the same exception. The same holds for a checked
+  hierarchy with one arrow replaced by a patch that differs at a few keys,
+  whose re-check compares the edges that held only at those keys.
 """
 
 import copy
@@ -205,3 +207,55 @@ def test_whole_map_verdict_matches_the_walk(kind, monkeypatch):
         assert got == want
         outcomes["raised" if isinstance(got, tuple) else "violated" if got else "held"] += 1
     assert outcomes["held"] > 20 and outcomes[BREAKS[kind]] > 20, outcomes
+
+
+def _patch(rng, h: Hierarchy) -> dict | None:
+    """One arrow of h as a `Homomorphism._patched` copy re-set at a few
+    keys, all to their own image, to another node of the target, to no
+    image or to an image outside the target; None if the drawn arrow maps
+    no node."""
+    e = rng.choice(h.edges())
+    old = h.typing(*e)
+    if not old.node_map:
+        return None
+    keys = rng.sample(sorted(old.node_map), rng.randint(1, min(3, len(old.node_map))))
+    kind = rng.choice(["same", "differs", "dropped", "ghost"])
+    updates = {}
+    for k in keys:
+        if kind == "same":
+            updates[k] = old.node_map[k]
+        elif kind == "differs":
+            updates[k] = rng.choice(sorted(old.target.nodes))
+        elif kind == "ghost":
+            updates[k] = "ghost"
+    return {e: Homomorphism._patched(old, old.source, old.target, updates, keys)}
+
+
+def test_keyed_verdict_matches_the_walk(monkeypatch):
+    """A re-check after a patched arrow compares at the patch's keys; it
+    gives what the walk gives at those keys."""
+    rng = random.Random("keyed verdict")
+    outcomes = {"held": 0, "violated": 0, "raised": 0}
+    keyed = 0
+    verdict = Hierarchy._verdict
+
+    def counting(self, a, u, v, canon, parent, keys):
+        nonlocal keyed
+        keyed += keys is not None
+        return verdict(self, a, u, v, canon, parent, keys)
+
+    for _ in range(300):
+        h = random_hierarchy(rng, max_objects=6, max_edges=10)
+        h.validate_commutativity()
+        arrows = _patch(rng, h)
+        if arrows is None:
+            continue
+        with monkeypatch.context() as patch:
+            patch.setattr(Hierarchy, "_verdict", counting)
+            got = _verdicts(h.replace(arrows=arrows))
+        with monkeypatch.context() as patch:
+            patch.setattr(Hierarchy, "_verdict", ref.verdict_walk)
+            want = _verdicts(h.replace(arrows=arrows))
+        assert got == want
+        outcomes["raised" if isinstance(got, tuple) else "violated" if got else "held"] += 1
+    assert keyed > 20 and min(outcomes.values()) > 20, (keyed, outcomes)

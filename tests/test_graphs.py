@@ -204,6 +204,29 @@ def test_add_edge_coerces_its_endpoints():
         looped.add_edge("5", 5)
 
 
+def test_clone_and_merge_coerce_new_ids_before_the_collision_check():
+    """A copy or merged id of 5 names node "5", so it collides with the
+    existing "5" instead of silently fusing with it."""
+    g = Graph(["a", "5"], [("a", "5")])
+    with pytest.raises(GraphElementError, match="id collision 5"):
+        g.clone_node("a", 5, "b")
+    with pytest.raises(GraphElementError, match="id collision 5"):
+        g.merge_nodes(["a"], 5)
+    assert g.clone_node("a", 6, "b").nodes == {"5", "6", "b"}
+    assert g.merge_nodes(["a"], 6).nodes == {"5", "6"}
+
+
+def test_equal_homomorphisms_hash_alike():
+    """`__eq__` reads the images of the source's nodes only, so a key
+    outside the source changes neither equality nor the hash."""
+    g, t = Graph(["a"]), Graph(["x", "y"])
+    f = Homomorphism(g, t, {"a": "x"})
+    extra = Homomorphism(g, t, {"a": "x", "b": "y"})
+    assert f == extra and hash(f) == hash(extra)
+    assert len({f, extra}) == 1
+    assert f != Homomorphism(g, t, {"a": "y"})
+
+
 def test_clone_then_merge_restores_graph():
     rng = random.Random(3)
     for _ in range(25):

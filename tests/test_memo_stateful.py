@@ -12,10 +12,9 @@ the copy's, marks a hierarchy that passes it valid; a typing added to a
 valid hierarchy is compared at its frontier pairs only, and one added to
 any other hierarchy (the copy, or one a rewrite returned) by the full
 check, so the typing rule compares the two paths. After a check that passes,
-each memo entry records the walk the copy's check records: the same order,
-tree parents, nodes with a composite and verdicts in walk order, so a later
-violation message names the same paths. Typings added by `add_typing`
-extend some entries at the new arrow and make others walk anew; both occur.
+each memo entry records the walk the copy's check records: the same nodes
+with a composite and verdicts in walk order. Typings added by `add_typing`
+and rewrites make some sources that have an entry walk anew.
 Neither a typing added nor a rewrite, refused or not, writes into an
 attribute dict of the hierarchy's graphs or the rule's: the constructions
 share those dicts instead of copying them.
@@ -60,7 +59,7 @@ def _outcome(call):
 def _walks(h):
     """Each memo entry as the walk it records (see the module docstring)."""
     return {
-        a: (c.order, c.parent, list(c.canon), [(e, str(x)) for e, x in c.verdicts.items()])
+        a: (list(c.canon), [(e, str(x)) for e, x in c.verdicts.items()])
         for a, c in h._memo.entries.items()
     }
 
@@ -188,14 +187,14 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
     seen: Counter = Counter()
     relations: list[bool] = []  # whether each plan built had relations
     build = generators.build_relation_plan
-    extension = sqpo.hierarchy._extension
+    walk = sqpo.hierarchy.Hierarchy._walk
 
-    def recording_extension(entry, grown):
-        head = extension(entry, grown)
-        seen["entry extended" if head else "entry re-walked"] += 1
-        return head
+    def recording_walk(h, a, entry, replaced):
+        if entry is not None:
+            seen["entry re-walked"] += 1
+        return walk(h, a, entry, replaced)
 
-    monkeypatch.setattr(sqpo.hierarchy, "_extension", recording_extension)
+    monkeypatch.setattr(sqpo.hierarchy.Hierarchy, "_walk", recording_walk)
     frontier = sqpo.hierarchy.Hierarchy._frontier_agrees
 
     def recording_frontier(h, a, b, hom, below):
@@ -219,7 +218,7 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
     )
     for key in ["clean", "violations", "typing added", "typing refused", "clean-ups", ("fwd", "relation"),
                 ("fwd", "canonical"), ("bwd", "relation"), ("bwd", "canonical"),
-                "entry extended", "entry re-walked", "marked valid", "typing on a valid hierarchy",
+                "entry re-walked", "marked valid", "typing on a valid hierarchy",
                 "typing unmarked", "frontier agrees", "frontier differs"]:
         assert seen[key], (key, seen)
 

@@ -119,3 +119,23 @@ def test_every_unexported_definition_is_used_in_the_package():
                 used.update(alias.name for alias in node.names)
     assert defined
     assert [where for where, name in defined if name not in used] == []
+
+
+def test_every_import_is_read():
+    """Each name a module of the package imports is read somewhere in that
+    module, so that a deletion leaves no import behind. `from __future__`
+    imports and the names `sqpo.__all__` re-exports are left out."""
+    unread = []
+    for path in sorted(Path(sqpo.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], a.name) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, a.name) for a in node.names)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        if path.name == "__init__.py":
+            read.update(sqpo.__all__)
+        unread.extend(f"{path.stem}: {name}" for name in sorted(imported) if name not in read)
+    assert unread == []
