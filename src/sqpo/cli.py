@@ -230,6 +230,7 @@ def _parse_plan(h, origin, rule_arrow, match, direction, obj) -> PropagationPlan
                     pre_arrow=Homomorphism(rule_arrow.source, mid, pre),
                     retyping=Homomorphism(rp.pattern, mid, retyping_map),
                 )
+        where = ("connectors",)
         for k, conn in enumerate(obj.get("connectors", [])):
             where = ("connectors", k)
             i, j = conn["from"], conn["to"]

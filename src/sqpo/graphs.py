@@ -13,12 +13,13 @@ sorted node ids, sorted edges and candidate index, and a homomorphism's
 preimage lists. A graph may start with a deferred order instead of a
 sorted one, which its first reader completes: the ids its file listed, or
 the sorted ids of the host a construction changed (`_sorted_ids`).
-A homomorphism built as a patch of another records the keys whose image
-changed, which lets propagation and the commutativity memo work only where
-a rewrite did. A rewrite's trace is the identity except at the nodes the
-rewrite touched (`_Trace`), so it holds only those and builds its node map
-when read. Copies and pickles hold the values alone and drop every private
-cache.
+Loading a graph from JSON reads its rows once and raises the first
+problem at its JSON path (`graph_from_json`). A homomorphism built as a
+patch of another records the keys whose image changed, which lets
+propagation and the commutativity memo work only where a rewrite did. A
+rewrite's trace is the identity except at the nodes the rewrite touched
+(`_Trace`), so it holds only those and builds its node map when read.
+Copies and pickles hold the values alone and drop every private cache.
 """
 
 from __future__ import annotations
@@ -636,7 +637,7 @@ def homomorphism_violation(h: Homomorphism) -> str | None:
         and target.nodes.issuperset(map(get, nodes))
         and target.edges.issuperset(zip(ends, ends))
     ):
-        return _violation(h, nodes, source.edges, node_map, everywhere=True)
+        return _violation_at(h, nodes, source.edges, node_map)
     node_attrs, edge_attrs = source.node_attrs, source.edge_attrs
     ends = map(get, chain.from_iterable(edge_attrs))
     # list equality compares each pair by identity first: a loaded file and
@@ -658,10 +659,6 @@ def _violation_at(h: Homomorphism, nodes, edges, keys) -> str | None:
     answer whenever every violation lies there: the caller must know that
     every other node keeps a valid image and every other edge a valid image
     edge."""
-    return _violation(h, nodes, edges, keys, everywhere=False)
-
-
-def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | None:
     source, target, node_map = h.source, h.target, h.node_map
     bad = [n for n in nodes if n not in node_map or node_map[n] not in target.nodes]
     if bad:
@@ -678,8 +675,6 @@ def _violation(h: Homomorphism, nodes, edges, keys, everywhere: bool) -> str | N
         e = min(bad)
         h.edge_image(e)  # raises KeyError if e dangles off an unmapped node
         return f"edge ({e[0]},{e[1]}) has no image edge"
-    if everywhere:  # every attribute dict, without a lookup per element
-        return _attrs_violation(h, source.node_attrs.items(), source.edge_attrs.items())
     na, ea = source.node_attrs, source.edge_attrs
     return _attrs_violation(
         h, [(n, na[n]) for n in nodes if n in na], [(e, ea[e]) for e in edges if e in ea]
@@ -983,17 +978,11 @@ def _node_map_from_json(raw: Mapping, what: str) -> dict[str, str]:
     JSON object keys are always strings, so a copy of the map can back a
     `Homomorphism._of`. The images of a dict are checked at C level; only
     a map that fails the check is walked, to name its first offender."""
-    if type(raw) is dict and _all_str(raw.values()):
-        return dict(raw)
-    for k, v in raw.items():
-        if not isinstance(v, str):
-            raise _located(TypeError, (k,), f"{what} maps {k} to {json.dumps(v)}, not to a node id")
+    if type(raw) is not dict or not {*map(type, raw.values())} <= {str}:
+        for k, v in raw.items():
+            if not isinstance(v, str):
+                raise _located(TypeError, (k,), f"{what} maps {k} to {json.dumps(v)}, not to a node id")
     return dict(raw)
-
-
-def _all_str(values) -> bool:
-    """Whether every value is a str (not of a subclass), checked at C level."""
-    return {*map(type, values)} <= {str}
 
 
 def _memo_key(raw):
@@ -1011,102 +1000,71 @@ def _memo_key(raw):
 
 def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
     """Load a graph. A malformed node, edge or attribute value raises
-    GraphElementError naming its JSON path (`nodes[3]: ...`); an edge off
-    the listed nodes raises it listing every such violation, at the path of
-    the first entry of the first such edge in sorted order (`edges[4]`).
+    GraphElementError naming its JSON path (`nodes[3]: ...`), and a `nodes`
+    or `edges` value that is not a list names its own (`edges: ...`); the
+    first problem in row order raises. An edge off the listed nodes raises
+    it listing every such violation, at the path of the first entry of the
+    first such edge in sorted order (`edges[4]`).
 
     Equal raw attribute values are checked once and share one dict: `memo`,
     one per document, holds each valid value by `_memo_key`, which tells
     `[1]`, `[true]`, `["1"]` and `[1.0]` apart where equality would not.
 
-    One pass reads the rows and keeps no JSON path; then one C-level check
-    each finds the node ids all str and the edge endpoints all listed. Any
-    failure loads the graph again by `_graph_walk`, which locates and words
-    the first problem."""
+    One pass reads the rows and knows the row it reads, so a problem
+    raises where it is met; then one C-level check finds every edge
+    endpoint a listed node."""
     memo = {} if memo is None else memo
+    where, i = (), None
     try:
-        nodes, node_attrs = _Listed(), {}
-        for entry in obj.get("nodes", []):
-            nodes.append(n := entry["id"])
-            if "attrs" in entry:
-                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
-                    attrs = memo[key] = attrs_from_json(raw)
-                if attrs:
-                    node_attrs[n] = attrs
-                else:  # an empty dict would break `Graph._of`'s precondition
-                    node_attrs.pop(n, None)
-        edges, edge_attrs = _Listed(), {}
-        for entry in obj.get("edges", []):
-            edges.append(e := (entry["from"], entry["to"]))
-            if "attrs" in entry:
-                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
-                    attrs = memo[key] = attrs_from_json(raw)
-                if attrs:
-                    edge_attrs[e] = attrs
-                else:
-                    edge_attrs.pop(e, None)
-        node_set = frozenset(nodes)
-        # ids all str, so an endpoint in node_set is a str id too
-        loaded = _all_str(nodes) and node_set.issuperset(chain.from_iterable(edges))
-    except (KeyError, TypeError, AttributeError, RecursionError, GraphElementError):
-        loaded = False  # the walk raises on the first problem, with its path
-    if not loaded:
-        return _graph_walk(obj, memo)
-    g = Graph._of(node_set, edges, node_attrs, edge_attrs)
-    object.__setattr__(g, "_order", nodes)  # deferred orders: see `_sorted_ids`
-    object.__setattr__(g, "_sorted_edges", edges)
-    return g
-
-
-def _graph_walk(obj: Mapping, memo: dict) -> Graph:
-    """`graph_from_json` row by row, keeping the JSON path of the value it
-    reads, so that the first problem raises located there."""
-    where: tuple = ()
-    try:
-        nodes = _Listed()
-        node_attrs = {}
-        for i, entry in enumerate(obj.get("nodes", [])):
-            where = ("nodes", i)
+        rows = obj.get("nodes", [])
+        where, nodes, node_attrs = ("nodes",), _Listed(), {}
+        for i, entry in enumerate(rows):
             n = entry["id"]
             if not isinstance(n, str):
                 raise TypeError(f"node id {json.dumps(n)} is not a string")
             nodes.append(n)
             if "attrs" in entry:
-                where = ("nodes", i, "attrs")
                 if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
-                    attrs = memo[key] = attrs_from_json(raw)
+                    attrs = memo[key] = _attrs_at(raw, ("nodes", i, "attrs"))
                 if attrs:
                     node_attrs[n] = attrs
-                else:
+                else:  # an empty dict would break `Graph._of`'s precondition
                     node_attrs.pop(n, None)
-        edges = _Listed()
-        edge_attrs = {}
-        for i, entry in enumerate(obj.get("edges", [])):
-            where = ("edges", i)
-            e = (entry["from"], entry["to"])
-            if not (isinstance(e[0], str) and isinstance(e[1], str)):
-                raise TypeError(f"edge {json.dumps(list(e))} has an endpoint that is not a string")
-            edges.append(e)
+        rows, i = obj.get("edges", []), None
+        where, edges, edge_attrs = ("edges",), _Listed(), {}
+        for i, entry in enumerate(rows):
+            u, v = entry["from"], entry["to"]
+            if not (isinstance(u, str) and isinstance(v, str)):
+                raise TypeError(f"edge {json.dumps([u, v])} has an endpoint that is not a string")
+            edges.append(e := (u, v))
             if "attrs" in entry:
-                where = ("edges", i, "attrs")
                 if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
-                    attrs = memo[key] = attrs_from_json(raw)
+                    attrs = memo[key] = _attrs_at(raw, ("edges", i, "attrs"))
                 if attrs:
                     edge_attrs[e] = attrs
                 else:
                     edge_attrs.pop(e, None)
-    except (KeyError, TypeError, AttributeError, GraphElementError) as exc:
-        raise _relocated(GraphElementError, where, exc, "graph") from exc
-    g = Graph._of(nodes, edges, node_attrs, edge_attrs)
-    problems = g.validate()
-    if problems:  # only dangling edges: attributes sit on listed elements
-        first = min(e for e in edges if not (e[0] in g.nodes and e[1] in g.nodes))
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise _relocated(GraphElementError, where if i is None else (*where, i), exc, "graph") from exc
+    node_set = frozenset(nodes)
+    g = Graph._of(node_set, edges, node_attrs, edge_attrs)
+    if not node_set.issuperset(chain.from_iterable(edges)):  # validate finds only these edges
+        first = min(e for e in edges if not (e[0] in node_set and e[1] in node_set))
         raise _located(
-            GraphElementError, ("edges", edges.index(first)), "invalid graph: " + "; ".join(problems)
+            GraphElementError, ("edges", edges.index(first)), "invalid graph: " + "; ".join(g.validate())
         )
-    object.__setattr__(g, "_order", nodes)
+    object.__setattr__(g, "_order", nodes)  # deferred orders: see `_sorted_ids`
     object.__setattr__(g, "_sorted_edges", edges)
     return g
+
+
+def _attrs_at(raw, path: tuple) -> Attrs:
+    """`attrs_from_json(raw)`, raising GraphElementError located at `path`,
+    the JSON path of raw in its graph."""
+    try:
+        return attrs_from_json(raw)
+    except (TypeError, GraphElementError) as exc:
+        raise _relocated(GraphElementError, path, exc, "graph") from exc
 
 
 _encode_str = json.encoder.encode_basestring

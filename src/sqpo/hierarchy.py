@@ -819,7 +819,7 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
             if not isinstance(nodes, list) or not all(isinstance(n, str) for n in nodes):
                 where = ("skeleton", "nodes")
                 raise TypeError(f"skeleton nodes {json.dumps(nodes)} are not a list of kinds")
-            edges = []
+            where, edges = ("skeleton", "edges"), []
             for i, e in enumerate(sk.get("edges", [])):
                 where = ("skeleton", "edges", i)
                 if not isinstance(e, list) or len(e) != 2:
@@ -843,7 +843,7 @@ def hierarchy_from_json(obj: dict, validate: bool = True) -> Hierarchy:
                 objects[name] = graph_from_json(graphs[name], memo)
             except GraphElementError as exc:
                 raise _relocated(HierarchyError, where, exc, "graph", f"graph {name}: ") from exc
-        arrows = {}
+        where, arrows = ("typings",), {}
         for i, typing in enumerate(obj.get("typings", [])):
             where = ("typings", i)
             a, b = typing["from"], typing["to"]

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import random
 import subprocess
 import sys
@@ -1062,3 +1064,61 @@ def test_validate_reports_a_g_t_that_does_not_commute(tmp_path, capsys):
     path = _typed_data_file(tmp_path / "h.json", {"g00": "k1", "g01": "k1"}, complete=True)
     code = sqpo.cli.main(["validate", str(path)])
     assert (code, capsys.readouterr().out) == (1, "PAIR G T: G->T != G->M->T at node g00\n")
+
+
+def _strict_plan_argv(tmp_path, plan: dict) -> list:
+    """`sqpo rewrite --plan` at G of the strict_plan fixture, with `plan`
+    written as the plan file."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    return ["rewrite", str(FIXTURES / "strict_plan.hierarchy.json"), "G",
+            str(FIXTURES / "strict_plan.rule.json"), "0", "--direction", "fwd",
+            "--plan", str(path), "-o", str(tmp_path / "out.json")]
+
+
+def _with_unaffected_factorization(plan):
+    plan["factorizations"]["nowhere"] = plan["factorizations"]["T"]
+    return plan
+
+
+@pytest.mark.parametrize("damage, message", [
+    (lambda plan: {**plan, "origin": "T"},
+     "plan file names a different origin than the command line"),
+    (_with_unaffected_factorization, "plan factorization for nowhere: not an affected node"),
+], ids=["other-origin", "unaffected-node"])
+def test_rewrite_refuses_a_plan_for_other_nodes(tmp_path, capsys, damage, message):
+    """A plan file that names another origin than the command line, or
+    gives a factorization for a node the rewrite does not affect, is an
+    input error (exit 2) that writes nothing."""
+    plan = damage(json.loads((FIXTURES / "strict_plan.plan.json").read_text()))
+    code = sqpo.cli.main(_strict_plan_argv(tmp_path, plan))
+    path = tmp_path / "plan.json"
+    assert (code, capsys.readouterr().err) == (2, f"error: invalid plan in {path}: {message}\n")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_match_refuses_a_bad_anchor(capsys):
+    code = sqpo.cli.main(["match", str(FIXTURES / "merge_add.hierarchy.json"), "G",
+                          str(FIXTURES / "merge_add.rule.json"), "--anchor", "x"])
+    assert (code, capsys.readouterr()) == (2, ("", "error: bad anchor 'x': expected PATTERN=NODE\n"))
+
+
+def test_a_failed_rename_leaves_no_staged_file(tmp_path, capsys, monkeypatch):
+    """When the report's rename fails after the output's has succeeded, the
+    rewrite exits 2 naming the report, and the staged report file is
+    removed: no `*.tmp` file is left beside the outputs."""
+    out, report = tmp_path / "out.json", tmp_path / "report.json"
+    replace = os.replace
+
+    def failing(src, dst):
+        if dst == str(report):
+            raise OSError(errno.EACCES, os.strerror(errno.EACCES))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    code = sqpo.cli.main([
+        "rewrite", str(FIXTURES / "merge_add.hierarchy.json"), "G", str(FIXTURES / "merge_add.rule.json"),
+        "0", "--direction", "fwd", "-o", str(out), "--report", str(report),
+    ])
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot write {report}: {os.strerror(errno.EACCES)}\n")
+    assert not list(tmp_path.glob("*.tmp"))

@@ -413,6 +413,24 @@ def test_a_node_renamed_by_the_pushout_is_retyped_everywhere():
     assert rep.hierarchy.typing("G", "T").node_map == dict.fromkeys(["a_b", "a_b#2", "c"], "t")
 
 
+def test_a_trace_answers_only_at_its_source_nodes():
+    """A report's trace is indexed like a plain map: a node outside its
+    source, whether one the rewrite made or none at all, raises KeyError
+    naming it."""
+    g = Graph(["a", "b"], [("a", "b")])
+    t = Graph(["t"], [("t", "t")])
+    h = Hierarchy().add_object("G", g).add_object("T", t)
+    h = h.add_typing("G", "T", Homomorphism(g, t, dict.fromkeys(g.nodes, "t")))
+    rule = build_rule(Graph(["x", "y"]), [MergeNodes(("x", "y"), "xy")])
+    (match,) = find_matches(rule, g, EXPANSIVE, {"x": "a", "y": "b"})
+    trace = propagate_forward(h, build_canonical_plan(h, "G", rule.right_leg, match.instance, FORWARD)).traces["G"]
+    assert (trace["a"], trace["b"]) == ("a_b", "a_b")
+    for node in ("a_b", "nowhere"):
+        with pytest.raises(KeyError) as raised:
+            trace[node]
+        assert raised.value.args == (node,)
+
+
 def _typed_layer(rng, prefix: str, size: int, under: Graph | None):
     """A graph of `size` nodes named prefix0, prefix1, ... with each edge
     drawn with probability 1/2, and its typing into `under` (a random node

@@ -1,16 +1,17 @@
 """Differentials of the load and check fast paths against the walks they
 replaced, which reference_kernels.py keeps:
 
-- `graph_from_json` reads a graph's rows in one pass, keys its attribute
-  memo by (key, value) for one str key with one str value, and checks node
-  ids and edge endpoints at C level; `loader_walk` walks the rows with
-  their JSON path and keys the memo by repr. On drawn documents of two
-  graphs that share a memo, full of memo-key traps (`["1"]`, `[1]`,
-  `[true]`, `[1, true]`, a repeated value, two-key dicts in both key
-  orders, empty `attrs`, repeated node entries, non-str ids and images,
-  dangling edges, malformed rows), both give equal graphs with the same
-  listed orders and the same sharing of attribute dicts, or raise the same
-  exception with the same message and JSON path.
+- `graph_from_json` reads a graph's rows in one pass that knows only the
+  row index, keys its attribute memo by (key, value) for one str key with
+  one str value, and checks edge endpoints against the listed nodes at C
+  level; `loader_walk` sets the JSON path of every row it reads, keys the
+  memo by repr and finds dangling edges by `Graph.validate`. On drawn
+  documents of two graphs that share a memo, full of memo-key traps
+  (`["1"]`, `[1]`, `[true]`, `[1, true]`, a repeated value, two-key dicts
+  in both key orders, empty `attrs`, repeated node entries, non-str ids
+  and images, dangling edges, malformed rows), both give equal graphs with
+  the same listed orders and the same sharing of attribute dicts, or raise
+  the same exception with the same message and JSON path.
 - `_node_map_from_json` checks a dict's images at C level; `node_map_walk`
   walks every entry.
 - `Hierarchy._verdict` compares the whole composite with the fixed map at
@@ -32,7 +33,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import reference_kernels as ref
-import sqpo.graphs
 from generators import random_hierarchy
 from sqpo import Hierarchy, Homomorphism, graph_from_json
 from sqpo.graphs import _node_map_from_json
@@ -97,13 +97,11 @@ def test_loader_matches_the_walk(docs):
     assert _loaded(graph_from_json, docs) == want
 
 
-def test_trap_values_load_in_one_pass(monkeypatch):
-    """A valid document of every valid trap loads without the walk, and
+def test_trap_values_load_in_one_pass():
+    """A valid document of every valid trap loads as the walk loads it, and
     shares attribute dicts exactly as the repr-keyed memo does: `["1"]`,
     `[1]` and `[true]` apart, a repeated value as one dict, equal two-key
     dicts in different key orders apart."""
-    walks, walk = [], sqpo.graphs._graph_walk
-    monkeypatch.setattr(sqpo.graphs, "_graph_walk", lambda *args: walks.append(args) or walk(*args))
     values = [{"k": ["1"]}, {"k": [1]}, {"k": [True]}, {"k": ["1", 1]}, {"k": ["x"]}, {"j": ["x"]},
               {"k": ["x"]}, {"a": ["x"], "b": ["y"]}, {"b": ["y"], "a": ["x"]}, {}, {"k": []}]
     doc = {
@@ -111,12 +109,29 @@ def test_trap_values_load_in_one_pass(monkeypatch):
         "edges": [{"from": "n0", "to": "n1", "attrs": {"k": ["x"]}}, {"from": "n1", "to": "n0"}],
     }
     got = _loaded(graph_from_json, [doc, copy.deepcopy(doc)])
-    assert walks == []
     assert got == _loaded(ref.loader_walk, [copy.deepcopy(doc), copy.deepcopy(doc)])
     (g, _), _, sharing, _ = got
     assert g.node_attrs["n4"] is g.node_attrs["n6"] is g.edge_attrs[("n0", "n1")]
     assert len({id(g.node_attrs[f"n{i}"]) for i in range(9)}) == 8
     assert sharing[:10] == sharing[10:]  # the second graph reuses the first's dicts
+
+
+class _Id(str):
+    """A str subclass, which a library caller may pass and `json.load`
+    never makes."""
+
+
+def test_str_subclass_ids_load_as_the_walk_loads_them():
+    """Node ids and edge endpoints of a str subclass pass the loader's
+    `isinstance` checks, and node map images of one fail the map's exact
+    type check and load by its walk, as the reference walks load them."""
+    doc = {"nodes": [{"id": _Id("a")}, {"id": "b", "attrs": {"k": ["x"]}}],
+           "edges": [{"from": _Id("a"), "to": "b"}, {"from": "b", "to": _Id("b")}]}
+    got = _loaded(graph_from_json, [doc, copy.deepcopy(doc)])
+    assert got == _loaded(ref.loader_walk, [copy.deepcopy(doc), copy.deepcopy(doc)])
+    assert got[0][0].nodes == {"a", "b"}
+    raw = {"x": _Id("a")}
+    assert _node_map_from_json(raw, "typing G -> T") == ref.node_map_walk(raw, "typing G -> T") == {"x": "a"}
 
 
 _images = st.sampled_from(["a", "b", "", "é\n"]) | st.sampled_from([1, True, None, ["a"], {"x": "y"}, 1.5])

@@ -672,13 +672,15 @@ def _count_delta_work(monkeypatch):
         for module in modules:
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting)
-    violation = sqpo.graphs._violation
+    violation = sqpo.graphs._violation_at
 
-    def scanning(h, nodes, edges, keys, everywhere):
+    def scanning(h, nodes, edges, keys):
         counts["violation"] += len(nodes) + len(edges)
-        return violation(h, nodes, edges, keys, everywhere)
+        return violation(h, nodes, edges, keys)
 
-    monkeypatch.setattr(sqpo.graphs, "_violation", scanning)
+    for module in modules:
+        if getattr(module, "_violation_at", None) is violation:
+            monkeypatch.setattr(module, "_violation_at", scanning)
     adjacency = Graph._adjacency
 
     def indexing(g):
@@ -1057,31 +1059,29 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 def test_cli_validate_checks_each_graph_once(tmp_path, monkeypatch):
     """`sqpo validate` on a valid file of 2 graphs runs `Graph.validate`
-    on neither: the loader checks each graph's node ids and edge endpoints
-    at C level, and the hierarchy check does not check the graphs again (it
-    did, making 4 calls, and the loader alone made 2). A graph with a
-    dangling edge is loaded again by the located walk, which runs
-    `Graph.validate` once, for its message."""
-    calls, walks = [], []
-    original, walk = Graph.validate, sqpo.graphs._graph_walk
+    on neither: the loader checks each graph's edge endpoints at C level,
+    and the hierarchy check does not check the graphs again (it did,
+    making 4 calls, and the loader alone made 2). A graph with a dangling
+    edge runs `Graph.validate` once, for its message."""
+    calls = []
+    original = Graph.validate
 
     def counting(g):
         calls.append(g)
         return original(g)
 
     monkeypatch.setattr(Graph, "validate", counting)
-    monkeypatch.setattr(sqpo.graphs, "_graph_walk", lambda *args: walks.append(args) or walk(*args))
     path = FIXTURES / "merge_add.hierarchy.json"
     with redirect_stdout(io.StringIO()):
         assert sqpo.cli.main(["validate", str(path)]) == 0
-    assert (len(calls), len(walks)) == (0, 0)
+    assert len(calls) == 0
 
     broken = json.loads(path.read_text(encoding="utf-8"))
     broken["graphs"]["T"]["edges"].append({"from": "b", "to": "nowhere"})
     (tmp_path / "broken.json").write_text(json.dumps(broken), encoding="utf-8")
     with redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert sqpo.cli.main(["validate", str(tmp_path / "broken.json")]) == 2
-    assert (len(calls), len(walks)) == (1, 1)
+    assert len(calls) == 1
 
 
 def test_cli_plan_file_derives_nothing_for_its_nodes(tmp_path, monkeypatch):

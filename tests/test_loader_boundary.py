@@ -21,6 +21,9 @@ given a skeleton first, and requires:
 
 A hierarchy, rule, relation or plan file that is not UTF-8, or whose JSON
 nests deeper than the decoder recurses, exits 2 with `cannot parse PATH`.
+A container that is not a list (a graph's `nodes` or `edges`, a
+hierarchy's `typings` or skeleton `edges`, a plan's `connectors`) is
+refused at its own JSON path, with exit 2 from the CLI.
 """
 
 import contextlib
@@ -29,11 +32,14 @@ import io
 import json
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import reference_kernels as ref
 import sqpo.cli
-from sqpo import GraphElementError, Homomorphism, SqpoError, hierarchy_from_json, rule_from_json
+from sqpo import (
+    GraphElementError, HierarchyError, Homomorphism, SqpoError, hierarchy_from_json, rule_from_json,
+)
 from test_kernel_differential import _assert_normalized
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -343,3 +349,66 @@ def test_unparsable_files_exit_2_naming_the_file(tmp_path):
             assert err.getvalue().startswith(f"error: cannot parse {path}: "), (case, role)
             if role == "hierarchy":
                 assert _run(["validate", str(path)]) == 2, case
+
+
+NOT_ITERABLE = "'int' object is not iterable"
+
+
+def _errors(argv) -> tuple:
+    """The exit code and the standard error of an in-process `sqpo` call."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = sqpo.cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("graph, path", [
+    ({"nodes": [{"id": "a", "attrs": {"k": ["x"]}}], "edges": 5}, "edges"),
+    ({"nodes": 5}, "nodes"),
+], ids=["edges", "nodes"])
+def test_a_graph_container_that_is_no_list_is_located_at_itself(tmp_path, graph, path):
+    """A graph whose `nodes` or `edges` value is not a list raises at that
+    value's path, not at the last row read before it, both from the
+    library loader and, in a hierarchy file, from `sqpo validate` (exit 2)."""
+    with pytest.raises(GraphElementError) as raised:
+        sqpo.graph_from_json(graph)
+    assert str(raised.value) == f"{path}: malformed graph: {NOT_ITERABLE}"
+    file = tmp_path / "h.json"
+    file.write_text(json.dumps({"graphs": {"G": graph}}))
+    assert _errors(["validate", str(file)]) == (
+        2, f"error: invalid hierarchy in {file}: graphs.G.{path}: graph G: malformed graph: {NOT_ITERABLE}\n"
+    )
+
+
+@pytest.mark.parametrize("damage, path", [
+    (lambda obj: obj.update(typings=5), "typings"),
+    (lambda obj: obj.update(skeleton={"nodes": ["k"], "edges": 5}), "skeleton.edges"),
+], ids=["typings", "skeleton-edges"])
+def test_a_hierarchy_container_that_is_no_list_is_located_at_itself(tmp_path, damage, path):
+    """A hierarchy whose `typings` or skeleton `edges` value is not a list
+    raises at that value's path, not at the last graph or the skeleton."""
+    obj = json.loads((FIXTURES / "merge_add.hierarchy.json").read_text())
+    damage(obj)
+    with pytest.raises(HierarchyError) as raised:
+        hierarchy_from_json(obj)
+    assert str(raised.value) == f"{path}: malformed hierarchy: {NOT_ITERABLE}"
+    file = tmp_path / "h.json"
+    file.write_text(json.dumps(obj))
+    assert _errors(["validate", str(file)]) == (
+        2, f"error: invalid hierarchy in {file}: {path}: malformed hierarchy: {NOT_ITERABLE}\n"
+    )
+
+
+@pytest.mark.parametrize("hier, node, rule, plan", PLAN_CASES, ids=["with-factorizations", "relation-only"])
+def test_plan_connectors_that_are_no_list_are_located_at_themselves(tmp_path, hier, node, rule, plan):
+    """A plan file whose `connectors` value is not a list is refused (exit 2)
+    at that value's path, not at the last factorization nor at none."""
+    obj = json.loads((FIXTURES / plan).read_text())
+    obj["connectors"] = 5
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(obj))
+    assert _errors([
+        "rewrite", str(FIXTURES / hier), node, str(FIXTURES / rule), "0", "--direction", "fwd",
+        "--plan", str(path), "-o", str(tmp_path / "out.json"),
+    ]) == (2, f"error: invalid plan in {path}: connectors: malformed plan: {NOT_ITERABLE}\n")
+    assert list(tmp_path.iterdir()) == [path]
