@@ -10,6 +10,7 @@ produce byte-identical outputs. Exit codes: 0 success, 1 domain violation,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import errno
 import json
 import os
@@ -73,12 +74,18 @@ def _load_rule(path: str):
 
 
 def _write_atomically(outputs: list[tuple[str, str]]) -> None:
-    """Write each (path, text) to a fresh file beside its path, then rename
-    them into place in order, so a failed run leaves no partial output."""
+    """Write each (path, text) to a fresh file beside its path, hard-link
+    each existing path to a fresh backup beside it, then rename the new
+    files into place in order. If a rename fails, each path renamed before
+    it is put back from its backup, or removed if it did not exist, so a
+    failed run leaves no partial output; the staged files and the backups
+    are removed in every case."""
     for path, _ in outputs:
         if os.path.isdir(path):  # os.replace would fail only after earlier renames
             raise _InputError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
     staged: list[tuple[str, str]] = []
+    backups: list[tuple[str, str | None]] = []  # (path, its backup or None if it did not exist)
+    renamed = 0
     try:
         for path, text in outputs:
             tmp = f"{path}.{secrets.token_hex(6)}.tmp"
@@ -86,14 +93,28 @@ def _write_atomically(outputs: list[tuple[str, str]]) -> None:
             staged.append((tmp, path))
             with os.fdopen(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+        for _, path in staged:
+            backup = f"{path}.{secrets.token_hex(6)}.bak"
+            try:
+                os.link(path, backup, follow_symlinks=False)
+            except FileNotFoundError:
+                backup = None
+            backups.append((path, backup))
         for tmp, path in staged:
             os.replace(tmp, path)
+            renamed += 1
     except OSError as exc:
+        for done, backup in backups[:renamed]:
+            with contextlib.suppress(OSError):  # put back all that can be
+                if backup is None:
+                    os.unlink(done)
+                else:
+                    os.replace(backup, done)
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
     finally:
-        for tmp, _ in staged:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
+        for leftover in [tmp for tmp, _ in staged] + [backup for _, backup in backups if backup]:
+            if os.path.lexists(leftover):
+                os.unlink(leftover)
 
 
 def cmd_validate(args) -> int:

@@ -122,7 +122,13 @@ def fresh_id(base: str, taken) -> str:
 
 
 class Graph:
-    """A finite attributed simple directed graph."""
+    """A finite attributed simple directed graph.
+
+    The constructor normalizes each attribute value (`normalize_attrs`),
+    and equal values of the common shape (see `_memo_key`) share one dict:
+    one memo per call, keyed by value, serves the node and the edge loop,
+    as `graph_from_json`'s serves a file. Every other value is normalized
+    on its own, so the first bad value in iteration order raises."""
 
     __slots__ = (
         "nodes", "edges", "node_attrs", "edge_attrs", "_adjacent", "_order", "_sorted_edges",
@@ -140,14 +146,21 @@ class Graph:
         object.__setattr__(
             self, "edges", frozenset((str(u), str(v)) for u, v in edges)
         )
+        memo: dict = {}  # _memo_key -> normalized dict, for this call only
         na = {}
         for n, attrs in (node_attrs or {}).items():
-            normalized = normalize_attrs(attrs)
+            if (key := _memo_key(attrs)) is None:
+                normalized = normalize_attrs(attrs)
+            elif (normalized := memo.get(key)) is None:
+                normalized = memo[key] = normalize_attrs(attrs)
             if normalized:
                 na[str(n)] = normalized
         ea = {}
         for e, attrs in (edge_attrs or {}).items():
-            normalized = normalize_attrs(attrs)
+            if (key := _memo_key(attrs)) is None:
+                normalized = normalize_attrs(attrs)
+            elif (normalized := memo.get(key)) is None:
+                normalized = memo[key] = normalize_attrs(attrs)
             if normalized:
                 ea[(str(e[0]), str(e[1]))] = normalized
         object.__setattr__(self, "node_attrs", na)
@@ -985,17 +998,24 @@ def _node_map_from_json(raw: Mapping, what: str) -> dict[str, str]:
     return dict(raw)
 
 
+_ONE_OF = (list, tuple, set, frozenset)
+
+
 def _memo_key(raw):
-    """The key of a raw attribute value in `graph_from_json`'s memo: the
-    (key, value) pair of the common shape, one str key with a list of one
-    str value, and the repr of any other. Two values that `json.load` made
-    get equal keys exactly when their reprs are equal: a pair never equals
-    a repr, and two pairs are equal only when their texts are."""
+    """The (key, value) pair of a raw attribute value of the common shape,
+    a dict of one str key whose value, a list, tuple, set or frozenset,
+    holds one str; None for any other value. Every type test is exact, so
+    a subclass of dict or str, a scalar value and an int or bool value get
+    None. Values with equal pairs normalize to equal dicts, so the
+    constructor and the loader key their memos by it (the loader by the
+    repr of a value without a pair)."""
     if type(raw) is dict and len(raw) == 1:
         for k, values in raw.items():
-            if type(k) is str and type(values) is list and len(values) == 1 and type(values[0]) is str:
-                return k, values[0]
-    return repr(raw)
+            if type(k) is str and type(values) in _ONE_OF and len(values) == 1:
+                for v in values:
+                    if type(v) is str:
+                        return k, v
+    return None
 
 
 def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
@@ -1007,8 +1027,9 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
     first such edge in sorted order (`edges[4]`).
 
     Equal raw attribute values are checked once and share one dict: `memo`,
-    one per document, holds each valid value by `_memo_key`, which tells
-    `[1]`, `[true]`, `["1"]` and `[1.0]` apart where equality would not.
+    one per document, holds each valid value by its `_memo_key` pair, or
+    by its repr if it has none, which tells `[1]`, `[true]`, `["1"]` and
+    `[1.0]` apart where equality would not; a pair never equals a repr.
 
     One pass reads the rows and knows the row it reads, so a problem
     raises where it is met; then one C-level check finds every edge
@@ -1024,7 +1045,7 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
                 raise TypeError(f"node id {json.dumps(n)} is not a string")
             nodes.append(n)
             if "attrs" in entry:
-                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
+                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]) or repr(raw))) is None:
                     attrs = memo[key] = _attrs_at(raw, ("nodes", i, "attrs"))
                 if attrs:
                     node_attrs[n] = attrs
@@ -1038,7 +1059,7 @@ def graph_from_json(obj: Mapping, memo: dict | None = None) -> Graph:
                 raise TypeError(f"edge {json.dumps([u, v])} has an endpoint that is not a string")
             edges.append(e := (u, v))
             if "attrs" in entry:
-                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]))) is None:
+                if (attrs := memo.get(key := _memo_key(raw := entry["attrs"]) or repr(raw))) is None:
                     attrs = memo[key] = _attrs_at(raw, ("edges", i, "attrs"))
                 if attrs:
                     edge_attrs[e] = attrs

@@ -30,8 +30,9 @@ those verdicts. A source the log reaches is walked anew.
   valid: every arrow a homomorphism between its endpoint objects and all
   parallel paths equal. A hierarchy with no arrows is, a `validate` that
   finds nothing marks it, and `add_typing` into a valid hierarchy keeps
-  it, as does `add_object`; `replace` and pickling drop it. A check alone
-  never marks it, since it does not check that maps are total.
+  it, as do `add_object` and a rewrite whose result commutes (see
+  `propagation._propagate`); `replace` and pickling drop it. A check
+  alone never marks it, since it does not check that maps are total.
 * `add_typing(a, b)` on a valid hierarchy compares only the path pairs its
   arrow creates. Each new path runs s ~> a -> b ~> t, for s in a's
   ancestors (a included) and t in b's cone, and the old paths agree, so

@@ -466,10 +466,12 @@ def _propagate(h: Hierarchy, plan: PropagationPlan, direction: str, step) -> Rew
 
     A valid input stays valid through every step of a plan that passed the
     composability check (the paper's preservation results), so if the
-    input and the result both commute every step reports []. Else the
-    per-step hierarchies are checked in order, also after a step raised, so
-    that a check that raises before that step raises first: the report and
-    any exception are those of a check after every step."""
+    input and the result both commute every step reports [], and a result
+    whose input was known valid is known valid too (see
+    `Hierarchy.add_typing`). Else the per-step hierarchies are checked in
+    order, also after a step raised, so that a check that raises before
+    that step raises first: the report and any exception are those of a
+    check after every step."""
     res = _checked_resolution(h, plan, direction)
     sub = res.sub
     ahead, behind = (sub._succ, sub._pred) if direction == FORWARD else (sub._pred, sub._succ)
@@ -478,7 +480,7 @@ def _propagate(h: Hierarchy, plan: PropagationPlan, direction: str, step) -> Rew
     traces: dict[str, Homomorphism] = {}
     instances: dict[str, Homomorphism] = {}
     updated: dict[tuple[str, str], Homomorphism] = {}
-    clean, kept = _commutes(h), []
+    valid, clean, kept = h._memo.valid, _commutes(h), []
     try:
         for i in [n for wave in waves for n in wave]:
             graph, traces[i], instances[i], patch = step(res, i, current, instances)
@@ -491,6 +493,8 @@ def _propagate(h: Hierarchy, plan: PropagationPlan, direction: str, step) -> Rew
             (i, [] if clean else [str(v) for v in after.validate_commutativity()])
             for i, after in kept
         ]
+    if valid and clean:
+        object.__setattr__(current, "_memo", current._memo.marked())
     return RewriteReport(current, plan.origin, direction, waves, traces, instances, updated, steps)
 
 

@@ -30,7 +30,9 @@ map before it checked at C level first and walked only a failed map
 And the located loader that read every graph row by row with a memo keyed
 by repr (`loader_walk`), the node map loader that walked every map
 (`node_map_walk`), and the commutativity verdict that compared every
-composite in Python (`verdict_walk`).
+composite in Python (`verdict_walk`). And the public `Graph` constructor
+that normalized every attributed node and edge on its own, so that no
+two held one dict (`graph_per_element`).
 
 They enumerate all pairs of nodes (or, for matching, re-count degrees by
 scanning every edge), so they are quadratic, but they are short and
@@ -70,6 +72,7 @@ from sqpo.graphs import (
     identity,
     is_mono,
     json_shape_message,
+    normalize_attrs,
 )
 from sqpo.edits import MergeNodes
 from sqpo.graphs import attrs_from_json as library_attrs_from_json
@@ -811,6 +814,25 @@ def graph_from_json(obj) -> Graph:
         raise GraphElementError("invalid graph: " + "; ".join(problems))
     return g
 
+
+
+def graph_per_element(nodes=(), edges=(), node_attrs=None, edge_attrs=None) -> Graph:
+    """The public `Graph` constructor as it was before it kept a memo:
+    `normalize_attrs` once per attributed node and edge, in iteration
+    order."""
+    node_set = frozenset(str(n) for n in nodes)
+    edge_set = frozenset((str(u), str(v)) for u, v in edges)
+    na = {}
+    for n, attrs in (node_attrs or {}).items():
+        normalized = normalize_attrs(attrs)
+        if normalized:
+            na[str(n)] = normalized
+    ea = {}
+    for e, attrs in (edge_attrs or {}).items():
+        normalized = normalize_attrs(attrs)
+        if normalized:
+            ea[(str(e[0]), str(e[1]))] = normalized
+    return Graph._of(node_set, edge_set, na, ea)
 
 
 def loader_walk(obj, memo: dict | None = None) -> Graph:

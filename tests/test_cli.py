@@ -1103,15 +1103,19 @@ def test_match_refuses_a_bad_anchor(capsys):
     assert (code, capsys.readouterr()) == (2, ("", "error: bad anchor 'x': expected PATTERN=NODE\n"))
 
 
-def test_a_failed_rename_leaves_no_staged_file(tmp_path, capsys, monkeypatch):
-    """When the report's rename fails after the output's has succeeded, the
-    rewrite exits 2 naming the report, and the staged report file is
-    removed: no `*.tmp` file is left beside the outputs."""
+def _rewrite_with_a_failing_rename(tmp_path, monkeypatch, failing_dst, existing: bool):
+    """`sqpo rewrite` of merge_add with `-o` and `--report`, which hold
+    earlier bytes if `existing`, while renaming anything onto
+    `failing_dst` raises EACCES. Returns the exit code and the files in
+    tmp_path with their bytes."""
     out, report = tmp_path / "out.json", tmp_path / "report.json"
+    if existing:
+        out.write_text("earlier hierarchy\n")
+        report.write_text("earlier report\n")
     replace = os.replace
 
     def failing(src, dst):
-        if dst == str(report):
+        if dst == str(failing_dst):
             raise OSError(errno.EACCES, os.strerror(errno.EACCES))
         return replace(src, dst)
 
@@ -1120,5 +1124,55 @@ def test_a_failed_rename_leaves_no_staged_file(tmp_path, capsys, monkeypatch):
         "rewrite", str(FIXTURES / "merge_add.hierarchy.json"), "G", str(FIXTURES / "merge_add.rule.json"),
         "0", "--direction", "fwd", "-o", str(out), "--report", str(report),
     ])
+    return code, {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+
+def test_a_failed_rename_leaves_no_staged_file(tmp_path, capsys, monkeypatch):
+    """When the report's rename fails after the output's has succeeded, the
+    rewrite exits 2 naming the report, and the output, which did not exist
+    before, is removed again: no output, no staged `*.tmp` file and no
+    `*.bak` backup is left."""
+    report = tmp_path / "report.json"
+    code, files = _rewrite_with_a_failing_rename(tmp_path, monkeypatch, report, existing=False)
     assert (code, capsys.readouterr().err) == (2, f"error: cannot write {report}: {os.strerror(errno.EACCES)}\n")
-    assert not list(tmp_path.glob("*.tmp"))
+    assert files == {}
+
+
+def test_a_failed_rename_puts_earlier_files_back(tmp_path, capsys, monkeypatch):
+    """The same failure over earlier `-o` and `--report` files: the output
+    is put back from its backup, so both files keep their bytes, and no
+    `*.tmp` or `*.bak` file is left."""
+    report = tmp_path / "report.json"
+    code, files = _rewrite_with_a_failing_rename(tmp_path, monkeypatch, report, existing=True)
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot write {report}: {os.strerror(errno.EACCES)}\n")
+    assert files == {"out.json": b"earlier hierarchy\n", "report.json": b"earlier report\n"}
+
+
+def test_outputs_replace_earlier_files_and_leave_no_backup(tmp_path, capsys, monkeypatch):
+    """A run that succeeds over earlier files writes both and removes the
+    backups it made of them."""
+    (tmp_path / "old").mkdir()
+    (tmp_path / "new").mkdir()
+    code, files = _rewrite_with_a_failing_rename(tmp_path / "old", monkeypatch, None, existing=True)
+    assert code == 0
+    assert _rewrite_with_a_failing_rename(tmp_path / "new", monkeypatch, None, existing=False) == (0, files)
+    assert sorted(files) == ["out.json", "report.json"]
+    capsys.readouterr()
+
+
+def test_a_failed_backup_fails_before_any_rename(tmp_path, capsys, monkeypatch):
+    """If an existing output cannot be hard-linked to a backup, the rewrite
+    exits 2 before renaming anything: both earlier files keep their bytes
+    and nothing staged is left."""
+    link = os.link
+
+    def failing(src, dst, **kwargs):
+        if src.endswith("report.json"):
+            raise OSError(errno.EPERM, os.strerror(errno.EPERM))
+        return link(src, dst, **kwargs)
+
+    monkeypatch.setattr(os, "link", failing)
+    code, files = _rewrite_with_a_failing_rename(tmp_path, monkeypatch, None, existing=True)
+    report = tmp_path / "report.json"
+    assert (code, capsys.readouterr().err) == (2, f"error: cannot write {report}: {os.strerror(errno.EPERM)}\n")
+    assert files == {"out.json": b"earlier hierarchy\n", "report.json": b"earlier report\n"}

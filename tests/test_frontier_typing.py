@@ -12,7 +12,23 @@ with the same type and message.
 
 import pytest
 
-from sqpo import Graph, Hierarchy, HierarchyError, Homomorphism, Skeleton
+from sqpo import (
+    BACKWARD,
+    FORWARD,
+    AddEdge,
+    AddNode,
+    CloneNode,
+    Graph,
+    Hierarchy,
+    HierarchyError,
+    Homomorphism,
+    Skeleton,
+    apply_plan,
+    build_canonical_plan,
+    build_rule,
+    hierarchy_from_json,
+    hierarchy_to_json,
+)
 
 _G = Graph(["x", "y"], [("x", "y")])
 _SAME, _SWAP = {"x": "x", "y": "y"}, {"x": "y", "y": "x"}
@@ -210,3 +226,28 @@ def test_what_keeps_and_drops_the_mark():
     assert same.validate_commutativity() == [] and not same._memo.valid
     assert same.validate() == [] and same._memo.valid
     assert not h.replace(objects={"c": _G})._memo.valid
+
+
+@pytest.mark.parametrize("direction", [BACKWARD, FORWARD])
+def test_a_rewrite_keeps_the_mark(direction, frontier):
+    """A rewrite of a hierarchy known valid (a clone at the top of two
+    layers, or an add at the bottom) returns one known valid, which a
+    memo-free validation confirms: a typing a -> b in it is compared at its
+    frontier pair (s, b), and agrees as on its unmarked copy by the full
+    check. A rewrite of an unmarked hierarchy leaves its result unmarked."""
+    h = _typed([("s", "a"), ("s", "b"), ("a", "t"), ("b", "t")], _LOOP)
+    origin = "t" if direction == BACKWARD else "s"
+    pattern = Graph(["p"])
+    if direction == BACKWARD:
+        arrow = build_rule(pattern, [CloneNode("p", "p1", "p2")]).left_leg
+    else:
+        arrow = build_rule(pattern, [AddNode("n"), AddEdge("p", "n")]).right_leg
+    match = Homomorphism(pattern, _LOOP, {"p": "x"})
+    out = apply_plan(h, build_canonical_plan(h, origin, arrow, match, direction))[-1].hierarchy
+    assert out._memo.valid
+    assert hierarchy_from_json(hierarchy_to_json(out), validate=False).validate() == []
+    assert out.graph("a") == out.graph("b")
+    got, agreed = _same_both_ways(out, "a", "b", {n: n for n in out.graph("a").nodes}, frontier)
+    assert agreed and isinstance(got, Hierarchy)
+    again = apply_plan(_unmarked(h), build_canonical_plan(h, origin, arrow, match, direction))
+    assert again[-1].hierarchy == out and not again[-1].hierarchy._memo.valid

@@ -99,8 +99,11 @@ attributed G -> M -> T plus G -> T hierarchy of 1000 data nodes must never
 reach `json.encoder._make_iterencode`, the stdlib's pure-Python encoder
 that `json.dumps(..., indent=2)` runs; loading that hierarchy must not call
 `normalize_attrs`, which the public `Graph` constructor runs once per
-attributed node and edge (1,976 times here). One `sqpo rewrite` of that
-file sorts the node set or the edge set of no graph it loads, and each set
+distinct value of the common shape and once per other attributed element:
+1,019 times here, where the nodes' three-value dicts make 1,000 of the
+1,976 attributed elements (it ran once per element before). One `sqpo
+rewrite` of that file sorts the node set or the edge set of no graph it
+loads, and each set
 of a graph it writes at most once (`sorted` patched in every sqpo module):
 the loader keeps the file's sorted lists and the constructions carry them
 over, where each written graph's node set and edge set were sorted once
@@ -118,6 +121,13 @@ writer builds 8 attribute objects (`attrs_to_json`; 1,040 before) and
 shared value (5,026 before, one per member). Four threads that
 load and dump that file at once each get the single-thread bytes: the memos
 live in one call.
+
+The constructor guards count `normalize_attrs` calls too: building the
+data_fwd-shaped G of 2,000 nodes over 8 kinds normalizes 8 values (2,000
+before), equal values of the common shape are one dict on nodes and
+edges alike, and `clone_node` on a 1,000-node graph whose 800 edges carry
+one label normalizes at most 9 (1,802 before, as its result goes through
+the constructor).
 """
 
 import argparse
@@ -1309,3 +1319,49 @@ def test_threads_load_and_dump_one_file_alike(data_text):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == {i: texts * 2 for i in range(4)}
+
+
+def _kinded_graph_args(n: int, labelled: bool = False) -> tuple:
+    """Constructor arguments of a G shaped like the data_fwd benchmark's:
+    n nodes, each carrying one of 8 kinds (`{"kind": ["k3"]}`), and 0.8 n
+    seeded edges, which carry one label if `labelled`."""
+    rng = random.Random(7)
+    kinds = [i % 8 for i in range(n)]
+    rng.shuffle(kinds)
+    nodes = [f"g{i}" for i in range(n)]
+    edges = set()
+    while len(edges) < n * 4 // 5:
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((nodes[u], nodes[v]))
+    node_attrs = {x: {"kind": [f"k{k}"]} for x, k in zip(nodes, kinds)}
+    edge_attrs = {e: {"label": ["link"]} for e in edges} if labelled else {}
+    return nodes, edges, node_attrs, edge_attrs
+
+
+def test_building_a_graph_normalizes_each_distinct_value_once(monkeypatch):
+    calls = _count_attr_work(monkeypatch)
+    g = Graph(*_kinded_graph_args(2000))
+    assert calls["normalize_attrs"] == 8
+    shared: dict = {}
+    for attrs in g.node_attrs.values():
+        assert shared.setdefault(attrs["kind"], attrs) is attrs
+    assert len(g.node_attrs) == 2000 and len(shared) == 8
+
+
+def test_equal_node_and_edge_values_share_one_dict():
+    nodes, edges, node_attrs, edge_attrs = _kinded_graph_args(200, labelled=True)
+    node_attrs["g0"] = {"label": ("link",)}  # every container of one str has the common shape
+    node_attrs["g1"] = {"label": frozenset({"link"})}
+    g = Graph(nodes, edges, node_attrs, edge_attrs)
+    held = [g.node_attrs["g0"], g.node_attrs["g1"], *g.edge_attrs.values()]
+    assert all(attrs is held[0] for attrs in held)
+
+
+def test_clone_node_normalizes_each_distinct_value_once(monkeypatch):
+    g = Graph(*_kinded_graph_args(1000, labelled=True))
+    calls = _count_attr_work(monkeypatch)
+    out = g.clone_node("g0", "c1", "c2")
+    assert len(out.nodes) == 1001
+    assert calls["normalize_attrs"] <= 9  # 8 kinds and one label
+    assert out.node_attrs["c1"] is out.node_attrs["c2"]

@@ -8,12 +8,15 @@ answer exactly as a memo-free copy read back from its own JSON: the same
 `validate_commutativity` verdicts, the same `composed_typing` for every
 pair of objects, and for a rewrite the same report bytes and hierarchy
 bytes (or the same exception type and message). A full validation, as
-the copy's, marks a hierarchy that passes it valid; a typing added to a
-valid hierarchy is compared at its frontier pairs only, and one added to
-any other hierarchy (the copy, or one a rewrite returned) by the full
-check, so the typing rule compares the two paths. After a check that passes,
-each memo entry records the walk the copy's check records: the same nodes
-with a composite and verdicts in walk order. Typings added by `add_typing`
+the copy's, marks a hierarchy that passes it valid, and so does a rewrite
+of a hierarchy marked valid: a memo-free validation of its result must
+find nothing, and a typing is added to it next. A typing added to a valid
+hierarchy is compared at its frontier pairs only, and one added to any
+other hierarchy (the copy, or one that `replace` or the constructor
+returned, which the unmark rule makes) by the full check, so the typing
+rule compares the two paths. After a check that passes, each memo entry
+records the walk the copy's check records: the same nodes with a
+composite and verdicts in walk order. Typings added by `add_typing`
 and rewrites make some sources that have an entry walk anew.
 Neither a typing added nor a rewrite, refused or not, writes into an
 attribute dict of the hierarchy's graphs or the rule's: the constructions
@@ -38,7 +41,7 @@ from generators import (
     random_forward_plan,
     random_hierarchy,
 )
-from sqpo import Homomorphism, apply_plan, hierarchy_from_json, hierarchy_to_json
+from sqpo import Hierarchy, Homomorphism, apply_plan, hierarchy_from_json, hierarchy_to_json
 from sqpo.graphs import dumps_canonical
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -97,6 +100,28 @@ class MemoMachine(RuleBasedStateMachine):
         """A typing along a free pair of objects (lower index to higher, so
         the shape stays acyclic): the composite along an existing path,
         which commutes, or a random map, which mostly fails."""
+        self._typing(seed)
+
+    @rule(by_replace=st.booleans())
+    def unmark(self, by_replace):
+        """The hierarchy, no longer known valid: an empty `replace`, or a
+        copy built by the constructor, which is not known valid while it
+        has arrows."""
+        h = self.h
+        if by_replace:
+            self.h = h.replace()
+        else:
+            self.h = Hierarchy(
+                {n: h.graph(n) for n in h.nodes()}, {e: h.typing(*e) for e in h.edges()},
+                h.skeleton, h.skeleton_map,
+            )
+        assert not self.h._memo.valid or not self.h.edges()
+        self.seen["unmarked"] += 1
+        self._same_answers(self.h)
+
+    def _typing(self, seed):
+        """`add_typing` on the hierarchy and on its memo-free copy, which is
+        not known valid: equal hierarchies or equal refusals."""
         rng = random.Random(seed)
         names = sorted(self.h.nodes(), key=lambda n: int(n[1:]))
         free = [
@@ -179,8 +204,16 @@ class MemoMachine(RuleBasedStateMachine):
         )
         self.seen[("fwd" if forward else "bwd", kind)] += 1
         self.seen["clean-ups"] += cleanups
+        # a rewrite of a valid hierarchy keeps the mark, which a memo-free
+        # validation confirms, and one of any other hierarchy leaves it off
+        assert after._memo.valid == self.h._memo.valid
+        if after._memo.valid:
+            assert _memo_free(after).validate() == []
+            self.seen["rewrite kept the mark"] += 1
         self.h = after
         self._same_answers(self.h)
+        if after._memo.valid:  # typed marked and as an unmarked copy
+            self._typing(seed + 2)
 
 
 def test_memo_answers_as_a_memo_free_copy(monkeypatch):
@@ -219,7 +252,8 @@ def test_memo_answers_as_a_memo_free_copy(monkeypatch):
     for key in ["clean", "violations", "typing added", "typing refused", "clean-ups", ("fwd", "relation"),
                 ("fwd", "canonical"), ("bwd", "relation"), ("bwd", "canonical"),
                 "entry re-walked", "marked valid", "typing on a valid hierarchy",
-                "typing unmarked", "frontier agrees", "frontier differs"]:
+                "typing unmarked", "frontier agrees", "frontier differs", "unmarked",
+                "rewrite kept the mark"]:
         assert seen[key], (key, seen)
 
 
